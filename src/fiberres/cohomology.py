@@ -6,7 +6,9 @@ product into a piece supported on each factor's coefficients, one
 annihilated by the other factor.  ``verify_ext_sequence_L`` checks the
 dimension bookkeeping this forces on Ext of an arbitrary module, and
 ``verify_fiber_module_ext_sequence`` checks the short exact sequence
-induced on Ext by a pullback of modules along maps to a trivial module.
+induced on Ext by a pullback of modules along maps to a trivial module;
+its maps mu*/nu* come from ``comparison_chain_map``, the stage-0 entry
+point of the chain-map lifter in ``extalg``.
 
 ``combined_residue_resolution`` resolves the residue field over a free
 product by joining minimal resolutions over the two factors.  On top of
@@ -27,9 +29,9 @@ import numpy as np
 
 from . import linalg
 from .algebra import Element, FiberProductAlgebra, GradedAlgebra
-from .extalg import (ExtError, FreeProductAlgebra, _phi_setup, ext_algebra,
-                     ext_module, free_product, free_product_module,
-                     induced_ext_matrix)
+from .extalg import (ExtError, FreeProductAlgebra, _lift_stages, _phi_setup,
+                     ext_algebra, ext_module, free_product,
+                     free_product_module, induced_ext_matrix)
 from .gmodule import (AlgMatrix, FreeModule, GradedModule,
                       fiber_product_module, residue_module,
                       restrict_to_fiber, submodule_as_gmodule,
@@ -217,40 +219,14 @@ def comparison_chain_map(src: FreeResolution, tgt: FreeResolution,
                          nmax: int) -> list[dict[int, np.ndarray]]:
     """Chain map between resolutions over one algebra lifting the module
     map given degreewise by ``f_mats[d]`` (rows = source coordinates;
-    missing degrees act as zero).  Stage n solves only for the images of
-    the source generators and extends module-linearly; returns numeric
-    matrices per stage and internal degree, mapping source coordinates
-    to target coordinates as columns."""
-    A = src.algebra
-    assert tgt.algebra is A
+    missing degrees act as zero).  ``_lift_stages`` runs from stage 0,
+    solving against the two covers there; returns numeric matrices per
+    stage and internal degree, mapping source coordinates to target
+    coordinates as columns."""
+    assert tgt.algebra is src.algebra
     assert nmax <= src.hmax and nmax <= tgt.hmax
-    p = A.p
-    dcap = min(src.dmax, tgt.dmax)
-    maps: list[dict[int, np.ndarray]] = []
-    for n in range(nmax + 1):
-        fsrc, ftgt = src.frees[n], tgt.frees[n]
-        entries: dict[tuple[int, int], Element] = {}
-        for j, sj in enumerate(fsrc.gen_degrees):
-            if sj > dcap:
-                raise ExtError(f"window too small for a degree-{sj} generator")
-            col = fsrc.gen_index(sj, j)
-            if n == 0:
-                f = f_mats.get(sj)
-                if f is None:
-                    continue
-                rhs = (np.asarray(f, dtype=np.int64).T
-                       @ src.eval_cover(sj)[:, col]) % p
-                sol = linalg.solve(tgt.eval_cover(sj), rhs, p)
-            else:
-                rhs = (maps[n - 1][sj] @ src.eval_diff(n, sj))[:, col]
-                sol = linalg.solve(tgt.eval_diff(n, sj), rhs % p, p)
-            if sol is None:
-                raise ExtError(f"comparison lift failed at stage {n}, degree {sj}")
-            for i, el in ftgt.decompose(sol, sj).items():
-                entries[(i, j)] = el
-        mat = AlgMatrix(A, fsrc, ftgt, entries)
-        maps.append({d: mat.evaluate(d) for d in range(dcap + 1)})
-    return maps
+    module_map = {d: np.asarray(f, dtype=np.int64).T for d, f in f_mats.items()}
+    return _lift_stages(src, tgt, module_map, range(nmax + 1))
 
 
 def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,

@@ -1,16 +1,24 @@
 """Cohomology algebras of connected graded algebras and their behaviour
 under fiber products.
 
+Every chain map here is lifted by one stage loop, ``_lift_stages``:
+stage by stage it solves for the images of the source generators and
+extends them module-linearly.  Its entry points differ only in stage 0
+and the shift: ``lift_dual`` (the dual of a generator, for Yoneda
+products), ``restriction_chain_map`` (the coefficient projection onto a
+factor of a fiber product) and ``cohomology.comparison_chain_map`` (a
+module map).  ``induced_ext_matrix`` and the Yoneda tables read a stage
+off on generators through one shared helper.
+
 ``ext_algebra`` tabulates the Yoneda algebra Ext(k, k) on the dual basis
-of a minimal free resolution of the residue field, with products
-computed by lifting chain maps; ``ext_module`` does the same for
-Ext(M, k) as a left module.  ``free_product`` builds the coproduct of
-two such algebras on the alternating-word basis, and ``verify_phi_iso``
-/ ``verify_theta_iso`` check that for a fiber product the cohomology
-algebra (resp. the cohomology of a factor module) is the free product
-(resp. the induced module over it), degree by degree and product by
-product.  ``koszul_check`` reads the diagonal condition off generator
-degrees.
+of a minimal free resolution of the residue field; ``ext_module`` does
+the same for Ext(M, k) as a left module.  ``free_product`` builds the
+coproduct of two such algebras on the alternating-word basis, and
+``verify_phi_iso`` / ``verify_theta_iso`` check that for a fiber product
+the cohomology algebra (resp. the cohomology of a factor module) is the
+free product (resp. the induced module over it), degree by degree and
+product by product.  ``koszul_check`` reads the diagonal condition off
+generator degrees.
 """
 
 from __future__ import annotations
@@ -33,6 +41,60 @@ class ExtError(RuntimeError):
 # -- chain-map lifting ------------------------------------------------------
 
 
+def _boundary(res: FreeResolution, n: int, d: int) -> np.ndarray:
+    """Degree-d map out of stage n: the differential, or the cover at 0."""
+    return res.eval_diff(n, d) if n else res.eval_cover(d)
+
+
+def _lift_stages(src: FreeResolution, tgt: FreeResolution,
+                 prev: dict[int, np.ndarray], stages: range, step: int = 0,
+                 shift: int = 0, side: str | None = None,
+                 ) -> list[dict[int, np.ndarray]]:
+    """The one chain-map lifter: numeric maps of each stage n in
+    ``stages``, sending degree-d coordinates of src[step + n] to
+    degree-(d - shift) coordinates of tgt[n].
+
+    ``prev`` is the map one stage down (the module map, rows = target
+    coordinates, when the first stage is 0); a degree it lacks acts as
+    zero.  Stage n solves for the images of the source generators only,
+    against tgt's stage-n differential (the two covers at stage 0), and
+    extends module-linearly over tgt's algebra.  When ``side`` names the
+    factor tgt lives over, src lives over the fiber product and each
+    stage is precomposed with the coefficient projection onto that
+    factor.
+    """
+    A = tgt.algebra
+    p = A.p
+    dcap = min(src.dmax, tgt.dmax + shift)
+    maps = []
+    for n in stages:
+        fsrc, ftgt = src.frees[step + n], tgt.frees[n]
+        entries: dict[tuple[int, int], Element] = {}
+        for j, sj in enumerate(fsrc.gen_degrees):
+            if sj > dcap:
+                raise ExtError(f"lift window too small for a degree-{sj} generator")
+            if sj not in prev:
+                continue
+            col = fsrc.gen_index(sj, j)
+            rhs = prev[sj] @ _boundary(src, step + n, sj)[:, col]
+            sol = linalg.solve(_boundary(tgt, n, sj - shift), rhs % p, p)
+            if sol is None:
+                raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")
+            for i, el in ftgt.decompose(sol, sj - shift).items():
+                entries[(i, j)] = el
+        if side is None:
+            mat = AlgMatrix(A, fsrc, ftgt, entries, shift=shift)
+            prev = {d: mat.evaluate(d) for d in range(dcap + 1)}
+        else:
+            twin = FreeModule(A, fsrc.gen_degrees, fsrc.gen_labels)
+            mat = AlgMatrix(A, twin, ftgt, entries)
+            prev = {d: (mat.evaluate(d) @ _coefficient_projection(
+                        src.algebra, fsrc, twin, d, side)) % p
+                    for d in range(dcap + 1)}
+        maps.append(prev)
+    return maps
+
+
 def lift_dual(src: FreeResolution, tgt: FreeResolution, step: int, idx: int,
               nmax: int) -> list[dict[int, np.ndarray]]:
     """Chain map lifting the dual of generator ``idx`` at ``step`` of
@@ -42,59 +104,46 @@ def lift_dual(src: FreeResolution, tgt: FreeResolution, step: int, idx: int,
     Returns per-stage numeric matrices L[n][d] sending degree-d
     coordinates of src[step + n] to degree-(d - s) coordinates of
     tgt[n], where s is the generator's internal degree.  Stage 0 reads
-    off the generator's coefficient; each later stage solves for the
-    images of the source generators only and extends module-linearly,
-    so the lift is a genuine chain map of free modules.
+    off the generator's coefficient; later stages come from
+    ``_lift_stages`` with shift s.
     """
     A = src.algebra
     assert tgt.algebra is A
     assert step + nmax <= src.hmax and nmax <= tgt.hmax
-    p = A.p
     s = src.gen_degrees(step)[idx]
     dcap = min(src.dmax, tgt.dmax + s)
     first = AlgMatrix(A, src.frees[step], tgt.frees[0], {(0, idx): A.unit()},
                       shift=s)
-    lifts: list[dict[int, np.ndarray]] = [
-        {d: first.evaluate(d) for d in range(dcap + 1)}
-    ]
-    for n in range(1, nmax + 1):
-        fsrc, ftgt = src.frees[step + n], tgt.frees[n]
-        entries: dict[tuple[int, int], Element] = {}
-        for j, sj in enumerate(fsrc.gen_degrees):
-            if sj > dcap:
-                raise ExtError(f"lift window too small for a degree-{sj} generator")
-            col = fsrc.gen_index(sj, j)
-            rhs = (lifts[n - 1][sj] @ src.eval_diff(step + n, sj))[:, col]
-            sol = linalg.solve(tgt.eval_diff(n, sj - s), rhs % p, p)
-            if sol is None:
-                raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")
-            for i, el in ftgt.decompose(sol, sj - s).items():
-                entries[(i, j)] = el
-        mat = AlgMatrix(A, fsrc, ftgt, entries, shift=s)
-        lifts.append({d: mat.evaluate(d) for d in range(dcap + 1)})
-    return lifts
+    lifts = [{d: first.evaluate(d) for d in range(dcap + 1)}]
+    return lifts + _lift_stages(src, tgt, lifts[0], range(1, nmax + 1), step, s)
+
+
+def _generator_coefficients(stage: dict[int, np.ndarray], src: FreeModule,
+                            tgt: FreeModule, shift: int = 0) -> np.ndarray:
+    """Read one chain-map stage off on generators: entry (a, c) is the
+    coefficient of 1 * tgt generator a in the image of src generator c,
+    zero unless deg a = deg c - shift."""
+    out = np.zeros((tgt.rank, src.rank), dtype=np.int64)
+    for c, dc in enumerate(src.gen_degrees):
+        if dc not in stage:
+            raise ExtError("lift window too small for product read-off")
+        vec = stage[dc][:, src.gen_index(dc, c)]
+        off = tgt.offsets(dc - shift)
+        for a, da in enumerate(tgt.gen_degrees):
+            if da == dc - shift:
+                out[a, c] = vec[off[a]]
+    return out
 
 
 def _dual_tensor(E: FreeResolution, P: FreeResolution, lifts: dict, m: int,
                  n: int) -> np.ndarray:
     """Tensor (rank E_m, rank P_n, rank P_{m+n}) of step-m dual classes
-    over E acting on step-n dual classes over P, read off the lifted
-    chain maps: entry (a, b, c) is the generator-a coefficient of the
-    stage-m lift of b's dual evaluated on generator c."""
+    over E acting on step-n dual classes over P: slice b is the stage-m
+    lift of b's dual read off on generators."""
     arr = np.zeros((E.rank(m), P.rank(n), P.rank(m + n)), dtype=np.int64)
-    fm = E.frees[m]
-    for b in range(P.rank(n)):
-        sb = P.gen_degrees(n)[b]
-        Lm = lifts[(n, b)][m]
-        for c in range(P.rank(m + n)):
-            dc = P.gen_degrees(m + n)[c]
-            if dc not in Lm:
-                raise ExtError("lift window too small for product read-off")
-            vec = Lm[dc][:, P.frees[m + n].gen_index(dc, c)]
-            off = fm.offsets(dc - sb)
-            for a in range(E.rank(m)):
-                if E.gen_degrees(m)[a] == dc - sb:
-                    arr[a, b, c] = vec[off[a]]
+    for b, sb in enumerate(P.gen_degrees(n)):
+        arr[:, b] = _generator_coefficients(lifts[(n, b)][m], P.frees[m + n],
+                                            E.frees[m], sb)
     return arr % E.algebra.p
 
 
@@ -114,6 +163,7 @@ class ExtAlgebra(GradedAlgebra):
         self.internal = internal  # internal[i][a]: internal degree of basis a
 
     def bigraded_dims(self) -> dict[tuple[int, int], int]:
+        """Class counts per (cohomological, internal) degree."""
         out: dict[tuple[int, int], int] = {}
         for i, degs in enumerate(self.internal):
             for d in degs:
@@ -167,12 +217,7 @@ class ExtModule(GradedModule):
         self.resolution = resolution
         self.internal = internal
 
-    def bigraded_dims(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for i, degs in enumerate(self.internal):
-            for d in degs:
-                out[(i, d)] = out.get((i, d), 0) + 1
-        return out
+    bigraded_dims = ExtAlgebra.bigraded_dims
 
 
 def ext_module(algebra: GradedAlgebra, module: GradedModule | None, imax: int,
@@ -245,42 +290,23 @@ def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
     factor, equivariant for the projection onto that factor and lifting
     the identity on step-0 generators (which must match in degree).
 
-    Each stage solves for generator images over the factor and extends
-    equivariantly: a coefficient r on a generator goes to its factor
-    block acting on the image.
+    Stage 0 is the coefficient projection; later stages come from
+    ``_lift_stages``, which extends generator images equivariantly: a
+    coefficient r on a generator goes to its factor block acting on the
+    image.
     """
     assert side in ("S", "T")
-    p = R.p
     fac_alg = R.s_algebra if side == "S" else R.t_algebra
     assert R_res.algebra is R and fac_res.algebra is fac_alg
     if R_res.gen_degrees(0) != fac_res.gen_degrees(0):
         raise ExtError("step-0 generators do not align")
-    dcap = min(R_res.dmax, fac_res.dmax)
+    f0 = R_res.frees[0]
+    twin = FreeModule(fac_alg, f0.gen_degrees, f0.gen_labels)
+    first = {d: _coefficient_projection(R, f0, twin, d, side)
+             for d in range(min(R_res.dmax, fac_res.dmax) + 1)}
     nmax = min(R_res.hmax, fac_res.hmax)
-    twins = [FreeModule(fac_alg, R_res.frees[n].gen_degrees,
-                        R_res.frees[n].gen_labels) for n in range(nmax + 1)]
-    maps = [{d: _coefficient_projection(R, R_res.frees[0], twins[0], d, side)
-             for d in range(dcap + 1)}]
-    for n in range(1, nmax + 1):
-        fR, ffac = R_res.frees[n], fac_res.frees[n]
-        entries: dict[tuple[int, int], Element] = {}
-        for j, sj in enumerate(fR.gen_degrees):
-            if sj > dcap:
-                raise ExtError(f"window too small for a degree-{sj} generator")
-            col = fR.gen_index(sj, j)
-            rhs = (maps[n - 1][sj] @ R_res.eval_diff(n, sj))[:, col]
-            sol = linalg.solve(fac_res.eval_diff(n, sj), rhs % p, p)
-            if sol is None:
-                raise ExtError(f"restriction lift failed at stage {n}, degree {sj}")
-            for i, el in ffac.decompose(sol, sj).items():
-                entries[(i, j)] = el
-        fac_part = AlgMatrix(fac_alg, twins[n], ffac, entries)
-        maps.append({
-            d: (fac_part.evaluate(d)
-                @ _coefficient_projection(R, fR, twins[n], d, side)) % p
-            for d in range(dcap + 1)
-        })
-    return maps
+    return [first] + _lift_stages(R_res, fac_res, first, range(1, nmax + 1),
+                                  side=side)
 
 
 def induced_ext_matrix(chain: list[dict[int, np.ndarray]],
@@ -289,16 +315,7 @@ def induced_ext_matrix(chain: list[dict[int, np.ndarray]],
     """Matrix of the induced map on step-n dual classes: row a holds the
     coordinates, over the duals of R_res's generators, of the pullback
     of the a-th dual generator of fac_res along the chain map."""
-    out = np.zeros((fac_res.rank(n), R_res.rank(n)), dtype=np.int64)
-    fm = fac_res.frees[n]
-    for c in range(R_res.rank(n)):
-        dc = R_res.gen_degrees(n)[c]
-        vec = chain[n][dc][:, R_res.frees[n].gen_index(dc, c)]
-        off = fm.offsets(dc)
-        for a in range(fac_res.rank(n)):
-            if fac_res.gen_degrees(n)[a] == dc:
-                out[a, c] = vec[off[a]]
-    return out
+    return _generator_coefficients(chain[n], R_res.frees[n], fac_res.frees[n])
 
 
 # -- free products on the alternating-word basis -----------------------------
@@ -526,6 +543,48 @@ def _phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
     return d
 
 
+def _dual_image_failures(mats: list, gidx: list, steps: range,
+                         word) -> list[tuple[int, int]]:
+    """(n, a) where row a of the step-n induced matrix is not the dual
+    of the basis word ``word(n, a)``."""
+    bad = []
+    for n in steps:
+        for a, row in enumerate(mats[n]):
+            exp = np.zeros(len(row), dtype=np.int64)
+            exp[gidx[n][word(n, a)]] = 1
+            if not np.array_equal(row, exp):
+                bad.append((n, a))
+    return bad
+
+
+def _concatenation_failures(d: _PhiData, tensors: dict, G, gidx: list,
+                            tmax: int) -> list[tuple]:
+    """Letter duals that do not act by concatenation on the duals of
+    G's basis words, for each tensor (j, n) of total degree <= tmax: the
+    dual of an F letter is tested on words led by E or P, the dual of an
+    E letter (its P letter in the word resolution of k) on the rest.
+    Failures are (letter tag, j, letter index, n, word index)."""
+    p0 = Letter("P", 0, 0, d.P.gen_degrees(0)[0])
+    bad = []
+    for j, n in sorted(key for key in tensors if sum(key) <= tmax):
+        tensor = tensors[(j, n)]
+        for wi, w in enumerate(G.words[n]):
+            f_lead = w[0].tag in ("E", "P")
+            res = d.F if f_lead else d.E
+            for a, deg in enumerate(res.gen_degrees(j)):
+                if f_lead:
+                    x = Letter("F", j, a, deg)
+                    xi = d.gidx[j][(x, p0)]
+                else:
+                    x = Letter("E", j, a, deg)
+                    xi = d.gidx[j][(Letter("P", j, a, deg),)]
+                exp = np.zeros(G.rank(j + n), dtype=np.int64)
+                exp[gidx[j + n][(x,) + w]] = 1
+                if not np.array_equal(tensor[xi, wi], exp):
+                    bad.append(("f" if f_lead else "e", j, a, n, wi))
+    return bad
+
+
 def verify_phi_iso(R: FiberProductAlgebra, hmax: int, dmax: int | None = None,
                    products_to: int = 4) -> ComplexReport:
     """Check that cohomology of the fiber product is the free product of
@@ -569,51 +628,20 @@ def verify_phi_iso(R: FiberProductAlgebra, hmax: int, dmax: int | None = None,
              f" vs {dims_direct[mism[0]]}") if mism
             else "tensor dims agree through the window")
 
-    bad_sig = []
-    for n in range(1, hmax + 1):
-        for a in range(d.E.rank(n)):
-            w = (Letter("P", n, a, d.E.gen_degrees(n)[a]),)
-            exp = np.zeros(d.G.rank(n), dtype=np.int64)
-            exp[d.gidx[n][w]] = 1
-            if not np.array_equal(d.sig_mats[n][a], exp):
-                bad_sig.append((n, a))
+    bad_sig = _dual_image_failures(
+        d.sig_mats, d.gidx, range(1, hmax + 1),
+        lambda n, a: (Letter("P", n, a, d.E.gen_degrees(n)[a]),))
     rep.add("restriction to the first factor fixes dual generators",
             not bad_sig, f"failures {bad_sig[:5]}" if bad_sig else "")
     p0 = Letter("P", 0, 0, d.P.gen_degrees(0)[0])
-    bad_tau = []
-    for n in range(1, hmax + 1):
-        for b in range(d.F.rank(n)):
-            w = (Letter("F", n, b, d.F.gen_degrees(n)[b]), p0)
-            exp = np.zeros(d.G.rank(n), dtype=np.int64)
-            exp[d.gidx[n][w]] = 1
-            if not np.array_equal(d.tau_mats[n][b], exp):
-                bad_tau.append((n, b))
+    bad_tau = _dual_image_failures(
+        d.tau_mats, d.gidx, range(1, hmax + 1),
+        lambda n, b: (Letter("F", n, b, d.F.gen_degrees(n)[b]), p0))
     rep.add("restriction to the second factor fixes dual generators",
             not bad_tau, f"failures {bad_tau[:5]}" if bad_tau else "")
 
     tmax = min(products_to, hmax)
-    bad = []
-    for j in range(1, tmax):
-        for n in range(1, tmax + 1 - j):
-            tensor = d.R_ext.mult[(j, n)]
-            for wi, w in enumerate(d.G.words[n]):
-                lead = w[0].tag
-                if lead in ("E", "P"):
-                    for b in range(d.F.rank(j)):
-                        fl = Letter("F", j, b, d.F.gen_degrees(j)[b])
-                        xi = d.gidx[j][(fl, p0)]
-                        exp = np.zeros(d.G.rank(j + n), dtype=np.int64)
-                        exp[d.gidx[j + n][(fl,) + w]] = 1
-                        if not np.array_equal(tensor[xi, wi], exp):
-                            bad.append(("f", j, b, n, wi))
-                else:
-                    for a in range(d.E.rank(j)):
-                        el = Letter("E", j, a, d.E.gen_degrees(j)[a])
-                        xi = d.gidx[j][(Letter("P", j, a, el.internal),)]
-                        exp = np.zeros(d.G.rank(j + n), dtype=np.int64)
-                        exp[d.gidx[j + n][(el,) + w]] = 1
-                        if not np.array_equal(tensor[xi, wi], exp):
-                            bad.append(("e", j, a, n, wi))
+    bad = _concatenation_failures(d, d.R_ext.mult, d.G, d.gidx, tmax)
     rep.add(f"letter duals multiply by concatenation (total degree <= {tmax})",
             not bad, f"failures {bad[:5]}" if bad else "")
 
@@ -680,42 +708,15 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
 
     cM = restriction_chain_map(GM, PM, R, "S")
     mats_m = [induced_ext_matrix(cM, PM, GM, n) for n in range(hmax + 1)]
-    bad_res = []
-    for n in range(hmax + 1):
-        for b in range(PM.rank(n)):
-            w = (Letter("P", n, b, PM.gen_degrees(n)[b]),)
-            exp = np.zeros(GM.rank(n), dtype=np.int64)
-            exp[gidx[n][w]] = 1
-            if not np.array_equal(mats_m[n][b], exp):
-                bad_res.append((n, b))
+    bad_res = _dual_image_failures(
+        mats_m, gidx, range(hmax + 1),
+        lambda n, b: (Letter("P", n, b, PM.gen_degrees(n)[b]),))
     rep.add("restriction to the first factor fixes module dual generators",
             not bad_res, f"failures {bad_res[:5]}" if bad_res else "")
 
     MR_ext = ext_module(R, None, hmax, dmax, ext=d.R_ext, resolution=GM)
-    p0 = Letter("P", 0, 0, d.P.gen_degrees(0)[0])
     tmax = min(products_to, hmax)
-    bad = []
-    for j in range(1, tmax + 1):
-        for n in range(tmax + 1 - j):
-            tensor = MR_ext.action[(j, n)]
-            for wi, w in enumerate(GM.words[n]):
-                lead = w[0].tag
-                if lead in ("E", "P"):
-                    for b in range(d.F.rank(j)):
-                        fl = Letter("F", j, b, d.F.gen_degrees(j)[b])
-                        xi = d.gidx[j][(fl, p0)]
-                        exp = np.zeros(GM.rank(j + n), dtype=np.int64)
-                        exp[gidx[j + n][(fl,) + w]] = 1
-                        if not np.array_equal(tensor[xi, wi], exp):
-                            bad.append(("f", j, b, n, wi))
-                else:
-                    for a in range(d.E.rank(j)):
-                        el = Letter("E", j, a, d.E.gen_degrees(j)[a])
-                        xi = d.gidx[j][(Letter("P", j, a, el.internal),)]
-                        exp = np.zeros(GM.rank(j + n), dtype=np.int64)
-                        exp[gidx[j + n][(el,) + w]] = 1
-                        if not np.array_equal(tensor[xi, wi], exp):
-                            bad.append(("e", j, a, n, wi))
+    bad = _concatenation_failures(d, MR_ext.action, GM, gidx, tmax)
     rep.add(f"letter duals act by concatenation (total degree <= {tmax})",
             not bad, f"failures {bad[:5]}" if bad else "")
 
@@ -758,12 +759,8 @@ def koszul_check(algebra: GradedAlgebra, hmax: int, dmax: int | None = None,
     """Whether every Ext class in the window sits on the diagonal
     (internal degree equal to homological degree); offenders are the
     off-diagonal (step, degree) pairs."""
-    res = resolution
-    if res is None:
-        res = minimal_resolution(algebra, residue_module(algebra), hmax, dmax)
-    offenders = sorted({(i, dv) for i in range(min(hmax, res.hmax) + 1)
-                        for dv in res.gen_degrees(i) if dv != i})
-    return not offenders, offenders
+    return koszul_module_check(algebra, residue_module(algebra), hmax, dmax,
+                               resolution)
 
 
 def koszul_module_check(algebra: GradedAlgebra, module: GradedModule,

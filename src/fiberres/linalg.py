@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "normalize",
     "inv_mod",
-    "matmul",
     "rref",
     "rank",
     "row_space",
@@ -36,16 +35,6 @@ def inv_mod(x: int, p: int) -> int:
     x = int(x) % p
     assert x != 0, "zero has no inverse"
     return pow(x, p - 2, p)
-
-
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product of two reduced matrices, reduced mod p.
-
-    int64 accumulation is exact: entries are < p <= 32003, so a dot
-    product of length n stays below n * p^2 << 2^63 for any size that
-    fits in memory here.
-    """
-    return (a @ b) % p
 
 
 def rref(mat, p: int):

@@ -156,20 +156,16 @@ def poincare_fiber_formula(
 ) -> PowerSeries:
     """Poincare series of an S-module over the fiber product ring:
     (P^S_M * P^T_k) / (P^S_k + P^T_k - P^S_k * P^T_k)."""
-    assert p_s_k.coeff(0) == 1 and p_t_k.coeff(0) == 1
-    return divide(p_s_m * p_t_k, p_s_k + p_t_k - p_s_k * p_t_k)
+    return coproduct_module_series(p_s_k, p_t_k, p_s_m)
 
 
 def word_count_series_formula(
     h_p: PowerSeries, h_e: PowerSeries, h_f: PowerSeries
 ) -> PowerSeries:
     """Closed form for the letter-word counts of the combined resolution:
-    h_p * h_f / (1 - (h_e - 1) * (h_f - 1))."""
-    t = min(h_p.truncation, h_e.truncation, h_f.truncation)
-    one = PowerSeries.one(t)
-    u = (h_e - one) * (h_f - one)
-    assert u.coeff(0) == 0
-    return h_p.truncate(t) * h_f.truncate(t) * geometric_inverse(u)
+    h_p * h_f / (1 - (h_e - 1) * (h_f - 1)), the coproduct module series
+    since (h_e - 1)(h_f - 1) = 1 - (h_e + h_f - h_e * h_f)."""
+    return coproduct_module_series(h_e, h_f, h_p)
 
 
 def fiber_module_poincare_check(
