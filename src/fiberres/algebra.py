@@ -16,8 +16,15 @@ from .series import PowerSeries
 
 DEFAULT_CHAR = 32003
 
+# Every characteristic p must be a prime below MAX_CHAR.  Then
+# (p - 1)^2 * n < 2^63 for any n < 2^31 terms, so an int64 dot product of
+# reduced entries cannot overflow; and a float64 kernel, exact while
+# (p - 1)^2 * n < 2^53, keeps n up to 2^21 terms of headroom.
+MAX_CHAR = 1 << 16
+
 __all__ = [
     "DEFAULT_CHAR",
+    "MAX_CHAR",
     "Element",
     "GradedAlgebra",
     "MonomialQuotientPresentation",
@@ -29,6 +36,10 @@ __all__ = [
 
 class AlgebraError(ValueError):
     pass
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
 
 
 class Element:
@@ -80,6 +91,9 @@ class Element:
 class GradedAlgebra:
     def __init__(self, p: int, cap: int, basis: list[list[str]], mult: dict,
                  generators: dict[str, tuple[int, int]] | None = None):
+        if not (p < MAX_CHAR and _is_prime(p)):
+            raise AlgebraError(f"field characteristic p = {p} is not a prime "
+                               f"below {MAX_CHAR}")
         assert cap >= 0 and len(basis) == cap + 1
         assert basis[0] == ["1"], "degree 0 must be spanned by the unit"
         self.p = p

@@ -2,8 +2,9 @@
 under fiber products.
 
 Every chain map here is lifted by one stage loop, ``_lift_stages``:
-stage by stage it solves for the images of the source generators and
-extends them module-linearly.  Its entry points differ only in stage 0
+stage by stage it solves for the images of the source generators, with
+one multi-column solve per internal degree, and extends them
+module-linearly.  Its entry points differ only in stage 0
 and the shift: ``lift_dual`` (the dual of a generator, for Yoneda
 products), ``restriction_chain_map`` (the coefficient projection onto a
 factor of a fiber product) and ``cohomology.comparison_chain_map`` (a
@@ -58,10 +59,11 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution,
     coordinates, when the first stage is 0); a degree it lacks acts as
     zero.  Stage n solves for the images of the source generators only,
     against tgt's stage-n differential (the two covers at stage 0), and
-    extends module-linearly over tgt's algebra.  When ``side`` names the
-    factor tgt lives over, src lives over the fiber product and each
-    stage is precomposed with the coefficient projection onto that
-    factor.
+    extends module-linearly over tgt's algebra.  The generators of one
+    degree share a single multi-column solve, and degrees go in
+    increasing order.  When ``side`` names the factor tgt lives over,
+    src lives over the fiber product and each stage is precomposed with
+    the coefficient projection onto that factor.
     """
     A = tgt.algebra
     p = A.p
@@ -69,19 +71,24 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution,
     maps = []
     for n in stages:
         fsrc, ftgt = src.frees[step + n], tgt.frees[n]
-        entries: dict[tuple[int, int], Element] = {}
+        by_degree: dict[int, list[int]] = {}
         for j, sj in enumerate(fsrc.gen_degrees):
+            by_degree.setdefault(sj, []).append(j)
+        entries: dict[tuple[int, int], Element] = {}
+        for sj in sorted(by_degree):
             if sj > dcap:
                 raise ExtError(f"lift window too small for a degree-{sj} generator")
             if sj not in prev:
                 continue
-            col = fsrc.gen_index(sj, j)
-            rhs = prev[sj] @ _boundary(src, step + n, sj)[:, col]
+            gens = by_degree[sj]
+            cols = [fsrc.gen_index(sj, j) for j in gens]
+            rhs = prev[sj] @ _boundary(src, step + n, sj)[:, cols]
             sol = linalg.solve(_boundary(tgt, n, sj - shift), rhs % p, p)
             if sol is None:
                 raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")
-            for i, el in ftgt.decompose(sol, sj - shift).items():
-                entries[(i, j)] = el
+            for j, x in zip(gens, sol.T):
+                for i, el in ftgt.decompose(x, sj - shift).items():
+                    entries[(i, j)] = el
         if side is None:
             mat = AlgMatrix(A, fsrc, ftgt, entries, shift=shift)
             prev = {d: mat.evaluate(d) for d in range(dcap + 1)}
@@ -108,8 +115,12 @@ def lift_dual(src: FreeResolution, tgt: FreeResolution, step: int, idx: int,
     ``_lift_stages`` with shift s.
     """
     A = src.algebra
-    assert tgt.algebra is A
-    assert step + nmax <= src.hmax and nmax <= tgt.hmax
+    if tgt.algebra is not A:
+        raise ExtError("lift_dual needs two resolutions over the same algebra")
+    if step + nmax > src.hmax or nmax > tgt.hmax:
+        raise ExtError(f"lift needs source step {step + nmax} and target "
+                       f"step {nmax}; the resolutions reach {src.hmax} and "
+                       f"{tgt.hmax}")
     s = src.gen_degrees(step)[idx]
     dcap = min(src.dmax, tgt.dmax + s)
     first = AlgMatrix(A, src.frees[step], tgt.frees[0], {(0, idx): A.unit()},

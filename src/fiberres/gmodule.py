@@ -177,6 +177,9 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
 
 
 class FreeModule:
+    """Free module on homogeneous generators.  It is never mutated, so
+    each degree's block layout is computed once and kept."""
+
     def __init__(self, algebra: GradedAlgebra, gen_degrees: list[int],
                  gen_labels: list[str] | None = None):
         self.algebra = algebra
@@ -186,28 +189,41 @@ class FreeModule:
             gen_labels = [f"g{j}" for j in range(len(gen_degrees))]
         assert len(gen_labels) == len(gen_degrees)
         self.gen_labels = list(gen_labels)
+        self._layouts: dict[int, tuple[list[int], np.ndarray, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.gen_degrees)
 
+    def _layout(self, d: int) -> tuple[list[int], np.ndarray, int]:
+        """Degree-d offset of each generator's block (as a list and as
+        an array) and the total dimension."""
+        lay = self._layouts.get(d)
+        if lay is None:
+            out, acc = [], 0
+            for s in self.gen_degrees:
+                out.append(acc)
+                acc += self.algebra.dim(d - s)
+            lay = self._layouts[d] = (out, np.array(out, dtype=np.int64), acc)
+        return lay
+
     def dim(self, d: int) -> int:
-        return sum(self.algebra.dim(d - s) for s in self.gen_degrees)
+        return self._layout(d)[2]
 
     def offsets(self, d: int) -> list[int]:
-        out, acc = [], 0
-        for s in self.gen_degrees:
-            out.append(acc)
-            acc += self.algebra.dim(d - s)
-        return out
+        """Offset of each generator's block in degree d (shared; do not
+        modify)."""
+        return self._layout(d)[0]
 
     def pair_index(self, d: int, j: int, a_idx: int) -> int:
-        return self.offsets(d)[j] + a_idx
+        return self._layout(d)[0][j] + a_idx
 
     def gen_index(self, d: int, j: int) -> int:
         """Flat index of 1 * g_j in degree d = deg(g_j)."""
-        assert self.gen_degrees[j] == d
-        return self.pair_index(d, j, 0)
+        if self.gen_degrees[j] != d:
+            raise ModuleError(f"generator {j} has degree {self.gen_degrees[j]}, "
+                              f"not {d}")
+        return self._layout(d)[0][j]
 
     def pair_labels(self, d: int) -> list[str]:
         out = []
@@ -234,17 +250,21 @@ class FreeModule:
     def decompose(self, vec, d: int) -> dict[int, Element]:
         """Algebra coefficients per generator of a degree-d vector."""
         v = np.asarray(vec, dtype=np.int64) % self.algebra.p
-        assert v.shape == (self.dim(d),)
+        off, starts, total = self._layout(d)
+        if v.shape != (total,):
+            raise ModuleError(f"degree-{d} vector has shape {v.shape}, "
+                              f"expected ({total},)")
+        # The block of a coordinate is the last one starting at or before
+        # it; an empty block starts where the next one does, so
+        # side="right" passes over it.  The hits come sorted; dict.fromkeys
+        # drops repeats (np.unique's first call loads modules that add
+        # about 1.6 MB of resident memory).
+        hit = np.searchsorted(starts, np.flatnonzero(v), side="right") - 1
         out = {}
-        off = self.offsets(d)
-        for j, s in enumerate(self.gen_degrees):
-            da = d - s
-            na = self.algebra.dim(da)
-            if na == 0:
-                continue
-            coeffs = v[off[j]: off[j] + na]
-            if np.any(coeffs):
-                out[j] = Element(self.algebra, da, coeffs)
+        for j in dict.fromkeys(hit.tolist()):
+            da = d - self.gen_degrees[j]
+            out[j] = Element(self.algebra, da,
+                             v[off[j]: off[j] + self.algebra.dim(da)])
         return out
 
 

@@ -109,6 +109,17 @@ def test_element_from_string():
         A.element_from_string("w")
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 65537, 4294967311])
+def test_characteristic_must_be_a_prime_below_the_bound(p):
+    with pytest.raises(AlgebraError, match=f"p = {p} "):
+        mono([("x", 1)], ["x^2"], p=p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_small_primes_up_to_the_bound_are_accepted(p):
+    assert mono([("x", 1)], ["x^2"], p=p).p == p
+
+
 def test_product_beyond_cap_rejected():
     A = mono([("x", 1)], [], cap=3)
     x = A.generator("x")

@@ -278,3 +278,23 @@ def test_invalid_env_char_exits_one(tmp_path, monkeypatch):
     a = write(tmp_path, "a.json", algebra_obj([("x", 1)], ["x^2"]))
     monkeypatch.setenv("FIBERRES_CHAR", "banana")
     assert main(["algebra", "--algebra", a]) == 1
+
+
+@pytest.mark.parametrize("char", ["6", "4", "4294967311"])
+def test_env_char_that_is_not_a_small_prime_exits_one(tmp_path, monkeypatch,
+                                                      capsys, char):
+    """A non-field (6, 4) or a prime past int64-safe products (2^32 + 15)
+    is rejected before any check runs."""
+    paths = []
+    for name, var, rel in (("s.json", "x", "x^2"), ("t.json", "y", "y^2")):
+        obj = algebra_obj([(var, 1)], [rel])
+        del obj["field"]
+        paths.append(write(tmp_path, name, obj))
+    m = write(tmp_path, "m.json", {"kind": "residue"})
+    monkeypatch.setenv("FIBERRES_CHAR", char)
+    rc = main(["wordres", "--s", paths[0], "--t", paths[1], "--m", m,
+               "--hmax", "4", "--verify"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert f"p = {char}" in err
+    assert "checks" not in out

@@ -78,6 +78,77 @@ def test_free_module_decompose_round_trip():
     assert np.array_equal(rebuilt, vec)
 
 
+def reference_offsets(F, d):
+    """Block offsets by the prefix-sum formula, recomputed on each call."""
+    out, acc = [], 0
+    for s in F.gen_degrees:
+        out.append(acc)
+        acc += F.algebra.dim(d - s)
+    return out, acc
+
+
+def reference_decompose(F, vec, d):
+    """Per-block decomposition: one coefficient test per generator."""
+    off, _ = reference_offsets(F, d)
+    out = {}
+    for j, s in enumerate(F.gen_degrees):
+        na = F.algebra.dim(d - s)
+        if na and np.any(vec[off[j]: off[j] + na]):
+            out[j] = vec[off[j]: off[j] + na]
+    return out
+
+
+@pytest.fixture(scope="module")
+def gappy_free():
+    """Top degree 3 below a cap of 6, so blocks are empty both below a
+    generator's degree and past the algebra's top."""
+    A = mono([("x", 1), ("y", 1)], ["x^2", "y^3"], cap=6)
+    return FreeModule(A, [0, 2, 5, 2, 0, 6, 6])
+
+
+def test_free_module_layout_matches_prefix_sums(gappy_free):
+    F = gappy_free
+    for d in range(-1, F.algebra.cap + 2):
+        off, total = reference_offsets(F, d)
+        for _ in range(2):  # a second call reads the kept layout
+            assert F.offsets(d) == off and F.dim(d) == total
+        for j, s in enumerate(F.gen_degrees):
+            if s == d:
+                assert F.gen_index(d, j) == off[j] == F.pair_index(d, j, 0)
+
+
+def test_free_module_decompose_matches_per_block_reference(gappy_free):
+    F = gappy_free
+    rng = np.random.default_rng(7)
+    seen_empty_block_between = False
+    for d in range(F.algebra.cap + 1):
+        n = F.dim(d)
+        vecs = [np.zeros(n, dtype=np.int64)]
+        for density in (0.1, 0.5, 1.0):
+            for _ in range(10):
+                v = rng.integers(1, P, size=n)
+                vecs.append(np.where(rng.random(n) < density, v, 0))
+        off, _ = reference_offsets(F, d)
+        seen_empty_block_between |= any(
+            a == b for a, b in zip(off[1:], off[2:]))
+        for v in vecs:
+            got = F.decompose(v, d)
+            want = reference_decompose(F, v % P, d)
+            assert list(got) == list(want), (d, v)
+            for j, el in got.items():
+                assert el.degree == d - F.gen_degrees[j]
+                assert np.array_equal(el.vec, want[j])
+    assert seen_empty_block_between
+
+
+def test_free_module_shape_and_degree_errors_are_typed(gappy_free):
+    F = gappy_free
+    with pytest.raises(ModuleError):
+        F.decompose(np.zeros(F.dim(2) + 1, dtype=np.int64), 2)
+    with pytest.raises(ModuleError):
+        F.gen_index(3, 1)  # generator 1 has degree 2
+
+
 def test_alg_matrix_evaluate_single_variable():
     A = mono([("x", 1)], [], cap=4)
     F1 = FreeModule(A, [1])

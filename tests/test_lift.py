@@ -4,18 +4,21 @@ stage n >= 1 and internal degree d in the window,
 
     tgt.d_n(d - s) @ L[n][d] == L[n-1][d] @ src.d_{step+n}(d)   (mod p),
 
-and a comparison map's stage 0 commutes with the two covers."""
+and a comparison map's stage 0 commutes with the two covers.  The
+lifter makes one solve per stage and internal degree, and keeps its
+error texts and their order."""
 
 import numpy as np
 import pytest
 
+from fiberres import extalg
 from fiberres.algebra import (
     MonomialQuotientPresentation,
     build_monomial_quotient,
     fiber_product,
 )
 from fiberres.cohomology import comparison_chain_map
-from fiberres.extalg import lift_dual, restriction_chain_map
+from fiberres.extalg import ExtError, lift_dual, restriction_chain_map
 from fiberres.gmodule import (
     free_module_table,
     residue_module,
@@ -89,3 +92,65 @@ def test_comparison_chain_map_is_a_chain_map(cube_square):
         assert np.array_equal((tgt.eval_cover(d) @ L) % P,
                               (f @ src.eval_cover(d)) % P), d
     assert assert_chain_map(src, tgt, chain) > 0
+
+
+def counting_solve(monkeypatch):
+    """Route extalg's solves through a recorder of right-hand-side widths."""
+    widths = []
+    real = extalg.linalg.solve
+
+    def solve(mat, rhs, p):
+        widths.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
+        return real(mat, rhs, p)
+
+    monkeypatch.setattr(extalg.linalg, "solve", solve)
+    return widths
+
+
+def test_lift_dual_solves_once_per_stage_and_degree(cube_square, monkeypatch):
+    _, _, R = cube_square
+    res = minimal_resolution(R, residue_module(R), 5)
+    widths = counting_solve(monkeypatch)
+    step, nmax = 1, 4
+    lifts = lift_dual(res, res, step, 0, nmax)
+    assert_chain_map(res, res, lifts, step, res.gen_degrees(step)[0])
+    degrees = [res.gen_degrees(step + n) for n in range(1, nmax + 1)]
+    assert len(widths) <= sum(len(set(degs)) for degs in degrees)
+    assert sum(widths) == sum(len(degs) for degs in degrees)
+    assert max(widths) > 1  # some degree holds several generators
+
+
+@pytest.fixture(scope="module")
+def short_target(cube_square):
+    """A step-1 dual over R lifted into a resolution cut at degree 1: the
+    window stops at degree 2, and step 2 has generators in degrees 2
+    and 3."""
+    _, _, R = cube_square
+    src = minimal_resolution(R, residue_module(R), 3)
+    tgt = minimal_resolution(R, residue_module(R), 3, dmax=1)
+    assert src.gen_degrees(1) == [1, 1] and set(src.gen_degrees(2)) == {2, 3}
+    return src, tgt
+
+
+def test_too_small_window_keeps_its_error_text(short_target):
+    with pytest.raises(ExtError,
+                       match="^lift window too small for a degree-3 generator$"):
+        lift_dual(*short_target, 1, 0, 2)
+
+
+def test_failed_solve_in_a_lower_degree_is_reported_first(short_target,
+                                                           monkeypatch):
+    monkeypatch.setattr(extalg.linalg, "solve", lambda mat, rhs, p: None)
+    with pytest.raises(ExtError,
+                       match="^chain-map lift failed at stage 1, degree 2$"):
+        lift_dual(*short_target, 1, 0, 2)
+
+
+def test_lift_dual_rejects_mismatched_resolutions_with_typed_errors(cube_square):
+    S, T, _ = cube_square
+    res_s = minimal_resolution(S, residue_module(S), 3)
+    res_t = minimal_resolution(T, residue_module(T), 3)
+    with pytest.raises(ExtError, match="same algebra"):
+        lift_dual(res_s, res_t, 1, 0, 2)
+    with pytest.raises(ExtError, match="needs source step 4"):
+        lift_dual(res_s, res_s, 1, 0, 3)

@@ -77,6 +77,26 @@ def test_solve_particular_and_inconsistent():
     assert np.array_equal((mat @ X) % p, B % p)
 
 
+def test_multi_column_solve_equals_column_by_column():
+    rng = random.Random(404)
+    p = 7
+    for _ in range(60):
+        m, n, k = rng.randrange(0, 6), rng.randrange(0, 6), rng.randrange(1, 5)
+        mat = random_matrix(rng, m, n, p) if m and n else np.zeros((m, n), dtype=np.int64)
+        if n and rng.random() < 0.5:
+            mat[:, rng.randrange(n)] = 0  # leave a free column
+        x = random_matrix(rng, n, k, p) if n else np.zeros((0, k), dtype=np.int64)
+        rhs = (mat @ x) % p
+        if m and rng.random() < 0.5:
+            rhs[:, rng.randrange(k)] = random_matrix(rng, m, 1, p)[:, 0]
+        cols = [linalg.solve(mat, rhs[:, c], p) for c in range(k)]
+        X = linalg.solve(mat, rhs, p)
+        if any(c is None for c in cols):
+            assert X is None
+        else:
+            assert np.array_equal(X, np.stack(cols, axis=1))
+
+
 def test_solve_is_deterministic_echelon_choice():
     p = 5
     mat = np.array([[1, 1, 0]], dtype=np.int64)
