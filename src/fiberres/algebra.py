@@ -142,7 +142,8 @@ class GradedAlgebra:
     def multiply(self, a: Element, b: Element) -> Element:
         assert a.algebra is self and b.algebra is self
         m, n = a.degree, b.degree
-        assert m + n <= self.cap, f"product degree {m + n} beyond cap {self.cap}"
+        if m + n > self.cap:
+            raise AlgebraError(f"product degree {m + n} beyond cap {self.cap}")
         if m == 0:
             return b.scale(int(a.vec[0]))
         if n == 0:

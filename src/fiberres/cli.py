@@ -28,9 +28,9 @@ from .extalg import (ExtError, ext_algebra, ext_module, koszul_check,
                      koszul_module_check, verify_phi_iso, verify_theta_iso)
 from .gmodule import ModuleError, algebra_as_module, residue_module, \
     restrict_to_fiber
-from .resolve import (ResolutionError, WindowError, betti_table_text,
-                      minimal_resolution, verify_complex)
-from .series import poincare_fiber_formula
+from .resolve import (ComplexReport, ResolutionError, WindowError,
+                      betti_table_text, minimal_resolution, verify_complex)
+from .series import SeriesError, poincare_fiber_formula
 from .wordres import WordError, build_word_resolution, verify_word_resolution
 
 INPUT_ERRORS = (jsonio.InputError, AlgebraError, ModuleError, WordError,
@@ -49,40 +49,35 @@ class Parser(argparse.ArgumentParser):
 # -- report plumbing ----------------------------------------------------------
 
 
-def _new_report(command: str, char: int, window: dict) -> dict:
-    return {"command": command, "char": char, "window": dict(window),
-            "checks": [], "data": {}}
+class CliReport(ComplexReport):
+    """A command's checks and data, headed by the command, the
+    characteristic and the window it ran in."""
+
+    def __init__(self, command: str, char: int, window: dict):
+        super().__init__()
+        self.command, self.char, self.window = command, char, dict(window)
 
 
-def _add(report: dict, name: str, ok: bool, detail: str = "") -> None:
-    report["checks"].append({"name": name,
-                             "status": "pass" if ok else "fail",
-                             "detail": detail})
+def _report_json(rep: CliReport) -> dict:
+    """The ``--out`` document of a command's report."""
+    return {"command": rep.command, "char": rep.char, "window": rep.window,
+            "checks": [{"name": c["name"],
+                        "status": "pass" if c["ok"] else "fail",
+                        "detail": c["detail"]} for c in rep.checks],
+            "data": rep.data}
 
 
-def _absorb(report: dict, prefix: str, crep) -> None:
-    for c in crep.checks:
-        _add(report, f"{prefix}: {c['name']}", c["ok"], c["detail"])
-    if crep.data:
-        report["data"][prefix] = crep.data
-
-
-def _failed(report: dict) -> bool:
-    return any(c["status"] == "fail" for c in report["checks"])
-
-
-def _print_report(report: dict) -> None:
-    window = " ".join(f"{k}={v}" for k, v in report["window"].items())
-    print(f"fiberres {report['command']}  char={report['char']}"
+def _print_report(rep: CliReport) -> None:
+    window = " ".join(f"{k}={v}" for k, v in rep.window.items())
+    print(f"fiberres {rep.command}  char={rep.char}"
           + (f"  window: {window}" if window else ""))
-    for c in report["checks"]:
-        mark = "PASS" if c["status"] == "pass" else "FAIL"
-        line = f"[{mark}] {c['name']}"
+    for c in rep.checks:
+        line = f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}"
         if c["detail"]:
             line += f" — {c['detail']}"
         print(line)
-    n = len(report["checks"])
-    bad = sum(1 for c in report["checks"] if c["status"] == "fail")
+    n = len(rep.checks)
+    bad = sum(1 for c in rep.checks if not c["ok"])
     if n:
         print(f"summary: {n} checks, {bad} failed")
 
@@ -121,48 +116,48 @@ def _require_fiber(algebra) -> FiberProductAlgebra:
 # -- command handlers ---------------------------------------------------------
 
 
-def cmd_algebra(args) -> dict:
+def cmd_algebra(args) -> CliReport:
     A = _load_algebra(args.algebra)
-    rep = _new_report("algebra", A.p, {"cap": A.cap})
-    _add(rep, "multiplication associative in window",
-         A.check_associativity() == [])
-    rep["data"].update({
+    rep = CliReport("algebra", A.p, {"cap": A.cap})
+    rep.add("multiplication associative in window",
+            A.check_associativity() == [])
+    rep.data.update({
         "dims": [A.dim(n) for n in range(A.cap + 1)],
         "labels": [list(A.labels(n)) for n in range(A.cap + 1)],
         "hilbert": A.hilbert_series().to_json(),
     })
     print("degree:", *range(A.cap + 1))
-    print("dim:   ", *rep["data"]["dims"])
+    print("dim:   ", *rep.data["dims"])
     return rep
 
 
-def cmd_fiber(args) -> dict:
+def cmd_fiber(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
-    rep = _new_report("fiber", R.p, {"cap": R.cap})
+    rep = CliReport("fiber", R.p, {"cap": R.cap})
     glued = all(R.dim(n) == S.dim(n) + T.dim(n) for n in range(1, R.cap + 1))
-    _add(rep, "dimensions glue: dim R_n = dim S_n + dim T_n for n >= 1",
-         glued)
-    _add(rep, "multiplication associative in window",
-         R.check_associativity() == [])
-    rep["data"].update({
+    rep.add("dimensions glue: dim R_n = dim S_n + dim T_n for n >= 1",
+            glued)
+    rep.add("multiplication associative in window",
+            R.check_associativity() == [])
+    rep.data.update({
         "dims": [R.dim(n) for n in range(R.cap + 1)],
         "s_dims": [S.dim(n) for n in range(S.cap + 1)],
         "t_dims": [T.dim(n) for n in range(T.cap + 1)],
         "labels": [list(R.labels(n)) for n in range(R.cap + 1)],
     })
     print("degree:", *range(R.cap + 1))
-    print("dim:   ", *rep["data"]["dims"])
+    print("dim:   ", *rep.data["dims"])
     return rep
 
 
-def cmd_resolve(args) -> dict:
+def cmd_resolve(args) -> CliReport:
     A = _load_algebra(args.algebra)
     M = jsonio.load_module(args.module, A)
     dmax = A.cap if args.dmax is None else args.dmax
     res = minimal_resolution(A, M, args.hmax, dmax)
-    rep = _new_report("resolve", A.p, {"hmax": args.hmax, "dmax": dmax})
-    _absorb(rep, "resolution", verify_complex(res))
-    rep["data"].update({
+    rep = CliReport("resolve", A.p, {"hmax": args.hmax, "dmax": dmax})
+    rep.absorb("resolution", verify_complex(res))
+    rep.data.update({
         "ranks": [res.rank(i) for i in range(args.hmax + 1)],
         "betti": {f"{i},{j}": v for (i, j), v in sorted(res.betti().items())},
         "poincare": res.poincare_series().to_json(),
@@ -171,7 +166,7 @@ def cmd_resolve(args) -> dict:
     return rep
 
 
-def cmd_poincare(args) -> dict:
+def cmd_poincare(args) -> CliReport:
     if args.formula:
         if not (args.s_m and args.s_k and args.t_k):
             raise jsonio.InputError(
@@ -181,10 +176,10 @@ def cmd_poincare(args) -> dict:
         ptk = jsonio.load_series(args.t_k)
         try:
             series = poincare_fiber_formula(psm, psk, ptk)
-        except AssertionError as exc:
+        except SeriesError as exc:
             raise jsonio.InputError(f"series not applicable: {exc}") from exc
-        rep = _new_report("poincare", 0, {"truncation": series.truncation})
-        rep["data"]["series"] = series.to_json()
+        rep = CliReport("poincare", 0, {"truncation": series.truncation})
+        rep.data["series"] = series.to_json()
         print("coefficients:", *series.coeffs)
         return rep
     if not (args.s and args.t and args.m and args.hmax is not None):
@@ -194,7 +189,7 @@ def cmd_poincare(args) -> dict:
     S, T, R = _load_pair(args.s, args.t)
     M = jsonio.load_module(args.m, S)
     dmax = R.cap if args.dmax is None else args.dmax
-    rep = _new_report("poincare", R.p, {"hmax": args.hmax, "dmax": dmax})
+    rep = CliReport("poincare", R.p, {"hmax": args.hmax, "dmax": dmax})
     psm = minimal_resolution(S, M, args.hmax, min(dmax, S.cap)).poincare_series()
     psk = minimal_resolution(S, residue_module(S), args.hmax,
                              min(dmax, S.cap)).poincare_series()
@@ -203,23 +198,23 @@ def cmd_poincare(args) -> dict:
     formula = poincare_fiber_formula(psm, psk, ptk)
     direct = minimal_resolution(R, restrict_to_fiber(R, M, "S"), args.hmax,
                                 dmax).poincare_series()
-    _add(rep, f"formula matches direct Betti numbers through degree {args.hmax}",
-         formula.matches(direct),
-         f"formula {formula.coeffs} direct {direct.coeffs}")
-    rep["data"].update({"formula": formula.to_json(),
+    rep.add(f"formula matches direct Betti numbers through degree {args.hmax}",
+            formula.matches(direct),
+            f"formula {formula.coeffs} direct {direct.coeffs}")
+    rep.data.update({"formula": formula.to_json(),
                         "direct": direct.to_json()})
     print("formula:", *formula.coeffs)
     print("direct: ", *direct.coeffs)
     return rep
 
 
-def cmd_wordres(args) -> dict:
+def cmd_wordres(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
     M = jsonio.load_module(args.m, S)
     dmax = R.cap if args.dmax is None else args.dmax
     G = build_word_resolution(S, T, M, args.hmax, dmax, fiber=R)
-    rep = _new_report("wordres", R.p, {"hmax": args.hmax, "dmax": dmax})
-    rep["data"].update({
+    rep = CliReport("wordres", R.p, {"hmax": args.hmax, "dmax": dmax})
+    rep.data.update({
         "word_counts": G.word_counts(),
         "words": [list(G.frees[i].gen_labels) for i in range(args.hmax + 1)],
         "differentials": {str(i): G.diffs[i].entry_strings()
@@ -227,52 +222,52 @@ def cmd_wordres(args) -> dict:
     })
     print("word counts per homological degree:", *G.word_counts())
     if args.verify:
-        _absorb(rep, "word resolution", verify_word_resolution(
+        rep.absorb("word resolution", verify_word_resolution(
             G, compare_direct=True))
     return rep
 
 
-def cmd_ext(args) -> dict:
+def cmd_ext(args) -> CliReport:
     A = _load_algebra(args.algebra)
     dmax = A.cap if args.dmax is None else args.dmax
     ext = ext_algebra(A, args.imax, dmax)
-    rep = _new_report("ext", A.p, {"imax": args.imax, "dmax": dmax})
-    _add(rep, "yoneda products associative in window",
-         ext.check_associativity() == [])
+    rep = CliReport("ext", A.p, {"imax": args.imax, "dmax": dmax})
+    rep.add("yoneda products associative in window",
+            ext.check_associativity() == [])
     ok, offenders = koszul_check(A, args.imax, dmax,
                                  resolution=ext.resolution)
-    rep["data"].update({
+    rep.data.update({
         "dims": [ext.dim(n) for n in range(args.imax + 1)],
         "bigraded": {f"{i},{d}": v
                      for (i, d), v in sorted(ext.bigraded_dims().items())},
         "koszul": {"diagonal_in_window": ok, "offenders": offenders},
     })
-    print("ext dims:", *rep["data"]["dims"])
+    print("ext dims:", *rep.data["dims"])
     if args.module:
         M = jsonio.load_module(args.module, A)
         extm = ext_module(A, M, args.imax, dmax, ext=ext)
         mok, moff = koszul_module_check(A, M, args.imax, dmax,
                                         resolution=extm.resolution)
-        rep["data"]["module"] = {
+        rep.data["module"] = {
             "dims": [extm.dim(n) for n in range(args.imax + 1)],
             "bigraded": {f"{i},{d}": v
                          for (i, d), v in sorted(extm.bigraded_dims().items())},
             "koszul": {"diagonal_in_window": mok, "offenders": moff},
         }
-        print("module ext dims:", *rep["data"]["module"]["dims"])
+        print("module ext dims:", *rep.data["module"]["dims"])
     return rep
 
 
-def cmd_verify(args) -> dict:
+def cmd_verify(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
     dmax = R.cap if args.dmax is None else args.dmax
     window = {"window": args.window, "dmax": dmax,
               "products_to": args.products_to}
-    rep = _new_report(f"verify {args.what}", R.p, window)
+    rep = CliReport(f"verify {args.what}", R.p, window)
     if args.what == "phi":
         crep = verify_phi_iso(R, args.window, dmax,
                               products_to=args.products_to)
-        _absorb(rep, "phi", crep)
+        rep.absorb("phi", crep)
     else:
         if not args.m:
             raise jsonio.InputError("verify theta needs --m (module over "
@@ -280,16 +275,16 @@ def cmd_verify(args) -> dict:
         M = jsonio.load_module(args.m, S)
         crep = verify_theta_iso(R, M, args.window, dmax,
                                 products_to=args.products_to)
-        _absorb(rep, "theta", crep)
+        rep.absorb("theta", crep)
     return rep
 
 
-def cmd_koszul(args) -> dict:
+def cmd_koszul(args) -> CliReport:
     A = _load_algebra(args.algebra)
     dmax = A.cap if args.dmax is None else args.dmax
     ok, offenders = koszul_check(A, args.imax, dmax)
-    rep = _new_report("koszul", A.p, {"imax": args.imax, "dmax": dmax})
-    rep["data"]["koszul"] = {"diagonal_in_window": ok,
+    rep = CliReport("koszul", A.p, {"imax": args.imax, "dmax": dmax})
+    rep.data["koszul"] = {"diagonal_in_window": ok,
                              "offenders": offenders,
                              "certificate": offenders[0] if offenders else None}
     if ok:
@@ -300,18 +295,18 @@ def cmd_koszul(args) -> dict:
     return rep
 
 
-def cmd_fiber_module(args) -> dict:
+def cmd_fiber_module(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
     m_mod = jsonio.load_module(args.m, S)
     n_mod = jsonio.load_module(args.n, T)
     dmax = R.cap if args.dmax is None else args.dmax
-    rep = _new_report("fiber-module", R.p, {"hmax": args.hmax, "dmax": dmax})
-    _absorb(rep, "fiber module",
-            verify_fiber_module_ext_sequence(R, m_mod, n_mod, args.hmax, dmax))
+    rep = CliReport("fiber-module", R.p, {"hmax": args.hmax, "dmax": dmax})
+    rep.absorb("fiber module",
+               verify_fiber_module_ext_sequence(R, m_mod, n_mod, args.hmax, dmax))
     return rep
 
 
-def cmd_syzygy_split(args) -> dict:
+def cmd_syzygy_split(args) -> CliReport:
     R = _require_fiber(_load_algebra(args.r))
     L = jsonio.load_module(args.l, R)
     dmax = R.cap if args.dmax is None else args.dmax
@@ -319,10 +314,10 @@ def cmd_syzygy_split(args) -> dict:
     if args.hmax is not None:
         window["hmax"] = args.hmax
         window["dmax"] = dmax
-    rep = _new_report("syzygy-split", R.p, window)
+    rep = CliReport("syzygy-split", R.p, window)
     split = syzygy_split(R, L)
-    _absorb(rep, "split", split.report)
-    rep["data"]["component_dims"] = {
+    rep.absorb("split", split.report)
+    rep.data["component_dims"] = {
         "m": [split.m_module.dim(n) for n in range(R.cap + 1)],
         "n": [split.n_module.dim(n) for n in range(R.cap + 1)],
     }
@@ -331,34 +326,31 @@ def cmd_syzygy_split(args) -> dict:
         if any(triple):
             print(f"  {d}: {triple}")
     if args.hmax is not None:
-        _absorb(rep, "ext sequence",
-                verify_ext_sequence_L(R, L, args.hmax, dmax))
+        rep.absorb("ext sequence", verify_ext_sequence_L(R, L, args.hmax, dmax))
     return rep
 
 
-def cmd_depth(args) -> dict:
+def cmd_depth(args) -> CliReport:
     R = _require_fiber(_load_algebra(args.r))
-    dmax = None if args.dmax is None else args.dmax
+    dmax = args.dmax
     if bool(args.m) == bool(args.l):
         raise jsonio.InputError("give exactly one of --m (module over the "
                                 "first factor) or --l (module over the ring)")
     if args.m:
         M = jsonio.load_module(args.m, R.s_algebra)
         window = {"hmax": args.hmax, "jmax": args.jmax}
-        rep = _new_report("depth", R.p, window)
+        rep = CliReport("depth", R.p, window)
         cert = depth_certificate(R, M, args.jmax, args.hmax, dmax)
-        _absorb(rep, "certificate", cert.report)
-        payload = cert.to_json()
-        payload.pop("report")
-        rep["data"]["certificate"] = payload
+        rep.absorb("certificate", cert.report)
+        rep.data["certificate"] = cert.to_json()
         lo, hi = cert.interval
         print(f"case: {cert.case}")
         print(f"certified depth interval: [{lo}, {hi}]")
         return rep
     L = jsonio.load_module(args.l, R)
-    rep = _new_report("depth", R.p, {"hmax": args.hmax})
+    rep = CliReport("depth", R.p, {"hmax": args.hmax})
     crep = depth_upper_bound(R, L, args.hmax, dmax)
-    _absorb(rep, "upper bound", crep)
+    rep.absorb("upper bound", crep)
     print(f"case: {crep.data['case']}")
     print(f"depth: {crep.data['depth']}")
     return rep
@@ -433,9 +425,7 @@ def _suite_triple(entry: dict, base: str, window: dict) -> tuple[bool, dict]:
             elif name == "depth":
                 cert = depth_certificate(R, M, jmax, hmax)
                 ok = cert.ok
-                payload = cert.to_json()
-                payload.pop("report")
-                sub[name] = {"ok": ok, **payload}
+                sub[name] = {"ok": ok, **cert.to_json()}
             else:
                 raise jsonio.InputError(f"unknown suite check {name!r}")
         except INPUT_ERRORS as exc:
@@ -459,7 +449,7 @@ def _suite_tensor_control(entry: dict, base: str, window: dict) \
                 "detail": f"{tensor} vs {b_r}"}
 
 
-def cmd_suite(args) -> dict:
+def cmd_suite(args) -> CliReport:
     manifest = jsonio.load_json(args.manifest)
     if not isinstance(manifest, dict) or "window" not in manifest:
         raise jsonio.InputError("suite manifest needs a 'window' object")
@@ -469,7 +459,7 @@ def cmd_suite(args) -> dict:
     base = os.path.dirname(os.path.abspath(args.manifest))
     entries = manifest.get("entries", [])
     char = _env_char() or DEFAULT_CHAR
-    rep = _new_report("suite", char, window)
+    rep = CliReport("suite", char, window)
     for entry in entries:
         name = entry.get("name", "(unnamed)")
         expect = entry.get("expect", "pass")
@@ -484,8 +474,8 @@ def cmd_suite(args) -> dict:
         except (KeyError,) + INPUT_ERRORS as exc:
             entry_ok, sub = False, {"error": str(exc)}
         actual = "pass" if entry_ok else "fail"
-        _add(rep, name, actual == expect, f"expected {expect}, got {actual}")
-        rep["data"][name] = sub
+        rep.add(name, actual == expect, f"expected {expect}, got {actual}")
+        rep.data[name] = sub
     return rep
 
 
@@ -628,9 +618,9 @@ def main(argv=None) -> int:
     _print_report(report)
     print(f"wall time: {time.perf_counter() - t0:.3f}s")
     if args.out:
-        jsonio.write_report(args.out, report)
+        jsonio.write_report(args.out, _report_json(report))
         print(f"report written to {args.out}")
-    return 2 if _failed(report) else 0
+    return 0 if report.ok else 2
 
 
 if __name__ == "__main__":

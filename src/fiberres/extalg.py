@@ -685,7 +685,8 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
     bijectivity plus equivariance of the induced map."""
     if dmax is None:
         dmax = R.cap
-    assert module.algebra is R.s_algebra
+    if module.algebra is not R.s_algebra:
+        raise ExtError("verify_theta_iso needs a module over the first factor")
     d = _phi_setup(R, hmax, dmax)
     p = R.p
     rep = ComplexReport()

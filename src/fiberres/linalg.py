@@ -33,7 +33,8 @@ def normalize(mat, p: int) -> np.ndarray:
 
 def inv_mod(x: int, p: int) -> int:
     x = int(x) % p
-    assert x != 0, "zero has no inverse"
+    if x == 0:
+        raise ZeroDivisionError("zero has no inverse")
     return pow(x, p - 2, p)
 
 

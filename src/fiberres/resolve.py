@@ -13,7 +13,8 @@ import numpy as np
 
 from . import linalg
 from .algebra import Element, GradedAlgebra
-from .gmodule import AlgMatrix, FreeModule, GradedModule, submodule_as_gmodule
+from .gmodule import (AlgMatrix, FreeModule, GradedModule, minimal_generators,
+                      submodule_as_gmodule)
 from .series import PowerSeries
 
 __all__ = [
@@ -132,25 +133,14 @@ def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
         raise WindowError(
             f"dmax {dmax} beyond tabulated degrees; largest valid dmax is {algebra.cap}"
         )
-    assert hmax >= 0
+    if hmax < 0:
+        raise WindowError(f"hmax {hmax} is negative; the smallest valid hmax is 0")
 
-    # Step 0: minimal generators of the module.
-    gens0: list[tuple[int, np.ndarray]] = []
-    for d in range(dmax + 1):
-        dm = module.dim(d)
-        if dm == 0:
-            continue
-        span = linalg.Span(p, dm)
-        for m in range(1, d + 1):
-            if algebra.dim(m) == 0 or module.dim(d - m) == 0:
-                continue
-            for i in range(algebra.dim(m)):
-                span.add_rows(module.act_matrix(algebra.basis_element(m, i), d - m))
-        for c in range(dm):
-            e = np.zeros(dm, dtype=np.int64)
-            e[c] = 1
-            if span.add(e) is not None:
-                gens0.append((d, e))
+    # Step 0: minimal generators of the module; the cover is built from
+    # their unit vectors.
+    units = [np.eye(module.dim(d), dtype=np.int64) for d in range(dmax + 1)]
+    gens0 = [(d, units[d][j]) for d, j, _ in
+             minimal_generators(algebra, units, module.act_matrix, dmax)]
 
     label = gen_label or "u"
     f0 = FreeModule(algebra, [d for d, _ in gens0],
@@ -165,27 +155,12 @@ def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
 
     for step in range(1, hmax + 1):
         prev_free = frees[-1]
-        kers: dict[int, np.ndarray] = {}
-        for d in range(dmax + 1):
-            kers[d] = linalg.kernel_basis(prev_eval(d), p)
+        kers = {d: linalg.kernel_basis(prev_eval(d), p) for d in range(dmax + 1)}
         kernel_bases.append(kers)
 
-        new_gens: list[tuple[int, np.ndarray]] = []
-        for d in range(dmax + 1):
-            kd = kers[d]
-            if kd.shape[0] == 0:
-                continue
-            span = linalg.Span(p, prev_free.dim(d))
-            for m in range(1, d + 1):
-                if algebra.dim(m) == 0 or kers[d - m].shape[0] == 0:
-                    continue
-                for i in range(algebra.dim(m)):
-                    L = prev_free.left_mult_matrix(algebra.basis_element(m, i), d - m)
-                    span.add_rows((kers[d - m] @ L) % p)
-            for row in kd:
-                resid = span.add(row)
-                if resid is not None:
-                    new_gens.append((d, resid))
+        new_gens = [(d, new) for d, _, new in
+                    minimal_generators(algebra, kers, prev_free.left_mult_matrix,
+                                       dmax)]
 
         fi = FreeModule(algebra, [d for d, _ in new_gens],
                         [f"{label}{step}_{k}" for k in range(len(new_gens))])
@@ -217,16 +192,15 @@ class ComplexReport:
         return all(c["ok"] for c in self.checks)
 
     def first_failure(self):
-        for c in self.checks:
-            if not c["ok"]:
-                return c
-        return None
+        return next((c for c in self.checks if not c["ok"]), None)
 
-    def to_json(self) -> dict:
-        out = {"ok": self.ok, "checks": self.checks}
-        if self.data:
-            out["data"] = self.data
-        return out
+    def absorb(self, prefix: str, other: "ComplexReport") -> None:
+        """Append other's checks with names prefixed ``"{prefix}: "``,
+        and file its data (if any) under ``prefix``."""
+        for c in other.checks:
+            self.add(f"{prefix}: {c['name']}", c["ok"], c["detail"])
+        if other.data:
+            self.data[prefix] = other.data
 
 
 def verify_complex(res: FreeResolution, hmax: int | None = None,

@@ -9,6 +9,7 @@ coefficient past the truncation is an error.
 from __future__ import annotations
 
 __all__ = [
+    "SeriesError",
     "PowerSeries",
     "geometric_inverse",
     "reciprocal",
@@ -20,6 +21,10 @@ __all__ = [
 ]
 
 
+class SeriesError(ValueError):
+    """A series operation's precondition does not hold."""
+
+
 class PowerSeries:
     __slots__ = ("coeffs", "truncation")
 
@@ -27,7 +32,8 @@ class PowerSeries:
         coeffs = [int(c) for c in coeffs]
         if truncation is None:
             truncation = len(coeffs) - 1
-        assert truncation >= 0, "truncation must be nonnegative"
+        if truncation < 0:
+            raise SeriesError("truncation must be nonnegative")
         if len(coeffs) < truncation + 1:
             coeffs = coeffs + [0] * (truncation + 1 - len(coeffs))
         self.coeffs = coeffs[: truncation + 1]
@@ -43,15 +49,15 @@ class PowerSeries:
 
     @classmethod
     def monomial(cls, degree: int, truncation: int, coeff: int = 1) -> "PowerSeries":
-        assert 0 <= degree <= truncation
+        if not 0 <= degree <= truncation:
+            raise SeriesError(f"monomial degree {degree} outside 0..{truncation}")
         c = [0] * (truncation + 1)
         c[degree] = coeff
         return cls(c, truncation)
 
     def coeff(self, n: int) -> int:
-        assert 0 <= n <= self.truncation, (
-            f"coefficient {n} beyond truncation {self.truncation}"
-        )
+        if not 0 <= n <= self.truncation:
+            raise SeriesError(f"coefficient {n} beyond truncation {self.truncation}")
         return self.coeffs[n]
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
@@ -81,7 +87,8 @@ class PowerSeries:
         return PowerSeries([c * a for a in self.coeffs], self.truncation)
 
     def truncate(self, t: int) -> "PowerSeries":
-        assert 0 <= t <= self.truncation
+        if not 0 <= t <= self.truncation:
+            raise SeriesError(f"truncation {t} outside 0..{self.truncation}")
         return PowerSeries(self.coeffs[: t + 1], t)
 
     def matches(self, other: "PowerSeries") -> bool:
@@ -119,7 +126,8 @@ def geometric_inverse(m: PowerSeries) -> PowerSeries:
     Defined by g * (1 - m) = 1, i.e. g_0 = 1 and
     g_n = sum_{i=1..n} m_i * g_{n-i}.
     """
-    assert m.coeff(0) == 0, "geometric inverse needs zero constant term"
+    if m.coeff(0) != 0:
+        raise SeriesError("geometric inverse needs zero constant term")
     t = m.truncation
     g = [1] + [0] * t
     for n in range(1, t + 1):
@@ -129,7 +137,8 @@ def geometric_inverse(m: PowerSeries) -> PowerSeries:
 
 def reciprocal(s: PowerSeries) -> PowerSeries:
     """Inverse of a series with constant term 1."""
-    assert s.coeff(0) == 1, "reciprocal needs constant term 1"
+    if s.coeff(0) != 1:
+        raise SeriesError("reciprocal needs constant term 1")
     return geometric_inverse(PowerSeries.one(s.truncation) - s)
 
 
@@ -147,7 +156,8 @@ def coproduct_module_series(
     series h_m over the first factor, returns
     h_m * h_b / (h_a + h_b - h_a * h_b).
     """
-    assert h_a.coeff(0) == 1 and h_b.coeff(0) == 1, "algebra series must be connected"
+    if h_a.coeff(0) != 1 or h_b.coeff(0) != 1:
+        raise SeriesError("algebra series must be connected")
     return divide(h_m * h_b, h_a + h_b - h_a * h_b)
 
 

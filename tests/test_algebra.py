@@ -124,7 +124,7 @@ def test_product_beyond_cap_rejected():
     A = mono([("x", 1)], [], cap=3)
     x = A.generator("x")
     el = x * x * x
-    with pytest.raises(AssertionError):
+    with pytest.raises(AlgebraError, match="beyond cap 3"):
         el * x
 
 

@@ -205,6 +205,21 @@ def test_suite_unexpected_outcome_exits_two(tmp_path):
     assert main(["suite", "--manifest", manifest]) == 2
 
 
+def test_suite_failing_entry_writes_fail_status(tmp_path):
+    s = write(tmp_path, "s.json", algebra_obj([("x", 1)], ["x^2"]))
+    t = write(tmp_path, "t.json", algebra_obj([("y", 1)], ["y^2"]))
+    manifest = write(tmp_path, "suite.json", {
+        "window": {"hmax": 3},
+        "entries": [{"name": "control", "kind": "tensor-control",
+                     "s": "s.json", "t": "t.json", "degree": 2}],
+    })
+    out = tmp_path / "rep.json"
+    assert main(["suite", "--manifest", manifest, "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["checks"] == [{"name": "control", "status": "fail",
+                              "detail": "expected pass, got fail"}]
+
+
 def test_suite_needs_window(tmp_path):
     manifest = write(tmp_path, "suite.json", {"entries": []})
     assert main(["suite", "--manifest", manifest]) == 1
@@ -238,6 +253,42 @@ def test_char_mismatch_exits_one(tmp_path):
     s = write(tmp_path, "s.json", algebra_obj([("x", 1)], ["x^2"], char=7))
     t = write(tmp_path, "t.json", algebra_obj([("y", 1)], ["y^2"], char=11))
     assert main(["fiber", "--s", s, "--t", t]) == 1
+
+
+def test_resolve_negative_hmax_exits_one(capsys):
+    rc = main(["resolve", "--algebra", os.path.join(MANIFESTS, "r_square_zero.json"),
+               "--module", os.path.join(MANIFESTS, "m_k.json"), "--hmax", "-1"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "hmax -1" in err
+    assert "PASS" not in out
+
+
+def test_syzygy_split_hmax_below_two_exits_one(capsys):
+    rc = main(["syzygy-split", "--r", os.path.join(MANIFESTS, "r_square_zero.json"),
+               "--l", os.path.join(MANIFESTS, "m_k.json"), "--hmax", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "hmax 1" in err
+    assert "2 <= n <= 1" not in out
+
+
+@pytest.mark.parametrize("s_k, message", [
+    ({"coefficients": ["0", "1", "1"], "truncation": 2},
+     "series not applicable: algebra series must be connected"),
+    ({"coefficients": ["1"], "truncation": -1},
+     "bad series object: truncation must be nonnegative"),
+])
+def test_poincare_formula_rejects_bad_series(tmp_path, capsys, s_k, message):
+    sm = write(tmp_path, "sm.json", {"coefficients": ["1", "1", "1"],
+                                     "truncation": 2})
+    sk = write(tmp_path, "sk.json", s_k)
+    rc = main(["poincare", "--formula", "--s-m", sm, "--s-k", sk,
+               "--t-k", sm])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert message in err
+    assert "coefficients" not in out
 
 
 def test_syzygy_split_requires_fiber_ring(tmp_path):

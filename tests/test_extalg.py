@@ -191,7 +191,7 @@ def test_theta_rejects_module_over_the_wrong_factor():
     S = mono([("x", 1)], ["x^2"], cap=8)
     T = mono([("y", 1)], ["y^2"], cap=8)
     R = fiber_product(S, T, 8)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ExtError, match="first factor"):
         verify_theta_iso(R, residue_module(T), 3, 8)
 
 

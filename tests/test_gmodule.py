@@ -1,6 +1,10 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
+from fiberres import jsonio
 from fiberres.algebra import (
     Element,
     MonomialQuotientPresentation,
@@ -15,11 +19,13 @@ from fiberres.gmodule import (
     cokernel_module,
     fiber_product_module,
     free_module_table,
+    minimal_generators,
     residue_module,
     restrict_to_fiber,
     submodule_as_gmodule,
     trivial_module,
 )
+from fiberres.resolve import minimal_resolution
 
 P = 32003
 
@@ -181,7 +187,7 @@ def test_alg_matrix_rejects_wrong_degree():
     F1 = FreeModule(A, [2])
     F0 = FreeModule(A, [0])
     x = A.generator("x")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ModuleError, match="expected 2"):
         AlgMatrix(A, F1, F0, {(0, 0): x})
 
 
@@ -218,9 +224,8 @@ def test_cokernel_module_polynomial():
 
 def test_fiber_product_module_recovers_ring(square_zero_pair):
     S, T, R = square_zero_pair
-    fib, report = fiber_product_module(R, algebra_as_module(S), algebra_as_module(T))
+    fib = fiber_product_module(R, algebra_as_module(S), algebra_as_module(T))
     assert [fib.dim(n) for n in range(3)] == [R.dim(0), R.dim(1), R.dim(2)]
-    assert all(c["ok"] for c in report["checks"])
     assert fib.check_associativity() == []
     x = R.generator("x")
     _, v = fib.act(x, 0, [1])
@@ -231,15 +236,16 @@ def test_fiber_product_module_rank_two(square_zero_pair):
     S, T, R = square_zero_pair
     M = free_module_table(S, [0, 0])
     N = free_module_table(T, [0, 0])
-    fib, report = fiber_product_module(R, M, N)
-    assert report["rank_v"] == 2
+    fib = fiber_product_module(R, M, N)
+    assert fib.dim(0) == 2
     assert [fib.dim(n) for n in range(3)] == [2 * R.dim(0), 2 * R.dim(1), 2 * R.dim(2)]
 
 
 def test_fiber_product_module_rejects_bad_degree_zero(square_zero_pair):
     S, T, R = square_zero_pair
     N = free_module_table(T, [1])  # generated in degree 1
-    with pytest.raises(ModuleError):
+    with pytest.raises(ModuleError, match=re.escape(
+            "fiber module precondition failed: nu shape (0, 0)")):
         fiber_product_module(R, algebra_as_module(S), N)
 
 
@@ -258,8 +264,41 @@ def test_fiber_product_module_rejects_not_generated_in_zero(square_zero_pair):
     from fiberres.gmodule import GradedModule
 
     N2 = GradedModule(T, bad_basis, action)
-    with pytest.raises(ModuleError):
+    with pytest.raises(ModuleError, match=re.escape(
+            "fiber module precondition failed: "
+            "N generated in degree 0 (degree 1) 0 vs 1")):
         fiber_product_module(R, algebra_as_module(S), N2)
+
+
+MANIFESTS = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
+
+
+@pytest.mark.parametrize("ring, module, degrees", [
+    ("s_x3.json", "m_kx2.json", [[0], [2], [3]]),
+    ("s_x2.json", "m_free.json", [[0], [], []]),
+    ("r_square_zero.json", "l_line.json", [[0], [1], [2, 2]]),
+])
+def test_minimal_generators_keep_resolution_degrees(ring, module, degrees):
+    """Generator degrees of steps 0-2, as recorded before the three
+    generator loops became ``minimal_generators``."""
+    A = jsonio.load_algebra(os.path.join(MANIFESTS, ring))
+    M = jsonio.load_module(os.path.join(MANIFESTS, module), A)
+    units = [np.eye(M.dim(d), dtype=np.int64) for d in range(A.cap + 1)]
+    gens = minimal_generators(A, units, M.act_matrix, A.cap)
+    assert [(d, j) for d, j, _ in gens] == [(0, 0)]
+    res = minimal_resolution(A, M, 2)
+    assert [res.gen_degrees(i) for i in range(3)] == degrees
+
+
+def test_minimal_generators_reports_row_index_and_echelon_row():
+    A = mono([("x", 1)], ["x^3"])
+    F = free_module_table(A, [0, 1])  # degree 1 basis: x*g0, g1
+    rows = [np.array([[1]]), np.array([[1, 1]])]
+    gens = minimal_generators(A, rows, F.act_matrix, 1)
+    assert [(d, j, list(v)) for d, j, v in gens] == [(0, 0, [1]), (1, 0, [0, 1])]
+    units = [np.eye(F.dim(d), dtype=np.int64) for d in range(2)]
+    assert [(d, j) for d, j, _ in minimal_generators(A, units, F.act_matrix, 1)] \
+        == [(0, 0), (1, 1)]
 
 
 def test_submodule_as_gmodule_principal_ideal():

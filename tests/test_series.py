@@ -4,6 +4,7 @@ import pytest
 
 from fiberres.series import (
     PowerSeries,
+    SeriesError,
     coproduct_module_series,
     divide,
     fiber_module_poincare_check,
@@ -25,7 +26,7 @@ def test_construction_and_coeff_bounds():
     s = PowerSeries([1, 2], truncation=4)
     assert s.coeffs == [1, 2, 0, 0, 0]
     assert s.coeff(4) == 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(SeriesError, match="beyond truncation 4"):
         s.coeff(5)
 
 
@@ -46,7 +47,7 @@ def test_geometric_inverse_doubling():
 
 
 def test_geometric_inverse_requires_zero_constant():
-    with pytest.raises(AssertionError):
+    with pytest.raises(SeriesError, match="zero constant term"):
         geometric_inverse(PowerSeries([1, 1], truncation=3))
 
 
