@@ -494,9 +494,6 @@ class FiberProductAlgebra(GradedAlgebra):
                     generators[name] = (d, off + idx)
         super().__init__(p, cap, basis, mult, generators)
 
-    def s_dim(self, n: int) -> int:
-        return 1 if n == 0 else self.s_algebra.dim(n)
-
     def s_slice(self, n: int) -> slice:
         if n == 0:
             return slice(0, 1)

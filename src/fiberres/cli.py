@@ -190,14 +190,7 @@ def cmd_poincare(args) -> CliReport:
     M = jsonio.load_module(args.m, S)
     dmax = R.cap if args.dmax is None else args.dmax
     rep = CliReport("poincare", R.p, {"hmax": args.hmax, "dmax": dmax})
-    psm = minimal_resolution(S, M, args.hmax, min(dmax, S.cap)).poincare_series()
-    psk = minimal_resolution(S, residue_module(S), args.hmax,
-                             min(dmax, S.cap)).poincare_series()
-    ptk = minimal_resolution(T, residue_module(T), args.hmax,
-                             min(dmax, T.cap)).poincare_series()
-    formula = poincare_fiber_formula(psm, psk, ptk)
-    direct = minimal_resolution(R, restrict_to_fiber(R, M, "S"), args.hmax,
-                                dmax).poincare_series()
+    formula, direct = _poincare_pair(S, T, R, M, args.hmax, dmax)
     rep.add(f"formula matches direct Betti numbers through degree {args.hmax}",
             formula.matches(direct),
             f"formula {formula.coeffs} direct {direct.coeffs}")
@@ -206,6 +199,21 @@ def cmd_poincare(args) -> CliReport:
     print("formula:", *formula.coeffs)
     print("direct: ", *direct.coeffs)
     return rep
+
+
+def _poincare_pair(S, T, R, M, hmax: int, dmax: int):
+    """Poincaré series of M over the fiber product R through ``hmax``:
+    the closed formula applied to the factors' series (resolved through
+    ``min(dmax, cap)``), and the series of a direct resolution over R."""
+    psm = minimal_resolution(S, M, hmax, min(dmax, S.cap)).poincare_series()
+    psk = minimal_resolution(S, residue_module(S), hmax,
+                             min(dmax, S.cap)).poincare_series()
+    ptk = minimal_resolution(T, residue_module(T), hmax,
+                             min(dmax, T.cap)).poincare_series()
+    formula = poincare_fiber_formula(psm, psk, ptk)
+    direct = minimal_resolution(R, restrict_to_fiber(R, M, "S"), hmax,
+                                dmax).poincare_series()
+    return formula, direct
 
 
 def cmd_wordres(args) -> CliReport:
@@ -315,6 +323,9 @@ def cmd_syzygy_split(args) -> CliReport:
         window["hmax"] = args.hmax
         window["dmax"] = dmax
     rep = CliReport("syzygy-split", R.p, window)
+    # the Ext sequence checks its window before anything is printed
+    seq = None if args.hmax is None else verify_ext_sequence_L(R, L, args.hmax,
+                                                               dmax)
     split = syzygy_split(R, L)
     rep.absorb("split", split.report)
     rep.data["component_dims"] = {
@@ -325,8 +336,8 @@ def cmd_syzygy_split(args) -> CliReport:
     for d, triple in enumerate(split.dims()):
         if any(triple):
             print(f"  {d}: {triple}")
-    if args.hmax is not None:
-        rep.absorb("ext sequence", verify_ext_sequence_L(R, L, args.hmax, dmax))
+    if seq is not None:
+        rep.absorb("ext sequence", seq)
     return rep
 
 
@@ -375,15 +386,7 @@ def _suite_triple(entry: dict, base: str, window: dict) -> tuple[bool, dict]:
     for name in selected:
         try:
             if name == "poincare":
-                psm = minimal_resolution(S, M, hmax).poincare_series()
-                psk = minimal_resolution(S, residue_module(S),
-                                         hmax).poincare_series()
-                ptk = minimal_resolution(T, residue_module(T),
-                                         hmax).poincare_series()
-                direct = minimal_resolution(
-                    R, restrict_to_fiber(R, M, "S"), hmax,
-                    dmax).poincare_series()
-                formula = poincare_fiber_formula(psm, psk, ptk)
+                formula, direct = _poincare_pair(S, T, R, M, hmax, dmax)
                 ok = formula.matches(direct)
                 sub[name] = {"ok": ok, "formula": formula.coeffs,
                              "direct": direct.coeffs}

@@ -32,7 +32,7 @@ from .gmodule import (AlgMatrix, FreeModule, GradedModule, residue_module,
                       restrict_to_fiber)
 from .resolve import ComplexReport, FreeResolution, minimal_resolution
 from .series import coproduct_module_series
-from .wordres import Letter, assemble_word_complex
+from .wordres import Letter, alternating_words, assemble_word_complex
 
 
 class ExtError(RuntimeError):
@@ -158,6 +158,23 @@ def _dual_tensor(E: FreeResolution, P: FreeResolution, lifts: dict, m: int,
     return arr % E.algebra.p
 
 
+def _yoneda_tables(E: FreeResolution, res: FreeResolution, imax: int,
+                   first: int) -> dict[tuple[int, int], np.ndarray]:
+    """Yoneda tables of the duals of E acting on the duals of res: each
+    dual of res at steps first..imax is lifted through E once, and table
+    (m, n) is ``_dual_tensor`` for m >= 1, n >= first, m + n <= imax."""
+    if res.algebra is not E.algebra:
+        raise ExtError("resolutions must be over the same algebra")
+    if res.hmax < imax:
+        raise ExtError(f"resolution reaches step {res.hmax}, need {imax}")
+    if not res.is_minimal():
+        raise ExtError("resolution must be minimal")
+    lifts = {(j, b): lift_dual(res, E, j, b, imax - j)
+             for j in range(first, imax + 1) for b in range(res.rank(j))}
+    return {(m, n): _dual_tensor(E, res, lifts, m, n)
+            for m in range(1, imax + 1) for n in range(first, imax + 1 - m)}
+
+
 # -- Ext algebras and Ext modules -------------------------------------------
 
 
@@ -189,23 +206,11 @@ def ext_algebra(algebra: GradedAlgebra, imax: int, dmax: int | None = None,
     res = resolution
     if res is None:
         res = minimal_resolution(algebra, residue_module(algebra), imax, dmax)
-    assert res.algebra is algebra
-    if res.hmax < imax:
-        raise ExtError(f"resolution reaches step {res.hmax}, need {imax}")
+    if res.algebra is not algebra:
+        raise ExtError("resolution must be over the given algebra")
     if res.rank(0) != 1 or res.gen_degrees(0) != [0]:
         raise ExtError("resolution must resolve the residue field")
-    if not res.is_minimal():
-        raise ExtError("resolution must be minimal")
-
-    lifts = {}
-    for j in range(1, imax + 1):
-        for b in range(res.rank(j)):
-            lifts[(j, b)] = lift_dual(res, res, j, b, imax - j)
-    mult = {}
-    for m in range(1, imax):
-        for n in range(1, imax + 1 - m):
-            mult[(m, n)] = _dual_tensor(res, res, lifts, m, n)
-
+    mult = _yoneda_tables(res, res, imax, 1)
     basis = [["1"]] + [[lab + "'" for lab in res.frees[i].gen_labels]
                        for i in range(1, imax + 1)]
     generators = {}
@@ -238,28 +243,16 @@ def ext_module(algebra: GradedAlgebra, module: GradedModule | None, imax: int,
     module class at stage n by lifting the module class m stages."""
     if ext is None:
         ext = ext_algebra(algebra, imax, dmax)
-    assert ext.base is algebra and ext.cap >= imax
-    E = ext.resolution
+    if ext.base is not algebra:
+        raise ExtError("Ext algebra is over a different algebra")
+    if ext.cap < imax:
+        raise ExtError(f"Ext algebra reaches degree {ext.cap}, need {imax}")
     res = resolution
     if res is None:
         if module is None:
             raise ExtError("need a module or a resolution")
         res = minimal_resolution(algebra, module, imax, dmax)
-    assert res.algebra is algebra
-    if res.hmax < imax:
-        raise ExtError(f"resolution reaches step {res.hmax}, need {imax}")
-    if not res.is_minimal():
-        raise ExtError("resolution must be minimal")
-
-    lifts = {}
-    for j in range(imax + 1):
-        for b in range(res.rank(j)):
-            lifts[(j, b)] = lift_dual(res, E, j, b, imax - j)
-    action = {}
-    for m in range(1, imax + 1):
-        for n in range(imax + 1 - m):
-            action[(m, n)] = _dual_tensor(E, res, lifts, m, n)
-
+    action = _yoneda_tables(ext.resolution, res, imax, 0)
     basis = [[lab + "'" for lab in res.frees[i].gen_labels]
              for i in range(imax + 1)]
     internal = [res.gen_degrees(i) for i in range(imax + 1)]
@@ -333,37 +326,18 @@ def induced_ext_matrix(chain: list[dict[int, np.ndarray]],
 
 
 def _fp_letters(a: GradedAlgebra, b: GradedAlgebra, cap: int) -> list[tuple]:
-    out = []
-    for t, alg in ((0, a), (1, b)):
-        for deg in range(1, cap + 1):
-            for i in range(alg.dim(deg)):
-                out.append((t, deg, i))
-    return out
+    """(side, degree, letter) triples of the positive-degree basis
+    elements of the two factors; a letter is (side, degree, index)."""
+    return [(t, deg, (t, deg, i)) for t, alg in ((0, a), (1, b))
+            for deg in range(1, cap + 1) for i in range(alg.dim(deg))]
 
 
 def _fp_words(a: GradedAlgebra, b: GradedAlgebra, cap: int) -> list[list]:
     """Alternating words in positive-degree basis letters of the two
     factors, bucketed by total degree and sorted (length, letters)."""
-    letters = _fp_letters(a, b, cap)
-    buckets: list[list] = [[] for _ in range(cap + 1)]
-    buckets[0].append(())
-    frontier = []
-    for x in letters:
-        buckets[x[1]].append((x,))
-        frontier.append((x[1], (x,)))
-    while frontier:
-        nxt = []
-        for deg, w in frontier:
-            for x in letters:
-                if x[0] == w[0][0] or deg + x[1] > cap:
-                    continue
-                u = (x,) + w
-                buckets[deg + x[1]].append(u)
-                nxt.append((deg + x[1], u))
-        frontier = nxt
-    for d in range(cap + 1):
-        buckets[d].sort(key=lambda w: (len(w), w))
-    return buckets
+    buckets = alternating_words([(0, None)], _fp_letters(a, b, cap), cap)
+    return [sorted((ls for ls, _ in ws), key=lambda w: (len(w), w))
+            for ws in buckets]
 
 
 def _fp_letter_label(a: GradedAlgebra, b: GradedAlgebra, x: tuple) -> str:
@@ -392,8 +366,12 @@ class FreeProductAlgebra(GradedAlgebra):
     alternating words in their positive-degree basis elements."""
 
     def __init__(self, a: GradedAlgebra, b: GradedAlgebra, cap: int):
-        assert a.p == b.p
-        assert 0 <= cap <= min(a.cap, b.cap)
+        if a.p != b.p:
+            raise ExtError(f"factors disagree on the characteristic: "
+                           f"{a.p} vs {b.p}")
+        if not 0 <= cap <= min(a.cap, b.cap):
+            raise ExtError(f"free product cap {cap} outside "
+                           f"0..{min(a.cap, b.cap)}")
         self.factor_a = a
         self.factor_b = b
         words = _fp_words(a, b, cap)
@@ -446,33 +424,13 @@ class FreeProductModule(GradedModule):
 def free_product_module(fp: FreeProductAlgebra,
                         module: GradedModule) -> FreeProductModule:
     a, b = fp.factor_a, fp.factor_b
-    assert module.algebra is a
+    if module.algebra is not a:
+        raise ExtError("module must be over the free product's first factor")
     cap = fp.cap
-    letters = _fp_letters(a, b, cap)
-    buckets: list[list] = [[] for _ in range(cap + 1)]
-    frontier = []
-    for dm in range(cap + 1):
-        for mi in range(module.dim(dm)):
-            w = ((), (dm, mi))
-            buckets[dm].append(w)
-            frontier.append((dm, w))
-    while frontier:
-        nxt = []
-        for deg, (ls, mpair) in frontier:
-            for x in letters:
-                if deg + x[1] > cap:
-                    continue
-                if ls:
-                    if x[0] == ls[0][0]:
-                        continue
-                elif x[0] != 1:
-                    continue
-                w = ((x,) + ls, mpair)
-                buckets[deg + x[1]].append(w)
-                nxt.append((deg + x[1], w))
-        frontier = nxt
-    for d in range(cap + 1):
-        buckets[d].sort(key=lambda w: (len(w[0]), w[0], w[1]))
+    seeds = [(dm, (dm, mi)) for dm in range(cap + 1)
+             for mi in range(module.dim(dm))]
+    buckets = [sorted(ws, key=lambda w: (len(w[0]), w[0], w[1])) for ws in
+               alternating_words(seeds, _fp_letters(a, b, cap), cap, first=1)]
     index = [{w: i for i, w in enumerate(ws)} for ws in buckets]
 
     def label(w):
@@ -491,11 +449,8 @@ def free_product_module(fp: FreeProductAlgebra,
                 x = u[-1]
                 for j, (ls, mpair) in enumerate(buckets[n]):
                     if ls:
-                        if x[0] != ls[0][0]:
-                            arr[i, j, index[m + n][(u + ls, mpair)]] += 1
-                        else:
-                            for merged, coeff in _fp_product(a, b, u, ls):
-                                arr[i, j, index[m + n][(merged, mpair)]] += coeff
+                        for w, coeff in _fp_product(a, b, u, ls):
+                            arr[i, j, index[m + n][(w, mpair)]] += coeff
                     elif x[0] == 1:
                         arr[i, j, index[m + n][(u, mpair)]] += 1
                     else:

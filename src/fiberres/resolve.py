@@ -51,13 +51,6 @@ class FreeResolution:
         self.kernel_bases = kernel_bases  # per step i: d -> kernel rows of the map out of F_i
         self._ev_cache: dict[tuple[int, int], np.ndarray] = {}
 
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.hmax, self.dmax)
-
-    def free(self, i: int) -> FreeModule:
-        return self.frees[i]
-
     def diff(self, i: int) -> AlgMatrix:
         assert 1 <= i <= self.hmax
         return self.diffs[i]

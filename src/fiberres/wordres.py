@@ -32,6 +32,7 @@ __all__ = [
     "Letter",
     "Word",
     "WordComplex",
+    "alternating_words",
     "generate_words",
     "word_differential",
     "word_label",
@@ -61,10 +62,6 @@ class Letter:
 
 
 Word = tuple[Letter, ...]
-
-
-def word_hom(w: Word) -> int:
-    return sum(x.hom for x in w)
 
 
 def word_internal(w: Word) -> int:
@@ -112,33 +109,39 @@ def _check_inputs(E: FreeResolution, F: FreeResolution, P: FreeResolution,
         raise WordError("P and E must be resolutions over the same factor")
 
 
+def alternating_words(seeds: list[tuple[int, object]],
+                      letters: list[tuple[int, int, object]], cap: int,
+                      first: int | None = None) -> list[list[tuple]]:
+    """Words ``(letters, seed)`` of total weight <= cap, bucketed by
+    weight in no particular order.  ``seeds`` are (weight, seed) pairs
+    and ``letters`` (side, weight, letter) triples, side 0 or 1, of
+    positive weight; letters are prepended so that neighbours come from different sides,
+    the one next to the seed from side ``first`` (either side if None)."""
+    if any(w < 1 for _, w, _ in letters):
+        raise WordError("letters need a positive weight")
+    buckets: list[list[tuple]] = [[] for _ in range(cap + 1)]
+    frontier = [(w, (), s, first) for w, s in seeds if w <= cap]
+    while frontier:
+        new = []
+        for w, ls, s, need in frontier:
+            buckets[w].append((ls, s))
+            for t, lw, x in letters:
+                if w + lw <= cap and (need is None or t == need):
+                    new.append((w + lw, (x,) + ls, s, 1 - t))
+        frontier = new
+    return buckets
+
+
 def generate_words(E: FreeResolution, F: FreeResolution, P: FreeResolution,
                    hmax: int) -> list[list[Word]]:
     """All valid words of homological degree <= hmax, bucketed by degree
     and sorted by (length, letter keys)."""
     _check_inputs(E, F, P, hmax)
-    e_letters = _letters(E, "E", 1, hmax)
-    f_letters = _letters(F, "F", 1, hmax)
-    p_letters = _letters(P, "P", 0, hmax)
-
-    frontier: list[tuple[int, Word]] = [(x.hom, (x,)) for x in p_letters]
-    all_words = list(frontier)
-    while frontier:
-        new: list[tuple[int, Word]] = []
-        for deg, w in frontier:
-            pool = f_letters if w[0].tag in ("P", "E") else e_letters
-            for x in pool:
-                if deg + x.hom <= hmax:
-                    new.append((deg + x.hom, (x,) + w))
-        all_words.extend(new)
-        frontier = new
-
-    buckets: list[list[Word]] = [[] for _ in range(hmax + 1)]
-    for deg, w in all_words:
-        buckets[deg].append(w)
-    for b in buckets:
-        b.sort(key=_word_key)
-    return buckets
+    letters = [(0, x.hom, x) for x in _letters(E, "E", 1, hmax)]
+    letters += [(1, x.hom, x) for x in _letters(F, "F", 1, hmax)]
+    seeds = [(x.hom, x) for x in _letters(P, "P", 0, hmax)]
+    return [sorted((ls + (x,) for ls, x in b), key=_word_key)
+            for b in alternating_words(seeds, letters, hmax, first=1)]
 
 
 def word_differential(w: Word, E: FreeResolution, F: FreeResolution,
@@ -264,7 +267,8 @@ def word_count_series(E: FreeResolution, F: FreeResolution, P: FreeResolution,
     """Closed form for the number of words per homological degree."""
     h = min(E.hmax, F.hmax, P.hmax)
     if hmax is not None:
-        assert hmax <= h, "inputs do not reach the requested degree"
+        if hmax > h:
+            raise WordError(f"inputs reach degree {h}, not {hmax}")
         h = hmax
     return word_count_series_formula(P.poincare_series().truncate(h),
                                      E.poincare_series().truncate(h),

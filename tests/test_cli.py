@@ -273,6 +273,36 @@ def test_syzygy_split_hmax_below_two_exits_one(capsys):
     assert "2 <= n <= 1" not in out
 
 
+def test_syzygy_split_bad_window_prints_no_table(capsys):
+    rc = main(["syzygy-split", "--r", os.path.join(MANIFESTS, "r_square_zero.json"),
+               "--l", os.path.join(MANIFESTS, "m_k.json"), "--hmax", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "hmax 1" in err
+    assert "degree (kernel" not in out
+
+
+def test_suite_poincare_uses_the_command_window(tmp_path):
+    """A factor generator above dmax (x^3 has syzygies in degrees 3, 4,
+    6, ...) must be cut by the same window in the suite as in
+    ``fiberres poincare``."""
+    s = write(tmp_path, "s.json", algebra_obj([("x", 1)], ["x^3"], cap=8))
+    t = write(tmp_path, "t.json", algebra_obj([("y", 1)], ["y^2"], cap=8))
+    m = write(tmp_path, "m.json", {"kind": "residue"})
+    suite = write(tmp_path, "suite.json", {
+        "window": {"hmax": 4, "dmax": 2},
+        "entries": [{"name": "e", "kind": "triple", "s": "s.json",
+                     "t": "t.json", "m": "m.json", "checks": ["poincare"]}]})
+    suite_out, cmd_out = tmp_path / "suite_rep.json", tmp_path / "cmd_rep.json"
+    main(["suite", "--manifest", suite, "--out", str(suite_out)])
+    main(["poincare", "--s", s, "--t", t, "--m", m, "--hmax", "4",
+          "--dmax", "2", "--out", str(cmd_out)])
+    entry = json.loads(suite_out.read_text())["data"]["e"]["poincare"]
+    cmd = json.loads(cmd_out.read_text())["data"]
+    assert [str(c) for c in entry["formula"]] == cmd["formula"]["coefficients"]
+    assert [str(c) for c in entry["direct"]] == cmd["direct"]["coefficients"]
+
+
 @pytest.mark.parametrize("s_k, message", [
     ({"coefficients": ["0", "1", "1"], "truncation": 2},
      "series not applicable: algebra series must be connected"),

@@ -247,3 +247,43 @@ def test_ext_algebra_is_deterministic():
     assert E1.basis == E2.basis
     for key in E1.mult:
         assert np.array_equal(E1.mult[key], E2.mult[key])
+
+
+def test_yoneda_table_keys():
+    A = mono([("x", 1)], ["x^3"], cap=10)
+    imax = 5
+    E = ext_algebra(A, imax)
+    EM = ext_module(A, quotient_by_power(A, "x", 2, 1), imax, ext=E)
+    for tables, first in ((E.mult, 1), (EM.action, 0)):
+        assert set(tables) == {(m, n) for m in range(1, imax + 1)
+                               for n in range(first, imax + 1)
+                               if m + n <= imax}
+
+
+def test_free_product_rejects_bad_factors_and_caps():
+    S = mono([("x", 1)], ["x^2"], cap=8)
+    T = mono([("y", 1)], ["y^2"], cap=8)
+    T7 = build_monomial_quotient(
+        7, 8, MonomialQuotientPresentation(["y"], [1], ["y^2"], True))
+    ES, ET = ext_algebra(S, 4), ext_algebra(T, 4)
+    with pytest.raises(ExtError, match="characteristic: 32003 vs 7"):
+        free_product(ES, ext_algebra(T7, 4))
+    with pytest.raises(ExtError, match="cap 5 outside 0..4"):
+        free_product(ES, ET, 5)
+    with pytest.raises(ExtError, match="first factor"):
+        free_product_module(free_product(ES, ET), algebra_as_module(ET))
+
+
+def test_ext_module_rejects_mismatched_inputs():
+    A = mono([("x", 1)], ["x^3"], cap=10)
+    B = mono([("y", 1)], ["y^2"], cap=10)
+    M = quotient_by_power(A, "x", 2, 1)
+    with pytest.raises(ExtError, match="different algebra"):
+        ext_module(A, M, 3, ext=ext_algebra(B, 3))
+    with pytest.raises(ExtError, match="reaches degree 2, need 3"):
+        ext_module(A, M, 3, ext=ext_algebra(A, 2))
+    with pytest.raises(ExtError, match="same algebra"):
+        ext_module(A, None, 3, ext=ext_algebra(A, 3),
+                   resolution=minimal_resolution(B, residue_module(B), 3))
+    with pytest.raises(ExtError, match="given algebra"):
+        ext_algebra(A, 3, resolution=minimal_resolution(B, residue_module(B), 3))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fiberres.resolve import minimal_resolution
 from fiberres.wordres import (
     Letter,
     WordError,
+    alternating_words,
     assemble_word_complex,
     build_word_resolution,
     check_word,
@@ -182,3 +185,49 @@ def test_two_variable_factor():
     assert rep.ok, rep.first_failure()
     # multi-generator steps get index suffixes in word labels
     assert any("_" in lab for lab in G.word_labels(1))
+
+
+def _brute_force_words(seeds, letters, cap, first):
+    """Every letter sequence of the alphabet, kept when neighbouring
+    sides differ and the letter next to the seed is from side ``first``."""
+    out = [[] for _ in range(cap + 1)]
+    for n in range(cap + 1):
+        for seq in itertools.product(letters, repeat=n):
+            sides = [t for t, _, _ in seq]
+            if any(a == b for a, b in zip(sides, sides[1:])):
+                continue
+            if seq and first is not None and sides[-1] != first:
+                continue
+            for w, s in seeds:
+                total = w + sum(lw for _, lw, _ in seq)
+                if total <= cap:
+                    out[total].append((tuple(x for _, _, x in seq), s))
+    return out
+
+
+@pytest.mark.parametrize("first", [None, 0, 1])
+@pytest.mark.parametrize("cap", [0, 1, 5])
+@pytest.mark.parametrize("seeds", [[], [(0, "s")], [(0, "s"), (1, "t"), (3, "u")]])
+@pytest.mark.parametrize("letters", [
+    [(0, 1, "a"), (0, 2, "b"), (1, 1, "c"), (1, 3, "d")],
+    [(1, 1, "f")],
+])
+def test_alternating_words_match_brute_force(first, cap, seeds, letters):
+    got = alternating_words(seeds, letters, cap, first)
+    assert len(got) == cap + 1
+    assert [sorted(b) for b in got] == \
+        [sorted(b) for b in _brute_force_words(seeds, letters, cap, first)]
+
+
+def test_alternating_words_reject_weightless_letters():
+    with pytest.raises(WordError, match="positive weight"):
+        alternating_words([(0, None)], [(0, 0, "a"), (1, 1, "b")], 2)
+
+
+def test_word_count_series_beyond_inputs_raises_word_error():
+    S, T = square_zero_pair()
+    E = minimal_resolution(S, residue_module(S), 3, gen_label="e")
+    F = minimal_resolution(T, residue_module(T), 3, gen_label="f")
+    assert word_count_series(E, F, E, 3).coeffs == [1, 2, 4, 8]
+    with pytest.raises(WordError, match="reach degree 3, not 4"):
+        word_count_series(E, F, E, 4)
