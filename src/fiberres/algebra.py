@@ -9,9 +9,11 @@ not tabulated.  Nothing here assumes commutativity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .series import PowerSeries
 
 DEFAULT_CHAR = 32003
@@ -172,6 +174,24 @@ class GradedAlgebra:
 
     def hilbert_series(self) -> PowerSeries:
         return PowerSeries([self.dim(n) for n in range(self.cap + 1)], self.cap)
+
+    @cached_property
+    def indecomposables(self) -> list[tuple[int, int]]:
+        """``(degree, index)`` of basis elements spanning a complement of
+        A+^2 in A+ through the cap: in each degree n, those at the
+        non-pivot columns of the echelon form of all products
+        A_m * A_(n-m).  They generate A+ as an algebra, in whatever
+        degrees the presentation's generators have."""
+        out = []
+        for n in range(1, self.cap + 1):
+            dim = self.dim(n)
+            if dim == 0:
+                continue
+            prods = [np.zeros((0, dim), dtype=np.int64)] + [
+                self.mult[(m, n - m)].reshape(-1, dim) for m in range(1, n)]
+            pivots = set(linalg.rref(np.vstack(prods), self.p)[1])
+            out.extend((n, i) for i in range(dim) if i not in pivots)
+        return out
 
     def check_associativity(self) -> list[tuple]:
         """All basis triples with total degree within cap; returns the

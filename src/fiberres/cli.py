@@ -28,13 +28,14 @@ from .extalg import (ExtError, ext_algebra, ext_module, koszul_check,
                      koszul_module_check, verify_phi_iso, verify_theta_iso)
 from .gmodule import ModuleError, algebra_as_module, residue_module, \
     restrict_to_fiber
+from .linalg import LinalgError
 from .resolve import (ComplexReport, ResolutionError, WindowError,
                       betti_table_text, minimal_resolution, verify_complex)
 from .series import SeriesError, poincare_fiber_formula
 from .wordres import WordError, build_word_resolution, verify_word_resolution
 
 INPUT_ERRORS = (jsonio.InputError, AlgebraError, ModuleError, WordError,
-                ExtError, WindowError, ResolutionError)
+                ExtError, WindowError, ResolutionError, LinalgError)
 
 
 class UsageHalt(Exception):
@@ -323,10 +324,10 @@ def cmd_syzygy_split(args) -> CliReport:
         window["hmax"] = args.hmax
         window["dmax"] = dmax
     rep = CliReport("syzygy-split", R.p, window)
+    split = syzygy_split(R, L)
     # the Ext sequence checks its window before anything is printed
     seq = None if args.hmax is None else verify_ext_sequence_L(R, L, args.hmax,
-                                                               dmax)
-    split = syzygy_split(R, L)
+                                                               dmax, split)
     rep.absorb("split", split.report)
     rep.data["component_dims"] = {
         "m": [split.m_module.dim(n) for n in range(R.cap + 1)],
@@ -421,7 +422,7 @@ def _suite_triple(entry: dict, base: str, window: dict) -> tuple[bool, dict]:
             elif name == "syzygy-split":
                 L = restrict_to_fiber(R, M, "S")
                 split = syzygy_split(R, L)
-                seq = verify_ext_sequence_L(R, L, hmax, dmax)
+                seq = verify_ext_sequence_L(R, L, hmax, dmax, split)
                 ok = split.ok and seq.ok
                 sub[name] = {"ok": ok, "dims": split.dims(),
                              "ext_dims": seq.data["ext_dims"]}

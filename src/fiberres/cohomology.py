@@ -173,11 +173,13 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
 
 
 def verify_ext_sequence_L(R: FiberProductAlgebra, L: GradedModule, hmax: int,
-                          dmax: int | None = None) -> ComplexReport:
+                          dmax: int | None = None,
+                          split: SyzygySplit | None = None) -> ComplexReport:
     """Dimension bookkeeping for Ext(L, k) over a fiber product: beyond
     the presentation degrees, the Ext dimension in cohomological degree
     n equals the sum of the two syzygy components' coproduct-module
-    series at n - 2."""
+    series at n - 2.  ``split`` is ``syzygy_split(R, L)`` when the caller
+    has it already."""
     if hmax < 2:
         raise WindowError(f"hmax {hmax} is too small for the Ext sequence; "
                           f"the smallest valid hmax is 2")
@@ -185,7 +187,8 @@ def verify_ext_sequence_L(R: FiberProductAlgebra, L: GradedModule, hmax: int,
     S, T = R.s_algebra, R.t_algebra
     rep = ComplexReport()
 
-    split = syzygy_split(R, L)
+    if split is None:
+        split = syzygy_split(R, L)
     fail = split.report.first_failure()
     rep.add("syzygy split verified", split.ok,
             "" if split.ok else str(fail))

@@ -401,20 +401,26 @@ def minimal_generators(algebra: GradedAlgebra, rows, act, dmax: int) \
         -> list[tuple[int, int, np.ndarray]]:
     """Minimal generators of the submodule spanned by ``rows[d]`` (d <=
     dmax), where ``act(a, n)`` is the matrix of x -> a*x out of degree n.
-    Each degree's span starts from the positive-degree multiples of the
-    lower degrees' rows; its own rows are then added in order.  Returns
-    ``(degree, row index, new echelon row)`` per row that enlarges it."""
+    The rows must span a submodule degreewise (kernels, or a whole
+    module), so the part of degree d generated below it is the sum of
+    g * rows[d - deg g] over the algebra's indecomposables g.  Each
+    degree's span starts from those products, folded into one reduced
+    echelon basis one g at a time; its own rows are then added in
+    order.  Returns ``(degree, row index, new echelon row)`` per row
+    that enlarges it."""
     p = algebra.p
     out = []
     for d in range(dmax + 1):
         if rows[d].shape[0] == 0:
             continue
-        span = linalg.Span(p, rows[d].shape[1])
-        for m in range(1, d + 1):
-            if algebra.dim(m) == 0 or rows[d - m].shape[0] == 0:
+        lower = np.zeros((0, rows[d].shape[1]), dtype=np.int64)
+        for m, i in algebra.indecomposables:
+            if m > d or rows[d - m].shape[0] == 0:
                 continue
-            for i in range(algebra.dim(m)):
-                span.add_rows(rows[d - m] @ act(algebra.basis_element(m, i), d - m))
+            prod = linalg.matmul_mod(rows[d - m],
+                                     act(algebra.basis_element(m, i), d - m), p)
+            lower = linalg.row_space(np.vstack([lower, prod]), p)
+        span = linalg.Span(p, rows[d].shape[1], lower)
         for j, row in enumerate(rows[d]):
             new = span.add(row)
             if new is not None:

@@ -3,7 +3,16 @@
 Matrices are numpy int64 arrays with entries reduced into [0, p).  All
 reductions use Gaussian elimination with the fixed pivot order "first
 nonzero column, topmost row", so every basis this module produces is
-deterministic.  No floating point is used anywhere.
+deterministic.
+
+Floating point is used in one place: ``matmul_mod`` multiplies reduced
+matrices as float64 through BLAS and reduces once at the end (delayed
+reduction, as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+2008).  Every partial sum of a product with k terms is an integer at
+most k (p - 1)^2, so the product is exact while k (p - 1)^2 < 2^53; past
+that bound ``matmul_mod`` raises ``LinalgError`` instead of rounding.
+Every p is below 2^16, so products of up to 2^21 terms are always
+allowed.  Elimination stays in int64.
 """
 
 from __future__ import annotations
@@ -11,8 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "LinalgError",
     "normalize",
     "inv_mod",
+    "matmul_mod",
     "rref",
     "rank",
     "row_space",
@@ -22,12 +33,21 @@ __all__ = [
 ]
 
 
+# Every integer of magnitude below 2^53 is a float64.
+FLOAT64_EXACT = 1 << 53
+
+
+class LinalgError(ValueError):
+    pass
+
+
 def normalize(mat, p: int) -> np.ndarray:
     """Coerce to an int64 matrix with entries in [0, p)."""
     arr = np.asarray(mat, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    assert arr.ndim == 2
+    if arr.ndim != 2:
+        raise LinalgError(f"expected a vector or a matrix, got {arr.ndim} axes")
     return arr % p
 
 
@@ -38,6 +58,22 @@ def inv_mod(x: int, p: int) -> int:
     return pow(x, p - 2, p)
 
 
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """``a @ b mod p`` for matrices with entries in [0, p), as an int64
+    matrix: one float64 BLAS product and one final reduction.  Exact
+    while ``a.shape[1] * (p - 1)^2 < 2^53``; a longer product, or an
+    entry outside [0, p), raises LinalgError."""
+    k = np.shape(a)[1]
+    if k * (p - 1) ** 2 >= FLOAT64_EXACT:
+        raise LinalgError(f"float64 product of {k} terms at p = {p} is not exact: "
+                          f"{k} * (p - 1)^2 >= 2^53")
+    for x in (a, b):
+        if np.size(x) and (np.min(x) < 0 or np.max(x) >= p):
+            raise LinalgError(f"matmul_mod needs entries in [0, {p})")
+    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    return np.fmod(prod, p, out=prod).astype(np.int64)
+
+
 def rref(mat, p: int):
     """Reduced row echelon form.
 
@@ -45,7 +81,7 @@ def rref(mat, p: int):
     entries are 1 with zeros elsewhere in their columns, and ``pivots``
     lists the pivot column indices in increasing order.
     """
-    R = normalize(mat, p).copy()
+    R = normalize(mat, p)
     m, n = R.shape
     pivots: list[int] = []
     row = 0
@@ -62,7 +98,8 @@ def rref(mat, p: int):
         hit = np.nonzero(R[:, col])[0]
         hit = hit[hit != row]
         if hit.size:
-            R[hit] = (R[hit] - np.outer(R[hit, col], R[row])) % p
+            # R[row] is zero left of col, so only columns col.. change
+            R[hit, col:] = (R[hit, col:] - np.outer(R[hit, col], R[row, col:])) % p
         pivots.append(col)
         row += 1
     return R, pivots
@@ -97,12 +134,12 @@ def kernel_basis(mat, p: int) -> np.ndarray:
     if m == 0:
         return np.eye(n, dtype=np.int64)
     R, pivots = rref(arr, p)
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-R[r, c]) % p
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-R[: len(pivots), free].T) % p
     return basis
 
 
@@ -118,7 +155,9 @@ def solve(mat, rhs, p: int):
     if vector_input:
         b = b.reshape(-1, 1)
     m, n = arr.shape
-    assert b.shape[0] == m
+    if b.ndim != 2 or b.shape[0] != m:
+        raise LinalgError(f"right-hand side of shape {np.shape(rhs)} does not fit "
+                          f"a matrix with {m} rows")
     aug = np.hstack([arr, b])
     R, pivots = rref(aug, p)
     pivots_in_a = [c for c in pivots if c < n]
@@ -131,13 +170,17 @@ def solve(mat, rhs, p: int):
 
 
 class Span:
-    """Row space maintained incrementally in reduced echelon form."""
+    """Row space maintained incrementally in reduced echelon form.
 
-    def __init__(self, p: int, width: int):
+    ``echelon`` seeds it with the nonzero rows of a reduced row echelon
+    form, such as ``row_space`` returns."""
+
+    def __init__(self, p: int, width: int, echelon=None):
         self.p = p
         self.width = width
-        self.rows = np.zeros((0, width), dtype=np.int64)
-        self.pivots: list[int] = []
+        self.rows = (np.zeros((0, width), dtype=np.int64) if echelon is None
+                     else normalize(echelon, p))
+        self.pivots: list[int] = [int(np.flatnonzero(r)[0]) for r in self.rows]
 
     def reduce(self, vec) -> np.ndarray:
         """Residual of vec after reduction against the current span."""
@@ -166,10 +209,6 @@ class Span:
         self.rows = np.insert(self.rows, pos, v, axis=0)
         self.pivots.insert(pos, c)
         return v
-
-    def add_rows(self, mat) -> None:
-        for row in normalize(mat, self.p):
-            self.add(row)
 
     def contains(self, vec) -> bool:
         return not np.any(self.reduce(vec))

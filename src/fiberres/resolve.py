@@ -160,7 +160,10 @@ def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
         entries: dict[tuple[int, int], Element] = {}
         for jnew, (d, vec) in enumerate(new_gens):
             for jprev, el in prev_free.decompose(vec, d).items():
-                assert el.degree >= 1, "non-minimal differential entry"
+                if el.degree < 1:
+                    raise ResolutionError(
+                        f"non-minimal differential entry at step {step}, degree {d}: "
+                        f"generator {jnew} has a degree-0 coefficient on generator {jprev}")
                 entries[(jprev, jnew)] = el
         dmat = AlgMatrix(algebra, fi, prev_free, entries)
         frees.append(fi)

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from fiberres import cli, cohomology
 from fiberres.cli import main
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
@@ -280,6 +281,44 @@ def test_syzygy_split_bad_window_prints_no_table(capsys):
     assert rc == 1
     assert "hmax 1" in err
     assert "degree (kernel" not in out
+
+
+def count_syzygy_splits(monkeypatch) -> list:
+    """Wrap ``syzygy_split`` wherever the CLI reaches it; the returned
+    list gets one entry per call."""
+    calls = []
+    real = cohomology.syzygy_split
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "syzygy_split", counted)
+    monkeypatch.setattr(cli, "syzygy_split", counted)
+    return calls
+
+
+def test_syzygy_split_command_splits_once(monkeypatch, capsys):
+    calls = count_syzygy_splits(monkeypatch)
+    rc = main(["syzygy-split", "--r", os.path.join(MANIFESTS, "r_square_zero.json"),
+               "--l", os.path.join(MANIFESTS, "m_k.json"), "--hmax", "4"])
+    assert rc == 0
+    assert len(calls) == 1
+    assert "degree (kernel" in capsys.readouterr().out
+
+
+def test_suite_syzygy_split_entry_splits_once(tmp_path, monkeypatch):
+    s = write(tmp_path, "s.json", algebra_obj([("x", 1)], ["x^2"]))
+    t = write(tmp_path, "t.json", algebra_obj([("y", 1)], ["y^2"]))
+    m = write(tmp_path, "m.json", {"kind": "residue"})
+    manifest = write(tmp_path, "suite.json", {
+        "window": {"hmax": 4},
+        "entries": [{"name": "split", "kind": "triple", "s": "s.json",
+                     "t": "t.json", "m": "m.json", "checks": ["syzygy-split"]}],
+    })
+    calls = count_syzygy_splits(monkeypatch)
+    assert main(["suite", "--manifest", manifest]) == 0
+    assert len(calls) == 1
 
 
 def test_suite_poincare_uses_the_command_window(tmp_path):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fiberres import jsonio
+from fiberres import jsonio, linalg
 from fiberres.algebra import (
     Element,
     MonomialQuotientPresentation,
@@ -312,3 +312,73 @@ def test_submodule_as_gmodule_principal_ideal():
     assert list(v) == [1]
     _, v2 = M.act(x, 2, [1])
     assert v2.shape == (0,)
+
+
+# -- minimal generators from the indecomposables -----------------------------
+
+
+def weighted_ring(p, cap=8):
+    """(k[x,w]/(x^3,w^2,xw), weights 1, 2) x_k (k[y,v]/(y^2,v^2), weights
+    2, 3): generators in degrees 1, 2 and 3."""
+    S = build_monomial_quotient(p, cap, MonomialQuotientPresentation(
+        ["x", "w"], [1, 2], ["x^3", "w^2", "x*w"]))
+    T = build_monomial_quotient(p, cap, MonomialQuotientPresentation(
+        ["y", "v"], [2, 3], ["y^2", "v^2"]))
+    return fiber_product(S, T)
+
+
+def reference_generators(algebra, rows, act, dmax):
+    """The definition: span every product rows[d - m] @ act(e, d - m) over
+    every basis element e of every degree m >= 1, in int64, then add
+    rows[d] in order."""
+    p = algebra.p
+    out = []
+    for d in range(dmax + 1):
+        if rows[d].shape[0] == 0:
+            continue
+        span = linalg.Span(p, rows[d].shape[1])
+        for m in range(1, d + 1):
+            for i in range(algebra.dim(m)):
+                if rows[d - m].shape[0]:
+                    for v in (rows[d - m] @ act(algebra.basis_element(m, i), d - m)) % p:
+                        span.add(v)
+        for j, row in enumerate(rows[d]):
+            new = span.add(row)
+            if new is not None:
+                out.append((d, j, new))
+    return out
+
+
+def same_generators(a, b):
+    return [(d, j) for d, j, _ in a] == [(d, j) for d, j, _ in b] \
+        and all(np.array_equal(u, v) for (_, _, u), (_, _, v) in zip(a, b))
+
+
+def test_indecomposables_of_a_weighted_ring():
+    R = weighted_ring(32003)
+    assert [R.labels(d)[i] for d, i in R.indecomposables] \
+        == ["S:x", "S:w", "T:y", "T:v"]
+    assert R.indecomposables is R.indecomposables  # computed once
+    # x^2 is decomposable, so a standard-graded ring has only its variables
+    A = mono([("x", 1), ("y", 1)], ["x^3", "y^2"])
+    assert [A.labels(d)[i] for d, i in A.indecomposables] == ["x", "y"]
+    # a degree-2 generator is kept beside the decomposable x^2
+    B = mono([("x", 1), ("z", 2)], ["x^3"], cap=6)
+    assert [B.labels(d)[i] for d, i in B.indecomposables] == ["x", "z"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+@pytest.mark.parametrize("module", ["residue", "free rank 2"])
+def test_minimal_generators_match_the_definition(p, module):
+    R = weighted_ring(p)
+    M = residue_module(R) if module == "residue" else free_module_table(R, [0, 1])
+    units = [np.eye(M.dim(d), dtype=np.int64) for d in range(R.cap + 1)]
+    gens = minimal_generators(R, units, M.act_matrix, R.cap)
+    assert same_generators(gens, reference_generators(R, units, M.act_matrix, R.cap))
+    res = minimal_resolution(R, M, 4)
+    assert [d for d, _, _ in gens] == res.gen_degrees(0)
+    for step in range(1, 5):
+        kers = res.kernel_bases[step - 1]
+        act = res.frees[step - 1].left_mult_matrix
+        assert same_generators(minimal_generators(R, kers, act, R.cap),
+                               reference_generators(R, kers, act, R.cap))

@@ -143,3 +143,91 @@ def test_inv_mod():
             assert (x * linalg.inv_mod(x, p)) % p == 1
     with pytest.raises(ZeroDivisionError):
         linalg.inv_mod(0, 5)
+
+
+# -- the float64 product kernel and typed errors ----------------------------
+
+BIG_P = 65521
+# Longest product the float64 kernel takes at BIG_P: k (p - 1)^2 < 2^53.
+BIG_P_TERMS = (linalg.FLOAT64_EXACT - 1) // (BIG_P - 1) ** 2
+
+
+def test_matmul_mod_equals_int64_product():
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 32003, BIG_P):
+        for m, k, n in ((1, 1, 1), (3, 5, 4), (17, 40, 9), (0, 3, 2), (2, 0, 3)):
+            a = rng.integers(0, p, size=(m, k))
+            b = rng.integers(0, p, size=(k, n))
+            got = linalg.matmul_mod(a, b, p)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, (a @ b) % p)
+    top = np.full((4, 300), BIG_P - 1, dtype=np.int64)
+    assert np.array_equal(linalg.matmul_mod(top, top.T, BIG_P), (top @ top.T) % BIG_P)
+
+
+def test_matmul_mod_is_exact_at_its_bound():
+    """All entries p - 1 at the longest allowed product: the sum is just
+    below 2^53, and one more term would not be representable."""
+    assert BIG_P_TERMS >= 1 << 21
+    assert BIG_P_TERMS * (BIG_P - 1) ** 2 < linalg.FLOAT64_EXACT
+    a = np.broadcast_to(np.int64(BIG_P - 1), (1, BIG_P_TERMS))
+    got = linalg.matmul_mod(a, a.T, BIG_P)
+    assert got.tolist() == [[BIG_P_TERMS * (BIG_P - 1) ** 2 % BIG_P]]
+
+
+def test_matmul_mod_raises_past_its_bound():
+    a = np.broadcast_to(np.int64(BIG_P - 1), (1, BIG_P_TERMS + 1))
+    with pytest.raises(linalg.LinalgError, match="not exact"):
+        linalg.matmul_mod(a, a.T, BIG_P)
+    assert issubclass(linalg.LinalgError, ValueError)
+
+
+def test_matmul_mod_rejects_unreduced_entries():
+    with pytest.raises(linalg.LinalgError, match=r"\[0, 5\)"):
+        linalg.matmul_mod(np.array([[5]]), np.array([[1]]), 5)
+    with pytest.raises(linalg.LinalgError, match=r"\[0, 5\)"):
+        linalg.matmul_mod(np.array([[1]]), np.array([[-1]]), 5)
+
+
+def test_normalize_rejects_three_axes():
+    with pytest.raises(linalg.LinalgError, match="3 axes"):
+        linalg.normalize(np.zeros((2, 2, 2), dtype=np.int64), 5)
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(linalg.LinalgError, match="does not fit"):
+        linalg.solve(np.eye(3, dtype=np.int64), np.array([1, 2]), 5)
+
+
+def test_kernel_basis_against_definition():
+    rng = random.Random(404)
+    for p in (2, 7, 32003):
+        for _ in range(20):
+            m, n = rng.randrange(1, 6), rng.randrange(1, 8)
+            mat = random_matrix(rng, m, n, p)
+            K = linalg.kernel_basis(mat, p)
+            assert K.shape == (n - linalg.rank(mat, p), n)
+            assert not np.any((mat @ K.T) % p)
+            # echelon in the free columns: the k-th vector has a 1 at the
+            # k-th free column and 0 at the others
+            R, pivots = linalg.rref(mat, p)
+            free = [c for c in range(n) if c not in pivots]
+            assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
+
+
+def test_span_seeded_from_an_echelon_basis():
+    rng = random.Random(505)
+    p = 11
+    for _ in range(20):
+        n = rng.randrange(1, 8)
+        seed = random_matrix(rng, rng.randrange(0, 5), n, p).reshape(-1, n)
+        more = random_matrix(rng, rng.randrange(1, 6), n, p)
+        seeded = linalg.Span(p, n, linalg.row_space(seed, p))
+        grown = linalg.Span(p, n)
+        for v in seed:
+            grown.add(v)
+        assert seeded.pivots == grown.pivots
+        for v in more:
+            a, b = seeded.add(v), grown.add(v)
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.array_equal(seeded.basis_matrix(), grown.basis_matrix())

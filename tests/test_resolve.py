@@ -14,8 +14,10 @@ from fiberres.gmodule import (
     residue_module,
     restrict_to_fiber,
 )
+from fiberres import resolve
 from fiberres.resolve import (
     FreeResolution,
+    ResolutionError,
     WindowError,
     betti_table_text,
     minimal_presentation,
@@ -198,3 +200,21 @@ def test_resolution_determinism():
     assert r1.betti() == r2.betti()
     for i in range(1, 6):
         assert r1.diffs[i].entry_strings() == r2.diffs[i].entry_strings()
+
+
+def test_non_minimal_generator_raises_typed_error(monkeypatch):
+    """A step-1 generator whose differential has a degree-0 entry is
+    rejected with a ResolutionError, also under ``python -O``."""
+    A = mono([("x", 1)], ["x^2"], cap=4)
+    real = resolve.minimal_generators
+
+    def unit_cover_as_syzygy(algebra, rows, act, dmax):
+        gens = real(algebra, rows, act, dmax)
+        if act.__name__ == "left_mult_matrix":  # a kernel step
+            return [(0, 0, np.array([1], dtype=np.int64))]
+        return gens
+
+    monkeypatch.setattr(resolve, "minimal_generators", unit_cover_as_syzygy)
+    with pytest.raises(ResolutionError, match="non-minimal differential entry "
+                                              "at step 1, degree 0"):
+        minimal_resolution(A, residue_module(A), 2)
