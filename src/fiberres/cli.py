@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import jsonio
 from .algebra import DEFAULT_CHAR, AlgebraError, FiberProductAlgebra, \
@@ -77,10 +78,9 @@ def _print_report(rep: CliReport) -> None:
         if c["detail"]:
             line += f" — {c['detail']}"
         print(line)
-    n = len(rep.checks)
     bad = sum(1 for c in rep.checks if not c["ok"])
-    if n:
-        print(f"summary: {n} checks, {bad} failed")
+    if rep.checks:
+        print(f"summary: {len(rep.checks)} checks, {bad} failed")
 
 
 def _env_char() -> int | None:
@@ -99,8 +99,7 @@ def _load_algebra(path: str):
 
 
 def _load_pair(s_path: str, t_path: str):
-    S = _load_algebra(s_path)
-    T = _load_algebra(t_path)
+    S, T = _load_algebra(s_path), _load_algebra(t_path)
     if S.p != T.p:
         raise jsonio.InputError(
             f"factors disagree on the characteristic: {S.p} vs {T.p}")
@@ -117,38 +116,32 @@ def _require_fiber(algebra) -> FiberProductAlgebra:
 # -- command handlers ---------------------------------------------------------
 
 
-def cmd_algebra(args) -> CliReport:
-    A = _load_algebra(args.algebra)
-    rep = CliReport("algebra", A.p, {"cap": A.cap})
+def _tabulate(rep: CliReport, A) -> CliReport:
+    """Associativity, dims and labels of A; prints the dims by degree."""
     rep.add("multiplication associative in window",
             A.check_associativity() == [])
-    rep.data.update({
-        "dims": [A.dim(n) for n in range(A.cap + 1)],
-        "labels": [list(A.labels(n)) for n in range(A.cap + 1)],
-        "hilbert": A.hilbert_series().to_json(),
-    })
+    rep.data.update({"dims": [A.dim(n) for n in range(A.cap + 1)],
+                     "labels": [list(A.labels(n)) for n in range(A.cap + 1)]})
     print("degree:", *range(A.cap + 1))
     print("dim:   ", *rep.data["dims"])
+    return rep
+
+
+def cmd_algebra(args) -> CliReport:
+    A = _load_algebra(args.algebra)
+    rep = _tabulate(CliReport("algebra", A.p, {"cap": A.cap}), A)
+    rep.data["hilbert"] = A.hilbert_series().to_json()
     return rep
 
 
 def cmd_fiber(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
     rep = CliReport("fiber", R.p, {"cap": R.cap})
-    glued = all(R.dim(n) == S.dim(n) + T.dim(n) for n in range(1, R.cap + 1))
     rep.add("dimensions glue: dim R_n = dim S_n + dim T_n for n >= 1",
-            glued)
-    rep.add("multiplication associative in window",
-            R.check_associativity() == [])
-    rep.data.update({
-        "dims": [R.dim(n) for n in range(R.cap + 1)],
-        "s_dims": [S.dim(n) for n in range(S.cap + 1)],
-        "t_dims": [T.dim(n) for n in range(T.cap + 1)],
-        "labels": [list(R.labels(n)) for n in range(R.cap + 1)],
-    })
-    print("degree:", *range(R.cap + 1))
-    print("dim:   ", *rep.data["dims"])
-    return rep
+            all(R.dim(n) == S.dim(n) + T.dim(n) for n in range(1, R.cap + 1)))
+    rep.data.update({"s_dims": [S.dim(n) for n in range(S.cap + 1)],
+                     "t_dims": [T.dim(n) for n in range(T.cap + 1)]})
+    return _tabulate(rep, R)
 
 
 def cmd_resolve(args) -> CliReport:
@@ -190,50 +183,27 @@ def cmd_poincare(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
     M = jsonio.load_module(args.m, S)
     dmax = R.cap if args.dmax is None else args.dmax
-    rep = CliReport("poincare", R.p, {"hmax": args.hmax, "dmax": dmax})
-    formula, direct = _poincare_pair(S, T, R, M, args.hmax, dmax)
-    rep.add(f"formula matches direct Betti numbers through degree {args.hmax}",
-            formula.matches(direct),
-            f"formula {formula.coeffs} direct {direct.coeffs}")
-    rep.data.update({"formula": formula.to_json(),
-                        "direct": direct.to_json()})
-    print("formula:", *formula.coeffs)
-    print("direct: ", *direct.coeffs)
+    rep, summary = check_poincare(S, T, R, M, args.hmax, dmax)
+    print("formula:", *summary["formula"])
+    print("direct: ", *summary["direct"])
     return rep
-
-
-def _poincare_pair(S, T, R, M, hmax: int, dmax: int):
-    """Poincaré series of M over the fiber product R through ``hmax``:
-    the closed formula applied to the factors' series (resolved through
-    ``min(dmax, cap)``), and the series of a direct resolution over R."""
-    psm = minimal_resolution(S, M, hmax, min(dmax, S.cap)).poincare_series()
-    psk = minimal_resolution(S, residue_module(S), hmax,
-                             min(dmax, S.cap)).poincare_series()
-    ptk = minimal_resolution(T, residue_module(T), hmax,
-                             min(dmax, T.cap)).poincare_series()
-    formula = poincare_fiber_formula(psm, psk, ptk)
-    direct = minimal_resolution(R, restrict_to_fiber(R, M, "S"), hmax,
-                                dmax).poincare_series()
-    return formula, direct
 
 
 def cmd_wordres(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
     M = jsonio.load_module(args.m, S)
     dmax = R.cap if args.dmax is None else args.dmax
-    G = build_word_resolution(S, T, M, args.hmax, dmax, fiber=R)
-    rep = CliReport("wordres", R.p, {"hmax": args.hmax, "dmax": dmax})
-    rep.data.update({
-        "word_counts": G.word_counts(),
-        "words": [list(G.frees[i].gen_labels) for i in range(args.hmax + 1)],
-        "differentials": {str(i): G.diffs[i].entry_strings()
-                          for i in range(1, args.hmax + 1)},
-    })
-    print("word counts per homological degree:", *G.word_counts())
-    if args.verify:
-        rep.absorb("word resolution", verify_word_resolution(
-            G, compare_direct=True))
+    rep, summary = check_wordres(S, T, R, M, args.hmax, dmax, args.verify)
+    print("word counts per homological degree:", *summary["counts"])
     return rep
+
+
+def _ext_tables(ext, imax: int, koszul: tuple) -> dict:
+    ok, offenders = koszul
+    return {"dims": [ext.dim(n) for n in range(imax + 1)],
+            "bigraded": {f"{i},{d}": v
+                         for (i, d), v in sorted(ext.bigraded_dims().items())},
+            "koszul": {"diagonal_in_window": ok, "offenders": offenders}}
 
 
 def cmd_ext(args) -> CliReport:
@@ -243,64 +213,37 @@ def cmd_ext(args) -> CliReport:
     rep = CliReport("ext", A.p, {"imax": args.imax, "dmax": dmax})
     rep.add("yoneda products associative in window",
             ext.check_associativity() == [])
-    ok, offenders = koszul_check(A, args.imax, dmax,
-                                 resolution=ext.resolution)
-    rep.data.update({
-        "dims": [ext.dim(n) for n in range(args.imax + 1)],
-        "bigraded": {f"{i},{d}": v
-                     for (i, d), v in sorted(ext.bigraded_dims().items())},
-        "koszul": {"diagonal_in_window": ok, "offenders": offenders},
-    })
+    rep.data.update(_ext_tables(ext, args.imax, koszul_check(
+        A, args.imax, dmax, resolution=ext.resolution)))
     print("ext dims:", *rep.data["dims"])
     if args.module:
         M = jsonio.load_module(args.module, A)
         extm = ext_module(A, M, args.imax, dmax, ext=ext)
-        mok, moff = koszul_module_check(A, M, args.imax, dmax,
-                                        resolution=extm.resolution)
-        rep.data["module"] = {
-            "dims": [extm.dim(n) for n in range(args.imax + 1)],
-            "bigraded": {f"{i},{d}": v
-                         for (i, d), v in sorted(extm.bigraded_dims().items())},
-            "koszul": {"diagonal_in_window": mok, "offenders": moff},
-        }
+        rep.data["module"] = _ext_tables(extm, args.imax, koszul_module_check(
+            A, M, args.imax, dmax, resolution=extm.resolution))
         print("module ext dims:", *rep.data["module"]["dims"])
     return rep
 
 
 def cmd_verify(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
+    if args.what == "theta" and not args.m:
+        raise jsonio.InputError("verify theta needs --m (module over "
+                                "the first factor)")
+    M = jsonio.load_module(args.m, S) if args.what == "theta" else None
     dmax = R.cap if args.dmax is None else args.dmax
-    window = {"window": args.window, "dmax": dmax,
-              "products_to": args.products_to}
-    rep = CliReport(f"verify {args.what}", R.p, window)
-    if args.what == "phi":
-        crep = verify_phi_iso(R, args.window, dmax,
-                              products_to=args.products_to)
-        rep.absorb("phi", crep)
-    else:
-        if not args.m:
-            raise jsonio.InputError("verify theta needs --m (module over "
-                                    "the first factor)")
-        M = jsonio.load_module(args.m, S)
-        crep = verify_theta_iso(R, M, args.window, dmax,
-                                products_to=args.products_to)
-        rep.absorb("theta", crep)
-    return rep
+    return check_verify(R, M, args.window, dmax, args.products_to)[0]
 
 
 def cmd_koszul(args) -> CliReport:
     A = _load_algebra(args.algebra)
     dmax = A.cap if args.dmax is None else args.dmax
-    ok, offenders = koszul_check(A, args.imax, dmax)
-    rep = CliReport("koszul", A.p, {"imax": args.imax, "dmax": dmax})
-    rep.data["koszul"] = {"diagonal_in_window": ok,
-                             "offenders": offenders,
-                             "certificate": offenders[0] if offenders else None}
-    if ok:
+    rep, summary = check_koszul(A, args.imax, dmax)
+    if summary["diagonal_in_window"]:
         print(f"diagonal through window {args.imax}: no off-diagonal classes")
     else:
         print(f"not Koszul: first off-diagonal class at (step, degree) = "
-              f"{tuple(offenders[0])}")
+              f"{tuple(summary['certificate'])}")
     return rep
 
 
@@ -309,141 +252,197 @@ def cmd_fiber_module(args) -> CliReport:
     m_mod = jsonio.load_module(args.m, S)
     n_mod = jsonio.load_module(args.n, T)
     dmax = R.cap if args.dmax is None else args.dmax
-    rep = CliReport("fiber-module", R.p, {"hmax": args.hmax, "dmax": dmax})
-    rep.absorb("fiber module",
-               verify_fiber_module_ext_sequence(R, m_mod, n_mod, args.hmax, dmax))
-    return rep
+    return check_fiber_module(R, m_mod, n_mod, args.hmax, dmax)[0]
 
 
 def cmd_syzygy_split(args) -> CliReport:
     R = _require_fiber(_load_algebra(args.r))
     L = jsonio.load_module(args.l, R)
     dmax = R.cap if args.dmax is None else args.dmax
-    window = {"cap": R.cap}
-    if args.hmax is not None:
-        window["hmax"] = args.hmax
-        window["dmax"] = dmax
-    rep = CliReport("syzygy-split", R.p, window)
-    split = syzygy_split(R, L)
-    # the Ext sequence checks its window before anything is printed
-    seq = None if args.hmax is None else verify_ext_sequence_L(R, L, args.hmax,
-                                                               dmax, split)
-    rep.absorb("split", split.report)
-    rep.data["component_dims"] = {
-        "m": [split.m_module.dim(n) for n in range(R.cap + 1)],
-        "n": [split.n_module.dim(n) for n in range(R.cap + 1)],
-    }
+    rep, summary = check_syzygy_split(R, L, args.hmax, dmax)
     print("degree (kernel, first component, second component):")
-    for d, triple in enumerate(split.dims()):
+    for d, triple in enumerate(summary["dims"]):
         if any(triple):
             print(f"  {d}: {triple}")
-    if seq is not None:
-        rep.absorb("ext sequence", seq)
     return rep
 
 
 def cmd_depth(args) -> CliReport:
     R = _require_fiber(_load_algebra(args.r))
-    dmax = args.dmax
     if bool(args.m) == bool(args.l):
         raise jsonio.InputError("give exactly one of --m (module over the "
                                 "first factor) or --l (module over the ring)")
     if args.m:
         M = jsonio.load_module(args.m, R.s_algebra)
-        window = {"hmax": args.hmax, "jmax": args.jmax}
-        rep = CliReport("depth", R.p, window)
-        cert = depth_certificate(R, M, args.jmax, args.hmax, dmax)
-        rep.absorb("certificate", cert.report)
-        rep.data["certificate"] = cert.to_json()
-        lo, hi = cert.interval
-        print(f"case: {cert.case}")
-        print(f"certified depth interval: [{lo}, {hi}]")
+        rep, cert = check_depth(R, M, args.jmax, args.hmax, args.dmax)
+        print(f"case: {cert['case']}")
+        print("certified depth interval: [{}, {}]".format(*cert["interval"]))
         return rep
     L = jsonio.load_module(args.l, R)
-    rep = CliReport("depth", R.p, {"hmax": args.hmax})
-    crep = depth_upper_bound(R, L, args.hmax, dmax)
+    rep = CliReport("depth", R.p, _with_dmax({"hmax": args.hmax}, args.dmax))
+    crep = depth_upper_bound(R, L, args.hmax, args.dmax)
     rep.absorb("upper bound", crep)
     print(f"case: {crep.data['case']}")
     print(f"depth: {crep.data['depth']}")
     return rep
 
 
+# -- the checks: one function each, shared by a subcommand and the suite ------
+# Each returns the command's report and the suite's summary of it; a
+# summary's ``first_failure`` is the library's, without a command prefix.
+
+
+def _with_dmax(window: dict, dmax: int | None) -> dict:
+    return window if dmax is None else {**window, "dmax": dmax}
+
+
+def check_poincare(S, T, R, M, hmax: int, dmax: int):
+    """The closed formula for P^R_M, applied to the factors' series
+    (resolved through ``min(dmax, cap)``), against the series of a
+    direct resolution over R, through ``hmax``."""
+    psm, psk, ptk = (minimal_resolution(A, N, hmax, min(dmax, A.cap))
+                     .poincare_series() for A, N in
+                     ((S, M), (S, residue_module(S)), (T, residue_module(T))))
+    formula = poincare_fiber_formula(psm, psk, ptk)
+    direct = minimal_resolution(R, restrict_to_fiber(R, M, "S"), hmax,
+                                dmax).poincare_series()
+    rep = CliReport("poincare", R.p, {"hmax": hmax, "dmax": dmax})
+    rep.add(f"formula matches direct Betti numbers through degree {hmax}",
+            formula.matches(direct),
+            f"formula {formula.coeffs} direct {direct.coeffs}")
+    rep.data.update({"formula": formula.to_json(), "direct": direct.to_json()})
+    return rep, {"formula": formula.coeffs, "direct": direct.coeffs}
+
+
+def check_wordres(S, T, R, M, hmax: int, dmax: int, verify: bool):
+    G = build_word_resolution(S, T, M, hmax, dmax, fiber=R)
+    rep = CliReport("wordres", R.p, {"hmax": hmax, "dmax": dmax})
+    rep.data.update({
+        "word_counts": G.word_counts(),
+        "words": [list(G.frees[i].gen_labels) for i in range(hmax + 1)],
+        "differentials": {str(i): G.diffs[i].entry_strings()
+                          for i in range(1, hmax + 1)},
+    })
+    summary = {"counts": G.word_counts()}
+    if verify:
+        crep = verify_word_resolution(G, compare_direct=True)
+        rep.absorb("word resolution", crep)
+        summary["first_failure"] = crep.first_failure()
+    return rep, summary
+
+
+def check_verify(R, M, window: int, dmax: int, products_to: int = 4):
+    """``phi`` (no module) or ``theta`` (M over the first factor)."""
+    what = "phi" if M is None else "theta"
+    rep = CliReport(f"verify {what}", R.p, {
+        "window": window, "dmax": dmax, "products_to": products_to})
+    crep = verify_phi_iso(R, window, dmax, products_to=products_to) \
+        if M is None else verify_theta_iso(R, M, window, dmax,
+                                           products_to=products_to)
+    rep.absorb(what, crep)
+    return rep, {"first_failure": crep.first_failure()}
+
+
+def check_koszul(A, imax: int, dmax: int):
+    ok, offenders = koszul_check(A, imax, dmax)
+    rep = CliReport("koszul", A.p, {"imax": imax, "dmax": dmax})
+    rep.data["koszul"] = {"diagonal_in_window": ok, "offenders": offenders,
+                          "certificate": offenders[0] if offenders else None}
+    return rep, rep.data["koszul"]
+
+
+def check_fiber_module(R, m_mod, n_mod, hmax: int, dmax: int):
+    crep = verify_fiber_module_ext_sequence(R, m_mod, n_mod, hmax, dmax)
+    rep = CliReport("fiber-module", R.p, {"hmax": hmax, "dmax": dmax})
+    rep.absorb("fiber module", crep)
+    return rep, {"first_failure": crep.first_failure()}
+
+
+def check_syzygy_split(R, L, hmax: int | None, dmax: int):
+    """The split of L's second syzygy and, given ``hmax``, the Ext
+    sequence it forces."""
+    rep = CliReport("syzygy-split", R.p, {"cap": R.cap} if hmax is None
+                    else {"cap": R.cap, "hmax": hmax, "dmax": dmax})
+    split = syzygy_split(R, L)
+    seq = None if hmax is None else verify_ext_sequence_L(R, L, hmax, dmax,
+                                                          split)
+    rep.absorb("split", split.report)
+    rep.data["component_dims"] = {
+        "m": [split.m_module.dim(n) for n in range(R.cap + 1)],
+        "n": [split.n_module.dim(n) for n in range(R.cap + 1)],
+    }
+    summary = {"dims": split.dims()}
+    if seq is not None:
+        rep.absorb("ext sequence", seq)
+        summary["ext_dims"] = seq.data["ext_dims"]
+    return rep, summary
+
+
+def check_depth(R, M, jmax: int, hmax: int, dmax: int | None):
+    rep = CliReport("depth", R.p,
+                    _with_dmax({"hmax": hmax, "jmax": jmax}, dmax))
+    cert = depth_certificate(R, M, jmax, hmax, dmax)
+    rep.absorb("certificate", cert.report)
+    rep.data["certificate"] = cert.to_json()
+    return rep, cert.to_json()
+
+
 # -- the suite ----------------------------------------------------------------
 
-SUITE_CHECKS = ["poincare", "wordres", "phi", "theta", "koszul",
-                "fiber-module", "syzygy-split", "depth"]
+
+def _suite_koszul(x):
+    """R is Koszul exactly when both factors are: the koszul check on
+    each factor (through ``min(dmax, cap)``) and on R."""
+    s, t, r = (check_koszul(A, x.hmax, d)[1] for A, d in (
+        (x.S, min(x.dmax, x.S.cap)), (x.T, min(x.dmax, x.T.cap)),
+        (x.R, x.dmax)))
+    factors = [s["diagonal_in_window"], t["diagonal_in_window"]]
+    rep = CliReport("koszul", x.R.p, {"imax": x.hmax, "dmax": x.dmax})
+    rep.add("R diagonal exactly when both factors are",
+            r["diagonal_in_window"] == all(factors))
+    return rep, {"factors": factors, "fiber": r["diagonal_in_window"],
+                 "offenders": {"s": s["offenders"], "t": t["offenders"],
+                               "r": r["offenders"]}}
+
+
+# check name -> call on a triple entry's inputs and the window
+SUITE_CHECKS = {
+    "poincare": lambda x: check_poincare(x.S, x.T, x.R, x.M, x.hmax, x.dmax),
+    "wordres": lambda x: check_wordres(x.S, x.T, x.R, x.M, x.hmax, x.dmax,
+                                       verify=True),
+    "phi": lambda x: check_verify(x.R, None, x.hmax, x.dmax),
+    "theta": lambda x: check_verify(x.R, x.M, x.hmax, x.dmax),
+    "koszul": _suite_koszul,
+    "fiber-module": lambda x: check_fiber_module(
+        x.R, algebra_as_module(x.S), algebra_as_module(x.T), x.hmax, x.dmax),
+    "syzygy-split": lambda x: check_syzygy_split(
+        x.R, restrict_to_fiber(x.R, x.M, "S"), x.hmax, x.dmax),
+    "depth": lambda x: check_depth(x.R, x.M, x.jmax, x.hmax, x.dmax),
+}
 
 
 def _suite_triple(entry: dict, base: str, window: dict) -> tuple[bool, dict]:
     S, T, R = _load_pair(os.path.join(base, entry["s"]),
                          os.path.join(base, entry["t"]))
     M = jsonio.load_module(os.path.join(base, entry["m"]), S)
-    hmax = int(window["hmax"])
-    dmax = int(window.get("dmax", R.cap))
-    jmax = int(window.get("jmax", 2))
-    selected = entry.get("checks", SUITE_CHECKS)
+    x = SimpleNamespace(S=S, T=T, R=R, M=M, **window)
+    x.dmax = R.cap if x.dmax is None else x.dmax
     sub: dict = {}
-    ok_all = True
-    for name in selected:
+    for name in entry.get("checks", SUITE_CHECKS):
         try:
-            if name == "poincare":
-                formula, direct = _poincare_pair(S, T, R, M, hmax, dmax)
-                ok = formula.matches(direct)
-                sub[name] = {"ok": ok, "formula": formula.coeffs,
-                             "direct": direct.coeffs}
-            elif name == "wordres":
-                G = build_word_resolution(S, T, M, hmax, dmax, fiber=R)
-                crep = verify_word_resolution(G, compare_direct=True)
-                ok = crep.ok
-                sub[name] = {"ok": ok, "counts": G.word_counts(),
-                             "first_failure": crep.first_failure()}
-            elif name == "phi":
-                crep = verify_phi_iso(R, hmax, dmax)
-                ok = crep.ok
-                sub[name] = {"ok": ok, "first_failure": crep.first_failure()}
-            elif name == "theta":
-                crep = verify_theta_iso(R, M, hmax, dmax)
-                ok = crep.ok
-                sub[name] = {"ok": ok, "first_failure": crep.first_failure()}
-            elif name == "koszul":
-                s_ok, s_off = koszul_check(S, hmax)
-                t_ok, t_off = koszul_check(T, hmax)
-                r_ok, r_off = koszul_check(R, hmax, dmax)
-                ok = r_ok == (s_ok and t_ok)
-                sub[name] = {"ok": ok, "factors": [s_ok, t_ok],
-                             "fiber": r_ok,
-                             "offenders": {"s": s_off, "t": t_off,
-                                           "r": r_off}}
-            elif name == "fiber-module":
-                crep = verify_fiber_module_ext_sequence(
-                    R, algebra_as_module(S), algebra_as_module(T), hmax, dmax)
-                ok = crep.ok
-                sub[name] = {"ok": ok, "first_failure": crep.first_failure()}
-            elif name == "syzygy-split":
-                L = restrict_to_fiber(R, M, "S")
-                split = syzygy_split(R, L)
-                seq = verify_ext_sequence_L(R, L, hmax, dmax, split)
-                ok = split.ok and seq.ok
-                sub[name] = {"ok": ok, "dims": split.dims(),
-                             "ext_dims": seq.data["ext_dims"]}
-            elif name == "depth":
-                cert = depth_certificate(R, M, jmax, hmax)
-                ok = cert.ok
-                sub[name] = {"ok": ok, **cert.to_json()}
-            else:
+            if name not in SUITE_CHECKS:
                 raise jsonio.InputError(f"unknown suite check {name!r}")
+            rep, summary = SUITE_CHECKS[name](x)
+            sub[name] = {"ok": rep.ok, **summary}
         except INPUT_ERRORS as exc:
-            ok = False
             sub[name] = {"ok": False, "error": str(exc)}
-        ok_all = ok_all and ok
-    return ok_all, sub
+    return all(s["ok"] for s in sub.values()), sub
 
 
-def _suite_tensor_control(entry: dict, base: str, window: dict) \
-        -> tuple[bool, dict]:
+def _suite_tensor_control(entry: dict, base: str) -> tuple[bool, dict]:
     S, T, R = _load_pair(os.path.join(base, entry["s"]),
                          os.path.join(base, entry["t"]))
-    n = int(entry.get("degree", 2))
+    n = _manifest_int(entry, "degree", 2)
     b_r = minimal_resolution(R, residue_module(R), n).rank(n)
     b_s = minimal_resolution(S, residue_module(S), n)
     b_t = minimal_resolution(T, residue_module(T), n)
@@ -453,15 +452,34 @@ def _suite_tensor_control(entry: dict, base: str, window: dict) \
                 "detail": f"{tensor} vs {b_r}"}
 
 
+def _manifest_int(obj: dict, key: str, default=None):
+    value = obj.get(key, default)
+    if key in obj and (isinstance(value, bool) or not isinstance(value, int)):
+        raise jsonio.InputError(
+            f"suite manifest: {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def cmd_suite(args) -> CliReport:
     manifest = jsonio.load_json(args.manifest)
-    if not isinstance(manifest, dict) or "window" not in manifest:
+    if not isinstance(manifest, dict) or \
+            not isinstance(manifest.get("window"), dict):
         raise jsonio.InputError("suite manifest needs a 'window' object")
     window = manifest["window"]
     if "hmax" not in window:
         raise jsonio.InputError("suite window needs 'hmax'")
-    base = os.path.dirname(os.path.abspath(args.manifest))
+    limits = {key: _manifest_int(window, key, default) for key, default in
+              (("hmax", None), ("dmax", None), ("jmax", 2))}
     entries = manifest.get("entries", [])
+    if not isinstance(entries, list) or \
+            not all(isinstance(e, dict) for e in entries):
+        raise jsonio.InputError("suite 'entries' must be a list of objects")
+    for checks in (entry.get("checks", []) for entry in entries):
+        if not (isinstance(checks, list)
+                and all(isinstance(c, str) for c in checks)):
+            raise jsonio.InputError(
+                f"suite 'checks' must be a list of names, got {checks!r}")
+    base = os.path.dirname(os.path.abspath(args.manifest))
     char = _env_char() or DEFAULT_CHAR
     rep = CliReport("suite", char, window)
     for entry in entries:
@@ -470,9 +488,9 @@ def cmd_suite(args) -> CliReport:
         kind = entry.get("kind", "triple")
         try:
             if kind == "triple":
-                entry_ok, sub = _suite_triple(entry, base, window)
+                entry_ok, sub = _suite_triple(entry, base, limits)
             elif kind == "tensor-control":
-                entry_ok, sub = _suite_tensor_control(entry, base, window)
+                entry_ok, sub = _suite_tensor_control(entry, base)
             else:
                 raise jsonio.InputError(f"unknown suite entry kind {kind!r}")
         except (KeyError,) + INPUT_ERRORS as exc:
@@ -491,30 +509,26 @@ def build_parser() -> Parser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=Parser)
 
-    def out_flag(p):
-        p.add_argument("--out", help="write the JSON report here")
+    def add(func, name, **kwargs):
+        p = subs.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("algebra", help="tabulate a graded algebra")
+    p = add(cmd_algebra, "algebra", help="tabulate a graded algebra")
     p.add_argument("--algebra", required=True)
-    out_flag(p)
-    p.set_defaults(func=cmd_algebra)
 
-    p = subs.add_parser("fiber", help="glue two factors along k")
+    p = add(cmd_fiber, "fiber", help="glue two factors along k")
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
-    out_flag(p)
-    p.set_defaults(func=cmd_fiber)
 
-    p = subs.add_parser("resolve", help="minimal free resolution")
+    p = add(cmd_resolve, "resolve", help="minimal free resolution")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", required=True)
     p.add_argument("--hmax", type=int, required=True)
     p.add_argument("--dmax", type=int)
-    out_flag(p)
-    p.set_defaults(func=cmd_resolve)
 
-    p = subs.add_parser("poincare",
-                        help="Poincare series formula and cross-check")
+    p = add(cmd_poincare, "poincare",
+            help="Poincare series formula and cross-check")
     p.add_argument("--formula", action="store_true",
                    help="apply the closed formula to series files")
     p.add_argument("--s-m", dest="s_m")
@@ -525,28 +539,22 @@ def build_parser() -> Parser:
     p.add_argument("--m")
     p.add_argument("--hmax", type=int)
     p.add_argument("--dmax", type=int)
-    out_flag(p)
-    p.set_defaults(func=cmd_poincare)
 
-    p = subs.add_parser("wordres", help="word-basis resolution")
+    p = add(cmd_wordres, "wordres", help="word-basis resolution")
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--hmax", type=int, required=True)
     p.add_argument("--dmax", type=int)
     p.add_argument("--verify", action="store_true")
-    out_flag(p)
-    p.set_defaults(func=cmd_wordres)
 
-    p = subs.add_parser("ext", help="Yoneda Ext algebra and module tables")
+    p = add(cmd_ext, "ext", help="Yoneda Ext algebra and module tables")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module")
     p.add_argument("--imax", type=int, required=True)
     p.add_argument("--dmax", type=int)
-    out_flag(p)
-    p.set_defaults(func=cmd_ext)
 
-    p = subs.add_parser("verify", help="structural isomorphism checks")
+    p = add(cmd_verify, "verify", help="structural isomorphism checks")
     p.add_argument("what", choices=["phi", "theta"])
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
@@ -554,52 +562,42 @@ def build_parser() -> Parser:
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--dmax", type=int)
     p.add_argument("--products-to", dest="products_to", type=int, default=4)
-    out_flag(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("koszul", help="diagonal Ext test")
+    p = add(cmd_koszul, "koszul", help="diagonal Ext test")
     p.add_argument("--algebra", required=True)
     p.add_argument("--imax", type=int, required=True)
     p.add_argument("--dmax", type=int)
-    out_flag(p)
-    p.set_defaults(func=cmd_koszul)
 
-    p = subs.add_parser("fiber-module",
-                        help="Ext sequence of a pullback module")
+    p = add(cmd_fiber_module, "fiber-module",
+            help="Ext sequence of a pullback module")
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--m", required=True, help="module over the first factor")
     p.add_argument("--n", required=True, help="module over the second factor")
     p.add_argument("--hmax", type=int, required=True)
     p.add_argument("--dmax", type=int)
-    out_flag(p)
-    p.set_defaults(func=cmd_fiber_module)
 
-    p = subs.add_parser("syzygy-split",
-                        help="split the second syzygy over a fiber product")
+    p = add(cmd_syzygy_split, "syzygy-split",
+            help="split the second syzygy over a fiber product")
     p.add_argument("--r", required=True, help="fiber product ring")
     p.add_argument("--l", required=True, help="module over the ring")
     p.add_argument("--hmax", type=int,
                    help="also verify the Ext dimension bookkeeping")
     p.add_argument("--dmax", type=int)
-    out_flag(p)
-    p.set_defaults(func=cmd_syzygy_split)
 
-    p = subs.add_parser("depth", help="depth certificates over cohomology")
+    p = add(cmd_depth, "depth", help="depth certificates over cohomology")
     p.add_argument("--r", required=True, help="fiber product ring")
     p.add_argument("--m", help="module over the first factor (certificate)")
     p.add_argument("--l", help="module over the ring (upper bound)")
     p.add_argument("--jmax", type=int, default=2)
     p.add_argument("--hmax", type=int, required=True)
     p.add_argument("--dmax", type=int)
-    out_flag(p)
-    p.set_defaults(func=cmd_depth)
 
-    p = subs.add_parser("suite", help="run a manifest of verification jobs")
+    p = add(cmd_suite, "suite", help="run a manifest of verification jobs")
     p.add_argument("--manifest", required=True)
-    out_flag(p)
-    p.set_defaults(func=cmd_suite)
 
+    for p in subs.choices.values():
+        p.add_argument("--out", help="write the JSON report here")
     return parser
 
 

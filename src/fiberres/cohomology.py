@@ -114,7 +114,9 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
 
     The kernel is tabulated through the ring's full degree window so the
     components close under the factor actions."""
-    assert isinstance(R, FiberProductAlgebra) and L.algebra is R
+    if not isinstance(R, FiberProductAlgebra) or L.algebra is not R:
+        raise ExtError("syzygy_split needs a fiber product ring and a "
+                       "module over that ring")
     p = R.p
     dmax = R.cap
     res = minimal_resolution(R, L, 2, dmax)
@@ -228,8 +230,12 @@ def comparison_chain_map(src: FreeResolution, tgt: FreeResolution,
     solving against the two covers there; returns numeric matrices per
     stage and internal degree, mapping source coordinates to target
     coordinates as columns."""
-    assert tgt.algebra is src.algebra
-    assert nmax <= src.hmax and nmax <= tgt.hmax
+    if tgt.algebra is not src.algebra:
+        raise ExtError("a comparison chain map needs two resolutions over "
+                       "one algebra")
+    if nmax > min(src.hmax, tgt.hmax):
+        raise WindowError(f"chain map through step {nmax}: the resolutions "
+                          f"end at steps {src.hmax} and {tgt.hmax}")
     module_map = {d: np.asarray(f, dtype=np.int64).T for d, f in f_mats.items()}
     return _lift_stages(src, tgt, module_map, range(nmax + 1))
 
@@ -330,8 +336,11 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
     if b_res is None:
         b_res = minimal_resolution(B, residue_module(B), hmax,
                                    min(dmax, B.cap), gen_label="w")
-    assert a_res.hmax >= hmax and b_res.hmax >= hmax
-    assert a_res.gen_degrees(0) == [0] and b_res.gen_degrees(0) == [0]
+    if min(a_res.hmax, b_res.hmax) < hmax:
+        raise WindowError(f"factor resolutions end at steps {a_res.hmax} and "
+                          f"{b_res.hmax}, before hmax {hmax}")
+    if a_res.gen_degrees(0) != [0] or b_res.gen_degrees(0) != [0]:
+        raise ExtError("factor resolutions must resolve the residue field")
 
     frees = [FreeModule(fp, [0], ["g0"])]
     diffs: list = [None]
@@ -380,7 +389,9 @@ def hom_coboundary(res: FreeResolution, module: GradedModule, i: int,
     """Matrix of composition with the differential into step i + 1,
     acting on coordinate rows of the internal-degree-nu part of
     Hom(F_i, module)."""
-    assert module.algebra is res.algebra
+    if module.algebra is not res.algebra:
+        raise ExtError("Hom coefficients must be a module over the "
+                       "resolution's algebra")
     p = res.algebra.p
     sdims, soffs, stot = _hom_offsets(res, module, i, nu)
     tdims, toffs, ttot = _hom_offsets(res, module, i + 1, nu)
@@ -507,7 +518,9 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
         if all(fac.dim(n) == 0 for n in range(1, fac.cap + 1)):
             raise ExtError(f"the {name} factor equals the residue field; "
                            "there is no fiber to certify")
-    assert module.algebra is S
+    if module.algebra is not S:
+        raise ExtError("depth_certificate needs a module over the first "
+                       "factor")
     if module.min_degree() is None:
         raise ExtError("zero module")
     dmax = min(S.cap, T.cap) if dmax is None else dmax

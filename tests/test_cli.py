@@ -3,6 +3,7 @@ deterministic reports, input validation, and the bundled suite."""
 
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -321,25 +322,138 @@ def test_suite_syzygy_split_entry_splits_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_suite_poincare_uses_the_command_window(tmp_path):
-    """A factor generator above dmax (x^3 has syzygies in degrees 3, 4,
-    6, ...) must be cut by the same window in the suite as in
-    ``fiberres poincare``."""
-    s = write(tmp_path, "s.json", algebra_obj([("x", 1)], ["x^3"], cap=8))
-    t = write(tmp_path, "t.json", algebra_obj([("y", 1)], ["y^2"], cap=8))
-    m = write(tmp_path, "m.json", {"kind": "residue"})
+def first_failure(rep, prefix):
+    """A command report's first failing check, as the library records it."""
+    bad = [c for c in rep["checks"] if c["status"] == "fail"]
+    return {"name": bad[0]["name"].removeprefix(f"{prefix}: "), "ok": False,
+            "detail": bad[0]["detail"]} if bad else None
+
+
+def diagonal(rep):
+    return rep["data"]["koszul"]["diagonal_in_window"]
+
+
+# check -> (its outcome at the window, the matching subcommands, and
+# (suite fields, the same fields from the subcommands' (rc, report, stderr)))
+AGREEMENT = {
+    "poincare": ("fail", ["poincare --s S --t T --m M --hmax 4 --dmax 2"],
+                 lambda e, c: (
+                     (e["ok"], [str(v) for v in e["formula"] + e["direct"]]),
+                     (c[0][0] == 0, c[0][1]["data"]["formula"]["coefficients"]
+                      + c[0][1]["data"]["direct"]["coefficients"]))),
+    "wordres": ("fail", ["wordres --s S --t T --m M --hmax 4 --dmax 2 "
+                         "--verify"],
+                lambda e, c: (
+                    (e["ok"], e["counts"], e["first_failure"]),
+                    (c[0][0] == 0, c[0][1]["data"]["word_counts"],
+                     first_failure(c[0][1], "word resolution")))),
+    "phi": ("fail", ["verify phi --s S --t T --window 4 --dmax 2"],
+            lambda e, c: ((e["ok"], f"error: {e['error']}\n"),
+                          (c[0][0] == 0, c[0][2]))),
+    "theta": ("fail", ["verify theta --s S --t T --m M --window 4 --dmax 2"],
+              lambda e, c: ((e["ok"], f"error: {e['error']}\n"),
+                            (c[0][0] == 0, c[0][2]))),
+    "koszul": ("pass", [f"koszul --algebra {a} --imax 4 --dmax 2"
+                        for a in "STR"],
+               lambda e, c: (
+                   (e["ok"], e["factors"], e["fiber"], e["offenders"]),
+                   (diagonal(c[2][1]) == (diagonal(c[0][1])
+                                          and diagonal(c[1][1])),
+                    [diagonal(c[0][1]), diagonal(c[1][1])], diagonal(c[2][1]),
+                    {k: run[1]["data"]["koszul"]["offenders"]
+                     for k, run in zip("str", c)}))),
+    "fiber-module": ("pass", ["fiber-module --s S --t T --m N --n N --hmax 4 "
+                              "--dmax 2"],
+                     lambda e, c: (
+                         (e["ok"], e["first_failure"]),
+                         (c[0][0] == 0, first_failure(c[0][1],
+                                                      "fiber module")))),
+    "syzygy-split": ("fail", ["syzygy-split --r R --l M --hmax 4 --dmax 2"],
+                     lambda e, c: (
+                         (e["ok"], e["dims"], e["ext_dims"]),
+                         (c[0][0] == 0, c[0][1]["data"]["split"]["dims"],
+                          c[0][1]["data"]["ext sequence"]["ext_dims"]))),
+    "depth": ("pass", ["depth --r R --m M --jmax 1 --hmax 4 --dmax 2"],
+              lambda e, c: (
+                  (e["ok"], {k: v for k, v in e.items() if k != "ok"}),
+                  (c[0][0] == 0, c[0][1]["data"]["certificate"]))),
+}
+
+
+@pytest.mark.parametrize("check", list(AGREEMENT))
+def test_suite_uses_the_command_window(check, tmp_path, capsys):
+    """Each suite check runs its subcommand's code in the same window.
+    At hmax 4, dmax 2 the factor k[x]/(x^3) has syzygy generators above
+    dmax (degrees 3, 4, 6, ...), so a suite check that cut a ring at
+    another window than its command would disagree with it."""
+    expect, commands, shared = AGREEMENT[check]
+    files = {k: os.path.join(MANIFESTS, f) for k, f in (
+        ("S", "s_x3.json"), ("T", "t_y2.json"), ("M", "m_k.json"),
+        ("N", "m_free.json"))}
+    s, t = (json.loads(pathlib.Path(files[k]).read_text()) for k in "ST")
+    files["R"] = write(tmp_path, "r.json", {
+        "field": s["field"], "cap": s["cap"],
+        "algebra": {"kind": "fiber", "s": s["algebra"], "t": t["algebra"]}})
     suite = write(tmp_path, "suite.json", {
-        "window": {"hmax": 4, "dmax": 2},
-        "entries": [{"name": "e", "kind": "triple", "s": "s.json",
-                     "t": "t.json", "m": "m.json", "checks": ["poincare"]}]})
-    suite_out, cmd_out = tmp_path / "suite_rep.json", tmp_path / "cmd_rep.json"
-    main(["suite", "--manifest", suite, "--out", str(suite_out)])
-    main(["poincare", "--s", s, "--t", t, "--m", m, "--hmax", "4",
-          "--dmax", "2", "--out", str(cmd_out)])
-    entry = json.loads(suite_out.read_text())["data"]["e"]["poincare"]
-    cmd = json.loads(cmd_out.read_text())["data"]
-    assert [str(c) for c in entry["formula"]] == cmd["formula"]["coefficients"]
-    assert [str(c) for c in entry["direct"]] == cmd["direct"]["coefficients"]
+        "window": {"hmax": 4, "dmax": 2, "jmax": 1},
+        "entries": [{"name": "e", "kind": "triple", "s": files["S"],
+                     "t": files["T"], "m": files["M"], "checks": [check],
+                     "expect": expect}]})
+    out = tmp_path / "suite_rep.json"
+    assert main(["suite", "--manifest", suite, "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["data"]["e"][check]
+    runs = []
+    for n, command in enumerate(commands):
+        rep = tmp_path / f"cmd{n}.json"
+        capsys.readouterr()
+        rc = main([files.get(a, a) for a in command.split()]
+                  + ["--out", str(rep)])
+        runs.append((rc, json.loads(rep.read_text()) if rep.exists() else None,
+                     capsys.readouterr().err))
+    suite_side, command_side = shared(entry, runs)
+    assert suite_side == command_side
+
+
+@pytest.mark.parametrize("window, entry", [
+    ({"hmax": "x"}, {}),
+    ({"hmax": None}, {}),
+    ({"hmax": 3, "dmax": "six"}, {}),
+    ({"hmax": 3, "jmax": [1]}, {}),
+    ({"hmax": 3}, {"checks": "phi"}),
+    ({"hmax": 3}, "oops"),
+    (4, {}),
+], ids=["hmax-string", "hmax-null", "dmax-string", "jmax-list",
+        "checks-string", "entry-string", "window-number"])
+def test_malformed_suite_manifest_exits_one(tmp_path, capsys, window, entry):
+    """A manifest the suite cannot read is an input error (exit 1, no
+    traceback), found before any entry runs."""
+    if isinstance(entry, dict):
+        entry = {"name": "e", "kind": "triple", "s": "s.json", "t": "t.json",
+                 "m": "m.json", "checks": ["koszul"], **entry}
+    write(tmp_path, "s.json", algebra_obj([("x", 1)], ["x^2"]))
+    write(tmp_path, "t.json", algebra_obj([("y", 1)], ["y^2"]))
+    write(tmp_path, "m.json", {"kind": "residue"})
+    manifest = write(tmp_path, "suite.json",
+                     {"window": window, "entries": [entry]})
+    assert main(["suite", "--manifest", manifest]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: suite ")
+    assert "PASS" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("module, window", [
+    (["--m", "m.json", "--jmax", "1"], {"hmax": 4, "jmax": 1, "dmax": 3}),
+    (["--l", "l.json"], {"hmax": 4, "dmax": 3}),
+], ids=["certificate", "upper-bound"])
+def test_depth_report_records_its_dmax(tmp_path, module, window):
+    r = write(tmp_path, "r.json", fiber_obj(["x^2"], ["y^2"]))
+    write(tmp_path, "m.json", {"kind": "residue"})
+    write(tmp_path, "l.json", {"kind": "free", "gens": [0]})
+    out = tmp_path / "rep.json"
+    assert main(["depth", "--r", r, "--hmax", "4", "--dmax", "3", "--out",
+                 str(out)] + [str(tmp_path / a) if a.endswith(".json") else a
+                              for a in module]) == 0
+    assert json.loads(out.read_text())["window"] == window
 
 
 @pytest.mark.parametrize("s_k, message", [

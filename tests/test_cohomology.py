@@ -12,6 +12,7 @@ from fiberres.cohomology import (
     depth_certificate,
     depth_upper_bound,
     ext_bidegree_dim,
+    hom_coboundary,
     socle_dims,
     syzygy_split,
     verify_ext_sequence_L,
@@ -31,8 +32,9 @@ from fiberres.gmodule import (
     cokernel_module,
     free_module_table,
     residue_module,
+    trivial_module,
 )
-from fiberres.resolve import minimal_resolution, verify_complex
+from fiberres.resolve import WindowError, minimal_resolution, verify_complex
 
 P = 32003
 
@@ -371,3 +373,66 @@ def test_depth_upper_bound_line_quotient(square_zero_pair):
     assert rep.ok
     assert rep.data["betti"] == [1, 1, 2, 4, 8]
     assert rep.data["ext1"]
+
+
+# -- inputs the constructions cannot use: typed errors, not asserts ----------
+# (these hold under ``python -O`` too)
+
+
+def test_syzygy_split_rejects_a_module_over_another_ring(square_zero_pair):
+    S, _, R = square_zero_pair
+    with pytest.raises(ExtError, match="module over that ring"):
+        syzygy_split(R, residue_module(S))
+    with pytest.raises(ExtError, match="fiber product ring"):
+        syzygy_split(S, residue_module(S))
+
+
+def test_comparison_chain_map_rejects_resolutions_over_two_algebras(
+        square_zero_pair):
+    S, T, _ = square_zero_pair
+    src = minimal_resolution(S, residue_module(S), 2)
+    tgt = minimal_resolution(T, residue_module(T), 2)
+    with pytest.raises(ExtError, match="one algebra"):
+        comparison_chain_map(src, tgt, {0: np.eye(1, dtype=np.int64)}, 2)
+
+
+def test_comparison_chain_map_rejects_steps_past_the_resolutions(
+        square_zero_pair):
+    S, _, _ = square_zero_pair
+    res = minimal_resolution(S, residue_module(S), 2)
+    with pytest.raises(WindowError, match="step 3"):
+        comparison_chain_map(res, res, {0: np.eye(1, dtype=np.int64)}, 3)
+
+
+def test_combined_resolution_rejects_short_factor_resolutions(
+        square_zero_pair):
+    S, T, _ = square_zero_pair
+    fp = free_product(ext_algebra(S, 4), ext_algebra(T, 4))
+    short = minimal_resolution(fp.factor_a, residue_module(fp.factor_a), 1)
+    with pytest.raises(WindowError, match="before hmax 3"):
+        combined_residue_resolution(fp, 3, a_res=short)
+
+
+def test_combined_resolution_rejects_a_resolution_of_another_module(
+        square_zero_pair):
+    S, T, _ = square_zero_pair
+    fp = free_product(ext_algebra(S, 4), ext_algebra(T, 4))
+    A = fp.factor_a
+    shifted = minimal_resolution(A, trivial_module(A, 1, degree=1), 3)
+    with pytest.raises(ExtError, match="residue field"):
+        combined_residue_resolution(fp, 3, a_res=shifted)
+
+
+def test_hom_coboundary_rejects_coefficients_over_another_algebra(
+        square_zero_pair):
+    S, T, _ = square_zero_pair
+    res = minimal_resolution(S, residue_module(S), 2)
+    with pytest.raises(ExtError, match="resolution's algebra"):
+        hom_coboundary(res, residue_module(T), 0, 0)
+
+
+def test_depth_certificate_rejects_a_module_over_the_second_factor(
+        square_zero_pair):
+    _, T, R = square_zero_pair
+    with pytest.raises(ExtError, match="first factor"):
+        depth_certificate(R, residue_module(T), 1, 4)
