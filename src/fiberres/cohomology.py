@@ -29,9 +29,9 @@ import numpy as np
 
 from . import linalg
 from .algebra import Element, FiberProductAlgebra, GradedAlgebra
-from .extalg import (ExtError, FreeProductAlgebra, _lift_stages, _phi_setup,
-                     ext_algebra, ext_module, free_product,
-                     free_product_module, induced_ext_matrix)
+from .extalg import (ExtError, FreeProductAlgebra, _generator_coefficients,
+                     _lift_stages, _phi_setup, ext_algebra, ext_module,
+                     free_product, free_product_module)
 from .gmodule import (AlgMatrix, FreeModule, GradedModule,
                       fiber_product_module, residue_module,
                       restrict_to_fiber, submodule_as_gmodule,
@@ -51,15 +51,11 @@ def _factor_masks(R: FiberProductAlgebra, free: FreeModule, d: int):
     degree-d generators belong to neither."""
     pmask = np.zeros(free.dim(d), dtype=bool)
     qmask = np.zeros(free.dim(d), dtype=bool)
-    off = free.offsets(d)
-    for j, s in enumerate(free.gen_degrees):
-        da = d - s
-        if da < 1 or R.dim(da) == 0:
-            continue
-        sl = R.s_slice(da)
-        pmask[off[j] + sl.start: off[j] + sl.stop] = True
-        sl = R.t_slice(da)
-        qmask[off[j] + sl.start: off[j] + sl.stop] = True
+    for s, gens in free.by_degree.items():
+        if d - s >= 1:
+            for mask, fac, sl in ((pmask, R.s_algebra, R.s_slice(d - s)),
+                                  (qmask, R.t_algebra, R.t_slice(d - s))):
+                mask[free.block_indices(d, gens, fac.dim(d - s), sl.start)] = True
     return pmask, qmask
 
 
@@ -236,7 +232,8 @@ def comparison_chain_map(src: FreeResolution, tgt: FreeResolution,
     if nmax > min(src.hmax, tgt.hmax):
         raise WindowError(f"chain map through step {nmax}: the resolutions "
                           f"end at steps {src.hmax} and {tgt.hmax}")
-    module_map = {d: np.asarray(f, dtype=np.int64).T for d, f in f_mats.items()}
+    p = src.algebra.p
+    module_map = {d: np.asarray(f, dtype=np.int64).T % p for d, f in f_mats.items()}
     return _lift_stages(src, tgt, module_map, range(nmax + 1))
 
 
@@ -284,8 +281,8 @@ def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,
     bad = []
     ranks = []
     for n in range(hmax + 1):
-        mu_star = induced_ext_matrix(chain_mu, res_v, res_m, n)
-        nu_star = induced_ext_matrix(chain_nu, res_v, res_n, n)
+        mu_star = _generator_coefficients(chain_mu[n], res_m.frees[n], res_v.frees[n])
+        nu_star = _generator_coefficients(chain_nu[n], res_n.frees[n], res_v.frees[n])
         mat = np.hstack([mu_star, (-nu_star) % p])
         r = linalg.rank(mat, p)
         ranks.append((r, res_v.rank(n)))

@@ -1,15 +1,16 @@
 """Cohomology algebras of connected graded algebras and their behaviour
 under fiber products.
 
-Every chain map here is lifted by one stage loop, ``_lift_stages``:
-stage by stage it solves for the images of the source generators, with
-one multi-column solve per internal degree, and extends them
-module-linearly.  Its entry points differ only in stage 0
-and the shift: ``lift_dual`` (the dual of a generator, for Yoneda
-products), ``restriction_chain_map`` (the coefficient projection onto a
-factor of a fiber product) and ``cohomology.comparison_chain_map`` (a
-module map).  ``induced_ext_matrix`` and the Yoneda tables read a stage
-off on generators through one shared helper.
+Every chain map here is lifted by one numeric stage loop,
+``_lift_stages``: stage by stage it solves for the images of the source
+generators, one multi-column solve per internal degree, and ``_extend``
+extends them module-linearly by array products with the algebra's
+``mult`` tensors.  The entry points differ only in stage 0 and the
+shift: ``lift_dual`` (the dual of a generator, for Yoneda products; the
+duals of one step and degree go as one batch stacked by rows),
+``restriction_chain_map`` (the coefficient projection onto a factor of
+a fiber product) and ``cohomology.comparison_chain_map`` (a module
+map).  ``_generator_coefficients`` reads a stage off on generators.
 
 ``ext_algebra`` tabulates the Yoneda algebra Ext(k, k) on the dual basis
 of a minimal free resolution of the residue field; ``ext_module`` does
@@ -28,8 +29,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import Element, FiberProductAlgebra, GradedAlgebra
-from .gmodule import (AlgMatrix, FreeModule, GradedModule, residue_module,
-                      restrict_to_fiber)
+from .gmodule import FreeModule, GradedModule, residue_module, restrict_to_fiber
 from .resolve import ComplexReport, FreeResolution, minimal_resolution
 from .series import coproduct_module_series
 from .wordres import Letter, alternating_words, assemble_word_complex
@@ -47,86 +47,126 @@ def _boundary(res: FreeResolution, n: int, d: int) -> np.ndarray:
     return res.eval_diff(n, d) if n else res.eval_cover(d)
 
 
+def _extend(ftgt: FreeModule, fsrc: FreeModule, images: list, dcap: int,
+            shift: int = 0, batch: int = 1, side: str | None = None,
+            ) -> dict[int, np.ndarray]:
+    """Stacked degree-d maps (d <= dcap) of ``batch`` module-linear maps
+    fsrc -> ftgt dropping internal degree by ``shift``: ``images`` holds
+    ``(degree, generators, sol)``, column (b, j) of sol being generator
+    j's image under map b.  A target coefficient r sends a * g_j to
+    a * r: one product with ``mult`` per source generator degree, target
+    generator degree and internal degree.  With ``side``, fsrc lives over
+    a fiber product and each map precomposes the coefficient projection
+    onto the factor ftgt lives over."""
+    A, p = ftgt.algebra, ftgt.algebra.p
+    block = side and (fsrc.algebra.s_slice if side == "S" else fsrc.algebra.t_slice)
+    out = {d: np.zeros((batch * ftgt.dim(d - shift), fsrc.dim(d)), dtype=np.int64)
+           for d in range(dcap + 1)}
+    for sj, gens, sol in images:
+        k = len(gens)
+        for t, tg in ftgt.by_degree.items():
+            e, dk = sj - shift - t, A.dim(sj - shift - t)
+            if not dk:
+                continue
+            # row (i, b, j), column c: coefficient c of target generator i
+            # in the image of source generator j under map b
+            coef = sol[ftgt.block_indices(t + e, tg, dk)].reshape(
+                len(tg), dk, batch * k).transpose(0, 2, 1).reshape(-1, dk)
+            for d in range(sj, dcap + 1):
+                da = d - sj
+                dx, dy = A.dim(da), A.dim(da + e)
+                if not dx * dy:
+                    continue
+                # a unit factor (da or e zero) multiplies by the identity
+                mult = A.mult[(da, e)] if da and e else np.eye(
+                    dy, dtype=np.int64).reshape(dx, dk, dy)
+                prod = coef @ mult.transpose(1, 0, 2).reshape(dk, -1)
+                rows = (ftgt.dim(d - shift) * np.arange(batch)[:, None, None]
+                        + ftgt.block_indices(d - shift, tg, dy).reshape(-1, dy))
+                cols = fsrc.block_indices(d, gens, dx, block(da).start if side else 0)
+                # entry ((b, i, y), (j, x)): coordinate y of x * (coefficient)
+                out[d][rows[..., None, None], cols.reshape(k, dx)] = np.remainder(
+                    prod, p, out=prod).reshape(len(tg), batch, k, dx, dy).transpose(
+                    1, 0, 4, 2, 3)
+    return out
+
+
 def _lift_stages(src: FreeResolution, tgt: FreeResolution,
                  prev: dict[int, np.ndarray], stages: range, step: int = 0,
-                 shift: int = 0, side: str | None = None,
+                 shift: int = 0, side: str | None = None, batch: int = 1,
                  ) -> list[dict[int, np.ndarray]]:
     """The one chain-map lifter: numeric maps of each stage n in
     ``stages``, sending degree-d coordinates of src[step + n] to
-    degree-(d - shift) coordinates of tgt[n].
+    degree-(d - shift) coordinates of tgt[n], for ``batch`` chain maps
+    stacked by rows.
 
-    ``prev`` is the map one stage down (the module map, rows = target
-    coordinates, when the first stage is 0); a degree it lacks acts as
-    zero.  Stage n solves for the images of the source generators only,
-    against tgt's stage-n differential (the two covers at stage 0), and
-    extends module-linearly over tgt's algebra.  The generators of one
-    degree share a single multi-column solve, and degrees go in
-    increasing order.  When ``side`` names the factor tgt lives over,
-    src lives over the fiber product and each stage is precomposed with
-    the coefficient projection onto that factor.
+    ``prev`` is the stacked map one stage down (the module map, rows =
+    target coordinates, when the first stage is 0); a degree it lacks
+    acts as zero.  Stage n solves for the images of the source
+    generators against tgt's stage-n differential (the two covers at
+    stage 0), one solve per degree in increasing order with a column per
+    generator and map, and ``_extend`` extends them module-linearly.
+    With ``side``, src lives over a fiber product and tgt over that factor.
     """
-    A = tgt.algebra
-    p = A.p
+    p = tgt.algebra.p
     dcap = min(src.dmax, tgt.dmax + shift)
     maps = []
     for n in stages:
-        fsrc, ftgt = src.frees[step + n], tgt.frees[n]
-        by_degree: dict[int, list[int]] = {}
-        for j, sj in enumerate(fsrc.gen_degrees):
-            by_degree.setdefault(sj, []).append(j)
-        entries: dict[tuple[int, int], Element] = {}
-        for sj in sorted(by_degree):
+        fsrc = src.frees[step + n]
+        images = []
+        for sj, gens in fsrc.by_degree.items():
             if sj > dcap:
                 raise ExtError(f"lift window too small for a degree-{sj} generator")
             if sj not in prev:
                 continue
-            gens = by_degree[sj]
-            cols = [fsrc.gen_index(sj, j) for j in gens]
-            rhs = prev[sj] @ _boundary(src, step + n, sj)[:, cols]
-            sol = linalg.solve(_boundary(tgt, n, sj - shift), rhs % p, p)
+            rhs = linalg.matmul_mod(
+                prev[sj], _boundary(src, step + n, sj)[:, fsrc.block_indices(sj, gens)], p)
+            rhs = rhs.reshape(batch, -1, len(gens)).transpose(1, 0, 2)
+            sol = linalg.solve(_boundary(tgt, n, sj - shift),
+                               rhs.reshape(-1, batch * len(gens)), p)
             if sol is None:
                 raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")
-            for j, x in zip(gens, sol.T):
-                for i, el in ftgt.decompose(x, sj - shift).items():
-                    entries[(i, j)] = el
-        if side is None:
-            mat = AlgMatrix(A, fsrc, ftgt, entries, shift=shift)
-            prev = {d: mat.evaluate(d) for d in range(dcap + 1)}
-        else:
-            twin = FreeModule(A, fsrc.gen_degrees, fsrc.gen_labels)
-            mat = AlgMatrix(A, twin, ftgt, entries)
-            prev = {d: (mat.evaluate(d) @ _coefficient_projection(
-                        src.algebra, fsrc, twin, d, side)) % p
-                    for d in range(dcap + 1)}
+            images.append((sj, gens, sol))
+        prev = _extend(tgt.frees[n], fsrc, images, dcap, shift, batch, side)
         maps.append(prev)
     return maps
 
 
-def lift_dual(src: FreeResolution, tgt: FreeResolution, step: int, idx: int,
-              nmax: int) -> list[dict[int, np.ndarray]]:
+def lift_dual(src: FreeResolution, tgt: FreeResolution, step: int,
+              idx: int | list[int], nmax: int) -> list:
     """Chain map lifting the dual of generator ``idx`` at ``step`` of
     ``src`` through ``tgt``, a minimal resolution of the residue field
     over the same algebra.
 
     Returns per-stage numeric matrices L[n][d] sending degree-d
     coordinates of src[step + n] to degree-(d - s) coordinates of
-    tgt[n], where s is the generator's internal degree.  Stage 0 reads
-    off the generator's coefficient; later stages come from
-    ``_lift_stages`` with shift s.
+    tgt[n], where s is the generator's internal degree.  Stage 0 sends
+    the generator to tgt's and the others to zero; later stages come
+    from ``_lift_stages`` with shift s.  A list ``idx`` of generators of
+    one internal degree is lifted as one batch: the result lists their
+    lifts, each a row slice of the stacked one.
     """
-    A = src.algebra
-    if tgt.algebra is not A:
+    if tgt.algebra is not src.algebra:
         raise ExtError("lift_dual needs two resolutions over the same algebra")
+    if tgt.gen_degrees(0) != [0]:
+        raise ExtError("lift_dual needs a target resolving the residue field")
     if step + nmax > src.hmax or nmax > tgt.hmax:
         raise ExtError(f"lift needs source step {step + nmax} and target "
                        f"step {nmax}; the resolutions reach {src.hmax} and "
                        f"{tgt.hmax}")
-    s = src.gen_degrees(step)[idx]
-    dcap = min(src.dmax, tgt.dmax + s)
-    first = AlgMatrix(A, src.frees[step], tgt.frees[0], {(0, idx): A.unit()},
-                      shift=s)
-    lifts = [{d: first.evaluate(d) for d in range(dcap + 1)}]
-    return lifts + _lift_stages(src, tgt, lifts[0], range(1, nmax + 1), step, s)
+    idxs = np.atleast_1d(idx)
+    degs = {src.gen_degrees(step)[i] for i in idxs}
+    if len(degs) != 1:
+        raise ExtError(f"a batch of duals needs one internal degree, not {sorted(degs)}")
+    s, nb = degs.pop(), len(idxs)
+    first = _extend(tgt.frees[0], src.frees[step],
+                    [(s, idxs, np.eye(nb, dtype=np.int64).reshape(1, -1))],
+                    min(src.dmax, tgt.dmax + s), s, nb)
+    stacked = [first] + _lift_stages(src, tgt, first, range(1, nmax + 1), step, s,
+                                     batch=nb)
+    lifts = [[{d: m[b * m.shape[0] // nb: (b + 1) * m.shape[0] // nb]
+               for d, m in stage.items()} for stage in stacked] for b in range(nb)]
+    return lifts if np.ndim(idx) else lifts[0]
 
 
 def _generator_coefficients(stage: dict[int, np.ndarray], src: FreeModule,
@@ -135,14 +175,13 @@ def _generator_coefficients(stage: dict[int, np.ndarray], src: FreeModule,
     coefficient of 1 * tgt generator a in the image of src generator c,
     zero unless deg a = deg c - shift."""
     out = np.zeros((tgt.rank, src.rank), dtype=np.int64)
-    for c, dc in enumerate(src.gen_degrees):
+    for dc, cs in src.by_degree.items():
         if dc not in stage:
             raise ExtError("lift window too small for product read-off")
-        vec = stage[dc][:, src.gen_index(dc, c)]
-        off = tgt.offsets(dc - shift)
-        for a, da in enumerate(tgt.gen_degrees):
-            if da == dc - shift:
-                out[a, c] = vec[off[a]]
+        a = tgt.by_degree.get(dc - shift)
+        if a is not None:
+            out[np.ix_(a, cs)] = stage[dc][np.ix_(tgt.block_indices(dc - shift, a),
+                                                  src.block_indices(dc, cs))]
     return out
 
 
@@ -169,8 +208,11 @@ def _yoneda_tables(E: FreeResolution, res: FreeResolution, imax: int,
         raise ExtError(f"resolution reaches step {res.hmax}, need {imax}")
     if not res.is_minimal():
         raise ExtError("resolution must be minimal")
-    lifts = {(j, b): lift_dual(res, E, j, b, imax - j)
-             for j in range(first, imax + 1) for b in range(res.rank(j))}
+    lifts = {}
+    for j in range(first, imax + 1):
+        for batch in res.frees[j].by_degree.values():
+            lifts.update(zip(((j, b) for b in batch),
+                             lift_dual(res, E, j, list(batch), imax - j)))
     return {(m, n): _dual_tensor(E, res, lifts, m, n)
             for m in range(1, imax + 1) for n in range(first, imax + 1 - m)}
 
@@ -262,31 +304,6 @@ def ext_module(algebra: GradedAlgebra, module: GradedModule | None, imax: int,
 # -- restriction along a fiber-product projection ----------------------------
 
 
-def _coefficient_projection(R: FiberProductAlgebra, free_R: FreeModule,
-                            twin: FreeModule, d: int, side: str) -> np.ndarray:
-    """Project degree-d coordinates of a free module over the fiber
-    product onto the twin free module over one factor, generator by
-    generator, keeping that factor's block of each coefficient."""
-    fac_alg = twin.algebra
-    sl_fn = R.s_slice if side == "S" else R.t_slice
-    mat = np.zeros((twin.dim(d), free_R.dim(d)), dtype=np.int64)
-    roff, foff = free_R.offsets(d), twin.offsets(d)
-    for j, s in enumerate(free_R.gen_degrees):
-        da = d - s
-        if da < 0:
-            continue
-        if da == 0:
-            mat[foff[j], roff[j]] = 1
-            continue
-        nfac = fac_alg.dim(da)
-        if nfac == 0:
-            continue
-        sl = sl_fn(da)
-        mat[foff[j]: foff[j] + nfac,
-            roff[j] + sl.start: roff[j] + sl.stop] = np.eye(nfac, dtype=np.int64)
-    return mat
-
-
 def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
                           R: FiberProductAlgebra, side: str,
                           ) -> list[dict[int, np.ndarray]]:
@@ -294,32 +311,26 @@ def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
     factor, equivariant for the projection onto that factor and lifting
     the identity on step-0 generators (which must match in degree).
 
-    Stage 0 is the coefficient projection; later stages come from
-    ``_lift_stages``, which extends generator images equivariantly: a
-    coefficient r on a generator goes to its factor block acting on the
-    image.
+    Stage 0 is the coefficient projection: ``_extend`` of the identity
+    on generators.  Later stages come from ``_lift_stages``.  Both extend
+    generator images equivariantly: a coefficient r on a generator goes
+    to its factor block acting on the image.
     """
-    assert side in ("S", "T")
+    if side not in ("S", "T"):
+        raise ExtError(f"side must be 'S' or 'T', not {side!r}")
     fac_alg = R.s_algebra if side == "S" else R.t_algebra
-    assert R_res.algebra is R and fac_res.algebra is fac_alg
+    if R_res.algebra is not R or fac_res.algebra is not fac_alg:
+        raise ExtError(f"restriction needs resolutions over the fiber product "
+                       f"and its {side} factor")
     if R_res.gen_degrees(0) != fac_res.gen_degrees(0):
         raise ExtError("step-0 generators do not align")
-    f0 = R_res.frees[0]
-    twin = FreeModule(fac_alg, f0.gen_degrees, f0.gen_labels)
-    first = {d: _coefficient_projection(R, f0, twin, d, side)
-             for d in range(min(R_res.dmax, fac_res.dmax) + 1)}
+    f0, t0 = R_res.frees[0], fac_res.frees[0]
+    images = [(s, gens, np.eye(t0.dim(s), dtype=np.int64)[:, t0.block_indices(s, gens)])
+              for s, gens in f0.by_degree.items()]
+    first = _extend(t0, f0, images, min(R_res.dmax, fac_res.dmax), side=side)
     nmax = min(R_res.hmax, fac_res.hmax)
     return [first] + _lift_stages(R_res, fac_res, first, range(1, nmax + 1),
                                   side=side)
-
-
-def induced_ext_matrix(chain: list[dict[int, np.ndarray]],
-                       fac_res: FreeResolution, R_res: FreeResolution,
-                       n: int) -> np.ndarray:
-    """Matrix of the induced map on step-n dual classes: row a holds the
-    coordinates, over the duals of R_res's generators, of the pullback
-    of the a-th dual generator of fac_res along the chain map."""
-    return _generator_coefficients(chain[n], R_res.frees[n], fac_res.frees[n])
 
 
 # -- free products on the alternating-word basis -----------------------------
@@ -490,9 +501,9 @@ def _phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
     d.R_ext = ext_algebra(R, hmax, dmax, resolution=d.G)
     sigma = restriction_chain_map(d.G, d.E, R, "S")
     tau = restriction_chain_map(d.G, d.F, R, "T")
-    d.sig_mats = [induced_ext_matrix(sigma, d.E, d.G, n)
+    d.sig_mats = [_generator_coefficients(sigma[n], d.G.frees[n], d.E.frees[n])
                   for n in range(hmax + 1)]
-    d.tau_mats = [induced_ext_matrix(tau, d.F, d.G, n)
+    d.tau_mats = [_generator_coefficients(tau[n], d.G.frees[n], d.F.frees[n])
                   for n in range(hmax + 1)]
     d.FP = free_product(d.S_ext, d.T_ext, hmax)
     d.phis = {}
@@ -674,7 +685,8 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
             dims_fpm == closed, f"{dims_fpm} vs {closed}")
 
     cM = restriction_chain_map(GM, PM, R, "S")
-    mats_m = [induced_ext_matrix(cM, PM, GM, n) for n in range(hmax + 1)]
+    mats_m = [_generator_coefficients(cM[n], GM.frees[n], PM.frees[n])
+              for n in range(hmax + 1)]
     bad_res = _dual_image_failures(
         mats_m, gidx, range(hmax + 1),
         lambda n, b: (Letter("P", n, b, PM.gen_degrees(n)[b]),))

@@ -12,6 +12,7 @@ uniform internal-degree drop (used by chain-map lifts).
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 
@@ -162,9 +163,11 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
                       side: str) -> GradedModule:
     """View a module over one factor as a module over the fiber product:
     the other factor's augmentation ideal acts by zero."""
-    assert side in ("S", "T")
+    if side not in ("S", "T"):
+        raise ModuleError(f"side must be 'S' or 'T', not {side!r}")
     factor = R.s_algebra if side == "S" else R.t_algebra
-    assert module.algebra is factor
+    if module.algebra is not factor:
+        raise ModuleError(f"the module is not over the fiber product's {side} factor")
     basis = [module.labels(n) if n <= R.cap else [] for n in range(R.cap + 1)]
     action = {}
     for m in range(1, R.cap + 1):
@@ -217,6 +220,17 @@ class FreeModule:
         """Offset of each generator's block in degree d (shared; do not
         modify)."""
         return self._layout(d)[0]
+
+    @cached_property
+    def by_degree(self) -> dict[int, np.ndarray]:
+        """Generator indices grouped by degree, degrees increasing."""
+        return {d: np.flatnonzero(np.equal(self.gen_degrees, d))
+                for d in sorted(set(self.gen_degrees))}
+
+    def block_indices(self, d: int, gens, width: int = 1, start: int = 0) -> np.ndarray:
+        """Degree-d coordinates start .. start + width - 1 of the block of
+        each generator in ``gens``, generator by generator."""
+        return (self._layout(d)[1][gens][:, None] + (start + np.arange(width))).ravel()
 
     def pair_index(self, d: int, j: int, a_idx: int) -> int:
         return self._layout(d)[0][j] + a_idx

@@ -105,19 +105,17 @@ def rref(mat, p: int):
     return R, pivots
 
 
+# rank, row_space and kernel_basis leave the reduced copy of their input
+# to rref: a second copy would double the peak memory of a large matrix.
+
+
 def rank(mat, p: int) -> int:
-    arr = normalize(mat, p)
-    if arr.size == 0:
-        return 0
-    return len(rref(arr, p)[1])
+    return len(rref(mat, p)[1])
 
 
 def row_space(mat, p: int) -> np.ndarray:
     """Echelon basis of the row space (nonzero rows of the rref)."""
-    arr = normalize(mat, p)
-    if arr.size == 0:
-        return np.zeros((0, arr.shape[1]), dtype=np.int64)
-    R, pivots = rref(arr, p)
+    R, pivots = rref(mat, p)
     return R[: len(pivots)].copy()
 
 
@@ -127,13 +125,8 @@ def kernel_basis(mat, p: int) -> np.ndarray:
     Basis vectors are indexed by the free columns in increasing order;
     vector for free column c has a 1 at position c.
     """
-    arr = normalize(mat, p)
-    m, n = arr.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if m == 0:
-        return np.eye(n, dtype=np.int64)
-    R, pivots = rref(arr, p)
+    R, pivots = rref(mat, p)
+    n = R.shape[1]
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)

@@ -202,6 +202,15 @@ def test_restrict_to_fiber_kills_other_side(square_zero_pair):
     assert MR.check_associativity() == []
 
 
+@pytest.mark.parametrize("side", ["U", "T"])
+def test_restrict_to_fiber_rejects_bad_input_with_typed_errors(square_zero_pair,
+                                                               side):
+    S, _, R = square_zero_pair
+    with pytest.raises(ModuleError, match="side must be" if side == "U"
+                       else "not over the fiber product's T factor"):
+        restrict_to_fiber(R, algebra_as_module(S), side)
+
+
 def test_cokernel_module_line_quotient(square_zero_pair):
     _, _, R = square_zero_pair
     F0 = FreeModule(R, [0])
