@@ -42,11 +42,6 @@ class ExtError(RuntimeError):
 # -- chain-map lifting ------------------------------------------------------
 
 
-def _boundary(res: FreeResolution, n: int, d: int) -> np.ndarray:
-    """Degree-d map out of stage n: the differential, or the cover at 0."""
-    return res.eval_diff(n, d) if n else res.eval_cover(d)
-
-
 def _extend(ftgt: FreeModule, fsrc: FreeModule, images: list, dcap: int,
             shift: int = 0, batch: int = 1, side: str | None = None,
             ) -> dict[int, np.ndarray]:
@@ -120,9 +115,9 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution,
             if sj not in prev:
                 continue
             rhs = linalg.matmul_mod(
-                prev[sj], _boundary(src, step + n, sj)[:, fsrc.block_indices(sj, gens)], p)
+                prev[sj], src.boundary(step + n, sj)[:, fsrc.block_indices(sj, gens)], p)
             rhs = rhs.reshape(batch, -1, len(gens)).transpose(1, 0, 2)
-            sol = linalg.solve(_boundary(tgt, n, sj - shift),
+            sol = linalg.solve(tgt.boundary(n, sj - shift),
                                rhs.reshape(-1, batch * len(gens)), p)
             if sol is None:
                 raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")

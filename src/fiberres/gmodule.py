@@ -42,7 +42,9 @@ class ModuleError(ValueError):
 
 class GradedModule:
     def __init__(self, algebra: GradedAlgebra, basis: list[list[str]], action: dict):
-        assert len(basis) == algebra.cap + 1
+        if len(basis) != algebra.cap + 1:
+            raise ModuleError(f"{len(basis)} basis degrees, expected cap + 1 = "
+                              f"{algebra.cap + 1}")
         self.algebra = algebra
         self.cap = algebra.cap
         self.basis = [list(b) for b in basis]
@@ -52,12 +54,16 @@ class GradedModule:
             a = np.asarray(arr, dtype=np.int64) % algebra.p
             expected = (algebra.dim(m), self.dim(n), self.dim(m + n))
             if a.shape != expected:
-                assert a.size == 0 and 0 in expected, (a.shape, expected)
+                # JSON round trips flatten degenerate axes
+                if a.size or 0 not in expected:
+                    raise ModuleError(f"action tensor {(m, n)} has shape {a.shape}, "
+                                      f"expected {expected}")
                 a = a.reshape(expected)
             self.action[(m, n)] = a
         for m in range(1, self.cap + 1):
             for n in range(0, self.cap + 1 - m):
-                assert (m, n) in self.action, f"missing action tensor {(m, n)}"
+                if (m, n) not in self.action:
+                    raise ModuleError(f"missing action tensor {(m, n)}")
 
     def dim(self, n: int) -> int:
         if n < 0 or n > self.cap:
@@ -79,6 +85,10 @@ class GradedModule:
         if n + m > self.cap:
             raise ModuleError(f"action lands beyond cap {self.cap}")
         return np.einsum("ijk,i->jk", self.action[(m, n)], a.vec) % self.algebra.p
+
+    def times(self, rows, a: Element, n: int) -> np.ndarray:
+        """``rows @ act_matrix(a, n)`` mod p."""
+        return linalg.matmul_mod(rows, self.act_matrix(a, n), self.algebra.p)
 
     def act(self, a: Element, n: int, vec) -> tuple[int, np.ndarray]:
         v = np.asarray(vec, dtype=np.int64) % self.algebra.p
@@ -190,10 +200,13 @@ class FreeModule:
                  gen_labels: list[str] | None = None):
         self.algebra = algebra
         self.gen_degrees = [int(d) for d in gen_degrees]
-        assert all(d >= 0 for d in self.gen_degrees)
+        if any(d < 0 for d in self.gen_degrees):
+            raise ModuleError(f"negative generator degree in {self.gen_degrees}")
         if gen_labels is None:
             gen_labels = [f"g{j}" for j in range(len(gen_degrees))]
-        assert len(gen_labels) == len(gen_degrees)
+        if len(gen_labels) != len(gen_degrees):
+            raise ModuleError(f"{len(gen_labels)} labels for {len(gen_degrees)} "
+                              f"generators")
         self.gen_labels = list(gen_labels)
         self._layouts: dict[int, tuple[list[int], np.ndarray, int]] = {}
 
@@ -264,6 +277,20 @@ class FreeModule:
                 tgt_off[j]: tgt_off[j] + block.shape[1]] = block
         return out
 
+    def times(self, rows, a: Element, d: int) -> np.ndarray:
+        """``rows @ left_mult_matrix(a, d)`` mod p without that matrix:
+        one int64 product per generator degree s, exact as each entry
+        sums dim A_(d - s) terms below p^2."""
+        A, m, r = self.algebra, a.degree, rows.shape[0]
+        out = np.zeros((r, self.dim(d + m)), dtype=np.int64)
+        for s, gens in self.by_degree.items():
+            na, nb = A.dim(d - s), A.dim(d + m - s)
+            if na * nb * r:
+                prod = (rows[:, self.block_indices(d, gens, na)].reshape(-1, na)
+                        @ A.left_mult_matrix(a, d - s))
+                out[:, self.block_indices(d + m, gens, nb)] = prod.reshape(r, -1) % A.p
+        return out
+
     def decompose(self, vec, d: int) -> dict[int, Element]:
         """Algebra coefficients per generator of a degree-d vector."""
         v = np.asarray(vec, dtype=np.int64) % self.algebra.p
@@ -327,13 +354,16 @@ class AlgMatrix:
 
     def compose(self, other: "AlgMatrix") -> "AlgMatrix":
         """self o other, for other: A -> B and self: B -> C."""
-        assert other.tgt is self.src or other.tgt.gen_degrees == self.src.gen_degrees
+        if other.tgt is not self.src and other.tgt.gen_degrees != self.src.gen_degrees:
+            raise ModuleError("compose: the inner free modules differ")
         acc: dict[tuple[int, int], Element] = {}
         for (k, j), b in other.entries.items():
             for (i, k2), a in self.entries.items():
                 if k2 != k:
                     continue
-                prod = a * b
+                # evaluate multiplies coefficients on the right, so entry
+                # (i, j) is the sum over k of other[k, j] * self[i, k]
+                prod = b * a
                 if prod.is_zero():
                     continue
                 if (i, j) in acc:
@@ -368,7 +398,8 @@ class AlgMatrix:
 def cokernel_module(phi: AlgMatrix) -> GradedModule:
     """Quotient of the target free module by the image of phi, with the
     deterministic complement-coordinate basis in each degree."""
-    assert phi.shift == 0
+    if phi.shift:
+        raise ModuleError(f"cokernel of a map with shift {phi.shift}; need shift 0")
     A = phi.algebra
     p = A.p
     free = phi.tgt
@@ -411,10 +442,11 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
 # -- minimal generators ------------------------------------------------------
 
 
-def minimal_generators(algebra: GradedAlgebra, rows, act, dmax: int) \
+def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
         -> list[tuple[int, int, np.ndarray]]:
     """Minimal generators of the submodule spanned by ``rows[d]`` (d <=
-    dmax), where ``act(a, n)`` is the matrix of x -> a*x out of degree n.
+    dmax), where ``times(rows, a, n)`` is ``rows`` times the matrix of
+    x -> a*x out of degree n, mod p (a module's ``times``).
     The rows must span a submodule degreewise (kernels, or a whole
     module), so the part of degree d generated below it is the sum of
     g * rows[d - deg g] over the algebra's indecomposables g.  Each
@@ -431,8 +463,7 @@ def minimal_generators(algebra: GradedAlgebra, rows, act, dmax: int) \
         for m, i in algebra.indecomposables:
             if m > d or rows[d - m].shape[0] == 0:
                 continue
-            prod = linalg.matmul_mod(rows[d - m],
-                                     act(algebra.basis_element(m, i), d - m), p)
+            prod = times(rows[d - m], algebra.basis_element(m, i), d - m)
             lower = linalg.row_space(np.vstack([lower, prod]), p)
         span = linalg.Span(p, rows[d].shape[1], lower)
         for j, row in enumerate(rows[d]):
@@ -456,7 +487,8 @@ def fiber_product_module(R: FiberProductAlgebra, m_mod: GradedModule,
     degree 0) raises ModuleError.
     """
     S, T = R.s_algebra, R.t_algebra
-    assert m_mod.algebra is S and n_mod.algebra is T
+    if m_mod.algebra is not S or n_mod.algebra is not T:
+        raise ModuleError("M must be over the S factor and N over the T factor")
     p = R.p
     m0, n0 = m_mod.dim(0), n_mod.dim(0)
     mu = np.eye(m0, dtype=np.int64) if mu is None else linalg.normalize(mu, p)
@@ -476,7 +508,7 @@ def fiber_product_module(R: FiberProductAlgebra, m_mod: GradedModule,
     for mod, alg, name in ((m_mod, S, "M"), (n_mod, T, "N")):
         units = [np.eye(mod.dim(n), dtype=np.int64) for n in range(R.cap + 1)]
         new = Counter(n for n, _, _ in
-                      minimal_generators(alg, units, mod.act_matrix, R.cap))
+                      minimal_generators(alg, units, mod.times, R.cap))
         for n in range(1, R.cap + 1):
             dim = mod.dim(n)
             check(f"{name} generated in degree 0 (degree {n})",

@@ -13,6 +13,10 @@ most k (p - 1)^2, so the product is exact while k (p - 1)^2 < 2^53; past
 that bound ``matmul_mod`` raises ``LinalgError`` instead of rounding.
 Every p is below 2^16, so products of up to 2^21 terms are always
 allowed.  Elimination stays in int64.
+
+``Span`` grows a reduced echelon basis one vector at a time, for the
+minimal-generator loop: rows stay where they were added, and a vector
+is reduced by one int64 product with the rows whose pivots it hits.
 """
 
 from __future__ import annotations
@@ -166,49 +170,60 @@ class Span:
     """Row space maintained incrementally in reduced echelon form.
 
     ``echelon`` seeds it with the nonzero rows of a reduced row echelon
-    form, such as ``row_space`` returns."""
+    form, such as ``row_space`` returns.  Rows are kept in the order they
+    were added, in a buffer that grows geometrically up to the width.
+    Each row is zero at every other row's pivot, so reduction against
+    the rows commutes: ``reduce`` is one product with the rows whose
+    pivots the vector hits, and ``add`` never moves a row.  ``pivots``
+    and ``basis_matrix`` come out in increasing pivot order."""
 
     def __init__(self, p: int, width: int, echelon=None):
         self.p = p
         self.width = width
-        self.rows = (np.zeros((0, width), dtype=np.int64) if echelon is None
-                     else normalize(echelon, p))
-        self.pivots: list[int] = [int(np.flatnonzero(r)[0]) for r in self.rows]
+        self._rows = (np.zeros((0, width), dtype=np.int64) if echelon is None
+                      else normalize(echelon, p))
+        self._piv = np.argmax(self._rows != 0, axis=1)
+        self.dim = self._rows.shape[0]
 
     def reduce(self, vec) -> np.ndarray:
         """Residual of vec after reduction against the current span."""
         p = self.p
-        v = (np.asarray(vec, dtype=np.int64) % p).copy()
-        for r, c in enumerate(self.pivots):
-            if v[c]:
-                v = (v - v[c] * self.rows[r]) % p
+        v = np.asarray(vec, dtype=np.int64) % p
+        piv = self._piv[: self.dim]
+        hit = np.flatnonzero(v[piv])
+        if hit.size:
+            # at most dim terms, each below p^2 < 2^32: exact in int64
+            v = (v - v[piv[hit]] @ self._rows[hit]) % p
         return v
 
     def add(self, vec) -> np.ndarray | None:
         """Insert vec; return the normalized new echelon row, or None
         if vec was already in the span."""
-        p = self.p
+        p, n = self.p, self.dim
         v = self.reduce(vec)
-        nz = np.nonzero(v)[0]
+        nz = np.flatnonzero(v)
         if nz.size == 0:
             return None
         c = int(nz[0])
         v = (v * inv_mod(v[c], p)) % p
-        if self.rows.shape[0]:
-            hit = np.nonzero(self.rows[:, c])[0]
-            if hit.size:
-                self.rows[hit] = (self.rows[hit] - np.outer(self.rows[hit, c], v)) % p
-        pos = int(np.searchsorted(np.asarray(self.pivots, dtype=np.int64), c))
-        self.rows = np.insert(self.rows, pos, v, axis=0)
-        self.pivots.insert(pos, c)
+        rows = self._rows[:n]
+        hit = np.flatnonzero(rows[:, c])
+        if hit.size:
+            rows[hit] = (rows[hit] - np.outer(rows[hit, c], v)) % p
+        if n == self._rows.shape[0]:  # full; rows past dim are never read
+            size = min(self.width, max(2 * n, 8))
+            self._rows = np.resize(self._rows, (size, self.width))
+            self._piv = np.resize(self._piv, size)
+        self._rows[n], self._piv[n] = v, c
+        self.dim = n + 1
         return v
 
     def contains(self, vec) -> bool:
         return not np.any(self.reduce(vec))
 
     @property
-    def dim(self) -> int:
-        return len(self.pivots)
+    def pivots(self) -> list[int]:
+        return sorted(self._piv[: self.dim].tolist())
 
     def basis_matrix(self) -> np.ndarray:
-        return self.rows.copy()
+        return self._rows[np.argsort(self._piv[: self.dim])]

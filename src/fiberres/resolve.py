@@ -52,7 +52,8 @@ class FreeResolution:
         self._ev_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def diff(self, i: int) -> AlgMatrix:
-        assert 1 <= i <= self.hmax
+        if not 1 <= i <= self.hmax:
+            raise WindowError(f"differential d{i} outside steps 1..{self.hmax}")
         return self.diffs[i]
 
     def eval_diff(self, i: int, d: int) -> np.ndarray:
@@ -64,6 +65,10 @@ class FreeResolution:
     def eval_cover(self, d: int) -> np.ndarray:
         return self.cover.get(d, np.zeros((self.module.dim(d), self.frees[0].dim(d)),
                                           dtype=np.int64))
+
+    def boundary(self, i: int, d: int) -> np.ndarray:
+        """Degree-d map out of F_i: the differential, or the cover at 0."""
+        return self.eval_diff(i, d) if i else self.eval_cover(d)
 
     def rank(self, i: int) -> int:
         return self.frees[i].rank if 0 <= i <= self.hmax else 0
@@ -133,27 +138,23 @@ def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     # their unit vectors.
     units = [np.eye(module.dim(d), dtype=np.int64) for d in range(dmax + 1)]
     gens0 = [(d, units[d][j]) for d, j, _ in
-             minimal_generators(algebra, units, module.act_matrix, dmax)]
+             minimal_generators(algebra, units, module.times, dmax)]
 
     label = gen_label or "u"
     f0 = FreeModule(algebra, [d for d, _ in gens0],
                     [f"{label}0_{k}" for k in range(len(gens0))])
     cover = cover_matrices(algebra, module, gens0, f0, dmax)
 
-    frees = [f0]
-    diffs: list = [None]
-    kernel_bases: list[dict[int, np.ndarray]] = []
-
-    prev_eval = lambda d: cover[d] if d <= dmax else None  # noqa: E731
-
+    res = FreeResolution(algebra, module, hmax, dmax, [f0], [None], cover, [])
     for step in range(1, hmax + 1):
-        prev_free = frees[-1]
-        kers = {d: linalg.kernel_basis(prev_eval(d), p) for d in range(dmax + 1)}
-        kernel_bases.append(kers)
+        prev_free = res.frees[-1]
+        # the maps evaluated here stay in res's cache for their later users
+        kers = {d: linalg.kernel_basis(res.boundary(step - 1, d), p)
+                for d in range(dmax + 1)}
+        res.kernel_bases.append(kers)
 
         new_gens = [(d, new) for d, _, new in
-                    minimal_generators(algebra, kers, prev_free.left_mult_matrix,
-                                       dmax)]
+                    minimal_generators(algebra, kers, prev_free.times, dmax)]
 
         fi = FreeModule(algebra, [d for d, _ in new_gens],
                         [f"{label}{step}_{k}" for k in range(len(new_gens))])
@@ -165,13 +166,8 @@ def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
                         f"non-minimal differential entry at step {step}, degree {d}: "
                         f"generator {jnew} has a degree-0 coefficient on generator {jprev}")
                 entries[(jprev, jnew)] = el
-        dmat = AlgMatrix(algebra, fi, prev_free, entries)
-        frees.append(fi)
-        diffs.append(dmat)
-        prev_eval = dmat.evaluate
-
-    res = FreeResolution(algebra, module, hmax, dmax, frees, diffs, cover,
-                         kernel_bases)
+        res.frees.append(fi)
+        res.diffs.append(AlgMatrix(algebra, fi, prev_free, entries))
     return res
 
 
@@ -202,13 +198,22 @@ class ComplexReport:
 def verify_complex(res: FreeResolution, hmax: int | None = None,
                    dmax: int | None = None) -> ComplexReport:
     """Independent rank-based verification inside the window:
-    differentials compose to zero as matrices over the algebra, all
-    entries lie in the augmentation ideal, and homology vanishes at
-    every bidegree the window can certify."""
+    differentials compose to zero, all entries lie in the augmentation
+    ideal, and homology vanishes at every bidegree the window can
+    certify.  Each evaluated map is ranked once.  d_(i-1) o d_i = 0 is
+    checked on the evaluated matrices, at the column of each generator
+    of F_i in its own degree: a module map that vanishes on generators
+    vanishes, so this is the check over the algebra.  A failure names
+    the degrees and the generator pairs (row, column) of the nonzero
+    entries of the composite."""
     p = res.algebra.p
     hmax = res.hmax if hmax is None else min(hmax, res.hmax)
     dmax = res.dmax if dmax is None else min(dmax, res.dmax)
     rep = ComplexReport()
+    # every map is ranked once, right after it is evaluated, so no rref
+    # copy shares memory with the whole last differential
+    rank = {(i, d): linalg.rank(res.boundary(i, d), p)
+            for i in range(hmax + 1) for d in range(dmax + 1)}
 
     for i in range(1, hmax + 1):
         md = res.diffs[i].min_entry_degree()
@@ -216,9 +221,12 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
                 f"min entry degree {md}")
 
     for i in range(2, hmax + 1):
-        comp = res.diffs[i - 1].compose(res.diffs[i])
-        rep.add(f"d{i - 1} o d{i} = 0", comp.is_zero(),
-                "" if comp.is_zero() else f"nonzero at {sorted(comp.entries)}")
+        F = res.frees[i]
+        bad = [d for d, g in F.by_degree.items() if np.any(linalg.matmul_mod(
+            res.eval_diff(i - 1, d), res.eval_diff(i, d)[:, F.block_indices(d, g)], p))]
+        pairs = bad and sorted(res.diffs[i - 1].compose(res.diffs[i]).entries)
+        rep.add(f"d{i - 1} o d{i} = 0", not bad,
+                f"degrees {bad}, generator pairs {pairs}" if bad else "")
     if hmax >= 1:
         bad = []
         for d in range(dmax + 1):
@@ -227,35 +235,27 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
                 bad.append(d)
         rep.add("cover o d1 = 0", not bad, f"degrees {bad}" if bad else "")
 
-    bad = []
-    for d in range(dmax + 1):
-        if linalg.rank(res.eval_cover(d), p) != res.module.dim(d):
-            bad.append(d)
-    rep.add("cover surjective", not bad, f"degrees {bad}" if bad else "")
+    bad = [(d, rank[0, d], res.module.dim(d)) for d in range(dmax + 1)
+           if rank[0, d] != res.module.dim(d)]
+    rep.add("cover surjective", not bad,
+            f"(degree, rank, expected) {bad}" if bad else "")
 
-    if hmax >= 1:
-        bad = []
-        for d in range(dmax + 1):
-            nullity = res.frees[0].dim(d) - linalg.rank(res.eval_cover(d), p)
-            if nullity != linalg.rank(res.eval_diff(1, d), p):
-                bad.append(d)
-        rep.add("exactness at step 0", not bad, f"degrees {bad}" if bad else "")
-
-    for i in range(1, hmax):
-        bad = []
-        for d in range(dmax + 1):
-            r_in = linalg.rank(res.eval_diff(i + 1, d), p)
-            r_out = linalg.rank(res.eval_diff(i, d), p)
-            if r_in + r_out != res.frees[i].dim(d):
-                bad.append(d)
-        rep.add(f"exactness at step {i}", not bad, f"degrees {bad}" if bad else "")
+    # exactness at F_i; at F_0 the map out is the cover
+    for i in range(hmax):
+        bad = [(i, d, rank[i + 1, d], rank[i, d], res.frees[i].dim(d))
+               for d in range(dmax + 1)
+               if rank[i + 1, d] + rank[i, d] != res.frees[i].dim(d)]
+        rep.add(f"exactness at step {i}", not bad,
+                f"rank_in + rank_out != dim F_{i} at (step, degree, rank_in, "
+                f"rank_out, expected) {bad}" if bad else "")
     return rep
 
 
 def syzygy_module(res: FreeResolution, n: int) -> GradedModule:
     """The n-th syzygy (kernel of the map out of F_{n-1}) in its chosen
     echelon basis, as a graded module table."""
-    assert 1 <= n <= len(res.kernel_bases), "syzygy step beyond resolution"
+    if not 1 <= n <= len(res.kernel_bases):
+        raise WindowError(f"syzygy step {n} outside 1..{len(res.kernel_bases)}")
     return submodule_as_gmodule(res.frees[n - 1], res.kernel_bases[n - 1],
                                 label_prefix=f"z{n}_")
 

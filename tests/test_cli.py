@@ -62,6 +62,18 @@ def test_resolve_writes_passing_report(tmp_path):
     assert all(c["status"] == "pass" for c in rep["checks"])
 
 
+def test_resolve_over_a_noncommutative_algebra_passes(tmp_path, capsys):
+    """Over k<x, y>/(x^2, y^2, y*x), where x*y != y*x, every d o d check
+    passes: the composite's entries multiply in evaluate's order."""
+    obj = algebra_obj([("x", 1), ("y", 1)], ["x^2", "y^2", "y*x"], cap=6, char=5)
+    obj["algebra"]["commutative"] = False
+    a = write(tmp_path, "nc.json", obj)
+    m = write(tmp_path, "m.json", {"kind": "residue"})
+    assert main(["resolve", "--algebra", a, "--module", m, "--hmax", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] resolution: d1 o d2 = 0" in out and "[FAIL]" not in out
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path):
     a = write(tmp_path, "a.json", fiber_obj(["x^2"], ["y^2"]))
     m = write(tmp_path, "m.json", {"kind": "residue"})

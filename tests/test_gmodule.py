@@ -14,6 +14,7 @@ from fiberres.algebra import (
 from fiberres.gmodule import (
     AlgMatrix,
     FreeModule,
+    GradedModule,
     ModuleError,
     algebra_as_module,
     cokernel_module,
@@ -293,7 +294,7 @@ def test_minimal_generators_keep_resolution_degrees(ring, module, degrees):
     A = jsonio.load_algebra(os.path.join(MANIFESTS, ring))
     M = jsonio.load_module(os.path.join(MANIFESTS, module), A)
     units = [np.eye(M.dim(d), dtype=np.int64) for d in range(A.cap + 1)]
-    gens = minimal_generators(A, units, M.act_matrix, A.cap)
+    gens = minimal_generators(A, units, M.times, A.cap)
     assert [(d, j) for d, j, _ in gens] == [(0, 0)]
     res = minimal_resolution(A, M, 2)
     assert [res.gen_degrees(i) for i in range(3)] == degrees
@@ -303,10 +304,10 @@ def test_minimal_generators_reports_row_index_and_echelon_row():
     A = mono([("x", 1)], ["x^3"])
     F = free_module_table(A, [0, 1])  # degree 1 basis: x*g0, g1
     rows = [np.array([[1]]), np.array([[1, 1]])]
-    gens = minimal_generators(A, rows, F.act_matrix, 1)
+    gens = minimal_generators(A, rows, F.times, 1)
     assert [(d, j, list(v)) for d, j, v in gens] == [(0, 0, [1]), (1, 0, [0, 1])]
     units = [np.eye(F.dim(d), dtype=np.int64) for d in range(2)]
-    assert [(d, j) for d, j, _ in minimal_generators(A, units, F.act_matrix, 1)] \
+    assert [(d, j) for d, j, _ in minimal_generators(A, units, F.times, 1)] \
         == [(0, 0), (1, 1)]
 
 
@@ -382,12 +383,86 @@ def test_minimal_generators_match_the_definition(p, module):
     R = weighted_ring(p)
     M = residue_module(R) if module == "residue" else free_module_table(R, [0, 1])
     units = [np.eye(M.dim(d), dtype=np.int64) for d in range(R.cap + 1)]
-    gens = minimal_generators(R, units, M.act_matrix, R.cap)
+    gens = minimal_generators(R, units, M.times, R.cap)
     assert same_generators(gens, reference_generators(R, units, M.act_matrix, R.cap))
     res = minimal_resolution(R, M, 4)
     assert [d for d, _, _ in gens] == res.gen_degrees(0)
     for step in range(1, 5):
         kers = res.kernel_bases[step - 1]
-        act = res.frees[step - 1].left_mult_matrix
-        assert same_generators(minimal_generators(R, kers, act, R.cap),
-                               reference_generators(R, kers, act, R.cap))
+        free = res.frees[step - 1]
+        assert same_generators(minimal_generators(R, kers, free.times, R.cap),
+                               reference_generators(R, kers, free.left_mult_matrix,
+                                                    R.cap))
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_free_module_times_matches_the_dense_product(p):
+    """R has dims 1, 1, 3, 1, 0, 1 in degrees 0-5, so the generators of
+    degrees 0-6 include ones whose source block is empty (deg g > n) and
+    ones whose target block is empty (n + m - deg g = 4) while the
+    source block is not."""
+    R = weighted_ring(p)
+    F = FreeModule(R, [0, 0, 1, 2, 3, 6])
+    rng = np.random.default_rng(p)
+    for n in range(R.cap + 1):
+        for m in range(1, R.cap + 1 - n):
+            for i in range(R.dim(m)):
+                a = R.basis_element(m, i)
+                for r in (0, 3):
+                    rows = rng.integers(0, p, (r, F.dim(n)))
+                    assert np.array_equal(
+                        F.times(rows, a, n),
+                        linalg.matmul_mod(rows, F.left_mult_matrix(a, n), p))
+
+
+def test_compose_over_a_noncommutative_algebra():
+    """Entry (i, j) of d1 o d2 is d2's entry times d1's: with x*y != 0
+    and y*x = 0, d1 = (x) after d2 = (y) is zero, the other way round it
+    is x*y, and either way the composite evaluates to the product of the
+    evaluated matrices."""
+    A = mono([("x", 1), ("y", 1)], ["x^2", "y^2", "y*x"], cap=4,
+             commutative=False)
+    x, y = A.generator("x"), A.generator("y")
+    assert x * y != y * x and (y * x).is_zero()
+    F2, F1, F0 = FreeModule(A, [2]), FreeModule(A, [1]), FreeModule(A, [0])
+    for outer, inner, prod in ((x, y, y * x), (y, x, x * y)):
+        d1 = AlgMatrix(A, F1, F0, {(0, 0): outer})
+        d2 = AlgMatrix(A, F2, F1, {(0, 0): inner})
+        comp = d1.compose(d2)
+        assert comp.entries.get((0, 0), A.zero(2)) == prod
+        for d in range(A.cap + 1):
+            assert np.array_equal(comp.evaluate(d),
+                                  (d1.evaluate(d) @ d2.evaluate(d)) % P)
+
+
+def test_graded_module_rejects_bad_tables():
+    A = mono([("x", 1)], ["x^2"], cap=2)
+    k = residue_module(A)
+    with pytest.raises(ModuleError, match="2 basis degrees, expected cap"):
+        GradedModule(A, k.basis[:2], k.action)
+    bad = {**k.action, (1, 0): np.zeros((1, 2, 1), dtype=np.int64)}
+    with pytest.raises(ModuleError, match=re.escape(
+            "action tensor (1, 0) has shape (1, 2, 1), expected (1, 1, 0)")):
+        GradedModule(A, k.basis, bad)
+    with pytest.raises(ModuleError, match=re.escape("missing action tensor (1, 1)")):
+        GradedModule(A, k.basis, {key: v for key, v in k.action.items()
+                                  if key != (1, 1)})
+
+
+def test_free_module_and_maps_reject_bad_input(square_zero_pair):
+    S, T, R = square_zero_pair
+    with pytest.raises(ModuleError, match="negative generator degree"):
+        FreeModule(S, [0, -1])
+    with pytest.raises(ModuleError, match="1 labels for 2 generators"):
+        FreeModule(S, [0, 1], ["g"])
+    x = S.generator("x")
+    d1 = AlgMatrix(S, FreeModule(S, [1]), FreeModule(S, [0]), {(0, 0): x})
+    d2 = AlgMatrix(S, FreeModule(S, [3]), FreeModule(S, [2]), {(0, 0): x})
+    with pytest.raises(ModuleError, match="inner free modules differ"):
+        d1.compose(d2)
+    lift = AlgMatrix(S, FreeModule(S, [1]), FreeModule(S, [0]),
+                     {(0, 0): S.unit()}, shift=1)
+    with pytest.raises(ModuleError, match="shift 1"):
+        cokernel_module(lift)
+    with pytest.raises(ModuleError, match="M must be over the S factor"):
+        fiber_product_module(R, algebra_as_module(T), algebra_as_module(T))

@@ -211,8 +211,8 @@ def reference_lift_stages(src, tgt, prev, stages, step=0, shift=0, side=None):
         entries = {}
         for j, sj in enumerate(fsrc.gen_degrees):
             if sj in prev:
-                col = extalg._boundary(src, step + n, sj)[:, fsrc.gen_index(sj, j)]
-                x = linalg.solve(extalg._boundary(tgt, n, sj - shift),
+                col = src.boundary(step + n, sj)[:, fsrc.gen_index(sj, j)]
+                x = linalg.solve(tgt.boundary(n, sj - shift),
                                  (prev[sj] @ col) % p, p)
                 entries.update({(i, j): el for i, el in
                                 ftgt.decompose(x, sj - shift).items()})

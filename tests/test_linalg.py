@@ -231,3 +231,60 @@ def test_span_seeded_from_an_echelon_basis():
             a, b = seeded.add(v), grown.add(v)
             assert (a is None and b is None) or np.array_equal(a, b)
         assert np.array_equal(seeded.basis_matrix(), grown.basis_matrix())
+
+
+class InsertSpan:
+    """Reference: the loop-and-insert Span that keeps its rows sorted by
+    pivot, reducing against one pivot at a time."""
+
+    def __init__(self, p, width, echelon=None):
+        self.p = p
+        self.rows = (np.zeros((0, width), dtype=np.int64) if echelon is None
+                     else linalg.normalize(echelon, p))
+        self.pivots = [int(np.flatnonzero(r)[0]) for r in self.rows]
+
+    def reduce(self, vec):
+        v = np.asarray(vec, dtype=np.int64) % self.p
+        for r, c in enumerate(self.pivots):
+            if v[c]:
+                v = (v - v[c] * self.rows[r]) % self.p
+        return v
+
+    def add(self, vec):
+        p = self.p
+        v = self.reduce(vec)
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            return None
+        c = int(nz[0])
+        v = (v * linalg.inv_mod(v[c], p)) % p
+        hit = np.flatnonzero(self.rows[:, c])
+        self.rows[hit] = (self.rows[hit] - np.outer(self.rows[hit, c], v)) % p
+        pos = int(np.searchsorted(self.pivots, c))
+        self.rows = np.insert(self.rows, pos, v, axis=0)
+        self.pivots.insert(pos, c)
+        return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_span_matches_the_insert_reference(p):
+    """Seeded, then grown with vectors whose pivots come out of order
+    (each vector's leading column is drawn at random), the buffered Span
+    agrees with the sorted-insert one after every add."""
+    rng = random.Random(p)
+    for _ in range(25):
+        n = rng.randrange(1, 12)
+        seed = linalg.row_space(random_matrix(rng, rng.randrange(0, 4), n, p)
+                                .reshape(-1, n), p)
+        span, ref = linalg.Span(p, n, seed), InsertSpan(p, n, seed)
+        for _ in range(rng.randrange(1, 3 * n)):
+            v = np.array(random_matrix(rng, 1, n, p)[0], dtype=np.int64)
+            v[: rng.randrange(n)] = 0
+            if rng.random() < 0.3 and ref.rows.shape[0]:  # already in the span
+                v = (rng.randrange(p) * ref.rows[rng.randrange(ref.rows.shape[0])]) % p
+            a, b = span.add(v), ref.add(v)
+            assert (a is None and b is None) or np.array_equal(a, b)
+            assert span.pivots == ref.pivots and span.dim == len(ref.pivots)
+            assert np.array_equal(span.basis_matrix(), ref.rows)
+            w = random_matrix(rng, 1, n, p)[0]
+            assert np.array_equal(span.reduce(w), ref.reduce(w))

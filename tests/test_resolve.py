@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from fiberres.gmodule import (
     residue_module,
     restrict_to_fiber,
 )
-from fiberres import resolve
+from fiberres import linalg, resolve
 from fiberres.resolve import (
     FreeResolution,
     ResolutionError,
@@ -208,9 +210,9 @@ def test_non_minimal_generator_raises_typed_error(monkeypatch):
     A = mono([("x", 1)], ["x^2"], cap=4)
     real = resolve.minimal_generators
 
-    def unit_cover_as_syzygy(algebra, rows, act, dmax):
-        gens = real(algebra, rows, act, dmax)
-        if act.__name__ == "left_mult_matrix":  # a kernel step
+    def unit_cover_as_syzygy(algebra, rows, times, dmax):
+        gens = real(algebra, rows, times, dmax)
+        if isinstance(times.__self__, FreeModule):  # a kernel step
             return [(0, 0, np.array([1], dtype=np.int64))]
         return gens
 
@@ -218,3 +220,93 @@ def test_non_minimal_generator_raises_typed_error(monkeypatch):
     with pytest.raises(ResolutionError, match="non-minimal differential entry "
                                               "at step 1, degree 0"):
         minimal_resolution(A, residue_module(A), 2)
+
+
+# -- one evaluation and one rank per map; named failures -----------------------
+
+
+def cube_square():
+    return fiber_product(mono([("x", 1)], ["x^3"]), mono([("y", 1)], ["y^2"]))
+
+
+def test_each_map_is_evaluated_and_ranked_once(monkeypatch):
+    """minimal_resolution keeps the matrices it evaluates for its kernels,
+    and verify_complex ranks each of them once."""
+    evaluated, ranked = Counter(), Counter()
+    real_evaluate, real_rank = AlgMatrix.evaluate, linalg.rank
+
+    def evaluate(self, d):
+        evaluated[(id(self), d)] += 1
+        return real_evaluate(self, d)
+
+    def rank(mat, p):
+        ranked[id(mat)] += 1
+        return real_rank(mat, p)
+
+    monkeypatch.setattr(AlgMatrix, "evaluate", evaluate)
+    monkeypatch.setattr(linalg, "rank", rank)
+    R = cube_square()
+    res = minimal_resolution(R, residue_module(R), 4)
+    assert verify_complex(res).ok
+    assert max(evaluated.values()) == 1
+    assert len(evaluated) == 4 * (res.dmax + 1)  # steps 1-4, every degree
+    assert max(ranked.values()) == 1
+    assert len(ranked) == 5 * (res.dmax + 1)  # the cover and steps 1-4
+
+
+def failures(res):
+    return [(c["name"], c["detail"]) for c in verify_complex(res).checks
+            if not c["ok"]]
+
+
+def test_verify_names_the_generator_pairs_of_a_nonzero_composite():
+    """d2 sends the first generator to y*h0 + ...; with x in place of y,
+    d1 o d2 = x^2 at generator pair (0, 0), seen in degree 2."""
+    R = cube_square()
+    res = minimal_resolution(R, residue_module(R), 2)
+    assert repr(res.diffs[2].entries[(0, 0)]) == "T:y"
+    res.diffs[2].entries[(0, 0)] = R.generator("x")
+    assert failures(res) == [("d1 o d2 = 0", "degrees [2], generator pairs [(0, 0)]")]
+
+
+def test_verify_names_the_ranks_of_an_inexact_step():
+    R = cube_square()
+    res = minimal_resolution(R, residue_module(R), 2)
+    assert repr(res.diffs[2].entries[(1, 1)]) == "S:x"
+    res.diffs[2].entries[(1, 1)] = R.generator("y")
+    assert failures(res) == [(
+        "exactness at step 1",
+        "rank_in + rank_out != dim F_1 at (step, degree, rank_in, rank_out, "
+        "expected) [(1, 2, 2, 1, 4), (1, 3, 1, 0, 2)]")]
+
+
+def test_d_squared_is_checked_on_the_evaluated_matrices():
+    """A tampered evaluation fails d o d although the algebra-level
+    composite is zero, so no generator pair is named."""
+    R = cube_square()
+    res = minimal_resolution(R, residue_module(R), 3)
+    mat = res.eval_diff(2, 3)
+    mat[0, 0] = (mat[0, 0] + 1) % R.p
+    assert res.diffs[2].compose(res.diffs[3]).is_zero()
+    assert failures(res) == [("d2 o d3 = 0", "degrees [3], generator pairs []")]
+
+
+def test_cover_surjective_names_degree_and_rank():
+    A = mono([("x", 1)], ["x^2"], cap=4)
+    k = residue_module(A)
+    res = minimal_resolution(A, k, 1)
+    res.cover[0] = np.zeros_like(res.cover[0])
+    assert ("cover surjective", "(degree, rank, expected) [(0, 0, 1)]") \
+        in failures(res)
+
+
+def test_window_errors_for_steps_outside_the_resolution():
+    A = mono([("x", 1)], ["x^2"], cap=6)
+    res = minimal_resolution(A, residue_module(A), 2)
+    assert res.diff(2) is res.diffs[2]
+    for i in (0, 3):
+        with pytest.raises(WindowError, match=f"differential d{i} outside steps 1..2"):
+            res.diff(i)
+    for n in (0, 3):
+        with pytest.raises(WindowError, match=f"syzygy step {n} outside 1..2"):
+            syzygy_module(res, n)
