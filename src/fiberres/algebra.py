@@ -54,7 +54,9 @@ class Element:
         self.algebra = algebra
         self.degree = degree
         self.vec = np.asarray(vec, dtype=np.int64) % algebra.p
-        assert self.vec.shape == (algebra.dim(degree),)
+        if self.vec.shape != (algebra.dim(degree),):
+            raise AlgebraError(f"coefficient vector of shape {self.vec.shape} in degree "
+                               f"{degree}, which has dimension {algebra.dim(degree)}")
 
     def is_zero(self) -> bool:
         return not np.any(self.vec)
@@ -62,12 +64,18 @@ class Element:
     def scale(self, c: int) -> "Element":
         return Element(self.algebra, self.degree, self.vec * (int(c) % self.algebra.p))
 
+    def _same_space(self, other: "Element") -> None:
+        if other.algebra is not self.algebra:
+            raise AlgebraError("elements of different algebras")
+        if other.degree != self.degree:
+            raise AlgebraError(f"elements of degrees {self.degree} and {other.degree}")
+
     def __add__(self, other: "Element") -> "Element":
-        assert self.algebra is other.algebra and self.degree == other.degree
+        self._same_space(other)
         return Element(self.algebra, self.degree, self.vec + other.vec)
 
     def __sub__(self, other: "Element") -> "Element":
-        assert self.algebra is other.algebra and self.degree == other.degree
+        self._same_space(other)
         return Element(self.algebra, self.degree, self.vec - other.vec)
 
     def __mul__(self, other: "Element") -> "Element":
@@ -96,8 +104,10 @@ class GradedAlgebra:
         if not (p < MAX_CHAR and _is_prime(p)):
             raise AlgebraError(f"field characteristic p = {p} is not a prime "
                                f"below {MAX_CHAR}")
-        assert cap >= 0 and len(basis) == cap + 1
-        assert basis[0] == ["1"], "degree 0 must be spanned by the unit"
+        if cap < 0 or len(basis) != cap + 1:
+            raise AlgebraError(f"cap {cap} with {len(basis)} basis degrees; need cap + 1")
+        if basis[0] != ["1"]:
+            raise AlgebraError("degree 0 must be spanned by the unit")
         self.p = p
         self.cap = cap
         self.basis = [list(b) for b in basis]
@@ -108,13 +118,20 @@ class GradedAlgebra:
             expected = (self.dim(m), self.dim(n), self.dim(m + n))
             if a.shape != expected:
                 # JSON round trips flatten degenerate axes
-                assert a.size == 0 and 0 in expected, (a.shape, expected)
+                if a.size or 0 not in expected:
+                    raise AlgebraError(f"product tensor for degrees {(m, n)} has shape "
+                                       f"{a.shape}; expected {expected}")
                 a = a.reshape(expected)
             self.mult[(m, n)] = a
         for m in range(1, cap):
             for n in range(1, cap + 1 - m):
-                assert (m, n) in self.mult, f"missing product tensor for degrees {(m, n)}"
+                if (m, n) not in self.mult:
+                    raise AlgebraError(f"missing product tensor for degrees {(m, n)}")
         self.generators = dict(generators or {})
+
+    def _owns(self, el: Element) -> None:
+        if el.algebra is not self:
+            raise AlgebraError("element of another algebra")
 
     def dim(self, n: int) -> int:
         if n < 0 or n > self.cap:
@@ -142,7 +159,8 @@ class GradedAlgebra:
         return self.basis_element(deg, idx)
 
     def multiply(self, a: Element, b: Element) -> Element:
-        assert a.algebra is self and b.algebra is self
+        self._owns(a)
+        self._owns(b)
         m, n = a.degree, b.degree
         if m + n > self.cap:
             raise AlgebraError(f"product degree {m + n} beyond cap {self.cap}")
@@ -323,8 +341,10 @@ class MonomialQuotientPresentation:
     commutative: bool = True
 
     def __post_init__(self):
-        assert len(self.var_names) == len(set(self.var_names)), "duplicate variable"
-        assert all(d >= 1 for d in self.var_degs), "variable degrees must be positive"
+        if len(self.var_names) != len(set(self.var_names)):
+            raise AlgebraError(f"duplicate variable in {self.var_names}")
+        if not all(d >= 1 for d in self.var_degs):
+            raise AlgebraError(f"variable degrees {self.var_degs} must be positive")
 
     def parse_word(self, s: str) -> tuple[int, ...]:
         index = {n: i for i, n in enumerate(self.var_names)}
@@ -480,9 +500,13 @@ class FiberProductAlgebra(GradedAlgebra):
     n >= 1, with cross products of the two augmentation ideals zero."""
 
     def __init__(self, s_algebra: GradedAlgebra, t_algebra: GradedAlgebra, cap: int):
-        assert s_algebra.p == t_algebra.p, "factors must share the prime field"
+        if s_algebra.p != t_algebra.p:
+            raise AlgebraError(f"factors over GF({s_algebra.p}) and GF({t_algebra.p}); "
+                               "they must share the prime field")
         p = s_algebra.p
-        assert cap <= min(s_algebra.cap, t_algebra.cap)
+        if cap > min(s_algebra.cap, t_algebra.cap):
+            raise AlgebraError(f"cap {cap} above a factor's cap "
+                               f"{min(s_algebra.cap, t_algebra.cap)}")
         self.s_algebra = s_algebra
         self.t_algebra = t_algebra
         basis = [["1"]]
@@ -525,7 +549,7 @@ class FiberProductAlgebra(GradedAlgebra):
         return slice(self.s_algebra.dim(n), self.dim(n))
 
     def embed_s(self, el: Element) -> Element:
-        assert el.algebra is self.s_algebra
+        self.s_algebra._owns(el)
         if el.degree == 0:
             return Element(self, 0, el.vec)
         v = np.zeros(self.dim(el.degree), dtype=np.int64)
@@ -533,7 +557,7 @@ class FiberProductAlgebra(GradedAlgebra):
         return Element(self, el.degree, v)
 
     def embed_t(self, el: Element) -> Element:
-        assert el.algebra is self.t_algebra
+        self.t_algebra._owns(el)
         if el.degree == 0:
             return Element(self, 0, el.vec)
         v = np.zeros(self.dim(el.degree), dtype=np.int64)
@@ -541,13 +565,13 @@ class FiberProductAlgebra(GradedAlgebra):
         return Element(self, el.degree, v)
 
     def project_s(self, el: Element) -> Element:
-        assert el.algebra is self
+        self._owns(el)
         if el.degree == 0:
             return Element(self.s_algebra, 0, el.vec)
         return Element(self.s_algebra, el.degree, el.vec[self.s_slice(el.degree)])
 
     def project_t(self, el: Element) -> Element:
-        assert el.algebra is self
+        self._owns(el)
         if el.degree == 0:
             return Element(self.t_algebra, 0, el.vec)
         return Element(self.t_algebra, el.degree, el.vec[self.t_slice(el.degree)])

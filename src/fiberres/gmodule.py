@@ -403,21 +403,22 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
     A = phi.algebra
     p = A.p
     free = phi.tgt
-    rref_rows: list[np.ndarray] = []
+    echelon: list[tuple[np.ndarray, list[int]]] = []  # pivot rows, pivots
     free_cols: list[list[int]] = []
     for d in range(A.cap + 1):
         img = phi.evaluate(d).T  # rows span the image
         R, pivots = linalg.rref(img, p) if img.size else (img, [])
-        rref_rows.append(R[: len(pivots)])
-        free_cols.append([c for c in range(free.dim(d)) if c not in set(pivots)])
+        echelon.append((R[: len(pivots)], pivots))
+        is_pivot = set(pivots)
+        free_cols.append([c for c in range(free.dim(d)) if c not in is_pivot])
 
     def project(vec, d):
+        # the pivot rows are zero at each other's pivots, so one product
+        # reduces vec (at most dim terms below p^2: exact in int64)
+        R, pivots = echelon[d]
         v = np.asarray(vec, dtype=np.int64) % p
-        R = rref_rows[d]
-        for r in range(R.shape[0]):
-            c = int(np.nonzero(R[r])[0][0])
-            if v[c]:
-                v = (v - v[c] * R[r]) % p
+        if pivots:
+            v = (v - v[pivots] @ R) % p
         return v[free_cols[d]]
 
     basis = []

@@ -57,11 +57,11 @@ def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:
             rels = list(obj.get("rels", []))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad monomial_quotient object: {exc}") from exc
-        pres = MonomialQuotientPresentation(names, degs, rels,
-                                            bool(obj.get("commutative", True)))
         try:
+            pres = MonomialQuotientPresentation(names, degs, rels,
+                                                bool(obj.get("commutative", True)))
             return build_monomial_quotient(char, cap, pres)
-        except (AlgebraError, AssertionError) as exc:
+        except AlgebraError as exc:
             raise InputError(f"bad presentation: {exc}") from exc
     if kind == "table":
         table = dict(obj)
@@ -69,7 +69,7 @@ def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:
         table.setdefault("cap", cap)
         try:
             return GradedAlgebra.from_table_json(table)
-        except (KeyError, ValueError, AssertionError) as exc:
+        except (KeyError, ValueError) as exc:
             raise InputError(f"bad table object: {exc}") from exc
     if kind == "fiber":
         try:

@@ -1,9 +1,25 @@
-"""Dense exact linear algebra over a prime field GF(p).
+"""Exact linear algebra over a prime field GF(p).
 
 Matrices are numpy int64 arrays with entries reduced into [0, p).  All
 reductions use Gaussian elimination with the fixed pivot order "first
 nonzero column, topmost row", so every basis this module produces is
 deterministic.
+
+``rref`` follows the nonzero structure of its input, in the spirit of
+Faugere and Lachartre (PASCO 2010).  Join row r and column c when entry
+(r, c) is nonzero; the connected components of this graph split the
+matrix into blocks on disjoint rows and disjoint columns, so the row
+space is the direct sum of the blocks' row spaces.  The reduced row
+echelon form of a matrix is the unique reduced echelon basis of its row
+space, so it is the union of the blocks' reduced echelon rows sorted by
+pivot column: every such row is zero at the other blocks' columns, and
+deleting zero columns or reordering rows does not change a block's
+form.  A one-row component is its row divided by its leading entry and a
+one-column component is the unit row at its column; only the larger
+components run the column loop ``_eliminate``, each on its compressed
+block.  A matrix below ``SPLIT_MIN_CELLS`` cells runs the loop whole.
+The result is the same array, byte for byte, as the loop on the whole
+matrix.
 
 Floating point is used in one place: ``matmul_mod`` multiplies reduced
 matrices as float64 through BLAS and reduces once at the end (delayed
@@ -45,14 +61,19 @@ class LinalgError(ValueError):
     pass
 
 
-def normalize(mat, p: int) -> np.ndarray:
-    """Coerce to an int64 matrix with entries in [0, p)."""
+def _matrix(mat) -> np.ndarray:
+    """``mat`` as an int64 matrix, not reduced; a vector is one row."""
     arr = np.asarray(mat, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise LinalgError(f"expected a vector or a matrix, got {arr.ndim} axes")
-    return arr % p
+    return arr
+
+
+def normalize(mat, p: int) -> np.ndarray:
+    """Coerce to an int64 matrix with entries in [0, p)."""
+    return _matrix(mat) % p
 
 
 def inv_mod(x: int, p: int) -> int:
@@ -78,14 +99,16 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     return np.fmod(prod, p, out=prod).astype(np.int64)
 
 
-def rref(mat, p: int):
-    """Reduced row echelon form.
+# Below this many cells rref runs the column loop on the whole matrix:
+# the split's fixed cost of some 40 numpy calls exceeds what it saves.
+# Over the rref inputs of the benchmark's workloads, the total time is
+# flat from 48 to 192 cells and lowest at 128 (see CHANGES.md).
+SPLIT_MIN_CELLS = 128
 
-    Returns (R, pivots) where R has the same shape as ``mat``, pivot
-    entries are 1 with zeros elsewhere in their columns, and ``pivots``
-    lists the pivot column indices in increasing order.
-    """
-    R = normalize(mat, p)
+
+def _eliminate(R: np.ndarray, p: int) -> list[int]:
+    """The column loop: bring R (int64, entries in [0, p)) to its reduced
+    row echelon form in place and return the pivot columns."""
     m, n = R.shape
     pivots: list[int] = []
     row = 0
@@ -106,7 +129,95 @@ def rref(mat, p: int):
             R[hit, col:] = (R[hit, col:] - np.outer(R[hit, col], R[row, col:])) % p
         pivots.append(col)
         row += 1
-    return R, pivots
+    return pivots
+
+
+def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """Connected components of the graph on range(size) with the edges
+    (u[i], v[i]): each node's label is the smallest node of its component.
+    Every root hooks to the smallest root it shares an edge with, then
+    pointer jumping flattens the trees, so a path of length L needs about
+    log2(L) jumps."""
+    label = np.arange(size)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def rref(mat, p: int):
+    """Reduced row echelon form.
+
+    Returns (R, pivots) where R has the same shape as ``mat``, pivot
+    entries are 1 with zeros elsewhere in their columns, and ``pivots``
+    lists the pivot column indices in increasing order.
+    """
+    arr = _matrix(mat)
+    m, n = arr.shape
+    if arr.size < SPLIT_MIN_CELLS:
+        R = arr % p
+        return R, _eliminate(R, p)
+    rows, cols = np.nonzero(arr)  # row-major: each row's leading entry first
+    vals = arr[rows, cols] % p
+    if not vals.all():  # entries that are multiples of p
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    R = np.zeros((m, n), dtype=np.int64)
+    if rows.size == 0:
+        return R, []
+    # Per entry: its row is a one-row component when no column of the row
+    # holds another nonzero, and its column is a one-column component when
+    # the column is shared and none of its rows holds another nonzero.
+    # Every other entry lies in a component of at least two rows and two
+    # columns.
+    shared = np.bincount(cols, minlength=n)[cols] > 1
+    one_row = np.bincount(rows[shared], minlength=m)[rows] == 0
+    alone = np.bincount(rows, minlength=m)[rows] == 1
+    one_col = shared & (np.bincount(cols[~alone], minlength=n)[cols] == 0)
+    rest = ~(one_row | one_col)
+    blocks = []  # (pivot columns, columns, pivot rows) of each larger component
+    if rest.any():
+        rr, rc = rows[rest], cols[rest] + m
+        label = _components(rr, rc, m + n)
+        used = np.zeros(m + n, dtype=bool)
+        used[rr] = used[rc] = True
+        nodes = np.flatnonzero(used)
+        node_label = label[nodes]
+        for b in nodes[node_label == nodes]:  # the smallest node is a row
+            members = nodes[node_label == b]
+            cs = members[members >= m] - m
+            block = arr[np.ix_(members[members < m], cs)] % p
+            piv = _eliminate(block, p)
+            blocks.append((cs[piv], cs, block[: len(piv)]))
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    heads = np.flatnonzero(first & one_row)
+    unit_cols = cols[one_col]
+    is_piv = np.zeros(n, dtype=bool)
+    is_piv[cols[heads]] = True
+    is_piv[unit_cols] = True
+    for pc, _, _ in blocks:
+        is_piv[pc] = True
+    slot = np.cumsum(is_piv) - 1  # the result row of each pivot column
+    # a one-row component is its row over its leading entry; only those
+    # leading entries are inverted
+    inv = np.zeros(rows.size, dtype=np.int64)
+    inv[heads] = [pow(x, p - 2, p) for x in vals[heads].tolist()]
+    head = np.flatnonzero(first)[np.cumsum(first) - 1][one_row]
+    R[slot[cols[head]], cols[one_row]] = vals[one_row] * inv[head] % p
+    # a one-column component is the unit row at its column
+    R[slot[unit_cols], unit_cols] = 1
+    for pc, cs, pivot_rows in blocks:
+        R[np.ix_(slot[pc], cs)] = pivot_rows
+    return R, np.flatnonzero(is_piv).tolist()
 
 
 # rank, row_space and kernel_basis leave the reduced copy of their input

@@ -3,6 +3,8 @@ import pytest
 
 from fiberres.algebra import (
     AlgebraError,
+    Element,
+    GradedAlgebra,
     MonomialQuotientPresentation,
     build_monomial_quotient,
     fiber_product,
@@ -184,3 +186,55 @@ def test_table_json_round_trip():
     for key, arr in S.mult.items():
         assert np.array_equal(S2.mult[key], arr)
     assert S2.generators == S.generators
+
+
+# -- typed errors: these checks hold under python -O ------------------------
+
+
+def test_fiber_product_of_different_primes_raises():
+    S = mono([("x", 1)], ["x^3"], cap=4, p=3)
+    T = mono([("y", 1)], ["y^2"], cap=4, p=5)
+    with pytest.raises(AlgebraError, match=r"GF\(3\) and GF\(5\)"):
+        fiber_product(S, T)
+
+
+def test_fiber_product_cap_above_a_factor_raises():
+    S = mono([("x", 1)], ["x^3"], cap=4)
+    T = mono([("y", 1)], ["y^2"], cap=6)
+    with pytest.raises(AlgebraError, match="cap 5 above a factor's cap 4"):
+        fiber_product(S, T, cap=5)
+
+
+def test_element_shape_and_algebra_checks_raise():
+    A = mono([("x", 1), ("y", 1)], ["x^2", "y^2"], cap=3)
+    B = mono([("x", 1), ("y", 1)], ["x^2", "y^2"], cap=3)
+    with pytest.raises(AlgebraError, match="dimension 2"):
+        Element(A, 1, [1, 0, 0])
+    x, y = A.generator("x"), A.generator("y")
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(AlgebraError, match="different algebras"):
+            op(x, B.generator("x"))
+        with pytest.raises(AlgebraError, match="degrees 1 and 2"):
+            op(x, x * y)
+    with pytest.raises(AlgebraError, match="another algebra"):
+        A.multiply(x, B.generator("y"))
+    R = fiber_product(A, B)
+    with pytest.raises(AlgebraError, match="another algebra"):
+        R.embed_s(B.generator("x"))
+    with pytest.raises(AlgebraError, match="another algebra"):
+        R.project_t(x)
+
+
+def test_presentation_and_table_checks_raise():
+    with pytest.raises(AlgebraError, match="duplicate variable"):
+        MonomialQuotientPresentation(["x", "x"], [1, 1], [])
+    with pytest.raises(AlgebraError, match="must be positive"):
+        MonomialQuotientPresentation(["x"], [0], [])
+    with pytest.raises(AlgebraError, match="need cap \\+ 1"):
+        GradedAlgebra(5, 2, [["1"], ["x"]], {})
+    with pytest.raises(AlgebraError, match="spanned by the unit"):
+        GradedAlgebra(5, 0, [["u"]], {})
+    with pytest.raises(AlgebraError, match=r"missing product tensor for degrees \(1, 1\)"):
+        GradedAlgebra(5, 2, [["1"], ["x"], ["x^2"]], {})
+    with pytest.raises(AlgebraError, match="has shape"):
+        GradedAlgebra(5, 2, [["1"], ["x"], ["x^2"]], {(1, 1): [[1, 0]]})

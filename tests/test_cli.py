@@ -248,6 +248,17 @@ def test_malformed_json_exits_one(tmp_path):
     assert main(["algebra", "--algebra", str(path)]) == 1
 
 
+@pytest.mark.parametrize("vars_degs, message", [
+    ([("x", 1), ("x", 1)], "duplicate variable"),
+    ([("x", 0)], "must be positive"),
+])
+def test_bad_presentation_exits_one(tmp_path, capsys, vars_degs, message):
+    a = write(tmp_path, "a.json", algebra_obj(vars_degs, ["x^2"]))
+    assert main(["algebra", "--algebra", a]) == 1
+    err = capsys.readouterr().err
+    assert "bad presentation: " in err and message in err
+
+
 def test_unknown_module_kind_exits_one(tmp_path):
     a = write(tmp_path, "a.json", algebra_obj([("x", 1)], ["x^2"]))
     m = write(tmp_path, "m.json", {"kind": "wat"})

@@ -466,3 +466,54 @@ def test_free_module_and_maps_reject_bad_input(square_zero_pair):
         cokernel_module(lift)
     with pytest.raises(ModuleError, match="M must be over the S factor"):
         fiber_product_module(R, algebra_as_module(T), algebra_as_module(T))
+
+
+def sequential_cokernel_action(phi):
+    """Reference: the quotient basis and action of ``cokernel_module``,
+    reducing a vector against one echelon row at a time and finding each
+    row's pivot by a scan."""
+    A, free, p = phi.algebra, phi.tgt, phi.algebra.p
+    rows, free_cols = [], []
+    for d in range(A.cap + 1):
+        img = phi.evaluate(d).T
+        R, pivots = linalg.rref(img, p) if img.size else (img, [])
+        rows.append(R[: len(pivots)])
+        free_cols.append([c for c in range(free.dim(d)) if c not in pivots])
+
+    def project(vec, d):
+        v = np.asarray(vec, dtype=np.int64) % p
+        for r in rows[d]:
+            c = int(np.nonzero(r)[0][0])
+            if v[c]:
+                v = (v - v[c] * r) % p
+        return v[free_cols[d]]
+
+    action = {}
+    for m in range(1, A.cap + 1):
+        for n in range(A.cap + 1 - m):
+            arr = np.zeros((A.dim(m), len(free_cols[n]), len(free_cols[n + m])),
+                           dtype=np.int64)
+            for i in range(A.dim(m)):
+                L = free.left_mult_matrix(A.basis_element(m, i), n)
+                for x, c in enumerate(free_cols[n]):
+                    arr[i, x] = project(L[c], n + m)
+            action[(m, n)] = arr
+    labels = [[free.pair_labels(d)[c] for c in free_cols[d]] for d in range(A.cap + 1)]
+    return labels, action
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_cokernel_module_equals_the_sequential_projection(p):
+    S = build_monomial_quotient(p, 5, MonomialQuotientPresentation(["x"], [1], ["x^3"]))
+    T = build_monomial_quotient(p, 5, MonomialQuotientPresentation(["y"], [1], ["y^2"]))
+    R = fiber_product(S, T)
+    el = R.element_from_string
+    phi = AlgMatrix(R, FreeModule(R, [1, 1, 2]), FreeModule(R, [0, 0]),
+                    {(0, 0): el("x+y"), (1, 0): el("x"), (0, 1): el("2*y"),
+                     (1, 1): el("x-y"), (0, 2): el("x^2")})
+    L = cokernel_module(phi)
+    labels, action = sequential_cokernel_action(phi)
+    assert L.basis == labels
+    assert L.action.keys() == action.keys()
+    assert all(np.array_equal(L.action[k], action[k]) for k in action)
+    assert L.check_associativity() == []

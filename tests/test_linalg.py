@@ -288,3 +288,121 @@ def test_span_matches_the_insert_reference(p):
             assert np.array_equal(span.basis_matrix(), ref.rows)
             w = random_matrix(rng, 1, n, p)[0]
             assert np.array_equal(span.reduce(w), ref.reduce(w))
+
+
+# -- rref by connected components -------------------------------------------
+
+SPLIT_PRIMES = (2, 3, 32003, 65521)
+
+
+def column_loop(mat, p):
+    """Reference: the column loop on the whole normalised matrix."""
+    R = linalg.normalize(mat, p)
+    return R, linalg._eliminate(R, p)
+
+
+@pytest.fixture(params=["split everything", "default crossover"])
+def min_cells(request, monkeypatch):
+    """Run each test with every nonempty matrix split into components, and
+    again with the module's crossover, below which the loop runs whole."""
+    cells = 1 if request.param == "split everything" else linalg.SPLIT_MIN_CELLS
+    monkeypatch.setattr(linalg, "SPLIT_MIN_CELLS", cells)
+    return cells
+
+
+def sparse_matrix(rng, m, n, p, density):
+    """Unreduced entries of both signs at the given density; about one
+    stored entry in ten is a nonzero multiple of p."""
+    mat = rng.integers(-3 * p, 3 * p, size=(m, n))
+    mat[rng.random((m, n)) >= density] = 0
+    multiple = rng.random((m, n)) < 0.1 * density
+    mat[multiple] = p * rng.choice([-2, -1, 1, 2], size=int(multiple.sum()))
+    return mat
+
+
+def assert_rref_equals_column_loop(mat, p, brute=True):
+    R, pivots = linalg.rref(mat, p)
+    ref_R, ref_pivots = column_loop(mat, p)
+    assert R.dtype == np.int64 and R.shape == ref_R.shape
+    assert np.array_equal(R, ref_R)
+    assert pivots == ref_pivots and all(type(c) is int for c in pivots)
+    if brute:
+        assert len(pivots) == brute_rank(linalg.normalize(mat, p), p)
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_rref_of_random_sparse_matrices_equals_the_column_loop(p, min_cells):
+    rng = np.random.default_rng(1000 + p)
+    for _ in range(40):
+        m, n = rng.integers(1, 25, size=2)
+        density = rng.choice([0.02, 0.08, 0.2, 0.5, 1.0])
+        assert_rref_equals_column_loop(sparse_matrix(rng, m, n, p, density), p)
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_rref_of_empty_and_one_row_shapes(p, min_cells):
+    rng = np.random.default_rng(2000 + p)
+    for shape in ((0, 7), (0, 0), (7, 0), (1, 1), (1, 80), (80, 1)):
+        for density in (0.0, 0.1, 1.0):
+            mat = sparse_matrix(rng, *shape, p, density)
+            assert_rref_equals_column_loop(mat, p)
+            assert linalg.rref(mat, p)[0].shape == shape
+    # a zero matrix whose entries are all multiples of p
+    assert_rref_equals_column_loop(np.full((9, 9), -p), p)
+    # a vector is one row
+    assert_rref_equals_column_loop(np.array([0, 0, 2 * p + 3, -1, 0] * 20), p)
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_rref_of_shuffled_block_diagonal_matrices(p, min_cells):
+    """One-row, one-column and larger blocks, rows and columns permuted,
+    so every component is spread over the matrix."""
+    rng = np.random.default_rng(3000 + p)
+    for _ in range(15):
+        shapes = [tuple(rng.integers(1, 5, size=2)) for _ in range(rng.integers(1, 12))]
+        m, n = sum(a for a, _ in shapes), sum(b for _, b in shapes)
+        mat = np.zeros((m, n), dtype=np.int64)
+        r = c = 0
+        for a, b in shapes:
+            mat[r:r + a, c:c + b] = sparse_matrix(rng, a, b, p, rng.choice([0.5, 1.0]))
+            r, c = r + a, c + b
+        mat = mat[rng.permutation(m)][:, rng.permutation(n)]
+        assert_rref_equals_column_loop(mat, p, brute=m * n <= 400)
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_rref_of_one_dense_component(p, min_cells):
+    rng = np.random.default_rng(4000 + p)
+    full = rng.integers(1, p, size=(12, 15))
+    assert_rref_equals_column_loop(full, p)
+    # a dense product of rank at most 4, with unreduced entries
+    low = rng.integers(-p, p, size=(20, 4)) @ rng.integers(-p, p, size=(4, 18))
+    assert_rref_equals_column_loop(low, p)
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_rref_of_a_bidiagonal_path(p):
+    """A 300 x 300 bidiagonal matrix is one component shaped like a path
+    through all 600 rows and columns."""
+    rng = np.random.default_rng(5000 + p)
+    mat = np.diag(rng.integers(1, p, size=300)) + np.diag(rng.integers(1, p, size=299), 1)
+    for a in (mat, mat.T, mat[:, 1:]):
+        assert_rref_equals_column_loop(a, p, brute=False)
+    assert linalg.rank(mat, p) == 300 and linalg.rank(mat[:, 1:], p) == 299
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_solve_with_a_dense_right_hand_side(p, min_cells, monkeypatch):
+    rng = np.random.default_rng(6000 + p)
+    for _ in range(5):
+        mat = sparse_matrix(rng, 30, 24, p, 0.1)
+        rhs = (linalg.normalize(mat, p) @ rng.integers(0, p, size=(24, 9))) % p
+        rhs[:, 0] = rng.integers(0, p, size=30)  # most likely inconsistent
+        X = linalg.solve(mat, rhs[:, 1:], p)
+        assert np.array_equal((linalg.normalize(mat, p) @ X) % p, rhs[:, 1:])
+        got = [linalg.solve(mat, rhs, p), X]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref", column_loop)
+            ref = [linalg.solve(mat, rhs, p), linalg.solve(mat, rhs[:, 1:], p)]
+        for a, b in zip(got, ref):
+            assert (a is None and b is None) or np.array_equal(a, b)

@@ -310,3 +310,45 @@ def test_window_errors_for_steps_outside_the_resolution():
     for n in (0, 3):
         with pytest.raises(WindowError, match=f"syzygy step {n} outside 1..2"):
             syzygy_module(res, n)
+
+
+def column_loop_rref(mat, p):
+    R = linalg.normalize(mat, p)
+    return R, linalg._eliminate(R, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_resolution_equals_the_column_loop_run(p, monkeypatch):
+    """k[x]/(x^3) x_k k[y]/(y^2): the Betti table, every kernel basis and
+    every verify_complex check and datum are the same as with rref
+    replaced by the column loop on the whole matrix."""
+
+    def run():
+        kernels = []
+        kernel_basis = linalg.kernel_basis
+
+        def recording(mat, q):
+            kernels.append(kernel_basis(mat, q))
+            return kernels[-1]
+
+        S = build_monomial_quotient(p, 10, MonomialQuotientPresentation(["x"], [1], ["x^3"]))
+        T = build_monomial_quotient(p, 10, MonomialQuotientPresentation(["y"], [1], ["y^2"]))
+        R = fiber_product(S, T)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "kernel_basis", recording)
+            res = minimal_resolution(R, residue_module(R), 7)
+        rep = verify_complex(res)
+        return res.betti(), kernels, rep.checks, rep.data
+
+    split = run()
+    monkeypatch.setattr(linalg, "SPLIT_MIN_CELLS", 1)
+    split_all = run()
+    monkeypatch.setattr(linalg, "rref", column_loop_rref)
+    loop = run()
+    assert all(c["ok"] for c in loop[2])
+    for got in (split, split_all):
+        assert got[0] == loop[0]
+        assert len(got[1]) == len(loop[1]) > 0
+        assert all(a.shape == b.shape and np.array_equal(a, b)
+                   for a, b in zip(got[1], loop[1]))
+        assert got[2:] == loop[2:]
