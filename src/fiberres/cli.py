@@ -439,7 +439,7 @@ def _suite_triple(entry: dict, base: str, window: dict) -> tuple[bool, dict]:
     return all(s["ok"] for s in sub.values()), sub
 
 
-def _suite_tensor_control(entry: dict, base: str) -> tuple[bool, dict]:
+def _suite_tensor_control(entry: dict, base: str, window: dict) -> tuple[bool, dict]:
     S, T, R = _load_pair(os.path.join(base, entry["s"]),
                          os.path.join(base, entry["t"]))
     n = _manifest_int(entry, "degree", 2)
@@ -450,6 +450,9 @@ def _suite_tensor_control(entry: dict, base: str) -> tuple[bool, dict]:
     ok = tensor == b_r
     return ok, {"ok": ok, "degree": n, "tensor_dim": tensor, "ext_dim": b_r,
                 "detail": f"{tensor} vs {b_r}"}
+
+
+SUITE_KINDS = {"triple": _suite_triple, "tensor-control": _suite_tensor_control}
 
 
 def _manifest_int(obj: dict, key: str, default=None):
@@ -474,28 +477,31 @@ def cmd_suite(args) -> CliReport:
     if not isinstance(entries, list) or \
             not all(isinstance(e, dict) for e in entries):
         raise jsonio.InputError("suite 'entries' must be a list of objects")
-    for checks in (entry.get("checks", []) for entry in entries):
+    for entry in entries:
+        checks = entry.get("checks", [])
         if not (isinstance(checks, list)
                 and all(isinstance(c, str) for c in checks)):
             raise jsonio.InputError(
                 f"suite 'checks' must be a list of names, got {checks!r}")
+        if entry.get("kind", "triple") not in SUITE_KINDS:
+            raise jsonio.InputError(f"suite entry kind {entry['kind']!r} is not one "
+                                    f"of {sorted(SUITE_KINDS)}")
+        if entry.get("expect", "pass") not in ("pass", "fail"):
+            raise jsonio.InputError(f"suite 'expect' must be 'pass' or 'fail', "
+                                    f"got {entry['expect']!r}")
     base = os.path.dirname(os.path.abspath(args.manifest))
     char = _env_char() or DEFAULT_CHAR
     rep = CliReport("suite", char, window)
     for entry in entries:
         name = entry.get("name", "(unnamed)")
         expect = entry.get("expect", "pass")
-        kind = entry.get("kind", "triple")
         try:
-            if kind == "triple":
-                entry_ok, sub = _suite_triple(entry, base, limits)
-            elif kind == "tensor-control":
-                entry_ok, sub = _suite_tensor_control(entry, base)
-            else:
-                raise jsonio.InputError(f"unknown suite entry kind {kind!r}")
+            entry_ok, sub = SUITE_KINDS[entry.get("kind", "triple")](entry, base, limits)
         except (KeyError,) + INPUT_ERRORS as exc:
             entry_ok, sub = False, {"error": str(exc)}
-        actual = "pass" if entry_ok else "fail"
+        # an entry that raised computed nothing, so it is never the
+        # expected failure
+        actual = "error" if "error" in sub else "pass" if entry_ok else "fail"
         rep.add(name, actual == expect, f"expected {expect}, got {actual}")
         rep.data[name] = sub
     return rep

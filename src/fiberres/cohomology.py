@@ -154,7 +154,7 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
             for m in range(1, dmax - d + 1):
                 for i in range(factor.dim(m)):
                     a = embed(factor.basis_element(m, i))
-                    if np.any((rows @ F1.left_mult_matrix(a, d)) % p):
+                    if np.any(F1.times(rows, a, d)):
                         bad.append((d, m))
                         break
                 else:
@@ -340,7 +340,7 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
         raise ExtError("factor resolutions must resolve the residue field")
 
     frees = [FreeModule(fp, [0], ["g0"])]
-    diffs: list = [None]
+    terms: list = [None]
     for i in range(1, hmax + 1):
         degs = a_res.gen_degrees(i) + b_res.gen_degrees(i)
         labels = ([f"S:{lab}" for lab in a_res.frees[i].gen_labels]
@@ -352,12 +352,11 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
         for (r, c), el in a_res.diffs[i].entries.items():
             entries[(r, c)] = _include_factor(fp, 0, el)
         for (r, c), el in b_res.diffs[i].entries.items():
-            entries[(r + row_off if i > 1 else r, c + ra)] = \
-                _include_factor(fp, 1, el)
-        diffs.append(AlgMatrix(fp, fi, frees[i - 1], entries))
+            entries[(r + row_off, c + ra)] = _include_factor(fp, 1, el)
+        terms.append(AlgMatrix(fp, fi, frees[i - 1], entries).terms())
         frees.append(fi)
     cover = {0: np.ones((1, 1), dtype=np.int64)}
-    return FreeResolution(fp, residue_module(fp), hmax, dmax, frees, diffs,
+    return FreeResolution(fp, residue_module(fp), hmax, dmax, frees, terms,
                           cover, [])
 
 
@@ -626,13 +625,16 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
                 a_start, b_start = start_mu(), start_mu()
             da = a_start[0] + sum(x[1] for x in a_letters)
             db = b_start[0] + sum(x[1] for x in b_letters)
-            assert da == db
+            if da != db:
+                raise ExtError(f"witness j={j}: the words reach degrees {da} and {db}")
             if max(gens1) + da > fpm.cap:
                 raise ExtError(f"window too small for witness j={j}: "
                                f"need cap >= {max(gens1) + da}")
             da, alpha = _act_letters(fp, fpm, a_letters, *a_start)
             db, beta = _act_letters(fp, fpm, b_letters, *b_start)
-            assert np.any(alpha) and np.any(beta)
+            if not (np.any(alpha) and np.any(beta)):
+                raise ExtError(f"witness j={j}: a word acts by zero (alpha in degree "
+                               f"{da}, beta in degree {db})")
             nuval = -da
 
             blocks, block_degs = [], []

@@ -3,11 +3,13 @@ under fiber products.
 
 Every chain map here is lifted by one numeric stage loop,
 ``_lift_stages``: stage by stage it solves for the images of the source
-generators, one multi-column solve per internal degree, and ``_extend``
-extends them module-linearly by array products with the algebra's
-``mult`` tensors.  The entry points differ only in stage 0 and the
-shift: ``lift_dual`` (the dual of a generator, for Yoneda products; the
-duals of one step and degree go as one batch stacked by rows),
+generators, one multi-column solve per internal degree, turns them into
+sparse generator terms (``gmodule.generator_terms``) and extends them
+module-linearly with ``gmodule.extend``, which also evaluates the
+resolutions' differentials.  The entry points differ only in stage 0
+(terms written down directly) and the shift: ``lift_dual`` (the dual of
+a generator, for Yoneda products; the duals of one step and degree go
+as one batch stacked by rows),
 ``restriction_chain_map`` (the coefficient projection onto a factor of
 a fiber product) and ``cohomology.comparison_chain_map`` (a module
 map).  ``_generator_coefficients`` reads a stage off on generators.
@@ -29,7 +31,8 @@ import numpy as np
 
 from . import linalg
 from .algebra import Element, FiberProductAlgebra, GradedAlgebra
-from .gmodule import FreeModule, GradedModule, residue_module, restrict_to_fiber
+from .gmodule import (FreeModule, GradedModule, extend, generator_terms, residue_module,
+                      restrict_to_fiber)
 from .resolve import ComplexReport, FreeResolution, minimal_resolution
 from .series import coproduct_module_series
 from .wordres import Letter, alternating_words, assemble_word_complex
@@ -40,50 +43,6 @@ class ExtError(RuntimeError):
 
 
 # -- chain-map lifting ------------------------------------------------------
-
-
-def _extend(ftgt: FreeModule, fsrc: FreeModule, images: list, dcap: int,
-            shift: int = 0, batch: int = 1, side: str | None = None,
-            ) -> dict[int, np.ndarray]:
-    """Stacked degree-d maps (d <= dcap) of ``batch`` module-linear maps
-    fsrc -> ftgt dropping internal degree by ``shift``: ``images`` holds
-    ``(degree, generators, sol)``, column (b, j) of sol being generator
-    j's image under map b.  A target coefficient r sends a * g_j to
-    a * r: one product with ``mult`` per source generator degree, target
-    generator degree and internal degree.  With ``side``, fsrc lives over
-    a fiber product and each map precomposes the coefficient projection
-    onto the factor ftgt lives over."""
-    A, p = ftgt.algebra, ftgt.algebra.p
-    block = side and (fsrc.algebra.s_slice if side == "S" else fsrc.algebra.t_slice)
-    out = {d: np.zeros((batch * ftgt.dim(d - shift), fsrc.dim(d)), dtype=np.int64)
-           for d in range(dcap + 1)}
-    for sj, gens, sol in images:
-        k = len(gens)
-        for t, tg in ftgt.by_degree.items():
-            e, dk = sj - shift - t, A.dim(sj - shift - t)
-            if not dk:
-                continue
-            # row (i, b, j), column c: coefficient c of target generator i
-            # in the image of source generator j under map b
-            coef = sol[ftgt.block_indices(t + e, tg, dk)].reshape(
-                len(tg), dk, batch * k).transpose(0, 2, 1).reshape(-1, dk)
-            for d in range(sj, dcap + 1):
-                da = d - sj
-                dx, dy = A.dim(da), A.dim(da + e)
-                if not dx * dy:
-                    continue
-                # a unit factor (da or e zero) multiplies by the identity
-                mult = A.mult[(da, e)] if da and e else np.eye(
-                    dy, dtype=np.int64).reshape(dx, dk, dy)
-                prod = coef @ mult.transpose(1, 0, 2).reshape(dk, -1)
-                rows = (ftgt.dim(d - shift) * np.arange(batch)[:, None, None]
-                        + ftgt.block_indices(d - shift, tg, dy).reshape(-1, dy))
-                cols = fsrc.block_indices(d, gens, dx, block(da).start if side else 0)
-                # entry ((b, i, y), (j, x)): coordinate y of x * (coefficient)
-                out[d][rows[..., None, None], cols.reshape(k, dx)] = np.remainder(
-                    prod, p, out=prod).reshape(len(tg), batch, k, dx, dy).transpose(
-                    1, 0, 4, 2, 3)
-    return out
 
 
 def _lift_stages(src: FreeResolution, tgt: FreeResolution,
@@ -100,7 +59,7 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution,
     acts as zero.  Stage n solves for the images of the source
     generators against tgt's stage-n differential (the two covers at
     stage 0), one solve per degree in increasing order with a column per
-    generator and map, and ``_extend`` extends them module-linearly.
+    generator and map, and ``extend`` extends them module-linearly.
     With ``side``, src lives over a fiber product and tgt over that factor.
     """
     p = tgt.algebra.p
@@ -122,7 +81,8 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution,
             if sol is None:
                 raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")
             images.append((sj, gens, sol))
-        prev = _extend(tgt.frees[n], fsrc, images, dcap, shift, batch, side)
+        terms = generator_terms(tgt.frees[n], images, shift, batch)
+        prev = extend(tgt.frees[n], fsrc, terms, range(dcap + 1), shift, batch, side)
         maps.append(prev)
     return maps
 
@@ -154,9 +114,11 @@ def lift_dual(src: FreeResolution, tgt: FreeResolution, step: int,
     if len(degs) != 1:
         raise ExtError(f"a batch of duals needs one internal degree, not {sorted(degs)}")
     s, nb = degs.pop(), len(idxs)
-    first = _extend(tgt.frees[0], src.frees[step],
-                    [(s, idxs, np.eye(nb, dtype=np.int64).reshape(1, -1))],
-                    min(src.dmax, tgt.dmax + s), s, nb)
+    # map b sends generator idxs[b] to the generator of tgt[0]
+    dual = {(s, 0): (np.zeros(nb, dtype=np.int64), idxs, np.arange(nb),
+                     np.ones((nb, 1), dtype=np.int64))}
+    first = extend(tgt.frees[0], src.frees[step], dual,
+                   range(min(src.dmax, tgt.dmax + s) + 1), s, nb)
     stacked = [first] + _lift_stages(src, tgt, first, range(1, nmax + 1), step, s,
                                      batch=nb)
     lifts = [[{d: m[b * m.shape[0] // nb: (b + 1) * m.shape[0] // nb]
@@ -306,7 +268,7 @@ def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
     factor, equivariant for the projection onto that factor and lifting
     the identity on step-0 generators (which must match in degree).
 
-    Stage 0 is the coefficient projection: ``_extend`` of the identity
+    Stage 0 is the coefficient projection: ``extend`` of the identity
     on generators.  Later stages come from ``_lift_stages``.  Both extend
     generator images equivariantly: a coefficient r on a generator goes
     to its factor block acting on the image.
@@ -320,9 +282,10 @@ def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
     if R_res.gen_degrees(0) != fac_res.gen_degrees(0):
         raise ExtError("step-0 generators do not align")
     f0, t0 = R_res.frees[0], fac_res.frees[0]
-    images = [(s, gens, np.eye(t0.dim(s), dtype=np.int64)[:, t0.block_indices(s, gens)])
-              for s, gens in f0.by_degree.items()]
-    first = _extend(t0, f0, images, min(R_res.dmax, fac_res.dmax), side=side)
+    identity = {(s, 0): (gens, gens, np.zeros(len(gens), dtype=np.int64),
+                         np.ones((len(gens), 1), dtype=np.int64))
+                for s, gens in f0.by_degree.items()}
+    first = extend(t0, f0, identity, range(min(R_res.dmax, fac_res.dmax) + 1), side=side)
     nmax = min(R_res.hmax, fac_res.hmax)
     return [first] + _lift_stages(R_res, fac_res, first, range(1, nmax + 1),
                                   side=side)

@@ -4,9 +4,15 @@ algebra.
 A GradedModule is a degreewise table (basis labels plus action tensors),
 mirroring GradedAlgebra.  A FreeModule is a list of homogeneous
 generators; its degree-d component has the basis {a * g} with a running
-over the algebra basis in degree d - deg(g).  An AlgMatrix is a matrix
-of homogeneous algebra entries between free modules, with an optional
-uniform internal-degree drop (used by chain-map lifts).
+over the algebra basis in degree d - deg(g).
+
+A map of free modules (or a batch of maps) is stored as sparse
+generator terms: per (source generator degree, entry degree e), arrays
+``(tgt, src, batch, coef)`` with one row per nonzero entry, ``coef``
+being its coefficients in degree e.  ``generator_terms`` reads them off
+dense generator images, and ``extend``, the one module-linear
+extension, evaluates them degree by degree.  An AlgMatrix holds the
+same map as algebra entries; resolutions build it on demand.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ __all__ = [
     "free_module_table",
     "restrict_to_fiber",
     "cokernel_module",
+    "extend",
+    "generator_terms",
     "fiber_product_module",
     "minimal_generators",
     "submodule_as_gmodule",
@@ -157,16 +165,9 @@ def free_module_table(algebra: GradedAlgebra, gen_degrees: list[int],
                       gen_labels: list[str] | None = None) -> GradedModule:
     """The free module on the given generators, as a degreewise table."""
     free = FreeModule(algebra, gen_degrees, gen_labels)
-    basis = [free.pair_labels(d) for d in range(algebra.cap + 1)]
-    action = {}
-    for m in range(1, algebra.cap + 1):
-        for n in range(0, algebra.cap + 1 - m):
-            arr = np.zeros((algebra.dim(m), free.dim(n), free.dim(n + m)),
-                           dtype=np.int64)
-            for i in range(algebra.dim(m)):
-                arr[i] = free.left_mult_matrix(algebra.basis_element(m, i), n)
-            action[(m, n)] = arr
-    return GradedModule(algebra, basis, action)
+    units = [np.eye(free.dim(d), dtype=np.int64) for d in range(algebra.cap + 1)]
+    return GradedModule(algebra, [free.pair_labels(d) for d in range(algebra.cap + 1)],
+                        _action_tensors(algebra, free, units, lambda imgs, m, n: imgs))
 
 
 def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
@@ -262,25 +263,10 @@ class FreeModule:
                 out.append(self.gen_labels[j] if lab == "1" else f"{lab}*{self.gen_labels[j]}")
         return out
 
-    def left_mult_matrix(self, a: Element, d: int) -> np.ndarray:
-        """Matrix of v -> a*v from degree d to d + deg(a), row-indexed
-        by the source basis."""
-        m = a.degree
-        out = np.zeros((self.dim(d), self.dim(d + m)), dtype=np.int64)
-        src_off, tgt_off = self.offsets(d), self.offsets(d + m)
-        for j, s in enumerate(self.gen_degrees):
-            da = d - s
-            if da < 0 or self.algebra.dim(da) == 0:
-                continue
-            block = self.algebra.left_mult_matrix(a, da)
-            out[src_off[j]: src_off[j] + block.shape[0],
-                tgt_off[j]: tgt_off[j] + block.shape[1]] = block
-        return out
-
     def times(self, rows, a: Element, d: int) -> np.ndarray:
-        """``rows @ left_mult_matrix(a, d)`` mod p without that matrix:
-        one int64 product per generator degree s, exact as each entry
-        sums dim A_(d - s) terms below p^2."""
+        """``rows`` (coordinate rows in degree d) times the matrix of
+        v -> a*v, mod p: one int64 product per generator degree s, exact
+        as each entry sums dim A_(d - s) terms below p^2."""
         A, m, r = self.algebra, a.degree, rows.shape[0]
         out = np.zeros((r, self.dim(d + m)), dtype=np.int64)
         for s, gens in self.by_degree.items():
@@ -291,31 +277,12 @@ class FreeModule:
                 out[:, self.block_indices(d + m, gens, nb)] = prod.reshape(r, -1) % A.p
         return out
 
-    def decompose(self, vec, d: int) -> dict[int, Element]:
-        """Algebra coefficients per generator of a degree-d vector."""
-        v = np.asarray(vec, dtype=np.int64) % self.algebra.p
-        off, starts, total = self._layout(d)
-        if v.shape != (total,):
-            raise ModuleError(f"degree-{d} vector has shape {v.shape}, "
-                              f"expected ({total},)")
-        # The block of a coordinate is the last one starting at or before
-        # it; an empty block starts where the next one does, so
-        # side="right" passes over it.  The hits come sorted; dict.fromkeys
-        # drops repeats (np.unique's first call loads modules that add
-        # about 1.6 MB of resident memory).
-        hit = np.searchsorted(starts, np.flatnonzero(v), side="right") - 1
-        out = {}
-        for j in dict.fromkeys(hit.tolist()):
-            da = d - self.gen_degrees[j]
-            out[j] = Element(self.algebra, da,
-                             v[off[j]: off[j] + self.algebra.dim(da)])
-        return out
-
 
 class AlgMatrix:
     """Matrix of homogeneous entries mapping src -> tgt, dropping
     internal degree by ``shift``: entry (i, j) has degree
-    deg(src_j) - deg(tgt_i) - shift."""
+    deg(src_j) - deg(tgt_i) - shift.  ``terms()`` gives the map in the
+    form ``extend`` evaluates; ``from_terms`` reads that form back."""
 
     def __init__(self, algebra: GradedAlgebra, src: FreeModule, tgt: FreeModule,
                  entries: dict[tuple[int, int], Element], shift: int = 0):
@@ -333,24 +300,20 @@ class AlgMatrix:
                                   f"expected {expected}")
             self.entries[(i, j)] = el
 
-    def evaluate(self, d: int) -> np.ndarray:
-        """k-linear matrix (tgt.dim(d - shift), src.dim(d)) acting on
-        coordinate columns."""
-        p = self.algebra.p
-        rows, cols = self.tgt.dim(d - self.shift), self.src.dim(d)
-        out = np.zeros((rows, cols), dtype=np.int64)
-        if rows == 0 or cols == 0:
-            return out
-        src_off = self.src.offsets(d)
-        tgt_off = self.tgt.offsets(d - self.shift)
-        for (i, j), c in self.entries.items():
-            da = d - self.src.gen_degrees[j]
-            if da < 0 or self.algebra.dim(da) == 0:
-                continue
-            rm = self.algebra.right_mult_matrix(da, c)  # (dim da, dim da+e)
-            out[tgt_off[i]: tgt_off[i] + rm.shape[1],
-                src_off[j]: src_off[j] + rm.shape[0]] += rm.T
-        return out % p
+    @classmethod
+    def from_terms(cls, algebra, src, tgt, terms: dict, shift: int = 0) -> "AlgMatrix":
+        """The entries of one map (batch index 0) in ``terms``."""
+        return cls(algebra, src, tgt, {(int(i), int(j)): Element(algebra, e, c)
+                                       for (_, e), (tg, sg, _, coef) in terms.items()
+                                       for i, j, c in zip(tg, sg, coef)}, shift)
+
+    def terms(self) -> dict:
+        """The entries as sparse generator terms of one map."""
+        groups: dict[tuple[int, int], list] = {}
+        for (i, j), el in self.entries.items():
+            groups.setdefault((self.src.gen_degrees[j], el.degree), []).append((i, j, 0, el.vec))
+        return {key: tuple(np.array(col, dtype=np.int64) for col in zip(*g))
+                for key, g in groups.items()}
 
     def compose(self, other: "AlgMatrix") -> "AlgMatrix":
         """self o other, for other: A -> B and self: B -> C."""
@@ -361,7 +324,7 @@ class AlgMatrix:
             for (i, k2), a in self.entries.items():
                 if k2 != k:
                     continue
-                # evaluate multiplies coefficients on the right, so entry
+                # extend multiplies coefficients on the right, so entry
                 # (i, j) is the sum over k of other[k, j] * self[i, k]
                 prod = b * a
                 if prod.is_zero():
@@ -377,11 +340,6 @@ class AlgMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def min_entry_degree(self) -> int | None:
-        if not self.entries:
-            return None
-        return min(el.degree for el in self.entries.values())
-
     def column(self, j: int) -> dict[int, Element]:
         return {i: el for (i, jj), el in self.entries.items() if jj == j}
 
@@ -392,7 +350,85 @@ class AlgMatrix:
         return out
 
 
-# -- cokernels -------------------------------------------------------------
+# -- module-linear extension of generator images ------------------------------
+
+
+def generator_terms(ftgt: FreeModule, images: list, shift: int = 0,
+                    batch: int = 1) -> dict:
+    """Sparse generator terms of ``batch`` maps into ftgt from dense
+    generator images: ``images`` holds ``(degree, generators, sol)``,
+    column (b, j) of sol being the image of generator j under map b."""
+    A = ftgt.algebra
+    terms = {}
+    for sj, gens, sol in images:
+        k = len(gens)
+        for t, tg in ftgt.by_degree.items():
+            e = sj - shift - t
+            dk = A.dim(e)
+            if not dk:
+                continue
+            # (i, b, j, c): coefficient c of target generator i in the
+            # image of source generator j under map b
+            coef = sol[ftgt.block_indices(t + e, tg, dk)].reshape(
+                len(tg), dk, batch, k).transpose(0, 2, 3, 1)
+            i, b, j = np.nonzero(coef.any(axis=3))
+            if i.size:
+                terms[(sj, e)] = (tg[i], np.asarray(gens)[j], b, coef[i, b, j])
+    return terms
+
+
+def extend(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
+           shift: int = 0, batch: int = 1, side: str | None = None,
+           ) -> dict[int, np.ndarray]:
+    """Degree-d matrices (d in ``degrees``) of ``batch`` module-linear
+    maps fsrc -> ftgt dropping internal degree by ``shift``, stacked by
+    rows.  A term r (target h_i, source g_j) sends a * g_j to (a * r) *
+    h_i: one product with ``mult`` per term group and degree, scattered
+    into the nonzero blocks only.  With ``side``, fsrc lives over a fiber
+    product and each map precomposes the coefficient projection onto the
+    factor ftgt lives over."""
+    A, p = ftgt.algebra, ftgt.algebra.p
+    block = side and (fsrc.algebra.s_slice if side == "S" else fsrc.algebra.t_slice)
+    out = {}
+    for d in degrees:
+        nrow = ftgt.dim(d - shift)
+        mat = out[d] = np.zeros((batch * nrow, fsrc.dim(d)), dtype=np.int64)
+        tgt_off, src_off = ftgt._layout(d - shift)[1], fsrc._layout(d)[1]
+        for (sj, e), (tg, sg, bt, coef) in terms.items():
+            da = d - sj
+            dx, dy = A.dim(da), A.dim(da + e)
+            if not dx * dy:
+                continue
+            # a unit factor (da or e zero) multiplies by the identity
+            mult = A.mult[(da, e)] if da and e else np.eye(
+                dy, dtype=np.int64).reshape(dx, -1, dy)
+            prod = coef @ mult.transpose(1, 0, 2).reshape(coef.shape[1], -1)
+            rows = (bt * nrow + tgt_off[tg])[:, None] + np.arange(dy)
+            cols = (src_off[sg] + (block(da).start if side else 0))[:, None] + np.arange(dx)
+            # entry ((b, i, y), (j, x)): coordinate y of x * coefficient
+            mat[rows[:, None, :], cols[:, :, None]] = np.remainder(
+                prod, p, out=prod).reshape(-1, dx, dy)
+    return out
+
+
+# -- subquotients of free modules -------------------------------------------------
+
+
+def _action_tensors(A: GradedAlgebra, free: FreeModule, rows, coords,
+                    embed=lambda el: el) -> dict:
+    """Action tensors of A on a subquotient of ``free`` whose degree-n
+    basis is given by the coordinate rows ``rows[n]``: slice i of tensor
+    (m, n) holds the images of those rows under basis element i of A_m
+    (through ``embed`` into free's algebra), in the coordinates
+    ``coords(images, m, n)`` returns."""
+    action = {}
+    for m in range(1, A.cap + 1):
+        for n in range(A.cap + 1 - m):
+            imgs = [coords(free.times(rows[n], embed(A.basis_element(m, i)), n), m, n)
+                    for i in range(A.dim(m))]
+            action[(m, n)] = np.array(imgs, dtype=np.int64).reshape(
+                A.dim(m), len(rows[n]), len(rows[n + m]))
+    return action
 
 
 def cokernel_module(phi: AlgMatrix) -> GradedModule:
@@ -405,39 +441,27 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
     free = phi.tgt
     echelon: list[tuple[np.ndarray, list[int]]] = []  # pivot rows, pivots
     free_cols: list[list[int]] = []
+    mats = extend(free, phi.src, phi.terms(), range(A.cap + 1))
     for d in range(A.cap + 1):
-        img = phi.evaluate(d).T  # rows span the image
+        img = mats[d].T  # rows span the image
         R, pivots = linalg.rref(img, p) if img.size else (img, [])
         echelon.append((R[: len(pivots)], pivots))
         is_pivot = set(pivots)
         free_cols.append([c for c in range(free.dim(d)) if c not in is_pivot])
 
-    def project(vec, d):
+    def project(rows, d):
         # the pivot rows are zero at each other's pivots, so one product
-        # reduces vec (at most dim terms below p^2: exact in int64)
+        # reduces each row (at most dim terms below p^2: exact in int64)
         R, pivots = echelon[d]
-        v = np.asarray(vec, dtype=np.int64) % p
         if pivots:
-            v = (v - v[pivots] @ R) % p
-        return v[free_cols[d]]
+            rows = (rows - rows[:, pivots] @ R) % p
+        return rows[:, free_cols[d]]
 
-    basis = []
-    all_labels = [free.pair_labels(d) for d in range(A.cap + 1)]
-    for d in range(A.cap + 1):
-        basis.append([all_labels[d][c] for c in free_cols[d]])
-
-    action = {}
-    for m in range(1, A.cap + 1):
-        for n in range(0, A.cap + 1 - m):
-            arr = np.zeros((A.dim(m), len(free_cols[n]), len(free_cols[n + m])),
-                           dtype=np.int64)
-            for i in range(A.dim(m)):
-                a = A.basis_element(m, i)
-                L = free.left_mult_matrix(a, n)
-                for x, c in enumerate(free_cols[n]):
-                    arr[i, x] = project(L[c], n + m)
-            action[(m, n)] = arr
-    return GradedModule(A, basis, action)
+    basis = [[labels[c] for c in cols] for labels, cols in
+             zip((free.pair_labels(d) for d in range(A.cap + 1)), free_cols)]
+    units = [np.eye(free.dim(n), dtype=np.int64)[cols] for n, cols in enumerate(free_cols)]
+    return GradedModule(A, basis, _action_tensors(
+        A, free, units, lambda imgs, m, n: project(imgs, n + m)))
 
 
 # -- minimal generators ------------------------------------------------------
@@ -578,24 +602,13 @@ def submodule_as_gmodule(free: FreeModule, bases: dict[int, np.ndarray],
             for d in range(cap + 1)}
     basis = [[f"{label_prefix}{d}_{i}" for i in range(rows[d].shape[0])]
              for d in range(cap + 1)]
-    action = {}
-    for m in range(1, cap + 1):
-        for n in range(0, cap + 1 - m):
-            src, tgt = rows[n], rows[n + m]
-            arr = np.zeros((A.dim(m), src.shape[0], tgt.shape[0]), dtype=np.int64)
-            for i in range(A.dim(m)):
-                a = embed(A.basis_element(m, i))
-                if a.is_zero():
-                    continue
-                L = free.left_mult_matrix(a, n)
-                imgs = (src @ L) % p
-                if not np.any(imgs):
-                    continue
-                coords = linalg.solve(tgt.T, imgs.T, p)
-                if coords is None:
-                    raise ModuleError(
-                        f"submodule not closed under action at degrees {(m, n)}"
-                    )
-                arr[i] = coords.T
-            action[(m, n)] = arr
-    return GradedModule(A, basis, action)
+
+    def coords(imgs, m, n):
+        if not np.any(imgs):
+            return np.zeros((len(imgs), len(rows[n + m])), dtype=np.int64)
+        sol = linalg.solve(rows[n + m].T, imgs.T, p)
+        if sol is None:
+            raise ModuleError(f"submodule not closed under action at degrees {(m, n)}")
+        return sol.T
+
+    return GradedModule(A, basis, _action_tensors(A, free, rows, coords, embed))

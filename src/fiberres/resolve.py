@@ -4,17 +4,20 @@ The engine works over any tabulated connected graded algebra
 (commutative or not).  Each step picks minimal generators of the
 current kernel by echelon complements in the fixed coordinate order, so
 the output is deterministic.  Every resolution carries its validity
-window (hmax, dmax): nothing outside the window is claimed.
+window (hmax, dmax): nothing outside the window is claimed.  The
+differentials are stored as sparse generator terms (see ``gmodule``).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import linalg
-from .algebra import Element, GradedAlgebra
-from .gmodule import (AlgMatrix, FreeModule, GradedModule, minimal_generators,
-                      submodule_as_gmodule)
+from .algebra import GradedAlgebra
+from .gmodule import (AlgMatrix, FreeModule, GradedModule, extend, generator_terms,
+                      minimal_generators, submodule_as_gmodule)
 from .series import PowerSeries
 
 __all__ = [
@@ -39,17 +42,25 @@ class ResolutionError(RuntimeError):
 
 class FreeResolution:
     def __init__(self, algebra: GradedAlgebra, module: GradedModule, hmax: int,
-                 dmax: int, frees: list[FreeModule], diffs: list,
+                 dmax: int, frees: list[FreeModule], terms: list,
                  cover: dict[int, np.ndarray], kernel_bases: list):
         self.algebra = algebra
         self.module = module
         self.hmax = hmax
         self.dmax = dmax
         self.frees = frees          # frees[i] for 0 <= i <= hmax
-        self.diffs = diffs          # diffs[i]: F_i -> F_{i-1}, diffs[0] is None
+        self.terms = terms          # terms[i]: generator terms of F_i -> F_{i-1}; terms[0] is None
         self.cover = cover          # d -> matrix (dim M_d, dim F0_d)
         self.kernel_bases = kernel_bases  # per step i: d -> kernel rows of the map out of F_i
         self._ev_cache: dict[tuple[int, int], np.ndarray] = {}
+
+    @cached_property
+    def diffs(self) -> list:
+        """diffs[i]: F_i -> F_{i-1} as an AlgMatrix (diffs[0] is None),
+        built from the terms on first access."""
+        return [None] + [AlgMatrix.from_terms(self.algebra, self.frees[i], self.frees[i - 1],
+                                              self.terms[i])
+                         for i in range(1, len(self.terms))]
 
     def diff(self, i: int) -> AlgMatrix:
         if not 1 <= i <= self.hmax:
@@ -57,10 +68,9 @@ class FreeResolution:
         return self.diffs[i]
 
     def eval_diff(self, i: int, d: int) -> np.ndarray:
-        key = (i, d)
-        if key not in self._ev_cache:
-            self._ev_cache[key] = self.diffs[i].evaluate(d)
-        return self._ev_cache[key]
+        if (i, d) not in self._ev_cache:
+            self._ev_cache[i, d] = extend(self.frees[i - 1], self.frees[i], self.terms[i], [d])[d]
+        return self._ev_cache[i, d]
 
     def eval_cover(self, d: int) -> np.ndarray:
         return self.cover.get(d, np.zeros((self.module.dim(d), self.frees[0].dim(d)),
@@ -88,11 +98,7 @@ class FreeResolution:
         return PowerSeries([self.rank(i) for i in range(self.hmax + 1)], self.hmax)
 
     def is_minimal(self) -> bool:
-        for i in range(1, self.hmax + 1):
-            md = self.diffs[i].min_entry_degree()
-            if md is not None and md < 1:
-                return False
-        return True
+        return all(e >= 1 for i in range(1, self.hmax + 1) for _, e in self.terms[i])
 
 
 def cover_matrices(algebra: GradedAlgebra, module: GradedModule,
@@ -158,16 +164,18 @@ def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
 
         fi = FreeModule(algebra, [d for d, _ in new_gens],
                         [f"{label}{step}_{k}" for k in range(len(new_gens))])
-        entries: dict[tuple[int, int], Element] = {}
-        for jnew, (d, vec) in enumerate(new_gens):
-            for jprev, el in prev_free.decompose(vec, d).items():
-                if el.degree < 1:
-                    raise ResolutionError(
-                        f"non-minimal differential entry at step {step}, degree {d}: "
-                        f"generator {jnew} has a degree-0 coefficient on generator {jprev}")
-                entries[(jprev, jnew)] = el
+        terms = generator_terms(prev_free, [(d, g, np.array([new_gens[j][1] for j in g]).T)
+                                            for d, g in fi.by_degree.items()])
+        unit = sorted((int(j), int(i)) for (_, e), (tg, sg, _, _) in terms.items()
+                      if e < 1 for i, j in zip(tg, sg))
+        if unit:
+            jnew, jprev = unit[0]
+            raise ResolutionError(
+                f"non-minimal differential entry at step {step}, degree "
+                f"{fi.gen_degrees[jnew]}: generator {jnew} has a degree-0 "
+                f"coefficient on generator {jprev}")
         res.frees.append(fi)
-        res.diffs.append(AlgMatrix(algebra, fi, prev_free, entries))
+        res.terms.append(terms)
     return res
 
 
@@ -205,7 +213,8 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
     of F_i in its own degree: a module map that vanishes on generators
     vanishes, so this is the check over the algebra.  A failure names
     the degrees and the generator pairs (row, column) of the nonzero
-    entries of the composite."""
+    entries of the composite; a failure of cover o d1 = 0 names the
+    (degree, generator) pairs of its nonzero generator blocks."""
     p = res.algebra.p
     hmax = res.hmax if hmax is None else min(hmax, res.hmax)
     dmax = res.dmax if dmax is None else min(dmax, res.dmax)
@@ -216,7 +225,7 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
             for i in range(hmax + 1) for d in range(dmax + 1)}
 
     for i in range(1, hmax + 1):
-        md = res.diffs[i].min_entry_degree()
+        md = min((e for _, e in res.terms[i]), default=None)
         rep.add(f"minimality step {i}", md is None or md >= 1,
                 f"min entry degree {md}")
 
@@ -228,12 +237,16 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
         rep.add(f"d{i - 1} o d{i} = 0", not bad,
                 f"degrees {bad}, generator pairs {pairs}" if bad else "")
     if hmax >= 1:
+        F = res.frees[1]
         bad = []
         for d in range(dmax + 1):
             prod = (res.eval_cover(d) @ res.eval_diff(1, d)) % p
             if np.any(prod):
-                bad.append(d)
-        rep.add("cover o d1 = 0", not bad, f"degrees {bad}" if bad else "")
+                hit = np.flatnonzero(prod.any(axis=0))
+                gens = np.searchsorted(F.offsets(d), hit, side="right") - 1
+                bad += [(d, int(j)) for j in dict.fromkeys(gens.tolist())]
+        rep.add("cover o d1 = 0", not bad,
+                f"nonzero at (degree, generator) {bad}" if bad else "")
 
     bad = [(d, rank[0, d], res.module.dim(d)) for d in range(dmax + 1)
            if rank[0, d] != res.module.dim(d)]

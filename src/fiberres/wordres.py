@@ -187,10 +187,10 @@ class WordComplex(FreeResolution):
     """Free resolution over the fiber product whose basis is the word
     set; retains the three source resolutions and the words."""
 
-    def __init__(self, algebra, module, hmax, dmax, frees, diffs, cover,
+    def __init__(self, algebra, module, hmax, dmax, frees, terms, cover,
                  words: list[list[Word]], E: FreeResolution,
                  F: FreeResolution, P: FreeResolution):
-        super().__init__(algebra, module, hmax, dmax, frees, diffs, cover, [])
+        super().__init__(algebra, module, hmax, dmax, frees, terms, cover, [])
         self.words = words
         self.E = E
         self.F = F
@@ -219,7 +219,7 @@ def assemble_word_complex(R: FiberProductAlgebra, E: FreeResolution,
         frees.append(FreeModule(R, [word_internal(w) for w in bucket],
                                 [word_label(w, E, F, P) for w in bucket]))
 
-    diffs: list = [None]
+    terms: list = [None]
     for i in range(1, hmax + 1):
         index = {w: r for r, w in enumerate(words[i - 1])}
         entries: dict[tuple[int, int], Element] = {}
@@ -227,14 +227,14 @@ def assemble_word_complex(R: FiberProductAlgebra, E: FreeResolution,
             for tgt, coeff in word_differential(w, E, F, P, R):
                 key = (index[tgt], j)
                 entries[key] = entries[key] + coeff if key in entries else coeff
-        diffs.append(AlgMatrix(R, frees[i], frees[i - 1], entries))
+        terms.append(AlgMatrix(R, frees[i], frees[i - 1], entries).terms())
 
     module = restrict_to_fiber(R, P.module, "S")
     gens = []
     for j, s in enumerate(P.gen_degrees(0)):
         gens.append((s, P.eval_cover(s)[:, P.frees[0].gen_index(s, j)]))
     cover = cover_matrices(R, module, gens, frees[0], dmax)
-    return WordComplex(R, module, hmax, dmax, frees, diffs, cover,
+    return WordComplex(R, module, hmax, dmax, frees, terms, cover,
                        words, E, F, P)
 
 

@@ -234,6 +234,42 @@ def test_suite_failing_entry_writes_fail_status(tmp_path):
                               "detail": "expected pass, got fail"}]
 
 
+def test_suite_entry_that_raises_is_never_the_expected_failure(tmp_path, capsys):
+    """A tensor control naming a missing file computes nothing, so its
+    error does not meet "expect": "fail"."""
+    manifest = write(tmp_path, "suite.json", {
+        "window": {"hmax": 3},
+        "entries": [{"name": "control", "kind": "tensor-control",
+                     "s": os.path.join(MANIFESTS, "s_x2_TYPO.json"),
+                     "t": os.path.join(MANIFESTS, "t_y2.json"), "expect": "fail"}],
+    })
+    out = tmp_path / "rep.json"
+    assert main(["suite", "--manifest", manifest, "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["checks"] == [{"name": "control", "status": "fail",
+                              "detail": "expected fail, got error"}]
+    assert "s_x2_TYPO.json" in rep["data"]["control"]["error"]
+    assert "[FAIL] control" in capsys.readouterr().out
+
+
+def test_suite_unknown_kind_exits_one_before_any_entry_runs(tmp_path, capsys):
+    """The manifest with a misspelt file and a misspelt kind: the kind is
+    rejected first, and nothing is printed as passed or failed."""
+    manifest = write(tmp_path, "suite.json", {
+        "window": {"hmax": 3},
+        "entries": [{"name": "typo file", "kind": "tensor-control",
+                     "s": os.path.join(MANIFESTS, "s_x2_TYPO.json"),
+                     "t": os.path.join(MANIFESTS, "t_y2.json"), "expect": "fail"},
+                    {"name": "typo kind", "kind": "tensor-contrl",
+                     "s": os.path.join(MANIFESTS, "s_x2.json"),
+                     "t": os.path.join(MANIFESTS, "t_y2.json"), "expect": "fail"}],
+    })
+    assert main(["suite", "--manifest", manifest]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: suite entry kind 'tensor-contrl' is not one of")
+    assert "PASS" not in out and "FAIL" not in out
+
+
 def test_suite_needs_window(tmp_path):
     manifest = write(tmp_path, "suite.json", {"entries": []})
     assert main(["suite", "--manifest", manifest]) == 1
@@ -445,8 +481,11 @@ def test_suite_uses_the_command_window(check, tmp_path, capsys):
     ({"hmax": 3}, {"checks": "phi"}),
     ({"hmax": 3}, "oops"),
     (4, {}),
+    ({"hmax": 3}, {"kind": "tensor-contrl"}),
+    ({"hmax": 3}, {"expect": "error"}),
 ], ids=["hmax-string", "hmax-null", "dmax-string", "jmax-list",
-        "checks-string", "entry-string", "window-number"])
+        "checks-string", "entry-string", "window-number", "kind-typo",
+        "expect-error"])
 def test_malformed_suite_manifest_exits_one(tmp_path, capsys, window, entry):
     """A manifest the suite cannot read is an input error (exit 1, no
     traceback), found before any entry runs."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fiberres import cohomology
 from fiberres.algebra import (
     MonomialQuotientPresentation,
     build_monomial_quotient,
@@ -275,6 +276,23 @@ def test_depth_certificate_module_not_free(square_zero_pair):
     assert all(v == 0 for v in cert.socle.values())
     assert cert.interval == (1, 1)
     assert set(cert.chosen) == {"sigma", "theta", "mu", "mu'"}
+
+
+def test_depth_witness_acting_by_zero_raises_a_typed_error(square_zero_pair,
+                                                            monkeypatch):
+    """The witness invariants are checks that ``python -O`` keeps: a
+    letter word that acts by zero raises ExtError naming j and the
+    degrees."""
+    S, _, R = square_zero_pair
+
+    def zero_action(fp, module, letters, deg, vec):
+        deg += sum(x[1] for x in letters)
+        return deg, np.zeros(module.dim(deg), dtype=np.int64)
+
+    monkeypatch.setattr(cohomology, "_act_letters", zero_action)
+    with pytest.raises(ExtError, match=r"^witness j=1: a word acts by zero "
+                                       r"\(alpha in degree 1, beta in degree 1\)$"):
+        depth_certificate(R, residue_module(S), 3, 6)
 
 
 def test_depth_certificate_second_factor_ext2(square_zero_pair):

@@ -1,5 +1,6 @@
 import os
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from fiberres.gmodule import (
     ModuleError,
     algebra_as_module,
     cokernel_module,
+    extend,
     fiber_product_module,
     free_module_table,
+    generator_terms,
     minimal_generators,
     residue_module,
     restrict_to_fiber,
@@ -72,19 +75,6 @@ def test_free_module_dims_and_labels():
     assert tab.check_associativity() == []
 
 
-def test_free_module_decompose_round_trip():
-    A = mono([("x", 1), ("y", 1)], [], cap=4)
-    F = FreeModule(A, [0, 2])
-    d = 3
-    vec = np.arange(F.dim(d), dtype=np.int64) + 1
-    comps = F.decompose(vec, d)
-    rebuilt = np.zeros(F.dim(d), dtype=np.int64)
-    off = F.offsets(d)
-    for j, el in comps.items():
-        rebuilt[off[j]: off[j] + el.vec.shape[0]] = el.vec
-    assert np.array_equal(rebuilt, vec)
-
-
 def reference_offsets(F, d):
     """Block offsets by the prefix-sum formula, recomputed on each call."""
     out, acc = [], 0
@@ -92,17 +82,6 @@ def reference_offsets(F, d):
         out.append(acc)
         acc += F.algebra.dim(d - s)
     return out, acc
-
-
-def reference_decompose(F, vec, d):
-    """Per-block decomposition: one coefficient test per generator."""
-    off, _ = reference_offsets(F, d)
-    out = {}
-    for j, s in enumerate(F.gen_degrees):
-        na = F.algebra.dim(d - s)
-        if na and np.any(vec[off[j]: off[j] + na]):
-            out[j] = vec[off[j]: off[j] + na]
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -124,34 +103,8 @@ def test_free_module_layout_matches_prefix_sums(gappy_free):
                 assert F.gen_index(d, j) == off[j] == F.pair_index(d, j, 0)
 
 
-def test_free_module_decompose_matches_per_block_reference(gappy_free):
-    F = gappy_free
-    rng = np.random.default_rng(7)
-    seen_empty_block_between = False
-    for d in range(F.algebra.cap + 1):
-        n = F.dim(d)
-        vecs = [np.zeros(n, dtype=np.int64)]
-        for density in (0.1, 0.5, 1.0):
-            for _ in range(10):
-                v = rng.integers(1, P, size=n)
-                vecs.append(np.where(rng.random(n) < density, v, 0))
-        off, _ = reference_offsets(F, d)
-        seen_empty_block_between |= any(
-            a == b for a, b in zip(off[1:], off[2:]))
-        for v in vecs:
-            got = F.decompose(v, d)
-            want = reference_decompose(F, v % P, d)
-            assert list(got) == list(want), (d, v)
-            for j, el in got.items():
-                assert el.degree == d - F.gen_degrees[j]
-                assert np.array_equal(el.vec, want[j])
-    assert seen_empty_block_between
-
-
 def test_free_module_shape_and_degree_errors_are_typed(gappy_free):
     F = gappy_free
-    with pytest.raises(ModuleError):
-        F.decompose(np.zeros(F.dim(2) + 1, dtype=np.int64), 2)
     with pytest.raises(ModuleError):
         F.gen_index(3, 1)  # generator 1 has degree 2
 
@@ -162,11 +115,11 @@ def test_alg_matrix_evaluate_single_variable():
     F0 = FreeModule(A, [0])
     x = A.generator("x")
     phi = AlgMatrix(A, F1, F0, {(0, 0): x})
+    mats = extend(F0, F1, phi.terms(), range(5))
     for d in range(1, 5):
-        mat = phi.evaluate(d)
         # x^{d-1} * g  ->  x^d, both sides one-dimensional
-        assert mat.shape == (1, 1) and mat[0, 0] == 1
-    assert phi.evaluate(0).shape == (1, 0)
+        assert mats[d].shape == (1, 1) and mats[d][0, 0] == 1
+    assert mats[0].shape == (1, 0)
 
 
 def test_alg_matrix_compose_and_shift():
@@ -180,7 +133,7 @@ def test_alg_matrix_compose_and_shift():
     comp = d1.compose(d2)
     assert comp.entries[(0, 0)].degree == 2
     lift = AlgMatrix(A, F1, F0, {(0, 0): A.unit()}, shift=1)
-    assert lift.evaluate(3).shape == (A.dim(2), A.dim(2))
+    assert extend(F0, F1, lift.terms(), [3], shift=1)[3].shape == (A.dim(2), A.dim(2))
 
 
 def test_alg_matrix_rejects_wrong_degree():
@@ -337,6 +290,19 @@ def weighted_ring(p, cap=8):
     return fiber_product(S, T)
 
 
+def reference_left_mult(F, a, d):
+    """Matrix of v -> a*v on a free module from degree d, assembled block
+    by block from the algebra's left multiplication matrices."""
+    out = np.zeros((F.dim(d), F.dim(d + a.degree)), dtype=np.int64)
+    src_off, tgt_off = F.offsets(d), F.offsets(d + a.degree)
+    for j, s in enumerate(F.gen_degrees):
+        if d >= s and F.algebra.dim(d - s):
+            block = F.algebra.left_mult_matrix(a, d - s)
+            out[src_off[j]: src_off[j] + block.shape[0],
+                tgt_off[j]: tgt_off[j] + block.shape[1]] = block
+    return out
+
+
 def reference_generators(algebra, rows, act, dmax):
     """The definition: span every product rows[d - m] @ act(e, d - m) over
     every basis element e of every degree m >= 1, in int64, then add
@@ -391,7 +357,7 @@ def test_minimal_generators_match_the_definition(p, module):
         kers = res.kernel_bases[step - 1]
         free = res.frees[step - 1]
         assert same_generators(minimal_generators(R, kers, free.times, R.cap),
-                               reference_generators(R, kers, free.left_mult_matrix,
+                               reference_generators(R, kers, partial(reference_left_mult, free),
                                                     R.cap))
 
 
@@ -412,7 +378,141 @@ def test_free_module_times_matches_the_dense_product(p):
                     rows = rng.integers(0, p, (r, F.dim(n)))
                     assert np.array_equal(
                         F.times(rows, a, n),
-                        linalg.matmul_mod(rows, F.left_mult_matrix(a, n), p))
+                        linalg.matmul_mod(rows, reference_left_mult(F, a, n), p))
+
+
+# -- the one module-linear extension -------------------------------------------
+
+
+def reference_evaluate(mat, d):
+    """Per-entry evaluation of an AlgMatrix in degree d: entry (i, j)
+    fills its block with the matrix of x -> x * entry, through
+    ``right_mult_matrix``."""
+    A, p = mat.algebra, mat.algebra.p
+    rows, cols = mat.tgt.dim(d - mat.shift), mat.src.dim(d)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    if rows == 0 or cols == 0:
+        return out
+    src_off, tgt_off = mat.src.offsets(d), mat.tgt.offsets(d - mat.shift)
+    for (i, j), c in mat.entries.items():
+        da = d - mat.src.gen_degrees[j]
+        if da < 0 or A.dim(da) == 0:
+            continue
+        rm = A.right_mult_matrix(da, c)  # (dim da, dim da+e)
+        out[tgt_off[i]: tgt_off[i] + rm.shape[1],
+            src_off[j]: src_off[j] + rm.shape[0]] += rm.T
+    return out % p
+
+
+def reference_projection(free_R, twin, d, side):
+    """Degree-d coefficient projection of a free module over a fiber
+    product onto its twin over a factor, coordinate by coordinate."""
+    block = free_R.algebra.s_slice if side == "S" else free_R.algebra.t_slice
+    mat = np.zeros((twin.dim(d), free_R.dim(d)), dtype=np.int64)
+    for j, s in enumerate(free_R.gen_degrees):
+        for x in range(twin.algebra.dim(d - s)):
+            mat[twin.pair_index(d, j, x),
+                free_R.pair_index(d, j, block(d - s).start + x)] = 1
+    return mat
+
+
+def random_map(rng, A, src, tgt, shift):
+    """An AlgMatrix src -> tgt with about half of its entries nonzero."""
+    entries = {}
+    for i, t in enumerate(tgt.gen_degrees):
+        for j, s in enumerate(src.gen_degrees):
+            e = s - t - shift
+            if A.dim(e) and rng.random() < 0.6:
+                entries[(i, j)] = Element(A, e, rng.integers(0, A.p, A.dim(e)))
+    return AlgMatrix(A, src, tgt, entries, shift)
+
+
+def stacked_terms(maps):
+    """The terms of several maps with one source and target, as a batch."""
+    out = {}
+    for b, mat in enumerate(maps):
+        for key, (tg, sg, _, coef) in mat.terms().items():
+            out.setdefault(key, []).append((tg, sg, np.full(len(tg), b), coef))
+    return {key: tuple(np.concatenate(cols) for cols in zip(*parts))
+            for key, parts in out.items()}
+
+
+def nc_ring():
+    """k<x, y>/(x^2, y^2, yx) at p = 5: x*y is the only nonzero product."""
+    return build_monomial_quotient(5, 4, MonomialQuotientPresentation(
+        ["x", "y"], [1, 1], ["x^2", "y^2", "y*x"], False))
+
+
+def weighted_fiber(p):
+    """(k[x,w]/(x^3,w^2,xw), weights 1, 2) x_k k[y]/(y^2): the first factor
+    has no degree 3, so some products land in a zero space."""
+    S = build_monomial_quotient(p, 6, MonomialQuotientPresentation(
+        ["x", "w"], [1, 2], ["x^3", "w^2", "x*w"]))
+    T = build_monomial_quotient(p, 6, MonomialQuotientPresentation(["y"], [1], ["y^2"]))
+    return fiber_product(S, T)
+
+
+def extend_cases():
+    yield "nc", nc_ring()
+    for p in (2, 3, 65521):
+        yield p, weighted_fiber(p)
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2])
+@pytest.mark.parametrize("ring", list(extend_cases()), ids=lambda c: str(c[0]))
+def test_extend_equals_the_per_entry_evaluation(ring, shift):
+    """Single maps and batches of three, with unit and zero entries and
+    generators whose blocks are empty in some degrees."""
+    A = ring[1]
+    rng = np.random.default_rng(A.p + shift)
+    src, tgt = FreeModule(A, [0, 1, 1, 2, 3, 5]), FreeModule(A, [0, 0, 1, 2])
+    degrees = range(A.cap + shift + 1)
+    for _ in range(4):
+        maps = [random_map(rng, A, src, tgt, shift) for _ in range(3)]
+        got = extend(tgt, src, maps[0].terms(), degrees, shift)
+        batch = extend(tgt, src, stacked_terms(maps), degrees, shift, batch=3)
+        for d in degrees:
+            want = reference_evaluate(maps[0], d)
+            assert got[d].dtype == want.dtype and got[d].tobytes() == want.tobytes(), d
+            assert np.array_equal(batch[d], np.vstack(
+                [reference_evaluate(m, d) for m in maps])), d
+
+
+@pytest.mark.parametrize("side", ["S", "T"])
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_extend_with_a_side_precomposes_the_coefficient_projection(p, side):
+    R = weighted_fiber(p)
+    fac = R.s_algebra if side == "S" else R.t_algebra
+    rng = np.random.default_rng(p)
+    src, tgt = FreeModule(R, [0, 1, 2, 2, 4]), FreeModule(fac, [0, 1])
+    twin = FreeModule(fac, src.gen_degrees)
+    for shift in (0, 1):
+        mat = random_map(rng, fac, twin, tgt, shift)
+        got = extend(tgt, src, mat.terms(), range(R.cap + 1), shift, side=side)
+        for d in range(R.cap + 1):
+            want = (reference_evaluate(mat, d) @ reference_projection(src, twin, d, side)) % p
+            assert np.array_equal(got[d], want), (shift, d)
+
+
+@pytest.mark.parametrize("ring", list(extend_cases()), ids=lambda c: str(c[0]))
+def test_generator_terms_read_back_the_entries(ring):
+    """Dense generator images of a batch of maps, turned into terms,
+    give back each map's entries."""
+    A = ring[1]
+    rng = np.random.default_rng(A.p)
+    src, tgt = FreeModule(A, [1, 1, 2, 3]), FreeModule(A, [0, 1])
+    for shift in (0, 1):
+        maps = [random_map(rng, A, src, tgt, shift) for _ in range(2)]
+        images = []
+        for s, gens in src.by_degree.items():
+            cols = [reference_evaluate(m, s)[:, src.block_indices(s, gens)] for m in maps]
+            images.append((s, gens, np.hstack(cols)))
+        terms = generator_terms(tgt, images, shift, batch=2)
+        for b, mat in enumerate(maps):
+            one = {key: tuple(a[bt == b] for a in (tg, sg, bt, coef))
+                   for key, (tg, sg, bt, coef) in terms.items()}
+            back = AlgMatrix.from_terms(A, src, tgt, one, shift)
+            assert back.entry_strings() == mat.entry_strings()
 
 
 def test_compose_over_a_noncommutative_algebra():
@@ -431,8 +531,8 @@ def test_compose_over_a_noncommutative_algebra():
         comp = d1.compose(d2)
         assert comp.entries.get((0, 0), A.zero(2)) == prod
         for d in range(A.cap + 1):
-            assert np.array_equal(comp.evaluate(d),
-                                  (d1.evaluate(d) @ d2.evaluate(d)) % P)
+            assert np.array_equal(reference_evaluate(comp, d),
+                                  (reference_evaluate(d1, d) @ reference_evaluate(d2, d)) % P)
 
 
 def test_graded_module_rejects_bad_tables():
@@ -475,7 +575,7 @@ def sequential_cokernel_action(phi):
     A, free, p = phi.algebra, phi.tgt, phi.algebra.p
     rows, free_cols = [], []
     for d in range(A.cap + 1):
-        img = phi.evaluate(d).T
+        img = reference_evaluate(phi, d).T
         R, pivots = linalg.rref(img, p) if img.size else (img, [])
         rows.append(R[: len(pivots)])
         free_cols.append([c for c in range(free.dim(d)) if c not in pivots])
@@ -494,7 +594,7 @@ def sequential_cokernel_action(phi):
             arr = np.zeros((A.dim(m), len(free_cols[n]), len(free_cols[n + m])),
                            dtype=np.int64)
             for i in range(A.dim(m)):
-                L = free.left_mult_matrix(A.basis_element(m, i), n)
+                L = reference_left_mult(free, A.basis_element(m, i), n)
                 for x, c in enumerate(free_cols[n]):
                     arr[i, x] = project(L[c], n + m)
             action[(m, n)] = arr

@@ -15,6 +15,7 @@ import pytest
 
 from fiberres import extalg, linalg
 from fiberres.algebra import (
+    Element,
     MonomialQuotientPresentation,
     build_monomial_quotient,
     fiber_product,
@@ -197,11 +198,37 @@ def test_restriction_chain_map_rejects_bad_input_with_typed_errors(cube_square,
 # -- the numeric lifter against the per-column route -------------------------
 
 
+def reference_evaluate(mat, d):
+    """Per-entry evaluation of an AlgMatrix in degree d: entry (i, j)
+    fills its block with the matrix of x -> x * entry."""
+    A = mat.algebra
+    out = np.zeros((mat.tgt.dim(d - mat.shift), mat.src.dim(d)), dtype=np.int64)
+    src_off, tgt_off = mat.src.offsets(d), mat.tgt.offsets(d - mat.shift)
+    for (i, j), c in mat.entries.items():
+        da = d - mat.src.gen_degrees[j]
+        if A.dim(da) and A.dim(da + c.degree):
+            rm = A.right_mult_matrix(da, c)
+            out[tgt_off[i]: tgt_off[i] + rm.shape[1],
+                src_off[j]: src_off[j] + rm.shape[0]] = rm.T
+    return out
+
+
+def reference_entries(free, vec, d):
+    """Algebra coefficients per generator of a degree-d vector, block by
+    block."""
+    out = {}
+    for j, off in enumerate(free.offsets(d)):
+        block = vec[off: off + free.algebra.dim(d - free.gen_degrees[j])]
+        if np.any(block):
+            out[j] = Element(free.algebra, d - free.gen_degrees[j], block)
+    return out
+
+
 def reference_lift_stages(src, tgt, prev, stages, step=0, shift=0, side=None):
-    """The route the numeric lifter replaced: one solve per generator,
-    its image split into algebra entries by ``FreeModule.decompose``, and
-    the stage evaluated from an ``AlgMatrix`` of those entries (for a
-    restriction, on a twin free module over the factor, then projected)."""
+    """The per-column route: one solve per generator, its image split
+    into algebra entries block by block, and the stage evaluated entry by
+    entry from an ``AlgMatrix`` of those entries (for a restriction, on a
+    twin free module over the factor, then projected)."""
     A = tgt.algebra
     p = A.p
     dcap = min(src.dmax, tgt.dmax + shift)
@@ -215,11 +242,11 @@ def reference_lift_stages(src, tgt, prev, stages, step=0, shift=0, side=None):
                 x = linalg.solve(tgt.boundary(n, sj - shift),
                                  (prev[sj] @ col) % p, p)
                 entries.update({(i, j): el for i, el in
-                                ftgt.decompose(x, sj - shift).items()})
+                                reference_entries(ftgt, x, sj - shift).items()})
         twin = fsrc if side is None else FreeModule(A, fsrc.gen_degrees)
         mat = AlgMatrix(A, twin, ftgt, entries, shift=shift)
-        prev = {d: mat.evaluate(d) if side is None else (mat.evaluate(d) @ (
-                    reference_projection(fsrc, twin, d, side))) % p
+        prev = {d: reference_evaluate(mat, d) if side is None else (
+                    reference_evaluate(mat, d) @ reference_projection(fsrc, twin, d, side)) % p
                 for d in range(dcap + 1)}
         maps.append(prev)
     return maps
@@ -264,7 +291,8 @@ def reference_lift_dual(src, tgt, step, idx, nmax):
     s = src.gen_degrees(step)[idx]
     first = AlgMatrix(A, src.frees[step], tgt.frees[0], {(0, idx): A.unit()},
                       shift=s)
-    lifts = [{d: first.evaluate(d) for d in range(min(src.dmax, tgt.dmax + s) + 1)}]
+    lifts = [{d: reference_evaluate(first, d)
+              for d in range(min(src.dmax, tgt.dmax + s) + 1)}]
     return lifts + reference_lift_stages(src, tgt, lifts[0], range(1, nmax + 1),
                                          step, s)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fiberres.algebra import (
+    Element,
     MonomialQuotientPresentation,
     build_monomial_quotient,
     fiber_product,
@@ -143,11 +144,10 @@ def test_verify_catches_nonzero_composition():
     k = residue_module(A)
     res = minimal_resolution(A, k, 2)
     x = A.generator("x")
-    bad_diffs = [None, res.diffs[1],
-                 AlgMatrix(A, FreeModule(A, [2]), res.frees[1], {(0, 0): x})]
-    bad = FreeResolution(A, k, 2, res.dmax, [res.frees[0], res.frees[1],
-                                             bad_diffs[2].src],
-                         bad_diffs, res.cover, res.kernel_bases)
+    F2b = FreeModule(A, [2])
+    d2 = AlgMatrix(A, F2b, res.frees[1], {(0, 0): x})
+    bad = FreeResolution(A, k, 2, res.dmax, [res.frees[0], res.frees[1], F2b],
+                         [None, res.terms[1], d2.terms()], res.cover, res.kernel_bases)
     rep = verify_complex(bad)
     assert not rep.ok
     assert any("o d2" in c["name"] and not c["ok"] for c in rep.checks)
@@ -164,7 +164,7 @@ def test_verify_catches_inexactness():
     d1 = AlgMatrix(A, F1b, res.frees[0], {(0, 0): cube})
     d2 = AlgMatrix(A, F2b, F1b, {(0, 0): cube})
     bad = FreeResolution(A, k, 2, res.dmax, [res.frees[0], F1b, F2b],
-                         [None, d1, d2], res.cover, res.kernel_bases)
+                         [None, d1.terms(), d2.terms()], res.cover, res.kernel_bases)
     rep = verify_complex(bad)
     assert not rep.ok
     assert any(c["name"] == "exactness at step 0" and not c["ok"] for c in rep.checks)
@@ -176,7 +176,7 @@ def test_verify_catches_nonminimality():
     res = minimal_resolution(A, k, 1)
     F1b = FreeModule(A, [0])
     d1 = AlgMatrix(A, F1b, res.frees[0], {(0, 0): A.unit()})
-    bad = FreeResolution(A, k, 1, res.dmax, [res.frees[0], F1b], [None, d1],
+    bad = FreeResolution(A, k, 1, res.dmax, [res.frees[0], F1b], [None, d1.terms()],
                          res.cover, res.kernel_bases)
     rep = verify_complex(bad)
     assert any(c["name"] == "minimality step 1" and not c["ok"] for c in rep.checks)
@@ -231,25 +231,30 @@ def cube_square():
 
 def test_each_map_is_evaluated_and_ranked_once(monkeypatch):
     """minimal_resolution keeps the matrices it evaluates for its kernels,
-    and verify_complex ranks each of them once."""
+    and verify_complex ranks each of them once.  Each differential is
+    extended one degree per call, so every map is ranked right after it
+    is evaluated."""
     evaluated, ranked = Counter(), Counter()
-    real_evaluate, real_rank = AlgMatrix.evaluate, linalg.rank
+    real_extend, real_rank = resolve.extend, linalg.rank
 
-    def evaluate(self, d):
-        evaluated[(id(self), d)] += 1
-        return real_evaluate(self, d)
+    def extend(ftgt, fsrc, terms, degrees, *args, **kwargs):
+        for d in degrees:
+            evaluated[(id(fsrc), d)] += 1
+        return real_extend(ftgt, fsrc, terms, degrees, *args, **kwargs)
 
     def rank(mat, p):
         ranked[id(mat)] += 1
         return real_rank(mat, p)
 
-    monkeypatch.setattr(AlgMatrix, "evaluate", evaluate)
+    monkeypatch.setattr(resolve, "extend", extend)
     monkeypatch.setattr(linalg, "rank", rank)
     R = cube_square()
     res = minimal_resolution(R, residue_module(R), 4)
     assert verify_complex(res).ok
     assert max(evaluated.values()) == 1
-    assert len(evaluated) == 4 * (res.dmax + 1)  # steps 1-4, every degree
+    step = {id(F): i for i, F in enumerate(res.frees)}
+    assert sorted((step[f], d) for f, d in evaluated) == [  # steps 1-4, every degree
+        (i, d) for i in range(1, 5) for d in range(res.dmax + 1)]
     assert max(ranked.values()) == 1
     assert len(ranked) == 5 * (res.dmax + 1)  # the cover and steps 1-4
 
@@ -259,21 +264,31 @@ def failures(res):
             if not c["ok"]]
 
 
+def replace_term(res, step, pair, old, new):
+    """Overwrite the stored coefficient of entry ``pair`` = (target,
+    source generator) of d_step, which reads ``old``, with ``new``."""
+    for (_, e), (tgt, src, _, coef) in res.terms[step].items():
+        hit = np.flatnonzero((tgt == pair[0]) & (src == pair[1]))
+        if hit.size:
+            assert repr(Element(res.algebra, e, coef[hit[0]])) == old
+            coef[hit[0]] = new.vec
+            return
+    raise AssertionError(f"no term at {pair}")
+
+
 def test_verify_names_the_generator_pairs_of_a_nonzero_composite():
     """d2 sends the first generator to y*h0 + ...; with x in place of y,
     d1 o d2 = x^2 at generator pair (0, 0), seen in degree 2."""
     R = cube_square()
     res = minimal_resolution(R, residue_module(R), 2)
-    assert repr(res.diffs[2].entries[(0, 0)]) == "T:y"
-    res.diffs[2].entries[(0, 0)] = R.generator("x")
+    replace_term(res, 2, (0, 0), "T:y", R.generator("x"))
     assert failures(res) == [("d1 o d2 = 0", "degrees [2], generator pairs [(0, 0)]")]
 
 
 def test_verify_names_the_ranks_of_an_inexact_step():
     R = cube_square()
     res = minimal_resolution(R, residue_module(R), 2)
-    assert repr(res.diffs[2].entries[(1, 1)]) == "S:x"
-    res.diffs[2].entries[(1, 1)] = R.generator("y")
+    replace_term(res, 2, (1, 1), "S:x", R.generator("y"))
     assert failures(res) == [(
         "exactness at step 1",
         "rank_in + rank_out != dim F_1 at (step, degree, rank_in, rank_out, "
@@ -289,6 +304,21 @@ def test_d_squared_is_checked_on_the_evaluated_matrices():
     mat[0, 0] = (mat[0, 0] + 1) % R.p
     assert res.diffs[2].compose(res.diffs[3]).is_zero()
     assert failures(res) == [("d2 o d3 = 0", "degrees [3], generator pairs []")]
+
+
+def test_cover_o_d1_names_degree_and_generator():
+    """S = k[x]/(x^3) as a module over R = S x_k k[y]/(y^3) is R/(y): d1
+    sends its one generator g to y, so in degree 2 the column of y*g (the
+    second of g's block) holds y^2.  A cover that reads y^2 as 1 fails
+    cover o d1 = 0 at (degree 2, generator 0), and only there."""
+    R = fiber_product(mono([("x", 1)], ["x^3"]), mono([("y", 1)], ["y^3"]))
+    M = restrict_to_fiber(R, algebra_as_module(R.s_algebra), "S")
+    res = minimal_resolution(R, M, 2)
+    assert res.diffs[1].entry_strings() == [["T:y"]]
+    assert verify_complex(res).ok
+    res.cover[2] = np.ones_like(res.cover[2])
+    got = [c["detail"] for c in verify_complex(res).checks if c["name"] == "cover o d1 = 0"]
+    assert got == ["nonzero at (degree, generator) [(2, 0)]"]
 
 
 def test_cover_surjective_names_degree_and_rank():

@@ -164,7 +164,7 @@ def test_nonminimal_input_rejected():
     bad = AlgMatrix(S, FreeModule(S, [0]), E.frees[0], bad_entries)
     from fiberres.resolve import FreeResolution
 
-    E_bad = FreeResolution(S, k, 1, E.dmax, [E.frees[0], bad.src], [None, bad],
+    E_bad = FreeResolution(S, k, 1, E.dmax, [E.frees[0], bad.src], [None, bad.terms()],
                            E.cover, [])
     with pytest.raises(WordError):
         generate_words(E_bad, F, E, 1)
