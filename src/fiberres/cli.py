@@ -31,7 +31,8 @@ from .gmodule import ModuleError, algebra_as_module, residue_module, \
     restrict_to_fiber
 from .linalg import LinalgError
 from .resolve import (ComplexReport, ResolutionError, WindowError,
-                      betti_table_text, minimal_resolution, verify_complex)
+                      betti_table_text, minimal_resolution, sharing,
+                      verify_complex)
 from .series import SeriesError, poincare_fiber_formula
 from .wordres import WordError, build_word_resolution, verify_word_resolution
 
@@ -496,7 +497,9 @@ def cmd_suite(args) -> CliReport:
         name = entry.get("name", "(unnamed)")
         expect = entry.get("expect", "pass")
         try:
-            entry_ok, sub = SUITE_KINDS[entry.get("kind", "triple")](entry, base, limits)
+            # the checks of one entry share its resolutions (resolve.sharing)
+            with sharing():
+                entry_ok, sub = SUITE_KINDS[entry.get("kind", "triple")](entry, base, limits)
         except (KeyError,) + INPUT_ERRORS as exc:
             entry_ok, sub = False, {"error": str(exc)}
         # an entry that raised computed nothing, so it is never the

@@ -287,9 +287,9 @@ def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,
         r = linalg.rank(mat, p)
         ranks.append((r, res_v.rank(n)))
         if r != res_v.rank(n):
-            bad.append(n)
+            bad.append((n, r, res_v.rank(n)))
     rep.add(f"(mu*, -nu*) injective in each cohomological degree <= {hmax}",
-            not bad, f"rank defect at degrees {bad}" if bad else "")
+            not bad, f"(degree, rank, expected) {bad}" if bad else "")
     rep.data.update({
         "rank_v": v,
         "p_fib": [p_fib.coeff(i) for i in range(hmax + 1)],

@@ -33,7 +33,7 @@ from . import linalg
 from .algebra import Element, FiberProductAlgebra, GradedAlgebra
 from .gmodule import (FreeModule, GradedModule, extend, generator_terms, residue_module,
                       restrict_to_fiber)
-from .resolve import ComplexReport, FreeResolution, minimal_resolution
+from .resolve import ComplexReport, FreeResolution, minimal_resolution, shared
 from .series import coproduct_module_series
 from .wordres import Letter, alternating_words, assemble_word_complex
 
@@ -443,8 +443,14 @@ class _PhiData:
 def _phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
     """Shared scaffolding: factor resolutions, the word resolution of
     the residue field, Ext algebras on both sides, the restriction
-    chain maps, and the candidate isomorphism on basis words."""
+    chain maps, and the candidate isomorphism on basis words.  Built
+    once per (R, hmax, dmax) inside a ``resolve.sharing()`` scope."""
+    return shared(("phi_setup", id(R), hmax, dmax), lambda: _build_phi_setup(R, hmax, dmax))
+
+
+def _build_phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
     d = _PhiData()
+    d.R = R  # held, so that the id in a shared key stays R's
     d.S, d.T = R.s_algebra, R.t_algebra
     d.E = minimal_resolution(d.S, residue_module(d.S), hmax, dmax,
                              gen_label="e")

@@ -6,10 +6,20 @@ current kernel by echelon complements in the fixed coordinate order, so
 the output is deterministic.  Every resolution carries its validity
 window (hmax, dmax): nothing outside the window is claimed.  The
 differentials are stored as sparse generator terms (see ``gmodule``).
+
+Inside a ``sharing()`` scope, equal requests share one result: each
+``minimal_resolution`` key (the algebra's identity, the module's
+content, hmax, dmax and gen_label) is built once, and so is each
+``extalg._phi_setup`` key.  Outside a scope every call builds afresh.
+The CLI suite opens one scope per manifest entry, because the checks of
+one entry test the paper's statements about one ring against the same
+resolutions; nothing else opens one.
 """
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +35,8 @@ __all__ = [
     "FreeResolution",
     "ComplexReport",
     "minimal_resolution",
+    "sharing",
+    "shared",
     "verify_complex",
     "syzygy_module",
     "minimal_presentation",
@@ -125,11 +137,70 @@ def cover_matrices(algebra: GradedAlgebra, module: GradedModule,
     return cover
 
 
+_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "fiberres_shared", default=None)
+
+
+@contextmanager
+def sharing():
+    """A scope in which ``shared`` builds each key once.
+
+    Each scope starts with an empty memo and drops it on exit, so no
+    result outlives the ``with`` block; nothing is cached across
+    top-level library calls.  A key names its algebra (and ring) by
+    ``id``; the memo holds the built object, which holds that algebra,
+    so no id is reused while its entry lives.  A module enters a
+    ``minimal_resolution`` key by content: its basis labels and the
+    exact bytes of every action tensor.  ``dmax`` enters after it
+    defaults to the algebra's cap.
+
+    Read-only contract: no library code mutates a ``FreeResolution`` or
+    an ``extalg._PhiData`` after it is built (only
+    ``minimal_resolution``'s own builder appends to one), and a shared
+    resolution's ``module`` is the first caller's object of equal
+    content, of which callers read only the content.
+
+    The CLI suite opens one scope per manifest entry: its checks test
+    statements about one ring against the same resolutions of k over
+    R, S and T, while separate entries share no objects."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def shared(key, build):
+    """``build()``, built once per key inside a ``sharing()`` scope and
+    afresh outside one.  A build that raises is not memoized."""
+    memo = _memo.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _module_content(module: GradedModule) -> tuple:
+    return (tuple(map(tuple, module.basis)),
+            tuple((k, a.shape, a.tobytes()) for k, a in sorted(module.action.items())))
+
+
 def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
                        dmax: int | None = None,
                        gen_label: str | None = None) -> FreeResolution:
     """Minimal free resolution of ``module`` through homological degree
-    ``hmax``, internal degrees through ``dmax``."""
+    ``hmax``, internal degrees through ``dmax``; shared inside a
+    ``sharing()`` scope."""
+    if dmax is None:
+        dmax = algebra.cap
+    key = ("resolution", id(algebra), _module_content(module), hmax, dmax, gen_label)
+    return shared(key, lambda: _minimal_resolution(algebra, module, hmax, dmax, gen_label))
+
+
+def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
+                        dmax: int | None = None,
+                        gen_label: str | None = None) -> FreeResolution:
     p = algebra.p
     if dmax is None:
         dmax = algebra.cap

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from fiberres import cli, cohomology
+from fiberres import cli, cohomology, extalg, resolve
 from fiberres.cli import main
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
@@ -379,6 +379,53 @@ def test_suite_syzygy_split_entry_splits_once(tmp_path, monkeypatch):
     calls = count_syzygy_splits(monkeypatch)
     assert main(["suite", "--manifest", manifest]) == 0
     assert len(calls) == 1
+
+
+def first_triple(tmp_path, checks=None):
+    """The bundled manifest's window and first triple, with its file
+    paths made absolute and, given ``checks``, that check order."""
+    bundled = json.loads(pathlib.Path(MANIFESTS, "suite.json").read_text())
+    entry = dict(bundled["entries"][0])
+    for key in "stm":
+        entry[key] = os.path.join(MANIFESTS, entry[key])
+    if checks is not None:
+        entry["checks"] = checks
+    return write(tmp_path, "suite.json", {"window": bundled["window"],
+                                          "entries": [entry]})
+
+
+def test_suite_entry_builds_each_resolution_once(tmp_path, monkeypatch):
+    """Inside one entry, every (algebra, module content, hmax, dmax,
+    gen_label) is resolved once and the phi/theta set-up is built once,
+    though several checks ask for them."""
+    built, setups = [], []
+    real_build, real_setup = resolve._minimal_resolution, extalg._build_phi_setup
+
+    def build(algebra, module, hmax, dmax=None, gen_label=None):
+        built.append((id(algebra), resolve._module_content(module), hmax, dmax,
+                      gen_label))
+        return real_build(algebra, module, hmax, dmax, gen_label)
+
+    def setup(*args):
+        setups.append(args)
+        return real_setup(*args)
+
+    monkeypatch.setattr(resolve, "_minimal_resolution", build)
+    monkeypatch.setattr(extalg, "_build_phi_setup", setup)
+    assert main(["suite", "--manifest", first_triple(tmp_path)]) == 0
+    assert len(built) == len(set(built)) > 0
+    assert len(setups) == 1
+
+
+def test_suite_summaries_do_not_depend_on_the_check_order(tmp_path):
+    runs = []
+    for checks in (list(cli.SUITE_CHECKS), list(reversed(cli.SUITE_CHECKS))):
+        out = tmp_path / f"rep{len(runs)}.json"
+        assert main(["suite", "--manifest", first_triple(tmp_path, checks),
+                     "--out", str(out)]) == 0
+        runs.append(json.loads(out.read_text())["data"])
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]["square-square residue"]) == sorted(cli.SUITE_CHECKS)
 
 
 def first_failure(rep, prefix):

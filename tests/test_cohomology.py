@@ -196,6 +196,20 @@ def test_fiber_module_sequence_rank_two(square_zero_pair):
     assert rep.data["p_m"] == [2, 2, 4, 8, 16, 32]
 
 
+def test_fiber_module_injectivity_failure_names_degree_and_ranks(square_zero_pair,
+                                                                  monkeypatch):
+    S, T, R = square_zero_pair
+    real = cohomology.comparison_chain_map
+    monkeypatch.setattr(cohomology, "comparison_chain_map", lambda *args: [
+        {d: np.zeros_like(m) for d, m in stage.items()} for stage in real(*args)])
+    rep = verify_fiber_module_ext_sequence(
+        R, algebra_as_module(S), algebra_as_module(T), 3)
+    bad = rep.first_failure()
+    assert bad["name"] == "(mu*, -nu*) injective in each cohomological degree <= 3"
+    assert bad["detail"] == ("(degree, rank, expected) "
+                             "[(0, 0, 1), (1, 0, 2), (2, 0, 4), (3, 0, 8)]")
+
+
 def test_comparison_chain_map_identity(square_zero_pair):
     S, _, _ = square_zero_pair
     res = minimal_resolution(S, residue_module(S), 3)

@@ -12,6 +12,7 @@ from fiberres.algebra import (
 from fiberres.gmodule import (
     AlgMatrix,
     FreeModule,
+    GradedModule,
     algebra_as_module,
     cokernel_module,
     residue_module,
@@ -25,6 +26,8 @@ from fiberres.resolve import (
     betti_table_text,
     minimal_presentation,
     minimal_resolution,
+    shared,
+    sharing,
     syzygy_module,
     verify_complex,
 )
@@ -382,3 +385,74 @@ def test_resolution_equals_the_column_loop_run(p, monkeypatch):
         assert all(a.shape == b.shape and np.array_equal(a, b)
                    for a, b in zip(got[1], loop[1]))
         assert got[2:] == loop[2:]
+
+
+# -- the sharing scope ----------------------------------------------------------
+
+
+def test_equal_requests_share_one_resolution_inside_a_scope():
+    S, S2 = (mono([("x", 1)], ["x^2"], cap=6) for _ in range(2))
+    k = residue_module(S)
+    with sharing():
+        res = minimal_resolution(S, k, 3)
+        assert minimal_resolution(S, residue_module(S), 3) is res  # equal content
+        assert minimal_resolution(S, k, 3, dmax=S.cap) is res
+        distinct = [minimal_resolution(S, k, 3, gen_label="e"),
+                    minimal_resolution(S, k, 4),
+                    minimal_resolution(S, k, 3, dmax=4),
+                    minimal_resolution(S, algebra_as_module(S), 3),
+                    minimal_resolution(S2, residue_module(S2), 3)]
+        assert len({id(r) for r in [res] + distinct}) == 6
+        assert minimal_resolution(S, k, 3, gen_label="e") is distinct[0]
+
+
+def test_module_content_is_compared_exactly():
+    """S and k + k(-1) on S's basis labels differ only in their action
+    tensors, and are resolved apart."""
+    S = mono([("x", 1)], ["x^2"], cap=4)
+    M = algebra_as_module(S)
+    N = GradedModule(S, M.basis, {key: 0 * arr for key, arr in M.action.items()})
+    with sharing():
+        rm, rn = minimal_resolution(S, M, 2), minimal_resolution(S, N, 2)
+        assert rm is not rn
+        assert (rm.rank(0), rn.rank(0)) == (1, 2)
+
+
+def test_no_scope_builds_every_call():
+    S = mono([("x", 1)], ["x^2"], cap=6)
+    k = residue_module(S)
+    assert minimal_resolution(S, k, 3) is not minimal_resolution(S, k, 3)
+    assert shared("key", list) is not shared("key", list)
+    with sharing():
+        assert shared("key", list) is shared("key", list)
+
+
+def test_nothing_survives_the_scope():
+    S = mono([("x", 1)], ["x^2"], cap=6)
+    k = residue_module(S)
+    with sharing():
+        inside = minimal_resolution(S, k, 3)
+        with sharing():  # a nested scope starts empty and ends with its block
+            assert minimal_resolution(S, k, 3) is not inside
+        assert minimal_resolution(S, k, 3) is inside
+    assert minimal_resolution(S, k, 3) is not inside
+    with sharing():
+        assert minimal_resolution(S, k, 3) is not inside
+
+
+def test_a_build_that_raises_is_not_memoized():
+    calls = []
+
+    def build():
+        calls.append(1)
+        raise WindowError("no")
+
+    with sharing():
+        for _ in range(2):
+            with pytest.raises(WindowError):
+                shared("key", build)
+        S = mono([("x", 1)], ["x^2"], cap=6)
+        for _ in range(2):
+            with pytest.raises(WindowError, match="beyond tabulated degrees"):
+                minimal_resolution(S, residue_module(S), 2, dmax=S.cap + 1)
+    assert len(calls) == 2
