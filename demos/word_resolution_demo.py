@@ -35,7 +35,7 @@ def main():
     print("counts:", G.word_counts(), "\n")
 
     print("Differential in step 1 (each word loses its last letter):")
-    for row in G.diffs[1].entry_strings():
+    for row in G.entry_strings(1):
         print("  ", row)
     print()
 

@@ -321,7 +321,7 @@ def check_wordres(S, T, R, M, hmax: int, dmax: int, verify: bool):
     rep.data.update({
         "word_counts": G.word_counts(),
         "words": [list(G.frees[i].gen_labels) for i in range(hmax + 1)],
-        "differentials": {str(i): G.diffs[i].entry_strings()
+        "differentials": {str(i): G.entry_strings(i)
                           for i in range(1, hmax + 1)},
     })
     summary = {"counts": G.word_counts()}

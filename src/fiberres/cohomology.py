@@ -328,11 +328,9 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
     A, B = fp.factor_a, fp.factor_b
     dmax = fp.cap if dmax is None else min(dmax, fp.cap)
     if a_res is None:
-        a_res = minimal_resolution(A, residue_module(A), hmax,
-                                   min(dmax, A.cap), gen_label="v")
+        a_res = minimal_resolution(A, residue_module(A), hmax, min(dmax, A.cap))
     if b_res is None:
-        b_res = minimal_resolution(B, residue_module(B), hmax,
-                                   min(dmax, B.cap), gen_label="w")
+        b_res = minimal_resolution(B, residue_module(B), hmax, min(dmax, B.cap))
     if min(a_res.hmax, b_res.hmax) < hmax:
         raise WindowError(f"factor resolutions end at steps {a_res.hmax} and "
                           f"{b_res.hmax}, before hmax {hmax}")
@@ -349,9 +347,9 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
         entries: dict[tuple[int, int], Element] = {}
         ra = a_res.rank(i)
         row_off = 0 if i == 1 else a_res.rank(i - 1)
-        for (r, c), el in a_res.diffs[i].entries.items():
+        for r, c, el in a_res.entries(i):
             entries[(r, c)] = _include_factor(fp, 0, el)
-        for (r, c), el in b_res.diffs[i].entries.items():
+        for r, c, el in b_res.entries(i):
             entries[(r + row_off, c + ra)] = _include_factor(fp, 1, el)
         terms.append(AlgMatrix(fp, fi, frees[i - 1], entries).terms())
         frees.append(fi)
@@ -392,7 +390,7 @@ def hom_coboundary(res: FreeResolution, module: GradedModule, i: int,
     sdims, soffs, stot = _hom_offsets(res, module, i, nu)
     tdims, toffs, ttot = _hom_offsets(res, module, i + 1, nu)
     out = np.zeros((stot, ttot), dtype=np.int64)
-    for (r, c), el in res.diffs[i + 1].entries.items():
+    for r, c, el in res.entries(i + 1):
         ms = res.gen_degrees(i)[r] - nu
         if ms < 0 or sdims[r] == 0 or tdims[c] == 0:
             continue
@@ -531,10 +529,8 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
     p = fp.p
 
     steps = 3
-    a_res = minimal_resolution(s_ext, residue_module(s_ext), steps,
-                               gen_label="v")
-    b_res = minimal_resolution(t_ext, residue_module(t_ext), steps,
-                               gen_label="w")
+    a_res = minimal_resolution(s_ext, residue_module(s_ext), steps)
+    b_res = minimal_resolution(t_ext, residue_module(t_ext), steps)
     C = combined_residue_resolution(fp, steps, a_res=a_res, b_res=b_res)
     rep = ComplexReport()
     cver = verify_complex(C)
@@ -608,6 +604,10 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
                           "internal_degree": found[0] if found else None,
                           "ext1_dim": found[1] if found else 0})
     else:
+        d1 = {c: el for _, c, el in C.entries(1)}  # F_0 has one generator
+        d2: dict[int, list] = {}
+        for r, c, el in C.entries(2):
+            d2.setdefault(c, []).append((r, el))
         for j in range(1, jmax + 1):
             if case == "module-not-free":
                 a_letters = [the, sig] * (j - 1) + [the]
@@ -639,7 +639,7 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
 
             blocks, block_degs = [], []
             for g, s in enumerate(gens1):
-                el = C.diffs[1].entries.get((0, g))
+                el = d1.get(g)
                 if el is None:
                     blocks.append(np.zeros(fpm.dim(s + da), dtype=np.int64))
                 else:
@@ -654,7 +654,7 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
                     skipped += 1
                     continue
                 acc = np.zeros(fpm.dim(s2g + da), dtype=np.int64)
-                for r, el in C.diffs[2].column(c).items():
+                for r, el in d2.get(c, ()):
                     acc = (acc + fpm.act(el, block_degs[r], blocks[r])[1]) % p
                 tested += 1
                 if np.any(acc):

@@ -452,12 +452,9 @@ def _build_phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
     d = _PhiData()
     d.R = R  # held, so that the id in a shared key stays R's
     d.S, d.T = R.s_algebra, R.t_algebra
-    d.E = minimal_resolution(d.S, residue_module(d.S), hmax, dmax,
-                             gen_label="e")
-    d.F = minimal_resolution(d.T, residue_module(d.T), hmax, dmax,
-                             gen_label="f")
-    d.P = minimal_resolution(d.S, residue_module(d.S), hmax, dmax,
-                             gen_label="p")
+    d.E = minimal_resolution(d.S, residue_module(d.S), hmax, dmax)
+    d.F = minimal_resolution(d.T, residue_module(d.T), hmax, dmax)
+    d.P = d.E  # the module the word resolution resolves is k itself
     d.G = assemble_word_complex(R, d.E, d.F, d.P, hmax, dmax)
     d.gidx = [{w: i for i, w in enumerate(ws)} for ws in d.G.words]
     d.S_ext = ext_algebra(d.S, hmax, dmax, resolution=d.E)
@@ -621,7 +618,7 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
     p = R.p
     rep = ComplexReport()
 
-    PM = minimal_resolution(d.S, module, hmax, dmax, gen_label="m")
+    PM = minimal_resolution(d.S, module, hmax, dmax)
     GM = assemble_word_complex(R, d.E, d.F, PM, hmax, dmax)
     gidx = [{w: i for i, w in enumerate(ws)} for ws in GM.words]
     direct = minimal_resolution(R, restrict_to_fiber(R, module, "S"),

@@ -11,8 +11,9 @@ generator terms: per (source generator degree, entry degree e), arrays
 ``(tgt, src, batch, coef)`` with one row per nonzero entry, ``coef``
 being its coefficients in degree e.  ``generator_terms`` reads them off
 dense generator images, and ``extend``, the one module-linear
-extension, evaluates them degree by degree.  An AlgMatrix holds the
-same map as algebra entries; resolutions build it on demand.
+extension, evaluates them degree by degree.  An AlgMatrix writes a map
+by its algebra entries and hands it on as terms; nothing turns terms
+back into one.
 """
 
 from __future__ import annotations
@@ -281,8 +282,9 @@ class FreeModule:
 class AlgMatrix:
     """Matrix of homogeneous entries mapping src -> tgt, dropping
     internal degree by ``shift``: entry (i, j) has degree
-    deg(src_j) - deg(tgt_i) - shift.  ``terms()`` gives the map in the
-    form ``extend`` evaluates; ``from_terms`` reads that form back."""
+    deg(src_j) - deg(tgt_i) - shift.  It is the one way to write a map
+    by its entries; ``terms()`` gives the map in the form ``extend``
+    evaluates."""
 
     def __init__(self, algebra: GradedAlgebra, src: FreeModule, tgt: FreeModule,
                  entries: dict[tuple[int, int], Element], shift: int = 0):
@@ -300,13 +302,6 @@ class AlgMatrix:
                                   f"expected {expected}")
             self.entries[(i, j)] = el
 
-    @classmethod
-    def from_terms(cls, algebra, src, tgt, terms: dict, shift: int = 0) -> "AlgMatrix":
-        """The entries of one map (batch index 0) in ``terms``."""
-        return cls(algebra, src, tgt, {(int(i), int(j)): Element(algebra, e, c)
-                                       for (_, e), (tg, sg, _, coef) in terms.items()
-                                       for i, j, c in zip(tg, sg, coef)}, shift)
-
     def terms(self) -> dict:
         """The entries as sparse generator terms of one map."""
         groups: dict[tuple[int, int], list] = {}
@@ -314,40 +309,6 @@ class AlgMatrix:
             groups.setdefault((self.src.gen_degrees[j], el.degree), []).append((i, j, 0, el.vec))
         return {key: tuple(np.array(col, dtype=np.int64) for col in zip(*g))
                 for key, g in groups.items()}
-
-    def compose(self, other: "AlgMatrix") -> "AlgMatrix":
-        """self o other, for other: A -> B and self: B -> C."""
-        if other.tgt is not self.src and other.tgt.gen_degrees != self.src.gen_degrees:
-            raise ModuleError("compose: the inner free modules differ")
-        acc: dict[tuple[int, int], Element] = {}
-        for (k, j), b in other.entries.items():
-            for (i, k2), a in self.entries.items():
-                if k2 != k:
-                    continue
-                # extend multiplies coefficients on the right, so entry
-                # (i, j) is the sum over k of other[k, j] * self[i, k]
-                prod = b * a
-                if prod.is_zero():
-                    continue
-                if (i, j) in acc:
-                    acc[(i, j)] = acc[(i, j)] + prod
-                else:
-                    acc[(i, j)] = prod
-        acc = {key: el for key, el in acc.items() if not el.is_zero()}
-        return AlgMatrix(self.algebra, other.src, self.tgt, acc,
-                         self.shift + other.shift)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def column(self, j: int) -> dict[int, Element]:
-        return {i: el for (i, jj), el in self.entries.items() if jj == j}
-
-    def entry_strings(self) -> list[list[str]]:
-        out = [["0"] * self.src.rank for _ in range(self.tgt.rank)]
-        for (i, j), el in self.entries.items():
-            out[i][j] = repr(el)
-        return out
 
 
 # -- module-linear extension of generator images ------------------------------

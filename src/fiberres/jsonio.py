@@ -55,7 +55,7 @@ def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:
             names = [v["name"] for v in obj["vars"]]
             degs = [int(v["deg"]) for v in obj["vars"]]
             rels = list(obj.get("rels", []))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad monomial_quotient object: {exc}") from exc
         try:
             pres = MonomialQuotientPresentation(names, degs, rels,
@@ -110,10 +110,15 @@ def module_from_obj(obj: dict, algebra: GradedAlgebra) -> GradedModule:
         rows = obj.get("matrix")
         if not isinstance(rows, list) or not rows:
             raise InputError("coker module needs a nonempty 'matrix'")
+        if not all(isinstance(r, list) for r in rows):
+            raise InputError("coker 'matrix' must be a list of rows")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows) or ncols == 0:
             raise InputError("coker matrix must be rectangular and nonempty")
-        tgt_degs = [int(d) for d in obj.get("gens", [0] * len(rows))]
+        try:
+            tgt_degs = [int(d) for d in obj.get("gens", [0] * len(rows))]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"coker module needs integer 'gens': {exc}") from exc
         if len(tgt_degs) != len(rows):
             raise InputError("coker 'gens' must match the number of rows")
         entries: dict[tuple[int, int], object] = {}

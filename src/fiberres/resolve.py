@@ -5,11 +5,13 @@ The engine works over any tabulated connected graded algebra
 current kernel by echelon complements in the fixed coordinate order, so
 the output is deterministic.  Every resolution carries its validity
 window (hmax, dmax): nothing outside the window is claimed.  The
-differentials are stored as sparse generator terms (see ``gmodule``).
+differentials are stored only as sparse generator terms (see
+``gmodule``): ``eval_diff`` evaluates them one degree at a time, and
+``entries`` reads their algebra entries straight off the terms.
 
 Inside a ``sharing()`` scope, equal requests share one result: each
 ``minimal_resolution`` key (the algebra's identity, the module's
-content, hmax, dmax and gen_label) is built once, and so is each
+content, hmax and dmax) is built once, and so is each
 ``extalg._phi_setup`` key.  Outside a scope every call builds afresh.
 The CLI suite opens one scope per manifest entry, because the checks of
 one entry test the paper's statements about one ring against the same
@@ -20,13 +22,12 @@ from __future__ import annotations
 
 import contextvars
 from contextlib import contextmanager
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .algebra import GradedAlgebra
-from .gmodule import (AlgMatrix, FreeModule, GradedModule, extend, generator_terms,
+from .algebra import Element, GradedAlgebra
+from .gmodule import (FreeModule, GradedModule, extend, generator_terms,
                       minimal_generators, submodule_as_gmodule)
 from .series import PowerSeries
 
@@ -39,7 +40,6 @@ __all__ = [
     "shared",
     "verify_complex",
     "syzygy_module",
-    "minimal_presentation",
     "betti_table_text",
 ]
 
@@ -66,18 +66,22 @@ class FreeResolution:
         self.kernel_bases = kernel_bases  # per step i: d -> kernel rows of the map out of F_i
         self._ev_cache: dict[tuple[int, int], np.ndarray] = {}
 
-    @cached_property
-    def diffs(self) -> list:
-        """diffs[i]: F_i -> F_{i-1} as an AlgMatrix (diffs[0] is None),
-        built from the terms on first access."""
-        return [None] + [AlgMatrix.from_terms(self.algebra, self.frees[i], self.frees[i - 1],
-                                              self.terms[i])
-                         for i in range(1, len(self.terms))]
-
-    def diff(self, i: int) -> AlgMatrix:
+    def entries(self, i: int) -> list[tuple[int, int, Element]]:
+        """(row, column, entry) for each nonzero entry of d_i: F_i ->
+        F_(i-1), read off its generator terms: row indexes F_(i-1)'s
+        generators, column F_i's."""
         if not 1 <= i <= self.hmax:
             raise WindowError(f"differential d{i} outside steps 1..{self.hmax}")
-        return self.diffs[i]
+        return [(int(r), int(c), Element(self.algebra, e, v))
+                for (_, e), (tg, sg, _, coef) in self.terms[i].items()
+                for r, c, v in zip(tg, sg, coef)]
+
+    def entry_strings(self, i: int) -> list[list[str]]:
+        """d_i as a rank(i-1) x rank(i) table of entry strings."""
+        out = [["0"] * self.rank(i) for _ in range(self.rank(i - 1))]
+        for r, c, el in self.entries(i):
+            out[r][c] = repr(el)
+        return out
 
     def eval_diff(self, i: int, d: int) -> np.ndarray:
         if (i, d) not in self._ev_cache:
@@ -187,20 +191,18 @@ def _module_content(module: GradedModule) -> tuple:
 
 
 def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
-                       dmax: int | None = None,
-                       gen_label: str | None = None) -> FreeResolution:
+                       dmax: int | None = None) -> FreeResolution:
     """Minimal free resolution of ``module`` through homological degree
     ``hmax``, internal degrees through ``dmax``; shared inside a
-    ``sharing()`` scope."""
+    ``sharing()`` scope.  Generator k of step i is labelled ``ui_k``."""
     if dmax is None:
         dmax = algebra.cap
-    key = ("resolution", id(algebra), _module_content(module), hmax, dmax, gen_label)
-    return shared(key, lambda: _minimal_resolution(algebra, module, hmax, dmax, gen_label))
+    key = ("resolution", id(algebra), _module_content(module), hmax, dmax)
+    return shared(key, lambda: _minimal_resolution(algebra, module, hmax, dmax))
 
 
 def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
-                        dmax: int | None = None,
-                        gen_label: str | None = None) -> FreeResolution:
+                        dmax: int | None = None) -> FreeResolution:
     p = algebra.p
     if dmax is None:
         dmax = algebra.cap
@@ -217,9 +219,8 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     gens0 = [(d, units[d][j]) for d, j, _ in
              minimal_generators(algebra, units, module.times, dmax)]
 
-    label = gen_label or "u"
     f0 = FreeModule(algebra, [d for d, _ in gens0],
-                    [f"{label}0_{k}" for k in range(len(gens0))])
+                    [f"u0_{k}" for k in range(len(gens0))])
     cover = cover_matrices(algebra, module, gens0, f0, dmax)
 
     res = FreeResolution(algebra, module, hmax, dmax, [f0], [None], cover, [])
@@ -234,7 +235,7 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
                     minimal_generators(algebra, kers, prev_free.times, dmax)]
 
         fi = FreeModule(algebra, [d for d, _ in new_gens],
-                        [f"{label}{step}_{k}" for k in range(len(new_gens))])
+                        [f"u{step}_{k}" for k in range(len(new_gens))])
         terms = generator_terms(prev_free, [(d, g, np.array([new_gens[j][1] for j in g]).T)
                                             for d, g in fi.by_degree.items()])
         unit = sorted((int(j), int(i)) for (_, e), (tg, sg, _, _) in terms.items()
@@ -304,18 +305,15 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
         F = res.frees[i]
         bad = [d for d, g in F.by_degree.items() if np.any(linalg.matmul_mod(
             res.eval_diff(i - 1, d), res.eval_diff(i, d)[:, F.block_indices(d, g)], p))]
-        pairs = bad and sorted(res.diffs[i - 1].compose(res.diffs[i]).entries)
         rep.add(f"d{i - 1} o d{i} = 0", not bad,
-                f"degrees {bad}, generator pairs {pairs}" if bad else "")
+                f"degrees {bad}, generator pairs {_composite_pairs(res, i)}" if bad else "")
     if hmax >= 1:
-        F = res.frees[1]
         bad = []
         for d in range(dmax + 1):
             prod = (res.eval_cover(d) @ res.eval_diff(1, d)) % p
             if np.any(prod):
-                hit = np.flatnonzero(prod.any(axis=0))
-                gens = np.searchsorted(F.offsets(d), hit, side="right") - 1
-                bad += [(d, int(j)) for j in dict.fromkeys(gens.tolist())]
+                gens = _block_generators(res.frees[1], d, np.flatnonzero(prod.any(axis=0)))
+                bad += [(d, j) for j in dict.fromkeys(gens)]
         rep.add("cover o d1 = 0", not bad,
                 f"nonzero at (degree, generator) {bad}" if bad else "")
 
@@ -335,6 +333,26 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
     return rep
 
 
+def _block_generators(free: FreeModule, d: int, coords) -> list[int]:
+    """The generator whose degree-d block holds each coordinate."""
+    return (np.searchsorted(free.offsets(d), coords, side="right") - 1).tolist()
+
+
+def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
+    """(target, source) generator pairs of the nonzero entries of
+    d_(i-1) o d_i.  Entry (h, g) of a module map is the h-block of the
+    image of g, so both maps are extended from their terms afresh at
+    each generator degree, not read from the evaluation cache."""
+    F, mid, tgt = res.frees[i], res.frees[i - 1], res.frees[i - 2]
+    pairs = set()
+    for s, g in F.by_degree.items():
+        outer = extend(tgt, mid, res.terms[i - 1], [s])[s]
+        inner = extend(mid, F, res.terms[i], [s])[s][:, F.block_indices(s, g)]
+        rows, cols = np.nonzero(linalg.matmul_mod(outer, inner, res.algebra.p))
+        pairs.update(zip(_block_generators(tgt, s, rows), g[cols].tolist()))
+    return sorted(pairs)
+
+
 def syzygy_module(res: FreeResolution, n: int) -> GradedModule:
     """The n-th syzygy (kernel of the map out of F_{n-1}) in its chosen
     echelon basis, as a graded module table."""
@@ -342,14 +360,6 @@ def syzygy_module(res: FreeResolution, n: int) -> GradedModule:
         raise WindowError(f"syzygy step {n} outside 1..{len(res.kernel_bases)}")
     return submodule_as_gmodule(res.frees[n - 1], res.kernel_bases[n - 1],
                                 label_prefix=f"z{n}_")
-
-
-def minimal_presentation(algebra: GradedAlgebra, module: GradedModule,
-                         dmax: int | None = None):
-    """Minimal presentation matrix: F_1 -> F_0 with cokernel the module.
-    Returns (AlgMatrix, FreeResolution with hmax = 1)."""
-    res = minimal_resolution(algebra, module, 1, dmax)
-    return res.diffs[1], res
 
 
 def betti_table_text(betti: dict[tuple[int, int], int], hmax: int) -> str:

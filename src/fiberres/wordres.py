@@ -162,7 +162,8 @@ def word_differential(w: Word, E: FreeResolution, F: FreeResolution,
         src, embed = F, R.embed_t
     out: list[tuple[Word, Element]] = []
     degs = src.gen_degrees(head.hom - 1)
-    for row, el in sorted(src.diff(head.hom).column(head.idx).items()):
+    column = [(r, el) for r, c, el in src.entries(head.hom) if c == head.idx]
+    for row, el in sorted(column):
         coeff = embed(el)
         if head.tag != "P" and head.hom == 1:
             out.append((tail, coeff))   # bottom step is the ring: drop the letter
@@ -251,9 +252,9 @@ def build_word_resolution(S: GradedAlgebra, T: GradedAlgebra,
         raise WordError("fiber product was built from different factors")
     if dmax is None:
         dmax = fiber.cap
-    P = minimal_resolution(S, module, hmax, dmax, gen_label="p")
-    E = minimal_resolution(S, residue_module(S), hmax, dmax, gen_label="e")
-    F = minimal_resolution(T, residue_module(T), hmax, dmax, gen_label="f")
+    P = minimal_resolution(S, module, hmax, dmax)
+    E = minimal_resolution(S, residue_module(S), hmax, dmax)
+    F = minimal_resolution(T, residue_module(T), hmax, dmax)
     G = assemble_word_complex(fiber, E, F, P, hmax, dmax)
     if verify:
         rep = verify_word_resolution(G)

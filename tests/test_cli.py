@@ -295,6 +295,28 @@ def test_bad_presentation_exits_one(tmp_path, capsys, vars_degs, message):
     assert "bad presentation: " in err and message in err
 
 
+@pytest.mark.parametrize("algebra_vars, module, message", [
+    ([{"name": "x", "deg": "a"}], {"kind": "residue"},
+     "bad monomial_quotient object: invalid literal"),
+    ([{"name": "x", "deg": 1}], {"kind": "coker", "matrix": [["x"]], "gens": ["a"]},
+     "coker module needs integer 'gens': invalid literal"),
+    ([{"name": "x", "deg": 1}], {"kind": "coker", "matrix": [["x"]], "gens": 5},
+     "coker module needs integer 'gens': 'int' object is not iterable"),
+    ([{"name": "x", "deg": 1}], {"kind": "coker", "matrix": [1]},
+     "coker 'matrix' must be a list of rows"),
+], ids=["deg-string", "gens-string", "gens-number", "matrix-row-number"])
+def test_malformed_input_file_exits_one(tmp_path, capsys, algebra_vars, module, message):
+    """A value of the wrong type in an algebra or module file is an input
+    error (exit 1, one error line), not a traceback."""
+    obj = algebra_obj([("x", 1)], ["x^3"])
+    obj["algebra"]["vars"] = algebra_vars
+    a = write(tmp_path, "a.json", obj)
+    m = write(tmp_path, "m.json", module)
+    assert main(["resolve", "--algebra", a, "--module", m, "--hmax", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_unknown_module_kind_exits_one(tmp_path):
     a = write(tmp_path, "a.json", algebra_obj([("x", 1)], ["x^2"]))
     m = write(tmp_path, "m.json", {"kind": "wat"})
@@ -395,16 +417,15 @@ def first_triple(tmp_path, checks=None):
 
 
 def test_suite_entry_builds_each_resolution_once(tmp_path, monkeypatch):
-    """Inside one entry, every (algebra, module content, hmax, dmax,
-    gen_label) is resolved once and the phi/theta set-up is built once,
-    though several checks ask for them."""
+    """Inside one entry, every (algebra, module content, hmax, dmax) is
+    resolved once and the phi/theta set-up is built once, though several
+    checks ask for them."""
     built, setups = [], []
     real_build, real_setup = resolve._minimal_resolution, extalg._build_phi_setup
 
-    def build(algebra, module, hmax, dmax=None, gen_label=None):
-        built.append((id(algebra), resolve._module_content(module), hmax, dmax,
-                      gen_label))
-        return real_build(algebra, module, hmax, dmax, gen_label)
+    def build(algebra, module, hmax, dmax=None):
+        built.append((id(algebra), resolve._module_content(module), hmax, dmax))
+        return real_build(algebra, module, hmax, dmax)
 
     def setup(*args):
         setups.append(args)

@@ -12,6 +12,7 @@ from fiberres.algebra import (
 from fiberres.gmodule import (
     AlgMatrix,
     FreeModule,
+    extend,
     GradedModule,
     algebra_as_module,
     cokernel_module,
@@ -24,7 +25,6 @@ from fiberres.resolve import (
     ResolutionError,
     WindowError,
     betti_table_text,
-    minimal_presentation,
     minimal_resolution,
     shared,
     sharing,
@@ -124,12 +124,14 @@ def test_window_error_beyond_cap():
 
 
 def test_minimal_presentation():
+    """Step 1 of a minimal resolution is a minimal presentation."""
     S = mono([("x", 1)], ["x^2"])
     T = mono([("y", 1)], ["y^2"])
     R = fiber_product(S, T)
-    phi, res = minimal_presentation(R, residue_module(R))
-    assert phi.src.rank == 2 and phi.tgt.rank == 1
-    assert sorted(el.degree for el in phi.entries.values()) == [1, 1]
+    res = minimal_resolution(R, residue_module(R), 1)
+    assert res.rank(1) == 2 and res.rank(0) == 1
+    assert sorted(el.degree for _, _, el in res.entries(1)) == [1, 1]
+    assert res.entry_strings(1) == [["S:x", "T:y"]]
 
 
 def test_syzygy_module_of_dual_numbers():
@@ -204,7 +206,7 @@ def test_resolution_determinism():
     r2 = minimal_resolution(R, residue_module(R), 5)
     assert r1.betti() == r2.betti()
     for i in range(1, 6):
-        assert r1.diffs[i].entry_strings() == r2.diffs[i].entry_strings()
+        assert r1.entry_strings(i) == r2.entry_strings(i)
 
 
 def test_non_minimal_generator_raises_typed_error(monkeypatch):
@@ -305,8 +307,28 @@ def test_d_squared_is_checked_on_the_evaluated_matrices():
     res = minimal_resolution(R, residue_module(R), 3)
     mat = res.eval_diff(2, 3)
     mat[0, 0] = (mat[0, 0] + 1) % R.p
-    assert res.diffs[2].compose(res.diffs[3]).is_zero()
+    d2, d3 = (extend(res.frees[i - 1], res.frees[i], res.terms[i], [3])[3] for i in (2, 3))
+    assert not np.any(linalg.matmul_mod(d2, d3, R.p))
     assert failures(res) == [("d2 o d3 = 0", "degrees [3], generator pairs []")]
+
+
+def test_d_squared_names_the_pairs_in_the_noncommutative_order():
+    """Over k<x, y>/(x^2, y^2, yx), where x*y is the only nonzero
+    product, entry (h, g) of d1 o d2 is d2's entry times d1's.  d1 =
+    (x y), and d2 sends its third generator to y on the second step-1
+    generator: x in place of that y makes the composite x*y at pair
+    (0, 2), while y in place of the x of the first generator gives
+    y*x = 0, so only the first tampering fails d o d."""
+    A = mono([("x", 1), ("y", 1)], ["x^2", "y^2", "y*x"], cap=4, commutative=False)
+    x, y = A.generator("x"), A.generator("y")
+    res = minimal_resolution(A, residue_module(A), 2)
+    assert res.entry_strings(1) == [["x", "y"]]
+    assert res.entry_strings(2) == [["x", "y", "0"], ["0", "0", "y"]]
+    replace_term(res, 2, (1, 2), "y", x)
+    assert ("d1 o d2 = 0", "degrees [2], generator pairs [(0, 2)]") in failures(res)
+    res = minimal_resolution(A, residue_module(A), 2)
+    replace_term(res, 2, (0, 0), "x", y)
+    assert "d1 o d2 = 0" not in dict(failures(res))
 
 
 def test_cover_o_d1_names_degree_and_generator():
@@ -317,7 +339,7 @@ def test_cover_o_d1_names_degree_and_generator():
     R = fiber_product(mono([("x", 1)], ["x^3"]), mono([("y", 1)], ["y^3"]))
     M = restrict_to_fiber(R, algebra_as_module(R.s_algebra), "S")
     res = minimal_resolution(R, M, 2)
-    assert res.diffs[1].entry_strings() == [["T:y"]]
+    assert res.entry_strings(1) == [["T:y"]]
     assert verify_complex(res).ok
     res.cover[2] = np.ones_like(res.cover[2])
     got = [c["detail"] for c in verify_complex(res).checks if c["name"] == "cover o d1 = 0"]
@@ -336,10 +358,11 @@ def test_cover_surjective_names_degree_and_rank():
 def test_window_errors_for_steps_outside_the_resolution():
     A = mono([("x", 1)], ["x^2"], cap=6)
     res = minimal_resolution(A, residue_module(A), 2)
-    assert res.diff(2) is res.diffs[2]
+    assert res.entry_strings(2) == [["x"]]
     for i in (0, 3):
-        with pytest.raises(WindowError, match=f"differential d{i} outside steps 1..2"):
-            res.diff(i)
+        for read in (res.entries, res.entry_strings):
+            with pytest.raises(WindowError, match=f"differential d{i} outside steps 1..2"):
+                read(i)
     for n in (0, 3):
         with pytest.raises(WindowError, match=f"syzygy step {n} outside 1..2"):
             syzygy_module(res, n)
@@ -397,13 +420,12 @@ def test_equal_requests_share_one_resolution_inside_a_scope():
         res = minimal_resolution(S, k, 3)
         assert minimal_resolution(S, residue_module(S), 3) is res  # equal content
         assert minimal_resolution(S, k, 3, dmax=S.cap) is res
-        distinct = [minimal_resolution(S, k, 3, gen_label="e"),
-                    minimal_resolution(S, k, 4),
+        distinct = [minimal_resolution(S, k, 4),
                     minimal_resolution(S, k, 3, dmax=4),
                     minimal_resolution(S, algebra_as_module(S), 3),
                     minimal_resolution(S2, residue_module(S2), 3)]
-        assert len({id(r) for r in [res] + distinct}) == 6
-        assert minimal_resolution(S, k, 3, gen_label="e") is distinct[0]
+        assert len({id(r) for r in [res] + distinct}) == 5
+        assert minimal_resolution(S, k, 4) is distinct[0]
 
 
 def test_module_content_is_compared_exactly():

@@ -43,9 +43,9 @@ def square_zero_pair():
 def test_word_enumeration_square_zero():
     S, T = square_zero_pair()
     k = residue_module(S)
-    E = minimal_resolution(S, k, 4, gen_label="e")
-    F = minimal_resolution(T, residue_module(T), 4, gen_label="f")
-    Pres = minimal_resolution(S, k, 4, gen_label="p")
+    E = minimal_resolution(S, k, 4)
+    F = minimal_resolution(T, residue_module(T), 4)
+    Pres = minimal_resolution(S, k, 4)
     words = generate_words(E, F, Pres, 4)
     assert [len(b) for b in words] == [1, 2, 4, 8, 16]
     G = assemble_word_complex(fiber_product(S, T), E, F, Pres, 4)
@@ -74,8 +74,8 @@ def test_word_differential_square_zero():
     S, T = square_zero_pair()
     R = fiber_product(S, T)
     k = residue_module(S)
-    E = minimal_resolution(S, k, 4, gen_label="e")
-    F = minimal_resolution(T, residue_module(T), 4, gen_label="f")
+    E = minimal_resolution(S, k, 4)
+    F = minimal_resolution(T, residue_module(T), 4)
     f1 = Letter("F", 1, 0, 1)
     p0 = Letter("P", 0, 0, 0)
     img = word_differential((f1, p0), E, F, E, R)
@@ -117,8 +117,8 @@ def test_counts_match_series_cubic_pair():
     S = mono([("x", 1)], ["x^3"])
     T = mono([("y", 1)], ["y^2"])
     k = residue_module(S)
-    E = minimal_resolution(S, k, 6, gen_label="e")
-    F = minimal_resolution(T, residue_module(T), 6, gen_label="f")
+    E = minimal_resolution(S, k, 6)
+    F = minimal_resolution(T, residue_module(T), 6)
     words = generate_words(E, F, E, 6)
     series = word_count_series(E, F, E, 6)
     assert [len(b) for b in words] == series.coeffs
@@ -158,8 +158,8 @@ def test_residue_special_case_words():
 def test_nonminimal_input_rejected():
     S, T = square_zero_pair()
     k = residue_module(S)
-    E = minimal_resolution(S, k, 3, gen_label="e")
-    F = minimal_resolution(T, residue_module(T), 3, gen_label="f")
+    E = minimal_resolution(S, k, 3)
+    F = minimal_resolution(T, residue_module(T), 3)
     bad_entries = {(0, 0): S.unit()}
     bad = AlgMatrix(S, FreeModule(S, [0]), E.frees[0], bad_entries)
     from fiberres.resolve import FreeResolution
@@ -226,8 +226,8 @@ def test_alternating_words_reject_weightless_letters():
 
 def test_word_count_series_beyond_inputs_raises_word_error():
     S, T = square_zero_pair()
-    E = minimal_resolution(S, residue_module(S), 3, gen_label="e")
-    F = minimal_resolution(T, residue_module(T), 3, gen_label="f")
+    E = minimal_resolution(S, residue_module(S), 3)
+    F = minimal_resolution(T, residue_module(T), 3)
     assert word_count_series(E, F, E, 3).coeffs == [1, 2, 4, 8]
     with pytest.raises(WordError, match="reach degree 3, not 4"):
         word_count_series(E, F, E, 4)
