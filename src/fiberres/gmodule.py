@@ -194,6 +194,14 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
 # -- free modules and matrices -------------------------------------------
 
 
+# From this many cells of its rows on, FreeModule.times and the reduction
+# in minimal_generators read the rows at their nonzero entries; below it,
+# dense int64 products take fewer array operations.  Over the benchmark's
+# calls to times, the two cost about the same at 4096 cells (see
+# CHANGES.md).
+SPARSE_MIN_CELLS = 4096
+
+
 class FreeModule:
     """Free module on homogeneous generators.  It is never mutated, so
     each degree's block layout is computed once and kept."""
@@ -210,6 +218,7 @@ class FreeModule:
             raise ModuleError(f"{len(gen_labels)} labels for {len(gen_degrees)} "
                               f"generators")
         self.gen_labels = list(gen_labels)
+        self._degrees = np.array(self.gen_degrees, dtype=np.int64)
         self._layouts: dict[int, tuple[list[int], np.ndarray, int]] = {}
 
     @property
@@ -247,6 +256,12 @@ class FreeModule:
         each generator in ``gens``, generator by generator."""
         return (self._layout(d)[1][gens][:, None] + (start + np.arange(width))).ravel()
 
+    def block_generators(self, d: int, coords) -> np.ndarray:
+        """The generator whose degree-d block holds each coordinate: the
+        last one whose block starts at or before it, as an empty block
+        starts where the next one does."""
+        return self._layout(d)[1].searchsorted(coords, "right") - 1
+
     def pair_index(self, d: int, j: int, a_idx: int) -> int:
         return self._layout(d)[0][j] + a_idx
 
@@ -266,16 +281,46 @@ class FreeModule:
 
     def times(self, rows, a: Element, d: int) -> np.ndarray:
         """``rows`` (coordinate rows in degree d) times the matrix of
-        v -> a*v, mod p: one int64 product per generator degree s, exact
-        as each entry sums dim A_(d - s) terms below p^2."""
-        A, m, r = self.algebra, a.degree, rows.shape[0]
-        out = np.zeros((r, self.dim(d + m)), dtype=np.int64)
-        for s, gens in self.by_degree.items():
+        v -> a*v, mod p, one int64 product per generator degree s, exact
+        as each entry sums dim A_(d - s) terms below p^2.
+
+        Rows of ``SPARSE_MIN_CELLS`` cells or more are read only at their
+        nonzero entries.  Entry c of a row is coordinate x of the block
+        of the generator g_j holding it, and a * (x g_j) lies in g_j's
+        block in degree d + m.  Per s, only the (row, generator) pairs
+        that are hit enter the product, and only their blocks are
+        scattered into the result.  Smaller rows are multiplied block by
+        block whole."""
+        A, m, n = self.algebra, a.degree, rows.shape[0]
+        out = np.zeros((n, self.dim(d + m)), dtype=np.int64)
+        if rows.size < SPARSE_MIN_CELLS:
+            for s, gens in self.by_degree.items():
+                na, nb = A.dim(d - s), A.dim(d + m - s)
+                if na * nb * n:
+                    prod = (rows[:, self.block_indices(d, gens, na)].reshape(-1, na)
+                            @ A.left_mult_matrix(a, d - s))
+                    out[:, self.block_indices(d + m, gens, nb)] = prod.reshape(n, -1) % A.p
+            return out
+        r, c = rows.nonzero()  # row-major, so each pair's entries are consecutive
+        if not r.size:
+            return out
+        src_off, tgt_off = self._layout(d)[1], self._layout(d + m)[1]
+        j = self.block_generators(d, c)
+        key = r * self.rank + j
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        # coef[k, x]: coordinate x of the k-th (row, generator) pair hit
+        coef = np.zeros((first.sum(), max(A.dim(d - s) for s in self.by_degree)),
+                        dtype=np.int64)
+        coef[first.cumsum() - 1, c - src_off[j]] = rows[r, c]
+        pr, pj = r[first], j[first]
+        pdeg = self._degrees[pj]
+        for s in self.by_degree:
             na, nb = A.dim(d - s), A.dim(d + m - s)
-            if na * nb * r:
-                prod = (rows[:, self.block_indices(d, gens, na)].reshape(-1, na)
-                        @ A.left_mult_matrix(a, d - s))
-                out[:, self.block_indices(d + m, gens, nb)] = prod.reshape(r, -1) % A.p
+            k = (pdeg == s).nonzero()[0] if na * nb else ()
+            if len(k):
+                out[pr[k, None], tgt_off[pj[k], None] + np.arange(nb)] = (
+                    coef[k, :na] @ A.left_mult_matrix(a, d - s) % A.p)
         return out
 
 
@@ -435,28 +480,111 @@ def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
     x -> a*x out of degree n, mod p (a module's ``times``).
     The rows must span a submodule degreewise (kernels, or a whole
     module), so the part of degree d generated below it is the sum of
-    g * rows[d - deg g] over the algebra's indecomposables g.  Each
-    degree's span starts from those products, folded into one reduced
-    echelon basis one g at a time; its own rows are then added in
-    order.  Returns ``(degree, row index, new echelon row)`` per row
-    that enlarges it."""
+    g * rows[d - deg g] over the algebra's indecomposables g, folded into
+    one reduced echelon basis ``lower``.  Returns ``(degree, row index,
+    new echelon row)`` per row that enlarges the span of ``lower`` and
+    the rows before it, the new row being the row's normalized residual
+    against the reduced echelon basis of that span, as ``linalg.Span.add``
+    gives it.
+
+    That residual is unique, and reducing against ``lower`` first leaves
+    it unchanged, so each degree's rows are reduced against ``lower`` in
+    one product, sparse for large rows (``_reduced_entries``).  The
+    reduced echelon form of a sum of spans on disjoint columns is the
+    union of their forms, so a residual row that shares no column with
+    another residual row is its own new row, up to its leading entry:
+    all such rows are normalized at once.  Only the rows of
+    shared-column components go through a ``Span``."""
     p = algebra.p
     out = []
     for d in range(dmax + 1):
-        if rows[d].shape[0] == 0:
+        m, n = rows[d].shape
+        if m == 0:
             continue
-        lower = np.zeros((0, rows[d].shape[1]), dtype=np.int64)
-        for m, i in algebra.indecomposables:
-            if m > d or rows[d - m].shape[0] == 0:
+        lower, piv = np.zeros((0, n), dtype=np.int64), []
+        for deg, i in algebra.indecomposables:
+            if deg > d or rows[d - deg].shape[0] == 0:
                 continue
-            prod = times(rows[d - m], algebra.basis_element(m, i), d - m)
-            lower = linalg.row_space(np.vstack([lower, prod]), p)
-        span = linalg.Span(p, rows[d].shape[1], lower)
-        for j, row in enumerate(rows[d]):
-            new = span.add(row)
-            if new is not None:
-                out.append((d, j, new))
+            prod = times(rows[d - deg], algebra.basis_element(deg, i), d - deg)
+            R, piv = linalg.rref(np.vstack([lower, prod]), p)
+            lower = R[: len(piv)]
+        r, c, v = _reduced_entries(rows[d], lower, piv, p)
+        if not r.size:
+            continue
+        col_count = np.bincount(c, minlength=n)
+        shared = np.bincount(r[col_count[c] > 1], minlength=m) > 0
+        new = {}
+        alone = ~shared[r]
+        if alone.any():
+            r1, c1, v1 = r[alone], c[alone], v[alone]
+            first = np.ones(r1.size, dtype=bool)
+            first[1:] = r1[1:] != r1[:-1]
+            slot = np.cumsum(first) - 1
+            heads = np.flatnonzero(first)  # each row's leading entry
+            normed = np.zeros((heads.size, n), dtype=np.int64)
+            normed[slot, c1] = v1 * linalg.inv_mod(v1[heads], p)[slot] % p
+            new.update(zip(r1[heads].tolist(), normed))
+        if not alone.all():
+            span_rows = np.flatnonzero(shared)
+            dense = np.zeros((span_rows.size, n), dtype=np.int64)
+            dense[np.searchsorted(span_rows, r[~alone]), c[~alone]] = v[~alone]
+            span = linalg.Span(p, n)
+            for j, row in zip(span_rows.tolist(), dense):
+                vec = span.add(row)
+                if vec is not None:
+                    new[j] = vec
+        out += [(d, j, new[j]) for j in sorted(new)]
     return out
+
+
+def _reduced_entries(rows, lower, piv, p: int):
+    """Nonzero entries ``(row, column, value)``, row-major, of ``rows``
+    reduced against ``lower`` (reduced echelon, pivot columns ``piv``).
+
+    A row's residual is zero at the pivots, and elsewhere it is the row
+    minus, for each pivot entry a of the row, a times the pivot's row of
+    ``lower``.  From ``SPARSE_MIN_CELLS`` cells of ``rows`` on, those
+    products are taken entry by entry (each below p^2) and summed per
+    (row, column) with the row's own entries; smaller rows take one
+    int64 product, of at most len(piv) terms below p^2."""
+    n = rows.shape[1]
+    if rows.size < SPARSE_MIN_CELLS:
+        res = rows % p
+        if len(piv):
+            res = (res - res[:, piv] @ lower) % p
+        r, c = res.nonzero()
+        return r, c, res[r, c]
+    r, c = rows.nonzero()
+    v = rows[r, c] % p
+    pos = np.full(n, -1)
+    pos[piv] = np.arange(len(piv))
+    at = pos[c] >= 0
+    off = ~at & (v != 0)
+    if not at.any():
+        return r[off], c[off], v[off]
+    lr, lc = np.nonzero(lower)
+    keep = pos[lc] < 0  # lower is zero at the other pivots and 1 at its own
+    lr, lc = lr[keep], lc[keep]
+    lv = lower[lr, lc]
+    count = np.bincount(lr, minlength=len(piv))
+    start = np.cumsum(count) - count
+    hk, ha = pos[c[at]], v[at]
+    reps = count[hk]
+    term = np.repeat(np.arange(hk.size), reps)
+    idx = np.repeat(start[hk] - (np.cumsum(reps) - reps), reps) + np.arange(term.size)
+    r = np.concatenate([r[off], r[at][term]])
+    c = np.concatenate([c[off], lc[idx]])
+    v = np.concatenate([v[off], (p - ha[term]) * lv[idx]])
+    key = r * n + c
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    heads = np.flatnonzero(first)
+    v = np.add.reduceat(v[order], heads) % p if heads.size else v
+    r, c = r[order[heads]], c[order[heads]]
+    nz = v != 0
+    return r[nz], c[nz], v[nz]
 
 
 # -- fiber products of modules ---------------------------------------------

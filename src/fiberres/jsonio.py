@@ -13,6 +13,9 @@ Module files, interpreted against a given algebra: ``{"kind":
 (target degrees default to 0; column degrees are inferred from the
 entries, which must be homogeneous).
 
+Degrees, the characteristic and the cap are integers; a fraction or a
+boolean raises ``InputError`` rather than being truncated.
+
 Series files follow ``PowerSeries.to_json``: decimal coefficient
 strings plus a truncation.
 
@@ -48,12 +51,20 @@ def load_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _integer(x) -> int:
+    """``x`` as an int.  ``int`` alone would truncate a fraction and take
+    a bool as 0 or 1, so both raise ValueError."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:
     kind = obj.get("kind")
     if kind == "monomial_quotient":
         try:
             names = [v["name"] for v in obj["vars"]]
-            degs = [int(v["deg"]) for v in obj["vars"]]
+            degs = [_integer(v["deg"]) for v in obj["vars"]]
             rels = list(obj.get("rels", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad monomial_quotient object: {exc}") from exc
@@ -85,12 +96,17 @@ def load_algebra(path: str, default_char: int | None = None) -> GradedAlgebra:
     obj = load_json(path)
     if not isinstance(obj, dict) or "algebra" not in obj:
         raise InputError(f"{path}: expected an object with an 'algebra' field")
-    char = int(obj.get("field", {}).get("char",
-                                        default_char or DEFAULT_CHAR))
+    field = obj.get("field", {})
+    if not isinstance(field, dict):
+        raise InputError(f"{path}: 'field' must be an object with a 'char' entry, "
+                         f"not {field!r}")
+    if "cap" not in obj:
+        raise InputError(f"{path}: missing 'cap'")
     try:
-        cap = int(obj["cap"])
-    except KeyError as exc:
-        raise InputError(f"{path}: missing 'cap'") from exc
+        char = _integer(field.get("char", default_char or DEFAULT_CHAR))
+        cap = _integer(obj["cap"])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: 'char' and 'cap' must be integers: {exc}") from exc
     if char < 2 or cap < 0:
         raise InputError(f"{path}: need char >= 2 and cap >= 0")
     return algebra_from_obj(obj["algebra"], char, cap)
@@ -102,7 +118,7 @@ def module_from_obj(obj: dict, algebra: GradedAlgebra) -> GradedModule:
         return residue_module(algebra)
     if kind == "free":
         try:
-            gens = [int(d) for d in obj["gens"]]
+            gens = [_integer(d) for d in obj["gens"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"free module needs integer 'gens': {exc}") from exc
         return free_module_table(algebra, gens)
@@ -116,7 +132,7 @@ def module_from_obj(obj: dict, algebra: GradedAlgebra) -> GradedModule:
         if any(len(r) != ncols for r in rows) or ncols == 0:
             raise InputError("coker matrix must be rectangular and nonempty")
         try:
-            tgt_degs = [int(d) for d in obj.get("gens", [0] * len(rows))]
+            tgt_degs = [_integer(d) for d in obj.get("gens", [0] * len(rows))]
         except (TypeError, ValueError) as exc:
             raise InputError(f"coker module needs integer 'gens': {exc}") from exc
         if len(tgt_degs) != len(rows):

@@ -30,9 +30,13 @@ that bound ``matmul_mod`` raises ``LinalgError`` instead of rounding.
 Every p is below 2^16, so products of up to 2^21 terms are always
 allowed.  Elimination stays in int64.
 
-``Span`` grows a reduced echelon basis one vector at a time, for the
-minimal-generator loop: rows stay where they were added, and a vector
-is reduced by one int64 product with the rows whose pivots it hits.
+``Span`` grows a reduced echelon basis one vector at a time: rows stay
+where they were added, and a vector is reduced by one int64 product
+with the rows whose pivots it hits.  ``gmodule.minimal_generators``
+reduces and normalizes most of its rows itself, from their nonzero
+entries, and hands a ``Span`` only the rows whose residuals share a
+column with another row's.  ``inv_mod`` inverts one entry or an array
+of them, a long array by square-and-multiply in int64.
 """
 
 from __future__ import annotations
@@ -76,11 +80,36 @@ def normalize(mat, p: int) -> np.ndarray:
     return _matrix(mat) % p
 
 
-def inv_mod(x: int, p: int) -> int:
-    x = int(x) % p
-    if x == 0:
+# Below this many entries inv_mod inverts an array entry by entry: some 30
+# array operations of square-and-multiply cost more than that many pow
+# calls (measured at p = 31991).
+INV_ARRAY_MIN = 40
+
+
+def inv_mod(x, p: int):
+    """Inverse of x mod p: an int for an int, and entrywise an int64
+    array for an array.  A long array is raised to the power p - 2 by
+    square-and-multiply; every p is below 2^16, so each int64 product is
+    below 2^32.  A zero raises ZeroDivisionError."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        x = int(x) % p
+        if x == 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return pow(x, p - 2, p)
+    base = x.astype(np.int64, copy=False) % p
+    if not base.all():
         raise ZeroDivisionError("zero has no inverse")
-    return pow(x, p - 2, p)
+    if base.size < INV_ARRAY_MIN:
+        return np.array([pow(v, p - 2, p) for v in base.ravel().tolist()],
+                        dtype=np.int64).reshape(base.shape)
+    out = np.ones_like(base)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        e >>= 1
+        base = base * base % p
+    return out
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
@@ -210,7 +239,7 @@ def rref(mat, p: int):
     # a one-row component is its row over its leading entry; only those
     # leading entries are inverted
     inv = np.zeros(rows.size, dtype=np.int64)
-    inv[heads] = [pow(x, p - 2, p) for x in vals[heads].tolist()]
+    inv[heads] = inv_mod(vals[heads], p)
     head = np.flatnonzero(first)[np.cumsum(first) - 1][one_row]
     R[slot[cols[head]], cols[one_row]] = vals[one_row] * inv[head] % p
     # a one-column component is the unit row at its column

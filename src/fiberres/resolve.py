@@ -282,11 +282,12 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
     ideal, and homology vanishes at every bidegree the window can
     certify.  Each evaluated map is ranked once.  d_(i-1) o d_i = 0 is
     checked on the evaluated matrices, at the column of each generator
-    of F_i in its own degree: a module map that vanishes on generators
-    vanishes, so this is the check over the algebra.  A failure names
-    the degrees and the generator pairs (row, column) of the nonzero
-    entries of the composite; a failure of cover o d1 = 0 names the
-    (degree, generator) pairs of its nonzero generator blocks."""
+    of F_i in its own degree and over the rows those columns hit: a
+    module map that vanishes on generators vanishes, so this is the
+    check over the algebra.  A failure names the degrees and the
+    generator pairs (row, column) of the nonzero entries of the
+    composite; a failure of cover o d1 = 0 names the (degree,
+    generator) pairs of its nonzero generator blocks."""
     p = res.algebra.p
     hmax = res.hmax if hmax is None else min(hmax, res.hmax)
     dmax = res.dmax if dmax is None else min(dmax, res.dmax)
@@ -303,7 +304,7 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
 
     for i in range(2, hmax + 1):
         F = res.frees[i]
-        bad = [d for d, g in F.by_degree.items() if np.any(linalg.matmul_mod(
+        bad = [d for d, g in F.by_degree.items() if np.any(_generator_composite(
             res.eval_diff(i - 1, d), res.eval_diff(i, d)[:, F.block_indices(d, g)], p))]
         rep.add(f"d{i - 1} o d{i} = 0", not bad,
                 f"degrees {bad}, generator pairs {_composite_pairs(res, i)}" if bad else "")
@@ -312,7 +313,8 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
         for d in range(dmax + 1):
             prod = (res.eval_cover(d) @ res.eval_diff(1, d)) % p
             if np.any(prod):
-                gens = _block_generators(res.frees[1], d, np.flatnonzero(prod.any(axis=0)))
+                cols = np.flatnonzero(prod.any(axis=0))
+                gens = res.frees[1].block_generators(d, cols).tolist()
                 bad += [(d, j) for j in dict.fromkeys(gens)]
         rep.add("cover o d1 = 0", not bad,
                 f"nonzero at (degree, generator) {bad}" if bad else "")
@@ -333,9 +335,11 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
     return rep
 
 
-def _block_generators(free: FreeModule, d: int, coords) -> list[int]:
-    """The generator whose degree-d block holds each coordinate."""
-    return (np.searchsorted(free.offsets(d), coords, side="right") - 1).tolist()
+def _generator_composite(outer: np.ndarray, inner: np.ndarray, p: int) -> np.ndarray:
+    """``outer @ inner`` mod p over the rows of ``inner`` that are not
+    zero: the other rows add nothing."""
+    hit = np.flatnonzero(inner.any(axis=1))
+    return linalg.matmul_mod(outer[:, hit], inner[hit], p)
 
 
 def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
@@ -348,8 +352,8 @@ def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
     for s, g in F.by_degree.items():
         outer = extend(tgt, mid, res.terms[i - 1], [s])[s]
         inner = extend(mid, F, res.terms[i], [s])[s][:, F.block_indices(s, g)]
-        rows, cols = np.nonzero(linalg.matmul_mod(outer, inner, res.algebra.p))
-        pairs.update(zip(_block_generators(tgt, s, rows), g[cols].tolist()))
+        rows, cols = np.nonzero(_generator_composite(outer, inner, res.algebra.p))
+        pairs.update(zip(tgt.block_generators(s, rows).tolist(), g[cols].tolist()))
     return sorted(pairs)
 
 

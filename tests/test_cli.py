@@ -295,26 +295,45 @@ def test_bad_presentation_exits_one(tmp_path, capsys, vars_degs, message):
     assert "bad presentation: " in err and message in err
 
 
-@pytest.mark.parametrize("algebra_vars, module, message", [
-    ([{"name": "x", "deg": "a"}], {"kind": "residue"},
+RESIDUE = {"kind": "residue"}
+
+
+@pytest.mark.parametrize("algebra_edit, module, message", [
+    ({"vars": [{"name": "x", "deg": "a"}]}, RESIDUE,
      "bad monomial_quotient object: invalid literal"),
-    ([{"name": "x", "deg": 1}], {"kind": "coker", "matrix": [["x"]], "gens": ["a"]},
+    ({}, {"kind": "coker", "matrix": [["x"]], "gens": ["a"]},
      "coker module needs integer 'gens': invalid literal"),
-    ([{"name": "x", "deg": 1}], {"kind": "coker", "matrix": [["x"]], "gens": 5},
+    ({}, {"kind": "coker", "matrix": [["x"]], "gens": 5},
      "coker module needs integer 'gens': 'int' object is not iterable"),
-    ([{"name": "x", "deg": 1}], {"kind": "coker", "matrix": [1]},
+    ({}, {"kind": "coker", "matrix": [1]},
      "coker 'matrix' must be a list of rows"),
-], ids=["deg-string", "gens-string", "gens-number", "matrix-row-number"])
-def test_malformed_input_file_exits_one(tmp_path, capsys, algebra_vars, module, message):
+    ({"cap": "six"}, RESIDUE,
+     "{path}: 'char' and 'cap' must be integers: invalid literal"),
+    ({"field": 7}, RESIDUE,
+     "{path}: 'field' must be an object with a 'char' entry, not 7"),
+    ({"vars": [{"name": "x", "deg": 1.5}]}, RESIDUE,
+     "bad monomial_quotient object: 1.5 is not an integer"),
+    ({"vars": [{"name": "x", "deg": True}]}, RESIDUE,
+     "bad monomial_quotient object: True is not an integer"),
+    ({}, {"kind": "free", "gens": [0.5, 1]},
+     "free module needs integer 'gens': 0.5 is not an integer"),
+    ({}, {"kind": "coker", "matrix": [["x"]], "gens": [0.7]},
+     "coker module needs integer 'gens': 0.7 is not an integer"),
+], ids=["deg-string", "gens-string", "gens-number", "matrix-row-number", "cap-string",
+        "field-number", "deg-fraction", "deg-bool", "free-gens-fraction",
+        "coker-gens-fraction"])
+def test_malformed_input_file_exits_one(tmp_path, capsys, algebra_edit, module, message):
     """A value of the wrong type in an algebra or module file is an input
-    error (exit 1, one error line), not a traceback."""
+    error (exit 1, one error line), not a traceback; a fractional or
+    boolean degree is not truncated to an integer."""
     obj = algebra_obj([("x", 1)], ["x^3"])
-    obj["algebra"]["vars"] = algebra_vars
+    for key, value in algebra_edit.items():
+        (obj["algebra"] if key == "vars" else obj)[key] = value
     a = write(tmp_path, "a.json", obj)
     m = write(tmp_path, "m.json", module)
     assert main(["resolve", "--algebra", a, "--module", m, "--hmax", "2"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert err.startswith(f"error: {message.format(path=a)}") and err.count("\n") == 1
 
 
 def test_unknown_module_kind_exits_one(tmp_path):

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fiberres import jsonio, linalg
+from fiberres import gmodule, jsonio, linalg
 from fiberres.algebra import (
     Element,
     MonomialQuotientPresentation,
@@ -373,6 +373,89 @@ def test_free_module_times_matches_the_dense_product(p):
                     assert np.array_equal(
                         F.times(rows, a, n),
                         linalg.matmul_mod(rows, reference_left_mult(F, a, n), p))
+
+
+@pytest.fixture(params=["sparse everything", "default crossover"])
+def sparse_cells(request, monkeypatch):
+    """Run each test with all rows read at their nonzero entries, and
+    again with the module's crossover, below which dense products run."""
+    cells = 0 if request.param == "sparse everything" else gmodule.SPARSE_MIN_CELLS
+    monkeypatch.setattr(gmodule, "SPARSE_MIN_CELLS", cells)
+    return cells
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_free_module_times_reads_only_the_nonzero_entries(p, sparse_cells):
+    """Sparse rows, zero rows among them, against the dense product.  In
+    degree n = 4 the generators of degree 0 have empty blocks (dim R_4 =
+    0) that start where the next generator's block does, so an entry
+    there must be charged to that next generator."""
+    R = weighted_ring(p)
+    F = FreeModule(R, [0, 4, 0, 1, 2, 3, 3, 6, 5])
+    rng = np.random.default_rng(1000 + p)
+    for n in range(R.cap + 1):
+        for m in range(1, R.cap + 1 - n):
+            for i in range(R.dim(m)):
+                a = R.basis_element(m, i)
+                rows = rng.integers(1, p, (6, F.dim(n))) * (rng.random((6, F.dim(n))) < 0.2)
+                rows[rng.integers(0, 6)] = 0
+                assert np.array_equal(
+                    F.times(rows, a, n),
+                    linalg.matmul_mod(rows, reference_left_mult(F, a, n), p))
+
+
+def random_submodule_rows(rng, F, p):
+    """Per degree, rows spanning a random submodule of F: a few sparse
+    generators, every product of the lower generators with a basis
+    element, and rows that only restate that span (zero rows, repeated
+    rows, and combinations of two generators, which share their
+    columns), in shuffled order."""
+    A = F.algebra
+    gens, rows = {}, []
+    for d in range(A.cap + 1):
+        n = F.dim(d)
+        own = gens[d] = rng.integers(1, p, (3, n)) * (rng.random((3, n)) < 0.3)
+        parts = [own, np.zeros((2, n), dtype=np.int64), own[:2],
+                 (own[:1] + rng.integers(1, p) * own[1:2]) % p]
+        parts += [gens[d - e] @ reference_left_mult(F, A.basis_element(e, i), d - e) % p
+                  for e in range(1, d + 1) for i in range(A.dim(e))]
+        block = np.vstack(parts)
+        rows.append(block[rng.permutation(len(block))])
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimal_generators_match_the_definition_on_random_rows(p, seed, sparse_cells,
+                                                               monkeypatch):
+    """Rows whose residuals share columns take the Span path, and the
+    rest are normalized in one batch; together they must give what the
+    definition gives, row for row."""
+    R = weighted_ring(p)
+    F = FreeModule(R, [0, 0, 1, 2, 3])
+    rows = random_submodule_rows(np.random.default_rng([seed, p]), F, p)
+    added = []
+    add = linalg.Span.add
+    monkeypatch.setattr(linalg.Span, "add", lambda span, vec: added.append(1) or add(span, vec))
+    gens = minimal_generators(R, rows, F.times, R.cap)
+    assert added, "no residual rows shared a column"
+    monkeypatch.undo()
+    assert same_generators(gens, reference_generators(R, rows, partial(reference_left_mult, F),
+                                                      R.cap))
+
+
+def test_resolution_is_the_same_read_sparse_or_dense(monkeypatch):
+    """The sparse and the dense products give one resolution, term for
+    term, over the kernels of a real resolution."""
+    R = weighted_ring(5003)
+    M = residue_module(R)
+    built = []
+    for cells in (0, 1 << 40):
+        monkeypatch.setattr(gmodule, "SPARSE_MIN_CELLS", cells)
+        res = minimal_resolution(R, M, 5)
+        built.append([{k: [a.tolist() for a in v] for k, v in t.items()}
+                      for t in res.terms[1:]])
+    assert built[0] == built[1] and built[0][-1]
 
 
 # -- the one module-linear extension -------------------------------------------

@@ -145,6 +145,22 @@ def test_inv_mod():
         linalg.inv_mod(0, 5)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5003, 65521])
+def test_inv_mod_of_an_array_is_entrywise(p):
+    """Square-and-multiply in int64 on a long array, and pow entry by
+    entry on a short one, agree with Python's pow at primes up to the
+    largest one allowed, including x = p - 1."""
+    x = np.random.default_rng(p).integers(1, p, 200)
+    x[:2] = 1, p - 1
+    inv = linalg.inv_mod(x, p)
+    assert inv.dtype == np.int64
+    assert inv.tolist() == [pow(int(v), p - 2, p) for v in x]
+    assert linalg.inv_mod(x[:0], p).shape == (0,)
+    assert linalg.inv_mod(x[:6].reshape(2, 3), p).tolist() == inv[:6].reshape(2, 3).tolist()
+    with pytest.raises(ZeroDivisionError):
+        linalg.inv_mod(np.array([1, p]), p)
+
+
 # -- the float64 product kernel and typed errors ----------------------------
 
 BIG_P = 65521
