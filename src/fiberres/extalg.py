@@ -33,7 +33,7 @@ from . import linalg
 from .algebra import Element, FiberProductAlgebra, GradedAlgebra
 from .gmodule import (FreeModule, GradedModule, extend, generator_terms, residue_module,
                       restrict_to_fiber)
-from .resolve import ComplexReport, FreeResolution, minimal_resolution, shared
+from .resolve import ComplexReport, FreeResolution, WindowError, minimal_resolution, shared
 from .series import coproduct_module_series
 from .wordres import Letter, alternating_words, assemble_word_complex
 
@@ -530,7 +530,12 @@ def verify_phi_iso(R: FiberProductAlgebra, hmax: int, dmax: int | None = None,
     resolution, the closed-form series, and a tensor-product control;
     generator images under the two restriction maps; concatenation
     products of letter duals; and bijectivity plus multiplicativity of
-    the induced map on basis words."""
+    the induced map on basis words.  The tensor-product control agrees
+    with Ext through degree 1 (both are s_1 + t_1 there), so a window
+    below 2 raises ``WindowError``."""
+    if hmax < 2:
+        raise WindowError(f"window {hmax} is too small for the tensor-product "
+                          f"control; the smallest valid window is 2")
     if dmax is None:
         dmax = R.cap
     d = _phi_setup(R, hmax, dmax)

@@ -95,8 +95,9 @@ class GradedModule:
             raise ModuleError(f"action lands beyond cap {self.cap}")
         return np.einsum("ijk,i->jk", self.action[(m, n)], a.vec) % self.algebra.p
 
-    def times(self, rows, a: Element, n: int) -> np.ndarray:
-        """``rows @ act_matrix(a, n)`` mod p."""
+    def times(self, rows, a: Element, n: int, *, entries=None) -> np.ndarray:
+        """``rows @ act_matrix(a, n)`` mod p.  The product is dense, so
+        ``entries`` (see ``FreeModule.times``) is not read."""
         return linalg.matmul_mod(rows, self.act_matrix(a, n), self.algebra.p)
 
     def act(self, a: Element, n: int, vec) -> tuple[int, np.ndarray]:
@@ -197,8 +198,9 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
 # From this many cells of its rows on, FreeModule.times and the reduction
 # in minimal_generators read the rows at their nonzero entries; below it,
 # dense int64 products take fewer array operations.  Over the benchmark's
-# calls to times, the two cost about the same at 4096 cells (see
-# CHANGES.md).
+# calls to times and to the reduction, the total is flat from 2048 to 4096
+# cells and rises on either side, with the reads of linalg.entries as
+# with those of np.nonzero before it (see CHANGES.md).
 SPARSE_MIN_CELLS = 4096
 
 
@@ -279,18 +281,20 @@ class FreeModule:
                 out.append(self.gen_labels[j] if lab == "1" else f"{lab}*{self.gen_labels[j]}")
         return out
 
-    def times(self, rows, a: Element, d: int) -> np.ndarray:
+    def times(self, rows, a: Element, d: int, *, entries=None) -> np.ndarray:
         """``rows`` (coordinate rows in degree d) times the matrix of
         v -> a*v, mod p, one int64 product per generator degree s, exact
         as each entry sums dim A_(d - s) terms below p^2.
 
         Rows of ``SPARSE_MIN_CELLS`` cells or more are read only at their
-        nonzero entries.  Entry c of a row is coordinate x of the block
-        of the generator g_j holding it, and a * (x g_j) lies in g_j's
-        block in degree d + m.  Per s, only the (row, generator) pairs
-        that are hit enter the product, and only their blocks are
-        scattered into the result.  Smaller rows are multiplied block by
-        block whole."""
+        nonzero entries, ``linalg.entries(rows)``; a caller that has read
+        them already hands them over as ``entries``, so rows multiplied
+        by several elements are scanned once.  Entry c of a row is
+        coordinate x of the block of the generator g_j holding it, and
+        a * (x g_j) lies in g_j's block in degree d + m.  Per s, only the
+        (row, generator) pairs that are hit enter the product, and only
+        their blocks are scattered into the result.  Smaller rows are
+        multiplied block by block whole, and ``entries`` is not read."""
         A, m, n = self.algebra, a.degree, rows.shape[0]
         out = np.zeros((n, self.dim(d + m)), dtype=np.int64)
         if rows.size < SPARSE_MIN_CELLS:
@@ -301,7 +305,8 @@ class FreeModule:
                             @ A.left_mult_matrix(a, d - s))
                     out[:, self.block_indices(d + m, gens, nb)] = prod.reshape(n, -1) % A.p
             return out
-        r, c = rows.nonzero()  # row-major, so each pair's entries are consecutive
+        # row-major, so each pair's entries are consecutive
+        r, c = linalg.entries(rows) if entries is None else entries
         if not r.size:
             return out
         src_off, tgt_off = self._layout(d)[1], self._layout(d + m)[1]
@@ -476,8 +481,8 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
 def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
         -> list[tuple[int, int, np.ndarray]]:
     """Minimal generators of the submodule spanned by ``rows[d]`` (d <=
-    dmax), where ``times(rows, a, n)`` is ``rows`` times the matrix of
-    x -> a*x out of degree n, mod p (a module's ``times``).
+    dmax), where ``times(rows, a, n, entries=...)`` is ``rows`` times the
+    matrix of x -> a*x out of degree n, mod p (a module's ``times``).
     The rows must span a submodule degreewise (kernels, or a whole
     module), so the part of degree d generated below it is the sum of
     g * rows[d - deg g] over the algebra's indecomposables g, folded into
@@ -494,8 +499,15 @@ def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
     union of their forms, so a residual row that shares no column with
     another residual row is its own new row, up to its leading entry:
     all such rows are normalized at once.  Only the rows of
-    shared-column components go through a ``Span``."""
+    shared-column components go through a ``Span``.
+
+    Each degree's rows of ``SPARSE_MIN_CELLS`` cells or more are read at
+    their nonzero entries once, up front (``linalg.entries``): their own
+    reduction needs the read in any case, and it is handed to every
+    ``times`` call on them as well, so no matrix is scanned twice."""
     p = algebra.p
+    read = [linalg.entries(rows[d]) if rows[d].size >= SPARSE_MIN_CELLS else None
+            for d in range(dmax + 1)]
     out = []
     for d in range(dmax + 1):
         m, n = rows[d].shape
@@ -505,10 +517,11 @@ def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
         for deg, i in algebra.indecomposables:
             if deg > d or rows[d - deg].shape[0] == 0:
                 continue
-            prod = times(rows[d - deg], algebra.basis_element(deg, i), d - deg)
+            prod = times(rows[d - deg], algebra.basis_element(deg, i), d - deg,
+                         entries=read[d - deg])
             R, piv = linalg.rref(np.vstack([lower, prod]), p)
             lower = R[: len(piv)]
-        r, c, v = _reduced_entries(rows[d], lower, piv, p)
+        r, c, v = _reduced_entries(rows[d], read[d], lower, piv, p)
         if not r.size:
             continue
         col_count = np.bincount(c, minlength=n)
@@ -537,24 +550,26 @@ def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
     return out
 
 
-def _reduced_entries(rows, lower, piv, p: int):
+def _reduced_entries(rows, entries, lower, piv, p: int):
     """Nonzero entries ``(row, column, value)``, row-major, of ``rows``
     reduced against ``lower`` (reduced echelon, pivot columns ``piv``).
 
     A row's residual is zero at the pivots, and elsewhere it is the row
     minus, for each pivot entry a of the row, a times the pivot's row of
-    ``lower``.  From ``SPARSE_MIN_CELLS`` cells of ``rows`` on, those
-    products are taken entry by entry (each below p^2) and summed per
-    (row, column) with the row's own entries; smaller rows take one
-    int64 product, of at most len(piv) terms below p^2."""
+    ``lower``.  Given ``entries``, the row-major ``(row, column)`` of
+    the nonzero entries of ``rows`` (``minimal_generators`` reads them
+    from ``SPARSE_MIN_CELLS`` cells on), those products are taken entry
+    by entry (each below p^2) and summed per (row, column) with the
+    row's own entries.  Without them, the rows take one int64 product,
+    of at most len(piv) terms below p^2, and the residual is read."""
     n = rows.shape[1]
-    if rows.size < SPARSE_MIN_CELLS:
+    if entries is None:
         res = rows % p
         if len(piv):
             res = (res - res[:, piv] @ lower) % p
-        r, c = res.nonzero()
+        r, c = linalg.entries(res)
         return r, c, res[r, c]
-    r, c = rows.nonzero()
+    r, c = entries
     v = rows[r, c] % p
     pos = np.full(n, -1)
     pos[piv] = np.arange(len(piv))
@@ -562,7 +577,7 @@ def _reduced_entries(rows, lower, piv, p: int):
     off = ~at & (v != 0)
     if not at.any():
         return r[off], c[off], v[off]
-    lr, lc = np.nonzero(lower)
+    lr, lc = linalg.entries(lower)
     keep = pos[lc] < 0  # lower is zero at the other pivots and 1 at its own
     lr, lc = lr[keep], lc[keep]
     lv = lower[lr, lc]

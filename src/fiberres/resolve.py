@@ -210,6 +210,8 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
         raise WindowError(
             f"dmax {dmax} beyond tabulated degrees; largest valid dmax is {algebra.cap}"
         )
+    if dmax < 0:
+        raise WindowError(f"dmax {dmax} is negative; the smallest valid dmax is 0")
     if hmax < 0:
         raise WindowError(f"hmax {hmax} is negative; the smallest valid hmax is 0")
 
@@ -352,7 +354,7 @@ def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
     for s, g in F.by_degree.items():
         outer = extend(tgt, mid, res.terms[i - 1], [s])[s]
         inner = extend(mid, F, res.terms[i], [s])[s][:, F.block_indices(s, g)]
-        rows, cols = np.nonzero(_generator_composite(outer, inner, res.algebra.p))
+        rows, cols = linalg.entries(_generator_composite(outer, inner, res.algebra.p))
         pairs.update(zip(tgt.block_generators(s, rows).tolist(), g[cols].tolist()))
     return sorted(pairs)
 

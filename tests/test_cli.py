@@ -357,12 +357,35 @@ def test_char_mismatch_exits_one(tmp_path):
     assert main(["fiber", "--s", s, "--t", t]) == 1
 
 
-def test_resolve_negative_hmax_exits_one(capsys):
-    rc = main(["resolve", "--algebra", os.path.join(MANIFESTS, "r_square_zero.json"),
-               "--module", os.path.join(MANIFESTS, "m_k.json"), "--hmax", "-1"])
+def manifest_args(*args):
+    """A command line with each ``name.json`` read from the manifests."""
+    return [os.path.join(MANIFESTS, a) if a.endswith(".json") else a for a in args]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["resolve", "--algebra", "r_square_zero.json", "--module", "m_k.json",
+      "--hmax", "-1"], "hmax -1 is negative"),
+    (["resolve", "--algebra", "s_x2.json", "--module", "m_k.json",
+      "--hmax", "2", "--dmax", "-1"], "dmax -1 is negative"),
+    (["koszul", "--algebra", "s_x2.json", "--imax", "2", "--dmax", "-1"],
+     "dmax -1 is negative"),
+    (["fiber-module", "--s", "s_x2.json", "--t", "t_y2.json", "--m", "m_k.json",
+      "--n", "m_k.json", "--hmax", "2", "--dmax", "-1"], "dmax -1 is negative"),
+    (["syzygy-split", "--r", "r_square_zero.json", "--l", "m_k.json",
+      "--hmax", "3", "--dmax", "-2"], "dmax -2 is negative"),
+    (["ext", "--algebra", "s_x2.json", "--imax", "2", "--dmax", "-3"],
+     "dmax -3 is negative"),
+    (["poincare", "--s", "s_x2.json", "--t", "t_y2.json", "--m", "m_k.json",
+      "--hmax", "3", "--dmax", "-1"], "dmax -1 is negative"),
+], ids=["resolve-hmax", "resolve-dmax", "koszul-dmax", "fiber-module-dmax",
+        "syzygy-split-dmax", "ext-dmax", "poincare-dmax"])
+def test_resolve_negative_hmax_exits_one(capsys, argv, message):
+    """A negative window bound is refused before any check runs, with the
+    smallest valid value named."""
+    rc = main(manifest_args(*argv))
     out, err = capsys.readouterr()
     assert rc == 1
-    assert "hmax -1" in err
+    assert message in err and "the smallest valid" in err
     assert "PASS" not in out
 
 
@@ -373,6 +396,19 @@ def test_syzygy_split_hmax_below_two_exits_one(capsys):
     assert rc == 1
     assert "hmax 1" in err
     assert "2 <= n <= 1" not in out
+
+
+@pytest.mark.parametrize("window", ["0", "1"])
+def test_verify_phi_window_below_two_exits_one(capsys, window):
+    """Below degree 2 the tensor-product control agrees with Ext (both
+    are s_1 + t_1), so it cannot disagree: the window is refused."""
+    rc = main(manifest_args("verify", "phi", "--s", "s_x2.json", "--t", "t_y2.json",
+                            "--window", window))
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert f"window {window} is too small" in err
+    assert "smallest valid window is 2" in err
+    assert "PASS" not in out and "FAIL" not in out
 
 
 def test_syzygy_split_bad_window_prints_no_table(capsys):

@@ -444,6 +444,26 @@ def test_minimal_generators_match_the_definition_on_random_rows(p, seed, sparse_
                                                       R.cap))
 
 
+def test_minimal_generators_read_each_kernel_matrix_once(sparse_cells, monkeypatch):
+    """Every ``FreeModule.times`` call on a degree's kernel rows and the
+    reduction of those rows share one ``linalg.entries`` read; with every
+    matrix read sparse, each kernel matrix is read exactly once."""
+    R = weighted_ring(5003)
+    res = minimal_resolution(R, residue_module(R), 4)
+    reads = []
+    real = linalg.entries
+    monkeypatch.setattr(linalg, "entries", lambda mat: reads.append(mat) or real(mat))
+    for step in range(1, 5):
+        kers = res.kernel_bases[step - 1]
+        reads.clear()
+        gens = minimal_generators(R, kers, res.frees[step - 1].times, R.cap)
+        assert [d for d, _, _ in gens] == res.gen_degrees(step)
+        counts = [sum(mat is ker for mat in reads) for ker in kers.values()]
+        assert max(counts) <= 1
+        if sparse_cells == 0:
+            assert counts == [1] * len(counts)
+
+
 def test_resolution_is_the_same_read_sparse_or_dense(monkeypatch):
     """The sparse and the dense products give one resolution, term for
     term, over the kernels of a real resolution."""

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,41 @@ def sparse_matrix(rng, m, n, p, density):
     multiple = rng.random((m, n)) < 0.1 * density
     mat[multiple] = p * rng.choice([-2, -1, 1, 2], size=int(multiple.sum()))
     return mat
+
+
+def assert_entries_equal_nonzero(mat):
+    rows, cols = linalg.entries(mat)
+    ref_rows, ref_cols = np.nonzero(mat)
+    assert rows.dtype == ref_rows.dtype and cols.dtype == ref_cols.dtype
+    assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_entries_equal_nonzero_on_every_layout(p):
+    """C-contiguous, column-selected (``rows[:, idx]``), strided and
+    transposed inputs; unreduced entries, multiples of p among them, are
+    nonzero entries as they stand."""
+    rng = np.random.default_rng(7000 + p)
+    for _ in range(10):
+        m, n = rng.integers(1, 40, size=2)
+        mat = sparse_matrix(rng, m, n, p, rng.choice([0.01, 0.1, 0.5]))
+        idx = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+        for a in (mat, mat[:, idx], mat[:, ::2], mat[1:, 1:], mat.T, mat[:, idx].T):
+            assert_entries_equal_nonzero(a)
+    multiples = np.array([[0, p, 0], [-2 * p, 0, 3]])
+    assert [x.tolist() for x in linalg.entries(multiples)] == [[0, 1, 1], [1, 0, 2]]
+
+
+def test_entries_of_empty_shapes_raise_no_warning():
+    """No row, no column or neither: empty indices, and no numpy warning
+    (the column count divides nothing)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((0, 7), (7, 0), (0, 0)):
+            mat = np.zeros(shape, dtype=np.int64)
+            for a in (mat, mat.T):
+                assert_entries_equal_nonzero(a)
+                assert all(x.size == 0 for x in linalg.entries(a))
 
 
 def assert_rref_equals_column_loop(mat, p, brute=True):
