@@ -570,7 +570,9 @@ def build_parser() -> Parser:
     p.add_argument("--m")
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--dmax", type=int)
-    p.add_argument("--products-to", dest="products_to", type=int, default=4)
+    p.add_argument("--products-to", dest="products_to", type=int, default=4,
+                   help="top total degree of the product checks (at least 2 for "
+                        "phi, 1 for theta; default 4)")
 
     p = add(cmd_koszul, "koszul", help="diagonal Ext test")
     p.add_argument("--algebra", required=True)

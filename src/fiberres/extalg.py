@@ -17,12 +17,16 @@ map).  ``_generator_coefficients`` reads a stage off on generators.
 ``ext_algebra`` tabulates the Yoneda algebra Ext(k, k) on the dual basis
 of a minimal free resolution of the residue field; ``ext_module`` does
 the same for Ext(M, k) as a left module.  ``free_product`` builds the
-coproduct of two such algebras on the alternating-word basis, and
-``verify_phi_iso`` / ``verify_theta_iso`` check that for a fiber product
-the cohomology algebra (resp. the cohomology of a factor module) is the
-free product (resp. the induced module over it), degree by degree and
-product by product.  ``koszul_check`` reads the diagonal condition off
-generator degrees.
+coproduct of two such algebras on the alternating-word basis.  For a
+fiber product R and a module M over its first factor, Ext_R(M, k) is
+the module induced from Ext_S(M, k) along that coproduct; one check
+body, ``_verify_induced``, tests this degree by degree and product by
+product, on an induced map that one loop, ``_word_images``, builds by
+letting a word's letters act on its module element's image.
+``verify_theta_iso`` runs it for M; ``verify_phi_iso`` is its M = k
+case, where the induced module is the free product itself, plus a
+tensor-product control and the second factor's restriction.
+``koszul_check`` reads the diagonal condition off generator degrees.
 """
 
 from __future__ import annotations
@@ -433,7 +437,7 @@ def free_product_module(fp: FreeProductAlgebra,
     return FreeProductModule(fp, module, buckets, basis, action)
 
 
-# -- comparison with the cohomology of a fiber product -----------------------
+# -- cohomology of a fiber product, induced along the coproduct -------------
 
 
 class _PhiData:
@@ -467,32 +471,26 @@ def _build_phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
     d.tau_mats = [_generator_coefficients(tau[n], d.G.frees[n], d.F.frees[n])
                   for n in range(hmax + 1)]
     d.FP = free_product(d.S_ext, d.T_ext, hmax)
-    d.phis = {}
-    for n in range(1, hmax + 1):
-        rows = []
-        for w in d.FP.words[n]:
-            el = d.R_ext.unit()
-            for (t, deg, i) in w:
-                mats = d.sig_mats if t == 0 else d.tau_mats
-                el = el * Element(d.R_ext, deg, mats[deg][i])
-            rows.append(el.vec)
-        d.phis[n] = np.array(rows, dtype=np.int64).reshape(
-            len(d.FP.words[n]), d.R_ext.dim(n))
+    unit = d.R_ext.unit().vec
+    d.phis = {n: _word_images(
+        d, [(w, 0, unit) for w in d.FP.words[n]],
+        lambda a, m, v: (m + a.degree, (a * Element(d.R_ext, m, v)).vec), d.R_ext.dim(n))
+        for n in range(1, hmax + 1)}
     return d
 
 
-def _dual_image_failures(mats: list, gidx: list, steps: range,
-                         word) -> list[tuple[int, int]]:
-    """(n, a) where row a of the step-n induced matrix is not the dual
-    of the basis word ``word(n, a)``."""
-    bad = []
-    for n in steps:
-        for a, row in enumerate(mats[n]):
-            exp = np.zeros(len(row), dtype=np.int64)
-            exp[gidx[n][word(n, a)]] = 1
-            if not np.array_equal(row, exp):
-                bad.append((n, a))
-    return bad
+def _word_images(d: _PhiData, words: list, act, dim: int) -> np.ndarray:
+    """The induced map on basis words, one row per (letters, degree,
+    image of the module element): the letters' restriction images act
+    on that image through ``act`` (as ``GradedModule.act``), rightmost
+    letter first."""
+    rows = []
+    for ls, deg, vec in words:
+        for t, ldeg, i in reversed(ls):
+            mats = d.sig_mats if t == 0 else d.tau_mats
+            deg, vec = act(Element(d.R_ext, ldeg, mats[ldeg][i]), deg, vec)
+        rows.append(vec)
+    return np.array(rows, dtype=np.int64).reshape(len(words), dim)
 
 
 def _concatenation_failures(d: _PhiData, tensors: dict, G, gidx: list,
@@ -516,95 +514,122 @@ def _concatenation_failures(d: _PhiData, tensors: dict, G, gidx: list,
                 else:
                     x = Letter("E", j, a, deg)
                     xi = d.gidx[j][(Letter("P", j, a, deg),)]
-                exp = np.zeros(G.rank(j + n), dtype=np.int64)
-                exp[gidx[j + n][(x,) + w]] = 1
-                if not np.array_equal(tensor[xi, wi], exp):
+                if not _is_dual(tensor[xi, wi], gidx[j + n][(x,) + w]):
                     bad.append(("f" if f_lead else "e", j, a, n, wi))
     return bad
+
+
+def _is_dual(row: np.ndarray, i: int) -> bool:
+    """Whether ``row`` is the dual of basis element i."""
+    return np.count_nonzero(row) == 1 and row[i] == 1
+
+
+def _products_degree(products_to: int, hmax: int, first: int) -> int:
+    """min(products_to, hmax), the top total degree of the product
+    checks; below first + 1 they would test nothing: ``WindowError``."""
+    tmax = min(products_to, hmax)
+    if tmax < first + 1:
+        raise WindowError(f"window {hmax} with products-to {products_to} tests no product;"
+                          f" the smallest valid products-to and window are {first + 1}")
+    return tmax
+
+
+def _verify_induced(d: _PhiData, *, first: int, tmax: int, key: str, names: tuple,
+                    direct: FreeResolution, G, induced, induced_tensors: dict, m_ext,
+                    tensors: dict, images: dict, restrictions: list,
+                    controls=()) -> ComplexReport:
+    """The one check that Ext_R(M, k) is ``induced``, the module induced
+    from ``m_ext`` = Ext_S(M, k) along the coproduct of the factors' Ext
+    algebras; at M = k (``first`` = 1) it is the free product.  ``G`` is
+    the word complex of M over R, ``tensors`` R's Yoneda action on its
+    duals, and ``images[n]`` the induced map on degree-n words, n >=
+    ``first``.  Rows in order: the dims of ``induced`` against ``direct``,
+    G and the coproduct series (``names[0:3]``, filed under ``key``); each
+    control (key, name, label, dims), which must differ from Ext; each
+    restriction (name, matrices, word), whose rows must be word duals;
+    concatenation (``names[3]``); bijectivity by rank; and, through total
+    degree ``tmax``, that the map carries ``induced_tensors`` to
+    ``tensors`` (``names[4]``).  Failing rank and product rows name the
+    first offender."""
+    p, hmax = d.R.p, G.hmax
+    rep = ComplexReport()
+    gidx = [{w: i for i, w in enumerate(ws)} for ws in G.words]
+    dims = [induced.dim(n) for n in range(hmax + 1)]
+    ext = [direct.rank(n) for n in range(hmax + 1)]
+    series = coproduct_module_series(
+        *(A.hilbert_series() for A in (d.S_ext, d.T_ext, m_ext))).coeffs
+    others = {"direct": ext, "word": [G.rank(n) for n in range(hmax + 1)], "series": series}
+    rep.data["dims"] = {key: dims, **others, **{c[0]: c[3] for c in controls}}
+    for name, other in zip(names, others.values()):
+        rep.add(name, dims == other, f"{dims} vs {other}")
+    for _, name, label, c in controls:
+        n = next((n for n in range(hmax + 1) if c[n] != ext[n]), None)
+        rep.add(name, n is not None, f"first mismatch at n={n}: {label} {c[n]} vs {ext[n]}"
+                if n is not None else f"{label} dims agree through the window")
+    for name, mats, word in restrictions:
+        bad = [(n, a) for n in range(first, hmax + 1) for a, row in enumerate(mats[n])
+               if not _is_dual(row, gidx[n][word(n, a)])]
+        rep.add(name, not bad, f"failures {bad[:5]}" if bad else "")
+    bad = _concatenation_failures(d, tensors, G, gidx, tmax)
+    rep.add(f"{names[3]} (total degree <= {tmax})", not bad,
+            f"failures {bad[:5]}" if bad else "")
+
+    ranks = {n: int(linalg.rank(images[n], p)) for n in range(first, hmax + 1)}
+    short = [n for n, r in ranks.items() if not r == G.rank(n) == dims[n]]
+    rep.add("induced map bijective per degree", not short, f"ranks {list(ranks.values())}"
+            + "".join(f"; first at degree {n}: rank {ranks[n]}, expected word-complex "
+                      f"rank {G.rank(n)} = induced dim {dims[n]}" for n in short[:1]))
+    bad, detail = [], ""
+    for m in range(1, tmax + 1 - first):
+        for n in range(first, tmax + 1 - m):
+            lhs = np.einsum("ijc,ck->ijk", induced_tensors[(m, n)], images[m + n]) % p
+            rhs = np.einsum("ia,jb,abk->ijk", d.phis[m], images[n], tensors[(m, n)]) % p
+            if not np.array_equal(lhs, rhs):
+                if not bad:
+                    i, j, k = np.argwhere(lhs != rhs)[0]
+                    detail = (f"; first at (m, n) = ({m}, {n}): {d.FP.labels(m)[i]} * "
+                              f"{induced.labels(n)[j]} at {G.frees[m + n].gen_labels[k]}': "
+                              f"{lhs[i, j, k]} vs {rhs[i, j, k]}")
+                bad.append((m, n))
+    rep.add(f"{names[4]} (total degree <= {tmax})", not bad,
+            f"failures {bad}{detail}" if bad else "")
+    return rep
 
 
 def verify_phi_iso(R: FiberProductAlgebra, hmax: int, dmax: int | None = None,
                    products_to: int = 4) -> ComplexReport:
     """Check that cohomology of the fiber product is the free product of
-    the factors' cohomology algebras: dimension counts against a direct
-    resolution, the closed-form series, and a tensor-product control;
-    generator images under the two restriction maps; concatenation
-    products of letter duals; and bijectivity plus multiplicativity of
-    the induced map on basis words.  The tensor-product control agrees
-    with Ext through degree 1 (both are s_1 + t_1 there), so a window
-    below 2 raises ``WindowError``."""
+    the factors' cohomology algebras: ``_verify_induced`` at M = k, plus
+    a tensor-product control and the second factor's restriction.  The
+    control agrees with Ext through degree 1 (both are s_1 + t_1), so a
+    window below 2 raises ``WindowError``, as does a products-to below 2."""
     if hmax < 2:
         raise WindowError(f"window {hmax} is too small for the tensor-product "
                           f"control; the smallest valid window is 2")
+    tmax = _products_degree(products_to, hmax, 1)
     if dmax is None:
         dmax = R.cap
     d = _phi_setup(R, hmax, dmax)
-    p = R.p
-    rep = ComplexReport()
-
-    direct = minimal_resolution(R, residue_module(R), hmax, dmax)
-    dims_fp = [d.FP.dim(n) for n in range(hmax + 1)]
-    dims_direct = [direct.rank(n) for n in range(hmax + 1)]
-    dims_word = [d.G.rank(n) for n in range(hmax + 1)]
-    closed = coproduct_module_series(d.S_ext.hilbert_series(),
-                                     d.T_ext.hilbert_series(),
-                                     d.S_ext.hilbert_series()).coeffs
     tensor_dims = [int(sum(d.S_ext.dim(i) * d.T_ext.dim(n - i)
                            for i in range(n + 1))) for n in range(hmax + 1)]
-    rep.data["dims"] = {
-        "free_product": dims_fp,
-        "direct": dims_direct,
-        "word": dims_word,
-        "series": closed,
-        "tensor_control": tensor_dims,
-    }
-    rep.add("free product dims = Ext dims (direct resolution)",
-            dims_fp == dims_direct, f"{dims_fp} vs {dims_direct}")
-    rep.add("free product dims = word resolution ranks",
-            dims_fp == dims_word, f"{dims_fp} vs {dims_word}")
-    rep.add("dims match coproduct series",
-            dims_fp == closed, f"{dims_fp} vs {closed}")
-    mism = [n for n in range(hmax + 1) if tensor_dims[n] != dims_direct[n]]
-    rep.add("tensor-product control disagrees somewhere",
-            bool(mism),
-            (f"first mismatch at n={mism[0]}: tensor {tensor_dims[mism[0]]}"
-             f" vs {dims_direct[mism[0]]}") if mism
-            else "tensor dims agree through the window")
-
-    bad_sig = _dual_image_failures(
-        d.sig_mats, d.gidx, range(1, hmax + 1),
-        lambda n, a: (Letter("P", n, a, d.E.gen_degrees(n)[a]),))
-    rep.add("restriction to the first factor fixes dual generators",
-            not bad_sig, f"failures {bad_sig[:5]}" if bad_sig else "")
     p0 = Letter("P", 0, 0, d.P.gen_degrees(0)[0])
-    bad_tau = _dual_image_failures(
-        d.tau_mats, d.gidx, range(1, hmax + 1),
-        lambda n, b: (Letter("F", n, b, d.F.gen_degrees(n)[b]), p0))
-    rep.add("restriction to the second factor fixes dual generators",
-            not bad_tau, f"failures {bad_tau[:5]}" if bad_tau else "")
-
-    tmax = min(products_to, hmax)
-    bad = _concatenation_failures(d, d.R_ext.mult, d.G, d.gidx, tmax)
-    rep.add(f"letter duals multiply by concatenation (total degree <= {tmax})",
-            not bad, f"failures {bad[:5]}" if bad else "")
-
-    ranks = [int(linalg.rank(d.phis[n], p)) for n in range(1, hmax + 1)]
-    full = all(ranks[n - 1] == d.G.rank(n) == d.FP.dim(n)
-               for n in range(1, hmax + 1))
-    rep.add("induced map bijective per degree", full, f"ranks {ranks}")
-
-    bad_mult = []
-    for m in range(1, tmax):
-        for n in range(1, tmax + 1 - m):
-            lhs = np.einsum("ijc,ck->ijk", d.FP.mult[(m, n)],
-                            d.phis[m + n]) % p
-            rhs = np.einsum("ia,jb,abk->ijk", d.phis[m], d.phis[n],
-                            d.R_ext.mult[(m, n)]) % p
-            if not np.array_equal(lhs, rhs):
-                bad_mult.append((m, n))
-    rep.add(f"induced map multiplicative (total degree <= {tmax})",
-            not bad_mult, f"failures {bad_mult}" if bad_mult else "")
-    return rep
+    return _verify_induced(
+        d, first=1, tmax=tmax, key="free_product",
+        names=("free product dims = Ext dims (direct resolution)",
+               "free product dims = word resolution ranks",
+               "dims match coproduct series",
+               "letter duals multiply by concatenation",
+               "induced map multiplicative"),
+        direct=minimal_resolution(R, residue_module(R), hmax, dmax), G=d.G,
+        induced=d.FP, induced_tensors=d.FP.mult, m_ext=d.S_ext,
+        tensors=d.R_ext.mult, images=d.phis,
+        restrictions=[
+            ("restriction to the first factor fixes dual generators", d.sig_mats,
+             lambda n, a: (Letter("P", n, a, d.E.gen_degrees(n)[a]),)),
+            ("restriction to the second factor fixes dual generators", d.tau_mats,
+             lambda n, b: (Letter("F", n, b, d.F.gen_degrees(n)[b]), p0))],
+        controls=[("tensor_control", "tensor-product control disagrees somewhere",
+                   "tensor", tensor_dims)])
 
 
 def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
@@ -612,87 +637,40 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
                      products_to: int = 4) -> ComplexReport:
     """Check that for a module over the first factor, cohomology over
     the fiber product is the module induced from its factor cohomology
-    along the free product: dimension counts, the closed-form series,
-    generator images, concatenation action of letter duals, and
-    bijectivity plus equivariance of the induced map."""
-    if dmax is None:
-        dmax = R.cap
+    along the free product: ``_verify_induced`` on the module's word
+    complex, the induced map sending a basis word to its letters acting
+    on the image of its module class.  A window or products-to below 1
+    tests no product and raises ``WindowError``."""
     if module.algebra is not R.s_algebra:
         raise ExtError("verify_theta_iso needs a module over the first factor")
+    tmax = _products_degree(products_to, hmax, 0)
+    if dmax is None:
+        dmax = R.cap
     d = _phi_setup(R, hmax, dmax)
-    p = R.p
-    rep = ComplexReport()
-
     PM = minimal_resolution(d.S, module, hmax, dmax)
     GM = assemble_word_complex(R, d.E, d.F, PM, hmax, dmax)
-    gidx = [{w: i for i, w in enumerate(ws)} for ws in GM.words]
-    direct = minimal_resolution(R, restrict_to_fiber(R, module, "S"),
-                                hmax, dmax)
     M_ext = ext_module(d.S, module, hmax, dmax, ext=d.S_ext, resolution=PM)
     FPM = free_product_module(d.FP, M_ext)
-
-    dims_fpm = [FPM.dim(n) for n in range(hmax + 1)]
-    dims_direct = [direct.rank(n) for n in range(hmax + 1)]
-    dims_word = [GM.rank(n) for n in range(hmax + 1)]
-    closed = coproduct_module_series(d.S_ext.hilbert_series(),
-                                     d.T_ext.hilbert_series(),
-                                     M_ext.hilbert_series()).coeffs
-    rep.data["dims"] = {
-        "induced_module": dims_fpm,
-        "direct": dims_direct,
-        "word": dims_word,
-        "series": closed,
-    }
-    rep.add("induced module dims = Ext dims (direct resolution)",
-            dims_fpm == dims_direct, f"{dims_fpm} vs {dims_direct}")
-    rep.add("induced module dims = word resolution ranks",
-            dims_fpm == dims_word, f"{dims_fpm} vs {dims_word}")
-    rep.add("dims match coproduct module series",
-            dims_fpm == closed, f"{dims_fpm} vs {closed}")
-
+    MR_ext = ext_module(R, None, hmax, dmax, ext=d.R_ext, resolution=GM)
     cM = restriction_chain_map(GM, PM, R, "S")
     mats_m = [_generator_coefficients(cM[n], GM.frees[n], PM.frees[n])
               for n in range(hmax + 1)]
-    bad_res = _dual_image_failures(
-        mats_m, gidx, range(hmax + 1),
-        lambda n, b: (Letter("P", n, b, PM.gen_degrees(n)[b]),))
-    rep.add("restriction to the first factor fixes module dual generators",
-            not bad_res, f"failures {bad_res[:5]}" if bad_res else "")
-
-    MR_ext = ext_module(R, None, hmax, dmax, ext=d.R_ext, resolution=GM)
-    tmax = min(products_to, hmax)
-    bad = _concatenation_failures(d, MR_ext.action, GM, gidx, tmax)
-    rep.add(f"letter duals act by concatenation (total degree <= {tmax})",
-            not bad, f"failures {bad[:5]}" if bad else "")
-
-    thetas = {}
-    for n in range(hmax + 1):
-        rows = []
-        for ls, (dm, mi) in FPM.words[n]:
-            deg, vec = dm, mats_m[dm][mi]
-            for (t, ldeg, i) in reversed(ls):
-                mats = d.sig_mats if t == 0 else d.tau_mats
-                el = Element(d.R_ext, ldeg, mats[ldeg][i])
-                deg, vec = MR_ext.act(el, deg, vec)
-            rows.append(vec)
-        thetas[n] = np.array(rows, dtype=np.int64).reshape(
-            len(FPM.words[n]), GM.rank(n))
-    ranks = [int(linalg.rank(thetas[n], p)) for n in range(hmax + 1)]
-    full = all(ranks[n] == GM.rank(n) == FPM.dim(n) for n in range(hmax + 1))
-    rep.add("induced map bijective per degree", full, f"ranks {ranks}")
-
-    bad_act = []
-    for m in range(1, tmax + 1):
-        for n in range(tmax + 1 - m):
-            lhs = np.einsum("ijc,ck->ijk", FPM.action[(m, n)],
-                            thetas[m + n]) % p
-            rhs = np.einsum("ia,jb,abk->ijk", d.phis[m], thetas[n],
-                            MR_ext.action[(m, n)]) % p
-            if not np.array_equal(lhs, rhs):
-                bad_act.append((m, n))
-    rep.add(f"induced map equivariant (total degree <= {tmax})",
-            not bad_act, f"failures {bad_act}" if bad_act else "")
-    return rep
+    thetas = {n: _word_images(d, [(ls, dm, mats_m[dm][mi])
+                                  for ls, (dm, mi) in FPM.words[n]],
+                              MR_ext.act, GM.rank(n))
+              for n in range(hmax + 1)}
+    return _verify_induced(
+        d, first=0, tmax=tmax, key="induced_module",
+        names=("induced module dims = Ext dims (direct resolution)",
+               "induced module dims = word resolution ranks",
+               "dims match coproduct module series",
+               "letter duals act by concatenation",
+               "induced map equivariant"),
+        direct=minimal_resolution(R, restrict_to_fiber(R, module, "S"), hmax, dmax),
+        G=GM, induced=FPM, induced_tensors=FPM.action, m_ext=M_ext,
+        tensors=MR_ext.action, images=thetas,
+        restrictions=[("restriction to the first factor fixes module dual generators",
+                       mats_m, lambda n, b: (Letter("P", n, b, PM.gen_degrees(n)[b]),))])
 
 
 # -- Koszul diagonal test ----------------------------------------------------

@@ -398,6 +398,25 @@ def test_syzygy_split_hmax_below_two_exits_one(capsys):
     assert "2 <= n <= 1" not in out
 
 
+@pytest.mark.parametrize("what, window, products_to, smallest", [
+    ("phi", "3", "1", 2), ("phi", "3", "0", 2), ("phi", "3", "-2", 2),
+    ("theta", "3", "0", 1), ("theta", "3", "-1", 1), ("theta", "0", "4", 1)])
+def test_verify_products_window_that_tests_nothing_exits_one(capsys, what, window,
+                                                             products_to, smallest):
+    """A product check needs a letter times a class of the lowest degree
+    (1 for phi, 0 for theta) inside min(products-to, window); a smaller
+    window is refused, not passed with nothing tested."""
+    module = ["--m", "m_k.json"] if what == "theta" else []
+    rc = main(manifest_args("verify", what, "--s", "s_x2.json", "--t", "t_y2.json",
+                            *module, "--window", window, "--products-to", products_to))
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.count("error:") == 1
+    assert f"window {window} with products-to {products_to} tests no product" in err
+    assert f"smallest valid products-to and window are {smallest}" in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
 @pytest.mark.parametrize("window", ["0", "1"])
 def test_verify_phi_window_below_two_exits_one(capsys, window):
     """Below degree 2 the tensor-product control agrees with Ext (both

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from fiberres import extalg
 from fiberres.algebra import (
     MonomialQuotientPresentation,
     build_monomial_quotient,
@@ -193,6 +196,78 @@ def test_theta_rejects_module_over_the_wrong_factor():
     R = fiber_product(S, T, 8)
     with pytest.raises(ExtError, match="first factor"):
         verify_theta_iso(R, residue_module(T), 3, 8)
+
+
+def bumped(arrays, key, index):
+    """A copy of the dict or list ``arrays`` whose entry ``key`` is a
+    copy of the array with the coefficient at ``index`` raised by 1."""
+    out = dict(arrays) if isinstance(arrays, dict) else list(arrays)
+    out[key] = out[key].copy()
+    out[key][index] = (out[key][index] + 1) % P
+    return out
+
+
+def bump_product_table(d):
+    d.R_ext = copy.copy(d.R_ext)
+    d.R_ext.mult = bumped(d.R_ext.mult, (1, 1), (0, 1, 0))
+
+
+def zero_phi_row(d):
+    d.phis = dict(d.phis)
+    d.phis[2] = d.phis[2].copy()
+    d.phis[2][0] = 0
+
+
+def failing_checks(monkeypatch, tamper):
+    """{name: detail} of the failing checks of phi and of theta (M = k)
+    on k[x]/(x^2) x_k k[y]/(y^2), window 4, each over a set-up that
+    ``tamper`` corrupted after it was built."""
+    real = extalg._build_phi_setup
+
+    def setup(*args):
+        d = real(*args)
+        tamper(d)
+        return d
+
+    monkeypatch.setattr(extalg, "_build_phi_setup", setup)
+    S = mono([("x", 1)], ["x^2"], cap=8)
+    R = fiber_product(S, mono([("y", 1)], ["y^2"], cap=8), 8)
+    reps = verify_phi_iso(R, 4, 8), verify_theta_iso(R, residue_module(S), 4, 8)
+    return [{c["name"].split(" (total")[0]: c["detail"] for c in rep.checks if not c["ok"]}
+            for rep in reps]
+
+
+@pytest.mark.parametrize("tamper, phi, theta", [
+    (lambda d: setattr(d, "phis", bumped(d.phis, 2, (0, 0))),
+     {"induced map multiplicative": "failures [(1, 1), (1, 2), (2, 1), (2, 2)]; first at "
+                                    "(m, n) = (1, 1): S:u1_0' * S:u1_0' at p2': 2 vs 1"},
+     {"induced map equivariant": "failures [(2, 0), (2, 1), (2, 2)]; first at (m, n) = "
+                                 "(2, 0): S:u2_0' * u0_0' at p2': 1 vs 2"}),
+    (lambda d: setattr(d, "sig_mats", bumped(d.sig_mats, 1, (0, 0))),
+     {"restriction to the first factor fixes dual generators": "failures [(1, 0)]"},
+     {"induced map equivariant": "failures [(1, 1), (1, 2), (1, 3), (2, 0), (2, 1), "
+                                 "(2, 2), (3, 0), (3, 1), (4, 0)]; first at (m, n) = "
+                                 "(1, 1): S:u1_0' * T:u1_0'.u0_0' at e1.f1.p0': 2 vs 1"}),
+    (bump_product_table,
+     {"letter duals multiply by concatenation": "failures [('e', 1, 0, 1, 1)]",
+      "induced map multiplicative": "failures [(1, 1)]; first at (m, n) = (1, 1): "
+                                    "S:u1_0' * T:u1_0' at p2': 0 vs 1"},
+     {}),
+    (zero_phi_row,
+     {"induced map bijective per degree": "ranks [2, 3, 8, 16]; first at degree 2: rank 3, "
+                                          "expected word-complex rank 4 = induced dim 4",
+      "induced map multiplicative": "failures [(1, 1), (1, 2), (2, 1), (2, 2)]; first at "
+                                    "(m, n) = (1, 1): S:u1_0' * S:u1_0' at p2': 0 vs 1"},
+     {"induced map equivariant": "failures [(2, 0), (2, 1), (2, 2)]; first at (m, n) = "
+                                 "(2, 0): S:u2_0' * u0_0' at p2': 1 vs 0"}),
+], ids=["phis", "sig_mats", "R_ext.mult", "phis-row"])
+def test_tampered_setup_fails_exactly_the_checks_that_read_it(monkeypatch, tamper, phi,
+                                                              theta):
+    """A corrupted coefficient (or a zeroed row) in the shared set-up
+    fails exactly the checks of each verifier that read it; a failing
+    rank or product check names its first offender: degree and ranks,
+    or (m, n), the basis pair and the coordinate where the sides differ."""
+    assert failing_checks(monkeypatch, tamper) == [phi, theta]
 
 
 def test_word_basis_ext_algebra_matches_free_product():
