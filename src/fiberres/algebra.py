@@ -168,8 +168,10 @@ class GradedAlgebra:
             return b.scale(int(a.vec[0]))
         if n == 0:
             return a.scale(int(b.vec[0]))
-        out = np.einsum("i,j,ijk->k", a.vec, b.vec, self.mult[(m, n)]) % self.p
-        return Element(self, m + n, out)
+        # one contraction at a time, reduced in between: a three-operand
+        # sum has terms up to (p - 1)^3, which overflows int64
+        ab = np.einsum("ijk,j->ik", self.mult[(m, n)], b.vec) % self.p
+        return Element(self, m + n, (a.vec @ ab) % self.p)
 
     def right_mult_matrix(self, da: int, c: Element) -> np.ndarray:
         """Matrix of x -> x*c from degree da to degree da + c.degree,

@@ -600,8 +600,10 @@ def build_parser() -> Parser:
     p.add_argument("--r", required=True, help="fiber product ring")
     p.add_argument("--m", help="module over the first factor (certificate)")
     p.add_argument("--l", help="module over the ring (upper bound)")
-    p.add_argument("--jmax", type=int, default=2)
-    p.add_argument("--hmax", type=int, required=True)
+    p.add_argument("--jmax", type=int, default=2,
+                   help="certify witnesses j = 1..jmax (with --m); at least 1")
+    p.add_argument("--hmax", type=int, required=True,
+                   help="at least 3 with --m, 2 with --l")
     p.add_argument("--dmax", type=int)
 
     p = add(cmd_suite, "suite", help="run a manifest of verification jobs")

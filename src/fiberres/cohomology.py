@@ -78,17 +78,11 @@ class SyzygySplit:
     part with first-factor coefficients and the part with second-factor
     coefficients.
 
-    ``resolution`` holds the two-step minimal resolution (the
-    presentation); ``m_bases``/``n_bases`` give echelon rows per
-    internal degree inside step-1 coordinates; ``m_module`` is the first
-    component as a module over the first factor, ``n_module`` the second
-    over the second factor; ``report`` carries the verification."""
+    ``m_module`` is the first component as a module over the first
+    factor, ``n_module`` the second over the second factor; ``report``
+    carries the verification."""
 
-    def __init__(self, resolution, m_bases, n_bases, m_module, n_module,
-                 report):
-        self.resolution = resolution
-        self.m_bases = m_bases
-        self.n_bases = n_bases
+    def __init__(self, m_module, n_module, report):
         self.m_module = m_module
         self.n_module = n_module
         self.report = report
@@ -115,16 +109,15 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
                        "module over that ring")
     p = R.p
     dmax = R.cap
-    res = minimal_resolution(R, L, 2, dmax)
+    res = minimal_resolution(R, L, 1, dmax)
     F1 = res.frees[1]
-    kers = res.kernel_bases[1]
     rep = ComplexReport()
 
     m_bases: dict[int, np.ndarray] = {}
     n_bases: dict[int, np.ndarray] = {}
     unit_bad, split_bad, dims = [], [], []
     for d in range(dmax + 1):
-        K = kers.get(d, np.zeros((0, F1.dim(d)), dtype=np.int64))
+        K = linalg.kernel_basis(res.boundary(1, d), p)
         pmask, qmask = _factor_masks(R, F1, d)
         if K.shape[0] and np.any(K[:, ~(pmask | qmask)]):
             unit_bad.append(d)
@@ -167,7 +160,7 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
                                     label_prefix="m")
     n_module = submodule_as_gmodule(F1, n_bases, over=T, embed=R.embed_t,
                                     label_prefix="n")
-    return SyzygySplit(res, m_bases, n_bases, m_module, n_module, rep)
+    return SyzygySplit(m_module, n_module, rep)
 
 
 def verify_ext_sequence_L(R: FiberProductAlgebra, L: GradedModule, hmax: int,
@@ -354,8 +347,7 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
         terms.append(AlgMatrix(fp, fi, frees[i - 1], entries).terms())
         frees.append(fi)
     cover = {0: np.ones((1, 1), dtype=np.int64)}
-    return FreeResolution(fp, residue_module(fp), hmax, dmax, frees, terms,
-                          cover, [])
+    return FreeResolution(fp, residue_module(fp), hmax, dmax, frees, terms, cover)
 
 
 # -- Hom complexes with internal grading -------------------------------------
@@ -519,7 +511,11 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
         raise ExtError("zero module")
     dmax = min(S.cap, T.cap) if dmax is None else dmax
     if hmax < 3:
-        raise ExtError("window too small: need hmax >= 3")
+        raise WindowError(f"hmax {hmax} is too small for the depth certificate; "
+                          f"the smallest valid hmax is 3")
+    if jmax < 1:
+        raise WindowError(f"jmax {jmax} asks for no witness; "
+                          f"the smallest valid jmax is 1")
 
     s_ext = ext_algebra(S, hmax, dmax)
     t_ext = ext_algebra(T, hmax, dmax)
@@ -690,7 +686,8 @@ def depth_upper_bound(R: FiberProductAlgebra, L: GradedModule, hmax: int,
     are located over the free-product model (depth <= 1), scanning
     internal degrees the window covers."""
     if hmax < 2:
-        raise ExtError("window too small: need hmax >= 2")
+        raise WindowError(f"hmax {hmax} is too small for the depth upper bound; "
+                          f"the smallest valid hmax is 2")
     dmax = R.cap if dmax is None else min(dmax, R.cap)
     rep = ComplexReport()
     res = minimal_resolution(R, L, hmax, dmax)

@@ -101,8 +101,16 @@ class GradedModule:
         return linalg.matmul_mod(rows, self.act_matrix(a, n), self.algebra.p)
 
     def act(self, a: Element, n: int, vec) -> tuple[int, np.ndarray]:
-        v = np.asarray(vec, dtype=np.int64) % self.algebra.p
-        return n + a.degree, (v @ self.act_matrix(a, n)) % self.algebra.p
+        """``vec @ act_matrix(a, n)`` mod p, without building the matrix:
+        the vector is contracted first, then the element."""
+        p, m = self.algebra.p, a.degree
+        v = np.asarray(vec, dtype=np.int64) % p
+        if m == 0:
+            return n, (v * int(a.vec[0])) % p
+        if n + m > self.cap:
+            raise ModuleError(f"action lands beyond cap {self.cap}")
+        av = np.einsum("ijk,j->ik", self.action[(m, n)], v) % p
+        return n + m, (a.vec @ av) % p
 
     def check_associativity(self) -> list[tuple]:
         """(a*b)*x == a*(b*x) for basis elements within cap; returns

@@ -55,7 +55,7 @@ class ResolutionError(RuntimeError):
 class FreeResolution:
     def __init__(self, algebra: GradedAlgebra, module: GradedModule, hmax: int,
                  dmax: int, frees: list[FreeModule], terms: list,
-                 cover: dict[int, np.ndarray], kernel_bases: list):
+                 cover: dict[int, np.ndarray]):
         self.algebra = algebra
         self.module = module
         self.hmax = hmax
@@ -63,7 +63,6 @@ class FreeResolution:
         self.frees = frees          # frees[i] for 0 <= i <= hmax
         self.terms = terms          # terms[i]: generator terms of F_i -> F_{i-1}; terms[0] is None
         self.cover = cover          # d -> matrix (dim M_d, dim F0_d)
-        self.kernel_bases = kernel_bases  # per step i: d -> kernel rows of the map out of F_i
         self._ev_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def entries(self, i: int) -> list[tuple[int, int, Element]]:
@@ -225,13 +224,12 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
                     [f"u0_{k}" for k in range(len(gens0))])
     cover = cover_matrices(algebra, module, gens0, f0, dmax)
 
-    res = FreeResolution(algebra, module, hmax, dmax, [f0], [None], cover, [])
+    res = FreeResolution(algebra, module, hmax, dmax, [f0], [None], cover)
     for step in range(1, hmax + 1):
         prev_free = res.frees[-1]
         # the maps evaluated here stay in res's cache for their later users
         kers = {d: linalg.kernel_basis(res.boundary(step - 1, d), p)
                 for d in range(dmax + 1)}
-        res.kernel_bases.append(kers)
 
         new_gens = [(d, new) for d, _, new in
                     minimal_generators(algebra, kers, prev_free.times, dmax)]
@@ -361,11 +359,13 @@ def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
 
 def syzygy_module(res: FreeResolution, n: int) -> GradedModule:
     """The n-th syzygy (kernel of the map out of F_{n-1}) in its chosen
-    echelon basis, as a graded module table."""
-    if not 1 <= n <= len(res.kernel_bases):
-        raise WindowError(f"syzygy step {n} outside 1..{len(res.kernel_bases)}")
-    return submodule_as_gmodule(res.frees[n - 1], res.kernel_bases[n - 1],
-                                label_prefix=f"z{n}_")
+    echelon basis, as a graded module table.  The kernel is computed
+    afresh from the map, which stays in the evaluation cache."""
+    if not 1 <= n <= res.hmax:
+        raise WindowError(f"syzygy step {n} outside 1..{res.hmax}")
+    kers = {d: linalg.kernel_basis(res.boundary(n - 1, d), res.algebra.p)
+            for d in range(res.dmax + 1)}
+    return submodule_as_gmodule(res.frees[n - 1], kers, label_prefix=f"z{n}_")
 
 
 def betti_table_text(betti: dict[tuple[int, int], int], hmax: int) -> str:

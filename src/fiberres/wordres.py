@@ -191,7 +191,7 @@ class WordComplex(FreeResolution):
     def __init__(self, algebra, module, hmax, dmax, frees, terms, cover,
                  words: list[list[Word]], E: FreeResolution,
                  F: FreeResolution, P: FreeResolution):
-        super().__init__(algebra, module, hmax, dmax, frees, terms, cover, [])
+        super().__init__(algebra, module, hmax, dmax, frees, terms, cover)
         self.words = words
         self.E = E
         self.F = F

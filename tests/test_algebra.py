@@ -130,6 +130,19 @@ def test_product_beyond_cap_rejected():
         el * x
 
 
+def test_product_is_exact_where_a_three_term_sum_overflows_int64():
+    """182^2 terms of (p - 1)^3 exceed 2^63 at p = 65519; the product
+    must still equal the exact sum mod p, -182^2, as left
+    multiplication gives it."""
+    p, n = 65519, 182
+    A = GradedAlgebra(p, 2, [["1"], [f"x{i}" for i in range(n)], ["z"]],
+                      {(1, 1): np.full((n, n, 1), p - 1)})
+    a = Element(A, 1, np.full(n, p - 1))
+    assert n * n * (p - 1) ** 3 > np.iinfo(np.int64).max
+    assert A.multiply(a, a).vec.tolist() == [-n * n % p] == [32395]
+    assert (a.vec @ A.left_mult_matrix(a, 1) % p).tolist() == [32395]
+
+
 def test_fiber_product_dims_and_vanishing_cross_products():
     S = mono([("x", 1)], ["x^3"])
     T = mono([("y", 1)], ["y^2"])

@@ -430,6 +430,30 @@ def test_verify_phi_window_below_two_exits_one(capsys, window):
     assert "PASS" not in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("window, message", [
+    (["--m", "m_k.json", "--hmax", "6", "--jmax", "0"], "jmax 0 asks for no witness; "
+     "the smallest valid jmax is 1"),
+    (["--m", "m_k.json", "--hmax", "6", "--jmax", "-1"], "jmax -1 asks for no witness; "
+     "the smallest valid jmax is 1"),
+    (["--m", "m_k.json", "--hmax", "2", "--jmax", "1"], "hmax 2 is too small for the "
+     "depth certificate; the smallest valid hmax is 3"),
+    (["--l", "l_line.json", "--hmax", "1"], "hmax 1 is too small for the depth upper "
+     "bound; the smallest valid hmax is 2"),
+], ids=["jmax-0", "jmax-negative", "certificate-hmax-2", "upper-bound-hmax-1"])
+def test_depth_window_that_certifies_nothing_exits_one(capsys, monkeypatch, window, message):
+    """A depth window with no witness or too few steps is refused before
+    any cohomology is built, not passed with an empty certificate."""
+    def no_setup(*args, **kwargs):
+        raise AssertionError("set-up built for a refused window")
+    for name in ("ext_algebra", "minimal_resolution"):
+        monkeypatch.setattr(cohomology, name, no_setup)
+    rc = main(manifest_args("depth", "--r", "r_square_zero.json", *window))
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.count("error:") == 1 and message in err
+    assert "certified depth interval" not in out and "PASS" not in out
+
+
 def test_syzygy_split_bad_window_prints_no_table(capsys):
     rc = main(["syzygy-split", "--r", os.path.join(MANIFESTS, "r_square_zero.json"),
                "--l", os.path.join(MANIFESTS, "m_k.json"), "--hmax", "1"])

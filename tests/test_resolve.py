@@ -20,6 +20,7 @@ from fiberres.gmodule import (
     restrict_to_fiber,
 )
 from fiberres import linalg, resolve
+from fiberres.wordres import build_word_resolution
 from fiberres.resolve import (
     FreeResolution,
     ResolutionError,
@@ -152,7 +153,7 @@ def test_verify_catches_nonzero_composition():
     F2b = FreeModule(A, [2])
     d2 = AlgMatrix(A, F2b, res.frees[1], {(0, 0): x})
     bad = FreeResolution(A, k, 2, res.dmax, [res.frees[0], res.frees[1], F2b],
-                         [None, res.terms[1], d2.terms()], res.cover, res.kernel_bases)
+                         [None, res.terms[1], d2.terms()], res.cover)
     rep = verify_complex(bad)
     assert not rep.ok
     assert any("o d2" in c["name"] and not c["ok"] for c in rep.checks)
@@ -169,7 +170,7 @@ def test_verify_catches_inexactness():
     d1 = AlgMatrix(A, F1b, res.frees[0], {(0, 0): cube})
     d2 = AlgMatrix(A, F2b, F1b, {(0, 0): cube})
     bad = FreeResolution(A, k, 2, res.dmax, [res.frees[0], F1b, F2b],
-                         [None, d1.terms(), d2.terms()], res.cover, res.kernel_bases)
+                         [None, d1.terms(), d2.terms()], res.cover)
     rep = verify_complex(bad)
     assert not rep.ok
     assert any(c["name"] == "exactness at step 0" and not c["ok"] for c in rep.checks)
@@ -182,7 +183,7 @@ def test_verify_catches_nonminimality():
     F1b = FreeModule(A, [0])
     d1 = AlgMatrix(A, F1b, res.frees[0], {(0, 0): A.unit()})
     bad = FreeResolution(A, k, 1, res.dmax, [res.frees[0], F1b], [None, d1.terms()],
-                         res.cover, res.kernel_bases)
+                         res.cover)
     rep = verify_complex(bad)
     assert any(c["name"] == "minimality step 1" and not c["ok"] for c in rep.checks)
 
@@ -365,6 +366,29 @@ def test_window_errors_for_steps_outside_the_resolution():
                 read(i)
     for n in (0, 3):
         with pytest.raises(WindowError, match=f"syzygy step {n} outside 1..2"):
+            syzygy_module(res, n)
+
+
+@pytest.mark.parametrize("source", ["direct", "word complex"])
+def test_syzygy_module_at_every_step(source):
+    """The n-th syzygy, for n = 1..hmax, has the dimensions of the
+    kernel of the map out of F_(n-1) and, by exactness, of the image of
+    d_n, on a direct resolution and on a word complex alike (which
+    keeps no kernels of its own)."""
+    S = mono([("x", 1)], ["x^3"], cap=6)
+    T = mono([("y", 1)], ["y^2"], cap=6)
+    R = fiber_product(S, T)
+    res = (minimal_resolution(R, residue_module(R), 4) if source == "direct"
+           else build_word_resolution(S, T, residue_module(S), 4, fiber=R))
+    for n in range(1, res.hmax + 1):
+        syz = syzygy_module(res, n)
+        dims = [syz.dim(d) for d in range(res.dmax + 1)]
+        assert dims == [linalg.kernel_basis(res.boundary(n - 1, d), P).shape[0]
+                        for d in range(res.dmax + 1)]
+        assert dims == [linalg.rank(res.boundary(n, d), P) for d in range(res.dmax + 1)]
+        assert syz.labels(n)[:1] == [f"z{n}_{n}_0"]
+    for n in (0, res.hmax + 1):
+        with pytest.raises(WindowError, match=f"syzygy step {n} outside 1..4"):
             syzygy_module(res, n)
 
 

@@ -165,7 +165,7 @@ def test_nonminimal_input_rejected():
     from fiberres.resolve import FreeResolution
 
     E_bad = FreeResolution(S, k, 1, E.dmax, [E.frees[0], bad.src], [None, bad.terms()],
-                           E.cover, [])
+                           E.cover)
     with pytest.raises(WordError):
         generate_words(E_bad, F, E, 1)
 
