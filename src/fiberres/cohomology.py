@@ -117,7 +117,7 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
     n_bases: dict[int, np.ndarray] = {}
     unit_bad, split_bad, dims = [], [], []
     for d in range(dmax + 1):
-        K = linalg.kernel_basis(res.boundary(1, d), p)
+        K = linalg.kernel_basis(res.evaluated(1, d), p)
         pmask, qmask = _factor_masks(R, F1, d)
         if K.shape[0] and np.any(K[:, ~(pmask | qmask)]):
             unit_bad.append(d)

@@ -534,6 +534,15 @@ def _products_degree(products_to: int, hmax: int, first: int) -> int:
     return tmax
 
 
+def _image_products(left, right, tensor, p: int) -> np.ndarray:
+    """``einsum("ia,jb,abk->ijk", left, right, tensor)`` mod p, one
+    operand at a time, reduced in between: a three-operand sum has terms
+    up to (p - 1)^3, so past 2^63 / (p - 1)^3 terms (32,792 at p =
+    65521) it would wrap int64."""
+    half = np.einsum("jb,abk->ajk", right, tensor) % p
+    return np.einsum("ia,ajk->ijk", left, half) % p
+
+
 def _verify_induced(d: _PhiData, *, first: int, tmax: int, key: str, names: tuple,
                     direct: FreeResolution, G, induced, induced_tensors: dict, m_ext,
                     tensors: dict, images: dict, restrictions: list,
@@ -583,7 +592,7 @@ def _verify_induced(d: _PhiData, *, first: int, tmax: int, key: str, names: tupl
     for m in range(1, tmax + 1 - first):
         for n in range(first, tmax + 1 - m):
             lhs = np.einsum("ijc,ck->ijk", induced_tensors[(m, n)], images[m + n]) % p
-            rhs = np.einsum("ia,jb,abk->ijk", d.phis[m], images[n], tensors[(m, n)]) % p
+            rhs = _image_products(d.phis[m], images[n], tensors[(m, n)], p)
             if not np.array_equal(lhs, rhs):
                 if not bad:
                     i, j, k = np.argwhere(lhs != rhs)[0]

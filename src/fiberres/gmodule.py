@@ -10,10 +10,19 @@ A map of free modules (or a batch of maps) is stored as sparse
 generator terms: per (source generator degree, entry degree e), arrays
 ``(tgt, src, batch, coef)`` with one row per nonzero entry, ``coef``
 being its coefficients in degree e.  ``generator_terms`` reads them off
-dense generator images, and ``extend``, the one module-linear
-extension, evaluates them degree by degree.  An AlgMatrix writes a map
-by its algebra entries and hands it on as terms; nothing turns terms
-back into one.
+generator images, dense columns or ``linalg.Sparse`` rows, and
+``extend``, the one module-linear extension, evaluates them degree by
+degree; ``extend_entries`` gives each degree's matrix as a
+``linalg.Sparse`` from ``SPARSE_MIN_CELLS`` cells on.  An AlgMatrix
+writes a map by its algebra entries and hands it on as terms; nothing
+turns terms back into one.
+
+Rows of the resolution layer travel in the form their size asks for:
+from ``SPARSE_MIN_CELLS`` cells on as ``linalg.Sparse`` entries, below
+it as dense arrays.  A module's ``times`` returns the form it is given,
+and ``minimal_generators_by_degree`` keeps the products, the echelon
+basis of the lower degrees, the residuals and the new rows of entry
+rows in entry form.
 """
 
 from __future__ import annotations
@@ -38,9 +47,11 @@ __all__ = [
     "restrict_to_fiber",
     "cokernel_module",
     "extend",
+    "extend_entries",
     "generator_terms",
     "fiber_product_module",
     "minimal_generators",
+    "minimal_generators_by_degree",
     "submodule_as_gmodule",
 ]
 
@@ -95,10 +106,13 @@ class GradedModule:
             raise ModuleError(f"action lands beyond cap {self.cap}")
         return np.einsum("ijk,i->jk", self.action[(m, n)], a.vec) % self.algebra.p
 
-    def times(self, rows, a: Element, n: int, *, entries=None) -> np.ndarray:
-        """``rows @ act_matrix(a, n)`` mod p.  The product is dense, so
-        ``entries`` (see ``FreeModule.times``) is not read."""
-        return linalg.matmul_mod(rows, self.act_matrix(a, n), self.algebra.p)
+    def times(self, rows, a: Element, n: int):
+        """``rows @ act_matrix(a, n)`` mod p, in the form of ``rows``
+        (dense or a ``linalg.Sparse``); the product itself is dense."""
+        p = self.algebra.p
+        if isinstance(rows, linalg.Sparse):
+            return linalg.Sparse.read(self.times(rows.dense(), a, n), p)
+        return linalg.matmul_mod(rows, self.act_matrix(a, n), p)
 
     def act(self, a: Element, n: int, vec) -> tuple[int, np.ndarray]:
         """``vec @ act_matrix(a, n)`` mod p, without building the matrix:
@@ -203,12 +217,12 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
 # -- free modules and matrices -------------------------------------------
 
 
-# From this many cells of its rows on, FreeModule.times and the reduction
-# in minimal_generators read the rows at their nonzero entries; below it,
-# dense int64 products take fewer array operations.  Over the benchmark's
-# calls to times and to the reduction, the total is flat from 2048 to 4096
-# cells and rises on either side, with the reads of linalg.entries as
-# with those of np.nonzero before it (see CHANGES.md).
+# From this many cells on, the rows and maps of the resolution layer are
+# kept as linalg.Sparse entries, and FreeModule.times and the reduction in
+# minimal_generators work on those entries; below it, dense int64
+# products take fewer array operations.  Over the benchmark's calls to
+# times and to the reduction, the total is flat from 2048 to 4096 cells
+# and rises on either side (see CHANGES.md).
 SPARSE_MIN_CELLS = 4096
 
 
@@ -289,52 +303,55 @@ class FreeModule:
                 out.append(self.gen_labels[j] if lab == "1" else f"{lab}*{self.gen_labels[j]}")
         return out
 
-    def times(self, rows, a: Element, d: int, *, entries=None) -> np.ndarray:
-        """``rows`` (coordinate rows in degree d) times the matrix of
-        v -> a*v, mod p, one int64 product per generator degree s, exact
+    def times(self, rows, a: Element, d: int):
+        """``rows`` (coordinate rows in degree d, dense or a
+        ``linalg.Sparse``) times the matrix of v -> a*v, mod p, in the
+        form of ``rows``: one int64 product per generator degree s, exact
         as each entry sums dim A_(d - s) terms below p^2.
 
         Rows of ``SPARSE_MIN_CELLS`` cells or more are read only at their
-        nonzero entries, ``linalg.entries(rows)``; a caller that has read
-        them already hands them over as ``entries``, so rows multiplied
-        by several elements are scanned once.  Entry c of a row is
-        coordinate x of the block of the generator g_j holding it, and
-        a * (x g_j) lies in g_j's block in degree d + m.  Per s, only the
-        (row, generator) pairs that are hit enter the product, and only
-        their blocks are scattered into the result.  Smaller rows are
-        multiplied block by block whole, and ``entries`` is not read."""
-        A, m, n = self.algebra, a.degree, rows.shape[0]
-        out = np.zeros((n, self.dim(d + m)), dtype=np.int64)
+        nonzero entries.  Entry c of a row is coordinate x of the block
+        of the generator g_j holding it, and a * (x g_j) lies in g_j's
+        block in degree d + m.  Per s, only the (row, generator) pairs
+        that are hit enter the product, and the result is made of their
+        blocks alone.  Smaller rows are multiplied block by block whole."""
+        A, m, p = self.algebra, a.degree, self.algebra.p
+        sparse = isinstance(rows, linalg.Sparse)
+        shape = (rows.shape[0], self.dim(d + m))
         if rows.size < SPARSE_MIN_CELLS:
+            dense = rows.dense() if sparse else rows
+            out = np.zeros(shape, dtype=np.int64)
             for s, gens in self.by_degree.items():
                 na, nb = A.dim(d - s), A.dim(d + m - s)
-                if na * nb * n:
-                    prod = (rows[:, self.block_indices(d, gens, na)].reshape(-1, na)
+                if na * nb * shape[0]:
+                    prod = (dense[:, self.block_indices(d, gens, na)].reshape(-1, na)
                             @ A.left_mult_matrix(a, d - s))
-                    out[:, self.block_indices(d + m, gens, nb)] = prod.reshape(n, -1) % A.p
-            return out
-        # row-major, so each pair's entries are consecutive
-        r, c = linalg.entries(rows) if entries is None else entries
-        if not r.size:
-            return out
-        src_off, tgt_off = self._layout(d)[1], self._layout(d + m)[1]
-        j = self.block_generators(d, c)
-        key = r * self.rank + j
-        first = np.ones(r.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        # coef[k, x]: coordinate x of the k-th (row, generator) pair hit
-        coef = np.zeros((first.sum(), max(A.dim(d - s) for s in self.by_degree)),
-                        dtype=np.int64)
-        coef[first.cumsum() - 1, c - src_off[j]] = rows[r, c]
-        pr, pj = r[first], j[first]
-        pdeg = self._degrees[pj]
-        for s in self.by_degree:
-            na, nb = A.dim(d - s), A.dim(d + m - s)
-            k = (pdeg == s).nonzero()[0] if na * nb else ()
-            if len(k):
-                out[pr[k, None], tgt_off[pj[k], None] + np.arange(nb)] = (
-                    coef[k, :na] @ A.left_mult_matrix(a, d - s) % A.p)
-        return out
+                    out[:, self.block_indices(d + m, gens, nb)] = prod.reshape(shape[0], -1) % p
+            return linalg.Sparse.read(out, p) if sparse else out
+        E = linalg.as_sparse(rows, p)
+        r, c = E.rows, E.cols  # row-major, so each pair's entries are consecutive
+        parts = []
+        if r.size:
+            src_off, tgt_off = self._layout(d)[1], self._layout(d + m)[1]
+            j = self.block_generators(d, c)
+            key = r * self.rank + j
+            first = np.ones(r.size, dtype=bool)
+            first[1:] = key[1:] != key[:-1]
+            # coef[k, x]: coordinate x of the k-th (row, generator) pair hit
+            coef = np.zeros((first.sum(), max(A.dim(d - s) for s in self.by_degree)),
+                            dtype=np.int64)
+            coef[first.cumsum() - 1, c - src_off[j]] = E.vals
+            pr, pj = r[first], j[first]
+            pdeg = self._degrees[pj]
+            for s in self.by_degree:
+                na, nb = A.dim(d - s), A.dim(d + m - s)
+                k = (pdeg == s).nonzero()[0] if na * nb else ()
+                if len(k):
+                    prod = coef[k, :na] @ A.left_mult_matrix(a, d - s) % p
+                    parts.append((np.repeat(pr[k], nb),
+                                  (tgt_off[pj[k], None] + np.arange(nb)).ravel(), prod.ravel()))
+        out = linalg.Sparse.summed(parts, shape, p)
+        return out if sparse else out.dense()
 
 
 class AlgMatrix:
@@ -374,12 +391,17 @@ class AlgMatrix:
 
 def generator_terms(ftgt: FreeModule, images: list, shift: int = 0,
                     batch: int = 1) -> dict:
-    """Sparse generator terms of ``batch`` maps into ftgt from dense
-    generator images: ``images`` holds ``(degree, generators, sol)``,
-    column (b, j) of sol being the image of generator j under map b."""
+    """Sparse generator terms of ``batch`` maps into ftgt from generator
+    images: ``images`` holds ``(degree, generators, sol)``, the image of
+    generator j under map b being column (b, j) of a dense ``sol`` or row
+    (b, j) of a ``linalg.Sparse`` one.  The terms are ordered by (target
+    generator i, b, j) in either form."""
     A = ftgt.algebra
     terms = {}
     for sj, gens, sol in images:
+        if isinstance(sol, linalg.Sparse):
+            terms.update(_entry_terms(ftgt, sj, sj - shift, np.asarray(gens), sol, batch))
+            continue
         k = len(gens)
         for t, tg in ftgt.by_degree.items():
             e = sj - shift - t
@@ -396,6 +418,55 @@ def generator_terms(ftgt: FreeModule, images: list, shift: int = 0,
     return terms
 
 
+def _entry_terms(ftgt: FreeModule, sj: int, dt: int, gens: np.ndarray,
+                 img: linalg.Sparse, batch: int) -> dict:
+    """``generator_terms`` of the degree-sj generators ``gens``, their
+    images the rows of ``img`` in target degree dt: entry c of row (b, j)
+    is coordinate x of the block of a target generator i, and the entries
+    of one (i, b, j) make up its coefficient."""
+    A, width = ftgt.algebra, batch * len(gens)
+    i = ftgt.block_generators(dt, img.cols)
+    x = img.cols - ftgt._layout(dt)[1][i]
+    pair = i * width + img.rows
+    deg = ftgt._degrees[i]
+    terms = {}
+    for t in ftgt.by_degree:
+        dk = A.dim(dt - t)
+        sel = (deg == t).nonzero()[0] if dk else ()
+        if not len(sel):
+            continue
+        keys, slot = np.unique(pair[sel], return_inverse=True)
+        coef = np.zeros((keys.size, dk), dtype=np.int64)
+        coef[slot, x[sel]] = img.vals[sel]
+        tg, bj = divmod(keys, width)
+        b, j = divmod(bj, len(gens))
+        terms[(sj, dt - t)] = (tg, gens[j], b, coef)
+    return terms
+
+
+def _extended_blocks(ftgt: FreeModule, fsrc: FreeModule, terms: dict, d: int,
+                     shift: int, side: str | None):
+    """The nonzero blocks of the degree-d matrix of ``extend``, one per
+    term group: row indices (K, dy), column indices (K, dx) and values
+    (K, dx, dy), entry ((b, i, y), (j, x)) being coordinate y of x *
+    coefficient.  No two blocks share a cell."""
+    A, p = ftgt.algebra, ftgt.algebra.p
+    block = side and (fsrc.algebra.s_slice if side == "S" else fsrc.algebra.t_slice)
+    (_, tgt_off, nrow), src_off = ftgt._layout(d - shift), fsrc._layout(d)[1]
+    for (sj, e), (tg, sg, bt, coef) in terms.items():
+        da = d - sj
+        dx, dy = A.dim(da), A.dim(da + e)
+        if not dx * dy:
+            continue
+        # a unit factor (da or e zero) multiplies by the identity
+        mult = A.mult[(da, e)] if da and e else np.eye(
+            dy, dtype=np.int64).reshape(dx, -1, dy)
+        prod = coef @ mult.transpose(1, 0, 2).reshape(coef.shape[1], -1)
+        rows = (bt * nrow + tgt_off[tg])[:, None] + np.arange(dy)
+        cols = (src_off[sg] + (block(da).start if side else 0))[:, None] + np.arange(dx)
+        yield rows, cols, np.remainder(prod, p, out=prod).reshape(-1, dx, dy)
+
+
 def extend(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
            shift: int = 0, batch: int = 1, side: str | None = None,
            ) -> dict[int, np.ndarray]:
@@ -406,27 +477,32 @@ def extend(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
     into the nonzero blocks only.  With ``side``, fsrc lives over a fiber
     product and each map precomposes the coefficient projection onto the
     factor ftgt lives over."""
-    A, p = ftgt.algebra, ftgt.algebra.p
-    block = side and (fsrc.algebra.s_slice if side == "S" else fsrc.algebra.t_slice)
     out = {}
     for d in degrees:
-        nrow = ftgt.dim(d - shift)
-        mat = out[d] = np.zeros((batch * nrow, fsrc.dim(d)), dtype=np.int64)
-        tgt_off, src_off = ftgt._layout(d - shift)[1], fsrc._layout(d)[1]
-        for (sj, e), (tg, sg, bt, coef) in terms.items():
-            da = d - sj
-            dx, dy = A.dim(da), A.dim(da + e)
-            if not dx * dy:
-                continue
-            # a unit factor (da or e zero) multiplies by the identity
-            mult = A.mult[(da, e)] if da and e else np.eye(
-                dy, dtype=np.int64).reshape(dx, -1, dy)
-            prod = coef @ mult.transpose(1, 0, 2).reshape(coef.shape[1], -1)
-            rows = (bt * nrow + tgt_off[tg])[:, None] + np.arange(dy)
-            cols = (src_off[sg] + (block(da).start if side else 0))[:, None] + np.arange(dx)
-            # entry ((b, i, y), (j, x)): coordinate y of x * coefficient
-            mat[rows[:, None, :], cols[:, :, None]] = np.remainder(
-                prod, p, out=prod).reshape(-1, dx, dy)
+        mat = out[d] = np.zeros((batch * ftgt.dim(d - shift), fsrc.dim(d)), dtype=np.int64)
+        for rows, cols, vals in _extended_blocks(ftgt, fsrc, terms, d, shift, side):
+            mat[rows[:, None, :], cols[:, :, None]] = vals
+    return out
+
+
+def extend_entries(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
+                   shift: int = 0, batch: int = 1, side: str | None = None,
+                   ) -> dict[int, np.ndarray | linalg.Sparse]:
+    """``extend`` with each degree's matrix in the form its size asks
+    for: from ``SPARSE_MIN_CELLS`` cells on a ``linalg.Sparse`` of the
+    nonzero cells of its blocks, below that the dense matrix."""
+    out = {}
+    for d in degrees:
+        shape = (batch * ftgt.dim(d - shift), fsrc.dim(d))
+        if shape[0] * shape[1] < SPARSE_MIN_CELLS:
+            out.update(extend(ftgt, fsrc, terms, [d], shift, batch, side))
+            continue
+        parts = []
+        for rows, cols, vals in _extended_blocks(ftgt, fsrc, terms, d, shift, side):
+            nz = vals != 0
+            parts.append((np.broadcast_to(rows[:, None, :], vals.shape)[nz],
+                          np.broadcast_to(cols[:, :, None], vals.shape)[nz], vals[nz]))
+        out[d] = linalg.Sparse.summed(parts, shape, ftgt.algebra.p)
     return out
 
 
@@ -486,55 +562,78 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
 # -- minimal generators ------------------------------------------------------
 
 
-def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
-        -> list[tuple[int, int, np.ndarray]]:
-    """Minimal generators of the submodule spanned by ``rows[d]`` (d <=
-    dmax), where ``times(rows, a, n, entries=...)`` is ``rows`` times the
-    matrix of x -> a*x out of degree n, mod p (a module's ``times``).
-    The rows must span a submodule degreewise (kernels, or a whole
-    module), so the part of degree d generated below it is the sum of
-    g * rows[d - deg g] over the algebra's indecomposables g, folded into
-    one reduced echelon basis ``lower``.  Returns ``(degree, row index,
-    new echelon row)`` per row that enlarges the span of ``lower`` and
-    the rows before it, the new row being the row's normalized residual
-    against the reduced echelon basis of that span, as ``linalg.Span.add``
-    gives it.
+def _in_form(mat, p: int):
+    """``mat`` in the form its size asks for: a ``linalg.Sparse`` from
+    ``SPARSE_MIN_CELLS`` cells on, dense below."""
+    return linalg.as_sparse(mat, p) if mat.size >= SPARSE_MIN_CELLS else linalg.as_dense(mat)
 
-    That residual is unique, and reducing against ``lower`` first leaves
-    it unchanged, so each degree's rows are reduced against ``lower`` in
-    one product, sparse for large rows (``_reduced_entries``).  The
-    reduced echelon form of a sum of spans on disjoint columns is the
+
+def _stacked(parts, width: int, p: int):
+    """The matrices in ``parts`` stacked by rows: dense when every part
+    is, a ``linalg.Sparse`` otherwise."""
+    if all(isinstance(x, np.ndarray) for x in parts):
+        return np.vstack(parts)
+    return linalg.Sparse.vstack([linalg.as_sparse(x, p) for x in parts], width)
+
+
+def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
+        -> list[tuple[int, int, np.ndarray | linalg.Sparse]]:
+    """``minimal_generators_by_degree`` one new row at a time: ``(degree,
+    row index, new row)``, the new row a vector, or a one-row
+    ``linalg.Sparse`` where the degree's rows are taken in entry form."""
+    out = []
+    for d, kept, new in minimal_generators_by_degree(algebra, rows, times, dmax):
+        vecs = new.split_rows() if isinstance(new, linalg.Sparse) else new
+        out += [(d, j, vec) for j, vec in zip(kept.tolist(), vecs)]
+    return out
+
+
+def minimal_generators_by_degree(algebra: GradedAlgebra, rows, times, dmax: int) \
+        -> list[tuple[int, np.ndarray, np.ndarray | linalg.Sparse]]:
+    """Minimal generators of the submodule spanned by ``rows[d]`` (d <=
+    dmax, each dense or a ``linalg.Sparse``), where ``times(rows, a, n)``
+    is ``rows`` times the matrix of x -> a*x out of degree n, mod p, in
+    the form of ``rows`` (a module's ``times``).  The rows must span a
+    submodule degreewise (kernels, or a whole module), so the part of
+    degree d generated below it is the sum of g * rows[d - deg g] over
+    the algebra's indecomposables g, folded into one reduced echelon
+    basis ``lower`` of pivot rows only.  Returns, per degree with new
+    generators, ``(degree, row indices, new rows)``: the indices of the
+    rows that enlarge the span of ``lower`` and the rows before them, and
+    for each such row its normalized residual against the reduced echelon
+    basis of that span, as ``linalg.Span.add`` gives it, stacked.
+
+    Each degree's rows are taken in the form their size asks for
+    (``_in_form``): from ``SPARSE_MIN_CELLS`` cells on they are read at
+    their nonzero entries once, and their products, ``lower``, their
+    residuals and their new rows stay in entry form; below it the new
+    rows are a dense matrix.  The residual is unique, and reducing
+    against ``lower`` first leaves it unchanged, so each degree's rows
+    are reduced against ``lower`` in one product (``_reduced_entries``).
+    The reduced echelon form of a sum of spans on disjoint columns is the
     union of their forms, so a residual row that shares no column with
     another residual row is its own new row, up to its leading entry:
     all such rows are normalized at once.  Only the rows of
-    shared-column components go through a ``Span``.
-
-    Each degree's rows of ``SPARSE_MIN_CELLS`` cells or more are read at
-    their nonzero entries once, up front (``linalg.entries``): their own
-    reduction needs the read in any case, and it is handed to every
-    ``times`` call on them as well, so no matrix is scanned twice."""
+    shared-column components go through a ``Span``."""
     p = algebra.p
-    read = [linalg.entries(rows[d]) if rows[d].size >= SPARSE_MIN_CELLS else None
-            for d in range(dmax + 1)]
+    read = [_in_form(rows[d], p) for d in range(dmax + 1)]
     out = []
     for d in range(dmax + 1):
-        m, n = rows[d].shape
+        m, n = read[d].shape
         if m == 0:
             continue
         lower, piv = np.zeros((0, n), dtype=np.int64), []
         for deg, i in algebra.indecomposables:
-            if deg > d or rows[d - deg].shape[0] == 0:
+            if deg > d or read[d - deg].shape[0] == 0:
                 continue
-            prod = times(rows[d - deg], algebra.basis_element(deg, i), d - deg,
-                         entries=read[d - deg])
-            R, piv = linalg.rref(np.vstack([lower, prod]), p)
-            lower = R[: len(piv)]
-        r, c, v = _reduced_entries(rows[d], read[d], lower, piv, p)
+            prod = times(read[d - deg], algebra.basis_element(deg, i), d - deg)
+            lower, piv = linalg.echelon(_stacked([lower, prod], n, p), p)
+        r, c, v = _reduced_entries(read[d], lower, piv, p)
         if not r.size:
             continue
         col_count = np.bincount(c, minlength=n)
         shared = np.bincount(r[col_count[c] > 1], minlength=m) > 0
-        new = {}
+        parts = []  # (row index, column, value) of the new rows
         alone = ~shared[r]
         if alone.any():
             r1, c1, v1 = r[alone], c[alone], v[alone]
@@ -542,9 +641,7 @@ def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
             first[1:] = r1[1:] != r1[:-1]
             slot = np.cumsum(first) - 1
             heads = np.flatnonzero(first)  # each row's leading entry
-            normed = np.zeros((heads.size, n), dtype=np.int64)
-            normed[slot, c1] = v1 * linalg.inv_mod(v1[heads], p)[slot] % p
-            new.update(zip(r1[heads].tolist(), normed))
+            parts.append((r1, c1, v1 * linalg.inv_mod(v1[heads], p)[slot] % p))
         if not alone.all():
             span_rows = np.flatnonzero(shared)
             dense = np.zeros((span_rows.size, n), dtype=np.int64)
@@ -553,61 +650,53 @@ def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
             for j, row in zip(span_rows.tolist(), dense):
                 vec = span.add(row)
                 if vec is not None:
-                    new[j] = vec
-        out += [(d, j, new[j]) for j in sorted(new)]
+                    nz = np.flatnonzero(vec)
+                    parts.append((np.full(nz.size, j), nz, vec[nz]))
+        if isinstance(read[d], linalg.Sparse):
+            new = linalg.Sparse.summed(parts, (m, n), p)
+            kept = np.flatnonzero(np.bincount(new.rows, minlength=m))
+            new = linalg.Sparse(np.searchsorted(kept, new.rows), new.cols, new.vals,
+                                (kept.size, n))
+        else:
+            new = np.zeros((m, n), dtype=np.int64)
+            for pr, pc, pv in parts:
+                new[pr, pc] = pv
+            kept = np.flatnonzero(new.any(axis=1))
+            new = new[kept]
+        out.append((d, kept, new))
     return out
 
 
-def _reduced_entries(rows, entries, lower, piv, p: int):
+def _reduced_entries(rows, lower, piv, p: int):
     """Nonzero entries ``(row, column, value)``, row-major, of ``rows``
     reduced against ``lower`` (reduced echelon, pivot columns ``piv``).
 
     A row's residual is zero at the pivots, and elsewhere it is the row
     minus, for each pivot entry a of the row, a times the pivot's row of
-    ``lower``.  Given ``entries``, the row-major ``(row, column)`` of
-    the nonzero entries of ``rows`` (``minimal_generators`` reads them
-    from ``SPARSE_MIN_CELLS`` cells on), those products are taken entry
-    by entry (each below p^2) and summed per (row, column) with the
-    row's own entries.  Without them, the rows take one int64 product,
-    of at most len(piv) terms below p^2, and the residual is read."""
-    n = rows.shape[1]
-    if entries is None:
+    ``lower``.  Dense rows take one int64 product, of at most len(piv)
+    terms below p^2, and the residual is read.  For entry rows those
+    products are taken entry by entry (each below p^2) and summed per
+    (row, column) with the row's own entries."""
+    if isinstance(rows, np.ndarray):
         res = rows % p
         if len(piv):
-            res = (res - res[:, piv] @ lower) % p
+            res = (res - res[:, piv] @ linalg.as_dense(lower)) % p
         r, c = linalg.entries(res)
         return r, c, res[r, c]
-    r, c = entries
-    v = rows[r, c] % p
-    pos = np.full(n, -1)
+    pos = np.full(rows.shape[1], -1)
     pos[piv] = np.arange(len(piv))
-    at = pos[c] >= 0
-    off = ~at & (v != 0)
+    at = pos[rows.cols] >= 0
     if not at.any():
-        return r[off], c[off], v[off]
-    lr, lc = linalg.entries(lower)
-    keep = pos[lc] < 0  # lower is zero at the other pivots and 1 at its own
-    lr, lc = lr[keep], lc[keep]
-    lv = lower[lr, lc]
-    count = np.bincount(lr, minlength=len(piv))
-    start = np.cumsum(count) - count
-    hk, ha = pos[c[at]], v[at]
-    reps = count[hk]
-    term = np.repeat(np.arange(hk.size), reps)
-    idx = np.repeat(start[hk] - (np.cumsum(reps) - reps), reps) + np.arange(term.size)
-    r = np.concatenate([r[off], r[at][term]])
-    c = np.concatenate([c[off], lc[idx]])
-    v = np.concatenate([v[off], (p - ha[term]) * lv[idx]])
-    key = r * n + c
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    heads = np.flatnonzero(first)
-    v = np.add.reduceat(v[order], heads) % p if heads.size else v
-    r, c = r[order[heads]], c[order[heads]]
-    nz = v != 0
-    return r[nz], c[nz], v[nz]
+        return rows.rows, rows.cols, rows.vals
+    lower = linalg.as_sparse(lower, p)
+    hits = linalg.Sparse(rows.rows[at], pos[rows.cols[at]], p - rows.vals[at],
+                         (rows.shape[0], len(piv)))
+    keep = pos[lower.cols] < 0  # lower is zero at the other pivots and 1 at its own
+    rest = linalg.Sparse(lower.rows[keep], lower.cols[keep], lower.vals[keep], lower.shape)
+    off = ~at
+    res = linalg.Sparse.summed([(rows.rows[off], rows.cols[off], rows.vals[off]),
+                                linalg.product_terms(hits, rest)], rows.shape, p)
+    return res.rows, res.cols, res.vals
 
 
 # -- fiber products of modules ---------------------------------------------

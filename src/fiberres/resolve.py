@@ -6,8 +6,13 @@ current kernel by echelon complements in the fixed coordinate order, so
 the output is deterministic.  Every resolution carries its validity
 window (hmax, dmax): nothing outside the window is claimed.  The
 differentials are stored only as sparse generator terms (see
-``gmodule``): ``eval_diff`` evaluates them one degree at a time, and
-``entries`` reads their algebra entries straight off the terms.
+``gmodule``): ``evaluated`` evaluates them one degree at a time and
+keeps each map, as ``linalg.Sparse`` entries from
+``gmodule.SPARSE_MIN_CELLS`` cells on and dense below, and ``entries``
+reads their algebra entries straight off the terms.  The kernels and
+the new generator rows of each step travel in the same form, and
+``verify_complex`` ranks and composes the kept maps in it.  Only
+``boundary``, for the chain-map lifters, makes a kept map dense, once.
 
 Inside a ``sharing()`` scope, equal requests share one result: each
 ``minimal_resolution`` key (the algebra's identity, the module's
@@ -27,8 +32,9 @@ import numpy as np
 
 from . import linalg
 from .algebra import Element, GradedAlgebra
-from .gmodule import (FreeModule, GradedModule, extend, generator_terms,
-                      minimal_generators, submodule_as_gmodule)
+from .gmodule import (FreeModule, GradedModule, extend_entries, generator_terms,
+                      minimal_generators, minimal_generators_by_degree,
+                      submodule_as_gmodule)
 from .series import PowerSeries
 
 __all__ = [
@@ -63,7 +69,8 @@ class FreeResolution:
         self.frees = frees          # frees[i] for 0 <= i <= hmax
         self.terms = terms          # terms[i]: generator terms of F_i -> F_{i-1}; terms[0] is None
         self.cover = cover          # d -> matrix (dim M_d, dim F0_d)
-        self._ev_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._ev_cache: dict[tuple[int, int], np.ndarray | linalg.Sparse] = {}
+        self._dense: dict[tuple[int, int], np.ndarray] = {}
 
     def entries(self, i: int) -> list[tuple[int, int, Element]]:
         """(row, column, entry) for each nonzero entry of d_i: F_i ->
@@ -82,18 +89,30 @@ class FreeResolution:
             out[r][c] = repr(el)
         return out
 
-    def eval_diff(self, i: int, d: int) -> np.ndarray:
-        if (i, d) not in self._ev_cache:
-            self._ev_cache[i, d] = extend(self.frees[i - 1], self.frees[i], self.terms[i], [d])[d]
-        return self._ev_cache[i, d]
-
     def eval_cover(self, d: int) -> np.ndarray:
         return self.cover.get(d, np.zeros((self.module.dim(d), self.frees[0].dim(d)),
                                           dtype=np.int64))
 
+    def evaluated(self, i: int, d: int) -> np.ndarray | linalg.Sparse:
+        """Degree-d map out of F_i: the differential, evaluated once and
+        kept in the form its size asks for (``gmodule.extend_entries``),
+        or the cover at 0."""
+        if i == 0:
+            return self.eval_cover(d)
+        if (i, d) not in self._ev_cache:
+            self._ev_cache[i, d] = extend_entries(self.frees[i - 1], self.frees[i],
+                                                  self.terms[i], [d])[d]
+        return self._ev_cache[i, d]
+
     def boundary(self, i: int, d: int) -> np.ndarray:
-        """Degree-d map out of F_i: the differential, or the cover at 0."""
-        return self.eval_diff(i, d) if i else self.eval_cover(d)
+        """``evaluated`` as a dense matrix, for the chain-map lifters; a
+        map kept in entry form is made dense once, on first request."""
+        if i == 0:
+            return self.eval_cover(d)
+        mat = self._dense.get((i, d))
+        if mat is None:
+            mat = self._dense[i, d] = linalg.as_dense(self.evaluated(i, d))
+        return mat
 
     def rank(self, i: int) -> int:
         return self.frees[i].rank if 0 <= i <= self.hmax else 0
@@ -228,16 +247,16 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     for step in range(1, hmax + 1):
         prev_free = res.frees[-1]
         # the maps evaluated here stay in res's cache for their later users
-        kers = {d: linalg.kernel_basis(res.boundary(step - 1, d), p)
+        kers = {d: linalg.kernel(res.evaluated(step - 1, d), p)
                 for d in range(dmax + 1)}
 
-        new_gens = [(d, new) for d, _, new in
-                    minimal_generators(algebra, kers, prev_free.times, dmax)]
-
-        fi = FreeModule(algebra, [d for d, _ in new_gens],
-                        [f"u{step}_{k}" for k in range(len(new_gens))])
-        terms = generator_terms(prev_free, [(d, g, np.array([new_gens[j][1] for j in g]).T)
-                                            for d, g in fi.by_degree.items()])
+        new_gens = minimal_generators_by_degree(algebra, kers, prev_free.times, dmax)
+        degrees = [d for d, kept, _ in new_gens for _ in kept]
+        fi = FreeModule(algebra, degrees, [f"u{step}_{k}" for k in range(len(degrees))])
+        # generator_terms reads entry rows as they are and dense images as columns
+        terms = generator_terms(prev_free, [
+            (d, fi.by_degree[d], new if isinstance(new, linalg.Sparse) else new.T)
+            for d, _, new in new_gens])
         unit = sorted((int(j), int(i)) for (_, e), (tg, sg, _, _) in terms.items()
                       if e < 1 for i, j in zip(tg, sg))
         if unit:
@@ -280,21 +299,19 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
     """Independent rank-based verification inside the window:
     differentials compose to zero, all entries lie in the augmentation
     ideal, and homology vanishes at every bidegree the window can
-    certify.  Each evaluated map is ranked once.  d_(i-1) o d_i = 0 is
-    checked on the evaluated matrices, at the column of each generator
-    of F_i in its own degree and over the rows those columns hit: a
-    module map that vanishes on generators vanishes, so this is the
-    check over the algebra.  A failure names the degrees and the
-    generator pairs (row, column) of the nonzero entries of the
-    composite; a failure of cover o d1 = 0 names the (degree,
-    generator) pairs of its nonzero generator blocks."""
+    certify.  Each evaluated map is ranked once, in the form it is kept in.
+    d_(i-1) o d_i = 0 is checked on the evaluated maps, at the column of
+    each generator of F_i in its own degree: a module map that vanishes
+    on generators vanishes, so this is the check over the algebra.  A
+    failure names the degrees and the generator pairs (row, column) of
+    the nonzero entries of the composite; a failure of cover o d1 = 0
+    names the (degree, generator) pairs of its nonzero generator
+    blocks."""
     p = res.algebra.p
     hmax = res.hmax if hmax is None else min(hmax, res.hmax)
     dmax = res.dmax if dmax is None else min(dmax, res.dmax)
     rep = ComplexReport()
-    # every map is ranked once, right after it is evaluated, so no rref
-    # copy shares memory with the whole last differential
-    rank = {(i, d): linalg.rank(res.boundary(i, d), p)
+    rank = {(i, d): linalg.rank(res.evaluated(i, d), p)
             for i in range(hmax + 1) for d in range(dmax + 1)}
 
     for i in range(1, hmax + 1):
@@ -304,18 +321,18 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
 
     for i in range(2, hmax + 1):
         F = res.frees[i]
-        bad = [d for d, g in F.by_degree.items() if np.any(_generator_composite(
-            res.eval_diff(i - 1, d), res.eval_diff(i, d)[:, F.block_indices(d, g)], p))]
+        bad = [d for d, g in F.by_degree.items() if _composite(
+            res.evaluated(i - 1, d), res.evaluated(i, d), F.block_indices(d, g), p)[0].size]
         rep.add(f"d{i - 1} o d{i} = 0", not bad,
                 f"degrees {bad}, generator pairs {_composite_pairs(res, i)}" if bad else "")
     if hmax >= 1:
         bad = []
         for d in range(dmax + 1):
-            prod = (res.eval_cover(d) @ res.eval_diff(1, d)) % p
-            if np.any(prod):
-                cols = np.flatnonzero(prod.any(axis=0))
-                gens = res.frees[1].block_generators(d, cols).tolist()
-                bad += [(d, j) for j in dict.fromkeys(gens)]
+            n = res.frees[1].dim(d)
+            _, cols = _composite(res.eval_cover(d), res.evaluated(1, d), np.arange(n), p)
+            cols = np.flatnonzero(np.bincount(cols, minlength=n))
+            gens = res.frees[1].block_generators(d, cols).tolist()
+            bad += [(d, j) for j in dict.fromkeys(gens)]
         rep.add("cover o d1 = 0", not bad,
                 f"nonzero at (degree, generator) {bad}" if bad else "")
 
@@ -335,11 +352,17 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
     return rep
 
 
-def _generator_composite(outer: np.ndarray, inner: np.ndarray, p: int) -> np.ndarray:
-    """``outer @ inner`` mod p over the rows of ``inner`` that are not
-    zero: the other rows add nothing."""
-    hit = np.flatnonzero(inner.any(axis=1))
-    return linalg.matmul_mod(outer[:, hit], inner[hit], p)
+def _composite(outer, inner, cols, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzero entries of ``outer @
+    inner[:, cols]`` mod p, for maps in either form; two dense maps are
+    multiplied over the rows that the columns hit."""
+    if isinstance(outer, np.ndarray) and isinstance(inner, np.ndarray):
+        inner = inner[:, cols]
+        hit = np.flatnonzero(inner.any(axis=1))
+        return linalg.entries(linalg.matmul_mod(outer[:, hit], inner[hit], p))
+    prod = linalg.matmul_entries(linalg.as_sparse(outer, p),
+                                 linalg.as_sparse(inner, p).columns(cols), p)
+    return prod.rows, prod.cols
 
 
 def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
@@ -350,9 +373,9 @@ def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
     F, mid, tgt = res.frees[i], res.frees[i - 1], res.frees[i - 2]
     pairs = set()
     for s, g in F.by_degree.items():
-        outer = extend(tgt, mid, res.terms[i - 1], [s])[s]
-        inner = extend(mid, F, res.terms[i], [s])[s][:, F.block_indices(s, g)]
-        rows, cols = linalg.entries(_generator_composite(outer, inner, res.algebra.p))
+        outer = extend_entries(tgt, mid, res.terms[i - 1], [s])[s]
+        inner = extend_entries(mid, F, res.terms[i], [s])[s]
+        rows, cols = _composite(outer, inner, F.block_indices(s, g), res.algebra.p)
         pairs.update(zip(tgt.block_generators(s, rows).tolist(), g[cols].tolist()))
     return sorted(pairs)
 
@@ -363,7 +386,7 @@ def syzygy_module(res: FreeResolution, n: int) -> GradedModule:
     afresh from the map, which stays in the evaluation cache."""
     if not 1 <= n <= res.hmax:
         raise WindowError(f"syzygy step {n} outside 1..{res.hmax}")
-    kers = {d: linalg.kernel_basis(res.boundary(n - 1, d), res.algebra.p)
+    kers = {d: linalg.kernel_basis(res.evaluated(n - 1, d), res.algebra.p)
             for d in range(res.dmax + 1)}
     return submodule_as_gmodule(res.frees[n - 1], kers, label_prefix=f"z{n}_")
 

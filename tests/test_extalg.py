@@ -362,3 +362,21 @@ def test_ext_module_rejects_mismatched_inputs():
                    resolution=minimal_resolution(B, residue_module(B), 3))
     with pytest.raises(ExtError, match="given algebra"):
         ext_algebra(A, 3, resolution=minimal_resolution(B, residue_module(B), 3))
+
+
+def test_image_products_do_not_wrap_past_the_int64_bound():
+    """At p = 65521 a three-operand int64 sum wraps from about 32,792
+    terms of (p - 1)^3; the product check's contraction sums 40,000
+    (a and b of 200 each) and must agree with Python integers."""
+    p = 65521
+    rng = np.random.default_rng(65521)
+    left = rng.integers(p - 50, p, size=(1, 200))
+    right = rng.integers(p - 50, p, size=(2, 200))
+    tensor = rng.integers(p - 50, p, size=(200, 200, 2))
+    got = extalg._image_products(left, right, tensor, p)
+    L, Rt, T = left.tolist(), right.tolist(), tensor.tolist()
+    ref = [[[sum(L[i][a] * Rt[j][b] * T[a][b][k] for a in range(200) for b in range(200)) % p
+             for k in range(2)] for j in range(2)] for i in range(1)]
+    assert got.tolist() == ref
+    # the one-shot sum wraps here, so the check above can fail
+    assert not np.array_equal(np.einsum("ia,jb,abk->ijk", left, right, tensor) % p, got)

@@ -320,8 +320,11 @@ def reference_generators(algebra, rows, act, dmax):
 
 
 def same_generators(a, b):
+    """Same (degree, row) pairs and new rows, a one-row entry matrix read
+    as its vector."""
     return [(d, j) for d, j, _ in a] == [(d, j) for d, j, _ in b] \
-        and all(np.array_equal(u, v) for (_, _, u), (_, _, v) in zip(a, b))
+        and all(np.array_equal(np.ravel(linalg.as_dense(u)), np.ravel(linalg.as_dense(v)))
+                for (_, _, u), (_, _, v) in zip(a, b))
 
 
 def test_indecomposables_of_a_weighted_ring():
@@ -486,6 +489,61 @@ def test_minimal_generators_read_each_kernel_matrix_once(sparse_cells, monkeypat
         assert max(counts) <= 1
         if sparse_cells == 0:
             assert counts == [1] * len(counts)
+
+
+def entry_rows(rows, p):
+    return [linalg.Sparse.read(r, p) for r in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_minimal_generators_of_entry_rows_match_the_definition(p, seed, sparse_cells):
+    """The same random submodule rows, handed over in entry form, give
+    the definition's generators; with every matrix taken in entry form,
+    each new row is a one-row entry matrix."""
+    R = weighted_ring(p)
+    F = FreeModule(R, [0, 0, 1, 2, 3])
+    rows = random_submodule_rows(np.random.default_rng([seed, p, 1]), F, p)
+    gens = minimal_generators(R, entry_rows(rows, p), F.times, R.cap)
+    if sparse_cells == 0:
+        assert all(isinstance(v, linalg.Sparse) and v.shape[0] == 1 for _, _, v in gens)
+    assert same_generators(gens, reference_generators(
+        R, rows, partial(reference_left_mult, F), R.cap))
+
+
+@pytest.mark.parametrize("p", [3, 65521])
+def test_minimal_generators_of_entry_kernels_match_the_definition(p, sparse_cells):
+    """Each step's kernels in entry form, as the resolution hands them on,
+    against the definition on the same kernels made dense."""
+    R = weighted_ring(p)
+    res = minimal_resolution(R, residue_module(R), 4)
+    for step in range(1, 5):
+        kers = [linalg.as_sparse(linalg.kernel(res.evaluated(step - 1, d), p), p)
+                for d in range(res.dmax + 1)]
+        free = res.frees[step - 1]
+        gens = minimal_generators(R, kers, free.times, R.cap)
+        assert [d for d, _, _ in gens] == res.gen_degrees(step)
+        assert same_generators(gens, reference_generators(
+            R, [k.dense() for k in kers], partial(reference_left_mult, free), R.cap))
+
+
+@pytest.mark.parametrize("p", [3, 65521])
+def test_kept_maps_equal_the_dense_extension(p, sparse_cells):
+    """Every evaluated differential of the weighted ring, kept dense below
+    ``SPARSE_MIN_CELLS`` cells and in entry form from there on, is the
+    dense extension of its terms, and so is ``boundary``."""
+    R = weighted_ring(p)
+    res = minimal_resolution(R, residue_module(R), 5)
+    for i in range(1, 6):
+        for d in range(res.dmax + 1):
+            ref = extend(res.frees[i - 1], res.frees[i], res.terms[i], [d])[d]
+            kept = res.evaluated(i, d)
+            assert isinstance(kept, linalg.Sparse) == (ref.size >= sparse_cells)
+            if isinstance(kept, linalg.Sparse):
+                key = kept.rows * kept.shape[1] + kept.cols
+                assert np.all(np.diff(key) > 0) and np.all((kept.vals >= 1) & (kept.vals < p))
+            assert np.array_equal(linalg.as_dense(kept), ref)
+            assert np.array_equal(res.boundary(i, d), ref)
 
 
 def test_resolution_is_the_same_read_sparse_or_dense(monkeypatch):

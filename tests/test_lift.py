@@ -53,8 +53,8 @@ def assert_chain_map(src, tgt, lifts, step=0, shift=0):
     for n in range(1, len(lifts)):
         assert lifts[n], f"stage {n} is empty"
         for d, L in lifts[n].items():
-            lhs = tgt.eval_diff(n, d - shift) @ L
-            rhs = lifts[n - 1][d] @ src.eval_diff(step + n, d)
+            lhs = tgt.boundary(n, d - shift) @ L
+            rhs = lifts[n - 1][d] @ src.boundary(step + n, d)
             assert np.array_equal(lhs % P, rhs % P), (n, d)
             nonzero += bool(np.any(L))
     return nonzero

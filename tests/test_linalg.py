@@ -458,3 +458,98 @@ def test_solve_with_a_dense_right_hand_side(p, min_cells, monkeypatch):
             ref = [linalg.solve(mat, rhs, p), linalg.solve(mat, rhs[:, 1:], p)]
         for a, b in zip(got, ref):
             assert (a is None and b is None) or np.array_equal(a, b)
+
+
+# -- the entry-form elimination core ------------------------------------------
+
+CORE_PRIMES = (2, 3, 65521)
+
+
+def block_sparse_matrix(rng, p):
+    """Blocks on disjoint rows and columns, then rows and columns
+    shuffled: a one-row and a one-column component, larger blocks, zero
+    rows and zero columns, and stored multiples of p (zero mod p)."""
+    shapes = [(1, int(rng.integers(2, 6))), (int(rng.integers(2, 6)), 1), (3, 0), (0, 2)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 7, size=2))
+               for _ in range(rng.integers(1, 6))]
+    m, n = sum(a for a, _ in shapes), sum(b for _, b in shapes)
+    mat = np.zeros((m, n), dtype=np.int64)
+    r = c = 0
+    for a, b in shapes:
+        block = rng.integers(-p, 2 * p, size=(a, b))
+        block[rng.random((a, b)) < 0.4] = 0
+        multiple = rng.random((a, b)) < 0.1
+        block[multiple] = p * rng.choice([-1, 1, 2], size=int(multiple.sum()))
+        if a == 1 or b == 1:  # a component of its own: no zero entry
+            block[block % p == 0] = 1
+        mat[r:r + a, c:c + b] = block
+        r, c = r + a, c + b
+    return mat[rng.permutation(m)][:, rng.permutation(n)]
+
+
+def assert_entry_form(E, p):
+    """Row-major entries, each value in [1, p), inside the shape."""
+    key = E.rows * E.shape[1] + E.cols
+    assert np.all(np.diff(key) > 0)
+    assert np.all((E.vals >= 1) & (E.vals < p))
+    assert E.rows.size == 0 or (E.rows.max() < E.shape[0] and E.cols.max() < E.shape[1])
+
+
+@pytest.mark.parametrize("p", CORE_PRIMES)
+def test_entry_form_core_equals_the_column_loop(p, min_cells):
+    """``echelon``, ``rank`` and ``kernel`` on entry-form input give the
+    echelon rows, pivots and kernel the dense column loop gives."""
+    rng = np.random.default_rng([8000, p])
+    for _ in range(30):
+        mat = block_sparse_matrix(rng, p)
+        R = linalg.normalize(mat, p)
+        pivots = linalg._eliminate(R, p)
+        E = linalg.Sparse.read(mat, p)
+        assert_entry_form(E, p)
+        rows, got = linalg.echelon(E, p)
+        assert got == pivots and all(type(c) is int for c in got)
+        assert isinstance(rows, linalg.Sparse) == (mat.size >= min_cells)
+        if isinstance(rows, linalg.Sparse):
+            assert_entry_form(rows, p)
+        assert np.array_equal(linalg.as_dense(rows), R[: len(pivots)])
+        assert linalg.rank(E, p) == len(pivots)
+        free = [c for c in range(mat.shape[1]) if c not in pivots]
+        ref = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+        ref[np.arange(len(free)), free] = 1
+        ref[:, pivots] = (-R[: len(pivots), free].T) % p
+        K = linalg.kernel(E, p)
+        assert np.array_equal(linalg.as_dense(K), ref)
+        assert not np.any(linalg.normalize(mat, p) @ linalg.as_dense(K).T % p)
+
+
+@pytest.mark.parametrize("p", CORE_PRIMES)
+def test_summed_entries_equal_the_read_matrix(p):
+    """Entries given in any order, each value split into two repeats
+    that may be 0 or p mod p, sum to the matrix read at its entries."""
+    rng = np.random.default_rng([8100, p])
+    for _ in range(20):
+        mat = block_sparse_matrix(rng, p) % p
+        r, c = np.nonzero(mat)
+        part = rng.integers(0, p, size=r.size)
+        order = rng.permutation(2 * r.size)
+        parts = [tuple(np.concatenate([x, x])[order] for x in (r, c)) +
+                 (np.concatenate([part, (mat[r, c] - part) % p])[order],)]
+        E = linalg.Sparse.summed(parts, mat.shape, p)
+        assert_entry_form(E, p)
+        ref = linalg.Sparse.read(mat, p)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((E.rows, E.cols, E.vals), (ref.rows, ref.cols, ref.vals)))
+        assert np.array_equal(E.dense(), mat)
+
+
+@pytest.mark.parametrize("p", CORE_PRIMES)
+def test_entry_products_equal_the_dense_product(p):
+    rng = np.random.default_rng([8200, p])
+    for _ in range(20):
+        a = block_sparse_matrix(rng, p) % p
+        b = rng.integers(0, p, size=(a.shape[1], 4)) * (rng.random((a.shape[1], 4)) < 0.3)
+        got = linalg.matmul_entries(linalg.Sparse.read(a, p), linalg.Sparse.read(b, p), p)
+        assert_entry_form(got, p)
+        assert np.array_equal(got.dense(), a @ b % p)
+        cols = np.flatnonzero(rng.random(4) < 0.5)
+        assert np.array_equal(linalg.Sparse.read(b, p).columns(cols).dense(), b[:, cols])

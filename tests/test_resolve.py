@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,7 @@ from fiberres.gmodule import (
     residue_module,
     restrict_to_fiber,
 )
-from fiberres import linalg, resolve
+from fiberres import gmodule, linalg, resolve
 from fiberres.wordres import build_word_resolution
 from fiberres.resolve import (
     FreeResolution,
@@ -214,15 +215,11 @@ def test_non_minimal_generator_raises_typed_error(monkeypatch):
     """A step-1 generator whose differential has a degree-0 entry is
     rejected with a ResolutionError, also under ``python -O``."""
     A = mono([("x", 1)], ["x^2"], cap=4)
-    real = resolve.minimal_generators
-
     def unit_cover_as_syzygy(algebra, rows, times, dmax):
-        gens = real(algebra, rows, times, dmax)
-        if isinstance(times.__self__, FreeModule):  # a kernel step
-            return [(0, 0, np.array([1], dtype=np.int64))]
-        return gens
+        # the kernel steps: the generator of degree 0 maps to the unit
+        return [(0, np.array([0]), np.array([[1]], dtype=np.int64))]
 
-    monkeypatch.setattr(resolve, "minimal_generators", unit_cover_as_syzygy)
+    monkeypatch.setattr(resolve, "minimal_generators_by_degree", unit_cover_as_syzygy)
     with pytest.raises(ResolutionError, match="non-minimal differential entry "
                                               "at step 1, degree 0"):
         minimal_resolution(A, residue_module(A), 2)
@@ -237,22 +234,21 @@ def cube_square():
 
 def test_each_map_is_evaluated_and_ranked_once(monkeypatch):
     """minimal_resolution keeps the matrices it evaluates for its kernels,
-    and verify_complex ranks each of them once.  Each differential is
-    extended one degree per call, so every map is ranked right after it
-    is evaluated."""
-    evaluated, ranked = Counter(), Counter()
-    real_extend, real_rank = resolve.extend, linalg.rank
+    and verify_complex ranks each of them once, in the form it is kept
+    in.  Each differential is extended one degree per call."""
+    evaluated, ranked = Counter(), []
+    real_extend, real_rank = resolve.extend_entries, linalg.rank
 
-    def extend(ftgt, fsrc, terms, degrees, *args, **kwargs):
+    def extend_entries(ftgt, fsrc, terms, degrees, *args, **kwargs):
         for d in degrees:
             evaluated[(id(fsrc), d)] += 1
         return real_extend(ftgt, fsrc, terms, degrees, *args, **kwargs)
 
     def rank(mat, p):
-        ranked[id(mat)] += 1
+        ranked.append(mat)
         return real_rank(mat, p)
 
-    monkeypatch.setattr(resolve, "extend", extend)
+    monkeypatch.setattr(resolve, "extend_entries", extend_entries)
     monkeypatch.setattr(linalg, "rank", rank)
     R = cube_square()
     res = minimal_resolution(R, residue_module(R), 4)
@@ -261,8 +257,11 @@ def test_each_map_is_evaluated_and_ranked_once(monkeypatch):
     step = {id(F): i for i, F in enumerate(res.frees)}
     assert sorted((step[f], d) for f, d in evaluated) == [  # steps 1-4, every degree
         (i, d) for i in range(1, 5) for d in range(res.dmax + 1)]
-    assert max(ranked.values()) == 1
     assert len(ranked) == 5 * (res.dmax + 1)  # the cover and steps 1-4
+    for i in range(1, 5):
+        for d in range(res.dmax + 1):
+            kept = res.evaluated(i, d)
+            assert sum(mat is kept for mat in ranked) == 1
 
 
 def failures(res):
@@ -301,16 +300,31 @@ def test_verify_names_the_ranks_of_an_inexact_step():
         "expected) [(1, 2, 2, 1, 4), (1, 3, 1, 0, 2)]")]
 
 
-def test_d_squared_is_checked_on_the_evaluated_matrices():
-    """A tampered evaluation fails d o d although the algebra-level
-    composite is zero, so no generator pair is named."""
+def tamper_and_fail_d_squared(entry_form):
     R = cube_square()
     res = minimal_resolution(R, residue_module(R), 3)
-    mat = res.eval_diff(2, 3)
+    kept = res.evaluated(2, 3)
+    assert isinstance(kept, linalg.Sparse) == entry_form
+    mat = linalg.as_dense(kept)
     mat[0, 0] = (mat[0, 0] + 1) % R.p
+    if entry_form:
+        tampered = linalg.Sparse.read(mat, R.p)
+        kept.rows, kept.cols, kept.vals = tampered.rows, tampered.cols, tampered.vals
     d2, d3 = (extend(res.frees[i - 1], res.frees[i], res.terms[i], [3])[3] for i in (2, 3))
     assert not np.any(linalg.matmul_mod(d2, d3, R.p))
     assert failures(res) == [("d2 o d3 = 0", "degrees [3], generator pairs []")]
+
+
+def test_d_squared_is_checked_on_the_evaluated_matrices():
+    """A tampered evaluation fails d o d although the algebra-level
+    composite is zero, so no generator pair is named."""
+    tamper_and_fail_d_squared(entry_form=False)
+
+
+def test_d_squared_is_checked_on_maps_kept_as_entries(monkeypatch):
+    """The same with every map kept in entry form."""
+    monkeypatch.setattr(gmodule, "SPARSE_MIN_CELLS", 0)
+    tamper_and_fail_d_squared(entry_form=True)
 
 
 def test_d_squared_names_the_pairs_in_the_noncommutative_order():
@@ -392,30 +406,33 @@ def test_syzygy_module_at_every_step(source):
             syzygy_module(res, n)
 
 
-def column_loop_rref(mat, p):
-    R = linalg.normalize(mat, p)
-    return R, linalg._eliminate(R, p)
+def column_loop_split(E, p):
+    """``linalg._split`` by the column loop on the whole dense matrix."""
+    R = E.dense()
+    pivots = linalg._eliminate(R, p)
+    r, c = np.nonzero(R[: len(pivots)])
+    return [(r, c, R[r, c])], pivots
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_resolution_equals_the_column_loop_run(p, monkeypatch):
     """k[x]/(x^3) x_k k[y]/(y^2): the Betti table, every kernel basis and
-    every verify_complex check and datum are the same as with rref
-    replaced by the column loop on the whole matrix."""
+    every verify_complex check and datum are the same as with the
+    elimination core replaced by the column loop on the whole matrix."""
 
     def run():
         kernels = []
-        kernel_basis = linalg.kernel_basis
+        kernel = linalg.kernel
 
         def recording(mat, q):
-            kernels.append(kernel_basis(mat, q))
+            kernels.append(kernel(mat, q))
             return kernels[-1]
 
         S = build_monomial_quotient(p, 10, MonomialQuotientPresentation(["x"], [1], ["x^3"]))
         T = build_monomial_quotient(p, 10, MonomialQuotientPresentation(["y"], [1], ["y^2"]))
         R = fiber_product(S, T)
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "kernel_basis", recording)
+            patch.setattr(linalg, "kernel", recording)
             res = minimal_resolution(R, residue_module(R), 7)
         rep = verify_complex(res)
         return res.betti(), kernels, rep.checks, rep.data
@@ -423,15 +440,38 @@ def test_resolution_equals_the_column_loop_run(p, monkeypatch):
     split = run()
     monkeypatch.setattr(linalg, "SPLIT_MIN_CELLS", 1)
     split_all = run()
-    monkeypatch.setattr(linalg, "rref", column_loop_rref)
+    monkeypatch.setattr(linalg, "_split", column_loop_split)
     loop = run()
     assert all(c["ok"] for c in loop[2])
     for got in (split, split_all):
         assert got[0] == loop[0]
         assert len(got[1]) == len(loop[1]) > 0
-        assert all(a.shape == b.shape and np.array_equal(a, b)
+        assert all(a.shape == b.shape and np.array_equal(linalg.as_dense(a), linalg.as_dense(b))
                    for a, b in zip(got[1], loop[1]))
         assert got[2:] == loop[2:]
+
+
+# The traced peak of the resolution and verification below is 1.3-1.7 MB
+# with kernels, generator rows and evaluated maps in entry form; with
+# dense kernels it is 16.8 MB, with dense evaluated maps 24.5 MB.
+PEAK_BOUND_MB = 6
+
+
+def test_memory_of_a_resolution_and_its_verification():
+    """k over k[x]/(x^3) x_k k[y]/(y^2) at hmax 10, cap 16 (the first ring
+    of the benchmark's resolve workload): the traced peak of
+    minimal_resolution and verify_complex stays under the bound."""
+    R = fiber_product(mono([("x", 1)], ["x^3"], cap=16), mono([("y", 1)], ["y^2"], cap=16))
+    k = residue_module(R)
+    tracemalloc.start()
+    try:
+        res = minimal_resolution(R, k, 10)
+        assert verify_complex(res).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rank(10) > 1000
+    assert peak < PEAK_BOUND_MB * 1e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 # -- the sharing scope ----------------------------------------------------------
