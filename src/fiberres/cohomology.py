@@ -7,8 +7,9 @@ annihilated by the other factor.  ``verify_ext_sequence_L`` checks the
 dimension bookkeeping this forces on Ext of an arbitrary module, and
 ``verify_fiber_module_ext_sequence`` checks the short exact sequence
 induced on Ext by a pullback of modules along maps to a trivial module;
-its maps mu*/nu* come from ``comparison_chain_map``, the stage-0 entry
-point of the chain-map lifter in ``extalg``.
+its maps mu*/nu* are read off on generators from the terms that
+``comparison_chain_map``, the stage-0 entry point of the chain-map
+lifter in ``extalg``, keeps for each stage.
 
 ``combined_residue_resolution`` resolves the residue field over a free
 product by joining minimal resolutions over the two factors.  On top of
@@ -212,13 +213,13 @@ def verify_ext_sequence_L(R: FiberProductAlgebra, L: GradedModule, hmax: int,
 
 def comparison_chain_map(src: FreeResolution, tgt: FreeResolution,
                          f_mats: dict[int, np.ndarray],
-                         nmax: int) -> list[dict[int, np.ndarray]]:
+                         nmax: int) -> list[dict]:
     """Chain map between resolutions over one algebra lifting the module
     map given degreewise by ``f_mats[d]`` (rows = source coordinates;
     missing degrees act as zero).  ``_lift_stages`` runs from stage 0,
-    solving against the two covers there; returns numeric matrices per
-    stage and internal degree, mapping source coordinates to target
-    coordinates as columns."""
+    solving against the two covers there; returns the generator terms of
+    each stage (``gmodule.generator_terms``), which ``gmodule.extend``
+    evaluates."""
     if tgt.algebra is not src.algebra:
         raise ExtError("a comparison chain map needs two resolutions over "
                        "one algebra")

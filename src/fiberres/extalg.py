@@ -2,17 +2,20 @@
 under fiber products.
 
 Every chain map here is lifted by one numeric stage loop,
-``_lift_stages``: stage by stage it solves for the images of the source
-generators, one multi-column solve per internal degree, turns them into
-sparse generator terms (``gmodule.generator_terms``) and extends them
-module-linearly with ``gmodule.extend``, which also evaluates the
-resolutions' differentials.  The entry points differ only in stage 0
-(terms written down directly) and the shift: ``lift_dual`` (the dual of
-a generator, for Yoneda products; the duals of one step and degree go
-as one batch stacked by rows),
-``restriction_chain_map`` (the coefficient projection onto a factor of
-a fiber product) and ``cohomology.comparison_chain_map`` (a module
-map).  ``_generator_coefficients`` reads a stage off on generators.
+``_lift_stages``, and kept as the sparse generator terms of each stage
+(``gmodule.generator_terms``).  Stage by stage it solves for the images
+of the source generators, one multi-column solve per internal degree;
+the stage below is evaluated with ``gmodule.extend`` only at the
+generator degrees of the stage being solved, and the last stage is never
+evaluated.  The entry points differ only in stage 0 and the shift:
+``lift_dual`` (the dual of a generator, written down as terms, for
+Yoneda products; the duals of one step and degree go as one batch, told
+apart by the terms' batch column), ``restriction_chain_map`` (the
+identity terms, which ``extend`` makes the coefficient projection onto
+a factor of a fiber product) and ``cohomology.comparison_chain_map`` (a
+module map, solved against the two covers).  ``_generator_coefficients``
+and ``_dual_tensor`` read a stage off on generators from its terms of
+algebra degree 0.
 
 ``ext_algebra`` tabulates the Yoneda algebra Ext(k, k) on the dual basis
 of a minimal free resolution of the residue field; ``ext_module`` does
@@ -49,28 +52,33 @@ class ExtError(RuntimeError):
 # -- chain-map lifting ------------------------------------------------------
 
 
-def _lift_stages(src: FreeResolution, tgt: FreeResolution,
-                 prev: dict[int, np.ndarray], stages: range, step: int = 0,
-                 shift: int = 0, side: str | None = None, batch: int = 1,
-                 ) -> list[dict[int, np.ndarray]]:
-    """The one chain-map lifter: numeric maps of each stage n in
-    ``stages``, sending degree-d coordinates of src[step + n] to
-    degree-(d - shift) coordinates of tgt[n], for ``batch`` chain maps
-    stacked by rows.
+def _lift_stages(src: FreeResolution, tgt: FreeResolution, prev: dict,
+                 stages: range, step: int = 0, shift: int = 0, side: str | None = None,
+                 batch: int = 1) -> list[dict]:
+    """The one chain-map lifter: the generator terms of each stage n in
+    ``stages`` of ``batch`` chain maps, stage n sending src[step + n]
+    to tgt[n] and dropping internal degree by ``shift``, in the form
+    ``gmodule.generator_terms`` gives (term b for map b).
 
-    ``prev`` is the stacked map one stage down (the module map, rows =
-    target coordinates, when the first stage is 0); a degree it lacks
-    acts as zero.  Stage n solves for the images of the source
-    generators against tgt's stage-n differential (the two covers at
-    stage 0), one solve per degree in increasing order with a column per
-    generator and map, and ``extend`` extends them module-linearly.
-    With ``side``, src lives over a fiber product and tgt over that factor.
+    ``prev`` is the stage one down: below stage 0, the module map as
+    stacked matrices per degree (rows = target coordinates, a missing
+    degree acting as zero); above it, generator terms.  Stage n solves
+    for the images of the source generators against tgt's stage-n
+    differential (the two covers at stage 0), one solve per degree in
+    increasing order with a column per generator and map.  It reads the
+    stage below only at its own generator degrees, so ``extend``
+    evaluates a stage there alone, inside the window, and never
+    evaluates the last one.  With ``side``, src lives over a fiber
+    product and tgt over that factor.
     """
     p = tgt.algebra.p
     dcap = min(src.dmax, tgt.dmax + shift)
-    maps = []
+    out = []
     for n in stages:
         fsrc = src.frees[step + n]
+        if n:
+            prev = extend(tgt.frees[n - 1], src.frees[step + n - 1], prev,
+                          [sj for sj in fsrc.by_degree if sj <= dcap], shift, batch, side)
         images = []
         for sj, gens in fsrc.by_degree.items():
             if sj > dcap:
@@ -85,25 +93,24 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution,
             if sol is None:
                 raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")
             images.append((sj, gens, sol))
-        terms = generator_terms(tgt.frees[n], images, shift, batch)
-        prev = extend(tgt.frees[n], fsrc, terms, range(dcap + 1), shift, batch, side)
-        maps.append(prev)
-    return maps
+        prev = generator_terms(tgt.frees[n], images, shift, batch)
+        out.append(prev)
+    return out
 
 
 def lift_dual(src: FreeResolution, tgt: FreeResolution, step: int,
-              idx: int | list[int], nmax: int) -> list:
+              idx: int | list[int], nmax: int) -> list[dict]:
     """Chain map lifting the dual of generator ``idx`` at ``step`` of
     ``src`` through ``tgt``, a minimal resolution of the residue field
     over the same algebra.
 
-    Returns per-stage numeric matrices L[n][d] sending degree-d
-    coordinates of src[step + n] to degree-(d - s) coordinates of
-    tgt[n], where s is the generator's internal degree.  Stage 0 sends
-    the generator to tgt's and the others to zero; later stages come
-    from ``_lift_stages`` with shift s.  A list ``idx`` of generators of
-    one internal degree is lifted as one batch: the result lists their
-    lifts, each a row slice of the stacked one.
+    Returns the generator terms of stages 0..nmax, stage n sending
+    src[step + n] to tgt[n] and dropping internal degree by the
+    generator's internal degree s.  Stage 0 sends the generator to tgt's
+    and the others to zero; later stages come from ``_lift_stages`` with
+    shift s.  A list ``idx`` of generators of one internal degree is
+    lifted as one batch: term b of a stage belongs to the lift of
+    ``idx[b]``.
     """
     if tgt.algebra is not src.algebra:
         raise ExtError("lift_dual needs two resolutions over the same algebra")
@@ -121,28 +128,17 @@ def lift_dual(src: FreeResolution, tgt: FreeResolution, step: int,
     # map b sends generator idxs[b] to the generator of tgt[0]
     dual = {(s, 0): (np.zeros(nb, dtype=np.int64), idxs, np.arange(nb),
                      np.ones((nb, 1), dtype=np.int64))}
-    first = extend(tgt.frees[0], src.frees[step], dual,
-                   range(min(src.dmax, tgt.dmax + s) + 1), s, nb)
-    stacked = [first] + _lift_stages(src, tgt, first, range(1, nmax + 1), step, s,
-                                     batch=nb)
-    lifts = [[{d: m[b * m.shape[0] // nb: (b + 1) * m.shape[0] // nb]
-               for d, m in stage.items()} for stage in stacked] for b in range(nb)]
-    return lifts if np.ndim(idx) else lifts[0]
+    return [dual] + _lift_stages(src, tgt, dual, range(1, nmax + 1), step, s, batch=nb)
 
 
-def _generator_coefficients(stage: dict[int, np.ndarray], src: FreeModule,
-                            tgt: FreeModule, shift: int = 0) -> np.ndarray:
+def _generator_coefficients(terms: dict, src: FreeModule, tgt: FreeModule) -> np.ndarray:
     """Read one chain-map stage off on generators: entry (a, c) is the
     coefficient of 1 * tgt generator a in the image of src generator c,
-    zero unless deg a = deg c - shift."""
+    the terms whose coefficients have algebra degree 0."""
     out = np.zeros((tgt.rank, src.rank), dtype=np.int64)
-    for dc, cs in src.by_degree.items():
-        if dc not in stage:
-            raise ExtError("lift window too small for product read-off")
-        a = tgt.by_degree.get(dc - shift)
-        if a is not None:
-            out[np.ix_(a, cs)] = stage[dc][np.ix_(tgt.block_indices(dc - shift, a),
-                                                  src.block_indices(dc, cs))]
+    for (_, e), (tg, sg, _, coef) in terms.items():
+        if e == 0:
+            out[tg, sg] = coef[:, 0]
     return out
 
 
@@ -150,12 +146,14 @@ def _dual_tensor(E: FreeResolution, P: FreeResolution, lifts: dict, m: int,
                  n: int) -> np.ndarray:
     """Tensor (rank E_m, rank P_n, rank P_{m+n}) of step-m dual classes
     over E acting on step-n dual classes over P: slice b is the stage-m
-    lift of b's dual read off on generators."""
+    lift of b's dual read off on generators, scattered a batch of duals
+    at a time through the terms' batch column."""
     arr = np.zeros((E.rank(m), P.rank(n), P.rank(m + n)), dtype=np.int64)
-    for b, sb in enumerate(P.gen_degrees(n)):
-        arr[:, b] = _generator_coefficients(lifts[(n, b)][m], P.frees[m + n],
-                                            E.frees[m], sb)
-    return arr % E.algebra.p
+    for duals, stages in lifts[n]:
+        for (_, e), (tg, sg, b, coef) in stages[m].items():
+            if e == 0:
+                arr[tg, duals[b], sg] = coef[:, 0]
+    return np.remainder(arr, E.algebra.p, out=arr)
 
 
 def _yoneda_tables(E: FreeResolution, res: FreeResolution, imax: int,
@@ -169,11 +167,9 @@ def _yoneda_tables(E: FreeResolution, res: FreeResolution, imax: int,
         raise ExtError(f"resolution reaches step {res.hmax}, need {imax}")
     if not res.is_minimal():
         raise ExtError("resolution must be minimal")
-    lifts = {}
-    for j in range(first, imax + 1):
-        for batch in res.frees[j].by_degree.values():
-            lifts.update(zip(((j, b) for b in batch),
-                             lift_dual(res, E, j, list(batch), imax - j)))
+    lifts = {j: [(batch, lift_dual(res, E, j, list(batch), imax - j))
+                 for batch in res.frees[j].by_degree.values()]
+             for j in range(first, imax + 1)}
     return {(m, n): _dual_tensor(E, res, lifts, m, n)
             for m in range(1, imax + 1) for n in range(first, imax + 1 - m)}
 
@@ -267,15 +263,17 @@ def ext_module(algebra: GradedAlgebra, module: GradedModule | None, imax: int,
 
 def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
                           R: FiberProductAlgebra, side: str,
-                          ) -> list[dict[int, np.ndarray]]:
+                          ) -> list[dict]:
     """Chain map from a resolution over the fiber product to one over a
     factor, equivariant for the projection onto that factor and lifting
-    the identity on step-0 generators (which must match in degree).
+    the identity on step-0 generators (which must match in degree), as
+    the generator terms of each stage.
 
-    Stage 0 is the coefficient projection: ``extend`` of the identity
-    on generators.  Later stages come from ``_lift_stages``.  Both extend
-    generator images equivariantly: a coefficient r on a generator goes
-    to its factor block acting on the image.
+    Stage 0 is the identity on generators, which ``extend`` with the
+    side makes the coefficient projection.  Later stages come from
+    ``_lift_stages``.  Every stage is extended equivariantly: a
+    coefficient r on a generator goes to its factor block acting on the
+    image.
     """
     if side not in ("S", "T"):
         raise ExtError(f"side must be 'S' or 'T', not {side!r}")
@@ -285,14 +283,12 @@ def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
                        f"and its {side} factor")
     if R_res.gen_degrees(0) != fac_res.gen_degrees(0):
         raise ExtError("step-0 generators do not align")
-    f0, t0 = R_res.frees[0], fac_res.frees[0]
     identity = {(s, 0): (gens, gens, np.zeros(len(gens), dtype=np.int64),
                          np.ones((len(gens), 1), dtype=np.int64))
-                for s, gens in f0.by_degree.items()}
-    first = extend(t0, f0, identity, range(min(R_res.dmax, fac_res.dmax) + 1), side=side)
+                for s, gens in R_res.frees[0].by_degree.items()}
     nmax = min(R_res.hmax, fac_res.hmax)
-    return [first] + _lift_stages(R_res, fac_res, first, range(1, nmax + 1),
-                                  side=side)
+    return [identity] + _lift_stages(R_res, fac_res, identity, range(1, nmax + 1),
+                                     side=side)
 
 
 # -- free products on the alternating-word basis -----------------------------

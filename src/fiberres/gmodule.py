@@ -251,13 +251,16 @@ class FreeModule:
 
     def _layout(self, d: int) -> tuple[list[int], np.ndarray, int]:
         """Degree-d offset of each generator's block (as a list and as
-        an array) and the total dimension."""
+        an array) and the total dimension; the block size is looked up
+        once per run of equal consecutive generator degrees."""
         lay = self._layouts.get(d)
         if lay is None:
-            out, acc = [], 0
+            out, acc, prev, size = [], 0, None, 0
             for s in self.gen_degrees:
+                if s != prev:
+                    prev, size = s, self.algebra.dim(d - s)
                 out.append(acc)
-                acc += self.algebra.dim(d - s)
+                acc += size
             lay = self._layouts[d] = (out, np.array(out, dtype=np.int64), acc)
         return lay
 

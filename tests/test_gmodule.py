@@ -93,14 +93,18 @@ def gappy_free():
 
 
 def test_free_module_layout_matches_prefix_sums(gappy_free):
-    F = gappy_free
-    for d in range(-1, F.algebra.cap + 2):
-        off, total = reference_offsets(F, d)
-        for _ in range(2):  # a second call reads the kept layout
-            assert F.offsets(d) == off and F.dim(d) == total
-        for j, s in enumerate(F.gen_degrees):
-            if s == d:
-                assert F.gen_index(d, j) == off[j] == F.pair_index(d, j, 0)
+    # the second module has runs of equal generator degrees, with empty
+    # blocks inside runs and a run past the cap
+    runs = FreeModule(gappy_free.algebra, [1, 1, 1, 0, 0, 3, 3, 2, 2, 2, 7, 7, 0])
+    for F in (gappy_free, runs):
+        for d in range(-1, F.algebra.cap + 2):
+            off, total = reference_offsets(F, d)
+            for _ in range(2):  # a second call reads the kept layout
+                assert F.offsets(d) == off and F.dim(d) == total
+            assert F._layout(d)[1].dtype == np.int64 and F._layout(d)[1].tolist() == off
+            for j, s in enumerate(F.gen_degrees):
+                if s == d:
+                    assert F.gen_index(d, j) == off[j] == F.pair_index(d, j, 0)
 
 
 def test_free_module_shape_and_degree_errors_are_typed(gappy_free):

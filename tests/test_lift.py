@@ -1,14 +1,17 @@
 """The chain-map property of the three lifts built on the one stage loop
-(Yoneda lifts, restrictions onto a factor, comparison maps): for every
-stage n >= 1 and internal degree d in the window,
+(Yoneda lifts, restrictions onto a factor, comparison maps).  The lifter
+returns each stage as generator terms; evaluated with ``extend`` over
+every degree d of the window as L[n][d], for every stage n >= 1,
 
     tgt.d_n(d - s) @ L[n][d] == L[n-1][d] @ src.d_{step+n}(d)   (mod p),
 
 and a comparison map's stage 0 commutes with the two covers.  The
 lifter's array products equal the per-column route through algebra
-entries; it makes one solve per stage and internal degree, lifts a
-batch of duals of one degree exactly as it lifts each alone, and keeps
-its error texts and their order."""
+entries; it makes one solve per stage and internal degree, evaluates a
+stage only at the generator degrees of the next source step and never
+the last stage, lifts a batch of duals of one degree exactly as it lifts
+each alone, and keeps its error texts and their order.  The read-off on
+generators equals slicing the evaluated stage at its generators."""
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from fiberres.extalg import ExtError, lift_dual, restriction_chain_map
 from fiberres.gmodule import (
     AlgMatrix,
     FreeModule,
+    extend,
     free_module_table,
     residue_module,
     restrict_to_fiber,
@@ -44,6 +48,14 @@ def mono(var, rel, cap=8):
 def cube_square():
     S, T = mono("x", "x^3"), mono("y", "y^2")
     return S, T, fiber_product(S, T)
+
+
+def evaluated(src, tgt, stages, step=0, shift=0, side=None, batch=1):
+    """The lifted stages' terms evaluated by ``extend`` at every degree of
+    the lift window, with the lift's shift and side: L[n][d]."""
+    degrees = range(min(src.dmax, tgt.dmax + shift) + 1)
+    return [extend(tgt.frees[n], src.frees[step + n], terms, degrees, shift, batch, side)
+            for n, terms in enumerate(stages)]
 
 
 def assert_chain_map(src, tgt, lifts, step=0, shift=0):
@@ -66,7 +78,7 @@ def test_lift_dual_is_a_chain_map():
     nonzero = 0
     for step in range(1, 5):
         for idx, s in enumerate(res.gen_degrees(step)):
-            lifts = lift_dual(res, res, step, idx, 5 - step)
+            lifts = evaluated(res, res, lift_dual(res, res, step, idx, 5 - step), step, s)
             assert len(lifts) == 6 - step
             nonzero += assert_chain_map(res, res, lifts, step, s)
     assert nonzero > 0
@@ -78,7 +90,8 @@ def test_restriction_chain_map_is_a_chain_map(cube_square, side):
     fac = S if side == "S" else T
     R_res = minimal_resolution(R, residue_module(R), 4)
     fac_res = minimal_resolution(fac, residue_module(fac), 4)
-    maps = restriction_chain_map(R_res, fac_res, R, side)
+    maps = evaluated(R_res, fac_res, restriction_chain_map(R_res, fac_res, R, side),
+                     side=side)
     assert len(maps) == 5
     assert assert_chain_map(R_res, fac_res, maps) > 0
 
@@ -89,7 +102,7 @@ def test_comparison_chain_map_is_a_chain_map(cube_square):
         R, restrict_to_fiber(R, free_module_table(S, [0, 0]), "S"), 4)
     tgt = minimal_resolution(R, trivial_module(R, 2), 4)
     mu = np.array([[1, 2], [3, 5]], dtype=np.int64)  # V_0 <- M_0
-    chain = comparison_chain_map(src, tgt, {0: mu.T}, 4)
+    chain = evaluated(src, tgt, comparison_chain_map(src, tgt, {0: mu.T}, 4))
     assert len(chain) == 5
     for d, L in chain[0].items():
         f = mu if d == 0 else np.zeros(
@@ -117,8 +130,9 @@ def test_lift_dual_solves_once_per_stage_and_degree(cube_square, monkeypatch):
     res = minimal_resolution(R, residue_module(R), 5)
     widths = counting_solve(monkeypatch)
     step, nmax = 1, 4
-    lifts = lift_dual(res, res, step, 0, nmax)
-    assert_chain_map(res, res, lifts, step, res.gen_degrees(step)[0])
+    s = res.gen_degrees(step)[0]
+    lifts = evaluated(res, res, lift_dual(res, res, step, 0, nmax), step, s)
+    assert_chain_map(res, res, lifts, step, s)
     degrees = [res.gen_degrees(step + n) for n in range(1, nmax + 1)]
     assert len(widths) <= sum(len(set(degs)) for degs in degrees)
     assert sum(widths) == sum(len(degs) for degs in degrees)
@@ -305,7 +319,9 @@ def test_lift_dual_equals_the_per_column_route(weighted):
     for src, first in ((k_res, 1), (m_res, 0)):
         for step in range(first, 4):
             for idx in range(src.rank(step)):
-                assert_same_maps(lift_dual(src, k_res, step, idx, 3 - step),
+                s = src.gen_degrees(step)[idx]
+                assert_same_maps(evaluated(src, k_res, lift_dual(src, k_res, step, idx,
+                                                                 3 - step), step, s),
                                  reference_lift_dual(src, k_res, step, idx, 3 - step))
 
 
@@ -315,7 +331,8 @@ def test_restriction_equals_the_per_column_route(weighted, side):
     fac = S if side == "S" else T
     R_res = minimal_resolution(R, residue_module(R), 4)
     fac_res = minimal_resolution(fac, residue_module(fac), 4)
-    maps = restriction_chain_map(R_res, fac_res, R, side)
+    maps = evaluated(R_res, fac_res, restriction_chain_map(R_res, fac_res, R, side),
+                     side=side)
     f0 = R_res.frees[0]
     first = {d: reference_projection(f0, FreeModule(fac, f0.gen_degrees), d, side)
              for d in range(R.cap + 1)}
@@ -331,7 +348,7 @@ def test_comparison_map_of_rank_two_modules_equals_the_per_column_route(weighted
         R, restrict_to_fiber(R, free_module_table(S, [0, 0]), "S"), 4)
     tgt = minimal_resolution(R, trivial_module(R, 2), 4)
     mu = np.array([[1, 2], [3, 5]], dtype=np.int64) % p
-    chain = comparison_chain_map(src, tgt, {0: mu.T}, 4)
+    chain = evaluated(src, tgt, comparison_chain_map(src, tgt, {0: mu.T}, 4))
     assert_same_maps(chain, reference_lift_stages(src, tgt, {0: mu}, range(5)))
 
 
@@ -341,11 +358,15 @@ def test_a_batch_of_duals_equals_the_lifts_one_by_one(weighted):
     sizes = []
     for step in range(1, 4):
         for batch in res.frees[step].by_degree.values():
-            lifts = lift_dual(res, res, step, list(batch), 4 - step)
-            assert len(lifts) == len(batch)
-            for b, lifted in zip(batch, lifts):
-                assert_same_maps(lifted, lift_dual(res, res, step, int(b), 4 - step))
-            sizes.append(len(batch))
+            s, nb = res.gen_degrees(step)[batch[0]], len(batch)
+            stacked = evaluated(res, res, lift_dual(res, res, step, list(batch), 4 - step),
+                                step, s, batch=nb)
+            for b, gen in enumerate(batch):
+                lifted = [{d: m[b * m.shape[0] // nb: (b + 1) * m.shape[0] // nb]
+                           for d, m in stage.items()} for stage in stacked]
+                single = lift_dual(res, res, step, int(gen), 4 - step)
+                assert_same_maps(lifted, evaluated(res, res, single, step, s))
+            sizes.append(nb)
     assert max(sizes) > 1
 
 
@@ -363,3 +384,82 @@ def test_yoneda_tables_solve_once_per_step_dual_degree_stage_and_degree(
     assert sum(widths) == sum(res.rank(j) * res.rank(j + n)
                               for j in range(1, imax + 1)
                               for n in range(1, imax + 1 - j))
+
+
+# -- what the lifter evaluates and reads off ------------------------------------
+
+
+def test_lift_dual_evaluates_a_stage_only_where_the_next_stage_reads_it(weighted,
+                                                                       monkeypatch):
+    _, _, R = weighted
+    res = minimal_resolution(R, residue_module(R), 4)
+    calls = []
+    real = extalg.extend
+
+    def recording(ftgt, fsrc, terms, degrees, *args):
+        calls.append((fsrc, list(degrees)))
+        return real(ftgt, fsrc, terms, degrees, *args)
+
+    monkeypatch.setattr(extalg, "extend", recording)
+    checked = 0
+    for step in range(1, 5):
+        for s, batch in res.frees[step].by_degree.items():
+            for idx in (list(batch), int(batch[0])):
+                calls.clear()
+                lift_dual(res, res, step, idx, 4 - step)
+                dcap = min(res.dmax, res.dmax + s)
+                # stage n is read by stage n + 1 only: never the last stage
+                assert len(calls) == 4 - step
+                for n, (fsrc, degrees) in enumerate(calls):
+                    assert fsrc is res.frees[step + n]
+                    assert degrees == sorted({d for d in res.gen_degrees(step + n + 1)
+                                              if d <= dcap})
+                checked += len(calls)
+    assert checked > 0
+
+
+def slicing_read_off(stage, src, tgt, shift=0):
+    """An evaluated stage read off on generators by slicing: the entry of
+    1 * tgt generator a against 1 * src generator c in degree deg c."""
+    out = np.zeros((tgt.rank, src.rank), dtype=np.int64)
+    for dc, cs in src.by_degree.items():
+        a = tgt.by_degree.get(dc - shift)
+        if a is not None:
+            out[np.ix_(a, cs)] = stage[dc][np.ix_(tgt.block_indices(dc - shift, a),
+                                                  src.block_indices(dc, cs))]
+    return out
+
+
+def test_term_read_off_equals_slicing_the_evaluated_stage(weighted):
+    S, T, R = weighted
+    p = R.p
+    k_res = minimal_resolution(R, residue_module(R), 4)
+    nonzero = 0
+    for side, fac in (("S", S), ("T", T)):
+        fac_res = minimal_resolution(fac, residue_module(fac), 4)
+        maps = restriction_chain_map(k_res, fac_res, R, side)
+        for n, L in enumerate(evaluated(k_res, fac_res, maps, side=side)):
+            got = extalg._generator_coefficients(maps[n], k_res.frees[n], fac_res.frees[n])
+            assert got.tobytes() == slicing_read_off(L, k_res.frees[n],
+                                                     fac_res.frees[n]).tobytes(), (side, n)
+            nonzero += np.count_nonzero(got)
+    src = minimal_resolution(R, restrict_to_fiber(R, free_module_table(S, [0, 0]), "S"), 4)
+    tgt = minimal_resolution(R, trivial_module(R, 2), 4)
+    chain = comparison_chain_map(src, tgt, {0: np.array([[1, 3], [2, 5]]) % p}, 4)
+    for n, L in enumerate(evaluated(src, tgt, chain)):
+        got = extalg._generator_coefficients(chain[n], src.frees[n], tgt.frees[n])
+        assert got.tobytes() == slicing_read_off(L, src.frees[n], tgt.frees[n]).tobytes(), n
+        nonzero += np.count_nonzero(got)
+    # the Yoneda tables scatter each batch of duals through its batch column
+    imax = 4
+    tables = extalg._yoneda_tables(k_res, k_res, imax, 1)
+    for n in range(1, imax):
+        lifts = [evaluated(k_res, k_res, lift_dual(k_res, k_res, n, b, imax - n), n, s)
+                 for b, s in enumerate(k_res.gen_degrees(n))]
+        for m in range(1, imax + 1 - n):
+            want = np.zeros_like(tables[(m, n)])
+            for b, s in enumerate(k_res.gen_degrees(n)):
+                want[:, b] = slicing_read_off(lifts[b][m], k_res.frees[m + n], k_res.frees[m], s)
+            assert tables[(m, n)].tobytes() == (want % p).tobytes(), (m, n)
+            nonzero += np.count_nonzero(want)
+    assert nonzero > 0
