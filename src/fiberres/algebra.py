@@ -44,6 +44,16 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
 
 
+def reduced_table(arr, p: int) -> np.ndarray:
+    """``arr`` itself when it is an int64 array with entries in [0, p);
+    otherwise its residues mod p in a new int64 array.  A table the
+    caller has already reduced is not held twice."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == np.int64
+            and (not arr.size or (arr.min() >= 0 and arr.max() < p))):
+        return arr
+    return np.asarray(arr, dtype=np.int64) % p
+
+
 class Element:
     """Homogeneous element: a degree and a coefficient vector over the
     basis of that degree."""
@@ -114,7 +124,7 @@ class GradedAlgebra:
         # mult[(m, n)]: ndarray (dim_m, dim_n, dim_{m+n}) for m, n >= 1, m+n <= cap
         self.mult = {}
         for (m, n), arr in mult.items():
-            a = np.asarray(arr, dtype=np.int64) % p
+            a = reduced_table(arr, p)
             expected = (self.dim(m), self.dim(n), self.dim(m + n))
             if a.shape != expected:
                 # JSON round trips flatten degenerate axes

@@ -418,13 +418,10 @@ def socle_dims(module: GradedModule, dmax: int | None = None) -> dict[int, int]:
         if dim == 0:
             out[d] = 0
             continue
-        blocks = []
-        for m in range(1, cap - d + 1):
-            for i in range(A.dim(m)):
-                mat = module.act_matrix(A.basis_element(m, i), d)
-                if mat.shape[1]:
-                    blocks.append(mat)
-        out[d] = dim - linalg.rank(np.hstack(blocks), p) if blocks else dim
+        # column block (m, i) is the action of basis element i of degree m
+        mat = np.hstack([module.action[(m, d)].transpose(1, 0, 2).reshape(dim, -1)
+                         for m in range(1, cap - d + 1)])
+        out[d] = dim - linalg.rank(mat, p) if mat.shape[1] else dim
     return out
 
 

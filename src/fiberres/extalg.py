@@ -20,12 +20,16 @@ algebra degree 0.
 ``ext_algebra`` tabulates the Yoneda algebra Ext(k, k) on the dual basis
 of a minimal free resolution of the residue field; ``ext_module`` does
 the same for Ext(M, k) as a left module.  ``free_product`` builds the
-coproduct of two such algebras on the alternating-word basis.  For a
-fiber product R and a module M over its first factor, Ext_R(M, k) is
-the module induced from Ext_S(M, k) along that coproduct; one check
-body, ``_verify_induced``, tests this degree by degree and product by
-product, on an induced map that one loop, ``_word_images``, builds by
-letting a word's letters act on its module element's image.
+coproduct of two such algebras on the alternating-word basis, placing
+each concatenation by index and reading a merged boundary letter as a
+slice of its factor's table; ``free_product_module`` builds the module
+induced along it the same way.  For a fiber product R and a module M
+over its first factor, Ext_R(M, k) is the module induced from
+Ext_S(M, k) along that coproduct; one check body, ``_verify_induced``,
+tests this degree by degree and product by product, on an induced map
+that ``_word_images`` builds in suffix form: in ascending degree, a
+word is its first letter's matrix applied to the row already built for
+the rest of the word, one product per (degree, first letter).
 ``verify_theta_iso`` runs it for M; ``verify_phi_iso`` is its M = k
 case, where the induced module is the free product itself, plus a
 tensor-product control and the second factor's restriction.
@@ -316,18 +320,25 @@ def _fp_letter_label(a: GradedAlgebra, b: GradedAlgebra, x: tuple) -> str:
 
 def _fp_product(a: GradedAlgebra, b: GradedAlgebra, u: tuple, v: tuple):
     """Concatenate, merging the boundary letters inside their common
-    factor when they share one; a single merge keeps words alternating."""
+    factor when they share one; a single merge keeps words alternating.
+    A merged letter's coefficients are a slice of that factor's
+    (reduced) product table."""
     x, y = u[-1], v[0]
     if x[0] != y[0]:
         return [(u + v, 1)]
-    alg = a if x[0] == 0 else b
-    prod = alg.multiply(alg.basis_element(x[1], x[2]),
-                        alg.basis_element(y[1], y[2]))
-    out = []
-    for k in np.flatnonzero(prod.vec):
-        merged = u[:-1] + ((x[0], x[1] + y[1], int(k)),) + v[1:]
-        out.append((merged, int(prod.vec[k])))
-    return out
+    row = (a if x[0] == 0 else b).mult[(x[1], y[1])][x[2], y[2]]
+    return [(u[:-1] + ((x[0], x[1] + y[1], int(k)),) + v[1:], int(row[k]))
+            for k in np.flatnonzero(row)]
+
+
+def _placed(shape: tuple, cells: list) -> np.ndarray:
+    """An int64 array of ``shape`` holding the coefficient of each
+    (i, j, k, coefficient) cell; no cell repeats."""
+    arr = np.zeros(shape, dtype=np.int64)
+    if cells:
+        i, j, k, c = zip(*cells)
+        arr[i, j, k] = c
+    return arr
 
 
 class FreeProductAlgebra(GradedAlgebra):
@@ -353,13 +364,11 @@ class FreeProductAlgebra(GradedAlgebra):
         mult = {}
         for m in range(1, cap):
             for n in range(1, cap + 1 - m):
-                arr = np.zeros((len(words[m]), len(words[n]),
-                                len(words[m + n])), dtype=np.int64)
-                for i, u in enumerate(words[m]):
-                    for j, v in enumerate(words[n]):
-                        for w, coeff in _fp_product(a, b, u, v):
-                            arr[i, j, self._index[m + n][w]] += coeff
-                mult[(m, n)] = arr % a.p
+                index = self._index[m + n]
+                mult[(m, n)] = _placed(
+                    (len(words[m]), len(words[n]), len(index)),
+                    [(i, j, index[w], c) for i, u in enumerate(words[m])
+                     for j, v in enumerate(words[n]) for w, c in _fp_product(a, b, u, v)])
         generators = {}
         for d in range(1, cap + 1):
             for i, w in enumerate(words[d]):
@@ -369,6 +378,15 @@ class FreeProductAlgebra(GradedAlgebra):
 
     def word_index(self, degree: int, word: tuple) -> int:
         return self._index[degree][word]
+
+    def split(self, degree: int, word: tuple) -> tuple:
+        """(first letter, index of the rest among the basis words of its
+        degree) of a degree-``degree`` word; the empty word, the unit,
+        gives (None, 0), the unit's index in k."""
+        if not word:
+            return None, 0
+        x = word[0]
+        return x, self._index[degree - x[1]][word[1:]]
 
 
 def free_product(a: GradedAlgebra, b: GradedAlgebra,
@@ -384,53 +402,62 @@ class FreeProductModule(GradedModule):
     with a letter from factor B; A-letters reaching the module element
     are absorbed through the A-action."""
 
-    def __init__(self, fp, factor_module, words, basis, action):
-        super().__init__(fp, basis, action)
-        self.factor_module = factor_module
+    def __init__(self, fp: FreeProductAlgebra, module: GradedModule):
+        a, b = fp.factor_a, fp.factor_b
+        if module.algebra is not a:
+            raise ExtError("module must be over the free product's first factor")
+        cap = fp.cap
+        self.factor_module = module
+        seeds = [(dm, (dm, mi)) for dm in range(cap + 1)
+                 for mi in range(module.dim(dm))]
+        words = [sorted(ws, key=lambda w: (len(w[0]), w[0], w[1])) for ws in
+                 alternating_words(seeds, _fp_letters(a, b, cap), cap, first=1)]
         self.words = words
+        self._index = [{w: i for i, w in enumerate(ws)} for ws in words]
+
+        def label(w):
+            ls, (dm, mi) = w
+            head = ".".join(_fp_letter_label(a, b, x) for x in ls)
+            tail = module.labels(dm)[mi]
+            return f"{head}.{tail}" if head else tail
+
+        action = {}
+        for m in range(1, cap + 1):
+            for n in range(cap + 1 - m):
+                index, cells = self._index[m + n], []
+                for i, u in enumerate(fp.words[m]):
+                    x = u[-1]
+                    for j, (ls, mpair) in enumerate(words[n]):
+                        if ls:
+                            cells.extend((i, j, index[(w, mpair)], c)
+                                         for w, c in _fp_product(a, b, u, ls))
+                        elif x[0] == 1:
+                            cells.append((i, j, index[(u, mpair)], 1))
+                        else:
+                            dm, mi = mpair
+                            row = module.action[(x[1], dm)][x[2], mi]
+                            cells.extend((i, j, index[(u[:-1], (dm + x[1], int(k)))], int(row[k]))
+                                         for k in np.flatnonzero(row))
+                action[(m, n)] = _placed((fp.dim(m), len(words[n]), len(index)), cells)
+        super().__init__(fp, [[label(w) for w in ws] for ws in words], action)
+
+    def word_index(self, degree: int, word: tuple) -> int:
+        return self._index[degree][word]
+
+    def split(self, degree: int, word: tuple) -> tuple:
+        """(first letter, index of the rest among the basis words of its
+        degree) of a degree-``degree`` word with letters; (None, the
+        module element's index in its degree) for a word without."""
+        ls, (dm, mi) = word
+        if not ls:
+            return None, mi
+        x = ls[0]
+        return x, self._index[degree - x[1]][(ls[1:], (dm, mi))]
 
 
 def free_product_module(fp: FreeProductAlgebra,
                         module: GradedModule) -> FreeProductModule:
-    a, b = fp.factor_a, fp.factor_b
-    if module.algebra is not a:
-        raise ExtError("module must be over the free product's first factor")
-    cap = fp.cap
-    seeds = [(dm, (dm, mi)) for dm in range(cap + 1)
-             for mi in range(module.dim(dm))]
-    buckets = [sorted(ws, key=lambda w: (len(w[0]), w[0], w[1])) for ws in
-               alternating_words(seeds, _fp_letters(a, b, cap), cap, first=1)]
-    index = [{w: i for i, w in enumerate(ws)} for ws in buckets]
-
-    def label(w):
-        ls, (dm, mi) = w
-        head = ".".join(_fp_letter_label(a, b, x) for x in ls)
-        tail = module.labels(dm)[mi]
-        return f"{head}.{tail}" if head else tail
-
-    basis = [[label(w) for w in ws] for ws in buckets]
-    action = {}
-    for m in range(1, cap + 1):
-        for n in range(cap + 1 - m):
-            arr = np.zeros((fp.dim(m), len(buckets[n]), len(buckets[m + n])),
-                           dtype=np.int64)
-            for i, u in enumerate(fp.words[m]):
-                x = u[-1]
-                for j, (ls, mpair) in enumerate(buckets[n]):
-                    if ls:
-                        for w, coeff in _fp_product(a, b, u, ls):
-                            arr[i, j, index[m + n][(w, mpair)]] += coeff
-                    elif x[0] == 1:
-                        arr[i, j, index[m + n][(u, mpair)]] += 1
-                    else:
-                        dm, mi = mpair
-                        row = module.act_matrix(
-                            a.basis_element(x[1], x[2]), dm)[mi]
-                        for k in np.flatnonzero(row):
-                            w = (u[:-1], (dm + x[1], int(k)))
-                            arr[i, j, index[m + n][w]] += int(row[k])
-            action[(m, n)] = arr % fp.p
-    return FreeProductModule(fp, module, buckets, basis, action)
+    return FreeProductModule(fp, module)
 
 
 # -- cohomology of a fiber product, induced along the coproduct -------------
@@ -467,26 +494,40 @@ def _build_phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
     d.tau_mats = [_generator_coefficients(tau[n], d.G.frees[n], d.F.frees[n])
                   for n in range(hmax + 1)]
     d.FP = free_product(d.S_ext, d.T_ext, hmax)
-    unit = d.R_ext.unit().vec
-    d.phis = {n: _word_images(
-        d, [(w, 0, unit) for w in d.FP.words[n]],
-        lambda a, m, v: (m + a.degree, (a * Element(d.R_ext, m, v)).vec), d.R_ext.dim(n))
-        for n in range(1, hmax + 1)}
+    d.phis = _word_images(d, d.FP, [d.R_ext.unit().vec.reshape(1, 1)],
+                          [d.R_ext.dim(n) for n in range(hmax + 1)],
+                          d.R_ext.left_mult_matrix)
     return d
 
 
-def _word_images(d: _PhiData, words: list, act, dim: int) -> np.ndarray:
-    """The induced map on basis words, one row per (letters, degree,
-    image of the module element): the letters' restriction images act
-    on that image through ``act`` (as ``GradedModule.act``), rightmost
-    letter first."""
-    rows = []
-    for ls, deg, vec in words:
-        for t, ldeg, i in reversed(ls):
-            mats = d.sig_mats if t == 0 else d.tau_mats
-            deg, vec = act(Element(d.R_ext, ldeg, mats[ldeg][i]), deg, vec)
-        rows.append(vec)
-    return np.array(rows, dtype=np.int64).reshape(len(words), dim)
+def _word_images(d: _PhiData, induced, seeds: list, dims: list, letter_matrix) -> dict:
+    """The induced map on the basis words of ``induced`` (the free
+    product or an induced module), one array per degree n with one row
+    per word and ``dims[n]`` columns, built in ascending degree.  A word
+    without letters is its module element's image, a row of
+    ``seeds[n]``.  A word with letters is its first letter's restriction
+    image acting, through ``letter_matrix`` (as ``act_matrix``), on the
+    row already built for the rest of the word, a basis word of lower
+    degree (``induced.split``).  The words of one degree that share
+    their first letter go through one ``linalg.matmul_mod``."""
+    p, images = d.R.p, {}
+    for n, words in enumerate(induced.words):
+        out = np.zeros((len(words), dims[n]), dtype=np.int64)
+        groups: dict[tuple, tuple[list, list]] = {}
+        for r, w in enumerate(words):
+            x, i = induced.split(n, w)
+            if x is None:
+                out[r] = seeds[n][i]
+            else:
+                rows, rests = groups.setdefault(x, ([], []))
+                rows.append(r)
+                rests.append(i)
+        for (t, deg, i), (rows, rests) in groups.items():
+            letter = Element(d.R_ext, deg, (d.sig_mats if t == 0 else d.tau_mats)[deg][i])
+            out[rows] = linalg.matmul_mod(images[n - deg][rests],
+                                          letter_matrix(letter, n - deg), p)
+        images[n] = out
+    return images
 
 
 def _concatenation_failures(d: _PhiData, tensors: dict, G, gidx: list,
@@ -660,10 +701,8 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
     cM = restriction_chain_map(GM, PM, R, "S")
     mats_m = [_generator_coefficients(cM[n], GM.frees[n], PM.frees[n])
               for n in range(hmax + 1)]
-    thetas = {n: _word_images(d, [(ls, dm, mats_m[dm][mi])
-                                  for ls, (dm, mi) in FPM.words[n]],
-                              MR_ext.act, GM.rank(n))
-              for n in range(hmax + 1)}
+    thetas = _word_images(d, FPM, mats_m, [GM.rank(n) for n in range(hmax + 1)],
+                          MR_ext.act_matrix)
     return _verify_induced(
         d, first=0, tmax=tmax, key="induced_module",
         names=("induced module dims = Ext dims (direct resolution)",

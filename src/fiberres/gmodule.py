@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebra import Element, FiberProductAlgebra, GradedAlgebra
+from .algebra import Element, FiberProductAlgebra, GradedAlgebra, reduced_table
 from .series import PowerSeries
 
 __all__ = [
@@ -71,7 +71,7 @@ class GradedModule:
         # action[(m, n)]: ndarray (dimA_m, dimM_n, dimM_{m+n}), m >= 1, m+n <= cap
         self.action = {}
         for (m, n), arr in action.items():
-            a = np.asarray(arr, dtype=np.int64) % algebra.p
+            a = reduced_table(arr, algebra.p)
             expected = (algebra.dim(m), self.dim(n), self.dim(m + n))
             if a.shape != expected:
                 # JSON round trips flatten degenerate axes

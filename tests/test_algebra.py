@@ -251,3 +251,19 @@ def test_presentation_and_table_checks_raise():
         GradedAlgebra(5, 2, [["1"], ["x"], ["x^2"]], {})
     with pytest.raises(AlgebraError, match="has shape"):
         GradedAlgebra(5, 2, [["1"], ["x"], ["x^2"]], {(1, 1): [[1, 0]]})
+
+
+def test_a_reduced_int64_table_is_kept_and_any_other_is_reduced():
+    """The constructor holds a caller's int64 table with entries in
+    [0, p) as it is, so a large table is not held twice; a list, another
+    dtype or an entry outside [0, p) is reduced into a new array."""
+    basis = [["1"], ["x", "y"], ["z"]]
+    table = np.array([[[1], [4]], [[0], [2]]], dtype=np.int64)
+    A = GradedAlgebra(5, 2, basis, {(1, 1): table})
+    assert A.mult[(1, 1)] is table
+    for other in ([[[1], [4]], [[0], [2]]], table.astype(np.int32), table + 5,
+                  table - 5):
+        B = GradedAlgebra(5, 2, basis, {(1, 1): other})
+        assert B.mult[(1, 1)] is not other
+        assert B.mult[(1, 1)].dtype == np.int64
+        assert B.mult[(1, 1)].tolist() == table.tolist()

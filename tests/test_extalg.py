@@ -3,14 +3,17 @@ import copy
 import numpy as np
 import pytest
 
-from fiberres import extalg
+from fiberres import extalg, linalg
 from fiberres.algebra import (
+    Element,
+    GradedAlgebra,
     MonomialQuotientPresentation,
     build_monomial_quotient,
     fiber_product,
 )
 from fiberres.extalg import (
     ExtError,
+    FreeProductModule,
     ext_algebra,
     ext_module,
     free_product,
@@ -380,3 +383,184 @@ def test_image_products_do_not_wrap_past_the_int64_bound():
     assert got.tolist() == ref
     # the one-shot sum wraps here, so the check above can fail
     assert not np.array_equal(np.einsum("ia,jb,abk->ijk", left, right, tensor) % p, got)
+
+
+# -- word images and free-product tables against the letter-by-letter route --
+
+
+def reference_word_images(d, induced, seeds, dims, act):
+    """The induced map as the per-word loop builds it: each word's
+    letters act, rightmost first, on its module element's image, one
+    ``act`` (as ``GradedModule.act``) per letter."""
+    images = {}
+    for n, words in enumerate(induced.words):
+        rows = []
+        for w in words:
+            ls, (dm, mi) = w if isinstance(induced, FreeProductModule) else (w, (0, 0))
+            deg, vec = dm, seeds[dm][mi]
+            for t, ldeg, i in reversed(ls):
+                mats = d.sig_mats if t == 0 else d.tau_mats
+                deg, vec = act(Element(d.R_ext, ldeg, mats[ldeg][i]), deg, vec)
+            rows.append(vec)
+        images[n] = np.array(rows, dtype=np.int64).reshape(len(words), dims[n])
+    return images
+
+
+def one_hot_product(a, b, u, v):
+    """``_fp_product`` with the merged letter found by multiplying two
+    one-hot basis elements."""
+    x, y = u[-1], v[0]
+    if x[0] != y[0]:
+        return [(u + v, 1)]
+    alg = a if x[0] == 0 else b
+    prod = alg.multiply(alg.basis_element(x[1], x[2]), alg.basis_element(y[1], y[2]))
+    return [(u[:-1] + ((x[0], x[1] + y[1], int(k)),) + v[1:], int(prod.vec[k]))
+            for k in np.flatnonzero(prod.vec)]
+
+
+def one_hot_fp_tables(fp):
+    a, b = fp.factor_a, fp.factor_b
+    out = {}
+    for m in range(1, fp.cap):
+        for n in range(1, fp.cap + 1 - m):
+            arr = np.zeros((fp.dim(m), fp.dim(n), fp.dim(m + n)), dtype=np.int64)
+            for i, u in enumerate(fp.words[m]):
+                for j, v in enumerate(fp.words[n]):
+                    for w, coeff in one_hot_product(a, b, u, v):
+                        arr[i, j, fp.word_index(m + n, w)] += coeff
+            out[(m, n)] = arr % fp.p
+    return out
+
+
+def one_hot_fpm_tables(fpm):
+    fp, module = fpm.algebra, fpm.factor_module
+    a, b = fp.factor_a, fp.factor_b
+    out = {}
+    for m in range(1, fp.cap + 1):
+        for n in range(fp.cap + 1 - m):
+            arr = np.zeros((fp.dim(m), fpm.dim(n), fpm.dim(m + n)), dtype=np.int64)
+            for i, u in enumerate(fp.words[m]):
+                x = u[-1]
+                for j, (ls, mpair) in enumerate(fpm.words[n]):
+                    if ls:
+                        for w, coeff in one_hot_product(a, b, u, ls):
+                            arr[i, j, fpm.word_index(m + n, (w, mpair))] += coeff
+                    elif x[0] == 1:
+                        arr[i, j, fpm.word_index(m + n, (u, mpair))] += 1
+                    else:
+                        dm, mi = mpair
+                        row = module.act_matrix(a.basis_element(x[1], x[2]), dm)[mi]
+                        for k in np.flatnonzero(row):
+                            w = (u[:-1], (dm + x[1], int(k)))
+                            arr[i, j, fpm.word_index(m + n, w)] += int(row[k])
+            out[(m, n)] = arr % fp.p
+    return out
+
+
+def assert_same_tables(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.fixture(scope="module", params=[2, 3, 65521])
+def weighted_theta(request):
+    """``verify_theta_iso`` at window 5 on (k[x,w]/(x^3,w^2,xw), weights
+    1, 2) x_k k[y]/(y^2), cap 10 (the lifts of window 5 reach internal
+    degree 10), for the module S/(x^2) over the first factor, with the
+    arguments and result of each ``_word_images`` call: the phi set-up's,
+    then theta's."""
+    p = request.param
+    S = build_monomial_quotient(p, 10, MonomialQuotientPresentation(
+        ["x", "w"], [1, 2], ["x^3", "w^2", "x*w"], True))
+    T = build_monomial_quotient(p, 10, MonomialQuotientPresentation(["y"], [1], ["y^2"], True))
+    R = fiber_product(S, T)
+    calls, real = [], extalg._word_images
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extalg, "_word_images", recording)
+        rep = verify_theta_iso(R, quotient_by_power(S, "x", 2, 1), 5)
+    return rep, calls
+
+
+def test_word_images_equal_the_letter_by_letter_route(weighted_theta):
+    """phi's images (letters acting on the unit through the Yoneda
+    product) and theta's (through the Ext module action) are byte for
+    byte those of one product per letter, and theta's checks pass."""
+    rep, calls = weighted_theta
+    assert rep.ok, rep.first_failure()
+    assert [type(args[1]) for args, _ in calls] == [extalg.FreeProductAlgebra,
+                                                    FreeProductModule]
+    (phi_args, phis), (theta_args, thetas) = calls
+    d, _, _, _, left_mult = phi_args
+    R_ext = left_mult.__self__
+    assert_same_tables(phis, reference_word_images(
+        *phi_args[:4], lambda a, m, v: (m + a.degree, (a * Element(R_ext, m, v)).vec)))
+    assert_same_tables(thetas, reference_word_images(*theta_args[:4],
+                                                     theta_args[4].__self__.act))
+
+
+def test_word_images_make_one_product_per_first_letter_and_degree(weighted_theta,
+                                                                 monkeypatch):
+    """Each degree's words go through one ``matmul_mod`` per first
+    letter, in ascending degree: the group of the words of degree n led
+    by a letter of degree e multiplies their rests' rows (degree n - e)
+    by that letter's matrix."""
+    for args, images in weighted_theta[1]:
+        induced, dims = args[1], args[3]
+        want = []
+        for n, words in enumerate(induced.words):
+            groups = {}
+            for w in words:
+                x = induced.split(n, w)[0]
+                if x is not None:
+                    groups[x] = groups.get(x, 0) + 1
+            want += [(count, (dims[n - x[1]], dims[n])) for x, count in groups.items()]
+        got, real = [], linalg.matmul_mod
+
+        def counting(a, b, p):
+            got.append((a.shape[0], b.shape))
+            return real(a, b, p)
+
+        monkeypatch.setattr(linalg, "matmul_mod", counting)
+        again = extalg._word_images(*args)
+        monkeypatch.setattr(linalg, "matmul_mod", real)
+        assert got == want
+        assert_same_tables(again, images)
+
+
+def test_free_product_tables_equal_the_one_hot_route(weighted_theta):
+    """FP.mult reads a merged letter as a slice of its factor's table and
+    the induced module reads the A-action as a slice; both equal the
+    tables built from products of one-hot basis elements."""
+    (phi_args, _), (theta_args, _) = weighted_theta[1]
+    fp, fpm = phi_args[1], theta_args[1]
+    assert fpm.algebra is fp
+    assert_same_tables(fp.mult, one_hot_fp_tables(fp))
+    assert_same_tables(fpm.action, one_hot_fpm_tables(fpm))
+
+
+def test_phi_setup_multiplies_no_elements(monkeypatch):
+    """The phi set-up builds its word images and free-product tables
+    without ``GradedAlgebra.multiply``; the per-letter route calls it
+    once per letter."""
+    calls, real = [], GradedAlgebra.multiply
+
+    def counting(self, a, b):
+        calls.append((a.degree, b.degree))
+        return real(self, a, b)
+
+    monkeypatch.setattr(GradedAlgebra, "multiply", counting)
+    S = mono([("x", 1)], ["x^2"], cap=8)
+    R = fiber_product(S, mono([("y", 1)], ["y^2"], cap=8), 8)
+    d = extalg._build_phi_setup(R, 5, 8)
+    assert calls == []
+    act = lambda a, m, v: (m + a.degree, (a * Element(d.R_ext, m, v)).vec)  # noqa: E731
+    reference_word_images(d, d.FP, [d.R_ext.unit().vec.reshape(1, 1)],
+                          [d.R_ext.dim(n) for n in range(6)], act)
+    assert len(calls) == sum(len(w) for ws in d.FP.words for w in ws)

@@ -786,3 +786,20 @@ def test_cokernel_module_equals_the_sequential_projection(p):
     assert L.action.keys() == action.keys()
     assert all(np.array_equal(L.action[k], action[k]) for k in action)
     assert L.check_associativity() == []
+
+
+def test_a_reduced_int64_action_table_is_kept_and_any_other_is_reduced():
+    """As for algebras: an int64 action table with entries in [0, p) is
+    held as it is; a list or an entry outside [0, p) is reduced into a
+    new array."""
+    A = build_monomial_quotient(5, 2, MonomialQuotientPresentation(["x"], [1], []))
+    basis = [["m"], ["xm"], ["x2m"]]
+    action = {(1, 0): np.array([[[1]]], dtype=np.int64),
+              (1, 1): np.array([[[1]]], dtype=np.int64),
+              (2, 0): np.array([[[1]]], dtype=np.int64)}
+    M = GradedModule(A, basis, action)
+    assert all(M.action[key] is arr for key, arr in action.items())
+    for other in ([[[1]]], np.array([[[6]]], dtype=np.int64), np.array([[[-4]]], dtype=np.int64)):
+        N = GradedModule(A, basis, {**action, (1, 1): other})
+        assert N.action[(1, 1)] is not other
+        assert N.action[(1, 1)].dtype == np.int64 and N.action[(1, 1)].tolist() == [[[1]]]

@@ -1,7 +1,9 @@
 """Byte-level guard on the command-line reports.
 
-Each README command (plus ``depth --l``) and the bundled suite run
-in-process through ``cli.main``.  The SHA-256 of the ``--out`` file, the
+Each README command (plus ``depth --l``, and ``verify phi`` and
+``verify theta`` at windows 8 and 7, where the induced maps' products
+group many words) and the bundled suite run in-process through
+``cli.main``.  The SHA-256 of the ``--out`` file, the
 exit code and the SHA-256 of stdout (without the wall-time and
 "report written" lines, which vary per run) must equal the digests
 recorded below.  A change that alters any report byte fails here.
@@ -46,10 +48,18 @@ GOLDEN = {
         "verify phi --s s_x2.json --t t_y2.json --window 5", 0,
         "8a4231490d5ffc57c26ead1fc336cbbc200ff79121e6c768925c15ed8ea2f4ea",
         "58ea04407b3effdd9feaf55a40f21906cfcf99b18621108e4791380ed302578b"),
+    "verify-phi-8": (
+        "verify phi --s s_x2.json --t t_y2.json --window 8", 0,
+        "fa39a29565cc228be91536987b87f9949a3efffe5f053565793da3a76b71ab17",
+        "73093d66e6b56bc1814ff24e3bdcc2984db3d0e3c7b1be25699728f51c97ed52"),
     "verify-theta": (
         "verify theta --s s_x3.json --t t_y2.json --m m_kx2.json --window 5", 0,
         "06462e2a01b23604c027cc16d39b8d43a647ba2a3af9ec3ab57040851eea69b7",
         "8071f1700b55fb2a863aa4516dcc5b103c8b4c2c5abac47fcd771a73e5bdb796"),
+    "verify-theta-7": (
+        "verify theta --s s_x3.json --t t_y2.json --m m_kx2.json --window 7", 0,
+        "dddb19091c90bd6e2eefc19ba5ad001079a8068bf0efeca02a2724ef1997e5cd",
+        "914429eb1d422f96f5f1af1ac947b5c186193fbe4305dc016aa679401a2f7689"),
     "koszul": (
         "koszul --algebra s_x3.json --imax 5", 0,
         "55440bc334ea36f543858200ad5c2b72d3187ad7ccf91854b3008816c1cbe998",
