@@ -32,7 +32,7 @@ from .gmodule import ModuleError, algebra_as_module, residue_module, \
 from .linalg import LinalgError
 from .resolve import (ComplexReport, ResolutionError, WindowError,
                       betti_table_text, minimal_resolution, sharing,
-                      verify_complex)
+                      verify_complex, window)
 from .series import SeriesError, poincare_fiber_formula
 from .wordres import WordError, build_word_resolution, verify_word_resolution
 
@@ -148,7 +148,7 @@ def cmd_fiber(args) -> CliReport:
 def cmd_resolve(args) -> CliReport:
     A = _load_algebra(args.algebra)
     M = jsonio.load_module(args.module, A)
-    dmax = A.cap if args.dmax is None else args.dmax
+    dmax = window(A, args.hmax, args.dmax)
     res = minimal_resolution(A, M, args.hmax, dmax)
     rep = CliReport("resolve", A.p, {"hmax": args.hmax, "dmax": dmax})
     rep.absorb("resolution", verify_complex(res))
@@ -183,8 +183,7 @@ def cmd_poincare(args) -> CliReport:
             "--m and --hmax")
     S, T, R = _load_pair(args.s, args.t)
     M = jsonio.load_module(args.m, S)
-    dmax = R.cap if args.dmax is None else args.dmax
-    rep, summary = check_poincare(S, T, R, M, args.hmax, dmax)
+    rep, summary = check_poincare(S, T, R, M, args.hmax, args.dmax)
     print("formula:", *summary["formula"])
     print("direct: ", *summary["direct"])
     return rep
@@ -193,8 +192,7 @@ def cmd_poincare(args) -> CliReport:
 def cmd_wordres(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
     M = jsonio.load_module(args.m, S)
-    dmax = R.cap if args.dmax is None else args.dmax
-    rep, summary = check_wordres(S, T, R, M, args.hmax, dmax, args.verify)
+    rep, summary = check_wordres(S, T, R, M, args.hmax, args.dmax, args.verify)
     print("word counts per homological degree:", *summary["counts"])
     return rep
 
@@ -209,7 +207,7 @@ def _ext_tables(ext, imax: int, koszul: tuple) -> dict:
 
 def cmd_ext(args) -> CliReport:
     A = _load_algebra(args.algebra)
-    dmax = A.cap if args.dmax is None else args.dmax
+    dmax = window(A, args.imax, args.dmax)
     ext = ext_algebra(A, args.imax, dmax)
     rep = CliReport("ext", A.p, {"imax": args.imax, "dmax": dmax})
     rep.add("yoneda products associative in window",
@@ -232,14 +230,12 @@ def cmd_verify(args) -> CliReport:
         raise jsonio.InputError("verify theta needs --m (module over "
                                 "the first factor)")
     M = jsonio.load_module(args.m, S) if args.what == "theta" else None
-    dmax = R.cap if args.dmax is None else args.dmax
-    return check_verify(R, M, args.window, dmax, args.products_to)[0]
+    return check_verify(R, M, args.window, args.dmax, args.products_to)[0]
 
 
 def cmd_koszul(args) -> CliReport:
     A = _load_algebra(args.algebra)
-    dmax = A.cap if args.dmax is None else args.dmax
-    rep, summary = check_koszul(A, args.imax, dmax)
+    rep, summary = check_koszul(A, args.imax, args.dmax)
     if summary["diagonal_in_window"]:
         print(f"diagonal through window {args.imax}: no off-diagonal classes")
     else:
@@ -252,15 +248,13 @@ def cmd_fiber_module(args) -> CliReport:
     S, T, R = _load_pair(args.s, args.t)
     m_mod = jsonio.load_module(args.m, S)
     n_mod = jsonio.load_module(args.n, T)
-    dmax = R.cap if args.dmax is None else args.dmax
-    return check_fiber_module(R, m_mod, n_mod, args.hmax, dmax)[0]
+    return check_fiber_module(R, m_mod, n_mod, args.hmax, args.dmax)[0]
 
 
 def cmd_syzygy_split(args) -> CliReport:
     R = _require_fiber(_load_algebra(args.r))
     L = jsonio.load_module(args.l, R)
-    dmax = R.cap if args.dmax is None else args.dmax
-    rep, summary = check_syzygy_split(R, L, args.hmax, dmax)
+    rep, summary = check_syzygy_split(R, L, args.hmax, args.dmax)
     print("degree (kernel, first component, second component):")
     for d, triple in enumerate(summary["dims"]):
         if any(triple):
@@ -291,17 +285,21 @@ def cmd_depth(args) -> CliReport:
 # -- the checks: one function each, shared by a subcommand and the suite ------
 # Each returns the command's report and the suite's summary of it; a
 # summary's ``first_failure`` is the library's, without a command prefix.
+# ``dmax`` arrives as given (None for the default); ``resolve.window``
+# settles it on the ring reported on, in the check or, after a smallest
+# valid window of its own, in the library (verify, syzygy-split, depth).
 
 
 def _with_dmax(window: dict, dmax: int | None) -> dict:
     return window if dmax is None else {**window, "dmax": dmax}
 
 
-def check_poincare(S, T, R, M, hmax: int, dmax: int):
+def check_poincare(S, T, R, M, hmax: int, dmax: int | None):
     """The closed formula for P^R_M, applied to the factors' series
-    (resolved through ``min(dmax, cap)``), against the series of a
-    direct resolution over R, through ``hmax``."""
-    psm, psk, ptk = (minimal_resolution(A, N, hmax, min(dmax, A.cap))
+    (resolved in R's window), against the series of a direct resolution
+    over R, through ``hmax``."""
+    dmax = window(R, hmax, dmax)
+    psm, psk, ptk = (minimal_resolution(A, N, hmax, dmax)
                      .poincare_series() for A, N in
                      ((S, M), (S, residue_module(S)), (T, residue_module(T))))
     formula = poincare_fiber_formula(psm, psk, ptk)
@@ -315,7 +313,8 @@ def check_poincare(S, T, R, M, hmax: int, dmax: int):
     return rep, {"formula": formula.coeffs, "direct": direct.coeffs}
 
 
-def check_wordres(S, T, R, M, hmax: int, dmax: int, verify: bool):
+def check_wordres(S, T, R, M, hmax: int, dmax: int | None, verify: bool):
+    dmax = window(R, hmax, dmax)
     G = build_word_resolution(S, T, M, hmax, dmax, fiber=R)
     rep = CliReport("wordres", R.p, {"hmax": hmax, "dmax": dmax})
     rep.data.update({
@@ -332,19 +331,20 @@ def check_wordres(S, T, R, M, hmax: int, dmax: int, verify: bool):
     return rep, summary
 
 
-def check_verify(R, M, window: int, dmax: int, products_to: int = 4):
+def check_verify(R, M, hmax: int, dmax: int | None, products_to: int = 4):
     """``phi`` (no module) or ``theta`` (M over the first factor)."""
     what = "phi" if M is None else "theta"
-    rep = CliReport(f"verify {what}", R.p, {
-        "window": window, "dmax": dmax, "products_to": products_to})
-    crep = verify_phi_iso(R, window, dmax, products_to=products_to) \
-        if M is None else verify_theta_iso(R, M, window, dmax,
+    crep = verify_phi_iso(R, hmax, dmax, products_to=products_to) \
+        if M is None else verify_theta_iso(R, M, hmax, dmax,
                                            products_to=products_to)
+    rep = CliReport(f"verify {what}", R.p, {
+        "window": hmax, "dmax": window(R, hmax, dmax), "products_to": products_to})
     rep.absorb(what, crep)
     return rep, {"first_failure": crep.first_failure()}
 
 
-def check_koszul(A, imax: int, dmax: int):
+def check_koszul(A, imax: int, dmax: int | None):
+    dmax = window(A, imax, dmax)
     ok, offenders = koszul_check(A, imax, dmax)
     rep = CliReport("koszul", A.p, {"imax": imax, "dmax": dmax})
     rep.data["koszul"] = {"diagonal_in_window": ok, "offenders": offenders,
@@ -352,21 +352,22 @@ def check_koszul(A, imax: int, dmax: int):
     return rep, rep.data["koszul"]
 
 
-def check_fiber_module(R, m_mod, n_mod, hmax: int, dmax: int):
+def check_fiber_module(R, m_mod, n_mod, hmax: int, dmax: int | None):
+    dmax = window(R, hmax, dmax)
     crep = verify_fiber_module_ext_sequence(R, m_mod, n_mod, hmax, dmax)
     rep = CliReport("fiber-module", R.p, {"hmax": hmax, "dmax": dmax})
     rep.absorb("fiber module", crep)
     return rep, {"first_failure": crep.first_failure()}
 
 
-def check_syzygy_split(R, L, hmax: int | None, dmax: int):
+def check_syzygy_split(R, L, hmax: int | None, dmax: int | None):
     """The split of L's second syzygy and, given ``hmax``, the Ext
     sequence it forces."""
-    rep = CliReport("syzygy-split", R.p, {"cap": R.cap} if hmax is None
-                    else {"cap": R.cap, "hmax": hmax, "dmax": dmax})
     split = syzygy_split(R, L)
     seq = None if hmax is None else verify_ext_sequence_L(R, L, hmax, dmax,
                                                           split)
+    rep = CliReport("syzygy-split", R.p, {"cap": R.cap} if hmax is None
+                    else {"cap": R.cap, "hmax": hmax, "dmax": window(R, hmax, dmax)})
     rep.absorb("split", split.report)
     rep.data["component_dims"] = {
         "m": [split.m_module.dim(n) for n in range(R.cap + 1)],
@@ -393,12 +394,11 @@ def check_depth(R, M, jmax: int, hmax: int, dmax: int | None):
 
 def _suite_koszul(x):
     """R is Koszul exactly when both factors are: the koszul check on
-    each factor (through ``min(dmax, cap)``) and on R."""
-    s, t, r = (check_koszul(A, x.hmax, d)[1] for A, d in (
-        (x.S, min(x.dmax, x.S.cap)), (x.T, min(x.dmax, x.T.cap)),
-        (x.R, x.dmax)))
+    each factor and on R, all in R's window."""
+    dmax = window(x.R, x.hmax, x.dmax)
+    s, t, r = (check_koszul(A, x.hmax, dmax)[1] for A in (x.S, x.T, x.R))
     factors = [s["diagonal_in_window"], t["diagonal_in_window"]]
-    rep = CliReport("koszul", x.R.p, {"imax": x.hmax, "dmax": x.dmax})
+    rep = CliReport("koszul", x.R.p, {"imax": x.hmax, "dmax": dmax})
     rep.add("R diagonal exactly when both factors are",
             r["diagonal_in_window"] == all(factors))
     return rep, {"factors": factors, "fiber": r["diagonal_in_window"],
@@ -427,7 +427,6 @@ def _suite_triple(entry: dict, base: str, window: dict) -> tuple[bool, dict]:
                          os.path.join(base, entry["t"]))
     M = jsonio.load_module(os.path.join(base, entry["m"]), S)
     x = SimpleNamespace(S=S, T=T, R=R, M=M, **window)
-    x.dmax = R.cap if x.dmax is None else x.dmax
     sub: dict = {}
     for name in entry.get("checks", SUITE_CHECKS):
         try:

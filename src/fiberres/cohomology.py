@@ -38,7 +38,7 @@ from .gmodule import (AlgMatrix, FreeModule, GradedModule,
                       restrict_to_fiber, submodule_as_gmodule,
                       trivial_module)
 from .resolve import (ComplexReport, FreeResolution, WindowError,
-                      minimal_resolution, verify_complex)
+                      minimal_resolution, verify_complex, window)
 from .series import coproduct_module_series, fiber_module_poincare_check
 
 
@@ -109,9 +109,8 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
         raise ExtError("syzygy_split needs a fiber product ring and a "
                        "module over that ring")
     p = R.p
-    dmax = R.cap
-    res = minimal_resolution(R, L, 1, dmax)
-    F1 = res.frees[1]
+    res = minimal_resolution(R, L, 1)
+    dmax, F1 = res.dmax, res.frees[1]
     rep = ComplexReport()
 
     m_bases: dict[int, np.ndarray] = {}
@@ -175,7 +174,7 @@ def verify_ext_sequence_L(R: FiberProductAlgebra, L: GradedModule, hmax: int,
     if hmax < 2:
         raise WindowError(f"hmax {hmax} is too small for the Ext sequence; "
                           f"the smallest valid hmax is 2")
-    dmax = R.cap if dmax is None else min(dmax, R.cap)
+    dmax = window(R, hmax, dmax)
     S, T = R.s_algebra, R.t_algebra
     rep = ComplexReport()
 
@@ -243,7 +242,6 @@ def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,
     combined pullback map Ext(V) -> Ext(M) x Ext(N), by rank in each
     cohomological degree."""
     p = R.p
-    dmax = R.cap if dmax is None else min(dmax, R.cap)
     rep = ComplexReport()
 
     m0, n0 = m_mod.dim(0), n_mod.dim(0)
@@ -310,7 +308,6 @@ def _include_factor(fp: FreeProductAlgebra, side: int, el: Element) -> Element:
 
 
 def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
-                                dmax: int | None = None,
                                 a_res: FreeResolution | None = None,
                                 b_res: FreeResolution | None = None,
                                 ) -> FreeResolution:
@@ -320,11 +317,10 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
     differentials with entries read as single-letter words.  The result
     is a minimal complex; exactness is checked by ``verify_complex``."""
     A, B = fp.factor_a, fp.factor_b
-    dmax = fp.cap if dmax is None else min(dmax, fp.cap)
     if a_res is None:
-        a_res = minimal_resolution(A, residue_module(A), hmax, min(dmax, A.cap))
+        a_res = minimal_resolution(A, residue_module(A), hmax, fp.cap)
     if b_res is None:
-        b_res = minimal_resolution(B, residue_module(B), hmax, min(dmax, B.cap))
+        b_res = minimal_resolution(B, residue_module(B), hmax, fp.cap)
     if min(a_res.hmax, b_res.hmax) < hmax:
         raise WindowError(f"factor resolutions end at steps {a_res.hmax} and "
                           f"{b_res.hmax}, before hmax {hmax}")
@@ -348,7 +344,7 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
         terms.append(AlgMatrix(fp, fi, frees[i - 1], entries).terms())
         frees.append(fi)
     cover = {0: np.ones((1, 1), dtype=np.int64)}
-    return FreeResolution(fp, residue_module(fp), hmax, dmax, frees, terms, cover)
+    return FreeResolution(fp, residue_module(fp), hmax, fp.cap, frees, terms, cover)
 
 
 # -- Hom complexes with internal grading -------------------------------------
@@ -404,14 +400,12 @@ def ext_bidegree_dim(res: FreeResolution, module: GradedModule, i: int,
     return ker - linalg.rank(hom_coboundary(res, module, i - 1, nu), p)
 
 
-def socle_dims(module: GradedModule, dmax: int | None = None) -> dict[int, int]:
+def socle_dims(module: GradedModule) -> dict[int, int]:
     """Dimension per degree of the joint kernel of all positive-degree
     actions that stay inside the tabulated window.  The top tabulated
     degree has no testable action and is omitted; a zero entry certifies
     no socle in that degree."""
-    A = module.algebra
-    p = A.p
-    cap = A.cap if dmax is None else min(dmax, A.cap)
+    p, cap = module.algebra.p, module.algebra.cap
     out: dict[int, int] = {}
     for d in range(cap):
         dim = module.dim(d)
@@ -507,13 +501,13 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
                        "factor")
     if module.min_degree() is None:
         raise ExtError("zero module")
-    dmax = min(S.cap, T.cap) if dmax is None else dmax
     if hmax < 3:
         raise WindowError(f"hmax {hmax} is too small for the depth certificate; "
                           f"the smallest valid hmax is 3")
     if jmax < 1:
         raise WindowError(f"jmax {jmax} asks for no witness; "
                           f"the smallest valid jmax is 1")
+    dmax = window(R, hmax, dmax)
 
     s_ext = ext_algebra(S, hmax, dmax)
     t_ext = ext_algebra(T, hmax, dmax)
@@ -686,7 +680,7 @@ def depth_upper_bound(R: FiberProductAlgebra, L: GradedModule, hmax: int,
     if hmax < 2:
         raise WindowError(f"hmax {hmax} is too small for the depth upper bound; "
                           f"the smallest valid hmax is 2")
-    dmax = R.cap if dmax is None else min(dmax, R.cap)
+    dmax = window(R, hmax, dmax)
     rep = ComplexReport()
     res = minimal_resolution(R, L, hmax, dmax)
     betti = [res.rank(i) for i in range(hmax + 1)]

@@ -44,7 +44,8 @@ from . import linalg
 from .algebra import Element, FiberProductAlgebra, GradedAlgebra
 from .gmodule import (FreeModule, GradedModule, extend, generator_terms, residue_module,
                       restrict_to_fiber)
-from .resolve import ComplexReport, FreeResolution, WindowError, minimal_resolution, shared
+from .resolve import (ComplexReport, FreeResolution, WindowError, minimal_resolution,
+                      shared, window)
 from .series import coproduct_module_series
 from .wordres import Letter, alternating_words, assemble_word_complex
 
@@ -653,8 +654,7 @@ def verify_phi_iso(R: FiberProductAlgebra, hmax: int, dmax: int | None = None,
         raise WindowError(f"window {hmax} is too small for the tensor-product "
                           f"control; the smallest valid window is 2")
     tmax = _products_degree(products_to, hmax, 1)
-    if dmax is None:
-        dmax = R.cap
+    dmax = window(R, hmax, dmax)
     d = _phi_setup(R, hmax, dmax)
     tensor_dims = [int(sum(d.S_ext.dim(i) * d.T_ext.dim(n - i)
                            for i in range(n + 1))) for n in range(hmax + 1)]
@@ -690,8 +690,7 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
     if module.algebra is not R.s_algebra:
         raise ExtError("verify_theta_iso needs a module over the first factor")
     tmax = _products_degree(products_to, hmax, 0)
-    if dmax is None:
-        dmax = R.cap
+    dmax = window(R, hmax, dmax)
     d = _phi_setup(R, hmax, dmax)
     PM = minimal_resolution(d.S, module, hmax, dmax)
     GM = assemble_word_complex(R, d.E, d.F, PM, hmax, dmax)

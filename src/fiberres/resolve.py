@@ -4,7 +4,11 @@ The engine works over any tabulated connected graded algebra
 (commutative or not).  Each step picks minimal generators of the
 current kernel by echelon complements in the fixed coordinate order, so
 the output is deterministic.  Every resolution carries its validity
-window (hmax, dmax): nothing outside the window is claimed.  The
+window (hmax, dmax): nothing outside the window is claimed.  ``window``
+is the package's one window rule (``dmax`` defaults to the ring's cap; a
+negative bound or a ``dmax`` above the cap is refused), applied before
+any computation by ``minimal_resolution`` and by every entry point that
+reports a window or shares results by one, to the ring it is about.  The
 differentials are stored only as sparse generator terms (see
 ``gmodule``): ``evaluated`` evaluates them one degree at a time and
 keeps each map, as ``linalg.Sparse`` entries from
@@ -39,6 +43,7 @@ from .series import PowerSeries
 
 __all__ = [
     "WindowError",
+    "window",
     "FreeResolution",
     "ComplexReport",
     "minimal_resolution",
@@ -56,6 +61,22 @@ class WindowError(ValueError):
 
 class ResolutionError(RuntimeError):
     pass
+
+
+def window(algebra: GradedAlgebra, hmax: int, dmax: int | None = None) -> int:
+    """The window rule: ``dmax``, defaulted to the algebra's cap; a
+    ``dmax`` above the cap or a negative bound raises ``WindowError``
+    naming the valid limit."""
+    if dmax is None:
+        dmax = algebra.cap
+    if dmax > algebra.cap:
+        raise WindowError(f"dmax {dmax} beyond tabulated degrees; "
+                          f"largest valid dmax is {algebra.cap}")
+    if dmax < 0:
+        raise WindowError(f"dmax {dmax} is negative; the smallest valid dmax is 0")
+    if hmax < 0:
+        raise WindowError(f"hmax {hmax} is negative; the smallest valid hmax is 0")
+    return dmax
 
 
 class FreeResolution:
@@ -173,8 +194,8 @@ def sharing():
     ``id``; the memo holds the built object, which holds that algebra,
     so no id is reused while its entry lives.  A module enters a
     ``minimal_resolution`` key by content: its basis labels and the
-    exact bytes of every action tensor.  ``dmax`` enters after it
-    defaults to the algebra's cap.
+    exact bytes of every action tensor.  ``dmax`` enters after ``window``
+    defaults it to the algebra's cap.
 
     Read-only contract: no library code mutates a ``FreeResolution`` or
     an ``extalg._PhiData`` after it is built (only
@@ -213,26 +234,14 @@ def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     """Minimal free resolution of ``module`` through homological degree
     ``hmax``, internal degrees through ``dmax``; shared inside a
     ``sharing()`` scope.  Generator k of step i is labelled ``ui_k``."""
-    if dmax is None:
-        dmax = algebra.cap
+    dmax = window(algebra, hmax, dmax)
     key = ("resolution", id(algebra), _module_content(module), hmax, dmax)
     return shared(key, lambda: _minimal_resolution(algebra, module, hmax, dmax))
 
 
 def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
-                        dmax: int | None = None) -> FreeResolution:
+                        dmax: int) -> FreeResolution:
     p = algebra.p
-    if dmax is None:
-        dmax = algebra.cap
-    if dmax > algebra.cap:
-        raise WindowError(
-            f"dmax {dmax} beyond tabulated degrees; largest valid dmax is {algebra.cap}"
-        )
-    if dmax < 0:
-        raise WindowError(f"dmax {dmax} is negative; the smallest valid dmax is 0")
-    if hmax < 0:
-        raise WindowError(f"hmax {hmax} is negative; the smallest valid hmax is 0")
-
     # Step 0: minimal generators of the module; the cover is built from
     # their unit vectors.
     units = [np.eye(module.dim(d), dtype=np.int64) for d in range(dmax + 1)]
@@ -294,8 +303,7 @@ class ComplexReport:
             self.data[prefix] = other.data
 
 
-def verify_complex(res: FreeResolution, hmax: int | None = None,
-                   dmax: int | None = None) -> ComplexReport:
+def verify_complex(res: FreeResolution) -> ComplexReport:
     """Independent rank-based verification inside the window:
     differentials compose to zero, all entries lie in the augmentation
     ideal, and homology vanishes at every bidegree the window can
@@ -307,9 +315,7 @@ def verify_complex(res: FreeResolution, hmax: int | None = None,
     the nonzero entries of the composite; a failure of cover o d1 = 0
     names the (degree, generator) pairs of its nonzero generator
     blocks."""
-    p = res.algebra.p
-    hmax = res.hmax if hmax is None else min(hmax, res.hmax)
-    dmax = res.dmax if dmax is None else min(dmax, res.dmax)
+    p, hmax, dmax = res.algebra.p, res.hmax, res.dmax
     rep = ComplexReport()
     rank = {(i, d): linalg.rank(res.evaluated(i, d), p)
             for i in range(hmax + 1) for d in range(dmax + 1)}

@@ -24,6 +24,7 @@ from .resolve import (
     cover_matrices,
     minimal_resolution,
     verify_complex,
+    window,
 )
 from .series import PowerSeries, word_count_series_formula
 
@@ -207,10 +208,7 @@ class WordComplex(FreeResolution):
 def assemble_word_complex(R: FiberProductAlgebra, E: FreeResolution,
                           F: FreeResolution, P: FreeResolution, hmax: int,
                           dmax: int | None = None) -> WordComplex:
-    if dmax is None:
-        dmax = min(R.cap, E.dmax, F.dmax, P.dmax)
-    if dmax > R.cap:
-        raise WordError(f"dmax {dmax} beyond tabulated degrees of the fiber product")
+    dmax = window(R, hmax, dmax)
     if E.algebra is not R.s_algebra or F.algebra is not R.t_algebra:
         raise WordError("resolutions do not match the fiber product factors")
     words = generate_words(E, F, P, hmax)
@@ -250,8 +248,7 @@ def build_word_resolution(S: GradedAlgebra, T: GradedAlgebra,
         fiber = fiber_product(S, T)
     if fiber.s_algebra is not S or fiber.t_algebra is not T:
         raise WordError("fiber product was built from different factors")
-    if dmax is None:
-        dmax = fiber.cap
+    dmax = window(fiber, hmax, dmax)
     P = minimal_resolution(S, module, hmax, dmax)
     E = minimal_resolution(S, residue_module(S), hmax, dmax)
     F = minimal_resolution(T, residue_module(T), hmax, dmax)

@@ -362,30 +362,57 @@ def manifest_args(*args):
     return [os.path.join(MANIFESTS, a) if a.endswith(".json") else a for a in args]
 
 
+ABOVE_CAP = "dmax 50 beyond tabulated degrees; largest valid dmax is 12"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["resolve", "--algebra", "r_square_zero.json", "--module", "m_k.json",
-      "--hmax", "-1"], "hmax -1 is negative"),
+      "--hmax", "-1"], "hmax -1 is negative; the smallest valid hmax is 0"),
     (["resolve", "--algebra", "s_x2.json", "--module", "m_k.json",
-      "--hmax", "2", "--dmax", "-1"], "dmax -1 is negative"),
+      "--hmax", "2", "--dmax", "-1"], "dmax -1 is negative; the smallest valid dmax is 0"),
     (["koszul", "--algebra", "s_x2.json", "--imax", "2", "--dmax", "-1"],
-     "dmax -1 is negative"),
+     "dmax -1 is negative; the smallest valid dmax is 0"),
     (["fiber-module", "--s", "s_x2.json", "--t", "t_y2.json", "--m", "m_k.json",
-      "--n", "m_k.json", "--hmax", "2", "--dmax", "-1"], "dmax -1 is negative"),
+      "--n", "m_k.json", "--hmax", "2", "--dmax", "-1"],
+     "dmax -1 is negative; the smallest valid dmax is 0"),
     (["syzygy-split", "--r", "r_square_zero.json", "--l", "m_k.json",
-      "--hmax", "3", "--dmax", "-2"], "dmax -2 is negative"),
+      "--hmax", "3", "--dmax", "-2"], "dmax -2 is negative; the smallest valid dmax is 0"),
     (["ext", "--algebra", "s_x2.json", "--imax", "2", "--dmax", "-3"],
-     "dmax -3 is negative"),
+     "dmax -3 is negative; the smallest valid dmax is 0"),
     (["poincare", "--s", "s_x2.json", "--t", "t_y2.json", "--m", "m_k.json",
-      "--hmax", "3", "--dmax", "-1"], "dmax -1 is negative"),
+      "--hmax", "3", "--dmax", "-1"], "dmax -1 is negative; the smallest valid dmax is 0"),
+    (["resolve", "--algebra", "r_square_zero.json", "--module", "m_k.json",
+      "--hmax", "3", "--dmax", "50"], ABOVE_CAP),
+    (["poincare", "--s", "s_x2.json", "--t", "t_y2.json", "--m", "m_k.json",
+      "--hmax", "3", "--dmax", "50"], ABOVE_CAP),
+    (["wordres", "--s", "s_x2.json", "--t", "t_y2.json", "--m", "m_k.json",
+      "--hmax", "3", "--dmax", "50"], ABOVE_CAP),
+    (["ext", "--algebra", "s_x2.json", "--imax", "3", "--dmax", "50"], ABOVE_CAP),
+    (["verify", "phi", "--s", "s_x2.json", "--t", "t_y2.json", "--window", "3",
+      "--dmax", "50"], ABOVE_CAP),
+    (["verify", "theta", "--s", "s_x2.json", "--t", "t_y2.json", "--m", "m_k.json",
+      "--window", "3", "--dmax", "50"], ABOVE_CAP),
+    (["koszul", "--algebra", "s_x2.json", "--imax", "3", "--dmax", "50"], ABOVE_CAP),
+    (["fiber-module", "--s", "s_x2.json", "--t", "t_y2.json", "--m", "m_k.json",
+      "--n", "m_k.json", "--hmax", "3", "--dmax", "50"], ABOVE_CAP),
+    (["syzygy-split", "--r", "r_square_zero.json", "--l", "m_k.json",
+      "--hmax", "3", "--dmax", "50"], ABOVE_CAP),
+    (["depth", "--r", "r_square_zero.json", "--m", "m_k.json", "--hmax", "3",
+      "--dmax", "50"], ABOVE_CAP),
+    (["depth", "--r", "r_square_zero.json", "--l", "l_line.json", "--hmax", "3",
+      "--dmax", "50"], ABOVE_CAP),
 ], ids=["resolve-hmax", "resolve-dmax", "koszul-dmax", "fiber-module-dmax",
-        "syzygy-split-dmax", "ext-dmax", "poincare-dmax"])
+        "syzygy-split-dmax", "ext-dmax", "poincare-dmax", "resolve-above-cap",
+        "poincare-above-cap", "wordres-above-cap", "ext-above-cap", "phi-above-cap",
+        "theta-above-cap", "koszul-above-cap", "fiber-module-above-cap",
+        "syzygy-split-above-cap", "depth-m-above-cap", "depth-l-above-cap"])
 def test_resolve_negative_hmax_exits_one(capsys, argv, message):
-    """A negative window bound is refused before any check runs, with the
-    smallest valid value named."""
+    """A negative window bound, or a dmax above the ring's cap, is
+    refused before any check runs, with the valid limit named."""
     rc = main(manifest_args(*argv))
     out, err = capsys.readouterr()
     assert rc == 1
-    assert message in err and "the smallest valid" in err
+    assert err == f"error: {message}\n"
     assert "PASS" not in out
 
 
@@ -605,13 +632,9 @@ AGREEMENT = {
 }
 
 
-@pytest.mark.parametrize("check", list(AGREEMENT))
-def test_suite_uses_the_command_window(check, tmp_path, capsys):
-    """Each suite check runs its subcommand's code in the same window.
-    At hmax 4, dmax 2 the factor k[x]/(x^3) has syzygy generators above
-    dmax (degrees 3, 4, 6, ...), so a suite check that cut a ring at
-    another window than its command would disagree with it."""
-    expect, commands, shared = AGREEMENT[check]
+def agreement_files(tmp_path) -> dict:
+    """The AGREEMENT commands' file names: factors, modules and their
+    fiber product ring R, all tabulated to 12."""
     files = {k: os.path.join(MANIFESTS, f) for k, f in (
         ("S", "s_x3.json"), ("T", "t_y2.json"), ("M", "m_k.json"),
         ("N", "m_free.json"))}
@@ -619,6 +642,17 @@ def test_suite_uses_the_command_window(check, tmp_path, capsys):
     files["R"] = write(tmp_path, "r.json", {
         "field": s["field"], "cap": s["cap"],
         "algebra": {"kind": "fiber", "s": s["algebra"], "t": t["algebra"]}})
+    return files
+
+
+@pytest.mark.parametrize("check", list(AGREEMENT))
+def test_suite_uses_the_command_window(check, tmp_path, capsys):
+    """Each suite check runs its subcommand's code in the same window.
+    At hmax 4, dmax 2 the factor k[x]/(x^3) has syzygy generators above
+    dmax (degrees 3, 4, 6, ...), so a suite check that cut a ring at
+    another window than its command would disagree with it."""
+    expect, commands, shared = AGREEMENT[check]
+    files = agreement_files(tmp_path)
     suite = write(tmp_path, "suite.json", {
         "window": {"hmax": 4, "dmax": 2, "jmax": 1},
         "entries": [{"name": "e", "kind": "triple", "s": files["S"],
@@ -637,6 +671,29 @@ def test_suite_uses_the_command_window(check, tmp_path, capsys):
                      capsys.readouterr().err))
     suite_side, command_side = shared(entry, runs)
     assert suite_side == command_side
+
+
+def test_suite_refuses_a_dmax_above_the_cap_as_its_commands_do(tmp_path, capsys):
+    """At dmax 50, above the rings' cap 12, every suite check fails with
+    the error that its subcommands print when they exit 1."""
+    files = agreement_files(tmp_path)
+    suite = write(tmp_path, "suite.json", {
+        "window": {"hmax": 4, "dmax": 50, "jmax": 1},
+        "entries": [{"name": "e", "kind": "triple", "s": files["S"],
+                     "t": files["T"], "m": files["M"]}]})
+    out = tmp_path / "suite_rep.json"
+    assert main(["suite", "--manifest", suite, "--out", str(out)]) == 2
+    entry = json.loads(out.read_text())["data"]["e"]
+    assert sorted(entry) == sorted(AGREEMENT)
+    for check, (_, commands, _) in AGREEMENT.items():
+        for command in commands:
+            capsys.readouterr()
+            argv = command.replace("--dmax 2", "--dmax 50").split()
+            assert main([files.get(a, a) for a in argv]) == 1
+            err = capsys.readouterr().err
+            assert entry[check] == {"ok": False,
+                                    "error": err.removeprefix("error: ").rstrip("\n")}
+            assert "largest valid dmax is 12" in err
 
 
 @pytest.mark.parametrize("window, entry", [

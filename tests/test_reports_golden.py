@@ -2,7 +2,8 @@
 
 Each README command (plus ``depth --l``, and ``verify phi`` and
 ``verify theta`` at windows 8 and 7, where the induced maps' products
-group many words) and the bundled suite run in-process through
+group many words, and four commands on a second factor tabulated to a
+lower cap than the first) and the bundled suite run in-process through
 ``cli.main``.  The SHA-256 of the ``--out`` file, the
 exit code and the SHA-256 of stdout (without the wall-time and
 "report written" lines, which vary per run) must equal the digests
@@ -81,6 +82,26 @@ GOLDEN = {
         "depth --r r_square_zero.json --l l_line.json --hmax 6", 0,
         "a787998d25e332a8de0718c875c7cc8d72368c28dc0b328565b146b3ea67f9ee",
         "c7bee59ee06b08dca8b97ab42a04f8cab87bfe0e55a7b52d3313c958f82d2cfd"),
+    # the second factor tabulated to 8, below the first factor's 12: the
+    # factors are resolved in R's window, not at their own caps (the
+    # poincare row's exit 2 is a window that cuts off generators)
+    "poincare-cap8": (
+        "poincare --s s_x3.json --t t_y2_cap8.json --m m_kx2.json --hmax 6", 2,
+        "8362a238b3f85c5bfe98ca6e6e354e64eca70627159499acc7df9f697403de2f",
+        "b3ceaefa8b69343958a1f2bf1df718c97a29c44fc5d5ab097a737f503d273ffd"),
+    "wordres-cap8": (
+        "wordres --s s_x3.json --t t_y2_cap8.json --m m_k.json --hmax 5 --verify", 0,
+        "ca5cea7f39b03ae86b709ce93af74be9363751591fdadee98c246bce90f83d1d",
+        "e04a3e7afa31edf1ead78e49738d0c42271408e9cb3716fef22fd34a07567b4f"),
+    "verify-phi-cap8": (
+        "verify phi --s s_x3.json --t t_y2_cap8.json --window 5", 0,
+        "ba5c098c6a1a5df6a1607d98921613abf42f31c8cbdc4423e200876e42827b02",
+        "064fe99872dd914eb268ce5f90a600ed2f843555694f503d5895e383a85ca4af"),
+    "fiber-module-cap8": (
+        "fiber-module --s s_x3.json --t t_y2_cap8.json --m m_free.json "
+        "--n m_free.json --hmax 6", 0,
+        "d602b5d034b0c4e0aa62d7814f1831cacbdc155c4e9afcea18c9b343676f26e0",
+        "3508b6ade077ee5beec9d60f0e255924395b52a38f34f9fe5f0e7115907ad0e2"),
     "suite": (
         "suite --manifest suite.json", 0,
         "2c27906314e46c84e90ec10575e61e6b2efde46c3bb310fbb9cf0e285abafa3b",

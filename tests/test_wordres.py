@@ -9,7 +9,7 @@ from fiberres.algebra import (
     fiber_product,
 )
 from fiberres.gmodule import AlgMatrix, FreeModule, algebra_as_module, cokernel_module, residue_module
-from fiberres.resolve import minimal_resolution
+from fiberres.resolve import WindowError, minimal_resolution
 from fiberres.wordres import (
     Letter,
     WordError,
@@ -231,3 +231,16 @@ def test_word_count_series_beyond_inputs_raises_word_error():
     assert word_count_series(E, F, E, 3).coeffs == [1, 2, 4, 8]
     with pytest.raises(WordError, match="reach degree 3, not 4"):
         word_count_series(E, F, E, 4)
+
+
+def test_assemble_word_complex_applies_the_window_rule():
+    """The word complex defaults dmax to the fiber product's cap and
+    refuses one above it with the WindowError every entry point raises."""
+    S, T = square_zero_pair()
+    R = fiber_product(S, T)
+    E = minimal_resolution(S, residue_module(S), 2)
+    F = minimal_resolution(T, residue_module(T), 2)
+    assert assemble_word_complex(R, E, F, E, 2).dmax == R.cap
+    with pytest.raises(WindowError, match=f"^dmax {R.cap + 1} beyond tabulated degrees; "
+                                          f"largest valid dmax is {R.cap}$"):
+        assemble_word_complex(R, E, F, E, 2, R.cap + 1)
