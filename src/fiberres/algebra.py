@@ -40,6 +40,18 @@ class AlgebraError(ValueError):
     pass
 
 
+def _power(factor: str, where: str) -> tuple[str, int]:
+    """``factor`` as ``(name, exponent)``: ``name^e`` or a bare name (e =
+    1).  An exponent that is not a nonnegative integer in ASCII digits
+    raises AlgebraError naming ``where``."""
+    name, caret, exp = factor.partition("^")
+    if not caret:
+        return name, 1
+    if not (exp.isascii() and exp.isdigit()):
+        raise AlgebraError(f"exponent {exp!r} in {where!r} is not a nonnegative integer")
+    return name, int(exp)
+
+
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
 
@@ -219,7 +231,7 @@ class GradedAlgebra:
                 continue
             prods = [np.zeros((0, dim), dtype=np.int64)] + [
                 self.mult[(m, n - m)].reshape(-1, dim) for m in range(1, n)]
-            pivots = set(linalg.rref(np.vstack(prods), self.p)[1])
+            pivots = set(linalg.echelon(np.vstack(prods), self.p)[1])
             out.extend((n, i) for i in range(dim) if i not in pivots)
         return out
 
@@ -296,14 +308,10 @@ class GradedAlgebra:
         for factor in term.split("*"):
             if not factor:
                 raise AlgebraError(f"empty factor in term {term!r}")
-            if factor.lstrip("-").isdigit():
+            if factor.isascii() and factor.lstrip("-").isdigit():
                 out = out.scale(int(factor))
                 continue
-            if "^" in factor:
-                name, _, exp_s = factor.partition("^")
-                exp = int(exp_s)
-            else:
-                name, exp = factor, 1
+            name, exp = _power(factor, term)
             g = self.generator(name)
             for _ in range(exp):
                 out = out * g
@@ -362,11 +370,7 @@ class MonomialQuotientPresentation:
         index = {n: i for i, n in enumerate(self.var_names)}
         word: list[int] = []
         for factor in s.replace(" ", "").split("*"):
-            if "^" in factor:
-                name, _, exp_s = factor.partition("^")
-                exp = int(exp_s)
-            else:
-                name, exp = factor, 1
+            name, exp = _power(factor, s)
             if name not in index:
                 raise AlgebraError(f"unknown variable {name!r} in monomial {s!r}")
             word.extend([index[name]] * exp)

@@ -66,12 +66,12 @@ def _supported_rows(K: np.ndarray, keep: np.ndarray, p: int) -> np.ndarray:
     if K.shape[0] == 0:
         return np.zeros((0, K.shape[1]), dtype=np.int64)
     drop = ~keep
-    if not drop.any():
-        return linalg.row_space(K, p)
-    X = linalg.kernel_basis(K[:, drop].T, p)
-    if X.shape[0] == 0:
-        return np.zeros((0, K.shape[1]), dtype=np.int64)
-    return linalg.row_space((X @ K) % p, p)
+    if drop.any():
+        X = linalg.as_dense(linalg.kernel(K[:, drop].T, p))
+        if X.shape[0] == 0:
+            return np.zeros((0, K.shape[1]), dtype=np.int64)
+        K = (X @ K) % p
+    return linalg.as_dense(linalg.echelon(K, p)[0])
 
 
 class SyzygySplit:
@@ -117,7 +117,7 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
     n_bases: dict[int, np.ndarray] = {}
     unit_bad, split_bad, dims = [], [], []
     for d in range(dmax + 1):
-        K = linalg.kernel_basis(res.evaluated(1, d), p)
+        K = linalg.as_dense(linalg.kernel(res.evaluated(1, d), p))
         pmask, qmask = _factor_masks(R, F1, d)
         if K.shape[0] and np.any(K[:, ~(pmask | qmask)]):
             unit_bad.append(d)

@@ -90,10 +90,13 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution, prev: dict,
                 raise ExtError(f"lift window too small for a degree-{sj} generator")
             if sj not in prev:
                 continue
-            rhs = linalg.matmul_mod(
-                prev[sj], src.boundary(step + n, sj)[:, fsrc.block_indices(sj, gens)], p)
+            block = src.evaluated(step + n, sj)
+            cols = fsrc.block_indices(sj, gens)
+            block = (block.columns(cols).dense() if isinstance(block, linalg.Sparse)
+                     else block[:, cols])
+            rhs = linalg.matmul_mod(prev[sj], block, p)
             rhs = rhs.reshape(batch, -1, len(gens)).transpose(1, 0, 2)
-            sol = linalg.solve(tgt.boundary(n, sj - shift),
+            sol = linalg.solve(tgt.evaluated(n, sj - shift),
                                rhs.reshape(-1, batch * len(gens)), p)
             if sol is None:
                 raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")

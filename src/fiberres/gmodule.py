@@ -50,7 +50,6 @@ __all__ = [
     "extend_entries",
     "generator_terms",
     "fiber_product_module",
-    "minimal_generators",
     "minimal_generators_by_degree",
     "submodule_as_gmodule",
 ]
@@ -219,7 +218,7 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
 
 # From this many cells on, the rows and maps of the resolution layer are
 # kept as linalg.Sparse entries, and FreeModule.times and the reduction in
-# minimal_generators work on those entries; below it, dense int64
+# minimal_generators_by_degree work on those entries; below it, dense int64
 # products take fewer array operations.  Over the benchmark's calls to
 # times and to the reduction, the total is flat from 2048 to 4096 cells
 # and rises on either side (see CHANGES.md).
@@ -541,9 +540,8 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
     free_cols: list[list[int]] = []
     mats = extend(free, phi.src, phi.terms(), range(A.cap + 1))
     for d in range(A.cap + 1):
-        img = mats[d].T  # rows span the image
-        R, pivots = linalg.rref(img, p) if img.size else (img, [])
-        echelon.append((R[: len(pivots)], pivots))
+        R, pivots = linalg.echelon(mats[d].T, p)  # rows span the image
+        echelon.append((linalg.as_dense(R), pivots))
         is_pivot = set(pivots)
         free_cols.append([c for c in range(free.dim(d)) if c not in is_pivot])
 
@@ -577,18 +575,6 @@ def _stacked(parts, width: int, p: int):
     if all(isinstance(x, np.ndarray) for x in parts):
         return np.vstack(parts)
     return linalg.Sparse.vstack([linalg.as_sparse(x, p) for x in parts], width)
-
-
-def minimal_generators(algebra: GradedAlgebra, rows, times, dmax: int) \
-        -> list[tuple[int, int, np.ndarray | linalg.Sparse]]:
-    """``minimal_generators_by_degree`` one new row at a time: ``(degree,
-    row index, new row)``, the new row a vector, or a one-row
-    ``linalg.Sparse`` where the degree's rows are taken in entry form."""
-    out = []
-    for d, kept, new in minimal_generators_by_degree(algebra, rows, times, dmax):
-        vecs = new.split_rows() if isinstance(new, linalg.Sparse) else new
-        out += [(d, j, vec) for j, vec in zip(kept.tolist(), vecs)]
-    return out
 
 
 def minimal_generators_by_degree(algebra: GradedAlgebra, rows, times, dmax: int) \
@@ -736,15 +722,15 @@ def fiber_product_module(R: FiberProductAlgebra, m_mod: GradedModule,
     check("nu bijective on degree 0", n0 == v and linalg.rank(nu, p) == v, "")
     for mod, alg, name in ((m_mod, S, "M"), (n_mod, T, "N")):
         units = [np.eye(mod.dim(n), dtype=np.int64) for n in range(R.cap + 1)]
-        new = Counter(n for n, _, _ in
-                      minimal_generators(alg, units, mod.times, R.cap))
+        new = Counter({n: len(kept) for n, kept, _ in
+                       minimal_generators_by_degree(alg, units, mod.times, R.cap)})
         for n in range(1, R.cap + 1):
             dim = mod.dim(n)
             check(f"{name} generated in degree 0 (degree {n})",
                   new[n] == 0, f"{dim - new[n]} vs {dim}")
 
     glue = np.hstack([mu, (-nu) % p])
-    deg0 = linalg.kernel_basis(glue, p)  # rows: (x, y) with mu x = nu y
+    deg0 = linalg.as_dense(linalg.kernel(glue, p))  # rows: (x, y) with mu x = nu y
 
     basis = [[f"w{i}" for i in range(deg0.shape[0])]]
     for n in range(1, R.cap + 1):

@@ -2,10 +2,11 @@
 deterministic report serialization.
 
 Algebra files: ``{"field": {"char": p}, "cap": N, "algebra": {...}}``
-where the algebra object has kind ``monomial_quotient`` (vars, rels,
-optional commutative flag), ``table`` (explicit basis and structure
-constants with their own char/cap), or ``fiber`` (nested ``s`` and
-``t`` algebra objects sharing the file's field and cap).
+where the algebra object has kind ``monomial_quotient`` (vars, rels as
+a list of monomial strings, an optional JSON boolean commutative),
+``table`` (explicit basis and structure constants with their own
+char/cap), or ``fiber`` (nested ``s`` and ``t`` algebra objects sharing
+the file's field and cap).
 
 Module files, interpreted against a given algebra: ``{"kind":
 "residue"}``, ``{"kind": "free", "gens": [degrees]}``, or ``{"kind":
@@ -60,17 +61,25 @@ def _integer(x) -> int:
 
 
 def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:
+    if not isinstance(obj, dict):
+        raise InputError(f"an algebra must be a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "monomial_quotient":
         try:
             names = [v["name"] for v in obj["vars"]]
             degs = [_integer(v["deg"]) for v in obj["vars"]]
-            rels = list(obj.get("rels", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad monomial_quotient object: {exc}") from exc
+        rels = obj.get("rels", [])
+        if not isinstance(rels, list) or not all(isinstance(r, str) for r in rels):
+            raise InputError(f"bad monomial_quotient object: 'rels' must be a list "
+                             f"of strings, not {rels!r}")
+        commutative = obj.get("commutative", True)
+        if not isinstance(commutative, bool):
+            raise InputError(f"bad monomial_quotient object: 'commutative' must be "
+                             f"true or false, not {commutative!r}")
         try:
-            pres = MonomialQuotientPresentation(names, degs, rels,
-                                                bool(obj.get("commutative", True)))
+            pres = MonomialQuotientPresentation(names, degs, rels, commutative)
             return build_monomial_quotient(char, cap, pres)
         except AlgebraError as exc:
             raise InputError(f"bad presentation: {exc}") from exc
@@ -80,7 +89,7 @@ def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:
         table.setdefault("cap", cap)
         try:
             return GradedAlgebra.from_table_json(table)
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad table object: {exc}") from exc
     if kind == "fiber":
         try:

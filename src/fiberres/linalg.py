@@ -21,11 +21,12 @@ unit row at its column; only the larger components run the column loop
 ``_eliminate``, each on its compressed block.  The core takes a dense
 or a ``Sparse`` input and gives the pivot rows only: below
 ``SPLIT_MIN_CELLS`` cells it runs the loop on the whole dense matrix
-and its rows are dense, from there on they are a ``Sparse``.  ``rank``
-counts its pivots, ``kernel`` assembles the kernel basis from its rows
-in the same form, and ``rref``, ``row_space``, ``kernel_basis`` and
-``solve`` are dense wrappers; ``rref`` scatters the rows into an array
-that is, byte for byte, the loop's result on the whole matrix.
+and its rows are dense, from there on they are a ``Sparse``; either way
+they are, entry for entry, the loop's pivot rows on the whole matrix.
+``echelon``, ``rank``, ``kernel`` and ``solve`` are the whole
+elimination interface: ``rank`` counts the core's pivots, ``kernel``
+assembles the kernel basis from its rows in the same form, and
+``solve`` reads a solution off the echelon rows of ``[mat | rhs]``.
 ``matmul_entries`` multiplies two ``Sparse`` matrices, summing the
 terms ``product_terms`` gives.
 
@@ -40,23 +41,23 @@ allowed.  Elimination stays in int64.
 
 ``Span`` grows a reduced echelon basis one vector at a time: rows stay
 where they were added, and a vector is reduced by one int64 product
-with the rows whose pivots it hits.  ``gmodule.minimal_generators``
-reduces and normalizes most of its rows itself, from their nonzero
-entries, and hands a ``Span`` only the rows whose residuals share a
-column with another row's.  ``inv_mod`` inverts one entry or an array
-of them, a long array by square-and-multiply in int64.
+with the rows whose pivots it hits.
+``gmodule.minimal_generators_by_degree`` reduces and normalizes most of
+its rows itself, from their nonzero entries, and hands a ``Span`` only
+the rows whose residuals share a column with another row's.
+``inv_mod`` inverts one entry or an array of them, a long array by
+square-and-multiply in int64.
 
 ``entries`` is the one reader of a whole dense matrix's nonzero
-entries: ``Sparse.read`` and the dense residuals of
-``gmodule.minimal_generators`` go through it.  It gives the same
-row-major ``(rows, columns)`` as ``np.nonzero``, from one flat scan of
-a one-byte mask, the flat positions split by ``divmod``.  ``np.nonzero``
-on a two-axis array steps a multi-index through every cell, even on a
-boolean mask, while the comparison and ``flatnonzero`` on one axis are
-tight loops: on a 1000 x 2500 int64 matrix at 0.1 % nonzero the reader
-takes 3.7 ms against 17 ms for ``np.nonzero`` (2-core x86-64, numpy
-2.4).  The chain-map lifters still read dense maps of up to about
-100,000 cells through it (``rref`` in ``solve``).
+entries: ``Sparse.read``, the right-hand side of ``solve`` and the
+dense residuals of ``gmodule.minimal_generators_by_degree`` go through
+it.  It gives the same row-major ``(rows, columns)`` as ``np.nonzero``,
+from one flat scan of a one-byte mask, the flat positions split by
+``divmod``.  ``np.nonzero`` on a two-axis array steps a multi-index
+through every cell, even on a boolean mask, while the comparison and
+``flatnonzero`` on one axis are tight loops: on a 1000 x 2500 int64
+matrix at 0.1 % nonzero the reader takes 3.7 ms against 17 ms for
+``np.nonzero`` (2-core x86-64, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -75,11 +76,8 @@ __all__ = [
     "inv_mod",
     "matmul_mod",
     "echelon",
-    "rref",
     "rank",
-    "row_space",
     "kernel",
-    "kernel_basis",
     "solve",
     "Span",
 ]
@@ -195,15 +193,6 @@ class Sparse:
         keep = c >= 0
         return Sparse(self.rows[keep], c[keep], self.vals[keep], (self.shape[0], len(idx)))
 
-    def split_rows(self) -> list["Sparse"]:
-        """Each row as a one-row matrix; their row indices are views of one
-        array of zeros."""
-        cut = np.searchsorted(self.rows, np.arange(self.shape[0] + 1))
-        zero = np.zeros(np.diff(cut).max(initial=0), dtype=np.int64)
-        cut = cut.tolist()
-        return [Sparse(zero[: z - a], self.cols[a:z], self.vals[a:z], (1, self.shape[1]))
-                for a, z in zip(cut[:-1], cut[1:])]
-
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -275,7 +264,7 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
 # Below this many cells a matrix is reduced by the column loop whole: the
 # split's fixed cost of some 40 numpy calls exceeds what it saves.  Over
-# the rref inputs of the benchmark's workloads, the total time is flat
+# the elimination inputs of the benchmark's workloads, the total time is flat
 # from 48 to 192 cells and lowest at 128 (see CHANGES.md).
 SPLIT_MIN_CELLS = 128
 
@@ -425,27 +414,6 @@ def _split(E: Sparse, p: int) -> tuple[list, list[int]]:
     return parts, np.flatnonzero(is_piv).tolist()
 
 
-def rref(mat, p: int):
-    """Reduced row echelon form.
-
-    Returns (R, pivots) where R has the same shape as ``mat``, pivot
-    entries are 1 with zeros elsewhere in their columns, and ``pivots``
-    lists the pivot column indices in increasing order.  The dense form
-    of ``echelon``: from ``SPLIT_MIN_CELLS`` cells on, the input is read
-    once, at its nonzero entries (``entries``), and the echelon rows of
-    ``_split`` are scattered into R.
-    """
-    arr = _matrix(mat)
-    if arr.size < SPLIT_MIN_CELLS:
-        R = arr % p
-        return R, _eliminate(R, p)
-    parts, pivots = _split(Sparse.read(arr, p), p)
-    R = np.zeros(arr.shape, dtype=np.int64)
-    for r, c, v in parts:
-        R[r, c] = v
-    return R, pivots
-
-
 def rank(mat, p: int) -> int:
     """Rank of a dense or a ``Sparse`` matrix: its pivots are counted,
     and no echelon rows are assembled."""
@@ -453,11 +421,6 @@ def rank(mat, p: int) -> int:
     if small is not None:
         return len(_eliminate(small % p, p))
     return len(_split(as_sparse(mat, p), p)[1])
-
-
-def row_space(mat, p: int) -> np.ndarray:
-    """Echelon basis of the row space (nonzero rows of the rref)."""
-    return as_dense(echelon(mat, p)[0]).copy()
 
 
 def kernel(mat, p: int) -> np.ndarray | Sparse:
@@ -494,55 +457,52 @@ def kernel(mat, p: int) -> np.ndarray | Sparse:
     return Sparse.summed(out, (free.size, n), p)
 
 
-def kernel_basis(mat, p: int) -> np.ndarray:
-    """``kernel`` as a dense matrix."""
-    return as_dense(kernel(mat, p))
-
-
 def solve(mat, rhs, p: int):
     """One solution of mat @ x = rhs, or None if inconsistent.
 
-    Free coordinates are set to zero, so the solution is deterministic.
-    ``rhs`` may be a vector or a matrix of stacked column vectors.
-    """
-    arr = normalize(mat, p)
-    b = np.asarray(rhs, dtype=np.int64) % p
-    vector_input = b.ndim == 1
-    if vector_input:
-        b = b.reshape(-1, 1)
-    m, n = arr.shape
-    if b.ndim != 2 or b.shape[0] != m:
+    ``mat`` is dense or a ``Sparse``; ``rhs`` is a vector or a matrix of
+    stacked column vectors.  ``echelon`` reduces ``[mat | rhs]`` and x is
+    read off the rows' right-hand columns at the pivots; free
+    coordinates are set to zero, so the solution is deterministic."""
+    vector_input = np.ndim(rhs) == 1
+    b = _matrix(rhs).T if vector_input else _matrix(rhs)
+    if not isinstance(mat, Sparse):
+        mat = _matrix(mat)
+    m, n = mat.shape
+    if b.shape[0] != m:
         raise LinalgError(f"right-hand side of shape {np.shape(rhs)} does not fit "
                           f"a matrix with {m} rows")
-    aug = np.hstack([arr, b])
-    R, pivots = rref(aug, p)
-    pivots_in_a = [c for c in pivots if c < n]
-    if len(pivots_in_a) != len(pivots):
+    k = b.shape[1]
+    if isinstance(mat, Sparse):
+        r, c = entries(b)
+        aug = Sparse.summed([(mat.rows, mat.cols, mat.vals), (r, c + n, b[r, c])],
+                            (m, n + k), p)
+    else:
+        aug = np.hstack([mat, b])
+    rows, pivots = echelon(aug, p)
+    if pivots and pivots[-1] >= n:
         return None
-    x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for r, c in enumerate(pivots_in_a):
-        x[c] = R[r, n:]
+    x = np.zeros((n, k), dtype=np.int64)
+    x[pivots] = (rows.columns(np.arange(n, n + k)).dense() if isinstance(rows, Sparse)
+                 else rows[:, n:])
     return x[:, 0] if vector_input else x
 
 
 class Span:
     """Row space maintained incrementally in reduced echelon form.
 
-    ``echelon`` seeds it with the nonzero rows of a reduced row echelon
-    form, such as ``row_space`` returns.  Rows are kept in the order they
-    were added, in a buffer that grows geometrically up to the width.
-    Each row is zero at every other row's pivot, so reduction against
+    Rows are kept in the order they were added, in a buffer that grows
+    geometrically up to the width.  Each row is zero at every other row's pivot, so reduction against
     the rows commutes: ``reduce`` is one product with the rows whose
     pivots the vector hits, and ``add`` never moves a row.  ``pivots``
     and ``basis_matrix`` come out in increasing pivot order."""
 
-    def __init__(self, p: int, width: int, echelon=None):
+    def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self._rows = (np.zeros((0, width), dtype=np.int64) if echelon is None
-                      else normalize(echelon, p))
-        self._piv = np.argmax(self._rows != 0, axis=1)
-        self.dim = self._rows.shape[0]
+        self._rows = np.zeros((0, width), dtype=np.int64)
+        self._piv = np.zeros(0, dtype=np.int64)
+        self.dim = 0
 
     def reduce(self, vec) -> np.ndarray:
         """Residual of vec after reduction against the current span."""

@@ -15,8 +15,7 @@ keeps each map, as ``linalg.Sparse`` entries from
 ``gmodule.SPARSE_MIN_CELLS`` cells on and dense below, and ``entries``
 reads their algebra entries straight off the terms.  The kernels and
 the new generator rows of each step travel in the same form, and
-``verify_complex`` ranks and composes the kept maps in it.  Only
-``boundary``, for the chain-map lifters, makes a kept map dense, once.
+``verify_complex`` ranks and composes the kept maps in it.
 
 Inside a ``sharing()`` scope, equal requests share one result: each
 ``minimal_resolution`` key (the algebra's identity, the module's
@@ -37,8 +36,7 @@ import numpy as np
 from . import linalg
 from .algebra import Element, GradedAlgebra
 from .gmodule import (FreeModule, GradedModule, extend_entries, generator_terms,
-                      minimal_generators, minimal_generators_by_degree,
-                      submodule_as_gmodule)
+                      minimal_generators_by_degree, submodule_as_gmodule)
 from .series import PowerSeries
 
 __all__ = [
@@ -91,7 +89,6 @@ class FreeResolution:
         self.terms = terms          # terms[i]: generator terms of F_i -> F_{i-1}; terms[0] is None
         self.cover = cover          # d -> matrix (dim M_d, dim F0_d)
         self._ev_cache: dict[tuple[int, int], np.ndarray | linalg.Sparse] = {}
-        self._dense: dict[tuple[int, int], np.ndarray] = {}
 
     def entries(self, i: int) -> list[tuple[int, int, Element]]:
         """(row, column, entry) for each nonzero entry of d_i: F_i ->
@@ -124,16 +121,6 @@ class FreeResolution:
             self._ev_cache[i, d] = extend_entries(self.frees[i - 1], self.frees[i],
                                                   self.terms[i], [d])[d]
         return self._ev_cache[i, d]
-
-    def boundary(self, i: int, d: int) -> np.ndarray:
-        """``evaluated`` as a dense matrix, for the chain-map lifters; a
-        map kept in entry form is made dense once, on first request."""
-        if i == 0:
-            return self.eval_cover(d)
-        mat = self._dense.get((i, d))
-        if mat is None:
-            mat = self._dense[i, d] = linalg.as_dense(self.evaluated(i, d))
-        return mat
 
     def rank(self, i: int) -> int:
         return self.frees[i].rank if 0 <= i <= self.hmax else 0
@@ -245,8 +232,9 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     # Step 0: minimal generators of the module; the cover is built from
     # their unit vectors.
     units = [np.eye(module.dim(d), dtype=np.int64) for d in range(dmax + 1)]
-    gens0 = [(d, units[d][j]) for d, j, _ in
-             minimal_generators(algebra, units, module.times, dmax)]
+    gens0 = [(d, units[d][j]) for d, kept, _ in
+             minimal_generators_by_degree(algebra, units, module.times, dmax)
+             for j in kept.tolist()]
 
     f0 = FreeModule(algebra, [d for d, _ in gens0],
                     [f"u0_{k}" for k in range(len(gens0))])
@@ -392,7 +380,7 @@ def syzygy_module(res: FreeResolution, n: int) -> GradedModule:
     afresh from the map, which stays in the evaluation cache."""
     if not 1 <= n <= res.hmax:
         raise WindowError(f"syzygy step {n} outside 1..{res.hmax}")
-    kers = {d: linalg.kernel_basis(res.evaluated(n - 1, d), res.algebra.p)
+    kers = {d: linalg.as_dense(linalg.kernel(res.evaluated(n - 1, d), res.algebra.p))
             for d in range(res.dmax + 1)}
     return submodule_as_gmodule(res.frees[n - 1], kers, label_prefix=f"z{n}_")
 

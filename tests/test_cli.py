@@ -319,16 +319,36 @@ RESIDUE = {"kind": "residue"}
      "free module needs integer 'gens': 0.5 is not an integer"),
     ({}, {"kind": "coker", "matrix": [["x"]], "gens": [0.7]},
      "coker module needs integer 'gens': 0.7 is not an integer"),
+    ({"rels": ["x^a"]}, RESIDUE,
+     "bad presentation: exponent 'a' in 'x^a' is not a nonnegative integer"),
+    ({"rels": "x^2"}, RESIDUE,
+     "bad monomial_quotient object: 'rels' must be a list of strings, not 'x^2'"),
+    ({}, {"kind": "coker", "matrix": [["x^b"]]},
+     "matrix entry (0,0): exponent 'b' in 'x^b' is not a nonnegative integer"),
+    ({}, {"kind": "coker", "matrix": [["x^-1"]]},
+     "matrix entry (0,0): exponent '' in 'x^' is not a nonnegative integer"),
+    ({}, {"kind": "coker", "matrix": [["\u00b2"]]},
+     "matrix entry (0,0): unknown generator '\u00b2'"),
+    ({"algebra": {"kind": "table", "basis": [["1"]], "generators": 5}}, RESIDUE,
+     "bad table object: 'int' object has no attribute 'items'"),
+    ({"commutative": "false"}, RESIDUE,
+     "bad monomial_quotient object: 'commutative' must be true or false, not 'false'"),
+    ({"algebra": {"kind": "fiber", "s": 5, "t": 5}}, RESIDUE,
+     "an algebra must be a JSON object, not 5"),
 ], ids=["deg-string", "gens-string", "gens-number", "matrix-row-number", "cap-string",
         "field-number", "deg-fraction", "deg-bool", "free-gens-fraction",
-        "coker-gens-fraction"])
+        "coker-gens-fraction", "rel-exponent-letter", "rels-string",
+        "coker-exponent-letter", "coker-exponent-negative", "coker-superscript-digit",
+        "table-generators-number",
+        "commutative-string", "fiber-factor-number"])
 def test_malformed_input_file_exits_one(tmp_path, capsys, algebra_edit, module, message):
     """A value of the wrong type in an algebra or module file is an input
     error (exit 1, one error line), not a traceback; a fractional or
-    boolean degree is not truncated to an integer."""
+    boolean degree is not truncated to an integer, and a string is not
+    read as a flag or as a list of relations."""
     obj = algebra_obj([("x", 1)], ["x^3"])
     for key, value in algebra_edit.items():
-        (obj["algebra"] if key == "vars" else obj)[key] = value
+        (obj["algebra"] if key in ("vars", "rels", "commutative") else obj)[key] = value
     a = write(tmp_path, "a.json", obj)
     m = write(tmp_path, "m.json", module)
     assert main(["resolve", "--algebra", a, "--module", m, "--hmax", "2"]) == 1

@@ -23,7 +23,7 @@ from fiberres.gmodule import (
     fiber_product_module,
     free_module_table,
     generator_terms,
-    minimal_generators,
+    minimal_generators_by_degree,
     residue_module,
     restrict_to_fiber,
     submodule_as_gmodule,
@@ -241,12 +241,12 @@ MANIFESTS = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
 ])
 def test_minimal_generators_keep_resolution_degrees(ring, module, degrees):
     """Generator degrees of steps 0-2, as recorded before the three
-    generator loops became ``minimal_generators``."""
+    generator loops became ``minimal_generators_by_degree``."""
     A = jsonio.load_algebra(os.path.join(MANIFESTS, ring))
     M = jsonio.load_module(os.path.join(MANIFESTS, module), A)
     units = [np.eye(M.dim(d), dtype=np.int64) for d in range(A.cap + 1)]
-    gens = minimal_generators(A, units, M.times, A.cap)
-    assert [(d, j) for d, j, _ in gens] == [(0, 0)]
+    gens = minimal_generators_by_degree(A, units, M.times, A.cap)
+    assert generator_rows(gens) == [(0, 0)]
     res = minimal_resolution(A, M, 2)
     assert [res.gen_degrees(i) for i in range(3)] == degrees
 
@@ -255,10 +255,11 @@ def test_minimal_generators_reports_row_index_and_echelon_row():
     A = mono([("x", 1)], ["x^3"])
     F = free_module_table(A, [0, 1])  # degree 1 basis: x*g0, g1
     rows = [np.array([[1]]), np.array([[1, 1]])]
-    gens = minimal_generators(A, rows, F.times, 1)
-    assert [(d, j, list(v)) for d, j, v in gens] == [(0, 0, [1]), (1, 0, [0, 1])]
+    gens = minimal_generators_by_degree(A, rows, F.times, 1)
+    assert [(d, kept.tolist(), linalg.as_dense(new).tolist()) for d, kept, new in gens] \
+        == [(0, [0], [[1]]), (1, [0], [[0, 1]])]
     units = [np.eye(F.dim(d), dtype=np.int64) for d in range(2)]
-    assert [(d, j) for d, j, _ in minimal_generators(A, units, F.times, 1)] \
+    assert generator_rows(minimal_generators_by_degree(A, units, F.times, 1)) \
         == [(0, 0), (1, 1)]
 
 
@@ -323,12 +324,23 @@ def reference_generators(algebra, rows, act, dmax):
     return out
 
 
-def same_generators(a, b):
-    """Same (degree, row) pairs and new rows, a one-row entry matrix read
-    as its vector."""
-    return [(d, j) for d, j, _ in a] == [(d, j) for d, j, _ in b] \
-        and all(np.array_equal(np.ravel(linalg.as_dense(u)), np.ravel(linalg.as_dense(v)))
-                for (_, _, u), (_, _, v) in zip(a, b))
+def generator_rows(gens):
+    """(degree, row index) of each new generator, in order."""
+    return [(d, j) for d, kept, _ in gens for j in kept.tolist()]
+
+
+def same_generators(gens, ref):
+    """``gens``, per degree, has the reference's (degree, row) pairs and
+    its new rows stacked, an entry matrix read as its dense form."""
+    return generator_rows(gens) == [(d, j) for d, j, _ in ref] \
+        and all(np.array_equal(linalg.as_dense(new), np.vstack([v for e, _, v in ref if e == d]))
+                for d, _, new in gens)
+
+
+def dense_kernels(res, step):
+    """The kernel of each degree's map out of step ``step - 1``, dense."""
+    return {d: linalg.as_dense(linalg.kernel(res.evaluated(step - 1, d), res.algebra.p))
+            for d in range(res.dmax + 1)}
 
 
 def test_indecomposables_of_a_weighted_ring():
@@ -350,15 +362,14 @@ def test_minimal_generators_match_the_definition(p, module):
     R = weighted_ring(p)
     M = residue_module(R) if module == "residue" else free_module_table(R, [0, 1])
     units = [np.eye(M.dim(d), dtype=np.int64) for d in range(R.cap + 1)]
-    gens = minimal_generators(R, units, M.times, R.cap)
+    gens = minimal_generators_by_degree(R, units, M.times, R.cap)
     assert same_generators(gens, reference_generators(R, units, M.act_matrix, R.cap))
     res = minimal_resolution(R, M, 4)
-    assert [d for d, _, _ in gens] == res.gen_degrees(0)
+    assert [d for d, _ in generator_rows(gens)] == res.gen_degrees(0)
     for step in range(1, 5):
-        kers = {d: linalg.kernel_basis(res.boundary(step - 1, d), R.p)
-                for d in range(res.dmax + 1)}
+        kers = dense_kernels(res, step)
         free = res.frees[step - 1]
-        assert same_generators(minimal_generators(R, kers, free.times, R.cap),
+        assert same_generators(minimal_generators_by_degree(R, kers, free.times, R.cap),
                                reference_generators(R, kers, partial(reference_left_mult, free),
                                                     R.cap))
 
@@ -445,7 +456,7 @@ def test_minimal_generators_match_the_definition_on_random_rows(p, seed, sparse_
     added = []
     add = linalg.Span.add
     monkeypatch.setattr(linalg.Span, "add", lambda span, vec: added.append(1) or add(span, vec))
-    gens = minimal_generators(R, rows, F.times, R.cap)
+    gens = minimal_generators_by_degree(R, rows, F.times, R.cap)
     assert added, "no residual rows shared a column"
     monkeypatch.undo()
     assert same_generators(gens, reference_generators(R, rows, partial(reference_left_mult, F),
@@ -462,7 +473,8 @@ def test_act_equals_the_product_with_act_matrix_on_a_random_module(p):
     F = FreeModule(R, [0, 1])
     rng = np.random.default_rng(p)
     rows = random_submodule_rows(rng, F, p)
-    M = submodule_as_gmodule(F, {d: linalg.row_space(r, p) for d, r in enumerate(rows)})
+    M = submodule_as_gmodule(F, {d: linalg.as_dense(linalg.echelon(r, p)[0])
+                                 for d, r in enumerate(rows)})
     for m in range(R.cap + 1):
         a = Element(R, m, rng.integers(0, p, R.dim(m)))
         for n in range(R.cap + 1 - m):
@@ -484,11 +496,10 @@ def test_minimal_generators_read_each_kernel_matrix_once(sparse_cells, monkeypat
     real = linalg.entries
     monkeypatch.setattr(linalg, "entries", lambda mat: reads.append(mat) or real(mat))
     for step in range(1, 5):
-        kers = {d: linalg.kernel_basis(res.boundary(step - 1, d), R.p)
-                for d in range(res.dmax + 1)}
+        kers = dense_kernels(res, step)
         reads.clear()
-        gens = minimal_generators(R, kers, res.frees[step - 1].times, R.cap)
-        assert [d for d, _, _ in gens] == res.gen_degrees(step)
+        gens = minimal_generators_by_degree(R, kers, res.frees[step - 1].times, R.cap)
+        assert [d for d, _ in generator_rows(gens)] == res.gen_degrees(step)
         counts = [sum(mat is ker for mat in reads) for ker in kers.values()]
         assert max(counts) <= 1
         if sparse_cells == 0:
@@ -504,13 +515,14 @@ def entry_rows(rows, p):
 def test_minimal_generators_of_entry_rows_match_the_definition(p, seed, sparse_cells):
     """The same random submodule rows, handed over in entry form, give
     the definition's generators; with every matrix taken in entry form,
-    each new row is a one-row entry matrix."""
+    each degree's new rows are an entry matrix, one row per row index."""
     R = weighted_ring(p)
     F = FreeModule(R, [0, 0, 1, 2, 3])
     rows = random_submodule_rows(np.random.default_rng([seed, p, 1]), F, p)
-    gens = minimal_generators(R, entry_rows(rows, p), F.times, R.cap)
+    gens = minimal_generators_by_degree(R, entry_rows(rows, p), F.times, R.cap)
     if sparse_cells == 0:
-        assert all(isinstance(v, linalg.Sparse) and v.shape[0] == 1 for _, _, v in gens)
+        assert all(isinstance(new, linalg.Sparse) and new.shape[0] == kept.size
+                   for _, kept, new in gens)
     assert same_generators(gens, reference_generators(
         R, rows, partial(reference_left_mult, F), R.cap))
 
@@ -525,8 +537,8 @@ def test_minimal_generators_of_entry_kernels_match_the_definition(p, sparse_cell
         kers = [linalg.as_sparse(linalg.kernel(res.evaluated(step - 1, d), p), p)
                 for d in range(res.dmax + 1)]
         free = res.frees[step - 1]
-        gens = minimal_generators(R, kers, free.times, R.cap)
-        assert [d for d, _, _ in gens] == res.gen_degrees(step)
+        gens = minimal_generators_by_degree(R, kers, free.times, R.cap)
+        assert [d for d, _ in generator_rows(gens)] == res.gen_degrees(step)
         assert same_generators(gens, reference_generators(
             R, [k.dense() for k in kers], partial(reference_left_mult, free), R.cap))
 
@@ -535,7 +547,7 @@ def test_minimal_generators_of_entry_kernels_match_the_definition(p, sparse_cell
 def test_kept_maps_equal_the_dense_extension(p, sparse_cells):
     """Every evaluated differential of the weighted ring, kept dense below
     ``SPARSE_MIN_CELLS`` cells and in entry form from there on, is the
-    dense extension of its terms, and so is ``boundary``."""
+    dense extension of its terms."""
     R = weighted_ring(p)
     res = minimal_resolution(R, residue_module(R), 5)
     for i in range(1, 6):
@@ -547,7 +559,6 @@ def test_kept_maps_equal_the_dense_extension(p, sparse_cells):
                 key = kept.rows * kept.shape[1] + kept.cols
                 assert np.all(np.diff(key) > 0) and np.all((kept.vals >= 1) & (kept.vals < p))
             assert np.array_equal(linalg.as_dense(kept), ref)
-            assert np.array_equal(res.boundary(i, d), ref)
 
 
 def test_resolution_is_the_same_read_sparse_or_dense(monkeypatch):
@@ -745,8 +756,8 @@ def sequential_cokernel_action(phi):
     rows, free_cols = [], []
     for d in range(A.cap + 1):
         img = reference_evaluate(phi, d).T
-        R, pivots = linalg.rref(img, p) if img.size else (img, [])
-        rows.append(R[: len(pivots)])
+        R, pivots = linalg.echelon(img, p)
+        rows.append(linalg.as_dense(R))
         free_cols.append([c for c in range(free.dim(d)) if c not in pivots])
 
     def project(vec, d):

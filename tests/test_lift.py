@@ -58,6 +58,11 @@ def evaluated(src, tgt, stages, step=0, shift=0, side=None, batch=1):
             for n, terms in enumerate(stages)]
 
 
+def dense_map(res, i, d):
+    """The degree-d map out of step i of ``res``, dense."""
+    return linalg.as_dense(res.evaluated(i, d))
+
+
 def assert_chain_map(src, tgt, lifts, step=0, shift=0):
     """Check every stage n >= 1 against the stage below; return how many
     of the checked matrices are nonzero, so a vacuous lift shows."""
@@ -65,8 +70,8 @@ def assert_chain_map(src, tgt, lifts, step=0, shift=0):
     for n in range(1, len(lifts)):
         assert lifts[n], f"stage {n} is empty"
         for d, L in lifts[n].items():
-            lhs = tgt.boundary(n, d - shift) @ L
-            rhs = lifts[n - 1][d] @ src.boundary(step + n, d)
+            lhs = dense_map(tgt, n, d - shift) @ L
+            rhs = lifts[n - 1][d] @ dense_map(src, step + n, d)
             assert np.array_equal(lhs % P, rhs % P), (n, d)
             nonzero += bool(np.any(L))
     return nonzero
@@ -252,8 +257,8 @@ def reference_lift_stages(src, tgt, prev, stages, step=0, shift=0, side=None):
         entries = {}
         for j, sj in enumerate(fsrc.gen_degrees):
             if sj in prev:
-                col = src.boundary(step + n, sj)[:, fsrc.gen_index(sj, j)]
-                x = linalg.solve(tgt.boundary(n, sj - shift),
+                col = dense_map(src, step + n, sj)[:, fsrc.gen_index(sj, j)]
+                x = linalg.solve(dense_map(tgt, n, sj - shift),
                                  (prev[sj] @ col) % p, p)
                 entries.update({(i, j): el for i, el in
                                 reference_entries(ftgt, x, sj - shift).items()})

@@ -35,30 +35,31 @@ def random_matrix(rng, m, n, p):
                     dtype=np.int64)
 
 
-def test_rref_against_brute_force():
+def test_echelon_against_brute_force():
     rng = random.Random(101)
     for p in (2, 5, 32003):
         for _ in range(25):
             m, n = rng.randrange(1, 7), rng.randrange(1, 7)
             mat = random_matrix(rng, m, n, p)
-            R, pivots = linalg.rref(mat, p)
-            assert len(pivots) == brute_rank(mat, p)
+            R, pivots = linalg.echelon(mat, p)
+            R = linalg.as_dense(R)
+            assert len(pivots) == brute_rank(mat, p) and R.shape == (len(pivots), n)
             # pivot columns are unit columns
             for r, c in enumerate(pivots):
-                col = np.zeros(m, dtype=np.int64)
+                col = np.zeros(len(pivots), dtype=np.int64)
                 col[r] = 1
                 assert np.array_equal(R[:, c], col)
             # row space is preserved
             assert linalg.rank(np.vstack([mat, R]), p) == len(pivots)
 
 
-def test_kernel_basis_properties():
+def test_kernel_properties():
     rng = random.Random(202)
     p = 5
     for _ in range(40):
         m, n = rng.randrange(0, 6), rng.randrange(0, 6)
         mat = random_matrix(rng, m, n, p) if m and n else np.zeros((m, n), dtype=np.int64)
-        ker = linalg.kernel_basis(mat, p)
+        ker = linalg.as_dense(linalg.kernel(mat, p))
         assert ker.shape[0] == n - linalg.rank(mat, p)
         if ker.size and mat.size:
             assert not np.any((mat @ ker.T) % p)
@@ -116,7 +117,7 @@ def test_span_incremental_matches_batch():
         for v in vecs:
             span.add(v)
         assert span.dim == linalg.rank(vecs, p)
-        R = linalg.row_space(vecs, p)
+        R = linalg.as_dense(linalg.echelon(vecs, p)[0])
         assert np.array_equal(span.basis_matrix(), R)
         for v in vecs:
             assert span.contains(v)
@@ -134,8 +135,8 @@ def test_span_reduce_residual_is_outside_span():
 def test_empty_shapes():
     p = 5
     assert linalg.rank(np.zeros((0, 4), dtype=np.int64), p) == 0
-    assert linalg.kernel_basis(np.zeros((0, 3), dtype=np.int64), p).shape == (3, 3)
-    assert linalg.kernel_basis(np.zeros((3, 0), dtype=np.int64), p).shape == (0, 0)
+    assert linalg.kernel(np.zeros((0, 3), dtype=np.int64), p).shape == (3, 3)
+    assert linalg.kernel(np.zeros((3, 0), dtype=np.int64), p).shape == (0, 0)
 
 
 def test_inv_mod():
@@ -216,49 +217,30 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
         linalg.solve(np.eye(3, dtype=np.int64), np.array([1, 2]), 5)
 
 
-def test_kernel_basis_against_definition():
+def test_kernel_against_definition():
     rng = random.Random(404)
     for p in (2, 7, 32003):
         for _ in range(20):
             m, n = rng.randrange(1, 6), rng.randrange(1, 8)
             mat = random_matrix(rng, m, n, p)
-            K = linalg.kernel_basis(mat, p)
+            K = linalg.as_dense(linalg.kernel(mat, p))
             assert K.shape == (n - linalg.rank(mat, p), n)
             assert not np.any((mat @ K.T) % p)
             # echelon in the free columns: the k-th vector has a 1 at the
             # k-th free column and 0 at the others
-            R, pivots = linalg.rref(mat, p)
+            pivots = linalg.echelon(mat, p)[1]
             free = [c for c in range(n) if c not in pivots]
             assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
-
-
-def test_span_seeded_from_an_echelon_basis():
-    rng = random.Random(505)
-    p = 11
-    for _ in range(20):
-        n = rng.randrange(1, 8)
-        seed = random_matrix(rng, rng.randrange(0, 5), n, p).reshape(-1, n)
-        more = random_matrix(rng, rng.randrange(1, 6), n, p)
-        seeded = linalg.Span(p, n, linalg.row_space(seed, p))
-        grown = linalg.Span(p, n)
-        for v in seed:
-            grown.add(v)
-        assert seeded.pivots == grown.pivots
-        for v in more:
-            a, b = seeded.add(v), grown.add(v)
-            assert (a is None and b is None) or np.array_equal(a, b)
-        assert np.array_equal(seeded.basis_matrix(), grown.basis_matrix())
 
 
 class InsertSpan:
     """Reference: the loop-and-insert Span that keeps its rows sorted by
     pivot, reducing against one pivot at a time."""
 
-    def __init__(self, p, width, echelon=None):
+    def __init__(self, p, width):
         self.p = p
-        self.rows = (np.zeros((0, width), dtype=np.int64) if echelon is None
-                     else linalg.normalize(echelon, p))
-        self.pivots = [int(np.flatnonzero(r)[0]) for r in self.rows]
+        self.rows = np.zeros((0, width), dtype=np.int64)
+        self.pivots = []
 
     def reduce(self, vec):
         v = np.asarray(vec, dtype=np.int64) % self.p
@@ -285,15 +267,15 @@ class InsertSpan:
 
 @pytest.mark.parametrize("p", [2, 3, 65521])
 def test_span_matches_the_insert_reference(p):
-    """Seeded, then grown with vectors whose pivots come out of order
-    (each vector's leading column is drawn at random), the buffered Span
-    agrees with the sorted-insert one after every add."""
+    """Grown from a few random rows, then with vectors whose pivots come
+    out of order (each vector's leading column is drawn at random), the
+    buffered Span agrees with the sorted-insert one after every add."""
     rng = random.Random(p)
     for _ in range(25):
         n = rng.randrange(1, 12)
-        seed = linalg.row_space(random_matrix(rng, rng.randrange(0, 4), n, p)
-                                .reshape(-1, n), p)
-        span, ref = linalg.Span(p, n, seed), InsertSpan(p, n, seed)
+        span, ref = linalg.Span(p, n), InsertSpan(p, n)
+        for v in random_matrix(rng, rng.randrange(0, 4), n, p):
+            span.add(v), ref.add(v)
         for _ in range(rng.randrange(1, 3 * n)):
             v = np.array(random_matrix(rng, 1, n, p)[0], dtype=np.int64)
             v[: rng.randrange(n)] = 0
@@ -307,15 +289,17 @@ def test_span_matches_the_insert_reference(p):
             assert np.array_equal(span.reduce(w), ref.reduce(w))
 
 
-# -- rref by connected components -------------------------------------------
+# -- echelon by connected components ----------------------------------------
 
 SPLIT_PRIMES = (2, 3, 32003, 65521)
 
 
 def column_loop(mat, p):
-    """Reference: the column loop on the whole normalised matrix."""
-    R = linalg.normalize(mat, p)
-    return R, linalg._eliminate(R, p)
+    """Reference: the column loop on the whole normalised matrix, dense or
+    a ``Sparse``; its pivot rows and pivots, as ``echelon`` gives them."""
+    R = linalg.normalize(linalg.as_dense(mat), p)
+    pivots = linalg._eliminate(R, p)
+    return R[: len(pivots)], pivots
 
 
 @pytest.fixture(params=["split everything", "default crossover"])
@@ -372,8 +356,10 @@ def test_entries_of_empty_shapes_raise_no_warning():
                 assert all(x.size == 0 for x in linalg.entries(a))
 
 
-def assert_rref_equals_column_loop(mat, p, brute=True):
-    R, pivots = linalg.rref(mat, p)
+def assert_echelon_equals_column_loop(mat, p, brute=True):
+    R, pivots = linalg.echelon(mat, p)
+    assert isinstance(R, linalg.Sparse) == (np.size(mat) >= linalg.SPLIT_MIN_CELLS)
+    R = linalg.as_dense(R)
     ref_R, ref_pivots = column_loop(mat, p)
     assert R.dtype == np.int64 and R.shape == ref_R.shape
     assert np.array_equal(R, ref_R)
@@ -383,30 +369,31 @@ def assert_rref_equals_column_loop(mat, p, brute=True):
 
 
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
-def test_rref_of_random_sparse_matrices_equals_the_column_loop(p, min_cells):
+def test_echelon_of_random_sparse_matrices_equals_the_column_loop(p, min_cells):
     rng = np.random.default_rng(1000 + p)
     for _ in range(40):
         m, n = rng.integers(1, 25, size=2)
         density = rng.choice([0.02, 0.08, 0.2, 0.5, 1.0])
-        assert_rref_equals_column_loop(sparse_matrix(rng, m, n, p, density), p)
+        assert_echelon_equals_column_loop(sparse_matrix(rng, m, n, p, density), p)
 
 
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
-def test_rref_of_empty_and_one_row_shapes(p, min_cells):
+def test_echelon_of_empty_and_one_row_shapes(p, min_cells):
     rng = np.random.default_rng(2000 + p)
     for shape in ((0, 7), (0, 0), (7, 0), (1, 1), (1, 80), (80, 1)):
         for density in (0.0, 0.1, 1.0):
             mat = sparse_matrix(rng, *shape, p, density)
-            assert_rref_equals_column_loop(mat, p)
-            assert linalg.rref(mat, p)[0].shape == shape
+            assert_echelon_equals_column_loop(mat, p)
+            R, pivots = linalg.echelon(mat, p)
+            assert R.shape == (len(pivots), shape[1])
     # a zero matrix whose entries are all multiples of p
-    assert_rref_equals_column_loop(np.full((9, 9), -p), p)
+    assert_echelon_equals_column_loop(np.full((9, 9), -p), p)
     # a vector is one row
-    assert_rref_equals_column_loop(np.array([0, 0, 2 * p + 3, -1, 0] * 20), p)
+    assert_echelon_equals_column_loop(np.array([0, 0, 2 * p + 3, -1, 0] * 20), p)
 
 
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
-def test_rref_of_shuffled_block_diagonal_matrices(p, min_cells):
+def test_echelon_of_shuffled_block_diagonal_matrices(p, min_cells):
     """One-row, one-column and larger blocks, rows and columns permuted,
     so every component is spread over the matrix."""
     rng = np.random.default_rng(3000 + p)
@@ -419,27 +406,27 @@ def test_rref_of_shuffled_block_diagonal_matrices(p, min_cells):
             mat[r:r + a, c:c + b] = sparse_matrix(rng, a, b, p, rng.choice([0.5, 1.0]))
             r, c = r + a, c + b
         mat = mat[rng.permutation(m)][:, rng.permutation(n)]
-        assert_rref_equals_column_loop(mat, p, brute=m * n <= 400)
+        assert_echelon_equals_column_loop(mat, p, brute=m * n <= 400)
 
 
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
-def test_rref_of_one_dense_component(p, min_cells):
+def test_echelon_of_one_dense_component(p, min_cells):
     rng = np.random.default_rng(4000 + p)
     full = rng.integers(1, p, size=(12, 15))
-    assert_rref_equals_column_loop(full, p)
+    assert_echelon_equals_column_loop(full, p)
     # a dense product of rank at most 4, with unreduced entries
     low = rng.integers(-p, p, size=(20, 4)) @ rng.integers(-p, p, size=(4, 18))
-    assert_rref_equals_column_loop(low, p)
+    assert_echelon_equals_column_loop(low, p)
 
 
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
-def test_rref_of_a_bidiagonal_path(p):
+def test_echelon_of_a_bidiagonal_path(p):
     """A 300 x 300 bidiagonal matrix is one component shaped like a path
     through all 600 rows and columns."""
     rng = np.random.default_rng(5000 + p)
     mat = np.diag(rng.integers(1, p, size=300)) + np.diag(rng.integers(1, p, size=299), 1)
     for a in (mat, mat.T, mat[:, 1:]):
-        assert_rref_equals_column_loop(a, p, brute=False)
+        assert_echelon_equals_column_loop(a, p, brute=False)
     assert linalg.rank(mat, p) == 300 and linalg.rank(mat[:, 1:], p) == 299
 
 
@@ -454,10 +441,40 @@ def test_solve_with_a_dense_right_hand_side(p, min_cells, monkeypatch):
         assert np.array_equal((linalg.normalize(mat, p) @ X) % p, rhs[:, 1:])
         got = [linalg.solve(mat, rhs, p), X]
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "rref", column_loop)
+            patch.setattr(linalg, "echelon", column_loop)
             ref = [linalg.solve(mat, rhs, p), linalg.solve(mat, rhs[:, 1:], p)]
         for a, b in zip(got, ref):
             assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def assert_same_solution(a, b):
+    assert (a is None and b is None) or (
+        a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b))
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_solve_on_entry_form_equals_solve_on_the_dense_form(p, min_cells):
+    """``solve`` on a ``Sparse`` map gives, byte for byte, what it gives
+    on the map's dense form: for a matrix right-hand side with a column
+    outside the image (``None``), without it, for a vector, and for maps
+    with no row or no column."""
+    rng = np.random.default_rng(6100 + p)
+    for m, n in ((30, 24), (12, 40), (0, 5), (5, 0), (0, 0), (1, 1)):
+        for _ in range(3):
+            mat = sparse_matrix(rng, m, n, p, 0.15)
+            E = linalg.Sparse.read(mat, p)
+            rhs = (linalg.normalize(mat, p) @ rng.integers(0, p, size=(n, 6))) % p
+            bad = rhs.copy()
+            if m:
+                bad[:, 2] = rng.integers(0, p, size=m)
+            for b in (rhs, bad, rhs[:, 0], rhs[:, :0]):
+                want = linalg.solve(mat, b, p)
+                assert_same_solution(linalg.solve(E, b, p), want)
+                if want is not None:
+                    assert np.array_equal(linalg.normalize(mat, p) @ want % p, b % p)
+    full = linalg.Sparse.read(np.eye(4, dtype=np.int64), p)
+    assert linalg.solve(full, np.arange(4), p).tolist() == [x % p for x in range(4)]
+    assert linalg.solve(linalg.Sparse.read(np.zeros((3, 2)), p), np.eye(3)[:, :1], p) is None
 
 
 # -- the entry-form elimination core ------------------------------------------
