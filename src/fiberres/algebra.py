@@ -366,30 +366,41 @@ class MonomialQuotientPresentation:
         if not all(d >= 1 for d in self.var_degs):
             raise AlgebraError(f"variable degrees {self.var_degs} must be positive")
 
-    def parse_word(self, s: str) -> tuple[int, ...]:
+    def parse_runs(self, s: str) -> list[tuple[int, int]]:
+        """The monomial ``s`` as runs ``(variable index, exponent)`` in
+        order, zero exponents left out.  An exponent stays a number: it
+        is never expanded into that many letters."""
         index = {n: i for i, n in enumerate(self.var_names)}
-        word: list[int] = []
+        runs: list[tuple[int, int]] = []
         for factor in s.replace(" ", "").split("*"):
             name, exp = _power(factor, s)
             if name not in index:
                 raise AlgebraError(f"unknown variable {name!r} in monomial {s!r}")
-            word.extend([index[name]] * exp)
-        if not word:
+            if exp:
+                runs.append((index[name], exp))
+        if not runs:
             raise AlgebraError(f"empty monomial {s!r}")
-        return tuple(word)
+        return runs
 
-    def rel_monomials(self) -> list[tuple[int, ...]]:
-        out = []
-        for r in self.rels:
-            word = self.parse_word(r)
-            if self.commutative:
-                expo = [0] * len(self.var_names)
-                for i in word:
-                    expo[i] += 1
-                out.append(tuple(expo))
-            else:
-                out.append(word)
-        return out
+
+def _relations(pres: MonomialQuotientPresentation, cap: int) -> list[tuple[int, ...]]:
+    """The relations as exponent vectors (commutative) or words.  A
+    relation of weighted degree above ``cap`` is left out before it is
+    expanded: it divides no monomial of degree <= cap, so the ring
+    through the cap is the same."""
+    out = []
+    for r in pres.rels:
+        runs = pres.parse_runs(r)
+        if sum(e * pres.var_degs[i] for i, e in runs) > cap:
+            continue
+        if pres.commutative:
+            expo = [0] * len(pres.var_names)
+            for i, e in runs:
+                expo[i] += e
+            out.append(tuple(expo))
+        else:
+            out.append(tuple(i for i, e in runs for _ in range(e)))
+    return out
 
 
 def _commutative_monomials(degs: list[int], total: int) -> list[tuple[int, ...]]:
@@ -446,7 +457,7 @@ def build_monomial_quotient(
     """Tabulate the quotient of the free (or polynomial) algebra on the
     presentation's variables by its monomial relations, through ``cap``."""
     names, degs = pres.var_names, pres.var_degs
-    rels = pres.rel_monomials()
+    rels = _relations(pres, cap)
 
     monomials: list[list[tuple[int, ...]]] = []
     index: list[dict[tuple[int, ...], int]] = []
@@ -554,43 +565,26 @@ class FiberProductAlgebra(GradedAlgebra):
                     generators[name] = (d, off + idx)
         super().__init__(p, cap, basis, mult, generators)
 
-    def s_slice(self, n: int) -> slice:
+    def factor(self, side: str) -> GradedAlgebra:
+        """The factor on ``side``: "S" (the first) or "T" (the second)."""
+        if side not in ("S", "T"):
+            raise AlgebraError(f"side must be 'S' or 'T', not {side!r}")
+        return self.s_algebra if side == "S" else self.t_algebra
+
+    def part(self, side: str, n: int) -> slice:
+        """Coordinates of the ``side`` factor's basis in degree n of the
+        fiber product; in degree 0, the unit's."""
         if n == 0:
             return slice(0, 1)
-        return slice(0, self.s_algebra.dim(n))
+        start = 0 if side == "S" else self.s_algebra.dim(n)
+        return slice(start, start + self.factor(side).dim(n))
 
-    def t_slice(self, n: int) -> slice:
-        if n == 0:
-            return slice(0, 1)
-        return slice(self.s_algebra.dim(n), self.dim(n))
-
-    def embed_s(self, el: Element) -> Element:
-        self.s_algebra._owns(el)
-        if el.degree == 0:
-            return Element(self, 0, el.vec)
+    def embed(self, side: str, el: Element) -> Element:
+        """A factor element as an element of the fiber product."""
+        self.factor(side)._owns(el)
         v = np.zeros(self.dim(el.degree), dtype=np.int64)
-        v[self.s_slice(el.degree)] = el.vec
+        v[self.part(side, el.degree)] = el.vec
         return Element(self, el.degree, v)
-
-    def embed_t(self, el: Element) -> Element:
-        self.t_algebra._owns(el)
-        if el.degree == 0:
-            return Element(self, 0, el.vec)
-        v = np.zeros(self.dim(el.degree), dtype=np.int64)
-        v[self.t_slice(el.degree)] = el.vec
-        return Element(self, el.degree, v)
-
-    def project_s(self, el: Element) -> Element:
-        self._owns(el)
-        if el.degree == 0:
-            return Element(self.s_algebra, 0, el.vec)
-        return Element(self.s_algebra, el.degree, el.vec[self.s_slice(el.degree)])
-
-    def project_t(self, el: Element) -> Element:
-        self._owns(el)
-        if el.degree == 0:
-            return Element(self.t_algebra, 0, el.vec)
-        return Element(self.t_algebra, el.degree, el.vec[self.t_slice(el.degree)])
 
 
 def fiber_product(

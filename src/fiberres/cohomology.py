@@ -26,6 +26,8 @@ negative internal degrees.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import linalg
@@ -50,14 +52,13 @@ def _factor_masks(R: FiberProductAlgebra, free: FreeModule, d: int):
     fiber product: positions whose coefficient lies in the first
     factor's positive part, resp. the second's.  Unit coordinates of
     degree-d generators belong to neither."""
-    pmask = np.zeros(free.dim(d), dtype=bool)
-    qmask = np.zeros(free.dim(d), dtype=bool)
+    masks = {side: np.zeros(free.dim(d), dtype=bool) for side in "ST"}
     for s, gens in free.by_degree.items():
         if d - s >= 1:
-            for mask, fac, sl in ((pmask, R.s_algebra, R.s_slice(d - s)),
-                                  (qmask, R.t_algebra, R.t_slice(d - s))):
-                mask[free.block_indices(d, gens, fac.dim(d - s), sl.start)] = True
-    return pmask, qmask
+            for side, mask in masks.items():
+                mask[free.block_indices(d, gens, R.factor(side).dim(d - s),
+                                        R.part(side, d - s).start)] = True
+    return masks["S"], masks["T"]
 
 
 def _supported_rows(K: np.ndarray, keep: np.ndarray, p: int) -> np.ndarray:
@@ -132,21 +133,18 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
     rep.add("kernel splits degreewise: dim M + dim N = dim kernel",
             not split_bad, f"failing degrees {split_bad}" if split_bad else "")
 
-    S, T = R.s_algebra, R.t_algebra
-    for name, bases, factor, embed in (
-        ("second factor annihilates the first component", m_bases, T,
-         R.embed_t),
-        ("first factor annihilates the second component", n_bases, S,
-         R.embed_s),
+    for name, bases, side in (
+        ("second factor annihilates the first component", m_bases, "T"),
+        ("first factor annihilates the second component", n_bases, "S"),
     ):
-        bad = []
+        factor, bad = R.factor(side), []
         for d in range(dmax + 1):
             rows = bases[d]
             if rows.shape[0] == 0:
                 continue
             for m in range(1, dmax - d + 1):
                 for i in range(factor.dim(m)):
-                    a = embed(factor.basis_element(m, i))
+                    a = R.embed(side, factor.basis_element(m, i))
                     if np.any(F1.times(rows, a, d)):
                         bad.append((d, m))
                         break
@@ -156,10 +154,10 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
         rep.add(name, not bad, f"nonzero at (degree, action) {bad}" if bad else "")
 
     rep.data["dims"] = dims
-    m_module = submodule_as_gmodule(F1, m_bases, over=S, embed=R.embed_s,
-                                    label_prefix="m")
-    n_module = submodule_as_gmodule(F1, n_bases, over=T, embed=R.embed_t,
-                                    label_prefix="n")
+    m_module, n_module = (
+        submodule_as_gmodule(F1, bases, over=R.factor(side), embed=partial(R.embed, side),
+                             label_prefix=prefix)
+        for bases, side, prefix in ((m_bases, "S", "m"), (n_bases, "T", "n")))
     return SyzygySplit(m_module, n_module, rep)
 
 
@@ -233,22 +231,19 @@ def comparison_chain_map(src: FreeResolution, tgt: FreeResolution,
 def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,
                                      m_mod: GradedModule,
                                      n_mod: GradedModule, hmax: int,
-                                     dmax: int | None = None,
-                                     mu=None, nu=None) -> ComplexReport:
+                                     dmax: int | None = None) -> ComplexReport:
     """Checks on the Ext sequence of a pullback module M x_V N over a
-    fiber product, where V = k^v sits in degree 0 and mu, nu are the
-    degree-0 quotient maps (identity by default): the Poincare identity
-    P_fib + v * P_k = P_M + P_N coefficientwise, and injectivity of the
-    combined pullback map Ext(V) -> Ext(M) x Ext(N), by rank in each
-    cohomological degree."""
+    fiber product, where V = k^v = M_0 = N_0 sits in degree 0 and the
+    degree-0 quotient maps mu: M -> V and nu: N -> V are identities there:
+    the Poincare identity P_fib + v * P_k = P_M + P_N coefficientwise, and
+    injectivity of the combined pullback map Ext(V) -> Ext(M) x Ext(N),
+    by rank in each cohomological degree."""
     p = R.p
     rep = ComplexReport()
 
     m0, n0 = m_mod.dim(0), n_mod.dim(0)
-    mu = np.eye(m0, dtype=np.int64) if mu is None else linalg.normalize(mu, p)
-    nu = np.eye(n0, dtype=np.int64) if nu is None else linalg.normalize(nu, p)
-    v = mu.shape[0]
-    fib = fiber_product_module(R, m_mod, n_mod, mu, nu)
+    fib = fiber_product_module(R, m_mod, n_mod)
+    v = m0
     rep.add("fiber module construction checks", fib.dim(0) == m0 + n0 - v, "")
 
     m_r = restrict_to_fiber(R, m_mod, "S")
@@ -268,8 +263,9 @@ def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,
             ok, f"lhs {[p_fib.coeff(i) + v * p_k.coeff(i) for i in range(hmax + 1)]} "
                 f"rhs {[p_m.coeff(i) + p_n.coeff(i) for i in range(hmax + 1)]}")
 
-    chain_mu = comparison_chain_map(res_m, res_v, {0: (mu.T % p)}, hmax)
-    chain_nu = comparison_chain_map(res_n, res_v, {0: (nu.T % p)}, hmax)
+    identity = {0: np.eye(v, dtype=np.int64)}
+    chain_mu = comparison_chain_map(res_m, res_v, identity, hmax)
+    chain_nu = comparison_chain_map(res_n, res_v, identity, hmax)
     bad = []
     ranks = []
     for n in range(hmax + 1):
@@ -422,6 +418,31 @@ def socle_dims(module: GradedModule) -> dict[int, int]:
 # -- depth certificates -------------------------------------------------------
 
 
+def _verified_combined_resolution(rep: ComplexReport, fp: FreeProductAlgebra, steps: int,
+                                  a_res: FreeResolution | None,
+                                  b_res: FreeResolution | None) -> FreeResolution:
+    """``combined_residue_resolution(fp, steps, a_res, b_res)``, with the
+    row of its ``verify_complex`` added to ``rep``."""
+    C = combined_residue_resolution(fp, steps, a_res, b_res)
+    cver = verify_complex(C)
+    rep.add("combined resolution of k over the free product verifies",
+            cver.ok, "" if cver.ok else str(cver.first_failure()))
+    return C
+
+
+def _nonzero_ext1(C: FreeResolution, module: GradedModule, internal_degrees):
+    """``(nu, dim)`` for each internal degree nu, in the given order,
+    where Ext^1 of the resolution C with coefficients in ``module`` is
+    nonzero; a degree the module's window cannot hold is skipped."""
+    for nu in internal_degrees:
+        try:
+            dim = ext_bidegree_dim(C, module, 1, nu)
+        except WindowError:
+            continue
+        if dim > 0:
+            yield nu, int(dim)
+
+
 class DepthCertificate:
     """Witness data for depth 1 of the induced module of a factor module
     over a free product of cohomology algebras: the chosen degree-1 and
@@ -519,11 +540,8 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
     steps = 3
     a_res = minimal_resolution(s_ext, residue_module(s_ext), steps)
     b_res = minimal_resolution(t_ext, residue_module(t_ext), steps)
-    C = combined_residue_resolution(fp, steps, a_res=a_res, b_res=b_res)
     rep = ComplexReport()
-    cver = verify_complex(C)
-    rep.add("combined resolution of k over the free product verifies",
-            cver.ok, "" if cver.ok else str(cver.first_failure()))
+    C = _verified_combined_resolution(rep, fp, steps, a_res, b_res)
 
     socle = socle_dims(fpm)
     rep.add(f"no socle in window: Hom(k, M) = 0 through degree {fp.cap - 1}",
@@ -575,15 +593,7 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
     gens1 = C.gen_degrees(1)
     ra1 = a_res.rank(1)
     if case == "linear-factors":
-        found = None
-        for nu in range(1, -fp.cap - 1, -1):
-            try:
-                e1 = ext_bidegree_dim(C, fpm, 1, nu)
-            except WindowError:
-                continue
-            if e1 > 0:
-                found = (nu, int(e1))
-                break
+        found = next(_nonzero_ext1(C, fpm, range(1, -fp.cap - 1, -1)), None)
         rep.add("Ext^1 nonzero at some internal degree "
                 "(both factors linear in window)", found is not None,
                 f"internal degree {found[0]}, dim {found[1]}" if found
@@ -703,20 +713,10 @@ def depth_upper_bound(R: FiberProductAlgebra, L: GradedModule, hmax: int,
               for key, arr in l_ext.action.items()}
     lfp = GradedModule(d.FP, [list(l_ext.labels(n)) for n in range(hmax + 1)],
                        action)
-    C = combined_residue_resolution(d.FP, min(3, hmax))
-    cver = verify_complex(C)
-    rep.add("combined resolution of k over the free product verifies",
-            cver.ok, "" if cver.ok else str(cver.first_failure()))
+    C = _verified_combined_resolution(rep, d.FP, min(3, hmax), None, None)
     rep.data["socle_window"] = socle_dims(lfp)
 
-    found = []
-    for nuval in range(-hmax, hmax + 1):
-        try:
-            e = ext_bidegree_dim(C, lfp, 1, nuval)
-        except WindowError:
-            continue
-        if e > 0:
-            found.append((nuval, int(e)))
+    found = list(_nonzero_ext1(C, lfp, range(-hmax, hmax + 1)))
     rep.add("Ext^1(k, Ext(L, k)) nonzero in window", bool(found),
             f"(internal degree, dim) {found}")
     rep.data["ext1"] = found

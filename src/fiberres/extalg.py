@@ -33,7 +33,9 @@ the rest of the word, one product per (degree, first letter).
 ``verify_theta_iso`` runs it for M; ``verify_phi_iso`` is its M = k
 case, where the induced module is the free product itself, plus a
 tensor-product control and the second factor's restriction.
-``koszul_check`` reads the diagonal condition off generator degrees.
+``koszul_check`` reads the diagonal condition off the Betti table of
+the residue field's resolution (``off_diagonal``), the one bigraded
+count of Ext.
 """
 
 from __future__ import annotations
@@ -187,23 +189,16 @@ def _yoneda_tables(E: FreeResolution, res: FreeResolution, imax: int,
 
 class ExtAlgebra(GradedAlgebra):
     """Yoneda algebra on the dual basis of a minimal resolution of the
-    residue field; the algebra grading is cohomological and ``internal``
-    records each class's internal degree."""
+    residue field; the algebra grading is cohomological.  Basis class a
+    in degree i is dual to generator a of step i of ``resolution``, so
+    its internal degree is ``resolution.gen_degrees(i)[a]`` and the
+    bigraded class counts through degree ``cap`` are those of
+    ``resolution.betti()``."""
 
-    def __init__(self, p, cap, basis, mult, generators, base, resolution,
-                 internal):
+    def __init__(self, p, cap, basis, mult, generators, base, resolution):
         super().__init__(p, cap, basis, mult, generators)
         self.base = base
         self.resolution = resolution
-        self.internal = internal  # internal[i][a]: internal degree of basis a
-
-    def bigraded_dims(self) -> dict[tuple[int, int], int]:
-        """Class counts per (cohomological, internal) degree."""
-        out: dict[tuple[int, int], int] = {}
-        for i, degs in enumerate(self.internal):
-            for d in degs:
-                out[(i, d)] = out.get((i, d), 0) + 1
-        return out
 
 
 def ext_algebra(algebra: GradedAlgebra, imax: int, dmax: int | None = None,
@@ -224,23 +219,18 @@ def ext_algebra(algebra: GradedAlgebra, imax: int, dmax: int | None = None,
     for i in range(1, imax + 1):
         for a, lab in enumerate(basis[i]):
             generators[lab] = (i, a)
-    internal = [[0]] + [res.gen_degrees(i) for i in range(1, imax + 1)]
-    return ExtAlgebra(algebra.p, imax, basis, mult, generators, algebra, res,
-                      internal)
+    return ExtAlgebra(algebra.p, imax, basis, mult, generators, algebra, res)
 
 
 class ExtModule(GradedModule):
     """Ext(M, k) as a left module over the Yoneda algebra, on the dual
-    basis of a minimal resolution of M."""
+    basis of a minimal resolution of M (bigraded as ``ExtAlgebra``)."""
 
-    def __init__(self, ext, basis, action, base_module, resolution, internal):
+    def __init__(self, ext, basis, action, base_module, resolution):
         super().__init__(ext, basis, action)
         self.ext = ext
         self.base_module = base_module
         self.resolution = resolution
-        self.internal = internal
-
-    bigraded_dims = ExtAlgebra.bigraded_dims
 
 
 def ext_module(algebra: GradedAlgebra, module: GradedModule | None, imax: int,
@@ -262,8 +252,7 @@ def ext_module(algebra: GradedAlgebra, module: GradedModule | None, imax: int,
     action = _yoneda_tables(ext.resolution, res, imax, 0)
     basis = [[lab + "'" for lab in res.frees[i].gen_labels]
              for i in range(imax + 1)]
-    internal = [res.gen_degrees(i) for i in range(imax + 1)]
-    return ExtModule(ext, basis, action, res.module, res, internal)
+    return ExtModule(ext, basis, action, res.module, res)
 
 
 # -- restriction along a fiber-product projection ----------------------------
@@ -285,8 +274,7 @@ def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
     """
     if side not in ("S", "T"):
         raise ExtError(f"side must be 'S' or 'T', not {side!r}")
-    fac_alg = R.s_algebra if side == "S" else R.t_algebra
-    if R_res.algebra is not R or fac_res.algebra is not fac_alg:
+    if R_res.algebra is not R or fac_res.algebra is not R.factor(side):
         raise ExtError(f"restriction needs resolutions over the fiber product "
                        f"and its {side} factor")
     if R_res.gen_degrees(0) != fac_res.gen_degrees(0):
@@ -659,8 +647,7 @@ def verify_phi_iso(R: FiberProductAlgebra, hmax: int, dmax: int | None = None,
     tmax = _products_degree(products_to, hmax, 1)
     dmax = window(R, hmax, dmax)
     d = _phi_setup(R, hmax, dmax)
-    tensor_dims = [int(sum(d.S_ext.dim(i) * d.T_ext.dim(n - i)
-                           for i in range(n + 1))) for n in range(hmax + 1)]
+    tensor_dims = (d.S_ext.hilbert_series() * d.T_ext.hilbert_series()).coeffs
     p0 = Letter("P", 0, 0, d.P.gen_degrees(0)[0])
     return _verify_induced(
         d, first=1, tmax=tmax, key="free_product",
@@ -722,26 +709,16 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
 # -- Koszul diagonal test ----------------------------------------------------
 
 
+def off_diagonal(res: FreeResolution) -> list[tuple[int, int]]:
+    """The (step, internal degree) pairs of ``res.betti()`` off the
+    diagonal, sorted: the classes of Ext that are not Koszul."""
+    return sorted(key for key in res.betti() if key[0] != key[1])
+
+
 def koszul_check(algebra: GradedAlgebra, hmax: int, dmax: int | None = None,
-                 resolution: FreeResolution | None = None,
                  ) -> tuple[bool, list[tuple[int, int]]]:
     """Whether every Ext class in the window sits on the diagonal
     (internal degree equal to homological degree); offenders are the
     off-diagonal (step, degree) pairs."""
-    return koszul_module_check(algebra, residue_module(algebra), hmax, dmax,
-                               resolution)
-
-
-def koszul_module_check(algebra: GradedAlgebra, module: GradedModule,
-                        hmax: int, dmax: int | None = None,
-                        resolution: FreeResolution | None = None,
-                        ) -> tuple[bool, list[tuple[int, int]]]:
-    """Diagonal test for a module generated in degree 0: every syzygy
-    generator in the window must have internal degree equal to its
-    homological degree."""
-    res = resolution
-    if res is None:
-        res = minimal_resolution(algebra, module, hmax, dmax)
-    offenders = sorted({(i, dv) for i in range(min(hmax, res.hmax) + 1)
-                        for dv in res.gen_degrees(i) if dv != i})
+    offenders = off_diagonal(minimal_resolution(algebra, residue_module(algebra), hmax, dmax))
     return not offenders, offenders

@@ -184,10 +184,9 @@ def algebra_as_module(algebra: GradedAlgebra) -> GradedModule:
     return GradedModule(algebra, algebra.basis, action)
 
 
-def free_module_table(algebra: GradedAlgebra, gen_degrees: list[int],
-                      gen_labels: list[str] | None = None) -> GradedModule:
+def free_module_table(algebra: GradedAlgebra, gen_degrees: list[int]) -> GradedModule:
     """The free module on the given generators, as a degreewise table."""
-    free = FreeModule(algebra, gen_degrees, gen_labels)
+    free = FreeModule(algebra, gen_degrees)
     units = [np.eye(free.dim(d), dtype=np.int64) for d in range(algebra.cap + 1)]
     return GradedModule(algebra, [free.pair_labels(d) for d in range(algebra.cap + 1)],
                         _action_tensors(algebra, free, units, lambda imgs, m, n: imgs))
@@ -199,16 +198,14 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
     the other factor's augmentation ideal acts by zero."""
     if side not in ("S", "T"):
         raise ModuleError(f"side must be 'S' or 'T', not {side!r}")
-    factor = R.s_algebra if side == "S" else R.t_algebra
-    if module.algebra is not factor:
+    if module.algebra is not R.factor(side):
         raise ModuleError(f"the module is not over the fiber product's {side} factor")
     basis = [module.labels(n) if n <= R.cap else [] for n in range(R.cap + 1)]
     action = {}
     for m in range(1, R.cap + 1):
         for n in range(0, R.cap + 1 - m):
             arr = np.zeros((R.dim(m), module.dim(n), module.dim(n + m)), dtype=np.int64)
-            sl = R.s_slice(m) if side == "S" else R.t_slice(m)
-            arr[sl] = module.action[(m, n)]
+            arr[R.part(side, m)] = module.action[(m, n)]
             action[(m, n)] = arr
     return GradedModule(R, basis, action)
 
@@ -453,7 +450,6 @@ def _extended_blocks(ftgt: FreeModule, fsrc: FreeModule, terms: dict, d: int,
     (K, dx, dy), entry ((b, i, y), (j, x)) being coordinate y of x *
     coefficient.  No two blocks share a cell."""
     A, p = ftgt.algebra, ftgt.algebra.p
-    block = side and (fsrc.algebra.s_slice if side == "S" else fsrc.algebra.t_slice)
     (_, tgt_off, nrow), src_off = ftgt._layout(d - shift), fsrc._layout(d)[1]
     for (sj, e), (tg, sg, bt, coef) in terms.items():
         da = d - sj
@@ -465,7 +461,8 @@ def _extended_blocks(ftgt: FreeModule, fsrc: FreeModule, terms: dict, d: int,
             dy, dtype=np.int64).reshape(dx, -1, dy)
         prod = coef @ mult.transpose(1, 0, 2).reshape(coef.shape[1], -1)
         rows = (bt * nrow + tgt_off[tg])[:, None] + np.arange(dy)
-        cols = (src_off[sg] + (block(da).start if side else 0))[:, None] + np.arange(dx)
+        cols = (src_off[sg] + (fsrc.algebra.part(side, da).start if side else 0))[:, None] \
+            + np.arange(dx)
         yield rows, cols, np.remainder(prod, p, out=prod).reshape(-1, dx, dy)
 
 
@@ -488,19 +485,19 @@ def extend(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
 
 
 def extend_entries(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
-                   shift: int = 0, batch: int = 1, side: str | None = None,
                    ) -> dict[int, np.ndarray | linalg.Sparse]:
-    """``extend`` with each degree's matrix in the form its size asks
-    for: from ``SPARSE_MIN_CELLS`` cells on a ``linalg.Sparse`` of the
-    nonzero cells of its blocks, below that the dense matrix."""
+    """``extend`` of one map of internal degree 0 (a differential), with
+    each degree's matrix in the form its size asks for: from
+    ``SPARSE_MIN_CELLS`` cells on a ``linalg.Sparse`` of the nonzero cells
+    of its blocks, below that the dense matrix."""
     out = {}
     for d in degrees:
-        shape = (batch * ftgt.dim(d - shift), fsrc.dim(d))
+        shape = (ftgt.dim(d), fsrc.dim(d))
         if shape[0] * shape[1] < SPARSE_MIN_CELLS:
-            out.update(extend(ftgt, fsrc, terms, [d], shift, batch, side))
+            out.update(extend(ftgt, fsrc, terms, [d]))
             continue
         parts = []
-        for rows, cols, vals in _extended_blocks(ftgt, fsrc, terms, d, shift, side):
+        for rows, cols, vals in _extended_blocks(ftgt, fsrc, terms, d, 0, None):
             nz = vals != 0
             parts.append((np.broadcast_to(rows[:, None, :], vals.shape)[nz],
                           np.broadcast_to(cols[:, :, None], vals.shape)[nz], vals[nz]))
@@ -692,34 +689,28 @@ def _reduced_entries(rows, lower, piv, p: int):
 
 
 def fiber_product_module(R: FiberProductAlgebra, m_mod: GradedModule,
-                         n_mod: GradedModule, mu=None, nu=None) -> GradedModule:
-    """Pullback of M -> V <- N over the fiber product ring.
+                         n_mod: GradedModule) -> GradedModule:
+    """Pullback of M -> V <- N over the fiber product ring, along the
+    identities of V = M_0 = N_0 (k^v in degree 0).
 
-    M is a module over the S factor, N over the T factor; V = k^v sits
-    in degree 0.  mu and nu are v x dim matrices on degree 0 and default
-    to the identity.  Returns the pullback as a module over R; a failed
-    precondition (shapes, bijectivity on degree 0, generation in
+    M is a module over the S factor, N over the T factor, both generated
+    in degree 0.  The tables are those of M and N restricted to R
+    (``restrict_to_fiber``): degree 0 is one copy of V, on which the two
+    restricted actions are concatenated along the last axis; in degrees
+    n >= 1 the pullback is M_n + N_n, with the two blocks placed on the
+    diagonal.  A failed precondition (dim M_0 = dim N_0, generation in
     degree 0) raises ModuleError.
     """
     S, T = R.s_algebra, R.t_algebra
     if m_mod.algebra is not S or n_mod.algebra is not T:
         raise ModuleError("M must be over the S factor and N over the T factor")
-    p = R.p
-    m0, n0 = m_mod.dim(0), n_mod.dim(0)
-    mu = np.eye(m0, dtype=np.int64) if mu is None else linalg.normalize(mu, p)
-    nu = np.eye(n0, dtype=np.int64) if nu is None else linalg.normalize(nu, p)
-    v = mu.shape[0]
 
     def check(name, ok, detail=""):
         if not ok:
             raise ModuleError(f"fiber module precondition failed: {name} {detail}")
 
-    check("mu shape", mu.shape == (v, m0), f"{mu.shape}")
-    check("nu shape", nu.shape == (v, n0), f"{nu.shape}")
-    check("mu bijective on degree 0",
-          m0 == v and linalg.rank(mu, p) == v,
-          "kernel condition forces an isomorphism in degree 0")
-    check("nu bijective on degree 0", n0 == v and linalg.rank(nu, p) == v, "")
+    m0, n0 = m_mod.dim(0), n_mod.dim(0)
+    check("dim M_0 = dim N_0", m0 == n0, f"{m0} vs {n0}")
     for mod, alg, name in ((m_mod, S, "M"), (n_mod, T, "N")):
         units = [np.eye(mod.dim(n), dtype=np.int64) for n in range(R.cap + 1)]
         new = Counter({n: len(kept) for n, kept, _ in
@@ -729,42 +720,20 @@ def fiber_product_module(R: FiberProductAlgebra, m_mod: GradedModule,
             check(f"{name} generated in degree 0 (degree {n})",
                   new[n] == 0, f"{dim - new[n]} vs {dim}")
 
-    glue = np.hstack([mu, (-nu) % p])
-    deg0 = linalg.as_dense(linalg.kernel(glue, p))  # rows: (x, y) with mu x = nu y
-
-    basis = [[f"w{i}" for i in range(deg0.shape[0])]]
-    for n in range(1, R.cap + 1):
-        basis.append([f"M:{lab}" for lab in m_mod.labels(n)]
-                     + [f"N:{lab}" for lab in n_mod.labels(n)])
-
-    def act_tensor(m, n):
-        dim_n = len(basis[n])
-        dim_o = len(basis[n + m])
-        arr = np.zeros((R.dim(m), dim_n, dim_o), dtype=np.int64)
-        s_rows = R.s_slice(m)
-        t_rows = R.t_slice(m)
-        mm, nn = m_mod.dim(n), n_mod.dim(n)
-        mo = m_mod.dim(n + m)
+    m_r, n_r = restrict_to_fiber(R, m_mod, "S"), restrict_to_fiber(R, n_mod, "T")
+    basis = [[f"w{i}" for i in range(m0)]] + [
+        [f"M:{lab}" for lab in m_mod.labels(n)] + [f"N:{lab}" for lab in n_mod.labels(n)]
+        for n in range(1, R.cap + 1)]
+    action = {}
+    for (m, n), a in m_r.action.items():
+        b = n_r.action[(m, n)]
         if n == 0:
-            for x in range(dim_n):
-                xm, xn = deg0[x, :m0], deg0[x, m0:]
-                for i in range(S.dim(m)):
-                    arr[s_rows.start + i, x, :mo] = (
-                        xm @ m_mod.act_matrix(S.basis_element(m, i), 0)
-                    ) % p
-                for i in range(T.dim(m)):
-                    arr[t_rows.start + i, x, mo:] = (
-                        xn @ n_mod.act_matrix(T.basis_element(m, i), 0)
-                    ) % p
-        else:
-            for i in range(S.dim(m)):
-                arr[s_rows.start + i, :mm, :mo] = m_mod.action[(m, n)][i]
-            for i in range(T.dim(m)):
-                arr[t_rows.start + i, mm:, mo:] = n_mod.action[(m, n)][i]
-        return arr
-
-    action = {(m, n): act_tensor(m, n)
-              for m in range(1, R.cap + 1) for n in range(0, R.cap + 1 - m)}
+            action[(m, n)] = np.concatenate([a, b], axis=2)
+            continue
+        arr = action[(m, n)] = np.zeros((R.dim(m), a.shape[1] + b.shape[1],
+                                         a.shape[2] + b.shape[2]), dtype=np.int64)
+        arr[:, :a.shape[1], :a.shape[2]] = a
+        arr[:, a.shape[1]:, a.shape[2]:] = b
     return GradedModule(R, basis, action)
 
 

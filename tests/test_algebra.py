@@ -70,6 +70,34 @@ def test_noncommutative_subword_relations():
     assert not (x * y * x).is_zero()
 
 
+@pytest.mark.parametrize("commutative", [True, False])
+def test_a_relation_above_the_cap_is_never_expanded(commutative):
+    """An exponent is read as a number: x^(10^12) at cap 4 leaves k[x]
+    (or k<x, y>/(y^2)) through the cap, without a list of 10^12 letters.
+    A relation's other runs still apply inside the window."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        A = mono([("x", 1)], [f"x^{10 ** 12}"], cap=4, commutative=commutative)
+        B = mono([("x", 1), ("y", 1)], [f"x^{10 ** 12}*y", "y^2", "x^3*y^0"], cap=4,
+                 commutative=commutative)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    for got, rels in ((A, []), (B, ["y^2", "x^3"])):
+        names = [("x", 1)] if got is A else [("x", 1), ("y", 1)]
+        ref = mono(names, rels, cap=4, commutative=commutative)
+        assert got.basis == ref.basis and got.generators == ref.generators
+        assert all(np.array_equal(got.mult[key], ref.mult[key]) for key in ref.mult)
+    assert [A.dim(n) for n in range(5)] == [1] * 5
+    with pytest.raises(AlgebraError, match="unknown variable 'z'"):
+        mono([("x", 1)], [f"z^{10 ** 12}"], cap=4, commutative=commutative)
+    with pytest.raises(AlgebraError, match="empty monomial"):
+        mono([("x", 1)], ["x^0"], cap=4, commutative=commutative)
+
+
 def test_variable_of_higher_degree():
     A = mono([("z", 2)], [], cap=6)
     assert [A.dim(n) for n in range(7)] == [1, 0, 1, 0, 1, 0, 1]
@@ -172,6 +200,11 @@ def test_fiber_product_matches_monomial_model():
         assert np.array_equal(arr, q)
 
 
+def project(R, side, el):
+    """The projection of R onto a factor, read through ``part``."""
+    return Element(R.factor(side), el.degree, el.vec[R.part(side, el.degree)])
+
+
 def test_fiber_projections_are_algebra_maps():
     S = mono([("x", 1)], ["x^4"], cap=6)
     T = mono([("y", 1), ("z", 1)], ["y*z"], cap=6)
@@ -182,11 +215,17 @@ def test_fiber_projections_are_algebra_maps():
             for m in range(1, 4 - n + 1):
                 for j in range(R.dim(m)):
                     a, b = R.basis_element(n, i), R.basis_element(m, j)
-                    assert R.project_s(a * b) == R.project_s(a) * R.project_s(b)
-                    assert R.project_t(a * b) == R.project_t(a) * R.project_t(b)
+                    for side in "ST":
+                        assert project(R, side, a * b) == \
+                            project(R, side, a) * project(R, side, b)
     x = S.generator("x")
-    assert R.project_s(R.embed_s(x)) == x
-    assert R.project_t(R.embed_s(x)).is_zero()
+    assert project(R, "S", R.embed("S", x)) == x
+    assert project(R, "T", R.embed("S", x)).is_zero()
+    y = T.generator("y")
+    assert project(R, "T", R.embed("T", y)) == y
+    assert project(R, "S", R.embed("T", y)).is_zero()
+    one = R.embed("T", T.unit())
+    assert one == R.unit() and project(R, "S", one) == S.unit()
 
 
 def test_table_json_round_trip():
@@ -233,9 +272,11 @@ def test_element_shape_and_algebra_checks_raise():
         A.multiply(x, B.generator("y"))
     R = fiber_product(A, B)
     with pytest.raises(AlgebraError, match="another algebra"):
-        R.embed_s(B.generator("x"))
+        R.embed("S", B.generator("x"))
     with pytest.raises(AlgebraError, match="another algebra"):
-        R.project_t(x)
+        R.embed("T", x)
+    with pytest.raises(AlgebraError, match="side must be 'S' or 'T', not 'U'"):
+        R.factor("U")
 
 
 def test_presentation_and_table_checks_raise():

@@ -436,6 +436,22 @@ def test_resolve_negative_hmax_exits_one(capsys, argv, message):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("m_gens, n_file, dims", [([0, 0], "m_free.json", "2 vs 1"),
+                                                  ([1], "m_k.json", "0 vs 1")])
+def test_fiber_module_degree_zero_mismatch_exits_one(tmp_path, capsys, m_gens, n_file,
+                                                    dims):
+    """The pullback glues M and N along V = M_0 = N_0: degree-0 pieces of
+    different dimensions are an input error naming both (exit 1, one
+    error line), refused before any check runs."""
+    m = write(tmp_path, "m.json", {"kind": "free", "gens": m_gens})
+    rc = main(manifest_args("fiber-module", "--s", "s_x2.json", "--t", "t_y2.json",
+                            "--m", m, "--n", n_file, "--hmax", "3"))
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err == f"error: fiber module precondition failed: dim M_0 = dim N_0 {dims}\n"
+    assert "PASS" not in out and "FAIL" not in out
+
+
 def test_syzygy_split_hmax_below_two_exits_one(capsys):
     rc = main(["syzygy-split", "--r", os.path.join(MANIFESTS, "r_square_zero.json"),
                "--l", os.path.join(MANIFESTS, "m_k.json"), "--hmax", "1"])

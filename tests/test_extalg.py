@@ -19,7 +19,7 @@ from fiberres.extalg import (
     free_product,
     free_product_module,
     koszul_check,
-    koszul_module_check,
+    off_diagonal,
     verify_phi_iso,
     verify_theta_iso,
 )
@@ -60,7 +60,8 @@ def test_ext_algebra_of_dual_numbers_is_polynomial():
     A = mono([("x", 1)], ["x^2"], cap=8)
     E = ext_algebra(A, 6)
     assert [E.dim(n) for n in range(7)] == [1] * 7
-    assert E.internal == [[n] for n in range(7)]
+    # class a in degree i has the internal degree of its dual generator
+    assert [E.resolution.gen_degrees(i) for i in range(7)] == [[n] for n in range(7)]
     # one class per degree and every product of classes is the class
     for m in range(1, 6):
         for n in range(1, 7 - m):
@@ -71,7 +72,7 @@ def test_ext_algebra_of_dual_numbers_is_polynomial():
 def test_ext_algebra_of_cubic_hypersurface():
     A = mono([("x", 1)], ["x^3"], cap=10)
     E = ext_algebra(A, 6, 10)
-    assert sorted(E.bigraded_dims().items()) == [
+    assert sorted(E.resolution.betti().items()) == [
         ((0, 0), 1), ((1, 1), 1), ((2, 3), 1), ((3, 4), 1),
         ((4, 6), 1), ((5, 7), 1), ((6, 9), 1),
     ]
@@ -109,7 +110,8 @@ def test_ext_module_of_quotient_module():
     M = quotient_by_power(A, "x", 2, 1)
     EM = ext_module(A, M, 6, 10)
     assert [EM.dim(n) for n in range(7)] == [1] * 7
-    assert EM.internal == [[0], [2], [3], [5], [6], [8], [9]]
+    assert [EM.resolution.gen_degrees(i) for i in range(7)] == [
+        [0], [2], [3], [5], [6], [8], [9]]
     assert EM.check_associativity() == []
 
 
@@ -307,15 +309,16 @@ def test_koszul_transfer_through_fiber_products():
     assert not ok and (2, 3) in off
 
 
-def test_koszul_module_check():
+def test_off_diagonal_on_module_resolutions():
     S = mono([("x", 1)], ["x^2"], cap=8)
     T = mono([("y", 1)], ["y^2"], cap=8)
     R = fiber_product(S, T, 8)
-    ok, off = koszul_module_check(R, residue_module(R), 5)
-    assert ok and off == []
+    assert off_diagonal(minimal_resolution(R, residue_module(R), 5)) == []
     M = quotient_by_power(S, "x", 1, 1)
-    ok, off = koszul_module_check(S, M, 5)
-    assert ok and off == []
+    assert off_diagonal(minimal_resolution(S, M, 5)) == []
+    B = mono([("x", 1)], ["x^3"], cap=10)
+    assert off_diagonal(minimal_resolution(B, quotient_by_power(B, "x", 2, 1), 3)) == [
+        (1, 2), (2, 3), (3, 5)]
 
 
 def test_ext_algebra_is_deterministic():

@@ -206,8 +206,70 @@ def test_fiber_product_module_rejects_bad_degree_zero(square_zero_pair):
     S, T, R = square_zero_pair
     N = free_module_table(T, [1])  # generated in degree 1
     with pytest.raises(ModuleError, match=re.escape(
-            "fiber module precondition failed: nu shape (0, 0)")):
+            "fiber module precondition failed: dim M_0 = dim N_0 1 vs 0")):
         fiber_product_module(R, algebra_as_module(S), N)
+    with pytest.raises(ModuleError, match=re.escape(
+            "fiber module precondition failed: dim M_0 = dim N_0 2 vs 1")):
+        fiber_product_module(R, free_module_table(S, [0, 0]), algebra_as_module(T))
+
+
+def reference_fiber_product_module(R, m_mod, n_mod):
+    """The pullback built basis element by basis element: degree 0 is the
+    kernel of (id, -id) on M_0 + N_0, each of its rows acted on by every
+    basis element of each factor through ``act_matrix``; in degrees n >=
+    1 each factor's basis elements act on their own block."""
+    S, T, p = R.s_algebra, R.t_algebra, R.p
+    m0, n0 = m_mod.dim(0), n_mod.dim(0)
+    glue = np.hstack([np.eye(m0, dtype=np.int64), (-np.eye(n0, dtype=np.int64)) % p])
+    deg0 = linalg.as_dense(linalg.kernel(glue, p))
+    basis = [[f"w{i}" for i in range(deg0.shape[0])]]
+    for n in range(1, R.cap + 1):
+        basis.append([f"M:{lab}" for lab in m_mod.labels(n)]
+                     + [f"N:{lab}" for lab in n_mod.labels(n)])
+    action = {}
+    for m in range(1, R.cap + 1):
+        s0, t0 = R.part("S", m).start, R.part("T", m).start
+        for n in range(R.cap + 1 - m):
+            arr = np.zeros((R.dim(m), len(basis[n]), len(basis[n + m])), dtype=np.int64)
+            mm, mo = m_mod.dim(n), m_mod.dim(n + m)
+            if n == 0:
+                for x in range(len(basis[0])):
+                    xm, xn = deg0[x, :m0], deg0[x, m0:]
+                    for i in range(S.dim(m)):
+                        arr[s0 + i, x, :mo] = (
+                            xm @ m_mod.act_matrix(S.basis_element(m, i), 0)) % p
+                    for i in range(T.dim(m)):
+                        arr[t0 + i, x, mo:] = (
+                            xn @ n_mod.act_matrix(T.basis_element(m, i), 0)) % p
+            else:
+                for i in range(S.dim(m)):
+                    arr[s0 + i, :mm, :mo] = m_mod.action[(m, n)][i]
+                for i in range(T.dim(m)):
+                    arr[t0 + i, mm:, mo:] = n_mod.action[(m, n)][i]
+            action[(m, n)] = arr
+    return basis, action
+
+
+@pytest.mark.parametrize("s_file, t_file", [("s_x2.json", "t_y2.json"),
+                                            ("s_x3.json", "t_y2_cap8.json")])
+@pytest.mark.parametrize("module", ["m_k.json", "m_free.json", "rank two free"])
+def test_fiber_product_module_equals_the_per_basis_element_construction(
+        s_file, t_file, module):
+    """On the second pair the first factor is tabulated beyond R's cap."""
+    S, T = (jsonio.load_algebra(os.path.join(MANIFESTS, f)) for f in (s_file, t_file))
+    R = fiber_product(S, T)
+    if module == "rank two free":
+        M, N = free_module_table(S, [0, 0]), free_module_table(T, [0, 0])
+    else:
+        M, N = (jsonio.load_module(os.path.join(MANIFESTS, module), A) for A in (S, T))
+    fib = fiber_product_module(R, M, N)
+    basis, action = reference_fiber_product_module(R, M, N)
+    assert fib.basis == basis
+    assert fib.action.keys() == action.keys()
+    for key, arr in action.items():
+        got = fib.action[key]
+        assert got.dtype == arr.dtype and got.shape == arr.shape, key
+        assert got.tobytes() == arr.tobytes(), key
 
 
 def test_fiber_product_module_rejects_not_generated_in_zero(square_zero_pair):
@@ -601,12 +663,12 @@ def reference_evaluate(mat, d):
 def reference_projection(free_R, twin, d, side):
     """Degree-d coefficient projection of a free module over a fiber
     product onto its twin over a factor, coordinate by coordinate."""
-    block = free_R.algebra.s_slice if side == "S" else free_R.algebra.t_slice
+    R = free_R.algebra
     mat = np.zeros((twin.dim(d), free_R.dim(d)), dtype=np.int64)
     for j, s in enumerate(free_R.gen_degrees):
         for x in range(twin.algebra.dim(d - s)):
             mat[twin.pair_index(d, j, x),
-                free_R.pair_index(d, j, block(d - s).start + x)] = 1
+                free_R.pair_index(d, j, R.part(side, d - s).start + x)] = 1
     return mat
 
 

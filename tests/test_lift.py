@@ -275,12 +275,11 @@ def reference_projection(free_R, twin, d, side):
     """Degree-d coefficient projection of a free module over a fiber
     product onto its twin over a factor, coordinate by coordinate."""
     R = free_R.algebra
-    block = R.s_slice if side == "S" else R.t_slice
     mat = np.zeros((twin.dim(d), free_R.dim(d)), dtype=np.int64)
     for j, s in enumerate(free_R.gen_degrees):
         for x in range(twin.algebra.dim(d - s)):
             mat[twin.pair_index(d, j, x),
-                free_R.pair_index(d, j, block(d - s).start + x)] = 1
+                free_R.pair_index(d, j, R.part(side, d - s).start + x)] = 1
     return mat
 
 

@@ -1,11 +1,11 @@
 """Byte-level guard on the command-line reports.
 
-Each README command (plus ``depth --l``, and ``verify phi`` and
-``verify theta`` at windows 8 and 7, where the induced maps' products
-group many words, and four commands on a second factor tabulated to a
-lower cap than the first) and the bundled suite run in-process through
-``cli.main``.  The SHA-256 of the ``--out`` file, the
-exit code and the SHA-256 of stdout (without the wall-time and
+Each README command (plus ``depth --l``, ``ext --module``, and ``verify
+phi`` and ``verify theta`` at windows 8 and 7, where the induced maps'
+products group many words, and four commands on a second factor
+tabulated to a lower cap than the first) and the bundled suite run
+in-process through ``cli.main``.  The SHA-256 of the ``--out`` file,
+the exit code and the SHA-256 of stdout (without the wall-time and
 "report written" lines, which vary per run) must equal the digests
 recorded below.  A change that alters any report byte fails here.
 """
@@ -45,6 +45,10 @@ GOLDEN = {
         "ext --algebra r_square_zero.json --imax 5", 0,
         "7b12215f83c7404f3247822d10e9e6b18d5a46e8b776803fef7108f793eb24c3",
         "7bc12606aa0c51ac0f0b4397cd6c4ddccef93ba750150637e7ebcbb1004f1c78"),
+    "ext-module": (
+        "ext --algebra s_x3.json --module m_kx2.json --imax 5", 0,
+        "8b273a993c2e691c9bca94681af6d4768f0f13c0b00e1841cc9abf93833f8689",
+        "32ad3d4b58d4ce9bde60a508e7a9e85e2ab29505fd42bec7f7a6cdfa691e59da"),
     "verify-phi": (
         "verify phi --s s_x2.json --t t_y2.json --window 5", 0,
         "8a4231490d5ffc57c26ead1fc336cbbc200ff79121e6c768925c15ed8ea2f4ea",

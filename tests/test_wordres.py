@@ -82,12 +82,12 @@ def test_word_differential_square_zero():
     assert len(img) == 1
     (tgt, coeff), = img
     assert tgt == (p0,)
-    assert coeff == R.embed_t(T.generator("y"))
+    assert coeff == R.embed("T", T.generator("y"))
     # the square of the differential kills e1.f1.p0 because the two
     # augmentation ideals multiply to zero
     e1 = Letter("E", 1, 0, 1)
     (w1, c1), = word_differential((e1, f1, p0), E, F, E, R)
-    assert w1 == (f1, p0) and c1 == R.embed_s(S.generator("x"))
+    assert w1 == (f1, p0) and c1 == R.embed("S", S.generator("x"))
     (w2, c2), = word_differential(w1, E, F, E, R)
     assert (c1 * c2).is_zero()
 
