@@ -192,9 +192,10 @@ def verify_ext_sequence_L(R: FiberProductAlgebra, L: GradedModule, hmax: int,
     pred = coproduct_module_series(psk, ptk, psm) \
         + coproduct_module_series(ptk, psk, ptn)
     predicted = [pred.coeff(n) for n in range(h + 1)]
-    bad = [n for n in range(2, hmax + 1) if ell[n] != predicted[n - 2]]
+    bad = [(n, ell[n], predicted[n - 2]) for n in range(2, hmax + 1)
+           if ell[n] != predicted[n - 2]]
     rep.add(f"Ext dims match the shifted coproduct series (2 <= n <= {hmax})",
-            not bad, f"failing degrees {bad}" if bad else "")
+            not bad, f"(degree, ext dim, predicted) {bad}" if bad else "")
     rep.data.update({
         "ext_dims": ell,
         "presentation": ell[:2],
@@ -259,9 +260,14 @@ def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,
     p_m = res_m.poincare_series()
     p_n = res_n.poincare_series()
     ok = fiber_module_poincare_check(p_fib, p_k, v, p_m, p_n)
+    lhs = [p_fib.coeff(i) + v * p_k.coeff(i) for i in range(hmax + 1)]
+    rhs = [p_m.coeff(i) + p_n.coeff(i) for i in range(hmax + 1)]
+    detail = f"lhs {lhs} rhs {rhs}"
+    if not ok:
+        n = next(i for i in range(hmax + 1) if lhs[i] != rhs[i])
+        detail += f"; first at degree {n}: lhs {lhs[n]}, rhs {rhs[n]}"
     rep.add(f"Poincare identity P_fib + {v} * P_k = P_M + P_N (through degree {hmax})",
-            ok, f"lhs {[p_fib.coeff(i) + v * p_k.coeff(i) for i in range(hmax + 1)]} "
-                f"rhs {[p_m.coeff(i) + p_n.coeff(i) for i in range(hmax + 1)]}")
+            ok, detail)
 
     identity = {0: np.eye(v, dtype=np.int64)}
     chain_mu = comparison_chain_map(res_m, res_v, identity, hmax)

@@ -762,10 +762,14 @@ def submodule_as_gmodule(free: FreeModule, bases: dict[int, np.ndarray],
     basis = [[f"{label_prefix}{d}_{i}" for i in range(rows[d].shape[0])]
              for d in range(cap + 1)]
 
+    elims: dict[int, linalg.Elimination] = {}  # one per target degree
+
     def coords(imgs, m, n):
         if not np.any(imgs):
             return np.zeros((len(imgs), len(rows[n + m])), dtype=np.int64)
-        sol = linalg.solve(rows[n + m].T, imgs.T, p)
+        if n + m not in elims:
+            elims[n + m] = linalg.Elimination(rows[n + m].T, p)
+        sol = linalg.solve(elims[n + m], imgs.T, p)
         if sol is None:
             raise ModuleError(f"submodule not closed under action at degrees {(m, n)}")
         return sol.T

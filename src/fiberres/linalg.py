@@ -25,8 +25,12 @@ and its rows are dense, from there on they are a ``Sparse``; either way
 they are, entry for entry, the loop's pivot rows on the whole matrix.
 ``echelon``, ``rank``, ``kernel`` and ``solve`` are the whole
 elimination interface: ``rank`` counts the core's pivots, ``kernel``
-assembles the kernel basis from its rows in the same form, and
-``solve`` reads a solution off the echelon rows of ``[mat | rhs]``.
+assembles the kernel basis from its rows in the same form (a map with
+no rows has the identity, with nothing eliminated), and ``solve`` reads
+solutions off a map's kept ``Elimination``, the echelon rows of ``[mat
+| I]`` eliminated once and applied to every right-hand side, dense or in
+entry form.  A caller that solves many times against one map keeps its
+``Elimination`` and hands it to ``solve`` in place of the map.
 ``matmul_entries`` multiplies two ``Sparse`` matrices, summing the
 terms ``product_terms`` gives.
 
@@ -49,15 +53,16 @@ the rows whose residuals share a column with another row's.
 square-and-multiply in int64.
 
 ``entries`` is the one reader of a whole dense matrix's nonzero
-entries: ``Sparse.read``, the right-hand side of ``solve`` and the
-dense residuals of ``gmodule.minimal_generators_by_degree`` go through
-it.  It gives the same row-major ``(rows, columns)`` as ``np.nonzero``,
-from one flat scan of a one-byte mask, the flat positions split by
-``divmod``.  ``np.nonzero`` on a two-axis array steps a multi-index
-through every cell, even on a boolean mask, while the comparison and
-``flatnonzero`` on one axis are tight loops: on a 1000 x 2500 int64
-matrix at 0.1 % nonzero the reader takes 3.7 ms against 17 ms for
-``np.nonzero`` (2-core x86-64, numpy 2.4).
+entries: ``Sparse.read`` (through it a dense right-hand side of
+``solve`` against an entry-form elimination) and the dense residuals
+of ``gmodule.minimal_generators_by_degree`` go through it.  It gives
+the same row-major ``(rows, columns)`` as ``np.nonzero``, from one flat
+scan of a one-byte mask, the flat positions split by ``divmod``.
+``np.nonzero`` on a two-axis array steps a multi-index through every
+cell, even on a boolean mask, while the comparison and ``flatnonzero``
+on one axis are tight loops: on a 1000 x 2500 int64 matrix at 0.1 %
+nonzero the reader takes 3.7 ms against 17 ms for ``np.nonzero``
+(2-core x86-64, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ __all__ = [
     "echelon",
     "rank",
     "kernel",
+    "Elimination",
     "solve",
     "Span",
 ]
@@ -179,6 +185,13 @@ class Sparse:
         c = np.concatenate([x.cols for x in parts] or [_EMPTY])
         v = np.concatenate([x.vals for x in parts] or [_EMPTY])
         return cls(r, c, v, (int(height[-1]), width))
+
+    def __array__(self, dtype=None, copy=None):
+        """``np.asarray`` reads a ``Sparse`` as its dense matrix, so a
+        reader of array-likes (a shape, a digest) takes either form."""
+        if copy is False:
+            raise ValueError("a Sparse becomes an array only by a copy")
+        return self.dense() if dtype is None else self.dense().astype(dtype)
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.int64)
@@ -434,6 +447,8 @@ def kernel(mat, p: int) -> np.ndarray | Sparse:
     """
     small = _small(mat)
     if small is not None:
+        if not small.shape[0]:  # no rows: the identity, with nothing to eliminate
+            return np.eye(small.shape[1], dtype=np.int64)
         R = small % p
         pivots = _eliminate(R, p)
     else:
@@ -457,34 +472,85 @@ def kernel(mat, p: int) -> np.ndarray | Sparse:
     return Sparse.summed(out, (free.size, n), p)
 
 
+class Elimination:
+    """A map's kept elimination, for many right-hand sides.
+
+    ``echelon`` reduces ``[mat | I_m]`` once, for an m x n ``mat``.  Its
+    rows with pivots below n are ``[R | U]``, R the reduced echelon rows of
+    ``mat`` and ``U @ mat == R``; the rows with pivots from n on are
+    ``[0 | N]``, so ``N @ mat == 0`` and the rows of N span the left
+    kernel.  ``pivots`` are mat's own pivot columns.  U and N are kept in
+    the form their size asks for: a ``Sparse`` from ``SPLIT_MIN_CELLS``
+    cells on, dense below.  ``solve`` reads every solution off them."""
+
+    __slots__ = ("shape", "p", "pivots", "U", "N")
+
+    def __init__(self, mat, p: int):
+        if not isinstance(mat, Sparse):
+            mat = _matrix(mat)
+        m, n = self.shape = mat.shape
+        self.p = p
+        if isinstance(mat, Sparse):
+            unit = np.arange(m)
+            aug = Sparse.summed([(mat.rows, mat.cols, mat.vals),
+                                 (unit, unit + n, np.ones(m, dtype=np.int64))], (m, n + m), p)
+        else:
+            aug = np.hstack([mat, np.eye(m, dtype=np.int64)])
+        rows, pivots = echelon(aug, p)
+        r = int(np.searchsorted(pivots, n))
+        self.pivots = pivots[:r]
+        if isinstance(rows, Sparse):
+            right = rows.columns(np.arange(n, n + m))
+            cut = int(np.searchsorted(right.rows, r))
+            U = Sparse(right.rows[:cut], right.cols[:cut], right.vals[:cut], (r, m))
+            N = Sparse(right.rows[cut:] - r, right.cols[cut:], right.vals[cut:],
+                       (len(pivots) - r, m))
+        else:
+            U, N = rows[:r, n:], rows[r:, n:]
+        self.U, self.N = (x if x.size >= SPLIT_MIN_CELLS else as_dense(x) for x in (U, N))
+
+
+def _times(a, b, p: int):
+    """``a @ b`` mod p: int64 for two dense matrices (each term below
+    p^2, every p below 2^16), else a ``Sparse`` from their entries."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a @ b % p
+    return matmul_entries(as_sparse(a, p), as_sparse(b, p), p)
+
+
 def solve(mat, rhs, p: int):
     """One solution of mat @ x = rhs, or None if inconsistent.
 
-    ``mat`` is dense or a ``Sparse``; ``rhs`` is a vector or a matrix of
-    stacked column vectors.  ``echelon`` reduces ``[mat | rhs]`` and x is
-    read off the rows' right-hand columns at the pivots; free
-    coordinates are set to zero, so the solution is deterministic."""
-    vector_input = np.ndim(rhs) == 1
-    b = _matrix(rhs).T if vector_input else _matrix(rhs)
-    if not isinstance(mat, Sparse):
-        mat = _matrix(mat)
-    m, n = mat.shape
+    ``mat`` is a map, dense or a ``Sparse``, or its kept ``Elimination``;
+    on a map the elimination is built here, so every solve takes the one
+    path below.  ``rhs`` is a vector or a matrix of stacked column
+    vectors.  A column b is consistent iff ``N @ b == 0``, and then x is
+    ``U @ b`` at the pivots and zero at the free coordinates: the pivots
+    of ``[mat | b]`` below n are mat's own, so this is the solution the
+    echelon rows of ``[mat | b]`` give, and it is deterministic."""
+    elim = mat if isinstance(mat, Elimination) else Elimination(mat, p)
+    if elim.p != p:
+        raise LinalgError(f"an elimination over GF({elim.p}) cannot solve over GF({p})")
+    sparse = isinstance(rhs, Sparse)
+    vector_input = not sparse and np.ndim(rhs) == 1
+    b = rhs if sparse else (_matrix(rhs).T if vector_input else _matrix(rhs)) % p
+    m, n = elim.shape
     if b.shape[0] != m:
-        raise LinalgError(f"right-hand side of shape {np.shape(rhs)} does not fit "
-                          f"a matrix with {m} rows")
-    k = b.shape[1]
-    if isinstance(mat, Sparse):
-        r, c = entries(b)
-        aug = Sparse.summed([(mat.rows, mat.cols, mat.vals), (r, c + n, b[r, c])],
-                            (m, n + k), p)
+        raise LinalgError(f"right-hand side of shape {rhs.shape if sparse else np.shape(rhs)} "
+                          f"does not fit a matrix with {m} rows")
+    if elim.N.shape[0]:
+        left = _times(elim.N, b, p)
+        if left.vals.size if isinstance(left, Sparse) else left.any():
+            return None
+    y = _times(elim.U, b, p)
+    piv = np.asarray(elim.pivots, dtype=np.int64)
+    if sparse:
+        return Sparse(piv[y.rows], y.cols, y.vals, (n, b.shape[1]))
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    if isinstance(y, Sparse):
+        x[piv[y.rows], y.cols] = y.vals
     else:
-        aug = np.hstack([mat, b])
-    rows, pivots = echelon(aug, p)
-    if pivots and pivots[-1] >= n:
-        return None
-    x = np.zeros((n, k), dtype=np.int64)
-    x[pivots] = (rows.columns(np.arange(n, n + k)).dense() if isinstance(rows, Sparse)
-                 else rows[:, n:])
+        x[piv] = y
     return x[:, 0] if vector_input else x
 
 

@@ -15,7 +15,12 @@ keeps each map, as ``linalg.Sparse`` entries from
 ``gmodule.SPARSE_MIN_CELLS`` cells on and dense below, and ``entries``
 reads their algebra entries straight off the terms.  The kernels and
 the new generator rows of each step travel in the same form, and
-``verify_complex`` ranks and composes the kept maps in it.
+``verify_complex`` ranks and composes the kept maps in it.  A step
+takes a kernel only at the degrees where the free module it maps out of
+is nonzero; elsewhere the kernel is empty and nothing is evaluated.
+``elimination`` keeps each map's ``linalg.Elimination`` the first time a
+solve asks for it, so every chain-map lift through the resolution
+solves against one elimination per map.
 
 Inside a ``sharing()`` scope, equal requests share one result: each
 ``minimal_resolution`` key (the algebra's identity, the module's
@@ -89,6 +94,7 @@ class FreeResolution:
         self.terms = terms          # terms[i]: generator terms of F_i -> F_{i-1}; terms[0] is None
         self.cover = cover          # d -> matrix (dim M_d, dim F0_d)
         self._ev_cache: dict[tuple[int, int], np.ndarray | linalg.Sparse] = {}
+        self._elim_cache: dict[tuple[int, int], linalg.Elimination] = {}
 
     def entries(self, i: int) -> list[tuple[int, int, Element]]:
         """(row, column, entry) for each nonzero entry of d_i: F_i ->
@@ -121,6 +127,13 @@ class FreeResolution:
             self._ev_cache[i, d] = extend_entries(self.frees[i - 1], self.frees[i],
                                                   self.terms[i], [d])[d]
         return self._ev_cache[i, d]
+
+    def elimination(self, i: int, d: int) -> linalg.Elimination:
+        """The kept elimination of ``evaluated(i, d)``, built at its first
+        request: every later solve against that map starts from it."""
+        if (i, d) not in self._elim_cache:
+            self._elim_cache[i, d] = linalg.Elimination(self.evaluated(i, d), self.algebra.p)
+        return self._elim_cache[i, d]
 
     def rank(self, i: int) -> int:
         return self.frees[i].rank if 0 <= i <= self.hmax else 0
@@ -186,7 +199,10 @@ def sharing():
 
     Read-only contract: no library code mutates a ``FreeResolution`` or
     an ``extalg._PhiData`` after it is built (only
-    ``minimal_resolution``'s own builder appends to one), and a shared
+    ``minimal_resolution``'s own builder appends to one), beyond the
+    caches a resolution fills lazily: its ``evaluated`` maps and their
+    ``elimination``s, each a function of the resolution alone, so a
+    caller sees the same value whoever asked first; and a shared
     resolution's ``module`` is the first caller's object of equal
     content, of which callers read only the content.
 
@@ -243,9 +259,11 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     res = FreeResolution(algebra, module, hmax, dmax, [f0], [None], cover)
     for step in range(1, hmax + 1):
         prev_free = res.frees[-1]
-        # the maps evaluated here stay in res's cache for their later users
-        kers = {d: linalg.kernel(res.evaluated(step - 1, d), p)
-                for d in range(dmax + 1)}
+        # the maps evaluated here stay in res's cache for their later users;
+        # a degree where F_(step-1) is zero has the empty kernel, and its
+        # map is neither evaluated nor eliminated
+        kers = {d: linalg.kernel(res.evaluated(step - 1, d), p) if prev_free.dim(d)
+                else np.zeros((0, 0), dtype=np.int64) for d in range(dmax + 1)}
 
         new_gens = minimal_generators_by_degree(algebra, kers, prev_free.times, dmax)
         degrees = [d for d, kept, _ in new_gens for _ in kept]

@@ -39,6 +39,7 @@ from fiberres.gmodule import (
     trivial_module,
 )
 from fiberres.resolve import WindowError, minimal_resolution, verify_complex
+from fiberres.series import PowerSeries
 
 P = 32003
 
@@ -166,6 +167,18 @@ def test_ext_sequence_mixed_pair():
     assert rep.data["ext_dims"] == [1, 2, 4, 8, 16, 32]
 
 
+def test_ext_sequence_failure_names_degree_dim_and_prediction(square_zero_pair,
+                                                              monkeypatch):
+    """A series off by t in each component predicts 2 too many at n = 3."""
+    _, _, R = square_zero_pair
+    real = cohomology.coproduct_module_series
+    monkeypatch.setattr(cohomology, "coproduct_module_series", lambda *args: real(
+        *args) + PowerSeries.monomial(1, args[0].truncation))
+    bad = verify_ext_sequence_L(R, line_quotient(R), 5).first_failure()
+    assert bad["name"] == "Ext dims match the shifted coproduct series (2 <= n <= 5)"
+    assert bad["detail"] == "(degree, ext dim, predicted) [(3, 4, 6)]"
+
+
 # -- the Ext sequence of a pullback module ------------------------------------
 
 
@@ -212,6 +225,18 @@ def test_fiber_module_injectivity_failure_names_degree_and_ranks(square_zero_pai
     assert bad["name"] == "(mu*, -nu*) injective in each cohomological degree <= 3"
     assert bad["detail"] == ("(degree, rank, expected) "
                              "[(0, 0, 1), (1, 0, 2), (2, 0, 4), (3, 0, 8)]")
+
+
+def test_fiber_module_poincare_failure_names_its_first_degree(square_zero_pair,
+                                                              monkeypatch):
+    """k^2 in place of k doubles P_k, so the identity fails from degree 0."""
+    S, T, R = square_zero_pair
+    monkeypatch.setattr(cohomology, "residue_module", lambda A: trivial_module(A, 2))
+    bad = verify_fiber_module_ext_sequence(
+        R, algebra_as_module(S), algebra_as_module(T), 3).first_failure()
+    assert bad["name"] == "Poincare identity P_fib + 1 * P_k = P_M + P_N (through degree 3)"
+    assert bad["detail"] == ("lhs [3, 4, 8, 16] rhs [2, 2, 4, 8]; "
+                             "first at degree 0: lhs 3, rhs 2")
 
 
 def test_comparison_chain_map_identity(square_zero_pair):

@@ -548,6 +548,33 @@ def test_act_equals_the_product_with_act_matrix_on_a_random_module(p):
         M.act(R.basis_element(1, 0), R.cap, np.zeros(M.dim(R.cap), dtype=np.int64))
 
 
+@pytest.mark.parametrize("p", [3, 65521])
+def test_a_submodule_eliminates_each_target_degree_once(p, monkeypatch):
+    """``submodule_as_gmodule`` keeps one elimination per target degree
+    of its action and reuses it for every (element degree, source degree)
+    landing there; its action tensors equal solves on the basis each
+    time."""
+    R = weighted_ring(p)
+    F = FreeModule(R, [0, 1])
+    rows = {d: linalg.as_dense(linalg.echelon(r, p)[0]) for d, r in
+            enumerate(random_submodule_rows(np.random.default_rng(p), F, p))}
+    built, solves = [], []
+    real_init, real_solve = linalg.Elimination.__init__, linalg.solve
+    monkeypatch.setattr(linalg.Elimination, "__init__",
+                        lambda self, mat, q: built.append(mat) or real_init(self, mat, q))
+    monkeypatch.setattr(linalg, "solve",
+                        lambda mat, rhs, q: solves.append(1) or real_solve(mat, rhs, q))
+    M = submodule_as_gmodule(F, rows)
+    assert 0 < len(built) <= R.cap < len(solves)  # target degrees 1..cap
+    monkeypatch.undo()
+    for (m, n), tensor in M.action.items():
+        for i in range(R.dim(m)):
+            imgs = F.times(rows[n], R.basis_element(m, i), n)
+            want = (np.zeros((len(imgs), len(rows[n + m])), dtype=np.int64) if not imgs.any()
+                    else linalg.solve(rows[n + m].T, imgs.T, p).T)
+            assert np.array_equal(tensor[i], want), (m, n, i)
+
+
 def test_minimal_generators_read_each_kernel_matrix_once(sparse_cells, monkeypatch):
     """Every ``FreeModule.times`` call on a degree's kernel rows and the
     reduction of those rows share one ``linalg.entries`` read; with every

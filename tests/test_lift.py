@@ -7,10 +7,12 @@ every degree d of the window as L[n][d], for every stage n >= 1,
 
 and a comparison map's stage 0 commutes with the two covers.  The
 lifter's array products equal the per-column route through algebra
-entries; it makes one solve per stage and internal degree, evaluates a
-stage only at the generator degrees of the next source step and never
-the last stage, lifts a batch of duals of one degree exactly as it lifts
-each alone, and keeps its error texts and their order.  The read-off on
+entries; it makes one solve per stage and internal degree, eliminates
+each target map at most once however many lifts solve against it (and
+still fails a right-hand side outside the image), evaluates a stage only
+at the generator degrees of the next source step and never the last
+stage, lifts a batch of duals of one degree exactly as it lifts each
+alone, and keeps its error texts and their order.  The read-off on
 generators equals slicing the evaluated stage at its generators."""
 
 import numpy as np
@@ -388,6 +390,50 @@ def test_yoneda_tables_solve_once_per_step_dual_degree_stage_and_degree(
     assert sum(widths) == sum(res.rank(j) * res.rank(j + n)
                               for j in range(1, imax + 1)
                               for n in range(1, imax + 1 - j))
+
+
+def recording_eliminations(monkeypatch):
+    """Record the map of every ``linalg.Elimination`` built."""
+    built = []
+    real = linalg.Elimination.__init__
+
+    def recording(self, mat, p):
+        built.append(mat)
+        real(self, mat, p)
+
+    monkeypatch.setattr(linalg.Elimination, "__init__", recording)
+    return built
+
+
+def test_yoneda_tables_eliminate_each_target_map_once(weighted, monkeypatch):
+    """Every solve of the Yoneda lifts runs against the kept elimination
+    of one of E's maps, and each map is eliminated at most once."""
+    _, _, R = weighted
+    imax = 4
+    res = minimal_resolution(R, residue_module(R), imax)
+    built = recording_eliminations(monkeypatch)
+    widths = counting_solve(monkeypatch)
+    extalg._yoneda_tables(res, res, imax, 1)
+    target = {id(mat): key for key, mat in res._ev_cache.items()}  # (step, degree)
+    keys = [target.get(id(mat)) for mat in built]
+    assert None not in keys and len(set(keys)) == len(keys)
+    assert 0 < len(built) < len(widths)
+
+
+def test_a_right_hand_side_outside_the_image_fails_through_a_kept_elimination(
+        cube_square, monkeypatch):
+    """A lift through the eliminations an earlier lift kept still checks
+    consistency: a tampered source map gives the failed-solve text."""
+    _, _, R = cube_square
+    src = minimal_resolution(R, residue_module(R), 4)
+    tgt = minimal_resolution(R, residue_module(R), 4)
+    lift_dual(src, tgt, 1, 0, 3)
+    built = recording_eliminations(monkeypatch)
+    mat = dense_map(src, 3, 3)
+    monkeypatch.setitem(src._ev_cache, (3, 3), (mat + 1) % P)
+    with pytest.raises(ExtError, match="^chain-map lift failed at stage 2, degree 3$"):
+        lift_dual(src, tgt, 1, 0, 3)
+    assert built == []
 
 
 # -- what the lifter evaluates and reads off ------------------------------------

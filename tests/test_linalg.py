@@ -66,6 +66,18 @@ def test_kernel_properties():
         assert linalg.rank(ker, p) == ker.shape[0]
 
 
+def test_the_kernel_of_a_map_with_no_rows_is_the_identity_without_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eliminated a map with no rows")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    monkeypatch.setattr(linalg, "_split", refuse)
+    for n in (0, 3, 200):
+        for mat in (np.zeros((0, n), dtype=np.int64), linalg.Sparse.read(np.zeros((0, n)), 5)):
+            K = linalg.kernel(mat, 5)
+            assert K.dtype == np.int64 and np.array_equal(K, np.eye(n, dtype=np.int64))
+
+
 def test_solve_particular_and_inconsistent():
     p = 7
     mat = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
@@ -475,6 +487,89 @@ def test_solve_on_entry_form_equals_solve_on_the_dense_form(p, min_cells):
     full = linalg.Sparse.read(np.eye(4, dtype=np.int64), p)
     assert linalg.solve(full, np.arange(4), p).tolist() == [x % p for x in range(4)]
     assert linalg.solve(linalg.Sparse.read(np.zeros((3, 2)), p), np.eye(3)[:, :1], p) is None
+
+
+def reference_solve(mat, rhs, p):
+    """The solution read off the column loop's echelon rows of ``[mat |
+    rhs]``: None when a pivot falls in the right-hand side, else the
+    right-hand columns at the pivots and zero at the free coordinates."""
+    vector = np.ndim(rhs) == 1
+    b = linalg.normalize(rhs, p)
+    b = b.T if vector else b
+    A = linalg.normalize(linalg.as_dense(mat), p)
+    n = A.shape[1]
+    R = np.hstack([A, b])
+    pivots = linalg._eliminate(R, p)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    x[pivots] = R[: len(pivots), n:]
+    return x[:, 0] if vector else x
+
+
+def kept_elimination_cases(rng, p):
+    """(map, right-hand sides) pairs: maps with no row or no column, of
+    full rank, rank-deficient products and sparse maps, each right-hand
+    side a consistent matrix, one with a column outside the image, a
+    vector and an empty matrix."""
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (3, 7), (7, 3), (16, 12), (30, 24), (12, 40)]
+    for m, n in shapes:
+        r = int(rng.integers(0, min(m, n) + 1))
+        low = rng.integers(-p, p, size=(m, r)) @ rng.integers(-p, p, size=(r, n))
+        for mat in (low, sparse_matrix(rng, m, n, p, 0.15)):
+            x = rng.integers(0, p, size=(n, 5))
+            rhs = (linalg.normalize(mat, p) @ x) % p
+            bad = rhs.copy()
+            if m:
+                bad[:, 1] = rng.integers(0, p, size=m)
+            yield mat, [rhs, bad, rhs[:, 0], bad[:, 1], rhs[:, :0]]
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+def test_solve_on_a_kept_elimination_equals_the_column_loop_on_the_augmented_map(
+        p, min_cells):
+    """``solve`` on a map and on one ``Elimination`` kept for many
+    right-hand sides, dense or in entry form, gives byte for byte the
+    solution of the column loop on ``[mat | rhs]``, None where a column is
+    outside the image; a ``Sparse`` right-hand side gives the same
+    solution as a ``Sparse``."""
+    rng = np.random.default_rng(6200 + p)
+    for mat, sides in kept_elimination_cases(rng, p):
+        for form in (mat, linalg.Sparse.read(mat, p)):
+            kept = linalg.Elimination(form, p)
+            A = linalg.normalize(mat, p)
+            U, N = linalg.as_dense(kept.U), linalg.as_dense(kept.N)
+            assert kept.pivots == linalg.echelon(mat, p)[1]
+            assert np.array_equal(U @ A % p, linalg.as_dense(linalg.echelon(mat, p)[0]))
+            assert N.shape[0] == mat.shape[0] - len(kept.pivots) and not np.any(N @ A % p)
+            for b in sides:
+                want = reference_solve(mat, b, p)
+                assert_same_solution(linalg.solve(form, b, p), want)
+                assert_same_solution(linalg.solve(kept, b, p), want)
+                if np.ndim(b) == 2:
+                    got = linalg.solve(kept, linalg.Sparse.read(b, p), p)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert isinstance(got, linalg.Sparse) and got.shape == want.shape
+                        assert np.array_equal(got.dense(), want)
+
+
+def test_a_kept_elimination_refuses_a_wrong_length_and_another_field():
+    kept = linalg.Elimination(np.eye(3, dtype=np.int64), 5)
+    for rhs in (np.array([1, 2]), np.ones((4, 2), dtype=np.int64),
+                linalg.Sparse.read(np.ones((2, 2)), 5)):
+        with pytest.raises(linalg.LinalgError, match="does not fit a matrix with 3 rows"):
+            linalg.solve(kept, rhs, 5)
+    with pytest.raises(linalg.LinalgError, match="over GF.5. cannot solve over GF.7."):
+        linalg.solve(kept, np.arange(3), 7)
+
+
+def test_a_sparse_reads_as_its_dense_matrix():
+    mat = np.array([[0, 3, 0], [4, 0, 0]])
+    S = linalg.Sparse.read(mat, 5)
+    assert np.shape(S) == (2, 3) and np.ndim(S) == 2
+    assert np.array_equal(np.asarray(S), mat % 5)
+    assert np.asarray(S, dtype=np.float64).dtype == np.float64
 
 
 # -- the entry-form elimination core ------------------------------------------

@@ -1,8 +1,9 @@
 """Byte-level guard on the command-line reports.
 
-Each README command (plus ``depth --l``, ``ext --module``, and ``verify
-phi`` and ``verify theta`` at windows 8 and 7, where the induced maps'
-products group many words, and four commands on a second factor
+Each README command (plus ``depth --l``, ``ext --module``, ``verify phi``
+and ``verify theta`` at windows 8 and 7, where the induced maps' products
+group many words, ``verify phi`` at window 10, where the lifter's maps
+are 1024 wide and kept in entry form, and four commands on a second factor
 tabulated to a lower cap than the first) and the bundled suite run
 in-process through ``cli.main``.  The SHA-256 of the ``--out`` file,
 the exit code and the SHA-256 of stdout (without the wall-time and
@@ -57,6 +58,12 @@ GOLDEN = {
         "verify phi --s s_x2.json --t t_y2.json --window 8", 0,
         "fa39a29565cc228be91536987b87f9949a3efffe5f053565793da3a76b71ab17",
         "73093d66e6b56bc1814ff24e3bdcc2984db3d0e3c7b1be25699728f51c97ed52"),
+    # window 10: the 1024-wide maps take the entry-form right-hand sides
+    # and the entry-form kept eliminations
+    "verify-phi-10": (
+        "verify phi --s s_x2.json --t t_y2.json --window 10", 0,
+        "cf04f0aeaed5e19d308017d01364dd8f294307bf70e099bdd5c861c8a2cbc06d",
+        "c14b891861f7949d67491d9dd22bf08259aafe09fe24421580002eb90a6bf41d"),
     "verify-theta": (
         "verify theta --s s_x3.json --t t_y2.json --m m_kx2.json --window 5", 0,
         "06462e2a01b23604c027cc16d39b8d43a647ba2a3af9ec3ab57040851eea69b7",

@@ -264,6 +264,38 @@ def test_each_map_is_evaluated_and_ranked_once(monkeypatch):
             assert sum(mat is kept for mat in ranked) == 1
 
 
+def test_an_empty_degree_is_neither_evaluated_nor_eliminated(monkeypatch):
+    """Over k[x]/(x^2) x_k k[y]/(y^2), F_i lives in degrees i and i + 1
+    only: the builder evaluates and takes a kernel of a map out of F_i only
+    there, the Betti table is 2^i in degree i, and every kept map equals
+    the differential extended afresh from its terms."""
+    evaluated, kernels = [], []
+    real_extend, real_kernel = resolve.extend_entries, linalg.kernel
+
+    def extend_entries(ftgt, fsrc, terms, degrees, *args, **kwargs):
+        evaluated.extend((fsrc, d) for d in degrees)
+        return real_extend(ftgt, fsrc, terms, degrees, *args, **kwargs)
+
+    def kernel(mat, p):
+        kernels.append(mat.shape)
+        return real_kernel(mat, p)
+
+    monkeypatch.setattr(resolve, "extend_entries", extend_entries)
+    monkeypatch.setattr(linalg, "kernel", kernel)
+    R = fiber_product(mono([("x", 1)], ["x^2"], cap=10), mono([("y", 1)], ["y^2"], cap=10))
+    res = minimal_resolution(R, residue_module(R), 6)
+    step = {id(F): i for i, F in enumerate(res.frees)}
+    assert sorted((step[id(F)], d) for F, d in evaluated) == [
+        (i, d) for i in range(1, 6) for d in (i, i + 1)]
+    assert len(kernels) == 2 * 6 and all(n for _, n in kernels)  # steps 1-6
+    assert res.betti() == {(i, i): 2 ** i for i in range(7)}
+    for i in range(1, 6):
+        for d in (i, i + 1):
+            want = extend(res.frees[i - 1], res.frees[i], res.terms[i], [d])[d]
+            assert np.array_equal(linalg.as_dense(res.evaluated(i, d)), want)
+    assert verify_complex(res).ok
+
+
 def failures(res):
     return [(c["name"], c["detail"]) for c in verify_complex(res).checks
             if not c["ok"]]
