@@ -61,18 +61,13 @@ def _factor_masks(R: FiberProductAlgebra, free: FreeModule, d: int):
     return masks["S"], masks["T"]
 
 
-def _supported_rows(K: np.ndarray, keep: np.ndarray, p: int) -> np.ndarray:
+def _supported_rows(K: linalg.Matrix, keep: np.ndarray, p: int) -> linalg.Matrix:
     """Echelon basis of the subspace of K's row space supported on the
     kept coordinates."""
-    if K.shape[0] == 0:
-        return np.zeros((0, K.shape[1]), dtype=np.int64)
-    drop = ~keep
-    if drop.any():
-        X = linalg.as_dense(linalg.kernel(K[:, drop].T, p))
-        if X.shape[0] == 0:
-            return np.zeros((0, K.shape[1]), dtype=np.int64)
-        K = (X @ K) % p
-    return linalg.as_dense(linalg.echelon(K, p)[0])
+    drop = np.flatnonzero(~keep)
+    if K.shape[0] and drop.size:
+        K = linalg.matmul(linalg.kernel(K.columns(drop).T, p), K, p)
+    return linalg.echelon(K, p)[0]
 
 
 class SyzygySplit:
@@ -114,13 +109,13 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
     dmax, F1 = res.dmax, res.frees[1]
     rep = ComplexReport()
 
-    m_bases: dict[int, np.ndarray] = {}
-    n_bases: dict[int, np.ndarray] = {}
+    m_bases: dict[int, linalg.Matrix] = {}
+    n_bases: dict[int, linalg.Matrix] = {}
     unit_bad, split_bad, dims = [], [], []
     for d in range(dmax + 1):
-        K = linalg.as_dense(linalg.kernel(res.evaluated(1, d), p))
+        K = linalg.kernel(res.evaluated(1, d), p)
         pmask, qmask = _factor_masks(R, F1, d)
-        if K.shape[0] and np.any(K[:, ~(pmask | qmask)]):
+        if K.columns(np.flatnonzero(~(pmask | qmask))).nnz:
             unit_bad.append(d)
         M = _supported_rows(K, pmask, p)
         N = _supported_rows(K, qmask, p)
@@ -145,7 +140,7 @@ def syzygy_split(R: FiberProductAlgebra, L: GradedModule) -> SyzygySplit:
             for m in range(1, dmax - d + 1):
                 for i in range(factor.dim(m)):
                     a = R.embed(side, factor.basis_element(m, i))
-                    if np.any(F1.times(rows, a, d)):
+                    if F1.times(rows, a, d).nnz:
                         bad.append((d, m))
                         break
                 else:

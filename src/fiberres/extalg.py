@@ -7,11 +7,11 @@ Every chain map here is lifted by one numeric stage loop,
 of the source generators, one multi-column solve per internal degree,
 against the target map's elimination that the target resolution keeps
 (``FreeResolution.elimination``), so each target map is eliminated once
-however many lifts solve against it; where the source map is kept in
-entry form, the right-hand side is formed and solved in entry form, and
-the solution read off as entry rows.  The stage below is evaluated with
-``gmodule.extend`` only at the generator degrees of the stage being
-solved, and the last stage is never evaluated.  The entry points differ
+however many lifts solve against it.  Maps, right-hand sides and
+solutions are ``linalg.Matrix``es, stored as ``linalg`` decides.  The
+stage below is evaluated with ``gmodule.extend`` only at the generator
+degrees of the stage being solved, and the last stage is never
+evaluated.  The entry points differ
 only in stage 0 and the shift: ``lift_dual`` (the dual of a generator,
 written down as terms, for Yoneda products; the duals of one step and
 degree go as one batch, told apart by the terms' batch column),
@@ -78,15 +78,13 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution, prev: dict,
     for the images of the source generators against tgt's stage-n
     differential (the two covers at stage 0), one ``linalg.solve`` per
     degree in increasing order with a column per generator and map,
-    handed the map's kept elimination (``tgt.elimination``).  Where src
-    keeps its map as a ``linalg.Sparse``, the right-hand side is the
-    entry-form product ``prev @ block`` (``linalg.matmul_entries``), and
-    the solution comes back in entry form; below that size both are
-    dense, from one ``linalg.matmul_mod``.  A right-hand side outside the
-    image raises ``ExtError``.  It reads the
-    stage below only at its own generator degrees, so ``extend``
-    evaluates a stage there alone, inside the window, and never
-    evaluates the last one.  With ``side``, src lives over a fiber
+    handed the map's elimination (``tgt.elimination``, not kept for a
+    map with no rows or no columns).  The right-hand side is the product
+    ``prev @ block`` (``linalg.matmul``) with each map's rows set side by
+    side.  A right-hand side outside the image raises ``ExtError``.  It
+    reads the stage below only at its own generator degrees, so
+    ``extend`` evaluates a stage there alone, inside the window, and
+    never evaluates the last one.  With ``side``, src lives over a fiber
     product and tgt over that factor.
     """
     p = tgt.algebra.p
@@ -103,26 +101,12 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution, prev: dict,
                 raise ExtError(f"lift window too small for a degree-{sj} generator")
             if sj not in prev:
                 continue
-            block = src.evaluated(step + n, sj)
-            cols = fsrc.block_indices(sj, gens)
-            k = len(gens)
-            if isinstance(block, linalg.Sparse):
-                rhs = linalg.matmul_entries(linalg.as_sparse(prev[sj], p),
-                                            block.columns(cols), p)
-                # row i of map b goes to row i, column block b
-                m = rhs.shape[0] // batch
-                b, i = divmod(rhs.rows, m)
-                rhs = linalg.Sparse.summed([(i, b * k + rhs.cols, rhs.vals)], (m, batch * k), p)
-            else:
-                rhs = linalg.matmul_mod(prev[sj], block[:, cols], p)
-                rhs = rhs.reshape(batch, -1, k).transpose(1, 0, 2).reshape(-1, batch * k)
+            block = src.evaluated(step + n, sj).columns(fsrc.block_indices(sj, gens))
+            rhs = linalg.matmul(prev[sj], block, p).side_by_side(batch)
             sol = linalg.solve(tgt.elimination(n, sj - shift), rhs, p)
             if sol is None:
                 raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")
-            if isinstance(sol, linalg.Sparse):  # generator_terms reads entry rows (b, j)
-                sol = linalg.Sparse.summed([(sol.cols, sol.rows, sol.vals)],
-                                           (batch * k, sol.shape[0]), p)
-            images.append((sj, gens, sol))
+            images.append((sj, gens, sol))  # column (b, j): map b's image of generator j
         prev = generator_terms(tgt.frees[n], images, shift, batch)
         out.append(prev)
     return out

@@ -10,19 +10,16 @@ A map of free modules (or a batch of maps) is stored as sparse
 generator terms: per (source generator degree, entry degree e), arrays
 ``(tgt, src, batch, coef)`` with one row per nonzero entry, ``coef``
 being its coefficients in degree e.  ``generator_terms`` reads them off
-generator images, dense columns or ``linalg.Sparse`` rows, and
-``extend``, the one module-linear extension, evaluates them degree by
-degree; ``extend_entries`` gives each degree's matrix as a
-``linalg.Sparse`` from ``SPARSE_MIN_CELLS`` cells on.  An AlgMatrix
-writes a map by its algebra entries and hands it on as terms; nothing
-turns terms back into one.
+generator images, the columns of a ``linalg.Matrix``, and ``extend``,
+the one module-linear extension, evaluates them degree by degree into a
+``linalg.Matrix`` per degree.  An AlgMatrix writes a map by its algebra
+entries and hands it on as terms; nothing turns terms back into one.
 
-Rows of the resolution layer travel in the form their size asks for:
-from ``SPARSE_MIN_CELLS`` cells on as ``linalg.Sparse`` entries, below
-it as dense arrays.  A module's ``times`` returns the form it is given,
-and ``minimal_generators_by_degree`` keeps the products, the echelon
-basis of the lower degrees, the residuals and the new rows of entry
-rows in entry form.
+Rows and maps of the resolution layer are ``linalg.Matrix``es, so
+``linalg``'s storage rule alone decides how each is stored.  A module's
+``times`` takes and gives one; ``FreeModule.times`` reads the rows'
+nonzero entries when ``linalg`` keeps them as entries and multiplies
+block by block when it keeps them dense.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ __all__ = [
     "restrict_to_fiber",
     "cokernel_module",
     "extend",
-    "extend_entries",
     "generator_terms",
     "fiber_product_module",
     "minimal_generators_by_degree",
@@ -105,13 +101,9 @@ class GradedModule:
             raise ModuleError(f"action lands beyond cap {self.cap}")
         return np.einsum("ijk,i->jk", self.action[(m, n)], a.vec) % self.algebra.p
 
-    def times(self, rows, a: Element, n: int):
-        """``rows @ act_matrix(a, n)`` mod p, in the form of ``rows``
-        (dense or a ``linalg.Sparse``); the product itself is dense."""
-        p = self.algebra.p
-        if isinstance(rows, linalg.Sparse):
-            return linalg.Sparse.read(self.times(rows.dense(), a, n), p)
-        return linalg.matmul_mod(rows, self.act_matrix(a, n), p)
+    def times(self, rows, a: Element, n: int) -> linalg.Matrix:
+        """``rows @ act_matrix(a, n)`` mod p."""
+        return linalg.matmul(rows, self.act_matrix(a, n), self.algebra.p)
 
     def act(self, a: Element, n: int, vec) -> tuple[int, np.ndarray]:
         """``vec @ act_matrix(a, n)`` mod p, without building the matrix:
@@ -187,9 +179,10 @@ def algebra_as_module(algebra: GradedAlgebra) -> GradedModule:
 def free_module_table(algebra: GradedAlgebra, gen_degrees: list[int]) -> GradedModule:
     """The free module on the given generators, as a degreewise table."""
     free = FreeModule(algebra, gen_degrees)
-    units = [np.eye(free.dim(d), dtype=np.int64) for d in range(algebra.cap + 1)]
+    units = [linalg.Matrix.identity(free.dim(d)) for d in range(algebra.cap + 1)]
     return GradedModule(algebra, [free.pair_labels(d) for d in range(algebra.cap + 1)],
-                        _action_tensors(algebra, free, units, lambda imgs, m, n: imgs))
+                        _action_tensors(algebra, free, units,
+                                        lambda imgs, m, n: imgs.dense()))
 
 
 def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
@@ -211,15 +204,6 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
 
 
 # -- free modules and matrices -------------------------------------------
-
-
-# From this many cells on, the rows and maps of the resolution layer are
-# kept as linalg.Sparse entries, and FreeModule.times and the reduction in
-# minimal_generators_by_degree work on those entries; below it, dense int64
-# products take fewer array operations.  Over the benchmark's calls to
-# times and to the reduction, the total is flat from 2048 to 4096 cells
-# and rises on either side (see CHANGES.md).
-SPARSE_MIN_CELLS = 4096
 
 
 class FreeModule:
@@ -285,9 +269,6 @@ class FreeModule:
         starts where the next one does."""
         return self._layout(d)[1].searchsorted(coords, "right") - 1
 
-    def pair_index(self, d: int, j: int, a_idx: int) -> int:
-        return self._layout(d)[0][j] + a_idx
-
     def gen_index(self, d: int, j: int) -> int:
         """Flat index of 1 * g_j in degree d = deg(g_j)."""
         if self.gen_degrees[j] != d:
@@ -302,23 +283,23 @@ class FreeModule:
                 out.append(self.gen_labels[j] if lab == "1" else f"{lab}*{self.gen_labels[j]}")
         return out
 
-    def times(self, rows, a: Element, d: int):
-        """``rows`` (coordinate rows in degree d, dense or a
-        ``linalg.Sparse``) times the matrix of v -> a*v, mod p, in the
-        form of ``rows``: one int64 product per generator degree s, exact
-        as each entry sums dim A_(d - s) terms below p^2.
+    def times(self, rows, a: Element, d: int) -> linalg.Matrix:
+        """``rows`` (coordinate rows in degree d) times the matrix of v ->
+        a*v, mod p: one int64 product per generator degree s, exact as
+        each entry sums dim A_(d - s) terms below p^2.
 
-        Rows of ``SPARSE_MIN_CELLS`` cells or more are read only at their
+        Rows that ``linalg`` keeps as a dense block are multiplied block
+        by block whole.  Rows it keeps as entries are read only at their
         nonzero entries.  Entry c of a row is coordinate x of the block
         of the generator g_j holding it, and a * (x g_j) lies in g_j's
         block in degree d + m.  Per s, only the (row, generator) pairs
         that are hit enter the product, and the result is made of their
-        blocks alone.  Smaller rows are multiplied block by block whole."""
+        blocks alone."""
         A, m, p = self.algebra, a.degree, self.algebra.p
-        sparse = isinstance(rows, linalg.Sparse)
+        rows = linalg.Matrix.read(rows, p)
         shape = (rows.shape[0], self.dim(d + m))
-        if rows.size < SPARSE_MIN_CELLS:
-            dense = rows.dense() if sparse else rows
+        if rows.kept_dense:
+            dense = rows.dense()
             out = np.zeros(shape, dtype=np.int64)
             for s, gens in self.by_degree.items():
                 na, nb = A.dim(d - s), A.dim(d + m - s)
@@ -326,9 +307,8 @@ class FreeModule:
                     prod = (dense[:, self.block_indices(d, gens, na)].reshape(-1, na)
                             @ A.left_mult_matrix(a, d - s))
                     out[:, self.block_indices(d + m, gens, nb)] = prod.reshape(shape[0], -1) % p
-            return linalg.Sparse.read(out, p) if sparse else out
-        E = linalg.as_sparse(rows, p)
-        r, c = E.rows, E.cols  # row-major, so each pair's entries are consecutive
+            return linalg.Matrix.read(out, p)
+        r, c, vals = rows.nonzero()  # row-major, so each pair's entries are consecutive
         parts = []
         if r.size:
             src_off, tgt_off = self._layout(d)[1], self._layout(d + m)[1]
@@ -339,7 +319,7 @@ class FreeModule:
             # coef[k, x]: coordinate x of the k-th (row, generator) pair hit
             coef = np.zeros((first.sum(), max(A.dim(d - s) for s in self.by_degree)),
                             dtype=np.int64)
-            coef[first.cumsum() - 1, c - src_off[j]] = E.vals
+            coef[first.cumsum() - 1, c - src_off[j]] = vals
             pr, pj = r[first], j[first]
             pdeg = self._degrees[pj]
             for s in self.by_degree:
@@ -349,8 +329,7 @@ class FreeModule:
                     prod = coef[k, :na] @ A.left_mult_matrix(a, d - s) % p
                     parts.append((np.repeat(pr[k], nb),
                                   (tgt_off[pj[k], None] + np.arange(nb)).ravel(), prod.ravel()))
-        out = linalg.Sparse.summed(parts, shape, p)
-        return out if sparse else out.dense()
+        return linalg.Matrix.placed(parts, shape, p)
 
 
 class AlgMatrix:
@@ -392,54 +371,36 @@ def generator_terms(ftgt: FreeModule, images: list, shift: int = 0,
                     batch: int = 1) -> dict:
     """Sparse generator terms of ``batch`` maps into ftgt from generator
     images: ``images`` holds ``(degree, generators, sol)``, the image of
-    generator j under map b being column (b, j) of a dense ``sol`` or row
-    (b, j) of a ``linalg.Sparse`` one.  The terms are ordered by (target
-    generator i, b, j) in either form."""
+    generator j under map b being column (b, j) of the ``linalg.Matrix``
+    ``sol``, in target degree dt = degree - shift.  Entry x of a column
+    is coordinate y of the block of a target generator i, and the
+    entries of one (i, b, j) make up its coefficient.  The terms are
+    ordered by (target generator i, b, j)."""
     A = ftgt.algebra
     terms = {}
     for sj, gens, sol in images:
-        if isinstance(sol, linalg.Sparse):
-            terms.update(_entry_terms(ftgt, sj, sj - shift, np.asarray(gens), sol, batch))
+        x, bj, vals = linalg.Matrix.read(sol, A.p).nonzero()
+        if not x.size:
             continue
-        k = len(gens)
-        for t, tg in ftgt.by_degree.items():
-            e = sj - shift - t
-            dk = A.dim(e)
-            if not dk:
-                continue
-            # (i, b, j, c): coefficient c of target generator i in the
-            # image of source generator j under map b
-            coef = sol[ftgt.block_indices(t + e, tg, dk)].reshape(
-                len(tg), dk, batch, k).transpose(0, 2, 3, 1)
-            i, b, j = np.nonzero(coef.any(axis=3))
-            if i.size:
-                terms[(sj, e)] = (tg[i], np.asarray(gens)[j], b, coef[i, b, j])
-    return terms
-
-
-def _entry_terms(ftgt: FreeModule, sj: int, dt: int, gens: np.ndarray,
-                 img: linalg.Sparse, batch: int) -> dict:
-    """``generator_terms`` of the degree-sj generators ``gens``, their
-    images the rows of ``img`` in target degree dt: entry c of row (b, j)
-    is coordinate x of the block of a target generator i, and the entries
-    of one (i, b, j) make up its coefficient."""
-    A, width = ftgt.algebra, batch * len(gens)
-    i = ftgt.block_generators(dt, img.cols)
-    x = img.cols - ftgt._layout(dt)[1][i]
-    pair = i * width + img.rows
-    deg = ftgt._degrees[i]
-    terms = {}
-    for t in ftgt.by_degree:
-        dk = A.dim(dt - t)
-        sel = (deg == t).nonzero()[0] if dk else ()
-        if not len(sel):
-            continue
-        keys, slot = np.unique(pair[sel], return_inverse=True)
-        coef = np.zeros((keys.size, dk), dtype=np.int64)
-        coef[slot, x[sel]] = img.vals[sel]
-        tg, bj = divmod(keys, width)
+        gens, dt = np.asarray(gens), sj - shift
+        width = batch * len(gens)
+        i = ftgt.block_generators(dt, x)
+        # the entries in order of (i, b, j); each x is already in order of (b, j)
+        key = i * width + bj
+        order = key.argsort(kind="stable")
+        key = key[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        dims = {t: A.dim(dt - t) for t in ftgt.by_degree}
+        coef = np.zeros((int(first.sum()), max(dims.values())), dtype=np.int64)
+        coef[first.cumsum() - 1, (x - ftgt._layout(dt)[1][i])[order]] = vals[order]
+        tg, bj = divmod(key[first], width)
         b, j = divmod(bj, len(gens))
-        terms[(sj, dt - t)] = (tg, gens[j], b, coef)
+        deg = ftgt._degrees[tg]
+        for t, dk in dims.items():
+            sel = np.flatnonzero(deg == t)
+            if sel.size:
+                terms[(sj, dt - t)] = (tg[sel], gens[j[sel]], b[sel], coef[sel, :dk])
     return terms
 
 
@@ -468,41 +429,18 @@ def _extended_blocks(ftgt: FreeModule, fsrc: FreeModule, terms: dict, d: int,
 
 def extend(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
            shift: int = 0, batch: int = 1, side: str | None = None,
-           ) -> dict[int, np.ndarray]:
+           ) -> dict[int, linalg.Matrix]:
     """Degree-d matrices (d in ``degrees``) of ``batch`` module-linear
     maps fsrc -> ftgt dropping internal degree by ``shift``, stacked by
     rows.  A term r (target h_i, source g_j) sends a * g_j to (a * r) *
-    h_i: one product with ``mult`` per term group and degree, scattered
-    into the nonzero blocks only.  With ``side``, fsrc lives over a fiber
+    h_i: one product with ``mult`` per term group and degree, placed in
+    the nonzero blocks only.  With ``side``, fsrc lives over a fiber
     product and each map precomposes the coefficient projection onto the
     factor ftgt lives over."""
-    out = {}
-    for d in degrees:
-        mat = out[d] = np.zeros((batch * ftgt.dim(d - shift), fsrc.dim(d)), dtype=np.int64)
-        for rows, cols, vals in _extended_blocks(ftgt, fsrc, terms, d, shift, side):
-            mat[rows[:, None, :], cols[:, :, None]] = vals
-    return out
-
-
-def extend_entries(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
-                   ) -> dict[int, np.ndarray | linalg.Sparse]:
-    """``extend`` of one map of internal degree 0 (a differential), with
-    each degree's matrix in the form its size asks for: from
-    ``SPARSE_MIN_CELLS`` cells on a ``linalg.Sparse`` of the nonzero cells
-    of its blocks, below that the dense matrix."""
-    out = {}
-    for d in degrees:
-        shape = (ftgt.dim(d), fsrc.dim(d))
-        if shape[0] * shape[1] < SPARSE_MIN_CELLS:
-            out.update(extend(ftgt, fsrc, terms, [d]))
-            continue
-        parts = []
-        for rows, cols, vals in _extended_blocks(ftgt, fsrc, terms, d, 0, None):
-            nz = vals != 0
-            parts.append((np.broadcast_to(rows[:, None, :], vals.shape)[nz],
-                          np.broadcast_to(cols[:, :, None], vals.shape)[nz], vals[nz]))
-        out[d] = linalg.Sparse.summed(parts, shape, ftgt.algebra.p)
-    return out
+    return {d: linalg.Matrix.placed(
+        [(rows[:, None, :], cols[:, :, None], vals)
+         for rows, cols, vals in _extended_blocks(ftgt, fsrc, terms, d, shift, side)],
+        (batch * ftgt.dim(d - shift), fsrc.dim(d)), ftgt.algebra.p) for d in degrees}
 
 
 # -- subquotients of free modules -------------------------------------------------
@@ -511,17 +449,18 @@ def extend_entries(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
 def _action_tensors(A: GradedAlgebra, free: FreeModule, rows, coords,
                     embed=lambda el: el) -> dict:
     """Action tensors of A on a subquotient of ``free`` whose degree-n
-    basis is given by the coordinate rows ``rows[n]``: slice i of tensor
-    (m, n) holds the images of those rows under basis element i of A_m
-    (through ``embed`` into free's algebra), in the coordinates
-    ``coords(images, m, n)`` returns."""
+    basis is given by the coordinate rows ``rows[n]`` (a
+    ``linalg.Matrix``): slice i of tensor (m, n) holds the images of
+    those rows under basis element i of A_m (through ``embed`` into
+    free's algebra), in the coordinates ``coords(images, m, n)`` returns
+    as an array."""
     action = {}
     for m in range(1, A.cap + 1):
         for n in range(A.cap + 1 - m):
             imgs = [coords(free.times(rows[n], embed(A.basis_element(m, i)), n), m, n)
                     for i in range(A.dim(m))]
             action[(m, n)] = np.array(imgs, dtype=np.int64).reshape(
-                A.dim(m), len(rows[n]), len(rows[n + m]))
+                A.dim(m), rows[n].shape[0], rows[n + m].shape[0])
     return action
 
 
@@ -533,26 +472,24 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
     A = phi.algebra
     p = A.p
     free = phi.tgt
-    echelon: list[tuple[np.ndarray, list[int]]] = []  # pivot rows, pivots
+    echelon: list[tuple[linalg.Matrix, list[int]]] = []  # pivot rows, pivots
     free_cols: list[list[int]] = []
     mats = extend(free, phi.src, phi.terms(), range(A.cap + 1))
     for d in range(A.cap + 1):
         R, pivots = linalg.echelon(mats[d].T, p)  # rows span the image
-        echelon.append((linalg.as_dense(R), pivots))
+        echelon.append((R, pivots))
         is_pivot = set(pivots)
         free_cols.append([c for c in range(free.dim(d)) if c not in is_pivot])
 
     def project(rows, d):
         # the pivot rows are zero at each other's pivots, so one product
-        # reduces each row (at most dim terms below p^2: exact in int64)
-        R, pivots = echelon[d]
-        if pivots:
-            rows = (rows - rows[:, pivots] @ R) % p
-        return rows[:, free_cols[d]]
+        # reduces each row
+        return linalg.reduce_rows(rows, *echelon[d], p).columns(free_cols[d]).dense()
 
     basis = [[labels[c] for c in cols] for labels, cols in
              zip((free.pair_labels(d) for d in range(A.cap + 1)), free_cols)]
-    units = [np.eye(free.dim(n), dtype=np.int64)[cols] for n, cols in enumerate(free_cols)]
+    units = [linalg.Matrix.identity(free.dim(n)).columns(cols).T
+             for n, cols in enumerate(free_cols)]
     return GradedModule(A, basis, _action_tensors(
         A, free, units, lambda imgs, m, n: project(imgs, n + m)))
 
@@ -560,61 +497,42 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
 # -- minimal generators ------------------------------------------------------
 
 
-def _in_form(mat, p: int):
-    """``mat`` in the form its size asks for: a ``linalg.Sparse`` from
-    ``SPARSE_MIN_CELLS`` cells on, dense below."""
-    return linalg.as_sparse(mat, p) if mat.size >= SPARSE_MIN_CELLS else linalg.as_dense(mat)
-
-
-def _stacked(parts, width: int, p: int):
-    """The matrices in ``parts`` stacked by rows: dense when every part
-    is, a ``linalg.Sparse`` otherwise."""
-    if all(isinstance(x, np.ndarray) for x in parts):
-        return np.vstack(parts)
-    return linalg.Sparse.vstack([linalg.as_sparse(x, p) for x in parts], width)
-
-
 def minimal_generators_by_degree(algebra: GradedAlgebra, rows, times, dmax: int) \
-        -> list[tuple[int, np.ndarray, np.ndarray | linalg.Sparse]]:
+        -> list[tuple[int, np.ndarray, linalg.Matrix]]:
     """Minimal generators of the submodule spanned by ``rows[d]`` (d <=
-    dmax, each dense or a ``linalg.Sparse``), where ``times(rows, a, n)``
-    is ``rows`` times the matrix of x -> a*x out of degree n, mod p, in
-    the form of ``rows`` (a module's ``times``).  The rows must span a
-    submodule degreewise (kernels, or a whole module), so the part of
-    degree d generated below it is the sum of g * rows[d - deg g] over
-    the algebra's indecomposables g, folded into one reduced echelon
-    basis ``lower`` of pivot rows only.  Returns, per degree with new
-    generators, ``(degree, row indices, new rows)``: the indices of the
-    rows that enlarge the span of ``lower`` and the rows before them, and
-    for each such row its normalized residual against the reduced echelon
-    basis of that span, as ``linalg.Span.add`` gives it, stacked.
+    dmax, each a ``linalg.Matrix`` or an array-like), where ``times(rows,
+    a, n)`` is ``rows`` times the matrix of x -> a*x out of degree n, mod
+    p (a module's ``times``).  The rows must span a submodule degreewise
+    (kernels, or a whole module), so the part of degree d generated below
+    it is the sum of g * rows[d - deg g] over the algebra's
+    indecomposables g, folded into one reduced echelon basis ``lower`` of
+    pivot rows only.  Returns, per degree with new generators, ``(degree,
+    row indices, new rows)``: the indices of the rows that enlarge the
+    span of ``lower`` and the rows before them, and for each such row its
+    normalized residual against the reduced echelon basis of that span,
+    as ``linalg.Span.add`` gives it, stacked.
 
-    Each degree's rows are taken in the form their size asks for
-    (``_in_form``): from ``SPARSE_MIN_CELLS`` cells on they are read at
-    their nonzero entries once, and their products, ``lower``, their
-    residuals and their new rows stay in entry form; below it the new
-    rows are a dense matrix.  The residual is unique, and reducing
-    against ``lower`` first leaves it unchanged, so each degree's rows
-    are reduced against ``lower`` in one product (``_reduced_entries``).
-    The reduced echelon form of a sum of spans on disjoint columns is the
-    union of their forms, so a residual row that shares no column with
-    another residual row is its own new row, up to its leading entry:
-    all such rows are normalized at once.  Only the rows of
-    shared-column components go through a ``Span``."""
+    The residual is unique, and reducing against ``lower`` first leaves
+    it unchanged, so each degree's rows are reduced against ``lower`` in
+    one ``linalg.reduce_rows``.  The reduced echelon form of a sum of
+    spans on disjoint columns is the union of their forms, so a residual
+    row that shares no column with another residual row is its own new
+    row, up to its leading entry: all such rows are normalized at once.
+    Only the rows of shared-column components go through a ``Span``."""
     p = algebra.p
-    read = [_in_form(rows[d], p) for d in range(dmax + 1)]
+    rows = [linalg.Matrix.read(rows[d], p) for d in range(dmax + 1)]
     out = []
     for d in range(dmax + 1):
-        m, n = read[d].shape
+        m, n = rows[d].shape
         if m == 0:
             continue
-        lower, piv = np.zeros((0, n), dtype=np.int64), []
+        lower, piv = linalg.Matrix.zeros((0, n)), []
         for deg, i in algebra.indecomposables:
-            if deg > d or read[d - deg].shape[0] == 0:
+            if deg > d or rows[d - deg].shape[0] == 0:
                 continue
-            prod = times(read[d - deg], algebra.basis_element(deg, i), d - deg)
-            lower, piv = linalg.echelon(_stacked([lower, prod], n, p), p)
-        r, c, v = _reduced_entries(read[d], lower, piv, p)
+            prod = times(rows[d - deg], algebra.basis_element(deg, i), d - deg)
+            lower, piv = linalg.echelon(linalg.Matrix.stack([lower, prod]), p)
+        r, c, v = linalg.reduce_rows(rows[d], lower, piv, p).nonzero()
         if not r.size:
             continue
         col_count = np.bincount(c, minlength=n)
@@ -638,51 +556,11 @@ def minimal_generators_by_degree(algebra: GradedAlgebra, rows, times, dmax: int)
                 if vec is not None:
                     nz = np.flatnonzero(vec)
                     parts.append((np.full(nz.size, j), nz, vec[nz]))
-        if isinstance(read[d], linalg.Sparse):
-            new = linalg.Sparse.summed(parts, (m, n), p)
-            kept = np.flatnonzero(np.bincount(new.rows, minlength=m))
-            new = linalg.Sparse(np.searchsorted(kept, new.rows), new.cols, new.vals,
-                                (kept.size, n))
-        else:
-            new = np.zeros((m, n), dtype=np.int64)
-            for pr, pc, pv in parts:
-                new[pr, pc] = pv
-            kept = np.flatnonzero(new.any(axis=1))
-            new = new[kept]
-        out.append((d, kept, new))
+        r, c, v = (np.concatenate(x) for x in zip(*parts))
+        kept = np.unique(r)
+        out.append((d, kept, linalg.Matrix.placed(
+            [(np.searchsorted(kept, r), c, v)], (kept.size, n), p)))
     return out
-
-
-def _reduced_entries(rows, lower, piv, p: int):
-    """Nonzero entries ``(row, column, value)``, row-major, of ``rows``
-    reduced against ``lower`` (reduced echelon, pivot columns ``piv``).
-
-    A row's residual is zero at the pivots, and elsewhere it is the row
-    minus, for each pivot entry a of the row, a times the pivot's row of
-    ``lower``.  Dense rows take one int64 product, of at most len(piv)
-    terms below p^2, and the residual is read.  For entry rows those
-    products are taken entry by entry (each below p^2) and summed per
-    (row, column) with the row's own entries."""
-    if isinstance(rows, np.ndarray):
-        res = rows % p
-        if len(piv):
-            res = (res - res[:, piv] @ linalg.as_dense(lower)) % p
-        r, c = linalg.entries(res)
-        return r, c, res[r, c]
-    pos = np.full(rows.shape[1], -1)
-    pos[piv] = np.arange(len(piv))
-    at = pos[rows.cols] >= 0
-    if not at.any():
-        return rows.rows, rows.cols, rows.vals
-    lower = linalg.as_sparse(lower, p)
-    hits = linalg.Sparse(rows.rows[at], pos[rows.cols[at]], p - rows.vals[at],
-                         (rows.shape[0], len(piv)))
-    keep = pos[lower.cols] < 0  # lower is zero at the other pivots and 1 at its own
-    rest = linalg.Sparse(lower.rows[keep], lower.cols[keep], lower.vals[keep], lower.shape)
-    off = ~at
-    res = linalg.Sparse.summed([(rows.rows[off], rows.cols[off], rows.vals[off]),
-                                linalg.product_terms(hits, rest)], rows.shape, p)
-    return res.rows, res.cols, res.vals
 
 
 # -- fiber products of modules ---------------------------------------------
@@ -745,7 +623,8 @@ def submodule_as_gmodule(free: FreeModule, bases: dict[int, np.ndarray],
                          embed=None,
                          label_prefix: str = "s") -> GradedModule:
     """A graded submodule of a free module, tabulated in its own echelon
-    basis.  ``bases[d]`` holds basis rows inside free.dim(d).
+    basis.  ``bases[d]`` holds basis rows inside free.dim(d), a
+    ``linalg.Matrix`` or an array-like.
 
     ``over``/``embed`` re-express the action over a different algebra:
     embed maps an element of ``over`` to an element of free.algebra
@@ -757,7 +636,7 @@ def submodule_as_gmodule(free: FreeModule, bases: dict[int, np.ndarray],
     if embed is None:
         embed = lambda el: el
     cap = A.cap
-    rows = {d: linalg.normalize(bases.get(d, np.zeros((0, free.dim(d)))), p)
+    rows = {d: linalg.Matrix.read(bases.get(d, np.zeros((0, free.dim(d)))), p)
             for d in range(cap + 1)}
     basis = [[f"{label_prefix}{d}_{i}" for i in range(rows[d].shape[0])]
              for d in range(cap + 1)]
@@ -765,13 +644,13 @@ def submodule_as_gmodule(free: FreeModule, bases: dict[int, np.ndarray],
     elims: dict[int, linalg.Elimination] = {}  # one per target degree
 
     def coords(imgs, m, n):
-        if not np.any(imgs):
-            return np.zeros((len(imgs), len(rows[n + m])), dtype=np.int64)
+        if not imgs.nnz:
+            return np.zeros((imgs.shape[0], rows[n + m].shape[0]), dtype=np.int64)
         if n + m not in elims:
             elims[n + m] = linalg.Elimination(rows[n + m].T, p)
         sol = linalg.solve(elims[n + m], imgs.T, p)
         if sol is None:
             raise ModuleError(f"submodule not closed under action at degrees {(m, n)}")
-        return sol.T
+        return sol.T.dense()
 
     return GradedModule(A, basis, _action_tensors(A, free, rows, coords, embed))

@@ -1,10 +1,20 @@
 """Exact linear algebra over a prime field GF(p).
 
-Matrices are numpy int64 arrays with entries reduced into [0, p), or,
-from a size on, ``Sparse`` matrices: row-major ``(row, column, value)``
-arrays of their nonzero entries with a shape.  All reductions use
-Gaussian elimination with the fixed pivot order "first nonzero column,
-topmost row", so every basis this module produces is deterministic.
+``Matrix`` is the one map type: a matrix with entries in [0, p) that
+keeps a dense int64 block below ``STORAGE_MIN_CELLS`` cells and the
+row-major ``(row, column, value)`` arrays of its nonzero entries from
+there on.  Its operations read either storage and give their result in
+the storage the result's size asks for, so no caller chooses a form:
+the product ``matmul``, a column slice (``columns``), a row stack
+(``Matrix.stack``), the transpose ``T`` (its entry rows are the columns),
+``side_by_side``, ``reduce_rows`` and the elimination interface below.
+``Matrix.read`` takes an array-like in, ``Matrix.summed`` and
+``Matrix.placed`` build a matrix from entry parts (summed, or each cell
+given once), ``nonzero`` gives the entries and ``dense`` (or
+``np.asarray``) a dense copy.  Every function here that takes a matrix
+takes a ``Matrix`` or an array-like.  All reductions use Gaussian
+elimination with the fixed pivot order "first nonzero column, topmost
+row", so every basis this module produces is deterministic.
 
 ``echelon`` is the one elimination core.  It follows the nonzero
 structure of its input, in the spirit of Faugere and Lachartre (PASCO
@@ -18,30 +28,27 @@ row is zero at the other blocks' columns, and deleting zero columns or
 reordering rows does not change a block's form.  A one-row component is
 its row divided by its leading entry and a one-column component is the
 unit row at its column; only the larger components run the column loop
-``_eliminate``, each on its compressed block.  The core takes a dense
-or a ``Sparse`` input and gives the pivot rows only: below
-``SPLIT_MIN_CELLS`` cells it runs the loop on the whole dense matrix
-and its rows are dense, from there on they are a ``Sparse``; either way
-they are, entry for entry, the loop's pivot rows on the whole matrix.
-``echelon``, ``rank``, ``kernel`` and ``solve`` are the whole
+``_eliminate``, each on its compressed block.  Below ``SPLIT_MIN_CELLS``
+cells the loop runs on the whole dense matrix instead; either way the
+pivot rows are, entry for entry, the loop's pivot rows on the whole
+matrix.  ``echelon``, ``rank``, ``kernel`` and ``solve`` are the whole
 elimination interface: ``rank`` counts the core's pivots, ``kernel``
-assembles the kernel basis from its rows in the same form (a map with
-no rows has the identity, with nothing eliminated), and ``solve`` reads
-solutions off a map's kept ``Elimination``, the echelon rows of ``[mat
-| I]`` eliminated once and applied to every right-hand side, dense or in
-entry form.  A caller that solves many times against one map keeps its
-``Elimination`` and hands it to ``solve`` in place of the map.
-``matmul_entries`` multiplies two ``Sparse`` matrices, summing the
-terms ``product_terms`` gives.
+assembles the kernel basis from its rows (a map with no rows has the
+identity, with nothing eliminated), and ``solve`` reads solutions off a
+map's kept ``Elimination``, the echelon rows of ``[mat | I]`` eliminated
+once and applied to every right-hand side.  A map with no rows or no
+columns has nothing to eliminate.  A caller that solves many times
+against one map keeps its ``Elimination`` and hands it to ``solve`` in
+place of the map.
 
 Floating point is used in one place: ``matmul_mod`` multiplies reduced
-matrices as float64 through BLAS and reduces once at the end (delayed
+arrays as float64 through BLAS and reduces once at the end (delayed
 reduction, as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3),
 2008).  Every partial sum of a product with k terms is an integer at
 most k (p - 1)^2, so the product is exact while k (p - 1)^2 < 2^53; past
 that bound ``matmul_mod`` raises ``LinalgError`` instead of rounding.
 Every p is below 2^16, so products of up to 2^21 terms are always
-allowed.  Elimination stays in int64.
+allowed.  ``matmul`` and elimination stay in int64.
 
 ``Span`` grows a reduced echelon basis one vector at a time: rows stay
 where they were added, and a vector is reduced by one int64 product
@@ -53,16 +60,14 @@ the rows whose residuals share a column with another row's.
 square-and-multiply in int64.
 
 ``entries`` is the one reader of a whole dense matrix's nonzero
-entries: ``Sparse.read`` (through it a dense right-hand side of
-``solve`` against an entry-form elimination) and the dense residuals
-of ``gmodule.minimal_generators_by_degree`` go through it.  It gives
-the same row-major ``(rows, columns)`` as ``np.nonzero``, from one flat
-scan of a one-byte mask, the flat positions split by ``divmod``.
-``np.nonzero`` on a two-axis array steps a multi-index through every
-cell, even on a boolean mask, while the comparison and ``flatnonzero``
-on one axis are tight loops: on a 1000 x 2500 int64 matrix at 0.1 %
-nonzero the reader takes 3.7 ms against 17 ms for ``np.nonzero``
-(2-core x86-64, numpy 2.4).
+entries: ``Matrix.nonzero`` of a dense block and ``Matrix.read`` of a
+large array go through it.  It gives the same row-major ``(rows,
+columns)`` as ``np.nonzero``, from one flat scan of a one-byte mask, the
+flat positions split by ``divmod``.  ``np.nonzero`` on a two-axis array
+steps a multi-index through every cell, even on a boolean mask, while
+the comparison and ``flatnonzero`` on one axis are tight loops: on a
+1000 x 2500 int64 matrix at 0.1 % nonzero the reader takes 3.7 ms
+against 17 ms for ``np.nonzero`` (2-core x86-64, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -73,11 +78,9 @@ __all__ = [
     "LinalgError",
     "normalize",
     "entries",
-    "Sparse",
-    "as_dense",
-    "as_sparse",
-    "product_terms",
-    "matmul_entries",
+    "Matrix",
+    "matmul",
+    "reduce_rows",
     "inv_mod",
     "matmul_mod",
     "echelon",
@@ -91,6 +94,19 @@ __all__ = [
 
 # Every integer of magnitude below 2^53 is a float64.
 FLOAT64_EXACT = 1 << 53
+
+# From this many cells on a Matrix keeps its nonzero entries; below it, a
+# dense int64 block, on which products and reductions take fewer array
+# operations.  Over the benchmark's products and reductions of the
+# resolution layer, the total is flat from 2048 to 4096 cells and rises on
+# either side (see CHANGES.md).
+STORAGE_MIN_CELLS = 4096
+
+# Below this many cells a matrix is reduced by the column loop whole: the
+# split's fixed cost of some 40 numpy calls exceeds what it saves.  Over
+# the elimination inputs of the benchmark's workloads, the total time is flat
+# from 48 to 192 cells and lowest at 128 (see CHANGES.md).
+SPLIT_MIN_CELLS = 128
 
 
 class LinalgError(ValueError):
@@ -120,49 +136,67 @@ def entries(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return divmod(np.flatnonzero(mat != 0), mat.shape[1])
 
 
-def as_dense(mat) -> np.ndarray:
-    """A ``Sparse`` as its dense matrix; an array as it is."""
-    return mat.dense() if isinstance(mat, Sparse) else mat
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
-def as_sparse(mat, p: int) -> "Sparse":
-    """A dense matrix read at its nonzero entries; a ``Sparse`` as it is."""
-    return mat if isinstance(mat, Sparse) else Sparse.read(mat, p)
+class Matrix:
+    """A matrix over GF(p), entries in [0, p): a dense int64 block below
+    ``STORAGE_MIN_CELLS`` cells, its nonzero entries (row-major int64
+    ``(row, column, value)`` arrays, every value in [1, p)) from there on.
+    A dense one reads its entries once, at the first ``nonzero``.  A
+    Matrix is never mutated; what ``nonzero`` returns is shared."""
 
+    __slots__ = ("shape", "_block", "_rows", "_cols", "_vals")
 
-class Sparse:
-    """A matrix by its nonzero entries: int64 arrays ``rows``, ``cols``
-    and ``vals`` in row-major order, every value in [1, p), and its
-    ``shape``.  ``size`` is the cell count, as for an array, so a size
-    crossover reads the same on either form."""
-
-    __slots__ = ("rows", "cols", "vals", "shape")
-
-    def __init__(self, rows, cols, vals, shape: tuple[int, int]):
-        self.rows, self.cols, self.vals = rows, cols, vals
+    def __init__(self, shape, block=None, rows=None, cols=None, vals=None):
         self.shape = shape
-
-    @property
-    def size(self) -> int:
-        return self.shape[0] * self.shape[1]
+        self._block = block
+        self._rows, self._cols, self._vals = rows, cols, vals
 
     @classmethod
-    def read(cls, mat, p: int) -> "Sparse":
-        """The nonzero entries of a dense matrix, reduced mod p."""
+    def read(cls, mat, p: int) -> "Matrix":
+        """An array-like (a vector is one row) reduced mod p; a Matrix as
+        it is."""
+        if isinstance(mat, Matrix):
+            return mat
         arr = _matrix(mat)
+        if arr.size < STORAGE_MIN_CELLS:
+            return cls(arr.shape, arr % p)
         r, c = entries(arr)
         v = arr[r, c] % p
         if not v.all():  # multiples of p
             keep = v != 0
             r, c, v = r[keep], c[keep], v[keep]
-        return cls(r, c, v, arr.shape)
+        return cls(arr.shape, None, r, c, v)
 
     @classmethod
-    def summed(cls, parts, shape, p: int) -> "Sparse":
+    def zeros(cls, shape) -> "Matrix":
+        return _from_entries(_EMPTY, _EMPTY, _EMPTY, shape)
+
+    @classmethod
+    def identity(cls, n: int) -> "Matrix":
+        unit = np.arange(n)
+        return _from_entries(unit, unit, np.ones(n, dtype=np.int64), (n, n))
+
+    @classmethod
+    def summed(cls, parts, shape, p: int) -> "Matrix":
         """The matrix whose entry (r, c) is the sum mod p of the values at
         (r, c), from ``parts``, a list of ``(rows, cols, values)`` arrays
-        in any order, repeats allowed; a sum must stay below 2^63."""
-        rows, cols, vals = ((np.concatenate(x) for x in zip(*parts)) if parts
+        that broadcast together, in any order, repeats allowed; a sum must
+        stay below 2^63."""
+        shape = (int(shape[0]), int(shape[1]))
+        if shape[0] * shape[1] < STORAGE_MIN_CELLS:
+            block = np.zeros(shape, dtype=np.int64)
+            for r, c, v in parts:
+                np.add.at(block, (r, c), v)
+            return cls(shape, np.remainder(block, p, out=block))
+        flat = []
+        for r, c, v in parts:
+            if v.ndim != 1:  # a block of cells: its zeros are dropped first
+                nz = v != 0
+                r, c, v = np.broadcast_to(r, v.shape)[nz], np.broadcast_to(c, v.shape)[nz], v[nz]
+            flat.append((r, c, v))
+        rows, cols, vals = ((np.concatenate(x) for x in zip(*flat)) if flat
                             else (_EMPTY, _EMPTY, _EMPTY))
         width = max(shape[1], 1)
         key = rows * width + cols
@@ -174,57 +208,183 @@ class Sparse:
         v = np.add.reduceat(vals[order], heads) % p if heads.size else vals
         r, c = divmod(key[heads], width)
         nz = v != 0
-        return cls(r[nz], c[nz], v[nz], shape)
+        return cls(shape, None, r[nz], c[nz], v[nz])
 
     @classmethod
-    def vstack(cls, parts, width: int) -> "Sparse":
-        """The matrices in ``parts``, each ``width`` columns wide, stacked
-        by rows."""
-        height = np.cumsum([0] + [x.shape[0] for x in parts])
-        r = np.concatenate([x.rows + h for x, h in zip(parts, height)] or [_EMPTY])
-        c = np.concatenate([x.cols for x in parts] or [_EMPTY])
-        v = np.concatenate([x.vals for x in parts] or [_EMPTY])
-        return cls(r, c, v, (int(height[-1]), width))
+    def placed(cls, parts, shape, p: int) -> "Matrix":
+        """The matrix with the values of ``parts``, ``(rows, cols, values)``
+        arrays that broadcast together, each value in [0, p) and no cell
+        given twice; the other cells are zero."""
+        shape = (int(shape[0]), int(shape[1]))
+        if shape[0] * shape[1] >= STORAGE_MIN_CELLS:
+            return cls.summed(parts, shape, p)
+        block = np.zeros(shape, dtype=np.int64)
+        for r, c, v in parts:
+            block[r, c] = v
+        return cls(shape, block)
 
-    def __array__(self, dtype=None, copy=None):
-        """``np.asarray`` reads a ``Sparse`` as its dense matrix, so a
-        reader of array-likes (a shape, a digest) takes either form."""
-        if copy is False:
-            raise ValueError("a Sparse becomes an array only by a copy")
-        return self.dense() if dtype is None else self.dense().astype(dtype)
+    @classmethod
+    def stack(cls, parts) -> "Matrix":
+        """The matrices in ``parts`` (at least one, all of one width)
+        stacked by rows."""
+        width = parts[0].shape[1]
+        heights = [x.shape[0] for x in parts]
+        shape = (sum(heights), width)
+        if shape[0] * width < STORAGE_MIN_CELLS and all(x._block is not None for x in parts):
+            return cls(shape, np.vstack([x._block for x in parts]))
+        start = np.cumsum([0] + heights)
+        r, c, v = zip(*(x.nonzero() for x in parts))
+        return _from_entries(np.concatenate([x + h for x, h in zip(r, start)]),
+                             np.concatenate(c), np.concatenate(v), shape)
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def kept_dense(self) -> bool:
+        """Whether the storage rule keeps this matrix as a dense block."""
+        return self._block is not None
+
+    @property
+    def nnz(self) -> int:
+        if self._vals is None:
+            return int(np.count_nonzero(self._block))
+        return self._vals.size
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row-major ``(rows, cols, values)`` of the nonzero entries."""
+        if self._rows is None:
+            r, c = entries(self._block)
+            self._rows, self._cols, self._vals = r, c, self._block[r, c]
+        return self._rows, self._cols, self._vals
 
     def dense(self) -> np.ndarray:
+        """A new dense int64 array of the matrix."""
+        if self._block is not None:
+            return self._block.copy()
         out = np.zeros(self.shape, dtype=np.int64)
-        out[self.rows, self.cols] = self.vals
+        out[self._rows, self._cols] = self._vals
         return out
 
-    def columns(self, idx) -> "Sparse":
+    def __array__(self, dtype=None, copy=None):
+        """``np.asarray`` reads a Matrix as a dense copy, so a reader of
+        array-likes (a shape, a digest, a comparison) takes it."""
+        if copy is False:
+            raise ValueError("a Matrix becomes an array only by a copy")
+        return self.dense() if dtype is None else self.dense().astype(dtype)
+
+    @property
+    def T(self) -> "Matrix":
+        m, n = self.shape
+        if self._block is not None:
+            return Matrix((n, m), self._block.T)
+        order = np.argsort(self._cols * m + self._rows, kind="stable")
+        return Matrix((n, m), None, self._cols[order], self._rows[order], self._vals[order])
+
+    def columns(self, idx) -> "Matrix":
         """The columns ``idx`` (increasing) of the matrix."""
+        idx = np.asarray(idx, dtype=np.int64)
+        shape = (self.shape[0], idx.size)
+        if self._block is not None:
+            return Matrix(shape, self._block[:, idx])
         pos = np.full(self.shape[1], -1)
-        pos[idx] = np.arange(len(idx))
-        c = pos[self.cols]
+        pos[idx] = np.arange(idx.size)
+        c = pos[self._cols]
         keep = c >= 0
-        return Sparse(self.rows[keep], c[keep], self.vals[keep], (self.shape[0], len(idx)))
+        return _from_entries(self._rows[keep], c[keep], self._vals[keep], shape)
+
+    def side_by_side(self, blocks: int) -> "Matrix":
+        """The matrix's ``blocks`` row blocks, of equal height, set side
+        by side: row i of block b goes to row i, column block b."""
+        if blocks == 1:
+            return self
+        m, k = self.shape[0] // blocks, self.shape[1]
+        shape = (m, blocks * k)
+        if self._block is not None:
+            return Matrix(shape, self._block.reshape(blocks, m, k).transpose(1, 0, 2)
+                          .reshape(shape))
+        b, i = divmod(self._rows, max(m, 1))
+        c = b * k + self._cols
+        order = np.argsort(i * shape[1] + c, kind="stable")
+        return Matrix(shape, None, i[order], c[order], self._vals[order])
 
 
-_EMPTY = np.zeros(0, dtype=np.int64)
+def _from_entries(r, c, v, shape) -> Matrix:
+    """The matrix with the nonzero entries ``(r, c, v)``, row-major and
+    reduced, each cell once, in the storage its size asks for."""
+    shape = (int(shape[0]), int(shape[1]))
+    if shape[0] * shape[1] < STORAGE_MIN_CELLS:
+        block = np.zeros(shape, dtype=np.int64)
+        if r.size:
+            block[r, c] = v
+        return Matrix(shape, block, r, c, v)
+    return Matrix(shape, None, r, c, v)
 
 
-def product_terms(a: Sparse, b: Sparse):
-    """The terms of ``a @ b``, not summed: ``(row, column, value)`` with
-    one value a[i, k] * b[k, j] (below p^2) per pair of entries that
-    meet at k.  ``Sparse.summed`` adds them up."""
-    count = np.bincount(b.rows, minlength=b.shape[0])
+def _rows_of(mat: Matrix, start: int, stop: int) -> Matrix:
+    """Rows ``start`` to ``stop`` of ``mat``."""
+    shape = (stop - start, mat.shape[1])
+    if mat._block is not None:
+        return Matrix(shape, mat._block[start:stop])
+    r, c, v = mat.nonzero()
+    a, b = np.searchsorted(r, [start, stop])
+    return _from_entries(r[a:b] - start, c[a:b], v[a:b], shape)
+
+
+def _product_terms(a, b, inner: int):
+    """The terms of ``a @ b`` for entry triples ``(rows, cols, values)``,
+    b's row-major and ``inner`` rows tall, not summed: ``(row, column,
+    value)`` with one value a[i, k] * b[k, j] (below p^2) per pair of
+    entries that meet at k.  ``Matrix.summed`` adds them up."""
+    (ar, ac, av), (br, bc, bv) = a, b
+    count = np.bincount(br, minlength=inner)
     start = np.cumsum(count) - count
-    reps = count[a.cols]
-    term = np.repeat(np.arange(a.rows.size), reps)
-    idx = np.repeat(start[a.cols] - (np.cumsum(reps) - reps), reps) + np.arange(term.size)
-    return a.rows[term], b.cols[idx], a.vals[term] * b.vals[idx]
+    reps = count[ac]
+    term = np.repeat(np.arange(ar.size), reps)
+    idx = np.repeat(start[ac] - (np.cumsum(reps) - reps), reps) + np.arange(term.size)
+    return ar[term], bc[idx], av[term] * bv[idx]
 
 
-def matmul_entries(a: Sparse, b: Sparse, p: int) -> Sparse:
-    """``a @ b`` mod p in entry form."""
-    return Sparse.summed([product_terms(a, b)], (a.shape[0], b.shape[1]), p)
+def matmul(a, b, p: int) -> Matrix:
+    """``a @ b`` mod p: one int64 product of two dense blocks (each term
+    below p^2, every p below 2^16), else the summed products of their
+    entries."""
+    a, b = Matrix.read(a, p), Matrix.read(b, p)
+    if a.shape[1] != b.shape[0]:
+        raise LinalgError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    if a._block is not None and b._block is not None:
+        return Matrix.read(a._block @ b._block, p)
+    return Matrix.summed([_product_terms(a.nonzero(), b.nonzero(), b.shape[0])],
+                         (a.shape[0], b.shape[1]), p)
+
+
+def reduce_rows(rows, lower, pivots, p: int) -> Matrix:
+    """``rows`` reduced against ``lower``, reduced echelon rows with the
+    pivot columns ``pivots``: each row minus, for each pivot entry a of
+    the row, a times the pivot's row of ``lower``, so it is zero at the
+    pivots.  Two dense blocks take one int64 product of at most
+    len(pivots) terms below p^2; otherwise those products are taken entry
+    by entry and summed per (row, column) with the row's own entries."""
+    rows, lower = Matrix.read(rows, p), Matrix.read(lower, p)
+    if not len(pivots):
+        return rows
+    if rows._block is not None and lower._block is not None:
+        res = rows._block
+        return Matrix.read(res - res[:, pivots] @ lower._block, p)
+    r, c, v = rows.nonzero()
+    pos = np.full(rows.shape[1], -1)
+    pos[pivots] = np.arange(len(pivots))
+    at = pos[c] >= 0
+    if not at.any():
+        return rows
+    lr, lc, lv = lower.nonzero()
+    keep = pos[lc] < 0  # lower is zero at the other pivots and 1 at its own
+    off = ~at
+    return Matrix.summed([(r[off], c[off], v[off]),
+                          _product_terms((r[at], pos[c[at]], p - v[at]),
+                                         (lr[keep], lc[keep], lv[keep]), len(pivots))],
+                         rows.shape, p)
 
 
 # Below this many entries inv_mod inverts an array entry by entry: some 30
@@ -260,8 +420,8 @@ def inv_mod(x, p: int):
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
-    """``a @ b mod p`` for matrices with entries in [0, p), as an int64
-    matrix: one float64 BLAS product and one final reduction.  Exact
+    """``a @ b mod p`` for arrays with entries in [0, p), as an int64
+    array: one float64 BLAS product and one final reduction.  Exact
     while ``a.shape[1] * (p - 1)^2 < 2^53``; a longer product, or an
     entry outside [0, p), raises LinalgError."""
     k = np.shape(a)[1]
@@ -273,13 +433,6 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
             raise LinalgError(f"matmul_mod needs entries in [0, {p})")
     prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
     return np.fmod(prod, p, out=prod).astype(np.int64)
-
-
-# Below this many cells a matrix is reduced by the column loop whole: the
-# split's fixed cost of some 40 numpy calls exceeds what it saves.  Over
-# the elimination inputs of the benchmark's workloads, the total time is flat
-# from 48 to 192 cells and lowest at 128 (see CHANGES.md).
-SPLIT_MIN_CELLS = 128
 
 
 def _eliminate(R: np.ndarray, p: int) -> list[int]:
@@ -329,41 +482,30 @@ def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
             label = jumped
 
 
-def _small(mat):
-    """``mat`` as a dense int64 matrix when it has fewer than
-    ``SPLIT_MIN_CELLS`` cells, else None."""
-    if isinstance(mat, Sparse):
-        return mat.dense() if mat.size < SPLIT_MIN_CELLS else None
-    arr = _matrix(mat)
-    return arr if arr.size < SPLIT_MIN_CELLS else None
-
-
-def echelon(mat, p: int) -> tuple[np.ndarray | Sparse, list[int]]:
-    """The reduced echelon rows of ``mat`` (dense or a ``Sparse``), pivot
-    rows only, and the pivot columns in increasing order.
+def echelon(mat, p: int) -> tuple[Matrix, list[int]]:
+    """The reduced echelon rows of ``mat``, pivot rows only, and the
+    pivot columns in increasing order.
 
     The one elimination core.  Below ``SPLIT_MIN_CELLS`` cells the column
-    loop runs on the whole dense matrix, and the rows are dense.  From
-    there on the rows are a ``Sparse``, from the entries ``_split``
-    gives."""
-    small = _small(mat)
-    if small is not None:
-        R = small % p
+    loop runs on the whole dense matrix; from there on the rows are
+    assembled from the entries ``_split`` gives."""
+    mat = Matrix.read(mat, p)
+    if mat.size < SPLIT_MIN_CELLS:
+        R = mat.dense()
         pivots = _eliminate(R, p)
-        return R[: len(pivots)], pivots
-    E = as_sparse(mat, p)
-    parts, pivots = _split(E, p)
-    return Sparse.summed(parts, (len(pivots), E.shape[1]), p), pivots
+        return Matrix.read(R[: len(pivots)], p), pivots
+    parts, pivots = _split(mat, p)
+    return Matrix.placed(parts, (len(pivots), mat.shape[1]), p), pivots
 
 
-def _split(E: Sparse, p: int) -> tuple[list, list[int]]:
+def _split(E: Matrix, p: int) -> tuple[list, list[int]]:
     """The echelon rows of E, as ``(row, column, value)`` parts in no
     particular order, and the pivot columns.  The entries are split into
     their connected blocks, and only blocks of at least two rows and two
     columns are made dense, each compressed to its own rows and
     columns."""
     m, n = E.shape
-    rows, cols, vals = E.rows, E.cols, E.vals  # row-major: each row's leading entry first
+    rows, cols, vals = E.nonzero()  # row-major: each row's leading entry first
     # Per entry: its row is a one-row component when no column of the row
     # holds another nonzero, and its column is a one-column component when
     # the column is shared and none of its rows holds another nonzero.
@@ -428,48 +570,47 @@ def _split(E: Sparse, p: int) -> tuple[list, list[int]]:
 
 
 def rank(mat, p: int) -> int:
-    """Rank of a dense or a ``Sparse`` matrix: its pivots are counted,
-    and no echelon rows are assembled."""
-    small = _small(mat)
-    if small is not None:
-        return len(_eliminate(small % p, p))
-    return len(_split(as_sparse(mat, p), p)[1])
+    """Rank of a matrix: its pivots are counted, and no echelon rows are
+    assembled."""
+    mat = Matrix.read(mat, p)
+    if mat.size < SPLIT_MIN_CELLS:
+        return len(_eliminate(mat.dense(), p))
+    return len(_split(mat, p)[1])
 
 
-def kernel(mat, p: int) -> np.ndarray | Sparse:
-    """Echelon basis of the right kernel of a dense or a ``Sparse``
-    matrix, one row per basis vector: dense below ``SPLIT_MIN_CELLS``
-    cells of ``mat``, a ``Sparse`` from there on.
+def kernel(mat, p: int) -> Matrix:
+    """Echelon basis of the right kernel of a matrix, one row per basis
+    vector.
 
     Basis vectors are indexed by the free columns in increasing order;
     the vector of free column c has a 1 at c and, at pivot column
     pivots[r], minus entry (r, c) of the echelon rows.
     """
-    small = _small(mat)
-    if small is not None:
-        if not small.shape[0]:  # no rows: the identity, with nothing to eliminate
-            return np.eye(small.shape[1], dtype=np.int64)
-        R = small % p
+    mat = Matrix.read(mat, p)
+    m, n = mat.shape
+    if not m:  # no rows: the identity, with nothing to eliminate
+        return Matrix.identity(n)
+    small = mat.size < SPLIT_MIN_CELLS
+    if small:
+        R = mat.dense()
         pivots = _eliminate(R, p)
     else:
-        E = as_sparse(mat, p)
-        parts, pivots = _split(E, p)
-    n = (E if small is None else small).shape[1]
+        parts, pivots = _split(mat, p)
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    if small is not None:
+    if small:
         basis = np.zeros((free.size, n), dtype=np.int64)
         basis[np.arange(free.size), free] = 1
         basis[:, pivots] = (-R[: len(pivots), free].T) % p
-        return basis
+        return Matrix.read(basis, p)
     index = np.cumsum(is_free) - 1  # a free column's basis vector
     piv = np.asarray(pivots, dtype=np.int64)
     out = [(np.arange(free.size), free, np.ones(free.size, dtype=np.int64))]
     for r, c, v in parts:
         at = is_free[c]
         out.append((index[c[at]], piv[r[at]], p - v[at]))
-    return Sparse.summed(out, (free.size, n), p)
+    return Matrix.placed(out, (free.size, n), p)
 
 
 class Elimination:
@@ -479,78 +620,59 @@ class Elimination:
     rows with pivots below n are ``[R | U]``, R the reduced echelon rows of
     ``mat`` and ``U @ mat == R``; the rows with pivots from n on are
     ``[0 | N]``, so ``N @ mat == 0`` and the rows of N span the left
-    kernel.  ``pivots`` are mat's own pivot columns.  U and N are kept in
-    the form their size asks for: a ``Sparse`` from ``SPLIT_MIN_CELLS``
-    cells on, dense below.  ``solve`` reads every solution off them."""
+    kernel.  ``pivots`` are mat's own pivot columns, and U and N are
+    ``Matrix``es.  A map with no rows or no columns eliminates nothing:
+    U has no rows and N is the identity, so a right-hand side is
+    consistent exactly when it is zero, and the solution is zero.
+    ``solve`` reads every solution off U and N."""
 
     __slots__ = ("shape", "p", "pivots", "U", "N")
 
     def __init__(self, mat, p: int):
-        if not isinstance(mat, Sparse):
-            mat = _matrix(mat)
+        mat = Matrix.read(mat, p)
         m, n = self.shape = mat.shape
         self.p = p
-        if isinstance(mat, Sparse):
-            unit = np.arange(m)
-            aug = Sparse.summed([(mat.rows, mat.cols, mat.vals),
-                                 (unit, unit + n, np.ones(m, dtype=np.int64))], (m, n + m), p)
-        else:
-            aug = np.hstack([mat, np.eye(m, dtype=np.int64)])
-        rows, pivots = echelon(aug, p)
+        if not m * n:
+            self.pivots, self.U, self.N = [], Matrix.zeros((0, m)), Matrix.identity(m)
+            return
+        unit = np.arange(m)
+        rows, pivots = echelon(Matrix.placed(
+            [mat.nonzero(), (unit, unit + n, np.ones(m, dtype=np.int64))], (m, n + m), p), p)
         r = int(np.searchsorted(pivots, n))
         self.pivots = pivots[:r]
-        if isinstance(rows, Sparse):
-            right = rows.columns(np.arange(n, n + m))
-            cut = int(np.searchsorted(right.rows, r))
-            U = Sparse(right.rows[:cut], right.cols[:cut], right.vals[:cut], (r, m))
-            N = Sparse(right.rows[cut:] - r, right.cols[cut:], right.vals[cut:],
-                       (len(pivots) - r, m))
-        else:
-            U, N = rows[:r, n:], rows[r:, n:]
-        self.U, self.N = (x if x.size >= SPLIT_MIN_CELLS else as_dense(x) for x in (U, N))
-
-
-def _times(a, b, p: int):
-    """``a @ b`` mod p: int64 for two dense matrices (each term below
-    p^2, every p below 2^16), else a ``Sparse`` from their entries."""
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return a @ b % p
-    return matmul_entries(as_sparse(a, p), as_sparse(b, p), p)
+        right = rows.columns(np.arange(n, n + m))
+        self.U, self.N = _rows_of(right, 0, r), _rows_of(right, r, len(pivots))
 
 
 def solve(mat, rhs, p: int):
     """One solution of mat @ x = rhs, or None if inconsistent.
 
-    ``mat`` is a map, dense or a ``Sparse``, or its kept ``Elimination``;
-    on a map the elimination is built here, so every solve takes the one
-    path below.  ``rhs`` is a vector or a matrix of stacked column
-    vectors.  A column b is consistent iff ``N @ b == 0``, and then x is
-    ``U @ b`` at the pivots and zero at the free coordinates: the pivots
-    of ``[mat | b]`` below n are mat's own, so this is the solution the
-    echelon rows of ``[mat | b]`` give, and it is deterministic."""
+    ``mat`` is a map or its kept ``Elimination``; on a map the
+    elimination is built here, so every solve takes the one path below.
+    ``rhs`` is a vector, an array of stacked column vectors, or a
+    ``Matrix``; the solution comes back in the same kind.  A column b is
+    consistent iff ``N @ b == 0``, and then x is ``U @ b`` at the pivots
+    and zero at the free coordinates: the pivots of ``[mat | b]`` below n
+    are mat's own, so this is the solution the echelon rows of ``[mat |
+    b]`` give, and it is deterministic."""
     elim = mat if isinstance(mat, Elimination) else Elimination(mat, p)
     if elim.p != p:
         raise LinalgError(f"an elimination over GF({elim.p}) cannot solve over GF({p})")
-    sparse = isinstance(rhs, Sparse)
-    vector_input = not sparse and np.ndim(rhs) == 1
-    b = rhs if sparse else (_matrix(rhs).T if vector_input else _matrix(rhs)) % p
+    vector_input = not isinstance(rhs, Matrix) and np.ndim(rhs) == 1
+    b = Matrix.read(_matrix(rhs).T if vector_input else rhs, p)
     m, n = elim.shape
     if b.shape[0] != m:
-        raise LinalgError(f"right-hand side of shape {rhs.shape if sparse else np.shape(rhs)} "
+        raise LinalgError(f"right-hand side of shape {np.shape(rhs)} "
                           f"does not fit a matrix with {m} rows")
-    if elim.N.shape[0]:
-        left = _times(elim.N, b, p)
-        if left.vals.size if isinstance(left, Sparse) else left.any():
-            return None
-    y = _times(elim.U, b, p)
+    if elim.N.shape[0] and matmul(elim.N, b, p).nnz:
+        return None
+    y = matmul(elim.U, b, p)
     piv = np.asarray(elim.pivots, dtype=np.int64)
-    if sparse:
-        return Sparse(piv[y.rows], y.cols, y.vals, (n, b.shape[1]))
+    if isinstance(rhs, Matrix):
+        r, c, v = y.nonzero()
+        return _from_entries(piv[r], c, v, (n, b.shape[1]))
     x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    if isinstance(y, Sparse):
-        x[piv[y.rows], y.cols] = y.vals
-    else:
-        x[piv] = y
+    x[piv] = y.dense()
     return x[:, 0] if vector_input else x
 
 
@@ -602,9 +724,6 @@ class Span:
         self._rows[n], self._piv[n] = v, c
         self.dim = n + 1
         return v
-
-    def contains(self, vec) -> bool:
-        return not np.any(self.reduce(vec))
 
     @property
     def pivots(self) -> list[int]:

@@ -11,16 +11,17 @@ any computation by ``minimal_resolution`` and by every entry point that
 reports a window or shares results by one, to the ring it is about.  The
 differentials are stored only as sparse generator terms (see
 ``gmodule``): ``evaluated`` evaluates them one degree at a time and
-keeps each map, as ``linalg.Sparse`` entries from
-``gmodule.SPARSE_MIN_CELLS`` cells on and dense below, and ``entries``
-reads their algebra entries straight off the terms.  The kernels and
-the new generator rows of each step travel in the same form, and
-``verify_complex`` ranks and composes the kept maps in it.  A step
-takes a kernel only at the degrees where the free module it maps out of
-is nonzero; elsewhere the kernel is empty and nothing is evaluated.
-``elimination`` keeps each map's ``linalg.Elimination`` the first time a
-solve asks for it, so every chain-map lift through the resolution
-solves against one elimination per map.
+keeps each map as a ``linalg.Matrix``, stored as ``linalg`` decides,
+and ``entries`` reads their algebra entries straight off the terms.
+The kernels and the new generator rows of each step are
+``linalg.Matrix``es too, and ``verify_complex`` ranks and composes the
+kept maps.  A step takes a kernel only at the degrees where the free
+module it maps out of is nonzero; elsewhere the kernel is empty and
+nothing is evaluated.  ``elimination`` keeps each nonempty map's
+``linalg.Elimination`` the first time a solve asks for it, so every
+chain-map lift through the resolution solves against one elimination
+per map; a map with no rows or no columns has nothing to eliminate, and
+its elimination is not kept.
 
 Inside a ``sharing()`` scope, equal requests share one result: each
 ``minimal_resolution`` key (the algebra's identity, the module's
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import Element, GradedAlgebra
-from .gmodule import (FreeModule, GradedModule, extend_entries, generator_terms,
+from .gmodule import (FreeModule, GradedModule, extend, generator_terms,
                       minimal_generators_by_degree, submodule_as_gmodule)
 from .series import PowerSeries
 
@@ -93,7 +94,7 @@ class FreeResolution:
         self.frees = frees          # frees[i] for 0 <= i <= hmax
         self.terms = terms          # terms[i]: generator terms of F_i -> F_{i-1}; terms[0] is None
         self.cover = cover          # d -> matrix (dim M_d, dim F0_d)
-        self._ev_cache: dict[tuple[int, int], np.ndarray | linalg.Sparse] = {}
+        self._ev_cache: dict[tuple[int, int], linalg.Matrix] = {}
         self._elim_cache: dict[tuple[int, int], linalg.Elimination] = {}
 
     def entries(self, i: int) -> list[tuple[int, int, Element]]:
@@ -117,23 +118,27 @@ class FreeResolution:
         return self.cover.get(d, np.zeros((self.module.dim(d), self.frees[0].dim(d)),
                                           dtype=np.int64))
 
-    def evaluated(self, i: int, d: int) -> np.ndarray | linalg.Sparse:
+    def evaluated(self, i: int, d: int) -> linalg.Matrix:
         """Degree-d map out of F_i: the differential, evaluated once and
-        kept in the form its size asks for (``gmodule.extend_entries``),
-        or the cover at 0."""
+        kept, or the cover at 0, read afresh."""
         if i == 0:
-            return self.eval_cover(d)
+            return linalg.Matrix.read(self.eval_cover(d), self.algebra.p)
         if (i, d) not in self._ev_cache:
-            self._ev_cache[i, d] = extend_entries(self.frees[i - 1], self.frees[i],
-                                                  self.terms[i], [d])[d]
+            self._ev_cache[i, d] = extend(self.frees[i - 1], self.frees[i], self.terms[i], [d])[d]
         return self._ev_cache[i, d]
 
     def elimination(self, i: int, d: int) -> linalg.Elimination:
-        """The kept elimination of ``evaluated(i, d)``, built at its first
-        request: every later solve against that map starts from it."""
-        if (i, d) not in self._elim_cache:
-            self._elim_cache[i, d] = linalg.Elimination(self.evaluated(i, d), self.algebra.p)
-        return self._elim_cache[i, d]
+        """The elimination of ``evaluated(i, d)``, kept at its first
+        request: every later solve against that map starts from it.  A
+        map with no rows or no columns eliminates nothing, and its
+        elimination is not kept."""
+        elim = self._elim_cache.get((i, d))
+        if elim is None:
+            mat = self.evaluated(i, d)
+            elim = linalg.Elimination(mat, self.algebra.p)
+            if mat.size:
+                self._elim_cache[i, d] = elim
+        return elim
 
     def rank(self, i: int) -> int:
         return self.frees[i].rank if 0 <= i <= self.hmax else 0
@@ -263,15 +268,14 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
         # a degree where F_(step-1) is zero has the empty kernel, and its
         # map is neither evaluated nor eliminated
         kers = {d: linalg.kernel(res.evaluated(step - 1, d), p) if prev_free.dim(d)
-                else np.zeros((0, 0), dtype=np.int64) for d in range(dmax + 1)}
+                else linalg.Matrix.zeros((0, 0)) for d in range(dmax + 1)}
 
         new_gens = minimal_generators_by_degree(algebra, kers, prev_free.times, dmax)
         degrees = [d for d, kept, _ in new_gens for _ in kept]
         fi = FreeModule(algebra, degrees, [f"u{step}_{k}" for k in range(len(degrees))])
-        # generator_terms reads entry rows as they are and dense images as columns
-        terms = generator_terms(prev_free, [
-            (d, fi.by_degree[d], new if isinstance(new, linalg.Sparse) else new.T)
-            for d, _, new in new_gens])
+        # generator_terms reads the images of the new generators as columns
+        terms = generator_terms(prev_free, [(d, fi.by_degree[d], new.T)
+                                            for d, _, new in new_gens])
         unit = sorted((int(j), int(i)) for (_, e), (tg, sg, _, _) in terms.items()
                       if e < 1 for i, j in zip(tg, sg))
         if unit:
@@ -313,7 +317,7 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
     """Independent rank-based verification inside the window:
     differentials compose to zero, all entries lie in the augmentation
     ideal, and homology vanishes at every bidegree the window can
-    certify.  Each evaluated map is ranked once, in the form it is kept in.
+    certify.  Each evaluated map is ranked once.
     d_(i-1) o d_i = 0 is checked on the evaluated maps, at the column of
     each generator of F_i in its own degree: a module map that vanishes
     on generators vanishes, so this is the check over the algebra.  A
@@ -341,7 +345,7 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
         bad = []
         for d in range(dmax + 1):
             n = res.frees[1].dim(d)
-            _, cols = _composite(res.eval_cover(d), res.evaluated(1, d), np.arange(n), p)
+            _, cols = _composite(res.evaluated(0, d), res.evaluated(1, d), np.arange(n), p)
             cols = np.flatnonzero(np.bincount(cols, minlength=n))
             gens = res.frees[1].block_generators(d, cols).tolist()
             bad += [(d, j) for j in dict.fromkeys(gens)]
@@ -366,15 +370,8 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
 
 def _composite(outer, inner, cols, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the nonzero entries of ``outer @
-    inner[:, cols]`` mod p, for maps in either form; two dense maps are
-    multiplied over the rows that the columns hit."""
-    if isinstance(outer, np.ndarray) and isinstance(inner, np.ndarray):
-        inner = inner[:, cols]
-        hit = np.flatnonzero(inner.any(axis=1))
-        return linalg.entries(linalg.matmul_mod(outer[:, hit], inner[hit], p))
-    prod = linalg.matmul_entries(linalg.as_sparse(outer, p),
-                                 linalg.as_sparse(inner, p).columns(cols), p)
-    return prod.rows, prod.cols
+    inner[:, cols]`` mod p."""
+    return linalg.matmul(outer, inner.columns(cols), p).nonzero()[:2]
 
 
 def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
@@ -385,8 +382,8 @@ def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
     F, mid, tgt = res.frees[i], res.frees[i - 1], res.frees[i - 2]
     pairs = set()
     for s, g in F.by_degree.items():
-        outer = extend_entries(tgt, mid, res.terms[i - 1], [s])[s]
-        inner = extend_entries(mid, F, res.terms[i], [s])[s]
+        outer = extend(tgt, mid, res.terms[i - 1], [s])[s]
+        inner = extend(mid, F, res.terms[i], [s])[s]
         rows, cols = _composite(outer, inner, F.block_indices(s, g), res.algebra.p)
         pairs.update(zip(tgt.block_generators(s, rows).tolist(), g[cols].tolist()))
     return sorted(pairs)
@@ -398,7 +395,7 @@ def syzygy_module(res: FreeResolution, n: int) -> GradedModule:
     afresh from the map, which stays in the evaluation cache."""
     if not 1 <= n <= res.hmax:
         raise WindowError(f"syzygy step {n} outside 1..{res.hmax}")
-    kers = {d: linalg.as_dense(linalg.kernel(res.evaluated(n - 1, d), res.algebra.p))
+    kers = {d: linalg.kernel(res.evaluated(n - 1, d), res.algebra.p)
             for d in range(res.dmax + 1)}
     return submodule_as_gmodule(res.frees[n - 1], kers, label_prefix=f"z{n}_")
 

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fiberres import gmodule, jsonio, linalg
+from fiberres import jsonio, linalg
 from fiberres.algebra import (
     Element,
     MonomialQuotientPresentation,
@@ -104,7 +104,7 @@ def test_free_module_layout_matches_prefix_sums(gappy_free):
             assert F._layout(d)[1].dtype == np.int64 and F._layout(d)[1].tolist() == off
             for j, s in enumerate(F.gen_degrees):
                 if s == d:
-                    assert F.gen_index(d, j) == off[j] == F.pair_index(d, j, 0)
+                    assert F.gen_index(d, j) == off[j]
 
 
 def test_free_module_shape_and_degree_errors_are_typed(gappy_free):
@@ -122,7 +122,7 @@ def test_alg_matrix_evaluate_single_variable():
     mats = extend(F0, F1, phi.terms(), range(5))
     for d in range(1, 5):
         # x^{d-1} * g  ->  x^d, both sides one-dimensional
-        assert mats[d].shape == (1, 1) and mats[d][0, 0] == 1
+        assert mats[d].shape == (1, 1) and mats[d].dense()[0, 0] == 1
     assert mats[0].shape == (1, 0)
 
 
@@ -221,7 +221,7 @@ def reference_fiber_product_module(R, m_mod, n_mod):
     S, T, p = R.s_algebra, R.t_algebra, R.p
     m0, n0 = m_mod.dim(0), n_mod.dim(0)
     glue = np.hstack([np.eye(m0, dtype=np.int64), (-np.eye(n0, dtype=np.int64)) % p])
-    deg0 = linalg.as_dense(linalg.kernel(glue, p))
+    deg0 = np.asarray(linalg.kernel(glue, p))
     basis = [[f"w{i}" for i in range(deg0.shape[0])]]
     for n in range(1, R.cap + 1):
         basis.append([f"M:{lab}" for lab in m_mod.labels(n)]
@@ -318,7 +318,7 @@ def test_minimal_generators_reports_row_index_and_echelon_row():
     F = free_module_table(A, [0, 1])  # degree 1 basis: x*g0, g1
     rows = [np.array([[1]]), np.array([[1, 1]])]
     gens = minimal_generators_by_degree(A, rows, F.times, 1)
-    assert [(d, kept.tolist(), linalg.as_dense(new).tolist()) for d, kept, new in gens] \
+    assert [(d, kept.tolist(), np.asarray(new).tolist()) for d, kept, new in gens] \
         == [(0, [0], [[1]]), (1, [0], [[0, 1]])]
     units = [np.eye(F.dim(d), dtype=np.int64) for d in range(2)]
     assert generator_rows(minimal_generators_by_degree(A, units, F.times, 1)) \
@@ -395,13 +395,13 @@ def same_generators(gens, ref):
     """``gens``, per degree, has the reference's (degree, row) pairs and
     its new rows stacked, an entry matrix read as its dense form."""
     return generator_rows(gens) == [(d, j) for d, j, _ in ref] \
-        and all(np.array_equal(linalg.as_dense(new), np.vstack([v for e, _, v in ref if e == d]))
+        and all(np.array_equal(np.asarray(new), np.vstack([v for e, _, v in ref if e == d]))
                 for d, _, new in gens)
 
 
 def dense_kernels(res, step):
     """The kernel of each degree's map out of step ``step - 1``, dense."""
-    return {d: linalg.as_dense(linalg.kernel(res.evaluated(step - 1, d), res.algebra.p))
+    return {d: np.asarray(linalg.kernel(res.evaluated(step - 1, d), res.algebra.p))
             for d in range(res.dmax + 1)}
 
 
@@ -458,10 +458,11 @@ def test_free_module_times_matches_the_dense_product(p):
 
 @pytest.fixture(params=["sparse everything", "default crossover"])
 def sparse_cells(request, monkeypatch):
-    """Run each test with all rows read at their nonzero entries, and
-    again with the module's crossover, below which dense products run."""
-    cells = 0 if request.param == "sparse everything" else gmodule.SPARSE_MIN_CELLS
-    monkeypatch.setattr(gmodule, "SPARSE_MIN_CELLS", cells)
+    """Run each test with all rows kept as their nonzero entries, and
+    again with ``linalg``'s storage rule, below which rows are dense
+    blocks and dense products run."""
+    cells = 0 if request.param == "sparse everything" else linalg.STORAGE_MIN_CELLS
+    monkeypatch.setattr(linalg, "STORAGE_MIN_CELLS", cells)
     return cells
 
 
@@ -535,7 +536,7 @@ def test_act_equals_the_product_with_act_matrix_on_a_random_module(p):
     F = FreeModule(R, [0, 1])
     rng = np.random.default_rng(p)
     rows = random_submodule_rows(rng, F, p)
-    M = submodule_as_gmodule(F, {d: linalg.as_dense(linalg.echelon(r, p)[0])
+    M = submodule_as_gmodule(F, {d: np.asarray(linalg.echelon(r, p)[0])
                                  for d, r in enumerate(rows)})
     for m in range(R.cap + 1):
         a = Element(R, m, rng.integers(0, p, R.dim(m)))
@@ -556,7 +557,7 @@ def test_a_submodule_eliminates_each_target_degree_once(p, monkeypatch):
     time."""
     R = weighted_ring(p)
     F = FreeModule(R, [0, 1])
-    rows = {d: linalg.as_dense(linalg.echelon(r, p)[0]) for d, r in
+    rows = {d: np.asarray(linalg.echelon(r, p)[0]) for d, r in
             enumerate(random_submodule_rows(np.random.default_rng(p), F, p))}
     built, solves = [], []
     real_init, real_solve = linalg.Elimination.__init__, linalg.solve
@@ -569,7 +570,7 @@ def test_a_submodule_eliminates_each_target_degree_once(p, monkeypatch):
     monkeypatch.undo()
     for (m, n), tensor in M.action.items():
         for i in range(R.dim(m)):
-            imgs = F.times(rows[n], R.basis_element(m, i), n)
+            imgs = np.asarray(F.times(rows[n], R.basis_element(m, i), n))
             want = (np.zeros((len(imgs), len(rows[n + m])), dtype=np.int64) if not imgs.any()
                     else linalg.solve(rows[n + m].T, imgs.T, p).T)
             assert np.array_equal(tensor[i], want), (m, n, i)
@@ -596,7 +597,7 @@ def test_minimal_generators_read_each_kernel_matrix_once(sparse_cells, monkeypat
 
 
 def entry_rows(rows, p):
-    return [linalg.Sparse.read(r, p) for r in rows]
+    return [linalg.Matrix.read(r, p) for r in rows]
 
 
 @pytest.mark.parametrize("p", [2, 3, 65521])
@@ -610,7 +611,7 @@ def test_minimal_generators_of_entry_rows_match_the_definition(p, seed, sparse_c
     rows = random_submodule_rows(np.random.default_rng([seed, p, 1]), F, p)
     gens = minimal_generators_by_degree(R, entry_rows(rows, p), F.times, R.cap)
     if sparse_cells == 0:
-        assert all(isinstance(new, linalg.Sparse) and new.shape[0] == kept.size
+        assert all(not new.kept_dense and new.shape[0] == kept.size
                    for _, kept, new in gens)
     assert same_generators(gens, reference_generators(
         R, rows, partial(reference_left_mult, F), R.cap))
@@ -623,8 +624,7 @@ def test_minimal_generators_of_entry_kernels_match_the_definition(p, sparse_cell
     R = weighted_ring(p)
     res = minimal_resolution(R, residue_module(R), 4)
     for step in range(1, 5):
-        kers = [linalg.as_sparse(linalg.kernel(res.evaluated(step - 1, d), p), p)
-                for d in range(res.dmax + 1)]
+        kers = [linalg.kernel(res.evaluated(step - 1, d), p) for d in range(res.dmax + 1)]
         free = res.frees[step - 1]
         gens = minimal_generators_by_degree(R, kers, free.times, R.cap)
         assert [d for d, _ in generator_rows(gens)] == res.gen_degrees(step)
@@ -635,19 +635,23 @@ def test_minimal_generators_of_entry_kernels_match_the_definition(p, sparse_cell
 @pytest.mark.parametrize("p", [3, 65521])
 def test_kept_maps_equal_the_dense_extension(p, sparse_cells):
     """Every evaluated differential of the weighted ring, kept dense below
-    ``SPARSE_MIN_CELLS`` cells and in entry form from there on, is the
-    dense extension of its terms."""
+    ``linalg.STORAGE_MIN_CELLS`` cells and as entries from there on, is
+    the extension of its terms into a dense block."""
     R = weighted_ring(p)
     res = minimal_resolution(R, residue_module(R), 5)
     for i in range(1, 6):
         for d in range(res.dmax + 1):
-            ref = extend(res.frees[i - 1], res.frees[i], res.terms[i], [d])[d]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "STORAGE_MIN_CELLS", 1 << 62)
+                ref = extend(res.frees[i - 1], res.frees[i], res.terms[i], [d])[d]
+            assert ref.kept_dense
             kept = res.evaluated(i, d)
-            assert isinstance(kept, linalg.Sparse) == (ref.size >= sparse_cells)
-            if isinstance(kept, linalg.Sparse):
-                key = kept.rows * kept.shape[1] + kept.cols
-                assert np.all(np.diff(key) > 0) and np.all((kept.vals >= 1) & (kept.vals < p))
-            assert np.array_equal(linalg.as_dense(kept), ref)
+            assert kept.kept_dense == (ref.size < sparse_cells)
+            if not kept.kept_dense:
+                rows, cols, vals = kept.nonzero()
+                key = rows * kept.shape[1] + cols
+                assert np.all(np.diff(key) > 0) and np.all((vals >= 1) & (vals < p))
+            assert np.array_equal(kept.dense(), ref.dense())
 
 
 def test_resolution_is_the_same_read_sparse_or_dense(monkeypatch):
@@ -657,7 +661,7 @@ def test_resolution_is_the_same_read_sparse_or_dense(monkeypatch):
     M = residue_module(R)
     built = []
     for cells in (0, 1 << 40):
-        monkeypatch.setattr(gmodule, "SPARSE_MIN_CELLS", cells)
+        monkeypatch.setattr(linalg, "STORAGE_MIN_CELLS", cells)
         res = minimal_resolution(R, M, 5)
         built.append([{k: [a.tolist() for a in v] for k, v in t.items()}
                       for t in res.terms[1:]])
@@ -694,8 +698,8 @@ def reference_projection(free_R, twin, d, side):
     mat = np.zeros((twin.dim(d), free_R.dim(d)), dtype=np.int64)
     for j, s in enumerate(free_R.gen_degrees):
         for x in range(twin.algebra.dim(d - s)):
-            mat[twin.pair_index(d, j, x),
-                free_R.pair_index(d, j, R.part(side, d - s).start + x)] = 1
+            mat[twin.offsets(d)[j] + x,
+                free_R.offsets(d)[j] + R.part(side, d - s).start + x] = 1
     return mat
 
 
@@ -766,8 +770,8 @@ def test_extend_equals_the_per_entry_evaluation(ring, shift):
         got = extend(tgt, src, maps[0].terms(), degrees, shift)
         batch = extend(tgt, src, stacked_terms(maps), degrees, shift, batch=3)
         for d in degrees:
-            want = reference_evaluate(maps[0], d)
-            assert got[d].dtype == want.dtype and got[d].tobytes() == want.tobytes(), d
+            want, mat = reference_evaluate(maps[0], d), got[d].dense()
+            assert mat.dtype == want.dtype and mat.tobytes() == want.tobytes(), d
             assert np.array_equal(batch[d], np.vstack(
                 [reference_evaluate(m, d) for m in maps])), d
 
@@ -846,7 +850,7 @@ def sequential_cokernel_action(phi):
     for d in range(A.cap + 1):
         img = reference_evaluate(phi, d).T
         R, pivots = linalg.echelon(img, p)
-        rows.append(linalg.as_dense(R))
+        rows.append(np.asarray(R))
         free_cols.append([c for c in range(free.dim(d)) if c not in pivots])
 
     def project(vec, d):

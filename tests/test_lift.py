@@ -15,6 +15,8 @@ stage, lifts a batch of duals of one degree exactly as it lifts each
 alone, and keeps its error texts and their order.  The read-off on
 generators equals slicing the evaluated stage at its generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -54,15 +56,17 @@ def cube_square():
 
 def evaluated(src, tgt, stages, step=0, shift=0, side=None, batch=1):
     """The lifted stages' terms evaluated by ``extend`` at every degree of
-    the lift window, with the lift's shift and side: L[n][d]."""
+    the lift window, with the lift's shift and side, dense: L[n][d]."""
     degrees = range(min(src.dmax, tgt.dmax + shift) + 1)
-    return [extend(tgt.frees[n], src.frees[step + n], terms, degrees, shift, batch, side)
+    return [{d: mat.dense() for d, mat in
+             extend(tgt.frees[n], src.frees[step + n], terms, degrees, shift, batch,
+                    side).items()}
             for n, terms in enumerate(stages)]
 
 
 def dense_map(res, i, d):
     """The degree-d map out of step i of ``res``, dense."""
-    return linalg.as_dense(res.evaluated(i, d))
+    return np.asarray(res.evaluated(i, d))
 
 
 def assert_chain_map(src, tgt, lifts, step=0, shift=0):
@@ -280,8 +284,8 @@ def reference_projection(free_R, twin, d, side):
     mat = np.zeros((twin.dim(d), free_R.dim(d)), dtype=np.int64)
     for j, s in enumerate(free_R.gen_degrees):
         for x in range(twin.algebra.dim(d - s)):
-            mat[twin.pair_index(d, j, x),
-                free_R.pair_index(d, j, R.part(side, d - s).start + x)] = 1
+            mat[twin.offsets(d)[j] + x,
+                free_R.offsets(d)[j] + R.part(side, d - s).start + x] = 1
     return mat
 
 
@@ -406,8 +410,9 @@ def recording_eliminations(monkeypatch):
 
 
 def test_yoneda_tables_eliminate_each_target_map_once(weighted, monkeypatch):
-    """Every solve of the Yoneda lifts runs against the kept elimination
-    of one of E's maps, and each map is eliminated at most once."""
+    """Every solve of the Yoneda lifts against a map with rows and columns
+    runs against the kept elimination of one of E's maps, and each such
+    map is eliminated at most once."""
     _, _, R = weighted
     imax = 4
     res = minimal_resolution(R, residue_module(R), imax)
@@ -415,9 +420,46 @@ def test_yoneda_tables_eliminate_each_target_map_once(weighted, monkeypatch):
     widths = counting_solve(monkeypatch)
     extalg._yoneda_tables(res, res, imax, 1)
     target = {id(mat): key for key, mat in res._ev_cache.items()}  # (step, degree)
-    keys = [target.get(id(mat)) for mat in built]
+    keys = [target.get(id(mat)) for mat in built if mat.size]
     assert None not in keys and len(set(keys)) == len(keys)
-    assert 0 < len(built) < len(widths)
+    assert 0 < len(keys) < len(widths)
+
+
+# sha256 of the Yoneda tables below, (m, n) in order, each key's repr and then
+# the table's int64 bytes; recorded while every map with no rows or no
+# columns was still eliminated and kept
+EMPTY_MAP_TABLES_SHA256 = "7baf8f0855581aae9d2dec9ffe91b83c1b493b91f4017f8132fd31eb2e257307"
+
+
+def test_maps_with_no_rows_or_no_columns_are_neither_eliminated_nor_kept(monkeypatch):
+    """Over (k[x,w]/(x^3,w^2,xw), weights 1, 2) x_k k[y]/(y^2) at p = 3,
+    cap 8, 30 of the 71 solves of the Yoneda lifts are against maps with
+    no rows or no columns, some at negative degrees.  Their eliminations
+    run no echelon and are not kept, and the tables stay as they were."""
+    p = 3
+    S = build_monomial_quotient(p, 8, MonomialQuotientPresentation(
+        ["x", "w"], [1, 2], ["x^3", "w^2", "x*w"], True))
+    T = build_monomial_quotient(p, 8, MonomialQuotientPresentation(["y"], [1], ["y^2"], True))
+    R = fiber_product(S, T)
+    res = minimal_resolution(R, residue_module(R), 4)
+    built = recording_eliminations(monkeypatch)
+    echelons, shapes = [], []
+    real_echelon, real_solve = linalg.echelon, linalg.solve
+    monkeypatch.setattr(linalg, "echelon",
+                        lambda mat, q: echelons.append(1) or real_echelon(mat, q))
+    monkeypatch.setattr(extalg.linalg, "solve",
+                        lambda mat, rhs, q: shapes.append(mat.shape) or real_solve(mat, rhs, q))
+    tables = extalg._yoneda_tables(res, res, 4, 1)
+    empty = [s for s in shapes if not s[0] * s[1]]
+    assert len(shapes) == 71 and len(empty) == 30
+    assert len(echelons) == sum(1 for mat in built if mat.size) < len(built)
+    assert res._elim_cache and all(e.shape[0] * e.shape[1] for e in res._elim_cache.values())
+    assert min(d for _, d in res._ev_cache) < 0  # empty maps at negative degrees were read
+    digest = hashlib.sha256()
+    for key in sorted(tables):
+        digest.update(repr(key).encode())
+        digest.update(np.ascontiguousarray(tables[key], dtype=np.int64).tobytes())
+    assert digest.hexdigest() == EMPTY_MAP_TABLES_SHA256
 
 
 def test_a_right_hand_side_outside_the_image_fails_through_a_kept_elimination(
@@ -430,7 +472,7 @@ def test_a_right_hand_side_outside_the_image_fails_through_a_kept_elimination(
     lift_dual(src, tgt, 1, 0, 3)
     built = recording_eliminations(monkeypatch)
     mat = dense_map(src, 3, 3)
-    monkeypatch.setitem(src._ev_cache, (3, 3), (mat + 1) % P)
+    monkeypatch.setitem(src._ev_cache, (3, 3), linalg.Matrix.read(mat + 1, P))
     with pytest.raises(ExtError, match="^chain-map lift failed at stage 2, degree 3$"):
         lift_dual(src, tgt, 1, 0, 3)
     assert built == []

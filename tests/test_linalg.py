@@ -35,6 +35,23 @@ def random_matrix(rng, m, n, p):
                     dtype=np.int64)
 
 
+def stored(mat, p, entries):
+    """``mat`` read into a ``linalg.Matrix`` kept as its nonzero entries,
+    or as a dense block, whatever its size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "STORAGE_MIN_CELLS", 0 if entries else 1 << 62)
+        return linalg.Matrix.read(mat, p)
+
+
+@pytest.fixture(params=["entries everywhere", "default rule"])
+def storage(request, monkeypatch):
+    """Run each test with every matrix kept as entries, and again with
+    the module's storage rule, below which matrices are dense blocks."""
+    cells = 0 if request.param == "entries everywhere" else linalg.STORAGE_MIN_CELLS
+    monkeypatch.setattr(linalg, "STORAGE_MIN_CELLS", cells)
+    return cells
+
+
 def test_echelon_against_brute_force():
     rng = random.Random(101)
     for p in (2, 5, 32003):
@@ -42,7 +59,7 @@ def test_echelon_against_brute_force():
             m, n = rng.randrange(1, 7), rng.randrange(1, 7)
             mat = random_matrix(rng, m, n, p)
             R, pivots = linalg.echelon(mat, p)
-            R = linalg.as_dense(R)
+            R = np.asarray(R)
             assert len(pivots) == brute_rank(mat, p) and R.shape == (len(pivots), n)
             # pivot columns are unit columns
             for r, c in enumerate(pivots):
@@ -59,7 +76,7 @@ def test_kernel_properties():
     for _ in range(40):
         m, n = rng.randrange(0, 6), rng.randrange(0, 6)
         mat = random_matrix(rng, m, n, p) if m and n else np.zeros((m, n), dtype=np.int64)
-        ker = linalg.as_dense(linalg.kernel(mat, p))
+        ker = np.asarray(linalg.kernel(mat, p))
         assert ker.shape[0] == n - linalg.rank(mat, p)
         if ker.size and mat.size:
             assert not np.any((mat @ ker.T) % p)
@@ -73,9 +90,9 @@ def test_the_kernel_of_a_map_with_no_rows_is_the_identity_without_elimination(mo
     monkeypatch.setattr(linalg, "_eliminate", refuse)
     monkeypatch.setattr(linalg, "_split", refuse)
     for n in (0, 3, 200):
-        for mat in (np.zeros((0, n), dtype=np.int64), linalg.Sparse.read(np.zeros((0, n)), 5)):
-            K = linalg.kernel(mat, 5)
-            assert K.dtype == np.int64 and np.array_equal(K, np.eye(n, dtype=np.int64))
+        for entries in (False, True):
+            K = linalg.kernel(stored(np.zeros((0, n)), 5, entries), 5)
+            assert np.asarray(K).dtype == np.int64 and np.array_equal(K, np.eye(n, dtype=np.int64))
 
 
 def test_solve_particular_and_inconsistent():
@@ -129,10 +146,10 @@ def test_span_incremental_matches_batch():
         for v in vecs:
             span.add(v)
         assert span.dim == linalg.rank(vecs, p)
-        R = linalg.as_dense(linalg.echelon(vecs, p)[0])
+        R = np.asarray(linalg.echelon(vecs, p)[0])
         assert np.array_equal(span.basis_matrix(), R)
         for v in vecs:
-            assert span.contains(v)
+            assert not span.reduce(v).any()
 
 
 def test_span_reduce_residual_is_outside_span():
@@ -235,7 +252,7 @@ def test_kernel_against_definition():
         for _ in range(20):
             m, n = rng.randrange(1, 6), rng.randrange(1, 8)
             mat = random_matrix(rng, m, n, p)
-            K = linalg.as_dense(linalg.kernel(mat, p))
+            K = np.asarray(linalg.kernel(mat, p))
             assert K.shape == (n - linalg.rank(mat, p), n)
             assert not np.any((mat @ K.T) % p)
             # echelon in the free columns: the k-th vector has a 1 at the
@@ -307,11 +324,12 @@ SPLIT_PRIMES = (2, 3, 32003, 65521)
 
 
 def column_loop(mat, p):
-    """Reference: the column loop on the whole normalised matrix, dense or
-    a ``Sparse``; its pivot rows and pivots, as ``echelon`` gives them."""
-    R = linalg.normalize(linalg.as_dense(mat), p)
+    """Reference: the column loop on the whole normalised matrix; its
+    pivot rows, as a ``linalg.Matrix``, and pivots, as ``echelon`` gives
+    them."""
+    R = linalg.normalize(mat, p)
     pivots = linalg._eliminate(R, p)
-    return R[: len(pivots)], pivots
+    return linalg.Matrix.read(R[: len(pivots)], p), pivots
 
 
 @pytest.fixture(params=["split everything", "default crossover"])
@@ -370,9 +388,10 @@ def test_entries_of_empty_shapes_raise_no_warning():
 
 def assert_echelon_equals_column_loop(mat, p, brute=True):
     R, pivots = linalg.echelon(mat, p)
-    assert isinstance(R, linalg.Sparse) == (np.size(mat) >= linalg.SPLIT_MIN_CELLS)
-    R = linalg.as_dense(R)
+    assert R.kept_dense == (R.size < linalg.STORAGE_MIN_CELLS)
+    R = np.asarray(R)
     ref_R, ref_pivots = column_loop(mat, p)
+    ref_R = np.asarray(ref_R)
     assert R.dtype == np.int64 and R.shape == ref_R.shape
     assert np.array_equal(R, ref_R)
     assert pivots == ref_pivots and all(type(c) is int for c in pivots)
@@ -466,27 +485,27 @@ def assert_same_solution(a, b):
 
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
 def test_solve_on_entry_form_equals_solve_on_the_dense_form(p, min_cells):
-    """``solve`` on a ``Sparse`` map gives, byte for byte, what it gives
-    on the map's dense form: for a matrix right-hand side with a column
-    outside the image (``None``), without it, for a vector, and for maps
-    with no row or no column."""
+    """``solve`` on a map kept as entries gives, byte for byte, what it
+    gives on the map kept dense: for a matrix right-hand side with a
+    column outside the image (``None``), without it, for a vector, and
+    for maps with no row or no column."""
     rng = np.random.default_rng(6100 + p)
     for m, n in ((30, 24), (12, 40), (0, 5), (5, 0), (0, 0), (1, 1)):
         for _ in range(3):
             mat = sparse_matrix(rng, m, n, p, 0.15)
-            E = linalg.Sparse.read(mat, p)
+            E, D = stored(mat, p, True), stored(mat, p, False)
             rhs = (linalg.normalize(mat, p) @ rng.integers(0, p, size=(n, 6))) % p
             bad = rhs.copy()
             if m:
                 bad[:, 2] = rng.integers(0, p, size=m)
             for b in (rhs, bad, rhs[:, 0], rhs[:, :0]):
-                want = linalg.solve(mat, b, p)
+                want = linalg.solve(D, b, p)
                 assert_same_solution(linalg.solve(E, b, p), want)
                 if want is not None:
                     assert np.array_equal(linalg.normalize(mat, p) @ want % p, b % p)
-    full = linalg.Sparse.read(np.eye(4, dtype=np.int64), p)
+    full = stored(np.eye(4, dtype=np.int64), p, True)
     assert linalg.solve(full, np.arange(4), p).tolist() == [x % p for x in range(4)]
-    assert linalg.solve(linalg.Sparse.read(np.zeros((3, 2)), p), np.eye(3)[:, :1], p) is None
+    assert linalg.solve(stored(np.zeros((3, 2)), p, True), np.eye(3)[:, :1], p) is None
 
 
 def reference_solve(mat, rhs, p):
@@ -496,7 +515,7 @@ def reference_solve(mat, rhs, p):
     vector = np.ndim(rhs) == 1
     b = linalg.normalize(rhs, p)
     b = b.T if vector else b
-    A = linalg.normalize(linalg.as_dense(mat), p)
+    A = linalg.normalize(mat, p)
     n = A.shape[1]
     R = np.hstack([A, b])
     pivots = linalg._eliminate(R, p)
@@ -529,44 +548,46 @@ def kept_elimination_cases(rng, p):
 def test_solve_on_a_kept_elimination_equals_the_column_loop_on_the_augmented_map(
         p, min_cells):
     """``solve`` on a map and on one ``Elimination`` kept for many
-    right-hand sides, dense or in entry form, gives byte for byte the
-    solution of the column loop on ``[mat | rhs]``, None where a column is
-    outside the image; a ``Sparse`` right-hand side gives the same
-    solution as a ``Sparse``."""
+    right-hand sides, the map kept dense or as entries, gives byte for
+    byte the solution of the column loop on ``[mat | rhs]``, None where a
+    column is outside the image; a ``linalg.Matrix`` right-hand side, in
+    either storage, gives the same solution as a ``linalg.Matrix``."""
     rng = np.random.default_rng(6200 + p)
     for mat, sides in kept_elimination_cases(rng, p):
-        for form in (mat, linalg.Sparse.read(mat, p)):
+        for form in (stored(mat, p, False), stored(mat, p, True)):
             kept = linalg.Elimination(form, p)
             A = linalg.normalize(mat, p)
-            U, N = linalg.as_dense(kept.U), linalg.as_dense(kept.N)
+            U, N = np.asarray(kept.U), np.asarray(kept.N)
             assert kept.pivots == linalg.echelon(mat, p)[1]
-            assert np.array_equal(U @ A % p, linalg.as_dense(linalg.echelon(mat, p)[0]))
+            assert np.array_equal(U @ A % p, np.asarray(linalg.echelon(mat, p)[0]))
             assert N.shape[0] == mat.shape[0] - len(kept.pivots) and not np.any(N @ A % p)
             for b in sides:
                 want = reference_solve(mat, b, p)
                 assert_same_solution(linalg.solve(form, b, p), want)
                 assert_same_solution(linalg.solve(kept, b, p), want)
-                if np.ndim(b) == 2:
-                    got = linalg.solve(kept, linalg.Sparse.read(b, p), p)
+                for entries in ((False, True) if np.ndim(b) == 2 else ()):
+                    got = linalg.solve(kept, stored(b, p, entries), p)
                     assert (got is None) == (want is None)
                     if got is not None:
-                        assert isinstance(got, linalg.Sparse) and got.shape == want.shape
+                        assert isinstance(got, linalg.Matrix) and got.shape == want.shape
                         assert np.array_equal(got.dense(), want)
 
 
 def test_a_kept_elimination_refuses_a_wrong_length_and_another_field():
     kept = linalg.Elimination(np.eye(3, dtype=np.int64), 5)
     for rhs in (np.array([1, 2]), np.ones((4, 2), dtype=np.int64),
-                linalg.Sparse.read(np.ones((2, 2)), 5)):
+                stored(np.ones((2, 2)), 5, True)):
         with pytest.raises(linalg.LinalgError, match="does not fit a matrix with 3 rows"):
             linalg.solve(kept, rhs, 5)
     with pytest.raises(linalg.LinalgError, match="over GF.5. cannot solve over GF.7."):
         linalg.solve(kept, np.arange(3), 7)
 
 
-def test_a_sparse_reads_as_its_dense_matrix():
+@pytest.mark.parametrize("entries", [False, True])
+def test_a_matrix_reads_as_its_dense_matrix(entries):
     mat = np.array([[0, 3, 0], [4, 0, 0]])
-    S = linalg.Sparse.read(mat, 5)
+    S = stored(mat, 5, entries)
+    assert S.kept_dense != entries
     assert np.shape(S) == (2, 3) and np.ndim(S) == 2
     assert np.array_equal(np.asarray(S), mat % 5)
     assert np.asarray(S, dtype=np.float64).dtype == np.float64
@@ -600,42 +621,45 @@ def block_sparse_matrix(rng, p):
 
 
 def assert_entry_form(E, p):
-    """Row-major entries, each value in [1, p), inside the shape."""
-    key = E.rows * E.shape[1] + E.cols
+    """Row-major entries, each value in [1, p), inside the shape, and the
+    storage the rule asks for."""
+    rows, cols, vals = E.nonzero()
+    key = rows * E.shape[1] + cols
     assert np.all(np.diff(key) > 0)
-    assert np.all((E.vals >= 1) & (E.vals < p))
-    assert E.rows.size == 0 or (E.rows.max() < E.shape[0] and E.cols.max() < E.shape[1])
+    assert np.all((vals >= 1) & (vals < p))
+    assert rows.size == 0 or (rows.max() < E.shape[0] and cols.max() < E.shape[1])
+    assert E.kept_dense == (E.size < linalg.STORAGE_MIN_CELLS)
 
 
 @pytest.mark.parametrize("p", CORE_PRIMES)
-def test_entry_form_core_equals_the_column_loop(p, min_cells):
-    """``echelon``, ``rank`` and ``kernel`` on entry-form input give the
-    echelon rows, pivots and kernel the dense column loop gives."""
+def test_entry_form_core_equals_the_column_loop(p, min_cells, storage):
+    """``echelon``, ``rank`` and ``kernel`` on a matrix in either storage
+    give the echelon rows, pivots and kernel the dense column loop
+    gives."""
     rng = np.random.default_rng([8000, p])
     for _ in range(30):
         mat = block_sparse_matrix(rng, p)
         R = linalg.normalize(mat, p)
         pivots = linalg._eliminate(R, p)
-        E = linalg.Sparse.read(mat, p)
+        E = linalg.Matrix.read(mat, p)
         assert_entry_form(E, p)
         rows, got = linalg.echelon(E, p)
         assert got == pivots and all(type(c) is int for c in got)
-        assert isinstance(rows, linalg.Sparse) == (mat.size >= min_cells)
-        if isinstance(rows, linalg.Sparse):
-            assert_entry_form(rows, p)
-        assert np.array_equal(linalg.as_dense(rows), R[: len(pivots)])
+        assert_entry_form(rows, p)
+        assert np.array_equal(np.asarray(rows), R[: len(pivots)])
         assert linalg.rank(E, p) == len(pivots)
         free = [c for c in range(mat.shape[1]) if c not in pivots]
         ref = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
         ref[np.arange(len(free)), free] = 1
         ref[:, pivots] = (-R[: len(pivots), free].T) % p
         K = linalg.kernel(E, p)
-        assert np.array_equal(linalg.as_dense(K), ref)
-        assert not np.any(linalg.normalize(mat, p) @ linalg.as_dense(K).T % p)
+        assert_entry_form(K, p)
+        assert np.array_equal(np.asarray(K), ref)
+        assert not np.any(linalg.normalize(mat, p) @ np.asarray(K).T % p)
 
 
 @pytest.mark.parametrize("p", CORE_PRIMES)
-def test_summed_entries_equal_the_read_matrix(p):
+def test_summed_entries_equal_the_read_matrix(p, storage):
     """Entries given in any order, each value split into two repeats
     that may be 0 or p mod p, sum to the matrix read at its entries."""
     rng = np.random.default_rng([8100, p])
@@ -646,22 +670,92 @@ def test_summed_entries_equal_the_read_matrix(p):
         order = rng.permutation(2 * r.size)
         parts = [tuple(np.concatenate([x, x])[order] for x in (r, c)) +
                  (np.concatenate([part, (mat[r, c] - part) % p])[order],)]
-        E = linalg.Sparse.summed(parts, mat.shape, p)
+        E = linalg.Matrix.summed(parts, mat.shape, p)
         assert_entry_form(E, p)
-        ref = linalg.Sparse.read(mat, p)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip((E.rows, E.cols, E.vals), (ref.rows, ref.cols, ref.vals)))
+        ref = linalg.Matrix.read(mat, p)
+        assert all(np.array_equal(a, b) for a, b in zip(E.nonzero(), ref.nonzero()))
         assert np.array_equal(E.dense(), mat)
 
 
 @pytest.mark.parametrize("p", CORE_PRIMES)
-def test_entry_products_equal_the_dense_product(p):
+def test_entry_products_equal_the_dense_product(p, storage):
     rng = np.random.default_rng([8200, p])
     for _ in range(20):
         a = block_sparse_matrix(rng, p) % p
         b = rng.integers(0, p, size=(a.shape[1], 4)) * (rng.random((a.shape[1], 4)) < 0.3)
-        got = linalg.matmul_entries(linalg.Sparse.read(a, p), linalg.Sparse.read(b, p), p)
+        got = linalg.matmul(linalg.Matrix.read(a, p), linalg.Matrix.read(b, p), p)
         assert_entry_form(got, p)
         assert np.array_equal(got.dense(), a @ b % p)
         cols = np.flatnonzero(rng.random(4) < 0.5)
-        assert np.array_equal(linalg.Sparse.read(b, p).columns(cols).dense(), b[:, cols])
+        assert np.array_equal(linalg.Matrix.read(b, p).columns(cols).dense(), b[:, cols])
+
+
+# -- the one map type on both sides of its storage rule -------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_every_operation_of_the_map_type_equals_the_dense_reference(p):
+    """Matrices just below and just above ``STORAGE_MIN_CELLS`` cells, one
+    kept as a dense block and one as entries, give under every operation
+    what int64 arithmetic on their dense arrays gives, each result in the
+    storage its own size asks for."""
+    rng = np.random.default_rng([9000, p])
+    cells, n = linalg.STORAGE_MIN_CELLS, 64
+    below, above = cells // n - 1, cells // n + 1  # 63 x 64 and 65 x 64
+    for m in (below, above):
+        for density in (0.02, 0.3):
+            a = sparse_matrix(rng, m, n, p, density)
+            A = linalg.normalize(a, p)
+            M = linalg.Matrix.read(a, p)
+            assert M.kept_dense == (m == below)
+            assert_entry_form(M, p)
+            assert np.array_equal(M.dense(), A) and np.array_equal(np.asarray(M), A)
+            for k in (below, above):  # a dense and an entry-form right factor
+                B = linalg.normalize(sparse_matrix(rng, n, k, p, density), p)
+                prod = linalg.matmul(M, linalg.Matrix.read(B, p), p)
+                assert_entry_form(prod, p)
+                assert np.array_equal(prod.dense(), A @ B % p)
+            idx = np.flatnonzero(rng.random(n) < 0.5)
+            assert np.array_equal(M.columns(idx).dense(), A[:, idx])
+            assert_entry_form(M.columns(idx), p)
+            top = linalg.Matrix.read(A[:2], p)
+            stacked = linalg.Matrix.stack([top, M])
+            assert_entry_form(stacked, p)
+            assert np.array_equal(stacked.dense(), np.vstack([A[:2], A]))
+            assert_entry_form(M.T, p)
+            assert np.array_equal(M.T.dense(), A.T)
+            blocks = 3 if m % 3 == 0 else 5
+            wide = M.side_by_side(blocks)
+            assert np.array_equal(wide.dense(), np.hstack(np.split(A, blocks)))
+            # the elimination interface against the column loop
+            R, pivots = column_loop(A, p)
+            R = np.asarray(R)
+            rows, got = linalg.echelon(M, p)
+            assert got == pivots and np.array_equal(rows.dense(), R)
+            assert_entry_form(rows, p)
+            assert linalg.rank(M, p) == len(pivots)
+            free = [c for c in range(n) if c not in pivots]
+            ker = np.zeros((len(free), n), dtype=np.int64)
+            ker[np.arange(len(free)), free] = 1
+            ker[:, pivots] = (-R[:, free].T) % p
+            K = linalg.kernel(M, p)
+            assert_entry_form(K, p)
+            assert np.array_equal(K.dense(), ker)
+            residual = linalg.reduce_rows(M, rows, pivots, p)
+            assert np.array_equal(residual.dense(), (A - A[:, pivots] @ R) % p)
+            kept = linalg.Elimination(M, p)
+            assert kept.pivots == pivots
+            assert np.array_equal(kept.U.dense() @ A % p, R)
+            assert not np.any(kept.N.dense() @ A % p)
+            rhs = A @ rng.integers(0, p, size=(n, 6)) % p
+            rhs[:, 0] = rng.integers(0, p, size=m)  # most likely inconsistent
+            for b in (rhs, rhs[:, 1:], rhs[:, 1]):
+                want = reference_solve(A, b, p)
+                assert_same_solution(linalg.solve(M, b, p), want)
+                assert_same_solution(linalg.solve(kept, b, p), want)
+                if np.ndim(b) == 2:
+                    got = linalg.solve(kept, linalg.Matrix.read(b, p), p)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert_entry_form(got, p)
+                        assert np.array_equal(got.dense(), want)

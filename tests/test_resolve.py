@@ -20,7 +20,7 @@ from fiberres.gmodule import (
     residue_module,
     restrict_to_fiber,
 )
-from fiberres import gmodule, linalg, resolve
+from fiberres import linalg, resolve
 from fiberres.wordres import build_word_resolution
 from fiberres.resolve import (
     FreeResolution,
@@ -237,9 +237,9 @@ def test_each_map_is_evaluated_and_ranked_once(monkeypatch):
     and verify_complex ranks each of them once, in the form it is kept
     in.  Each differential is extended one degree per call."""
     evaluated, ranked = Counter(), []
-    real_extend, real_rank = resolve.extend_entries, linalg.rank
+    real_extend, real_rank = resolve.extend, linalg.rank
 
-    def extend_entries(ftgt, fsrc, terms, degrees, *args, **kwargs):
+    def extend(ftgt, fsrc, terms, degrees, *args, **kwargs):
         for d in degrees:
             evaluated[(id(fsrc), d)] += 1
         return real_extend(ftgt, fsrc, terms, degrees, *args, **kwargs)
@@ -248,7 +248,7 @@ def test_each_map_is_evaluated_and_ranked_once(monkeypatch):
         ranked.append(mat)
         return real_rank(mat, p)
 
-    monkeypatch.setattr(resolve, "extend_entries", extend_entries)
+    monkeypatch.setattr(resolve, "extend", extend)
     monkeypatch.setattr(linalg, "rank", rank)
     R = cube_square()
     res = minimal_resolution(R, residue_module(R), 4)
@@ -270,9 +270,9 @@ def test_an_empty_degree_is_neither_evaluated_nor_eliminated(monkeypatch):
     there, the Betti table is 2^i in degree i, and every kept map equals
     the differential extended afresh from its terms."""
     evaluated, kernels = [], []
-    real_extend, real_kernel = resolve.extend_entries, linalg.kernel
+    real_extend, real_kernel = resolve.extend, linalg.kernel
 
-    def extend_entries(ftgt, fsrc, terms, degrees, *args, **kwargs):
+    def recording_extend(ftgt, fsrc, terms, degrees, *args, **kwargs):
         evaluated.extend((fsrc, d) for d in degrees)
         return real_extend(ftgt, fsrc, terms, degrees, *args, **kwargs)
 
@@ -280,7 +280,7 @@ def test_an_empty_degree_is_neither_evaluated_nor_eliminated(monkeypatch):
         kernels.append(mat.shape)
         return real_kernel(mat, p)
 
-    monkeypatch.setattr(resolve, "extend_entries", extend_entries)
+    monkeypatch.setattr(resolve, "extend", recording_extend)
     monkeypatch.setattr(linalg, "kernel", kernel)
     R = fiber_product(mono([("x", 1)], ["x^2"], cap=10), mono([("y", 1)], ["y^2"], cap=10))
     res = minimal_resolution(R, residue_module(R), 6)
@@ -292,7 +292,7 @@ def test_an_empty_degree_is_neither_evaluated_nor_eliminated(monkeypatch):
     for i in range(1, 6):
         for d in (i, i + 1):
             want = extend(res.frees[i - 1], res.frees[i], res.terms[i], [d])[d]
-            assert np.array_equal(linalg.as_dense(res.evaluated(i, d)), want)
+            assert np.array_equal(res.evaluated(i, d).dense(), want.dense())
     assert verify_complex(res).ok
 
 
@@ -336,14 +336,13 @@ def tamper_and_fail_d_squared(entry_form):
     R = cube_square()
     res = minimal_resolution(R, residue_module(R), 3)
     kept = res.evaluated(2, 3)
-    assert isinstance(kept, linalg.Sparse) == entry_form
-    mat = linalg.as_dense(kept)
+    assert kept.kept_dense != entry_form
+    mat = kept.dense()
     mat[0, 0] = (mat[0, 0] + 1) % R.p
-    if entry_form:
-        tampered = linalg.Sparse.read(mat, R.p)
-        kept.rows, kept.cols, kept.vals = tampered.rows, tampered.cols, tampered.vals
+    tampered = res._ev_cache[2, 3] = linalg.Matrix.read(mat, R.p)
+    assert tampered.kept_dense == kept.kept_dense
     d2, d3 = (extend(res.frees[i - 1], res.frees[i], res.terms[i], [3])[3] for i in (2, 3))
-    assert not np.any(linalg.matmul_mod(d2, d3, R.p))
+    assert not linalg.matmul(d2, d3, R.p).nnz
     assert failures(res) == [("d2 o d3 = 0", "degrees [3], generator pairs []")]
 
 
@@ -355,7 +354,7 @@ def test_d_squared_is_checked_on_the_evaluated_matrices():
 
 def test_d_squared_is_checked_on_maps_kept_as_entries(monkeypatch):
     """The same with every map kept in entry form."""
-    monkeypatch.setattr(gmodule, "SPARSE_MIN_CELLS", 0)
+    monkeypatch.setattr(linalg, "STORAGE_MIN_CELLS", 0)
     tamper_and_fail_d_squared(entry_form=True)
 
 
@@ -478,7 +477,7 @@ def test_resolution_equals_the_column_loop_run(p, monkeypatch):
     for got in (split, split_all):
         assert got[0] == loop[0]
         assert len(got[1]) == len(loop[1]) > 0
-        assert all(a.shape == b.shape and np.array_equal(linalg.as_dense(a), linalg.as_dense(b))
+        assert all(a.shape == b.shape and np.array_equal(np.asarray(a), np.asarray(b))
                    for a, b in zip(got[1], loop[1]))
         assert got[2:] == loop[2:]
 
