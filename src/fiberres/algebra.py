@@ -150,6 +150,10 @@ class GradedAlgebra:
                 if (m, n) not in self.mult:
                     raise AlgebraError(f"missing product tensor for degrees {(m, n)}")
         self.generators = dict(generators or {})
+        for name, gen in self.generators.items():
+            if not (len(gen) == 2 and 0 <= gen[0] <= cap and 0 <= gen[1] < self.dim(gen[0])):
+                raise AlgebraError(f"generator {name!r} at {list(gen)}: need [degree, index] "
+                                   f"with 0 <= degree <= {cap} and index below its dimension")
 
     def _owns(self, el: Element) -> None:
         if el.algebra is not self:
@@ -331,15 +335,6 @@ class GradedAlgebra:
             "mult": mult,
             "generators": {k: list(v) for k, v in sorted(self.generators.items())},
         }
-
-    @classmethod
-    def from_table_json(cls, obj: dict) -> "GradedAlgebra":
-        mult = {}
-        for key, arr in obj.get("mult", {}).items():
-            m, n = key.split("|")
-            mult[(int(m), int(n))] = np.asarray(arr, dtype=np.int64)
-        gens = {k: (int(v[0]), int(v[1])) for k, v in obj.get("generators", {}).items()}
-        return cls(int(obj["char"]), int(obj["cap"]), obj["basis"], mult, gens)
 
 
 # -- monomial quotient presentations ------------------------------------

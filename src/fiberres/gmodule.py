@@ -17,9 +17,11 @@ entries and hands it on as terms; nothing turns terms back into one.
 
 Rows and maps of the resolution layer are ``linalg.Matrix``es, so
 ``linalg``'s storage rule alone decides how each is stored.  A module's
-``times`` takes and gives one; ``FreeModule.times`` reads the rows'
-nonzero entries when ``linalg`` keeps them as entries and multiplies
-block by block when it keeps them dense.
+``times`` takes and gives one; ``FreeModule.times`` reads the rows at
+their nonzero entries in either storage, on one path.
+``minimal_generators_by_degree`` eliminates each degree's lower span
+once and keeps its new rows with ``linalg.echelon`` and
+``linalg.reduce_rows`` alone.
 """
 
 from __future__ import annotations
@@ -288,26 +290,15 @@ class FreeModule:
         a*v, mod p: one int64 product per generator degree s, exact as
         each entry sums dim A_(d - s) terms below p^2.
 
-        Rows that ``linalg`` keeps as a dense block are multiplied block
-        by block whole.  Rows it keeps as entries are read only at their
-        nonzero entries.  Entry c of a row is coordinate x of the block
-        of the generator g_j holding it, and a * (x g_j) lies in g_j's
-        block in degree d + m.  Per s, only the (row, generator) pairs
-        that are hit enter the product, and the result is made of their
-        blocks alone."""
+        The rows are read only at their nonzero entries, in either
+        storage.  Entry c of a row is coordinate x of the block of the
+        generator g_j holding it, and a * (x g_j) lies in g_j's block in
+        degree d + m.  Per s, only the (row, generator) pairs that are hit
+        enter the product, and the result is made of their blocks
+        alone."""
         A, m, p = self.algebra, a.degree, self.algebra.p
         rows = linalg.Matrix.read(rows, p)
         shape = (rows.shape[0], self.dim(d + m))
-        if rows.kept_dense:
-            dense = rows.dense()
-            out = np.zeros(shape, dtype=np.int64)
-            for s, gens in self.by_degree.items():
-                na, nb = A.dim(d - s), A.dim(d + m - s)
-                if na * nb * shape[0]:
-                    prod = (dense[:, self.block_indices(d, gens, na)].reshape(-1, na)
-                            @ A.left_mult_matrix(a, d - s))
-                    out[:, self.block_indices(d + m, gens, nb)] = prod.reshape(shape[0], -1) % p
-            return linalg.Matrix.read(out, p)
         r, c, vals = rows.nonzero()  # row-major, so each pair's entries are consecutive
         parts = []
         if r.size:
@@ -504,21 +495,23 @@ def minimal_generators_by_degree(algebra: GradedAlgebra, rows, times, dmax: int)
     a, n)`` is ``rows`` times the matrix of x -> a*x out of degree n, mod
     p (a module's ``times``).  The rows must span a submodule degreewise
     (kernels, or a whole module), so the part of degree d generated below
-    it is the sum of g * rows[d - deg g] over the algebra's
-    indecomposables g, folded into one reduced echelon basis ``lower`` of
-    pivot rows only.  Returns, per degree with new generators, ``(degree,
-    row indices, new rows)``: the indices of the rows that enlarge the
-    span of ``lower`` and the rows before them, and for each such row its
-    normalized residual against the reduced echelon basis of that span,
-    as ``linalg.Span.add`` gives it, stacked.
+    it is spanned by the products g * rows[d - deg g] over the algebra's
+    indecomposables g: they are stacked and eliminated once, into the
+    reduced echelon basis ``lower`` of pivot rows only.  Returns, per
+    degree with new generators, ``(degree, row indices, new rows)``: the
+    indices of the rows that enlarge the span of ``lower`` and the rows
+    before them, and for each such row its residual against ``lower``
+    divided by its leading entry, stacked.  The new rows span a
+    complement of ``lower`` in the submodule's degree-d part.
 
-    The residual is unique, and reducing against ``lower`` first leaves
-    it unchanged, so each degree's rows are reduced against ``lower`` in
-    one ``linalg.reduce_rows``.  The reduced echelon form of a sum of
-    spans on disjoint columns is the union of their forms, so a residual
-    row that shares no column with another residual row is its own new
-    row, up to its leading entry: all such rows are normalized at once.
-    Only the rows of shared-column components go through a ``Span``."""
+    Each degree's rows are reduced against ``lower`` in one
+    ``linalg.reduce_rows``; the residual of a row is unique, and a row
+    enlarges the span exactly when its residual is independent of the
+    residuals before it.  So a nonzero residual row that shares no column
+    with another residual row is kept, and among the rows that share
+    columns the kept ones are the pivot columns of the echelon form of
+    their residuals' transpose.  All kept rows are normalized in one
+    batch."""
     p = algebra.p
     rows = [linalg.Matrix.read(rows[d], p) for d in range(dmax + 1)]
     out = []
@@ -526,40 +519,30 @@ def minimal_generators_by_degree(algebra: GradedAlgebra, rows, times, dmax: int)
         m, n = rows[d].shape
         if m == 0:
             continue
-        lower, piv = linalg.Matrix.zeros((0, n)), []
-        for deg, i in algebra.indecomposables:
-            if deg > d or rows[d - deg].shape[0] == 0:
-                continue
-            prod = times(rows[d - deg], algebra.basis_element(deg, i), d - deg)
-            lower, piv = linalg.echelon(linalg.Matrix.stack([lower, prod]), p)
-        r, c, v = linalg.reduce_rows(rows[d], lower, piv, p).nonzero()
+        prods = [times(rows[d - deg], algebra.basis_element(deg, i), d - deg)
+                 for deg, i in algebra.indecomposables
+                 if deg <= d and rows[d - deg].shape[0]]
+        res = rows[d] if not prods else linalg.reduce_rows(
+            rows[d], *linalg.echelon(linalg.Matrix.stack(prods), p), p)
+        r, c, v = res.nonzero()
         if not r.size:
             continue
-        col_count = np.bincount(c, minlength=n)
-        shared = np.bincount(r[col_count[c] > 1], minlength=m) > 0
-        parts = []  # (row index, column, value) of the new rows
-        alone = ~shared[r]
-        if alone.any():
-            r1, c1, v1 = r[alone], c[alone], v[alone]
-            first = np.ones(r1.size, dtype=bool)
-            first[1:] = r1[1:] != r1[:-1]
-            slot = np.cumsum(first) - 1
-            heads = np.flatnonzero(first)  # each row's leading entry
-            parts.append((r1, c1, v1 * linalg.inv_mod(v1[heads], p)[slot] % p))
-        if not alone.all():
-            span_rows = np.flatnonzero(shared)
-            dense = np.zeros((span_rows.size, n), dtype=np.int64)
-            dense[np.searchsorted(span_rows, r[~alone]), c[~alone]] = v[~alone]
-            span = linalg.Span(p, n)
-            for j, row in zip(span_rows.tolist(), dense):
-                vec = span.add(row)
-                if vec is not None:
-                    nz = np.flatnonzero(vec)
-                    parts.append((np.full(nz.size, j), nz, vec[nz]))
-        r, c, v = (np.concatenate(x) for x in zip(*parts))
-        kept = np.unique(r)
-        out.append((d, kept, linalg.Matrix.placed(
-            [(np.searchsorted(kept, r), c, v)], (kept.size, n), p)))
+        keep = np.zeros(m, dtype=bool)
+        keep[r] = True
+        shared = np.bincount(r[np.bincount(c, minlength=n)[c] > 1], minlength=m) > 0
+        if shared.any():
+            block, at = np.flatnonzero(shared), shared[r]
+            piv = linalg.echelon(linalg.Matrix.placed(
+                [(np.searchsorted(block, r[at]), c[at], v[at])], (block.size, n), p).T, p)[1]
+            keep[block] = False
+            keep[block[piv]] = True
+        at = keep[r]
+        r, c, v = r[at], c[at], v[at]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = r[1:] != r[:-1]
+        slot = np.cumsum(first) - 1  # each entry's row among the kept rows
+        out.append((d, r[first], linalg.Matrix.placed(
+            [(slot, c, v * linalg.inv_mod(v[first], p)[slot] % p)], (slot[-1] + 1, n), p)))
     return out
 
 

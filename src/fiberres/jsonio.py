@@ -14,8 +14,10 @@ Module files, interpreted against a given algebra: ``{"kind":
 (target degrees default to 0; column degrees are inferred from the
 entries, which must be homogeneous).
 
-Degrees, the characteristic and the cap are integers; a fraction or a
-boolean raises ``InputError`` rather than being truncated.
+Degrees, the characteristic, the cap and the entries of a table are
+integers; a fraction or a boolean raises ``InputError`` rather than
+being truncated.  A table generator is ``[degree, index]`` of a basis
+element within the cap.
 
 Series files follow ``PowerSeries.to_json``: decimal coefficient
 strings plus a truncation.
@@ -60,6 +62,23 @@ def _integer(x) -> int:
     return int(x)
 
 
+def _table_algebra(obj: dict) -> GradedAlgebra:
+    """The algebra of a ``table`` object.  Each entry is read by
+    ``_integer`` and reduced mod p as a Python int, so none overflows."""
+    p = _integer(obj["char"])
+
+    def reduced(x):
+        return [reduced(v) for v in x] if isinstance(x, list) else _integer(x) % p
+
+    mult = {}
+    for key, arr in obj.get("mult", {}).items():
+        m, n = key.split("|")
+        mult[(int(m), int(n))] = np.array(reduced(arr), dtype=np.int64)
+    gens = {name: tuple(_integer(x) for x in (gen if isinstance(gen, list) else [gen]))
+            for name, gen in obj.get("generators", {}).items()}
+    return GradedAlgebra(p, _integer(obj["cap"]), obj["basis"], mult, gens)
+
+
 def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:
     if not isinstance(obj, dict):
         raise InputError(f"an algebra must be a JSON object, not {obj!r}")
@@ -88,7 +107,7 @@ def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:
         table.setdefault("char", char)
         table.setdefault("cap", cap)
         try:
-            return GradedAlgebra.from_table_json(table)
+            return _table_algebra(table)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad table object: {exc}") from exc
     if kind == "fiber":

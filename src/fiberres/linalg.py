@@ -52,11 +52,9 @@ allowed.  ``matmul`` and elimination stay in int64.
 
 ``Span`` grows a reduced echelon basis one vector at a time: rows stay
 where they were added, and a vector is reduced by one int64 product
-with the rows whose pivots it hits.
-``gmodule.minimal_generators_by_degree`` reduces and normalizes most of
-its rows itself, from their nonzero entries, and hands a ``Span`` only
-the rows whose residuals share a column with another row's.
-``inv_mod`` inverts one entry or an array of them, a long array by
+with the rows whose pivots it hits.  No code of the package calls it:
+it stays as the row-by-row reference that tests hold the elimination
+interface against.  ``inv_mod`` inverts one entry or an array of them, a long array by
 square-and-multiply in int64.
 
 ``entries`` is the one reader of a whole dense matrix's nonzero

@@ -231,9 +231,9 @@ def test_fiber_projections_are_algebra_maps():
 def test_table_json_round_trip():
     S = mono([("x", 1)], ["x^3"], cap=5)
     obj = S.to_table_json()
-    from fiberres.algebra import GradedAlgebra
+    from fiberres.jsonio import algebra_from_obj
 
-    S2 = GradedAlgebra.from_table_json(obj)
+    S2 = algebra_from_obj(obj, S.p, S.cap)
     assert S2.basis == S.basis
     for key, arr in S.mult.items():
         assert np.array_equal(S2.mult[key], arr)

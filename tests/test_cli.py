@@ -9,6 +9,7 @@ import pytest
 
 from fiberres import cli, cohomology, extalg, resolve
 from fiberres.cli import main
+from fiberres.jsonio import load_algebra
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
 
@@ -298,6 +299,15 @@ def test_bad_presentation_exits_one(tmp_path, capsys, vars_degs, message):
 RESIDUE = {"kind": "residue"}
 
 
+def table(**edit):
+    """A cap-2 table algebra with basis 1, x, y and x * x = y, edited."""
+    return {"algebra": {"kind": "table", "cap": 2, "basis": [["1"], ["x"], ["y"]],
+                        "mult": {"1|1": [[[1]]]}, "generators": {"x": [1, 0]}, **edit}}
+
+
+GENERATOR_AT = "bad table object: generator 'x' at {at}: need [degree, index] with 0 <= degree <= 2"
+
+
 @pytest.mark.parametrize("algebra_edit, module, message", [
     ({"vars": [{"name": "x", "deg": "a"}]}, RESIDUE,
      "bad monomial_quotient object: invalid literal"),
@@ -335,12 +345,20 @@ RESIDUE = {"kind": "residue"}
      "bad monomial_quotient object: 'commutative' must be true or false, not 'false'"),
     ({"algebra": {"kind": "fiber", "s": 5, "t": 5}}, RESIDUE,
      "an algebra must be a JSON object, not 5"),
+    (table(generators={"x": [1]}), RESIDUE, GENERATOR_AT.format(at=[1])),
+    (table(generators={"x": [5, 0]}), {"kind": "coker", "matrix": [["x"]]},
+     GENERATOR_AT.format(at=[5, 0])),
+    (table(generators={"x": [1, -1]}), RESIDUE, GENERATOR_AT.format(at=[1, -1])),
+    (table(mult={"1|1": [[[1.5]]]}), RESIDUE, "bad table object: 1.5 is not an integer"),
+    (table(mult={"1|1": [[[True]]]}), RESIDUE, "bad table object: True is not an integer"),
 ], ids=["deg-string", "gens-string", "gens-number", "matrix-row-number", "cap-string",
         "field-number", "deg-fraction", "deg-bool", "free-gens-fraction",
         "coker-gens-fraction", "rel-exponent-letter", "rels-string",
         "coker-exponent-letter", "coker-exponent-negative", "coker-superscript-digit",
         "table-generators-number",
-        "commutative-string", "fiber-factor-number"])
+        "commutative-string", "fiber-factor-number", "table-generator-short",
+        "table-generator-above-cap", "table-generator-negative-index",
+        "table-entry-fraction", "table-entry-bool"])
 def test_malformed_input_file_exits_one(tmp_path, capsys, algebra_edit, module, message):
     """A value of the wrong type in an algebra or module file is an input
     error (exit 1, one error line), not a traceback; a fractional or
@@ -354,6 +372,17 @@ def test_malformed_input_file_exits_one(tmp_path, capsys, algebra_edit, module, 
     assert main(["resolve", "--algebra", a, "--module", m, "--hmax", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message.format(path=a)}") and err.count("\n") == 1
+
+
+def test_a_table_entry_is_read_mod_p_as_an_integer(tmp_path, capsys):
+    """A table entry beyond int64 is an integer, read as its residue mod
+    p, not an overflow: x * x = 10^30 y is x * x = (10^30 mod p) y."""
+    obj = algebra_obj([("x", 1)], ["x^3"])
+    obj.update(table(mult={"1|1": [[[10 ** 30]]]}))
+    a = write(tmp_path, "a.json", obj)
+    assert main(["algebra", "--algebra", a]) == 0
+    assert not capsys.readouterr().err
+    assert load_algebra(a).mult[(1, 1)].tolist() == [[[10 ** 30 % 32003]]]
 
 
 def test_unknown_module_kind_exits_one(tmp_path):

@@ -366,23 +366,25 @@ def reference_left_mult(F, a, d):
 
 def reference_generators(algebra, rows, act, dmax):
     """The definition: span every product rows[d - m] @ act(e, d - m) over
-    every basis element e of every degree m >= 1, in int64, then add
-    rows[d] in order."""
+    every basis element e of every degree m >= 1, in int64.  Row j of
+    rows[d] is new when its residual against that span is independent of
+    the residuals of the rows before it; its new row is that residual
+    divided by its leading entry."""
     p = algebra.p
     out = []
     for d in range(dmax + 1):
         if rows[d].shape[0] == 0:
             continue
-        span = linalg.Span(p, rows[d].shape[1])
+        lower, residuals = linalg.Span(p, rows[d].shape[1]), linalg.Span(p, rows[d].shape[1])
         for m in range(1, d + 1):
             for i in range(algebra.dim(m)):
                 if rows[d - m].shape[0]:
                     for v in (rows[d - m] @ act(algebra.basis_element(m, i), d - m)) % p:
-                        span.add(v)
+                        lower.add(v)
         for j, row in enumerate(rows[d]):
-            new = span.add(row)
-            if new is not None:
-                out.append((d, j, new))
+            res = lower.reduce(row)
+            if residuals.add(res) is not None:
+                out.append((d, j, res * linalg.inv_mod(res[np.flatnonzero(res)[0]], p) % p))
     return out
 
 
@@ -510,20 +512,48 @@ def random_submodule_rows(rng, F, p):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_minimal_generators_match_the_definition_on_random_rows(p, seed, sparse_cells,
                                                                monkeypatch):
-    """Rows whose residuals share columns take the Span path, and the
-    rest are normalized in one batch; together they must give what the
-    definition gives, row for row."""
+    """Rows whose residuals share columns are kept by the echelon form of
+    their transpose, and the rest by their residual alone; together they
+    must give what the definition gives, row for row."""
     R = weighted_ring(p)
     F = FreeModule(R, [0, 0, 1, 2, 3])
     rows = random_submodule_rows(np.random.default_rng([seed, p]), F, p)
-    added = []
-    add = linalg.Span.add
-    monkeypatch.setattr(linalg.Span, "add", lambda span, vec: added.append(1) or add(span, vec))
+    residuals = []
+    reduce_rows = linalg.reduce_rows
+    monkeypatch.setattr(linalg, "reduce_rows",
+                        lambda *args: residuals.append(reduce_rows(*args)) or residuals[-1])
     gens = minimal_generators_by_degree(R, rows, F.times, R.cap)
-    assert added, "no residual rows shared a column"
     monkeypatch.undo()
+    assert any((np.count_nonzero(np.asarray(res), axis=0) > 1).any() for res in residuals), \
+        "no residual rows shared a column"
     assert same_generators(gens, reference_generators(R, rows, partial(reference_left_mult, F),
                                                       R.cap))
+
+
+def test_a_degree_eliminates_all_its_products_at_once(monkeypatch):
+    """The lower span of each degree is one ``linalg.echelon`` of the
+    products with every indecomposable stacked.  On the unit rows of a
+    free module each residual is a unit row, so no two share a column
+    and every elimination is of a lower span."""
+    R = weighted_ring(3)
+    M = free_module_table(R, [0, 1])
+    units = [np.eye(M.dim(d), dtype=np.int64) for d in range(R.cap + 1)]
+    assert len(R.indecomposables) == 4  # x, w, y and v, found before the count starts
+    eliminated = []
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon",
+                        lambda mat, q: eliminated.append(np.asarray(mat)) or echelon(mat, q))
+    minimal_generators_by_degree(R, units, M.times, R.cap)
+    monkeypatch.undo()
+    stacks = []
+    for d in range(R.cap + 1):
+        prods = [np.asarray(M.times(units[d - e], R.basis_element(e, i), d - e))
+                 for e, i in R.indecomposables if e <= d and len(units[d - e])]
+        if M.dim(d) and prods:
+            stacks.append((len(prods), np.vstack(prods)))
+    assert max(count for count, _ in stacks) == 4  # all four act in one degree
+    assert len(eliminated) == len(stacks)
+    assert all(np.array_equal(mat, want) for mat, (_, want) in zip(eliminated, stacks))
 
 
 @pytest.mark.parametrize("p", [3, 65521])
