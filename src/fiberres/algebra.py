@@ -222,6 +222,12 @@ class GradedAlgebra:
         return PowerSeries([self.dim(n) for n in range(self.cap + 1)], self.cap)
 
     @cached_property
+    def dims(self) -> np.ndarray:
+        """dim A_n for n = 0..cap and a 0 after them, as an int64 array,
+        so index -1 reads the 0 (shared; do not modify)."""
+        return np.array([self.dim(n) for n in range(self.cap + 1)] + [0], dtype=np.int64)
+
+    @cached_property
     def indecomposables(self) -> list[tuple[int, int]]:
         """``(degree, index)`` of basis elements spanning a complement of
         A+^2 in A+ through the cap: in each degree n, those at the

@@ -107,7 +107,7 @@ def _lift_stages(src: FreeResolution, tgt: FreeResolution, prev: dict,
             if sol is None:
                 raise ExtError(f"chain-map lift failed at stage {n}, degree {sj}")
             images.append((sj, gens, sol))  # column (b, j): map b's image of generator j
-        prev = generator_terms(tgt.frees[n], images, shift, batch)
+        prev = generator_terms(tgt.frees[n], images, shift)
         out.append(prev)
     return out
 

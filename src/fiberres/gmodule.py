@@ -6,20 +6,31 @@ mirroring GradedAlgebra.  A FreeModule is a list of homogeneous
 generators; its degree-d component has the basis {a * g} with a running
 over the algebra basis in degree d - deg(g).
 
+A module's window of degrees 0..dmax orders its coordinates
+degree-major: degree, then (for a free module) generator, then algebra
+basis element.  ``window(dmax)`` gives the start of each degree; a free
+module also keeps the start of each (degree, generator) block, all from
+one running sum of the block sizes, and reads each degree's offsets off
+it.
+
 A map of free modules (or a batch of maps) is stored as sparse
 generator terms: per (source generator degree, entry degree e), arrays
 ``(tgt, src, batch, coef)`` with one row per nonzero entry, ``coef``
 being its coefficients in degree e.  ``generator_terms`` reads them off
-generator images, the columns of a ``linalg.Matrix``, and ``extend``,
-the one module-linear extension, evaluates them degree by degree into a
-``linalg.Matrix`` per degree.  An AlgMatrix writes a map by its algebra
-entries and hands it on as terms; nothing turns terms back into one.
+generator images, the columns of a ``linalg.Matrix`` per degree.
+``extend``, the one module-linear extension, evaluates them degree by
+degree into a ``linalg.Matrix`` per degree, and ``extend_window``
+places the same blocks into one block-diagonal ``linalg.Matrix`` over
+the window.  An AlgMatrix writes a map by its algebra entries and hands it on as terms;
+nothing turns terms back into one.
 
 Rows and maps of the resolution layer are ``linalg.Matrix``es, so
 ``linalg``'s storage rule alone decides how each is stored.  A module's
-``times`` takes and gives one; ``FreeModule.times`` reads the rows at
-their nonzero entries in either storage, on one path.
-``minimal_generators_by_degree`` eliminates each degree's lower span
+``window_times`` takes and gives one; ``FreeModule.window_times`` reads
+the rows at their nonzero entries in either storage, on one path, and
+``FreeModule.times`` is the same product on the rows of one degree.
+``minimal_generators``, the one generator step, takes a submodule's rows
+over the whole window, eliminates the lower span of every degree at
 once and keeps its new rows with ``linalg.echelon`` and
 ``linalg.reduce_rows`` alone.
 """
@@ -46,9 +57,10 @@ __all__ = [
     "restrict_to_fiber",
     "cokernel_module",
     "extend",
+    "extend_window",
     "generator_terms",
     "fiber_product_module",
-    "minimal_generators_by_degree",
+    "minimal_generators",
     "submodule_as_gmodule",
 ]
 
@@ -103,9 +115,22 @@ class GradedModule:
             raise ModuleError(f"action lands beyond cap {self.cap}")
         return np.einsum("ijk,i->jk", self.action[(m, n)], a.vec) % self.algebra.p
 
-    def times(self, rows, a: Element, n: int) -> linalg.Matrix:
-        """``rows @ act_matrix(a, n)`` mod p."""
-        return linalg.matmul(rows, self.act_matrix(a, n), self.algebra.p)
+    def window(self, dmax: int) -> np.ndarray:
+        """The start of each degree 0..dmax in the window (the degreewise
+        bases one after the other), then its total width."""
+        return np.cumsum([0] + [self.dim(n) for n in range(dmax + 1)])
+
+    def window_times(self, rows, a: Element, dmax: int) -> linalg.Matrix:
+        """``rows`` (coordinate rows over the window of degrees 0..dmax)
+        times the matrix of x -> a*x over the same window, mod p: one
+        product with the matrix whose blocks are ``act_matrix(a, n)``; what
+        lands past dmax is dropped."""
+        starts, m = self.window(dmax), a.degree
+        blocks = [(starts[n] + np.arange(self.dim(n))[:, None],
+                   starts[n + m] + np.arange(self.dim(n + m)), self.act_matrix(a, n))
+                  for n in range(dmax + 1 - m) if self.dim(n) and self.dim(n + m)]
+        act = linalg.Matrix.placed(blocks, (starts[-1], starts[-1]), self.algebra.p)
+        return linalg.matmul(rows, act, self.algebra.p)
 
     def act(self, a: Element, n: int, vec) -> tuple[int, np.ndarray]:
         """``vec @ act_matrix(a, n)`` mod p, without building the matrix:
@@ -210,7 +235,14 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
 
 class FreeModule:
     """Free module on homogeneous generators.  It is never mutated, so
-    each degree's block layout is computed once and kept."""
+    its window layout and each degree's block layout are computed once
+    and kept.
+
+    The window of degrees 0..dmax orders the coordinates degree-major:
+    degree, then generator, then algebra basis element.  ``window(dmax)``
+    gives the start of each degree in it; the layout over degrees 0..cap
+    also keeps the start of each (degree, generator) block, and the
+    window of a smaller dmax is its prefix."""
 
     def __init__(self, algebra: GradedAlgebra, gen_degrees: list[int],
                  gen_labels: list[str] | None = None):
@@ -231,19 +263,55 @@ class FreeModule:
     def rank(self) -> int:
         return len(self.gen_degrees)
 
+    def _block_sizes(self, degrees) -> np.ndarray:
+        """Entry (k, j): the size dim A_(d - deg g_j) of generator j's
+        block in degree d = degrees[k]."""
+        A = self.algebra
+        da = np.asarray(degrees, dtype=np.int64)[:, None] - self._degrees
+        return A.dims[np.where((da >= 0) & (da <= A.cap), da, -1)]
+
+    @cached_property
+    def _window(self) -> tuple[np.ndarray, np.ndarray]:
+        """The layout of the window of degrees 0..cap: the start of each
+        degree (and the total width last), and the start of each (degree,
+        generator) block, from one running sum of the block sizes."""
+        cap = self.algebra.cap
+        sizes = self._block_sizes(np.arange(cap + 1))
+        flat = sizes.ravel()
+        starts = np.zeros(cap + 2, dtype=np.int64)
+        np.cumsum(sizes.sum(axis=1), out=starts[1:])
+        return starts, (np.cumsum(flat) - flat).reshape(sizes.shape)
+
+    def window(self, dmax: int) -> np.ndarray:
+        """The start of each degree 0..dmax in the window, then its total
+        width (shared; do not modify)."""
+        return self._window[0][: dmax + 2]
+
+    def window_generators(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """The degree and the generator of the block that holds each
+        window coordinate: the last block starting at or before it, as an
+        empty block starts where the next one does."""
+        block = self._window[1].ravel().searchsorted(coords, "right") - 1
+        return np.divmod(block, max(self.rank, 1))
+
+    @cached_property
+    def unit_coordinates(self) -> np.ndarray:
+        """The window coordinate of 1 * g_j, for each generator j."""
+        return self._window[1][self._degrees, np.arange(self.rank)]
+
     def _layout(self, d: int) -> tuple[list[int], np.ndarray, int]:
         """Degree-d offset of each generator's block (as a list and as
-        an array) and the total dimension; the block size is looked up
-        once per run of equal consecutive generator degrees."""
+        an array) and the total dimension: read off the window layout
+        inside degrees 0..cap, else from the block sizes."""
         lay = self._layouts.get(d)
         if lay is None:
-            out, acc, prev, size = [], 0, None, 0
-            for s in self.gen_degrees:
-                if s != prev:
-                    prev, size = s, self.algebra.dim(d - s)
-                out.append(acc)
-                acc += size
-            lay = self._layouts[d] = (out, np.array(out, dtype=np.int64), acc)
+            if 0 <= d <= self.algebra.cap:
+                starts, blocks = self._window
+                off, total = blocks[d] - starts[d], starts[d + 1] - starts[d]
+            else:
+                sizes = self._block_sizes([d])[0]
+                off, total = np.cumsum(sizes) - sizes, sizes.sum()
+            lay = self._layouts[d] = (off.tolist(), off, int(total))
         return lay
 
     def dim(self, d: int) -> int:
@@ -285,42 +353,69 @@ class FreeModule:
                 out.append(self.gen_labels[j] if lab == "1" else f"{lab}*{self.gen_labels[j]}")
         return out
 
+    def _product(self, r, c, vals, a: Element, dmax: int, origin: int = 0) -> list:
+        """The entry parts of the rows with entries ``(r, c, vals)``
+        (row-major, c a window coordinate) times the matrix of v -> a*v,
+        at window coordinates minus ``origin``; a coordinate whose image
+        lies past degree ``dmax`` is dropped.  One int64 product per
+        algebra degree e of the coordinates, exact as each entry sums dim
+        A_e terms below p^2.
+
+        Entry c of a row is coordinate x of the block of a degree-d
+        generator g_j, and a * (x g_j) lies in g_j's block in degree d +
+        deg a.  Only the (row, block) pairs that are hit enter the
+        product, and the result is made of their blocks alone."""
+        A, m, p = self.algebra, a.degree, self.algebra.p
+        blocks = self._window[1].ravel()
+        block = blocks.searchsorted(c, "right") - 1
+        d, j = np.divmod(block, max(self.rank, 1))
+        inside = d + m <= dmax
+        if not inside.all():
+            r, c, vals, block, d, j = (x[inside] for x in (r, c, vals, block, d, j))
+        if not r.size:
+            return []
+        key = r * blocks.size + block  # row-major, so each pair's entries are consecutive
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        e = d - self._degrees[j]
+        pr, pe = r[first], e[first]
+        tgt = blocks[block[first] + m * self.rank] - origin
+        degrees = np.flatnonzero(np.bincount(pe))
+        # coef[k, x]: coordinate x of the k-th (row, block) pair hit
+        coef = np.zeros((pr.size, A.dims[degrees].max()), dtype=np.int64)
+        coef[first.cumsum() - 1, c - blocks[block]] = vals
+        parts = []
+        for x in degrees.tolist():
+            na, nb = A.dim(x), A.dim(x + m)
+            if nb:
+                k = np.flatnonzero(pe == x)
+                prod = coef[k, :na] @ A.left_mult_matrix(a, x) % p
+                parts.append((np.repeat(pr[k], nb), (tgt[k, None] + np.arange(nb)).ravel(),
+                              prod.ravel()))
+        return parts
+
+    def window_times(self, rows, a: Element, dmax: int) -> linalg.Matrix:
+        """``rows`` (coordinate rows over the window of degrees 0..dmax)
+        times the matrix of v -> a*v over the same window, mod p; what
+        lands past dmax is dropped.  The rows are read only at their
+        nonzero entries, in either storage."""
+        rows = linalg.Matrix.read(rows, self.algebra.p)
+        return linalg.Matrix.placed(self._product(*rows.nonzero(), a, dmax),
+                                    (rows.shape[0], self.window(dmax)[-1]), self.algebra.p)
+
     def times(self, rows, a: Element, d: int) -> linalg.Matrix:
         """``rows`` (coordinate rows in degree d) times the matrix of v ->
-        a*v, mod p: one int64 product per generator degree s, exact as
-        each entry sums dim A_(d - s) terms below p^2.
-
-        The rows are read only at their nonzero entries, in either
-        storage.  Entry c of a row is coordinate x of the block of the
-        generator g_j holding it, and a * (x g_j) lies in g_j's block in
-        degree d + m.  Per s, only the (row, generator) pairs that are hit
-        enter the product, and the result is made of their blocks
-        alone."""
-        A, m, p = self.algebra, a.degree, self.algebra.p
-        rows = linalg.Matrix.read(rows, p)
-        shape = (rows.shape[0], self.dim(d + m))
-        r, c, vals = rows.nonzero()  # row-major, so each pair's entries are consecutive
-        parts = []
-        if r.size:
-            src_off, tgt_off = self._layout(d)[1], self._layout(d + m)[1]
-            j = self.block_generators(d, c)
-            key = r * self.rank + j
-            first = np.ones(r.size, dtype=bool)
-            first[1:] = key[1:] != key[:-1]
-            # coef[k, x]: coordinate x of the k-th (row, generator) pair hit
-            coef = np.zeros((first.sum(), max(A.dim(d - s) for s in self.by_degree)),
-                            dtype=np.int64)
-            coef[first.cumsum() - 1, c - src_off[j]] = vals
-            pr, pj = r[first], j[first]
-            pdeg = self._degrees[pj]
-            for s in self.by_degree:
-                na, nb = A.dim(d - s), A.dim(d + m - s)
-                k = (pdeg == s).nonzero()[0] if na * nb else ()
-                if len(k):
-                    prod = coef[k, :na] @ A.left_mult_matrix(a, d - s) % p
-                    parts.append((np.repeat(pr[k], nb),
-                                  (tgt_off[pj[k], None] + np.arange(nb)).ravel(), prod.ravel()))
-        return linalg.Matrix.placed(parts, shape, p)
+        a*v, mod p: ``window_times`` on the rows placed at degree d of the
+        window, read back at degree d + deg a.  The action must land
+        inside the cap."""
+        dt = d + a.degree
+        if not 0 <= d <= dt <= self.algebra.cap:
+            raise ModuleError(f"action from degree {d} lands beyond cap {self.algebra.cap}")
+        rows = linalg.Matrix.read(rows, self.algebra.p)
+        starts = self._window[0]
+        r, c, vals = rows.nonzero()
+        return linalg.Matrix.placed(self._product(r, c + starts[d], vals, a, dt, starts[dt]),
+                                    (rows.shape[0], self.dim(dt)), self.algebra.p)
 
 
 class AlgMatrix:
@@ -358,10 +453,9 @@ class AlgMatrix:
 # -- module-linear extension of generator images ------------------------------
 
 
-def generator_terms(ftgt: FreeModule, images: list, shift: int = 0,
-                    batch: int = 1) -> dict:
-    """Sparse generator terms of ``batch`` maps into ftgt from generator
-    images: ``images`` holds ``(degree, generators, sol)``, the image of
+def generator_terms(ftgt: FreeModule, images: list, shift: int = 0) -> dict:
+    """Sparse generator terms of maps into ftgt from generator images:
+    ``images`` holds ``(degree, generators, sol)``, the image of
     generator j under map b being column (b, j) of the ``linalg.Matrix``
     ``sol``, in target degree dt = degree - shift.  Entry x of a column
     is coordinate y of the block of a target generator i, and the
@@ -373,8 +467,7 @@ def generator_terms(ftgt: FreeModule, images: list, shift: int = 0,
         x, bj, vals = linalg.Matrix.read(sol, A.p).nonzero()
         if not x.size:
             continue
-        gens, dt = np.asarray(gens), sj - shift
-        width = batch * len(gens)
+        gens, dt, width = np.asarray(gens), sj - shift, sol.shape[1]
         i = ftgt.block_generators(dt, x)
         # the entries in order of (i, b, j); each x is already in order of (b, j)
         key = i * width + bj
@@ -396,13 +489,15 @@ def generator_terms(ftgt: FreeModule, images: list, shift: int = 0,
 
 
 def _extended_blocks(ftgt: FreeModule, fsrc: FreeModule, terms: dict, d: int,
-                     shift: int, side: str | None):
-    """The nonzero blocks of the degree-d matrix of ``extend``, one per
-    term group: row indices (K, dy), column indices (K, dx) and values
-    (K, dx, dy), entry ((b, i, y), (j, x)) being coordinate y of x *
-    coefficient.  No two blocks share a cell."""
+                     tgt_off: np.ndarray, nrow: int, src_off: np.ndarray,
+                     side: str | None):
+    """The nonzero blocks of the degree-d matrix of a map, one per term
+    group, as ``linalg.Matrix.placed`` parts: row indices (K, 1, dy),
+    column indices (K, dx, 1) and values (K, dx, dy), entry ((b, i, y),
+    (j, x)) being coordinate y of x * coefficient, where h_i's block
+    starts at row b * nrow + tgt_off[i] and g_j's at column src_off[j].
+    No two blocks share a cell."""
     A, p = ftgt.algebra, ftgt.algebra.p
-    (_, tgt_off, nrow), src_off = ftgt._layout(d - shift), fsrc._layout(d)[1]
     for (sj, e), (tg, sg, bt, coef) in terms.items():
         da = d - sj
         dx, dy = A.dim(da), A.dim(da + e)
@@ -415,7 +510,8 @@ def _extended_blocks(ftgt: FreeModule, fsrc: FreeModule, terms: dict, d: int,
         rows = (bt * nrow + tgt_off[tg])[:, None] + np.arange(dy)
         cols = (src_off[sg] + (fsrc.algebra.part(side, da).start if side else 0))[:, None] \
             + np.arange(dx)
-        yield rows, cols, np.remainder(prod, p, out=prod).reshape(-1, dx, dy)
+        yield (rows[:, None, :], cols[:, :, None],
+               np.remainder(prod, p, out=prod).reshape(-1, dx, dy))
 
 
 def extend(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
@@ -428,10 +524,22 @@ def extend(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
     the nonzero blocks only.  With ``side``, fsrc lives over a fiber
     product and each map precomposes the coefficient projection onto the
     factor ftgt lives over."""
-    return {d: linalg.Matrix.placed(
-        [(rows[:, None, :], cols[:, :, None], vals)
-         for rows, cols, vals in _extended_blocks(ftgt, fsrc, terms, d, shift, side)],
-        (batch * ftgt.dim(d - shift), fsrc.dim(d)), ftgt.algebra.p) for d in degrees}
+    return {d: linalg.Matrix.placed(list(_extended_blocks(
+        ftgt, fsrc, terms, d, ftgt._layout(d - shift)[1], ftgt.dim(d - shift),
+        fsrc._layout(d)[1], side)), (batch * ftgt.dim(d - shift), fsrc.dim(d)),
+        ftgt.algebra.p) for d in degrees}
+
+
+def extend_window(ftgt: FreeModule, fsrc: FreeModule, terms: dict, dmax: int) -> linalg.Matrix:
+    """The matrix of one module map fsrc -> ftgt over the window of
+    degrees 0..dmax: a module map keeps the internal degree, so it is
+    block-diagonal, block (d, d) being ``extend``'s degree-d matrix.
+    Only the degrees where both modules are nonzero are visited."""
+    (tw, tb), (sw, sb) = ftgt._window, fsrc._window
+    return linalg.Matrix.placed(
+        [part for d in range(dmax + 1) if tw[d + 1] > tw[d] and sw[d + 1] > sw[d]
+         for part in _extended_blocks(ftgt, fsrc, terms, d, tb[d], 0, sb[d], None)],
+        (tw[dmax + 1], sw[dmax + 1]), ftgt.algebra.p)
 
 
 # -- subquotients of free modules -------------------------------------------------
@@ -488,62 +596,65 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
 # -- minimal generators ------------------------------------------------------
 
 
-def minimal_generators_by_degree(algebra: GradedAlgebra, rows, times, dmax: int) \
-        -> list[tuple[int, np.ndarray, linalg.Matrix]]:
-    """Minimal generators of the submodule spanned by ``rows[d]`` (d <=
-    dmax, each a ``linalg.Matrix`` or an array-like), where ``times(rows,
-    a, n)`` is ``rows`` times the matrix of x -> a*x out of degree n, mod
-    p (a module's ``times``).  The rows must span a submodule degreewise
-    (kernels, or a whole module), so the part of degree d generated below
-    it is spanned by the products g * rows[d - deg g] over the algebra's
-    indecomposables g: they are stacked and eliminated once, into the
-    reduced echelon basis ``lower`` of pivot rows only.  Returns, per
-    degree with new generators, ``(degree, row indices, new rows)``: the
-    indices of the rows that enlarge the span of ``lower`` and the rows
-    before them, and for each such row its residual against ``lower``
-    divided by its leading entry, stacked.  The new rows span a
-    complement of ``lower`` in the submodule's degree-d part.
+def minimal_generators(module, rows, degrees, dmax: int) -> tuple[np.ndarray, linalg.Matrix]:
+    """Minimal generators of the submodule spanned by ``rows``, a
+    ``linalg.Matrix`` (or an array-like) over ``module``'s window of
+    degrees 0..dmax whose row r is homogeneous of degree ``degrees[r]``,
+    nondecreasing.  The rows must span a submodule degreewise (kernels,
+    or a whole module), so the part of degree d generated below it is
+    spanned by the products g * (a row of degree d - deg g) over the
+    algebra's indecomposables g.  ``module.window_times`` takes them, one
+    product per indecomposable of the rows whose products land on a
+    degree with rows, and they are stacked and eliminated once, into the
+    reduced echelon basis ``lower`` of pivot rows only.  A module map
+    keeps the degree, so ``lower`` is the union of each degree's lower
+    span.  Returns the indices of the rows that enlarge the span of
+    ``lower`` and the rows before them, and for each such row its
+    residual against ``lower`` divided by its leading entry, stacked.
+    The new rows of degree d span a complement of ``lower`` in the
+    submodule's degree-d part.
 
-    Each degree's rows are reduced against ``lower`` in one
-    ``linalg.reduce_rows``; the residual of a row is unique, and a row
-    enlarges the span exactly when its residual is independent of the
-    residuals before it.  So a nonzero residual row that shares no column
-    with another residual row is kept, and among the rows that share
-    columns the kept ones are the pivot columns of the echelon form of
-    their residuals' transpose.  All kept rows are normalized in one
-    batch."""
-    p = algebra.p
-    rows = [linalg.Matrix.read(rows[d], p) for d in range(dmax + 1)]
-    out = []
-    for d in range(dmax + 1):
-        m, n = rows[d].shape
-        if m == 0:
-            continue
-        prods = [times(rows[d - deg], algebra.basis_element(deg, i), d - deg)
-                 for deg, i in algebra.indecomposables
-                 if deg <= d and rows[d - deg].shape[0]]
-        res = rows[d] if not prods else linalg.reduce_rows(
-            rows[d], *linalg.echelon(linalg.Matrix.stack(prods), p), p)
-        r, c, v = res.nonzero()
-        if not r.size:
-            continue
-        keep = np.zeros(m, dtype=bool)
-        keep[r] = True
-        shared = np.bincount(r[np.bincount(c, minlength=n)[c] > 1], minlength=m) > 0
-        if shared.any():
-            block, at = np.flatnonzero(shared), shared[r]
-            piv = linalg.echelon(linalg.Matrix.placed(
-                [(np.searchsorted(block, r[at]), c[at], v[at])], (block.size, n), p).T, p)[1]
-            keep[block] = False
-            keep[block[piv]] = True
-        at = keep[r]
-        r, c, v = r[at], c[at], v[at]
-        first = np.ones(r.size, dtype=bool)
-        first[1:] = r[1:] != r[:-1]
-        slot = np.cumsum(first) - 1  # each entry's row among the kept rows
-        out.append((d, r[first], linalg.Matrix.placed(
-            [(slot, c, v * linalg.inv_mod(v[first], p)[slot] % p)], (slot[-1] + 1, n), p)))
-    return out
+    All rows are reduced against ``lower`` in one ``linalg.reduce_rows``;
+    the residual of a row is unique, and a row enlarges the span exactly
+    when its residual is independent of the residuals before it.  So a
+    nonzero residual row that shares no column with another residual row
+    is kept, and among the rows that share columns (all of one degree)
+    the kept ones are the pivot columns of the echelon form of their
+    residuals' transpose.  All kept rows are normalized in one batch."""
+    A = module.algebra
+    p = A.p
+    rows = linalg.Matrix.read(rows, p)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    m, n = rows.shape
+    present = np.zeros(dmax + A.cap + 2, dtype=bool)
+    present[degrees] = True
+    prods = []
+    for deg, i in A.indecomposables:
+        src = np.flatnonzero(present[degrees + deg])
+        if src.size:
+            prods.append(module.window_times(rows if src.size == m else rows.rows(src),
+                                             A.basis_element(deg, i), dmax))
+    res = rows if not prods else linalg.reduce_rows(
+        rows, *linalg.echelon(linalg.Matrix.stack(prods), p), p)
+    r, c, v = res.nonzero()
+    if not r.size:
+        return r, linalg.Matrix.zeros((0, n))
+    keep = np.zeros(m, dtype=bool)
+    keep[r] = True
+    shared = np.bincount(r[np.bincount(c, minlength=n)[c] > 1], minlength=m) > 0
+    if shared.any():
+        block, at = np.flatnonzero(shared), shared[r]
+        piv = linalg.echelon(linalg.Matrix.placed(
+            [(np.searchsorted(block, r[at]), c[at], v[at])], (block.size, n), p).T, p)[1]
+        keep[block] = False
+        keep[block[piv]] = True
+    at = keep[r]
+    r, c, v = r[at], c[at], v[at]
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = r[1:] != r[:-1]
+    slot = np.cumsum(first) - 1  # each entry's row among the kept rows
+    return r[first], linalg.Matrix.placed(
+        [(slot, c, v * linalg.inv_mod(v[first], p)[slot] % p)], (slot[-1] + 1, n), p)
 
 
 # -- fiber products of modules ---------------------------------------------
@@ -572,10 +683,11 @@ def fiber_product_module(R: FiberProductAlgebra, m_mod: GradedModule,
 
     m0, n0 = m_mod.dim(0), n_mod.dim(0)
     check("dim M_0 = dim N_0", m0 == n0, f"{m0} vs {n0}")
-    for mod, alg, name in ((m_mod, S, "M"), (n_mod, T, "N")):
-        units = [np.eye(mod.dim(n), dtype=np.int64) for n in range(R.cap + 1)]
-        new = Counter({n: len(kept) for n, kept, _ in
-                       minimal_generators_by_degree(alg, units, mod.times, R.cap)})
+    for mod, name in ((m_mod, "M"), (n_mod, "N")):
+        starts = mod.window(R.cap)
+        degrees = np.repeat(np.arange(R.cap + 1), np.diff(starts))
+        kept, _ = minimal_generators(mod, linalg.Matrix.identity(starts[-1]), degrees, R.cap)
+        new = Counter(degrees[kept].tolist())
         for n in range(1, R.cap + 1):
             dim = mod.dim(n)
             check(f"{name} generated in degree 0 (degree {n})",

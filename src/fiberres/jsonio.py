@@ -16,7 +16,8 @@ entries, which must be homogeneous).
 
 Degrees, the characteristic, the cap and the entries of a table are
 integers; a fraction or a boolean raises ``InputError`` rather than
-being truncated.  A table generator is ``[degree, index]`` of a basis
+being truncated.  A table's basis is a list of degrees, each a list of
+label strings, and a table generator is ``[degree, index]`` of a basis
 element within the cap.
 
 Series files follow ``PowerSeries.to_json``: decimal coefficient
@@ -76,7 +77,13 @@ def _table_algebra(obj: dict) -> GradedAlgebra:
         mult[(int(m), int(n))] = np.array(reduced(arr), dtype=np.int64)
     gens = {name: tuple(_integer(x) for x in (gen if isinstance(gen, list) else [gen]))
             for name, gen in obj.get("generators", {}).items()}
-    return GradedAlgebra(p, _integer(obj["cap"]), obj["basis"], mult, gens)
+    basis = obj["basis"]
+    if not isinstance(basis, list):
+        raise ValueError(f"'basis' must be a list of degrees, not {basis!r}")
+    for n, labels in enumerate(basis):
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ValueError(f"basis degree {n} must be a list of strings, not {labels!r}")
+    return GradedAlgebra(p, _integer(obj["cap"]), basis, mult, gens)
 
 
 def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:

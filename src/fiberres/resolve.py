@@ -1,4 +1,4 @@
-"""Minimal graded free resolutions, computed degree by degree.
+"""Minimal graded free resolutions, one step over the whole window at a time.
 
 The engine works over any tabulated connected graded algebra
 (commutative or not).  Each step picks minimal generators of the
@@ -10,18 +10,25 @@ negative bound or a ``dmax`` above the cap is refused), applied before
 any computation by ``minimal_resolution`` and by every entry point that
 reports a window or shares results by one, to the ring it is about.  The
 differentials are stored only as sparse generator terms (see
-``gmodule``): ``evaluated`` evaluates them one degree at a time and
-keeps each map as a ``linalg.Matrix``, stored as ``linalg`` decides,
-and ``entries`` reads their algebra entries straight off the terms.
-The kernels and the new generator rows of each step are
-``linalg.Matrix``es too, and ``verify_complex`` ranks and composes the
-kept maps.  A step takes a kernel only at the degrees where the free
-module it maps out of is nonzero; elsewhere the kernel is empty and
-nothing is evaluated.  ``elimination`` keeps each nonempty map's
-``linalg.Elimination`` the first time a solve asks for it, so every
-chain-map lift through the resolution solves against one elimination
-per map; a map with no rows or no columns has nothing to eliminate, and
-its elimination is not kept.
+``gmodule``), and ``entries`` reads their algebra entries straight off
+the terms.  ``window_map`` evaluates each differential once over the
+window, in ``gmodule``'s degree-major coordinates, and keeps it as one
+``linalg.Matrix``, stored as ``linalg`` decides; a module map keeps the
+internal degree, so the matrix is block-diagonal by degree, and so are
+its elimination, its kernel and the products of its kernel rows.  So a
+step is one kernel of the window map out of the step below, one
+``gmodule.minimal_generators`` over the window (one echelon of all the
+products, one ``linalg.reduce_rows``) and one ``generator_terms`` of
+the new rows cut into their degrees, and its results are, byte for
+byte, those of the same steps taken one degree at a time.
+``verify_complex`` eliminates each window map once
+afresh and counts its pivots per degree.  ``evaluated`` serves the
+lifter the degree-d block of a window map, kept once asked for, and
+``elimination`` keeps each nonempty block's ``linalg.Elimination`` the
+first time a solve asks for it, so every chain-map lift through the
+resolution solves against one elimination per map; a map with no rows
+or no columns has nothing to eliminate, and its elimination is not
+kept.
 
 Inside a ``sharing()`` scope, equal requests share one result: each
 ``minimal_resolution`` key (the algebra's identity, the module's
@@ -35,14 +42,15 @@ resolutions; nothing else opens one.
 from __future__ import annotations
 
 import contextvars
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 
 from . import linalg
 from .algebra import Element, GradedAlgebra
-from .gmodule import (FreeModule, GradedModule, extend, generator_terms,
-                      minimal_generators_by_degree, submodule_as_gmodule)
+from .gmodule import (FreeModule, GradedModule, extend, extend_window, generator_terms,
+                      minimal_generators, submodule_as_gmodule)
 from .series import PowerSeries
 
 __all__ = [
@@ -94,6 +102,11 @@ class FreeResolution:
         self.frees = frees          # frees[i] for 0 <= i <= hmax
         self.terms = terms          # terms[i]: generator terms of F_i -> F_{i-1}; terms[0] is None
         self.cover = cover          # d -> matrix (dim M_d, dim F0_d)
+        # the kept window maps cover degrees 0..top, which holds every
+        # generator's own degree (a word complex has some above dmax); the
+        # builder appends only generators inside dmax
+        self.top = min(algebra.cap, max([dmax] + [d for f in frees for d in f.gen_degrees]))
+        self._windows: dict[int, linalg.Matrix] = {}
         self._ev_cache: dict[tuple[int, int], linalg.Matrix] = {}
         self._elim_cache: dict[tuple[int, int], linalg.Elimination] = {}
 
@@ -118,13 +131,38 @@ class FreeResolution:
         return self.cover.get(d, np.zeros((self.module.dim(d), self.frees[0].dim(d)),
                                           dtype=np.int64))
 
+    def window_map(self, i: int) -> linalg.Matrix:
+        """The map out of F_i over the window of degrees 0..top, in the
+        degree-major coordinates of ``gmodule``: the differential,
+        evaluated once and kept, or the cover over 0..dmax at 0, read
+        afresh."""
+        if i == 0:
+            module, free, p = self.module, self.frees[0], self.algebra.p
+            rows, cols = module.window(self.dmax), free.window(self.dmax)
+            blocks = [(rows[d] + np.arange(module.dim(d))[:, None],
+                       cols[d] + np.arange(free.dim(d)), self.eval_cover(d))
+                      for d in range(self.dmax + 1) if module.dim(d) * free.dim(d)]
+            return linalg.Matrix.summed(blocks, (rows[-1], cols[-1]), p)
+        if i not in self._windows:
+            self._windows[i] = extend_window(self.frees[i - 1], self.frees[i], self.terms[i],
+                                             self.top)
+        return self._windows[i]
+
     def evaluated(self, i: int, d: int) -> linalg.Matrix:
-        """Degree-d map out of F_i: the differential, evaluated once and
-        kept, or the cover at 0, read afresh."""
+        """Degree-d map out of F_i: block (d, d) of the kept window map,
+        kept once asked for (a negative degree's map is empty), or the
+        cover at 0, read afresh."""
         if i == 0:
             return linalg.Matrix.read(self.eval_cover(d), self.algebra.p)
         if (i, d) not in self._ev_cache:
-            self._ev_cache[i, d] = extend(self.frees[i - 1], self.frees[i], self.terms[i], [d])[d]
+            if d > self.top:
+                raise WindowError(f"degree {d} outside the evaluated degrees 0..{self.top}")
+            if d < 0:
+                mat = linalg.Matrix.zeros((0, 0))
+            else:
+                rows, cols = self.frees[i - 1].window(d), self.frees[i].window(d)
+                mat = self.window_map(i).block(rows[d], rows[d + 1], cols[d], cols[d + 1])
+            self._ev_cache[i, d] = mat
         return self._ev_cache[i, d]
 
     def elimination(self, i: int, d: int) -> linalg.Elimination:
@@ -147,11 +185,10 @@ class FreeResolution:
         return self.frees[i].gen_degrees
 
     def betti(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for i in range(self.hmax + 1):
-            for d in self.frees[i].gen_degrees:
-                out[(i, d)] = out.get((i, d), 0) + 1
-        return out
+        """(step, internal degree) -> number of generators, in order of
+        step and then of each degree's first generator."""
+        return {(i, d): n for i in range(self.hmax + 1)
+                for d, n in Counter(self.frees[i].gen_degrees).items()}
 
     def poincare_series(self) -> PowerSeries:
         """Total ranks per homological degree (within-window counts)."""
@@ -205,8 +242,9 @@ def sharing():
     Read-only contract: no library code mutates a ``FreeResolution`` or
     an ``extalg._PhiData`` after it is built (only
     ``minimal_resolution``'s own builder appends to one), beyond the
-    caches a resolution fills lazily: its ``evaluated`` maps and their
-    ``elimination``s, each a function of the resolution alone, so a
+    caches a resolution fills lazily: its window maps, their
+    ``evaluated`` blocks and their ``elimination``s, each a function of
+    the resolution alone, so a
     caller sees the same value whoever asked first; and a shared
     resolution's ``module`` is the first caller's object of equal
     content, of which callers read only the content.
@@ -247,15 +285,25 @@ def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     return shared(key, lambda: _minimal_resolution(algebra, module, hmax, dmax))
 
 
+def _row_degrees(starts: np.ndarray, rows: linalg.Matrix) -> np.ndarray:
+    """The degree of each row of ``rows``, nonzero and homogeneous over a
+    window with the degree starts ``starts``: that of its first entry."""
+    r, c, _ = rows.nonzero()
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = r[1:] != r[:-1]
+    return starts.searchsorted(c[first], "right") - 1
+
+
 def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
                         dmax: int) -> FreeResolution:
     p = algebra.p
     # Step 0: minimal generators of the module; the cover is built from
     # their unit vectors.
-    units = [np.eye(module.dim(d), dtype=np.int64) for d in range(dmax + 1)]
-    gens0 = [(d, units[d][j]) for d, kept, _ in
-             minimal_generators_by_degree(algebra, units, module.times, dmax)
-             for j in kept.tolist()]
+    starts = module.window(dmax)
+    degrees = np.repeat(np.arange(dmax + 1), np.diff(starts))
+    kept, _ = minimal_generators(module, linalg.Matrix.identity(starts[-1]), degrees, dmax)
+    gens0 = [(d, np.eye(module.dim(d), dtype=np.int64)[k - starts[d]])
+             for k, d in zip(kept.tolist(), degrees[kept].tolist())]
 
     f0 = FreeModule(algebra, [d for d, _ in gens0],
                     [f"u0_{k}" for k in range(len(gens0))])
@@ -264,18 +312,19 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     res = FreeResolution(algebra, module, hmax, dmax, [f0], [None], cover)
     for step in range(1, hmax + 1):
         prev_free = res.frees[-1]
-        # the maps evaluated here stay in res's cache for their later users;
-        # a degree where F_(step-1) is zero has the empty kernel, and its
-        # map is neither evaluated nor eliminated
-        kers = {d: linalg.kernel(res.evaluated(step - 1, d), p) if prev_free.dim(d)
-                else linalg.Matrix.zeros((0, 0)) for d in range(dmax + 1)}
-
-        new_gens = minimal_generators_by_degree(algebra, kers, prev_free.times, dmax)
-        degrees = [d for d, kept, _ in new_gens for _ in kept]
-        fi = FreeModule(algebra, degrees, [f"u{step}_{k}" for k in range(len(degrees))])
-        # generator_terms reads the images of the new generators as columns
-        terms = generator_terms(prev_free, [(d, fi.by_degree[d], new.T)
-                                            for d, _, new in new_gens])
+        cols = prev_free.window(dmax)
+        # one kernel of the window map out of F_(step-1), which stays in
+        # res for its later users
+        kernel = linalg.kernel(res.window_map(step - 1), p)
+        degrees = _row_degrees(cols, kernel)
+        kept, new = minimal_generators(prev_free, kernel, degrees, dmax)
+        fi = FreeModule(algebra, degrees[kept].tolist(),
+                        [f"u{step}_{k}" for k in range(kept.size)])
+        # generator_terms reads the images of each degree's new generators
+        # as columns, off their rows and their degree's columns
+        terms = generator_terms(prev_free, [
+            (d, gens, new.block(gens[0], gens[-1] + 1, cols[d], cols[d + 1]).T)
+            for d, gens in fi.by_degree.items()])
         unit = sorted((int(j), int(i)) for (_, e), (tg, sg, _, _) in terms.items()
                       if e < 1 for i, j in zip(tg, sg))
         if unit:
@@ -317,18 +366,29 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
     """Independent rank-based verification inside the window:
     differentials compose to zero, all entries lie in the augmentation
     ideal, and homology vanishes at every bidegree the window can
-    certify.  Each evaluated map is ranked once.
-    d_(i-1) o d_i = 0 is checked on the evaluated maps, at the column of
-    each generator of F_i in its own degree: a module map that vanishes
-    on generators vanishes, so this is the check over the algebra.  A
-    failure names the degrees and the generator pairs (row, column) of
-    the nonzero entries of the composite; a failure of cover o d1 = 0
-    names the (degree, generator) pairs of its nonzero generator
-    blocks."""
+    certify.  Each window map is eliminated once, for its pivots, and a
+    map's rank in degree d is the number of its pivots in degree d: the
+    map is block-diagonal by degree.
+    d_(i-1) o d_i = 0 is checked on the window maps, in one product per
+    step, at the column of each generator of F_i in its own degree: a
+    module map that vanishes on generators vanishes, so this is the
+    check over the algebra.  A failure names the degrees and the
+    generator pairs (row, column) of the nonzero entries of the
+    composite; a failure of cover o d1 = 0 names the (degree, generator)
+    pairs of its nonzero generator blocks."""
     p, hmax, dmax = res.algebra.p, res.hmax, res.dmax
     rep = ComplexReport()
-    rank = {(i, d): linalg.rank(res.evaluated(i, d), p)
-            for i in range(hmax + 1) for d in range(dmax + 1)}
+    maps = [res.window_map(i) for i in range(hmax + 1)]
+    # each map's part over degrees 0..dmax, a leading block
+    inside = [mat if not i or res.top == dmax else mat.block(
+        0, res.frees[i - 1].window(dmax)[-1], 0, res.frees[i].window(dmax)[-1])
+        for i, mat in enumerate(maps)]
+    rank = {}
+    for i, mat in enumerate(inside):
+        starts = res.frees[i].window(dmax)
+        count = np.bincount(starts.searchsorted(linalg.pivots(mat, p), "right") - 1,
+                            minlength=dmax + 1)
+        rank.update(((i, d), int(count[d])) for d in range(dmax + 1))
 
     for i in range(1, hmax + 1):
         md = min((e for _, e in res.terms[i]), default=None)
@@ -337,18 +397,16 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
 
     for i in range(2, hmax + 1):
         F = res.frees[i]
-        bad = [d for d, g in F.by_degree.items() if _composite(
-            res.evaluated(i - 1, d), res.evaluated(i, d), F.block_indices(d, g), p)[0].size]
+        units = np.argsort(F.unit_coordinates, kind="stable")
+        _, cols = _composite(maps[i - 1], maps[i].columns(F.unit_coordinates[units]), p)
+        bad = sorted({F.gen_degrees[j] for j in units[cols].tolist()})
         rep.add(f"d{i - 1} o d{i} = 0", not bad,
                 f"degrees {bad}, generator pairs {_composite_pairs(res, i)}" if bad else "")
     if hmax >= 1:
-        bad = []
-        for d in range(dmax + 1):
-            n = res.frees[1].dim(d)
-            _, cols = _composite(res.evaluated(0, d), res.evaluated(1, d), np.arange(n), p)
-            cols = np.flatnonzero(np.bincount(cols, minlength=n))
-            gens = res.frees[1].block_generators(d, cols).tolist()
-            bad += [(d, j) for j in dict.fromkeys(gens)]
+        _, cols = _composite(maps[0], inside[1], p)
+        degrees, gens = res.frees[1].window_generators(
+            np.flatnonzero(np.bincount(cols, minlength=inside[1].shape[1])))
+        bad = list(dict.fromkeys(zip(degrees.tolist(), gens.tolist())))
         rep.add("cover o d1 = 0", not bad,
                 f"nonzero at (degree, generator) {bad}" if bad else "")
 
@@ -368,36 +426,40 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
     return rep
 
 
-def _composite(outer, inner, cols, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _composite(outer, inner, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the nonzero entries of ``outer @
-    inner[:, cols]`` mod p."""
-    return linalg.matmul(outer, inner.columns(cols), p).nonzero()[:2]
+    inner`` mod p."""
+    return linalg.matmul(outer, inner, p).nonzero()[:2]
 
 
 def _composite_pairs(res: FreeResolution, i: int) -> list[tuple[int, int]]:
     """(target, source) generator pairs of the nonzero entries of
     d_(i-1) o d_i.  Entry (h, g) of a module map is the h-block of the
     image of g, so both maps are extended from their terms afresh at
-    each generator degree, not read from the evaluation cache."""
+    each generator degree, not read from the kept window maps."""
     F, mid, tgt = res.frees[i], res.frees[i - 1], res.frees[i - 2]
     pairs = set()
     for s, g in F.by_degree.items():
         outer = extend(tgt, mid, res.terms[i - 1], [s])[s]
         inner = extend(mid, F, res.terms[i], [s])[s]
-        rows, cols = _composite(outer, inner, F.block_indices(s, g), res.algebra.p)
+        rows, cols = _composite(outer, inner.columns(F.block_indices(s, g)), res.algebra.p)
         pairs.update(zip(tgt.block_generators(s, rows).tolist(), g[cols].tolist()))
     return sorted(pairs)
 
 
 def syzygy_module(res: FreeResolution, n: int) -> GradedModule:
     """The n-th syzygy (kernel of the map out of F_{n-1}) in its chosen
-    echelon basis, as a graded module table.  The kernel is computed
-    afresh from the map, which stays in the evaluation cache."""
+    echelon basis, as a graded module table.  The kernel of the kept
+    window map is computed afresh and cut into its degrees."""
     if not 1 <= n <= res.hmax:
         raise WindowError(f"syzygy step {n} outside 1..{res.hmax}")
-    kers = {d: linalg.kernel(res.evaluated(n - 1, d), res.algebra.p)
-            for d in range(res.dmax + 1)}
-    return submodule_as_gmodule(res.frees[n - 1], kers, label_prefix=f"z{n}_")
+    free, dmax = res.frees[n - 1], res.dmax
+    kernel = linalg.kernel(res.window_map(n - 1), res.algebra.p)
+    cols = free.window(dmax)
+    rows = np.searchsorted(_row_degrees(cols, kernel), np.arange(dmax + 2))
+    kers = {d: kernel.block(rows[d], rows[d + 1], cols[d], cols[d + 1])
+            for d in range(dmax + 1)}
+    return submodule_as_gmodule(free, kers, label_prefix=f"z{n}_")
 
 
 def betti_table_text(betti: dict[tuple[int, int], int], hmax: int) -> str:

@@ -203,6 +203,26 @@ def test_bundled_suite_passes():
     assert main(["suite", "--manifest", manifest]) == 0
 
 
+def test_bundled_suite_passes_at_a_wider_window(tmp_path):
+    """The shipped manifest at hmax 5, dmax 8, read from a copy that
+    names its files by absolute path: every entry comes out as shipped,
+    the tensor control as the expected failure."""
+    shipped = json.loads(pathlib.Path(MANIFESTS, "suite.json").read_text())
+    entries = [{k: os.path.abspath(os.path.join(MANIFESTS, v)) if k in ("s", "t", "m") else v
+                for k, v in entry.items()} for entry in shipped["entries"]]
+    manifest = write(tmp_path, "suite.json", {
+        "window": {**shipped["window"], "hmax": 5, "dmax": 8}, "entries": entries})
+    out = tmp_path / "suite_rep.json"
+    assert main(["suite", "--manifest", manifest, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["window"]["hmax"] == 5 and rep["window"]["dmax"] == 8
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == [
+        (entry["name"], "pass") for entry in shipped["entries"]]
+    assert [c["detail"] for c in rep["checks"]] == [
+        f"expected {entry.get('expect', 'pass')}, got {entry.get('expect', 'pass')}"
+        for entry in shipped["entries"]]
+
+
 def test_empty_suite_passes(tmp_path):
     manifest = write(tmp_path, "suite.json",
                      {"window": {"hmax": 3}, "entries": []})
@@ -351,6 +371,8 @@ GENERATOR_AT = "bad table object: generator 'x' at {at}: need [degree, index] wi
     (table(generators={"x": [1, -1]}), RESIDUE, GENERATOR_AT.format(at=[1, -1])),
     (table(mult={"1|1": [[[1.5]]]}), RESIDUE, "bad table object: 1.5 is not an integer"),
     (table(mult={"1|1": [[[True]]]}), RESIDUE, "bad table object: True is not an integer"),
+    (table(cap=1, basis=[["1"], "xy"], mult={}, generators={}), RESIDUE,
+     "bad table object: basis degree 1 must be a list of strings, not 'xy'"),
 ], ids=["deg-string", "gens-string", "gens-number", "matrix-row-number", "cap-string",
         "field-number", "deg-fraction", "deg-bool", "free-gens-fraction",
         "coker-gens-fraction", "rel-exponent-letter", "rels-string",
@@ -358,7 +380,7 @@ GENERATOR_AT = "bad table object: generator 'x' at {at}: need [degree, index] wi
         "table-generators-number",
         "commutative-string", "fiber-factor-number", "table-generator-short",
         "table-generator-above-cap", "table-generator-negative-index",
-        "table-entry-fraction", "table-entry-bool"])
+        "table-entry-fraction", "table-entry-bool", "table-basis-degree-string"])
 def test_malformed_input_file_exits_one(tmp_path, capsys, algebra_edit, module, message):
     """A value of the wrong type in an algebra or module file is an input
     error (exit 1, one error line), not a traceback; a fractional or

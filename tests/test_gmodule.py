@@ -23,7 +23,7 @@ from fiberres.gmodule import (
     fiber_product_module,
     free_module_table,
     generator_terms,
-    minimal_generators_by_degree,
+    minimal_generators,
     residue_module,
     restrict_to_fiber,
     submodule_as_gmodule,
@@ -303,11 +303,11 @@ MANIFESTS = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
 ])
 def test_minimal_generators_keep_resolution_degrees(ring, module, degrees):
     """Generator degrees of steps 0-2, as recorded before the three
-    generator loops became ``minimal_generators_by_degree``."""
+    generator loops became one generator step."""
     A = jsonio.load_algebra(os.path.join(MANIFESTS, ring))
     M = jsonio.load_module(os.path.join(MANIFESTS, module), A)
     units = [np.eye(M.dim(d), dtype=np.int64) for d in range(A.cap + 1)]
-    gens = minimal_generators_by_degree(A, units, M.times, A.cap)
+    gens = generators_by_degree(M, units, A.cap)
     assert generator_rows(gens) == [(0, 0)]
     res = minimal_resolution(A, M, 2)
     assert [res.gen_degrees(i) for i in range(3)] == degrees
@@ -317,11 +317,11 @@ def test_minimal_generators_reports_row_index_and_echelon_row():
     A = mono([("x", 1)], ["x^3"])
     F = free_module_table(A, [0, 1])  # degree 1 basis: x*g0, g1
     rows = [np.array([[1]]), np.array([[1, 1]])]
-    gens = minimal_generators_by_degree(A, rows, F.times, 1)
+    gens = generators_by_degree(F, rows, 1)
     assert [(d, kept.tolist(), np.asarray(new).tolist()) for d, kept, new in gens] \
         == [(0, [0], [[1]]), (1, [0], [[0, 1]])]
     units = [np.eye(F.dim(d), dtype=np.int64) for d in range(2)]
-    assert generator_rows(minimal_generators_by_degree(A, units, F.times, 1)) \
+    assert generator_rows(generators_by_degree(F, units, 1)) \
         == [(0, 0), (1, 1)]
 
 
@@ -401,6 +401,29 @@ def same_generators(gens, ref):
                 for d, _, new in gens)
 
 
+def generators_by_degree(module, rows, dmax):
+    """The window generator step on per-degree rows: ``rows[d]`` is
+    placed at degree d of the module's window, and the result is read
+    back per degree as ``(degree, row indices, new rows)`` for each degree
+    with new generators, the row indices and new rows in degree-d
+    coordinates."""
+    p = module.algebra.p
+    starts = module.window(dmax)
+    rows = [linalg.Matrix.read(rows[d], p) for d in range(dmax + 1)]
+    heights = np.cumsum([0] + [r.shape[0] for r in rows])
+    parts = []
+    for d, mat in enumerate(rows):
+        r, c, v = mat.nonzero()
+        parts.append((r + heights[d], c + starts[d], v))
+    window = linalg.Matrix.placed(parts, (heights[-1], starts[-1]), p)
+    degrees = np.repeat(np.arange(dmax + 1), np.diff(heights))
+    kept, new = minimal_generators(module, window, degrees, dmax)
+    cut = np.searchsorted(degrees[kept], np.arange(dmax + 2))
+    return [(d, kept[cut[d]: cut[d + 1]] - heights[d],
+             new.block(cut[d], cut[d + 1], starts[d], starts[d + 1]))
+            for d in range(dmax + 1) if cut[d + 1] > cut[d]]
+
+
 def dense_kernels(res, step):
     """The kernel of each degree's map out of step ``step - 1``, dense."""
     return {d: np.asarray(linalg.kernel(res.evaluated(step - 1, d), res.algebra.p))
@@ -426,14 +449,14 @@ def test_minimal_generators_match_the_definition(p, module):
     R = weighted_ring(p)
     M = residue_module(R) if module == "residue" else free_module_table(R, [0, 1])
     units = [np.eye(M.dim(d), dtype=np.int64) for d in range(R.cap + 1)]
-    gens = minimal_generators_by_degree(R, units, M.times, R.cap)
+    gens = generators_by_degree(M, units, R.cap)
     assert same_generators(gens, reference_generators(R, units, M.act_matrix, R.cap))
     res = minimal_resolution(R, M, 4)
     assert [d for d, _ in generator_rows(gens)] == res.gen_degrees(0)
     for step in range(1, 5):
         kers = dense_kernels(res, step)
         free = res.frees[step - 1]
-        assert same_generators(minimal_generators_by_degree(R, kers, free.times, R.cap),
+        assert same_generators(generators_by_degree(free, kers, R.cap),
                                reference_generators(R, kers, partial(reference_left_mult, free),
                                                     R.cap))
 
@@ -456,6 +479,37 @@ def test_free_module_times_matches_the_dense_product(p):
                     assert np.array_equal(
                         F.times(rows, a, n),
                         linalg.matmul_mod(rows, reference_left_mult(F, a, n), p))
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+def test_window_times_matches_the_dense_window_product(p):
+    """Over the window of degrees 0..dmax, a free module's and a module
+    table's ``window_times`` is the product with the block matrix of
+    ``act_matrix``/the dense left multiplication, what lands past dmax
+    dropped; rows whose every product lands past dmax give zero rows."""
+    R = weighted_ring(p)
+    F = FreeModule(R, [0, 0, 1, 2, 3, 6])
+    M = free_module_table(R, [0, 1])
+    rng = np.random.default_rng(p)
+    for module, act in ((F, partial(reference_left_mult, F)), (M, M.act_matrix)):
+        for dmax in (2, R.cap):
+            starts = module.window(dmax)
+            for m in range(1, R.cap + 1):
+                for i in range(R.dim(m)):
+                    a = R.basis_element(m, i)
+                    want = np.zeros((starts[-1], starts[-1]), dtype=np.int64)
+                    for n in range(dmax + 1 - m):
+                        want[starts[n]: starts[n + 1], starts[n + m]: starts[n + m + 1]] = \
+                            act(a, n)
+                    n = starts[-1]
+                    rows = rng.integers(1, p, (5, n)) * (rng.random((5, n)) < 0.3)
+                    rows[0] = 0
+                    rows[1, : starts[max(dmax + 1 - m, 0)]] = 0  # lands past dmax only
+                    got = module.window_times(rows, a, dmax)
+                    assert got.shape == (5, starts[-1])
+                    assert np.array_equal(got, linalg.matmul_mod(rows, want, p))
+                    assert not np.asarray(got)[:2].any()
+                    assert not module.window_times(rows[1:2], a, dmax).nnz
 
 
 @pytest.fixture(params=["sparse everything", "default crossover"])
@@ -522,7 +576,7 @@ def test_minimal_generators_match_the_definition_on_random_rows(p, seed, sparse_
     reduce_rows = linalg.reduce_rows
     monkeypatch.setattr(linalg, "reduce_rows",
                         lambda *args: residuals.append(reduce_rows(*args)) or residuals[-1])
-    gens = minimal_generators_by_degree(R, rows, F.times, R.cap)
+    gens = generators_by_degree(F, rows, R.cap)
     monkeypatch.undo()
     assert any((np.count_nonzero(np.asarray(res), axis=0) > 1).any() for res in residuals), \
         "no residual rows shared a column"
@@ -530,30 +584,35 @@ def test_minimal_generators_match_the_definition_on_random_rows(p, seed, sparse_
                                                       R.cap))
 
 
-def test_a_degree_eliminates_all_its_products_at_once(monkeypatch):
-    """The lower span of each degree is one ``linalg.echelon`` of the
-    products with every indecomposable stacked.  On the unit rows of a
-    free module each residual is a unit row, so no two share a column
-    and every elimination is of a lower span."""
+def test_a_step_eliminates_all_its_products_at_once(monkeypatch):
+    """The lower span of every degree is one ``linalg.echelon`` of the
+    products with every indecomposable stacked: per indecomposable g, the
+    rows whose products land on a degree with rows, times g over the
+    window.  On the unit rows of a free module each residual is a unit
+    row, so no two share a column and the one elimination is of the lower
+    span."""
     R = weighted_ring(3)
     M = free_module_table(R, [0, 1])
-    units = [np.eye(M.dim(d), dtype=np.int64) for d in range(R.cap + 1)]
+    starts = M.window(R.cap)
+    degrees = np.repeat(np.arange(R.cap + 1), np.diff(starts))
     assert len(R.indecomposables) == 4  # x, w, y and v, found before the count starts
     eliminated = []
     echelon = linalg.echelon
     monkeypatch.setattr(linalg, "echelon",
                         lambda mat, q: eliminated.append(np.asarray(mat)) or echelon(mat, q))
-    minimal_generators_by_degree(R, units, M.times, R.cap)
+    minimal_generators(M, np.eye(starts[-1], dtype=np.int64), degrees, R.cap)
     monkeypatch.undo()
     stacks = []
-    for d in range(R.cap + 1):
-        prods = [np.asarray(M.times(units[d - e], R.basis_element(e, i), d - e))
-                 for e, i in R.indecomposables if e <= d and len(units[d - e])]
-        if M.dim(d) and prods:
-            stacks.append((len(prods), np.vstack(prods)))
-    assert max(count for count, _ in stacks) == 4  # all four act in one degree
-    assert len(eliminated) == len(stacks)
-    assert all(np.array_equal(mat, want) for mat, (_, want) in zip(eliminated, stacks))
+    for e, i in R.indecomposables:
+        act = np.zeros((starts[-1], starts[-1]), dtype=np.int64)
+        for n in range(R.cap + 1 - e):
+            act[starts[n]: starts[n + 1], starts[n + e]: starts[n + e + 1]] = \
+                M.act_matrix(R.basis_element(e, i), n)
+        hit = [r for r in range(starts[-1]) if degrees[r] + e <= R.cap and M.dim(degrees[r] + e)]
+        if hit:
+            stacks.append(act[hit])
+    assert len(stacks) == 4  # all four act
+    assert len(eliminated) == 1 and np.array_equal(eliminated[0], np.vstack(stacks))
 
 
 @pytest.mark.parametrize("p", [3, 65521])
@@ -607,23 +666,25 @@ def test_a_submodule_eliminates_each_target_degree_once(p, monkeypatch):
 
 
 def test_minimal_generators_read_each_kernel_matrix_once(sparse_cells, monkeypatch):
-    """Every ``FreeModule.times`` call on a degree's kernel rows and the
-    reduction of those rows share one ``linalg.entries`` read; with every
-    matrix read sparse, each kernel matrix is read exactly once."""
+    """The products of a step's window kernel with the indecomposables and
+    the reduction of its rows share one ``linalg.entries`` read; with
+    every matrix read sparse, the kernel is read exactly once."""
     R = weighted_ring(5003)
     res = minimal_resolution(R, residue_module(R), 4)
     reads = []
     real = linalg.entries
     monkeypatch.setattr(linalg, "entries", lambda mat: reads.append(mat) or real(mat))
     for step in range(1, 5):
-        kers = dense_kernels(res, step)
+        free = res.frees[step - 1]
+        kernel = np.asarray(linalg.kernel(res.window_map(step - 1), R.p))
+        degrees = free.window(res.dmax).searchsorted((kernel != 0).argmax(axis=1), "right") - 1
         reads.clear()
-        gens = minimal_generators_by_degree(R, kers, res.frees[step - 1].times, R.cap)
-        assert [d for d, _ in generator_rows(gens)] == res.gen_degrees(step)
-        counts = [sum(mat is ker for mat in reads) for ker in kers.values()]
-        assert max(counts) <= 1
+        kept, _ = minimal_generators(free, kernel, degrees, res.dmax)
+        assert degrees[kept].tolist() == res.gen_degrees(step)
+        count = sum(mat is kernel for mat in reads)
+        assert count <= 1
         if sparse_cells == 0:
-            assert counts == [1] * len(counts)
+            assert count == 1
 
 
 def entry_rows(rows, p):
@@ -639,7 +700,7 @@ def test_minimal_generators_of_entry_rows_match_the_definition(p, seed, sparse_c
     R = weighted_ring(p)
     F = FreeModule(R, [0, 0, 1, 2, 3])
     rows = random_submodule_rows(np.random.default_rng([seed, p, 1]), F, p)
-    gens = minimal_generators_by_degree(R, entry_rows(rows, p), F.times, R.cap)
+    gens = generators_by_degree(F, entry_rows(rows, p), R.cap)
     if sparse_cells == 0:
         assert all(not new.kept_dense and new.shape[0] == kept.size
                    for _, kept, new in gens)
@@ -656,7 +717,7 @@ def test_minimal_generators_of_entry_kernels_match_the_definition(p, sparse_cell
     for step in range(1, 5):
         kers = [linalg.kernel(res.evaluated(step - 1, d), p) for d in range(res.dmax + 1)]
         free = res.frees[step - 1]
-        gens = minimal_generators_by_degree(R, kers, free.times, R.cap)
+        gens = generators_by_degree(free, kers, R.cap)
         assert [d for d, _ in generator_rows(gens)] == res.gen_degrees(step)
         assert same_generators(gens, reference_generators(
             R, [k.dense() for k in kers], partial(reference_left_mult, free), R.cap))
@@ -835,7 +896,7 @@ def test_generator_terms_read_back_the_entries(ring):
         for s, gens in src.by_degree.items():
             cols = [reference_evaluate(m, s)[:, src.block_indices(s, gens)] for m in maps]
             images.append((s, gens, np.hstack(cols)))
-        terms = generator_terms(tgt, images, shift, batch=2)
+        terms = generator_terms(tgt, images, shift)
         for b, mat in enumerate(maps):
             one = {key: tuple(a[bt == b] for a in (tg, sg, bt, coef))
                    for key, (tg, sg, bt, coef) in terms.items()}

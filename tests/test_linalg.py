@@ -176,11 +176,23 @@ def test_inv_mod():
         linalg.inv_mod(0, 5)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 32003, 65521])
+def test_the_table_of_inverses_agrees_with_pow(p):
+    """The table built from the powers of a primitive root holds the
+    inverse of every nonzero x, as Python's pow gives it, at primes up to
+    the largest one allowed; it is kept once per prime as uint16."""
+    table = linalg._inverse_table(p)
+    assert table.dtype == np.uint16 and table.shape == (p,)
+    assert table[1:].tolist() == [pow(x, p - 2, p) for x in range(1, p)]
+    linalg.inv_mod(np.ones(2, dtype=np.int64), p)
+    assert np.array_equal(linalg._INVERSES[p], table)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5003, 65521])
 def test_inv_mod_of_an_array_is_entrywise(p):
-    """Square-and-multiply in int64 on a long array, and pow entry by
-    entry on a short one, agree with Python's pow at primes up to the
-    largest one allowed, including x = p - 1."""
+    """The table lookup agrees with Python's pow at primes up to the
+    largest one allowed, including x = p - 1, keeps the array's shape and
+    gives int64."""
     x = np.random.default_rng(p).integers(1, p, 200)
     x[:2] = 1, p - 1
     inv = linalg.inv_mod(x, p)

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from fiberres.gmodule import (
     AlgMatrix,
     FreeModule,
     extend,
+    generator_terms,
     GradedModule,
     algebra_as_module,
     cokernel_module,
     residue_module,
     restrict_to_fiber,
 )
-from fiberres import linalg, resolve
+from fiberres import gmodule, linalg, resolve
 from fiberres.wordres import build_word_resolution
 from fiberres.resolve import (
     FreeResolution,
@@ -215,11 +217,13 @@ def test_non_minimal_generator_raises_typed_error(monkeypatch):
     """A step-1 generator whose differential has a degree-0 entry is
     rejected with a ResolutionError, also under ``python -O``."""
     A = mono([("x", 1)], ["x^2"], cap=4)
-    def unit_cover_as_syzygy(algebra, rows, times, dmax):
-        # the kernel steps: the generator of degree 0 maps to the unit
-        return [(0, np.array([0]), np.array([[1]], dtype=np.int64))]
 
-    monkeypatch.setattr(resolve, "minimal_generators_by_degree", unit_cover_as_syzygy)
+    def unit_cover_as_syzygy(mat, p):
+        # the kernel step: the generator of degree 0 maps to the unit
+        return linalg.Matrix.placed([(np.array([0]), np.array([0]), np.array([1]))],
+                                    (1, mat.shape[1]), p)
+
+    monkeypatch.setattr(linalg, "kernel", unit_cover_as_syzygy)
     with pytest.raises(ResolutionError, match="non-minimal differential entry "
                                               "at step 1, degree 0"):
         minimal_resolution(A, residue_module(A), 2)
@@ -233,67 +237,98 @@ def cube_square():
 
 
 def test_each_map_is_evaluated_and_ranked_once(monkeypatch):
-    """minimal_resolution keeps the matrices it evaluates for its kernels,
-    and verify_complex ranks each of them once, in the form it is kept
-    in.  Each differential is extended one degree per call."""
-    evaluated, ranked = Counter(), []
-    real_extend, real_rank = resolve.extend, linalg.rank
+    """minimal_resolution keeps the window maps it evaluates for its
+    kernels, and verify_complex eliminates each of them once, for its
+    pivots, in the form it is kept in.  Each differential is extended to
+    the window once, and no map is extended one degree at a time."""
+    evaluated, pivoted, per_degree = Counter(), [], []
+    real_window, real_pivots = resolve.extend_window, linalg.pivots
 
-    def extend(ftgt, fsrc, terms, degrees, *args, **kwargs):
-        for d in degrees:
-            evaluated[(id(fsrc), d)] += 1
-        return real_extend(ftgt, fsrc, terms, degrees, *args, **kwargs)
+    def extend_window(ftgt, fsrc, terms, dmax):
+        evaluated[id(fsrc)] += 1
+        return real_window(ftgt, fsrc, terms, dmax)
 
-    def rank(mat, p):
-        ranked.append(mat)
-        return real_rank(mat, p)
+    def pivots(mat, p):
+        pivoted.append(mat)
+        return real_pivots(mat, p)
 
-    monkeypatch.setattr(resolve, "extend", extend)
-    monkeypatch.setattr(linalg, "rank", rank)
+    monkeypatch.setattr(resolve, "extend_window", extend_window)
+    monkeypatch.setattr(resolve, "extend", lambda *args: per_degree.append(args))
+    monkeypatch.setattr(linalg, "pivots", pivots)
     R = cube_square()
     res = minimal_resolution(R, residue_module(R), 4)
     assert verify_complex(res).ok
-    assert max(evaluated.values()) == 1
+    assert max(evaluated.values()) == 1 and not per_degree
     step = {id(F): i for i, F in enumerate(res.frees)}
-    assert sorted((step[f], d) for f, d in evaluated) == [  # steps 1-4, every degree
-        (i, d) for i in range(1, 5) for d in range(res.dmax + 1)]
-    assert len(ranked) == 5 * (res.dmax + 1)  # the cover and steps 1-4
+    assert sorted(step[f] for f in evaluated) == [1, 2, 3, 4]
+    assert len(pivoted) == 5  # the cover and steps 1-4
     for i in range(1, 5):
-        for d in range(res.dmax + 1):
-            kept = res.evaluated(i, d)
-            assert sum(mat is kept for mat in ranked) == 1
+        assert sum(mat is res.window_map(i) for mat in pivoted) == 1
+    starts = [F.window(res.dmax) for F in res.frees]
+    for i in range(1, 5):
+        for d in range(res.dmax + 1):  # each degree's map is a block of the window map
+            want = real_window(res.frees[i - 1], res.frees[i], res.terms[i], res.dmax).block(
+                starts[i - 1][d], starts[i - 1][d + 1], starts[i][d], starts[i][d + 1])
+            assert np.array_equal(res.evaluated(i, d).dense(), want.dense())
 
 
 def test_an_empty_degree_is_neither_evaluated_nor_eliminated(monkeypatch):
     """Over k[x]/(x^2) x_k k[y]/(y^2), F_i lives in degrees i and i + 1
-    only: the builder evaluates and takes a kernel of a map out of F_i only
-    there, the Betti table is 2^i in degree i, and every kept map equals
-    the differential extended afresh from its terms."""
-    evaluated, kernels = [], []
-    real_extend, real_kernel = resolve.extend, linalg.kernel
+    only: the window map of d_i is extended only in degree i, the one
+    degree where F_(i-1) and F_i are both nonzero, each step takes one
+    kernel, of a window map with columns, the Betti table is 2^i in
+    degree i, and every degree's map equals the differential extended
+    afresh from its terms."""
+    visited, kernels = [], []
+    real_blocks, real_kernel = gmodule._extended_blocks, linalg.kernel
 
-    def recording_extend(ftgt, fsrc, terms, degrees, *args, **kwargs):
-        evaluated.extend((fsrc, d) for d in degrees)
-        return real_extend(ftgt, fsrc, terms, degrees, *args, **kwargs)
+    def recording_blocks(ftgt, fsrc, terms, d, *args):
+        visited.append((fsrc, d))
+        return real_blocks(ftgt, fsrc, terms, d, *args)
 
     def kernel(mat, p):
         kernels.append(mat.shape)
         return real_kernel(mat, p)
 
-    monkeypatch.setattr(resolve, "extend", recording_extend)
+    monkeypatch.setattr(gmodule, "_extended_blocks", recording_blocks)
     monkeypatch.setattr(linalg, "kernel", kernel)
     R = fiber_product(mono([("x", 1)], ["x^2"], cap=10), mono([("y", 1)], ["y^2"], cap=10))
     res = minimal_resolution(R, residue_module(R), 6)
     step = {id(F): i for i, F in enumerate(res.frees)}
-    assert sorted((step[id(F)], d) for F, d in evaluated) == [
-        (i, d) for i in range(1, 6) for d in (i, i + 1)]
-    assert len(kernels) == 2 * 6 and all(n for _, n in kernels)  # steps 1-6
+    assert sorted((step[id(F)], d) for F, d in visited) == [(i, i) for i in range(1, 6)]
+    assert len(kernels) == 6 and all(n for _, n in kernels)  # steps 1-6
     assert res.betti() == {(i, i): 2 ** i for i in range(7)}
+    monkeypatch.undo()
     for i in range(1, 6):
         for d in (i, i + 1):
             want = extend(res.frees[i - 1], res.frees[i], res.terms[i], [d])[d]
             assert np.array_equal(res.evaluated(i, d).dense(), want.dense())
     assert verify_complex(res).ok
+
+
+def test_one_elimination_per_step(monkeypatch):
+    """The build makes, per step, one kernel of the window map, one
+    echelon of the stacked products and one reduce_rows; step 0 takes no
+    product, as k lives in degree 0.  verify_complex makes one rank
+    elimination per map, the cover's and each step's."""
+    calls, stacks = Counter(), []
+    for name in ("kernel", "echelon", "reduce_rows", "pivots", "rank", "solve"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda mat, *args, real=real, name=name: calls.update(
+            [name, "product echelon"] if name == "echelon" and any(mat is x for x in stacks)
+            else [name]) or real(mat, *args))
+    stack = linalg.Matrix.stack
+    monkeypatch.setattr(linalg.Matrix, "stack",
+                        staticmethod(lambda parts: stacks.append(stack(parts)) or stacks[-1]))
+    for R, hmax in ((cube_square(), 6), (mono([("x", 1), ("y", 1)], ["x^2", "y^2", "y*x"],
+                                                cap=6, commutative=False), 5)):
+        calls.clear()
+        res = minimal_resolution(R, residue_module(R), hmax)
+        assert calls["kernel"] == calls["product echelon"] == calls["reduce_rows"] == hmax
+        assert set(calls) == {"kernel", "echelon", "product echelon", "reduce_rows"}
+        calls.clear()
+        assert verify_complex(res).ok
+        assert calls == {"pivots": hmax + 1}
 
 
 def failures(res):
@@ -333,13 +368,15 @@ def test_verify_names_the_ranks_of_an_inexact_step():
 
 
 def tamper_and_fail_d_squared(entry_form):
+    """Entry (0, 0) of degree 3 of the kept window map of d2 is changed."""
     R = cube_square()
     res = minimal_resolution(R, residue_module(R), 3)
-    kept = res.evaluated(2, 3)
+    kept = res.window_map(2)
     assert kept.kept_dense != entry_form
     mat = kept.dense()
-    mat[0, 0] = (mat[0, 0] + 1) % R.p
-    tampered = res._ev_cache[2, 3] = linalg.Matrix.read(mat, R.p)
+    row, col = res.frees[1].window(3)[3], res.frees[2].window(3)[3]
+    mat[row, col] = (mat[row, col] + 1) % R.p
+    tampered = res._windows[2] = linalg.Matrix.read(mat, R.p)
     assert tampered.kept_dense == kept.kept_dense
     d2, d3 = (extend(res.frees[i - 1], res.frees[i], res.terms[i], [3])[3] for i in (2, 3))
     assert not linalg.matmul(d2, d3, R.p).nnz
@@ -347,7 +384,7 @@ def tamper_and_fail_d_squared(entry_form):
 
 
 def test_d_squared_is_checked_on_the_evaluated_matrices():
-    """A tampered evaluation fails d o d although the algebra-level
+    """A tampered window map fails d o d although the algebra-level
     composite is zero, so no generator pair is named."""
     tamper_and_fail_d_squared(entry_form=False)
 
@@ -480,6 +517,130 @@ def test_resolution_equals_the_column_loop_run(p, monkeypatch):
         assert all(a.shape == b.shape and np.array_equal(np.asarray(a), np.asarray(b))
                    for a, b in zip(got[1], loop[1]))
         assert got[2:] == loop[2:]
+
+
+# -- the window build against the per-degree reference ---------------------------
+
+
+def reference_left_mult(F, a, d):
+    """Dense matrix of v -> a*v on a free module out of degree d, block
+    by block from the algebra's left multiplication matrices."""
+    out = np.zeros((F.dim(d), F.dim(d + a.degree)), dtype=np.int64)
+    src_off, tgt_off = F.offsets(d), F.offsets(d + a.degree)
+    for j, s in enumerate(F.gen_degrees):
+        if d >= s and F.algebra.dim(d - s) and F.algebra.dim(d + a.degree - s):
+            block = F.algebra.left_mult_matrix(a, d - s)
+            out[src_off[j]: src_off[j] + block.shape[0],
+                tgt_off[j]: tgt_off[j] + block.shape[1]] = block
+    return out
+
+
+def reference_generators_by_degree(algebra, rows, act, dmax):
+    """The per-degree generator step, kept as the reference the window
+    step is held against: per degree d with rows, the products of the
+    rows of degree d - deg g with each indecomposable g (``act(g, n)``,
+    the dense matrix of x -> g*x out of degree n) are stacked and
+    eliminated, the rows are reduced against them, and the rows that
+    enlarge the span are kept and normalized.  Returns ``(degree, row
+    indices, new rows)`` per degree with new generators."""
+    p = algebra.p
+    rows = [linalg.Matrix.read(rows[d], p) for d in range(dmax + 1)]
+    out = []
+    for d in range(dmax + 1):
+        m, n = rows[d].shape
+        if m == 0:
+            continue
+        prods = [linalg.matmul(rows[d - e], act(algebra.basis_element(e, i), d - e), p)
+                 for e, i in algebra.indecomposables if e <= d and rows[d - e].shape[0]]
+        res = rows[d] if not prods else linalg.reduce_rows(
+            rows[d], *linalg.echelon(linalg.Matrix.stack(prods), p), p)
+        r, c, v = res.nonzero()
+        if not r.size:
+            continue
+        keep = np.zeros(m, dtype=bool)
+        keep[r] = True
+        shared = np.bincount(r[np.bincount(c, minlength=n)[c] > 1], minlength=m) > 0
+        if shared.any():
+            block, at = np.flatnonzero(shared), shared[r]
+            piv = linalg.echelon(linalg.Matrix.placed(
+                [(np.searchsorted(block, r[at]), c[at], v[at])], (block.size, n), p).T, p)[1]
+            keep[block] = False
+            keep[block[piv]] = True
+        at = keep[r]
+        r, c, v = r[at], c[at], v[at]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = r[1:] != r[:-1]
+        slot = np.cumsum(first) - 1
+        inverse = np.array([pow(int(x), p - 2, p) for x in v[first]], dtype=np.int64)
+        out.append((d, r[first], linalg.Matrix.placed(
+            [(slot, c, v * inverse[slot] % p)], (slot[-1] + 1, n), p)))
+    return out
+
+
+def reference_resolution(algebra, module, hmax):
+    """The resolution built degree by degree: per-degree maps, kernels
+    and generator steps, each degree's new rows read as terms."""
+    p, dmax = algebra.p, resolve.window(algebra, hmax)
+    units = [np.eye(module.dim(d), dtype=np.int64) for d in range(dmax + 1)]
+    gens0 = [(d, units[d][j]) for d, kept, _ in
+             reference_generators_by_degree(algebra, units, module.act_matrix, dmax)
+             for j in kept.tolist()]
+    frees = [FreeModule(algebra, [d for d, _ in gens0], [f"u0_{k}" for k in range(len(gens0))])]
+    cover = resolve.cover_matrices(algebra, module, gens0, frees[0], dmax)
+    terms = [None]
+    for step in range(1, hmax + 1):
+        prev = frees[-1]
+        maps = cover if step == 1 else extend(frees[-2], prev, terms[-1], range(dmax + 1))
+        kers = {d: linalg.kernel(maps[d], p) if prev.dim(d) else np.zeros((0, 0))
+                for d in range(dmax + 1)}
+        new = reference_generators_by_degree(algebra, kers, partial(reference_left_mult, prev),
+                                             dmax)
+        degrees = [d for d, kept, _ in new for _ in kept]
+        fi = FreeModule(algebra, degrees, [f"u{step}_{k}" for k in range(len(degrees))])
+        terms.append(generator_terms(prev, [(d, fi.by_degree[d], rows.T) for d, _, rows in new]))
+        frees.append(fi)
+    return frees, terms, cover
+
+
+def random_presentation(rng, kind):
+    """A random monomial quotient on one or two variables: powers of
+    each variable (so the ring is finite) and, with two, maybe a mixed
+    product; weights 1 and 2 when weighted, and a noncommutative one
+    kills y*x but not x*y."""
+    if kind == "one variable":
+        return MonomialQuotientPresentation(["x"], [1], [f"x^{rng.integers(2, 5)}"])
+    a, b = rng.integers(2, 5, size=2)
+    rels = [f"x^{a}", f"y^{b}"]
+    if kind == "noncommutative":
+        return MonomialQuotientPresentation(["x", "y"], [1, 1], rels + ["y*x"], False)
+    if rng.integers(2):
+        rels.append(f"x*y^{rng.integers(1, b)}")
+    return MonomialQuotientPresentation(["x", "y"], [1, 2] if kind == "weighted" else [1, 1],
+                                        rels)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("kind", ["one variable", "two variables", "weighted", "noncommutative"])
+def test_window_build_equals_the_per_degree_reference(p, kind):
+    """On random monomial quotients, for k and for R/(x), the window
+    build gives the per-degree reference's generator degrees, covers and
+    terms, array for array and in the same order."""
+    rng = np.random.default_rng([p, len(kind)])
+    for _ in range(3):
+        A = build_monomial_quotient(p, 7, random_presentation(rng, kind))
+        x = AlgMatrix(A, FreeModule(A, [1]), FreeModule(A, [0]), {(0, 0): A.generator("x")})
+        for module in (residue_module(A), cokernel_module(x)):
+            res = minimal_resolution(A, module, 4)
+            frees, terms, cover = reference_resolution(A, module, 4)
+            assert [F.gen_degrees for F in res.frees] == [F.gen_degrees for F in frees]
+            assert sorted(res.cover) == sorted(cover)
+            assert all(np.array_equal(res.cover[d], cover[d]) for d in cover)
+            for got, want in zip(res.terms[1:], terms[1:]):
+                assert list(got) == list(want)
+                assert all(len(got[k]) == len(want[k]) and all(
+                    a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got[k], want[k]))
+                    for k in want)
+            assert verify_complex(res).ok
 
 
 # The traced peak of the resolution and verification below is 1.3-1.7 MB
