@@ -61,6 +61,7 @@ __all__ = [
     "generator_terms",
     "fiber_product_module",
     "minimal_generators",
+    "window_degrees",
     "submodule_as_gmodule",
 ]
 
@@ -287,22 +288,34 @@ class FreeModule:
         width (shared; do not modify)."""
         return self._window[0][: dmax + 2]
 
+    def _blocks(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat index, the degree and the generator of the block that
+        holds each window coordinate: the last block starting at or
+        before it, as an empty block starts where the next one does."""
+        block = self._window[1].ravel().searchsorted(coords, "right") - 1
+        return (block, *np.divmod(block, max(self.rank, 1)))
+
     def window_generators(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """The degree and the generator of the block that holds each
-        window coordinate: the last block starting at or before it, as an
-        empty block starts where the next one does."""
-        block = self._window[1].ravel().searchsorted(coords, "right") - 1
-        return np.divmod(block, max(self.rank, 1))
+        window coordinate."""
+        return self._blocks(coords)[1:]
 
     @cached_property
-    def unit_coordinates(self) -> np.ndarray:
-        """The window coordinate of 1 * g_j, for each generator j."""
-        return self._window[1][self._degrees, np.arange(self.rank)]
+    def unit_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The generators j of degree at most the cap, and the window
+        coordinate of 1 * g_j for each: a generator above the cap has no
+        coordinate in the window."""
+        gens = np.flatnonzero(self._degrees <= self.algebra.cap)
+        return gens, self._window[1][self._degrees[gens], gens]
 
     def _layout(self, d: int) -> tuple[list[int], np.ndarray, int]:
         """Degree-d offset of each generator's block (as a list and as
-        an array) and the total dimension: read off the window layout
-        inside degrees 0..cap, else from the block sizes."""
+        an array) and the total dimension.  Inside degrees 0..cap they are
+        a slice of the window layout, cheaper than summing the block sizes
+        afresh for each of the hundreds of degrees the lifter asks for.
+        Outside, the block sizes are summed: the module is nonzero up to
+        cap + its top generator degree, and a layout over all of those
+        degrees would grow with generator degrees that input files set."""
         lay = self._layouts.get(d)
         if lay is None:
             if 0 <= d <= self.algebra.cap:
@@ -367,8 +380,7 @@ class FreeModule:
         product, and the result is made of their blocks alone."""
         A, m, p = self.algebra, a.degree, self.algebra.p
         blocks = self._window[1].ravel()
-        block = blocks.searchsorted(c, "right") - 1
-        d, j = np.divmod(block, max(self.rank, 1))
+        block, d, j = self._blocks(c)
         inside = d + m <= dmax
         if not inside.all():
             r, c, vals, block, d, j = (x[inside] for x in (r, c, vals, block, d, j))
@@ -596,6 +608,13 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
 # -- minimal generators ------------------------------------------------------
 
 
+def window_degrees(starts: np.ndarray, coords) -> np.ndarray:
+    """The degree of each window coordinate, given the start of each
+    degree in the window: the last degree starting at or before it, as
+    an empty degree starts where the next one does."""
+    return starts.searchsorted(coords, "right") - 1
+
+
 def minimal_generators(module, rows, degrees, dmax: int) -> tuple[np.ndarray, linalg.Matrix]:
     """Minimal generators of the submodule spanned by ``rows``, a
     ``linalg.Matrix`` (or an array-like) over ``module``'s window of
@@ -685,7 +704,7 @@ def fiber_product_module(R: FiberProductAlgebra, m_mod: GradedModule,
     check("dim M_0 = dim N_0", m0 == n0, f"{m0} vs {n0}")
     for mod, name in ((m_mod, "M"), (n_mod, "N")):
         starts = mod.window(R.cap)
-        degrees = np.repeat(np.arange(R.cap + 1), np.diff(starts))
+        degrees = window_degrees(starts, np.arange(starts[-1]))
         kept, _ = minimal_generators(mod, linalg.Matrix.identity(starts[-1]), degrees, R.cap)
         new = Counter(degrees[kept].tolist())
         for n in range(1, R.cap + 1):

@@ -50,7 +50,7 @@ import numpy as np
 from . import linalg
 from .algebra import Element, GradedAlgebra
 from .gmodule import (FreeModule, GradedModule, extend, extend_window, generator_terms,
-                      minimal_generators, submodule_as_gmodule)
+                      minimal_generators, submodule_as_gmodule, window_degrees)
 from .series import PowerSeries
 
 __all__ = [
@@ -291,7 +291,7 @@ def _row_degrees(starts: np.ndarray, rows: linalg.Matrix) -> np.ndarray:
     r, c, _ = rows.nonzero()
     first = np.ones(r.size, dtype=bool)
     first[1:] = r[1:] != r[:-1]
-    return starts.searchsorted(c[first], "right") - 1
+    return window_degrees(starts, c[first])
 
 
 def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
@@ -300,7 +300,7 @@ def _minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     # Step 0: minimal generators of the module; the cover is built from
     # their unit vectors.
     starts = module.window(dmax)
-    degrees = np.repeat(np.arange(dmax + 1), np.diff(starts))
+    degrees = window_degrees(starts, np.arange(starts[-1]))
     kept, _ = minimal_generators(module, linalg.Matrix.identity(starts[-1]), degrees, dmax)
     gens0 = [(d, np.eye(module.dim(d), dtype=np.int64)[k - starts[d]])
              for k, d in zip(kept.tolist(), degrees[kept].tolist())]
@@ -372,7 +372,8 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
     d_(i-1) o d_i = 0 is checked on the window maps, in one product per
     step, at the column of each generator of F_i in its own degree: a
     module map that vanishes on generators vanishes, so this is the
-    check over the algebra.  A failure names the degrees and the
+    check over the algebra.  A generator above the cap has no column in
+    the window, and is not checked.  A failure names the degrees and the
     generator pairs (row, column) of the nonzero entries of the
     composite; a failure of cover o d1 = 0 names the (degree, generator)
     pairs of its nonzero generator blocks."""
@@ -386,8 +387,7 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
     rank = {}
     for i, mat in enumerate(inside):
         starts = res.frees[i].window(dmax)
-        count = np.bincount(starts.searchsorted(linalg.pivots(mat, p), "right") - 1,
-                            minlength=dmax + 1)
+        count = np.bincount(window_degrees(starts, linalg.pivots(mat, p)), minlength=dmax + 1)
         rank.update(((i, d), int(count[d])) for d in range(dmax + 1))
 
     for i in range(1, hmax + 1):
@@ -397,9 +397,10 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
 
     for i in range(2, hmax + 1):
         F = res.frees[i]
-        units = np.argsort(F.unit_coordinates, kind="stable")
-        _, cols = _composite(maps[i - 1], maps[i].columns(F.unit_coordinates[units]), p)
-        bad = sorted({F.gen_degrees[j] for j in units[cols].tolist()})
+        gens, coords = F.unit_coordinates
+        units = np.argsort(coords, kind="stable")
+        _, cols = _composite(maps[i - 1], maps[i].columns(coords[units]), p)
+        bad = sorted({F.gen_degrees[j] for j in gens[units[cols]].tolist()})
         rep.add(f"d{i - 1} o d{i} = 0", not bad,
                 f"degrees {bad}, generator pairs {_composite_pairs(res, i)}" if bad else "")
     if hmax >= 1:

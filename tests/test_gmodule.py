@@ -481,6 +481,19 @@ def test_free_module_times_matches_the_dense_product(p):
                         linalg.matmul_mod(rows, reference_left_mult(F, a, n), p))
 
 
+def test_unit_coordinates_leave_out_generators_above_the_cap():
+    A = build_monomial_quotient(7, 3, MonomialQuotientPresentation(["x"], [1], ["x^3"], True))
+    F = FreeModule(A, [0, 4, 2, 5, 1])
+    gens, coords = F.unit_coordinates
+    assert gens.tolist() == [0, 2, 4]
+    starts = F.window(A.cap)
+    degrees, found = F.window_generators(coords)
+    assert found.tolist() == gens.tolist()
+    assert degrees.tolist() == [0, 2, 1]
+    for j, c, d in zip(gens.tolist(), coords.tolist(), degrees.tolist()):
+        assert c == starts[d] + F.gen_index(d, j)
+
+
 @pytest.mark.parametrize("p", [3, 32003])
 def test_window_times_matches_the_dense_window_product(p):
     """Over the window of degrees 0..dmax, a free module's and a module

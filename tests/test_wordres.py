@@ -100,6 +100,18 @@ def test_build_square_zero_matches_direct():
     assert rep.ok, rep.first_failure()
 
 
+def test_words_above_the_cap_pass_verification():
+    # at cap 3 the hom-4 words have internal degree 4: they have no
+    # column in the window, and the checks inside it still pass
+    S = mono([("x", 1)], ["x^2"], cap=3)
+    T = mono([("y", 1)], ["y^2"], cap=3)
+    G = build_word_resolution(S, T, residue_module(S), 4)
+    assert G.frees[4].gen_degrees == [4] * 14
+    rep = verify_word_resolution(G)
+    assert rep.ok, rep.first_failure()
+    assert "d3 o d4 = 0" in [c["name"] for c in rep.checks]
+
+
 def test_build_mixed_pair_and_module():
     S = mono([("x", 1)], ["x^3"])
     T = mono([("y", 1)], ["y^2"])
