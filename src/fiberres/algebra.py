@@ -1,9 +1,26 @@
 """Connected graded algebras over GF(p), tabulated through a degree cap.
 
 An algebra is stored as a degreewise basis (degree 0 is spanned by "1")
-plus multiplication tensors for every pair of positive degrees whose sum
+plus a multiplication table for every pair of positive degrees whose sum
 stays within the cap.  Degree-0 multiplication is scalar action and is
 not tabulated.  Nothing here assumes commutativity.
+
+Every structure-constant table of the package, an algebra's ``mult`` and
+a module's ``action`` (``gmodule``), has one storage: the table of
+degrees (m, n), with dims (A, B, C) = (dim m, dim n, dim m+n), is a
+``linalg.Matrix`` of shape (A * B, C) whose row a * B + b holds the
+product of basis elements a and b over the target basis.  ``linalg``'s
+storage rule then keeps a small factor-ring table as a dense block and
+a large, nearly empty Ext table as its nonzero entries.  ``read_table``
+takes a table in, and every reader goes through a few products written
+once: ``left_product`` (rows over the first factor times the table),
+``right_product`` (the table times columns over the second factor) and
+``difference``; ``linalg.Matrix.placed_tables`` sets tables at offsets in
+a larger one, and ``GradedAlgebra.by_right_factor`` is the view
+``gmodule.extend`` multiplies coefficients by.  Each is exact int64 mod
+p: a term is below p^2 and is reduced before it meets another factor.
+No reader branches on a table's storage, so a table above
+``linalg.STORAGE_MIN_CELLS`` cells is never made dense.
 """
 
 from __future__ import annotations
@@ -20,8 +37,7 @@ DEFAULT_CHAR = 32003
 
 # Every characteristic p must be a prime below MAX_CHAR.  Then
 # (p - 1)^2 * n < 2^63 for any n < 2^31 terms, so an int64 dot product of
-# reduced entries cannot overflow; and a float64 kernel, exact while
-# (p - 1)^2 * n < 2^53, keeps n up to 2^21 terms of headroom.
+# reduced entries cannot overflow.
 MAX_CHAR = 1 << 16
 
 __all__ = [
@@ -33,6 +49,11 @@ __all__ = [
     "build_monomial_quotient",
     "FiberProductAlgebra",
     "fiber_product",
+    "read_table",
+    "left_product",
+    "right_product",
+    "difference",
+    "scalar_matrix",
 ]
 
 
@@ -56,14 +77,59 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
 
 
-def reduced_table(arr, p: int) -> np.ndarray:
-    """``arr`` itself when it is an int64 array with entries in [0, p);
-    otherwise its residues mod p in a new int64 array.  A table the
-    caller has already reduced is not held twice."""
-    if (isinstance(arr, np.ndarray) and arr.dtype == np.int64
-            and (not arr.size or (arr.min() >= 0 and arr.max() < p))):
+def read_table(arr, dims, p: int, error) -> linalg.Matrix:
+    """A product or action table of ``dims`` (A, B, C) in the one storage,
+    a ``linalg.Matrix`` of shape (A * B, C).  ``arr`` is such a Matrix,
+    held as it is, or an (A, B, C) tensor (an array or nested lists),
+    read mod p; a JSON round trip flattens degenerate axes, so an empty
+    tensor fits any dims with a zero.  Any other shape raises
+    ``error(shape)``."""
+    A, B, C = dims
+    if not isinstance(arr, (list, tuple, np.ndarray)):  # a Matrix
+        if arr.shape != (A * B, C):
+            raise error(arr.shape)
         return arr
-    return np.asarray(arr, dtype=np.int64) % p
+    tensor = np.asarray(arr, dtype=np.int64)
+    if tensor.shape != tuple(dims) and (tensor.size or 0 not in dims):
+        raise error(tensor.shape)
+    return linalg.Matrix.read(tensor.reshape(A * B, C), p)
+
+
+def left_product(table: linalg.Matrix, dims, left, p: int) -> linalg.Matrix:
+    """The rows of ``left`` (A wide) times ``table`` of ``dims`` (A, B, C)
+    on its first axis: row i, column b * C + c holds the sum over a of
+    left[i, a] * table[a, b, c].  One product with the table read as an
+    A x (B * C) matrix."""
+    A, B, C = dims
+    return linalg.matmul(left, table.reshape((A, B * C)), p)
+
+
+def right_product(table: linalg.Matrix, dims, right, p: int) -> linalg.Matrix:
+    """``table`` of ``dims`` (A, B, C) times the columns of ``right`` (B
+    tall) on its middle axis: row a, column n * C + c holds the sum over
+    b of table[a, b, c] * right[b, n].  One product with the table read as
+    an A x (B * C) matrix and right (x) I_C, placed from right's nonzero
+    entries."""
+    A, B, C = dims
+    right = linalg.Matrix.read(right, p)
+    r, c, v = right.nonzero()
+    k = np.arange(C)
+    kron = linalg.Matrix.placed(
+        [((r[:, None] * C + k).ravel(), (c[:, None] * C + k).ravel(), np.repeat(v, C))],
+        (B * C, right.shape[1] * C), p)
+    return linalg.matmul(table.reshape((A, B * C)), kron, p)
+
+
+def difference(a: linalg.Matrix, b: linalg.Matrix, p: int) -> linalg.Matrix:
+    """``a - b`` mod p, for two matrices of one shape."""
+    r, c, v = b.nonzero()
+    return linalg.Matrix.summed([a.nonzero(), (r, c, p - v)], a.shape, p)
+
+
+def scalar_matrix(n: int, c: int, p: int) -> linalg.Matrix:
+    """c times the n x n identity."""
+    unit = np.arange(n)
+    return linalg.Matrix.placed([(unit, unit, np.full(n, c % p, dtype=np.int64))], (n, n), p)
 
 
 class Element:
@@ -133,18 +199,14 @@ class GradedAlgebra:
         self.p = p
         self.cap = cap
         self.basis = [list(b) for b in basis]
-        # mult[(m, n)]: ndarray (dim_m, dim_n, dim_{m+n}) for m, n >= 1, m+n <= cap
-        self.mult = {}
+        # mult[(m, n)]: the table of degrees (m, n) for m, n >= 1, m+n <= cap
+        # (see read_table)
+        self.mult: dict[tuple[int, int], linalg.Matrix] = {}
         for (m, n), arr in mult.items():
-            a = reduced_table(arr, p)
             expected = (self.dim(m), self.dim(n), self.dim(m + n))
-            if a.shape != expected:
-                # JSON round trips flatten degenerate axes
-                if a.size or 0 not in expected:
-                    raise AlgebraError(f"product tensor for degrees {(m, n)} has shape "
-                                       f"{a.shape}; expected {expected}")
-                a = a.reshape(expected)
-            self.mult[(m, n)] = a
+            self.mult[(m, n)] = read_table(arr, expected, p, lambda shape: AlgebraError(
+                f"product tensor for degrees {(m, n)} has shape {shape}; "
+                f"expected {expected}"))
         for m in range(1, cap):
             for n in range(1, cap + 1 - m):
                 if (m, n) not in self.mult:
@@ -154,6 +216,7 @@ class GradedAlgebra:
             if not (len(gen) == 2 and 0 <= gen[0] <= cap and 0 <= gen[1] < self.dim(gen[0])):
                 raise AlgebraError(f"generator {name!r} at {list(gen)}: need [degree, index] "
                                    f"with 0 <= degree <= {cap} and index below its dimension")
+        self._by_right: dict[tuple[int, int], linalg.Matrix] = {}
 
     def _owns(self, el: Element) -> None:
         if el.algebra is not self:
@@ -166,6 +229,10 @@ class GradedAlgebra:
 
     def labels(self, n: int) -> list[str]:
         return self.basis[n]
+
+    def table_dims(self, m: int, n: int) -> tuple[int, int, int]:
+        """(dim m, dim n, dim m+n): the dims of the table of degrees (m, n)."""
+        return self.dim(m), self.dim(n), self.dim(m + n)
 
     def unit(self) -> Element:
         return Element(self, 0, [1])
@@ -194,29 +261,48 @@ class GradedAlgebra:
             return b.scale(int(a.vec[0]))
         if n == 0:
             return a.scale(int(b.vec[0]))
-        # one contraction at a time, reduced in between: a three-operand
-        # sum has terms up to (p - 1)^3, which overflows int64
-        ab = np.einsum("ijk,j->ik", self.mult[(m, n)], b.vec) % self.p
-        return Element(self, m + n, (a.vec @ ab) % self.p)
+        return Element(self, m + n, linalg.matmul(b.vec, self.left_mult_matrix(a, n),
+                                                  self.p).dense()[0])
 
-    def right_mult_matrix(self, da: int, c: Element) -> np.ndarray:
+    def right_mult_matrix(self, da: int, c: Element) -> linalg.Matrix:
         """Matrix of x -> x*c from degree da to degree da + c.degree,
         rows indexed by the source basis."""
         e = c.degree
         if e == 0:
-            return (np.eye(self.dim(da), dtype=np.int64) * int(c.vec[0])) % self.p
+            return scalar_matrix(self.dim(da), int(c.vec[0]), self.p)
         if da == 0:
-            return c.vec.reshape(1, -1).copy()
-        return np.einsum("ijk,j->ik", self.mult[(da, e)], c.vec) % self.p
+            return linalg.Matrix.read(c.vec.reshape(1, -1), self.p)
+        return right_product(self.mult[(da, e)], self.table_dims(da, e), c.vec.reshape(-1, 1),
+                             self.p)
 
-    def left_mult_matrix(self, c: Element, db: int) -> np.ndarray:
+    def left_mult_matrix(self, c: Element, db: int) -> linalg.Matrix:
         """Matrix of x -> c*x from degree db to degree c.degree + db."""
         e = c.degree
         if e == 0:
-            return (np.eye(self.dim(db), dtype=np.int64) * int(c.vec[0])) % self.p
+            return scalar_matrix(self.dim(db), int(c.vec[0]), self.p)
         if db == 0:
-            return c.vec.reshape(1, -1).copy()
-        return np.einsum("ijk,i->jk", self.mult[(e, db)], c.vec) % self.p
+            return linalg.Matrix.read(c.vec.reshape(1, -1), self.p)
+        dims = self.table_dims(e, db)
+        return left_product(self.mult[(e, db)], dims, c.vec, self.p).reshape(dims[1:])
+
+    def by_right_factor(self, da: int, e: int) -> linalg.Matrix:
+        """The products x * y of the basis elements x of degree da and y of
+        degree e, as a dim(e) x (dim(da) * dim(da + e)) matrix: row y,
+        column x * dim(da + e) + z holds the coefficient of basis element z
+        in x * y; a unit factor multiplies by the identity.  Both degrees
+        must have nonzero products.  Kept once read: ``gmodule.extend``
+        multiplies a term group's coefficients by it at every degree."""
+        view = self._by_right.get((da, e))
+        if view is None:
+            dx, dy = self.dim(da), self.dim(da + e)
+            if not da:
+                view = linalg.Matrix.identity(dy)
+            elif not e:
+                view = linalg.Matrix.identity(dx).reshape((1, dx * dx))
+            else:
+                view = self.mult[(da, e)].side_by_side(dx)
+            self._by_right[da, e] = view
+        return view
 
     def hilbert_series(self) -> PowerSeries:
         return PowerSeries([self.dim(n) for n in range(self.cap + 1)], self.cap)
@@ -232,34 +318,36 @@ class GradedAlgebra:
         """``(degree, index)`` of basis elements spanning a complement of
         A+^2 in A+ through the cap: in each degree n, those at the
         non-pivot columns of the echelon form of all products
-        A_m * A_(n-m).  They generate A+ as an algebra, in whatever
-        degrees the presentation's generators have."""
+        A_m * A_(n-m), the tables' rows stacked.  They generate A+ as an
+        algebra, in whatever degrees the presentation's generators have."""
         out = []
         for n in range(1, self.cap + 1):
             dim = self.dim(n)
             if dim == 0:
                 continue
-            prods = [np.zeros((0, dim), dtype=np.int64)] + [
-                self.mult[(m, n - m)].reshape(-1, dim) for m in range(1, n)]
-            pivots = set(linalg.echelon(np.vstack(prods), self.p)[1])
+            prods = [linalg.Matrix.zeros((0, dim))] + [self.mult[(m, n - m)] for m in range(1, n)]
+            pivots = set(linalg.echelon(linalg.Matrix.stack(prods), self.p)[1])
             out.extend((n, i) for i in range(dim) if i not in pivots)
         return out
 
     def check_associativity(self) -> list[tuple]:
         """All basis triples with total degree within cap; returns the
-        list of violating degree triples (empty means pass)."""
+        list of violating degree triples (empty means pass).  Both sides
+        are read as (dim l) x (dim m * dim n * dim l+m+n) matrices: (ab)c
+        is one product of two tables, a(bc) the table (l, m+n) times the
+        table (m, n) on its middle axis."""
         bad = []
         p = self.p
         for l in range(1, self.cap - 1):
             for m in range(1, self.cap - l):
                 for n in range(1, self.cap + 1 - l - m):
-                    lhs = np.einsum(
-                        "abk,kcd->abcd", self.mult[(l, m)], self.mult[(l + m, n)]
-                    ) % p
-                    rhs = np.einsum(
-                        "bcj,ajd->abcd", self.mult[(m, n)], self.mult[(l, m + n)]
-                    ) % p
-                    if not np.array_equal(lhs, rhs):
+                    dl, dm, dn = self.dim(l), self.dim(m), self.dim(n)
+                    dlm, dd = self.dim(l + m), self.dim(l + m + n)
+                    lhs = linalg.matmul(self.mult[(l, m)],
+                                        self.mult[(l + m, n)].reshape((dlm, dn * dd)), p)
+                    rhs = right_product(self.mult[(l, m + n)], self.table_dims(l, m + n),
+                                        self.mult[(m, n)].T, p)
+                    if difference(lhs.reshape((dl, dm * dn * dd)), rhs, p).nnz:
                         bad.append((l, m, n))
         return bad
 
@@ -330,9 +418,8 @@ class GradedAlgebra:
     # -- serialization --------------------------------------------------
 
     def to_table_json(self) -> dict:
-        mult = {
-            f"{m}|{n}": arr.tolist() for (m, n), arr in sorted(self.mult.items())
-        }
+        mult = {f"{m}|{n}": np.asarray(table).reshape(self.table_dims(m, n)).tolist()
+                for (m, n), table in sorted(self.mult.items())}
         return {
             "kind": "table",
             "char": self.p,
@@ -546,13 +633,11 @@ class FiberProductAlgebra(GradedAlgebra):
         mult = {}
         for m in range(1, cap):
             for n in range(1, cap + 1 - m):
-                ds_m, dt_m = s_algebra.dim(m), t_algebra.dim(m)
-                ds_n, dt_n = s_algebra.dim(n), t_algebra.dim(n)
-                ds_o, dt_o = s_algebra.dim(m + n), t_algebra.dim(m + n)
-                arr = np.zeros((ds_m + dt_m, ds_n + dt_n, ds_o + dt_o), dtype=np.int64)
-                arr[:ds_m, :ds_n, :ds_o] = s_algebra.mult[(m, n)]
-                arr[ds_m:, ds_n:, ds_o:] = t_algebra.mult[(m, n)]
-                mult[(m, n)] = arr
+                mult[(m, n)] = linalg.Matrix.placed_tables(
+                    [(s_algebra.mult[(m, n)], s_algebra.dim(n), (0, 0, 0)),
+                     (t_algebra.mult[(m, n)], t_algebra.dim(n),
+                      (s_algebra.dim(m), s_algebra.dim(n), s_algebra.dim(m + n)))],
+                    [s_algebra.dim(k) + t_algebra.dim(k) for k in (m, n, m + n)], p)
         generators = {}
         for tag, alg in (("S", s_algebra), ("T", t_algebra)):
             for name, (d, idx) in alg.generators.items():

@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import linalg
-from .algebra import Element, FiberProductAlgebra, GradedAlgebra
+from .algebra import Element, FiberProductAlgebra, GradedAlgebra, left_product
 from .extalg import (ExtError, FreeProductAlgebra, _generator_coefficients,
                      _lift_stages, _phi_setup, ext_algebra, ext_module,
                      free_product, free_product_module)
@@ -272,8 +272,9 @@ def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,
     for n in range(hmax + 1):
         mu_star = _generator_coefficients(chain_mu[n], res_m.frees[n], res_v.frees[n])
         nu_star = _generator_coefficients(chain_nu[n], res_n.frees[n], res_v.frees[n])
-        mat = np.hstack([mu_star, (-nu_star) % p])
-        r = linalg.rank(mat, p)
+        # the rank of (mu*, -nu*) is that of (mu*, nu*), a column's sign
+        # aside: read on the two transposes stacked
+        r = linalg.rank(linalg.Matrix.stack([mu_star.T, nu_star.T]), p)
         ranks.append((r, res_v.rank(n)))
         if r != res_v.rank(n):
             bad.append((n, r, res_v.rank(n)))
@@ -365,24 +366,24 @@ def _hom_offsets(res: FreeResolution, module: GradedModule, i: int, nu: int):
 
 
 def hom_coboundary(res: FreeResolution, module: GradedModule, i: int,
-                   nu: int) -> np.ndarray:
+                   nu: int) -> linalg.Matrix:
     """Matrix of composition with the differential into step i + 1,
     acting on coordinate rows of the internal-degree-nu part of
-    Hom(F_i, module)."""
+    Hom(F_i, module): the entries of each ``act_matrix`` block, summed."""
     if module.algebra is not res.algebra:
         raise ExtError("Hom coefficients must be a module over the "
                        "resolution's algebra")
     p = res.algebra.p
     sdims, soffs, stot = _hom_offsets(res, module, i, nu)
     tdims, toffs, ttot = _hom_offsets(res, module, i + 1, nu)
-    out = np.zeros((stot, ttot), dtype=np.int64)
+    parts = []
     for r, c, el in res.entries(i + 1):
         ms = res.gen_degrees(i)[r] - nu
         if ms < 0 or sdims[r] == 0 or tdims[c] == 0:
             continue
-        out[soffs[r]: soffs[r] + sdims[r],
-            toffs[c]: toffs[c] + tdims[c]] += module.act_matrix(el, ms)
-    return out % p
+        br, bc, bv = module.act_matrix(el, ms).nonzero()
+        parts.append((soffs[r] + br, toffs[c] + bc, bv))
+    return linalg.Matrix.summed(parts, (stot, ttot), p)
 
 
 def ext_bidegree_dim(res: FreeResolution, module: GradedModule, i: int,
@@ -402,17 +403,18 @@ def socle_dims(module: GradedModule) -> dict[int, int]:
     actions that stay inside the tabulated window.  The top tabulated
     degree has no testable action and is omitted; a zero entry certifies
     no socle in that degree."""
-    p, cap = module.algebra.p, module.algebra.cap
+    A = module.algebra
     out: dict[int, int] = {}
-    for d in range(cap):
+    for d in range(A.cap):
         dim = module.dim(d)
         if dim == 0:
             out[d] = 0
             continue
-        # column block (m, i) is the action of basis element i of degree m
-        mat = np.hstack([module.action[(m, d)].transpose(1, 0, 2).reshape(dim, -1)
-                         for m in range(1, cap - d + 1)])
-        out[d] = dim - linalg.rank(mat, p) if mat.shape[1] else dim
+        # the rank of the actions set side by side, column block (m, i) the
+        # action of basis element i of degree m: rank of its transpose
+        blocks = [module.action[(m, d)].side_by_side(A.dim(m)).T
+                  for m in range(1, A.cap - d + 1) if A.dim(m) * module.dim(d + m)]
+        out[d] = dim - linalg.rank(linalg.Matrix.stack(blocks), A.p) if blocks else dim
     return out
 
 
@@ -664,7 +666,8 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
 
             d0 = hom_coboundary(C, fpm, 0, nuval)
             base = linalg.rank(d0, p)
-            nonzero = linalg.rank(np.vstack([d0, phi.reshape(1, -1)]), p) == base + 1
+            nonzero = linalg.rank(linalg.Matrix.stack([d0, linalg.Matrix.read(phi, p)]),
+                                  p) == base + 1
             rep.add(f"witness j={j}: class nonzero in Ext^1 at internal "
                     f"degree {nuval}", nonzero,
                     f"coboundary rank {base}")
@@ -710,8 +713,12 @@ def depth_upper_bound(R: FiberProductAlgebra, L: GradedModule, hmax: int,
     rep.data["case"] = "infinite projective dimension in window"
     d = _phi_setup(R, hmax, dmax)
     l_ext = ext_module(R, None, hmax, dmax, ext=d.R_ext, resolution=res)
-    action = {key: np.einsum("ia,abc->ibc", d.phis[key[0]], arr) % R.p
-              for key, arr in l_ext.action.items()}
+    # L's action moved to the free-product basis: phis[m] times each table
+    action = {}
+    for (m, n), table in l_ext.action.items():
+        dims = l_ext.table_dims(m, n)
+        action[(m, n)] = left_product(table, dims, d.phis[m], R.p).reshape(
+            (d.FP.dim(m) * dims[1], dims[2]))
     lfp = GradedModule(d.FP, [list(l_ext.labels(n)) for n in range(hmax + 1)],
                        action)
     C = _verified_combined_resolution(rep, d.FP, min(3, hmax), None, None)

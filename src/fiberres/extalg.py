@@ -27,8 +27,14 @@ of a minimal free resolution of the residue field; ``ext_module`` does
 the same for Ext(M, k) as a left module.  ``free_product`` builds the
 coproduct of two such algebras on the alternating-word basis, placing
 each concatenation by index and reading a merged boundary letter as a
-slice of its factor's table; ``free_product_module`` builds the module
-induced along it the same way.  For a fiber product R and a module M
+row of its factor's table; ``free_product_module`` builds the module
+induced along it the same way.  Every table here is built straight
+into ``algebra``'s one table storage from its nonzero cells
+(``_dual_tensor``, ``_placed``), and the induced map's images are
+``linalg.Matrix``es placed from their entries, so an Ext table, almost
+all zeros, holds its entries only: at hmax 12 on k[x]/(x^2) x_k
+k[y]/(y^2), ``verify_phi_iso`` runs in about 50 MB where dense tables
+took about 4 GB.  For a fiber product R and a module M
 over its first factor, Ext_R(M, k) is the module induced from
 Ext_S(M, k) along that coproduct; one check body, ``_verify_induced``,
 tests this degree by degree and product by product, on an induced map
@@ -48,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .algebra import Element, FiberProductAlgebra, GradedAlgebra
+from .algebra import Element, FiberProductAlgebra, GradedAlgebra, difference, right_product
 from .gmodule import (FreeModule, GradedModule, extend, generator_terms, residue_module,
                       restrict_to_fiber)
 from .resolve import (ComplexReport, FreeResolution, WindowError, minimal_resolution,
@@ -145,29 +151,27 @@ def lift_dual(src: FreeResolution, tgt: FreeResolution, step: int,
     return [dual] + _lift_stages(src, tgt, dual, range(1, nmax + 1), step, s, batch=nb)
 
 
-def _generator_coefficients(terms: dict, src: FreeModule, tgt: FreeModule) -> np.ndarray:
-    """Read one chain-map stage off on generators: entry (a, c) is the
-    coefficient of 1 * tgt generator a in the image of src generator c,
-    the terms whose coefficients have algebra degree 0."""
-    out = np.zeros((tgt.rank, src.rank), dtype=np.int64)
-    for (_, e), (tg, sg, _, coef) in terms.items():
-        if e == 0:
-            out[tg, sg] = coef[:, 0]
-    return out
+def _generator_coefficients(terms: dict, src: FreeModule, tgt: FreeModule) -> linalg.Matrix:
+    """Read one chain-map stage off on generators: entry (a, c) of the
+    ``linalg.Matrix`` is the coefficient of 1 * tgt generator a in the
+    image of src generator c, the terms whose coefficients have algebra
+    degree 0."""
+    parts = [(tg, sg, coef[:, 0]) for (_, e), (tg, sg, _, coef) in terms.items() if e == 0]
+    return linalg.Matrix.placed(parts, (tgt.rank, src.rank), src.algebra.p)
 
 
 def _dual_tensor(E: FreeResolution, P: FreeResolution, lifts: dict, m: int,
-                 n: int) -> np.ndarray:
-    """Tensor (rank E_m, rank P_n, rank P_{m+n}) of step-m dual classes
-    over E acting on step-n dual classes over P: slice b is the stage-m
-    lift of b's dual read off on generators, scattered a batch of duals
-    at a time through the terms' batch column."""
-    arr = np.zeros((E.rank(m), P.rank(n), P.rank(m + n)), dtype=np.int64)
-    for duals, stages in lifts[n]:
-        for (_, e), (tg, sg, b, coef) in stages[m].items():
-            if e == 0:
-                arr[tg, duals[b], sg] = coef[:, 0]
-    return np.remainder(arr, E.algebra.p, out=arr)
+                 n: int) -> linalg.Matrix:
+    """Table (rank E_m, rank P_n, rank P_{m+n}) of step-m dual classes
+    over E acting on step-n dual classes over P, placed from its entries:
+    slice b is the stage-m lift of b's dual read off on generators,
+    scattered a batch of duals at a time through the terms' batch
+    column."""
+    width = P.rank(n)
+    parts = [(tg * width + np.asarray(duals)[b], sg, coef[:, 0])
+             for duals, stages in lifts[n]
+             for (_, e), (tg, sg, b, coef) in stages[m].items() if e == 0]
+    return linalg.Matrix.placed(parts, (E.rank(m) * width, P.rank(m + n)), E.algebra.p)
 
 
 def _yoneda_tables(E: FreeResolution, res: FreeResolution, imax: int,
@@ -322,19 +326,27 @@ def _fp_product(a: GradedAlgebra, b: GradedAlgebra, u: tuple, v: tuple):
     x, y = u[-1], v[0]
     if x[0] != y[0]:
         return [(u + v, 1)]
-    row = (a if x[0] == 0 else b).mult[(x[1], y[1])][x[2], y[2]]
-    return [(u[:-1] + ((x[0], x[1] + y[1], int(k)),) + v[1:], int(row[k]))
-            for k in np.flatnonzero(row)]
+    alg = a if x[0] == 0 else b
+    ks, cs = _row(alg.mult[(x[1], y[1])], x[2] * alg.dim(y[1]) + y[2])
+    return [(u[:-1] + ((x[0], x[1] + y[1], k),) + v[1:], c)
+            for k, c in zip(ks.tolist(), cs.tolist())]
 
 
-def _placed(shape: tuple, cells: list) -> np.ndarray:
-    """An int64 array of ``shape`` holding the coefficient of each
-    (i, j, k, coefficient) cell; no cell repeats."""
-    arr = np.zeros(shape, dtype=np.int64)
-    if cells:
-        i, j, k, c = zip(*cells)
-        arr[i, j, k] = c
-    return arr
+def _row(mat: linalg.Matrix, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns and values of the nonzero entries of row r of ``mat``:
+    a slice of its row-major entries, which the matrix keeps once read."""
+    rows, cols, vals = mat.nonzero()
+    start, stop = np.searchsorted(rows, [r, r + 1])
+    return cols[start:stop], vals[start:stop]
+
+
+def _placed(dims: tuple, cells: list, p: int) -> linalg.Matrix:
+    """The table of ``dims`` (A, B, C) holding the coefficient of each
+    (a, b, c, coefficient) cell, placed from the cells; no cell
+    repeats."""
+    A, B, C = dims
+    i, j, k, c = np.array(cells, dtype=np.int64).reshape(-1, 4).T
+    return linalg.Matrix.placed([(i * B + j, k, c)], (A * B, C), p)
 
 
 class FreeProductAlgebra(GradedAlgebra):
@@ -364,7 +376,7 @@ class FreeProductAlgebra(GradedAlgebra):
                 mult[(m, n)] = _placed(
                     (len(words[m]), len(words[n]), len(index)),
                     [(i, j, index[w], c) for i, u in enumerate(words[m])
-                     for j, v in enumerate(words[n]) for w, c in _fp_product(a, b, u, v)])
+                     for j, v in enumerate(words[n]) for w, c in _fp_product(a, b, u, v)], a.p)
         generators = {}
         for d in range(1, cap + 1):
             for i, w in enumerate(words[d]):
@@ -431,10 +443,10 @@ class FreeProductModule(GradedModule):
                             cells.append((i, j, index[(u, mpair)], 1))
                         else:
                             dm, mi = mpair
-                            row = module.action[(x[1], dm)][x[2], mi]
-                            cells.extend((i, j, index[(u[:-1], (dm + x[1], int(k)))], int(row[k]))
-                                         for k in np.flatnonzero(row))
-                action[(m, n)] = _placed((fp.dim(m), len(words[n]), len(index)), cells)
+                            ks, cs = _row(module.action[(x[1], dm)], x[2] * module.dim(dm) + mi)
+                            cells.extend((i, j, index[(u[:-1], (dm + x[1], k))], c)
+                                         for k, c in zip(ks.tolist(), cs.tolist()))
+                action[(m, n)] = _placed((fp.dim(m), len(words[n]), len(index)), cells, fp.p)
         super().__init__(fp, [[label(w) for w in ws] for ws in words], action)
 
     def word_index(self, degree: int, word: tuple) -> int:
@@ -490,7 +502,7 @@ def _build_phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
     d.tau_mats = [_generator_coefficients(tau[n], d.G.frees[n], d.F.frees[n])
                   for n in range(hmax + 1)]
     d.FP = free_product(d.S_ext, d.T_ext, hmax)
-    d.phis = _word_images(d, d.FP, [d.R_ext.unit().vec.reshape(1, 1)],
+    d.phis = _word_images(d, d.FP, [linalg.Matrix.identity(1)],
                           [d.R_ext.dim(n) for n in range(hmax + 1)],
                           d.R_ext.left_mult_matrix)
     return d
@@ -498,45 +510,50 @@ def _build_phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
 
 def _word_images(d: _PhiData, induced, seeds: list, dims: list, letter_matrix) -> dict:
     """The induced map on the basis words of ``induced`` (the free
-    product or an induced module), one array per degree n with one row
-    per word and ``dims[n]`` columns, built in ascending degree.  A word
-    without letters is its module element's image, a row of
-    ``seeds[n]``.  A word with letters is its first letter's restriction
-    image acting, through ``letter_matrix`` (as ``act_matrix``), on the
-    row already built for the rest of the word, a basis word of lower
-    degree (``induced.split``).  The words of one degree that share
-    their first letter go through one ``linalg.matmul_mod``."""
+    product or an induced module), one ``linalg.Matrix`` per degree n
+    with one row per word and ``dims[n]`` columns, built in ascending
+    degree and placed from its entries.  A word without letters is its
+    module element's image, a row of the Matrix ``seeds[n]``.  A word
+    with letters is its first letter's restriction image acting, through
+    ``letter_matrix`` (as ``act_matrix``), on the row already built for
+    the rest of the word, a basis word of lower degree
+    (``induced.split``).  The words of one degree that share their first
+    letter go through one ``linalg.matmul``."""
     p, images = d.R.p, {}
     for n, words in enumerate(induced.words):
-        out = np.zeros((len(words), dims[n]), dtype=np.int64)
-        groups: dict[tuple, tuple[list, list]] = {}
+        parts, groups = [], {}
         for r, w in enumerate(words):
             x, i = induced.split(n, w)
             if x is None:
-                out[r] = seeds[n][i]
+                cols, vals = _row(seeds[n], i)
+                parts.append((np.full(cols.size, r), cols, vals))
             else:
                 rows, rests = groups.setdefault(x, ([], []))
                 rows.append(r)
                 rests.append(i)
         for (t, deg, i), (rows, rests) in groups.items():
-            letter = Element(d.R_ext, deg, (d.sig_mats if t == 0 else d.tau_mats)[deg][i])
-            out[rows] = linalg.matmul_mod(images[n - deg][rests],
-                                          letter_matrix(letter, n - deg), p)
-        images[n] = out
+            vec = (d.sig_mats if t == 0 else d.tau_mats)[deg].rows([i]).dense()[0]
+            # ``rows`` takes increasing indices: the rests go sorted, their words with them
+            order = np.argsort(rests)
+            pr, pc, pv = linalg.matmul(images[n - deg].rows(np.asarray(rests)[order]),
+                                       letter_matrix(Element(d.R_ext, deg, vec), n - deg),
+                                       p).nonzero()
+            parts.append((np.asarray(rows)[order][pr], pc, pv))
+        images[n] = linalg.Matrix.placed(parts, (len(words), dims[n]), p)
     return images
 
 
 def _concatenation_failures(d: _PhiData, tensors: dict, G, gidx: list,
                             tmax: int) -> list[tuple]:
     """Letter duals that do not act by concatenation on the duals of
-    G's basis words, for each tensor (j, n) of total degree <= tmax: the
+    G's basis words, for each table (j, n) of total degree <= tmax: the
     dual of an F letter is tested on words led by E or P, the dual of an
     E letter (its P letter in the word resolution of k) on the rest.
     Failures are (letter tag, j, letter index, n, word index)."""
     p0 = Letter("P", 0, 0, d.P.gen_degrees(0)[0])
     bad = []
     for j, n in sorted(key for key in tensors if sum(key) <= tmax):
-        tensor = tensors[(j, n)]
+        table, width = tensors[(j, n)], G.rank(n)
         for wi, w in enumerate(G.words[n]):
             f_lead = w[0].tag in ("E", "P")
             res = d.F if f_lead else d.E
@@ -547,14 +564,15 @@ def _concatenation_failures(d: _PhiData, tensors: dict, G, gidx: list,
                 else:
                     x = Letter("E", j, a, deg)
                     xi = d.gidx[j][(Letter("P", j, a, deg),)]
-                if not _is_dual(tensor[xi, wi], gidx[j + n][(x,) + w]):
+                if not _is_dual(*_row(table, xi * width + wi), gidx[j + n][(x,) + w]):
                     bad.append(("f" if f_lead else "e", j, a, n, wi))
     return bad
 
 
-def _is_dual(row: np.ndarray, i: int) -> bool:
-    """Whether ``row`` is the dual of basis element i."""
-    return np.count_nonzero(row) == 1 and row[i] == 1
+def _is_dual(cols: np.ndarray, vals: np.ndarray, i: int) -> bool:
+    """Whether the row with nonzero entries ``vals`` at ``cols`` is the
+    dual of basis element i."""
+    return cols.size == 1 and cols[0] == i and vals[0] == 1
 
 
 def _products_degree(products_to: int, hmax: int, first: int) -> int:
@@ -565,15 +583,6 @@ def _products_degree(products_to: int, hmax: int, first: int) -> int:
         raise WindowError(f"window {hmax} with products-to {products_to} tests no product;"
                           f" the smallest valid products-to and window are {first + 1}")
     return tmax
-
-
-def _image_products(left, right, tensor, p: int) -> np.ndarray:
-    """``einsum("ia,jb,abk->ijk", left, right, tensor)`` mod p, one
-    operand at a time, reduced in between: a three-operand sum has terms
-    up to (p - 1)^3, so past 2^63 / (p - 1)^3 terms (32,792 at p =
-    65521) it would wrap int64."""
-    half = np.einsum("jb,abk->ajk", right, tensor) % p
-    return np.einsum("ia,ajk->ijk", left, half) % p
 
 
 def _verify_induced(d: _PhiData, *, first: int, tmax: int, key: str, names: tuple,
@@ -609,8 +618,8 @@ def _verify_induced(d: _PhiData, *, first: int, tmax: int, key: str, names: tupl
         rep.add(name, n is not None, f"first mismatch at n={n}: {label} {c[n]} vs {ext[n]}"
                 if n is not None else f"{label} dims agree through the window")
     for name, mats, word in restrictions:
-        bad = [(n, a) for n in range(first, hmax + 1) for a, row in enumerate(mats[n])
-               if not _is_dual(row, gidx[n][word(n, a)])]
+        bad = [(n, a) for n in range(first, hmax + 1) for a in range(mats[n].shape[0])
+               if not _is_dual(*_row(mats[n], a), gidx[n][word(n, a)])]
         rep.add(name, not bad, f"failures {bad[:5]}" if bad else "")
     bad = _concatenation_failures(d, tensors, G, gidx, tmax)
     rep.add(f"{names[3]} (total degree <= {tmax})", not bad,
@@ -624,14 +633,22 @@ def _verify_induced(d: _PhiData, *, first: int, tmax: int, key: str, names: tupl
     bad, detail = [], ""
     for m in range(1, tmax + 1 - first):
         for n in range(first, tmax + 1 - m):
-            lhs = np.einsum("ijc,ck->ijk", induced_tensors[(m, n)], images[m + n]) % p
-            rhs = _image_products(d.phis[m], images[n], tensors[(m, n)], p)
-            if not np.array_equal(lhs, rhs):
+            # both sides as (i, j * K + k): word i times word j at G generator k
+            I, J, _ = induced.table_dims(m, n)
+            lhs = linalg.matmul(induced_tensors[(m, n)], images[m + n], p).reshape(
+                (I, J * G.rank(m + n)))
+            rhs = linalg.matmul(d.phis[m], right_product(
+                tensors[(m, n)], (d.R_ext.dim(m), G.rank(n), G.rank(m + n)), images[n].T, p), p)
+            rows, cols, _ = difference(lhs, rhs, p).nonzero()
+            if rows.size:
                 if not bad:
-                    i, j, k = np.argwhere(lhs != rhs)[0]
+                    i, c = int(rows[0]), int(cols[0])
+                    j, k = divmod(c, G.rank(m + n))
+                    lv, rv = (int(side.block(i, i + 1, c, c + 1).dense()[0, 0])
+                              for side in (lhs, rhs))
                     detail = (f"; first at (m, n) = ({m}, {n}): {d.FP.labels(m)[i]} * "
                               f"{induced.labels(n)[j]} at {G.frees[m + n].gen_labels[k]}': "
-                              f"{lhs[i, j, k]} vs {rhs[i, j, k]}")
+                              f"{lv} vs {rv}")
                 bad.append((m, n))
     rep.add(f"{names[4]} (total degree <= {tmax})", not bad,
             f"failures {bad}{detail}" if bad else "")

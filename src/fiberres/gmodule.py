@@ -1,10 +1,14 @@
 """Graded left modules, based free modules, and matrices over a graded
 algebra.
 
-A GradedModule is a degreewise table (basis labels plus action tensors),
-mirroring GradedAlgebra.  A FreeModule is a list of homogeneous
-generators; its degree-d component has the basis {a * g} with a running
-over the algebra basis in degree d - deg(g).
+A GradedModule is a degreewise table (basis labels plus action tables),
+mirroring GradedAlgebra.  Action table (m, n) is in ``algebra``'s one
+table storage, a ``linalg.Matrix`` whose row a * dim M_n + x holds a * x,
+and every reader (``act_matrix``, ``act``, ``window_times``,
+``check_associativity``, the constructors) goes through the table
+products of ``algebra``, so no reader chooses a storage.  A FreeModule is
+a list of homogeneous generators; its degree-d component has the basis
+{a * g} with a running over the algebra basis in degree d - deg(g).
 
 A module's window of degrees 0..dmax orders its coordinates
 degree-major: degree, then (for a free module) generator, then algebra
@@ -43,7 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebra import Element, FiberProductAlgebra, GradedAlgebra, reduced_table
+from .algebra import (Element, FiberProductAlgebra, GradedAlgebra, difference, left_product,
+                      read_table, right_product, scalar_matrix)
 from .series import PowerSeries
 
 __all__ = [
@@ -78,18 +83,13 @@ class GradedModule:
         self.algebra = algebra
         self.cap = algebra.cap
         self.basis = [list(b) for b in basis]
-        # action[(m, n)]: ndarray (dimA_m, dimM_n, dimM_{m+n}), m >= 1, m+n <= cap
-        self.action = {}
+        # action[(m, n)]: the table of A_m acting on M_n, m >= 1, m+n <= cap
+        # (see algebra.read_table)
+        self.action: dict[tuple[int, int], linalg.Matrix] = {}
         for (m, n), arr in action.items():
-            a = reduced_table(arr, algebra.p)
             expected = (algebra.dim(m), self.dim(n), self.dim(m + n))
-            if a.shape != expected:
-                # JSON round trips flatten degenerate axes
-                if a.size or 0 not in expected:
-                    raise ModuleError(f"action tensor {(m, n)} has shape {a.shape}, "
-                                      f"expected {expected}")
-                a = a.reshape(expected)
-            self.action[(m, n)] = a
+            self.action[(m, n)] = read_table(arr, expected, algebra.p, lambda shape: ModuleError(
+                f"action tensor {(m, n)} has shape {shape}, expected {expected}"))
         for m in range(1, self.cap + 1):
             for n in range(0, self.cap + 1 - m):
                 if (m, n) not in self.action:
@@ -106,15 +106,20 @@ class GradedModule:
     def hilbert_series(self) -> PowerSeries:
         return PowerSeries([self.dim(n) for n in range(self.cap + 1)], self.cap)
 
-    def act_matrix(self, a: Element, n: int) -> np.ndarray:
+    def table_dims(self, m: int, n: int) -> tuple[int, int, int]:
+        """(dim A_m, dim M_n, dim M_(m+n)): the dims of action table (m, n)."""
+        return self.algebra.dim(m), self.dim(n), self.dim(m + n)
+
+    def act_matrix(self, a: Element, n: int) -> linalg.Matrix:
         """Matrix of x -> a*x from degree n to n + deg(a), rows indexed
         by the source basis."""
-        m = a.degree
+        m, p = a.degree, self.algebra.p
         if m == 0:
-            return (np.eye(self.dim(n), dtype=np.int64) * int(a.vec[0])) % self.algebra.p
+            return scalar_matrix(self.dim(n), int(a.vec[0]), p)
         if n + m > self.cap:
             raise ModuleError(f"action lands beyond cap {self.cap}")
-        return np.einsum("ijk,i->jk", self.action[(m, n)], a.vec) % self.algebra.p
+        dims = self.table_dims(m, n)
+        return left_product(self.action[(m, n)], dims, a.vec, p).reshape(dims[1:])
 
     def window(self, dmax: int) -> np.ndarray:
         """The start of each degree 0..dmax in the window (the degreewise
@@ -126,40 +131,44 @@ class GradedModule:
         times the matrix of x -> a*x over the same window, mod p: one
         product with the matrix whose blocks are ``act_matrix(a, n)``; what
         lands past dmax is dropped."""
-        starts, m = self.window(dmax), a.degree
-        blocks = [(starts[n] + np.arange(self.dim(n))[:, None],
-                   starts[n + m] + np.arange(self.dim(n + m)), self.act_matrix(a, n))
-                  for n in range(dmax + 1 - m) if self.dim(n) and self.dim(n + m)]
+        starts, m, blocks = self.window(dmax), a.degree, []
+        for n in range(dmax + 1 - m):
+            if self.dim(n) and self.dim(n + m):
+                r, c, v = self.act_matrix(a, n).nonzero()
+                blocks.append((starts[n] + r, starts[n + m] + c, v))
         act = linalg.Matrix.placed(blocks, (starts[-1], starts[-1]), self.algebra.p)
         return linalg.matmul(rows, act, self.algebra.p)
 
     def act(self, a: Element, n: int, vec) -> tuple[int, np.ndarray]:
         """``vec @ act_matrix(a, n)`` mod p, without building the matrix:
-        the vector is contracted first, then the element."""
+        the vector is contracted first (``right_product``), then the
+        element."""
         p, m = self.algebra.p, a.degree
         v = np.asarray(vec, dtype=np.int64) % p
         if m == 0:
             return n, (v * int(a.vec[0])) % p
         if n + m > self.cap:
             raise ModuleError(f"action lands beyond cap {self.cap}")
-        av = np.einsum("ijk,j->ik", self.action[(m, n)], v) % p
-        return n + m, (a.vec @ av) % p
+        av = right_product(self.action[(m, n)], self.table_dims(m, n), v.reshape(-1, 1), p)
+        return n + m, linalg.matmul(a.vec, av, p).dense()[0]
 
     def check_associativity(self) -> list[tuple]:
         """(a*b)*x == a*(b*x) for basis elements within cap; returns
-        violating (deg a, deg b, deg x) triples."""
-        A = self.algebra
+        violating (deg a, deg b, deg x) triples.  Both sides are read as
+        (dim A_m1) x (dim A_m2 * dim M_n * dim M_(m1+m2+n)) matrices, as in
+        ``GradedAlgebra.check_associativity``."""
+        A, p = self.algebra, self.algebra.p
         bad = []
         for m1 in range(1, self.cap):
             for m2 in range(1, self.cap + 1 - m1):
                 for n in range(0, self.cap + 1 - m1 - m2):
-                    lhs = np.einsum(
-                        "abk,kxy->abxy", A.mult[(m1, m2)], self.action[(m1 + m2, n)]
-                    ) % A.p
-                    rhs = np.einsum(
-                        "bxj,ajy->abxy", self.action[(m2, n)], self.action[(m1, m2 + n)]
-                    ) % A.p
-                    if not np.array_equal(lhs, rhs):
+                    d1, d2, d12 = A.dim(m1), A.dim(m2), A.dim(m1 + m2)
+                    dn, dy = self.dim(n), self.dim(m1 + m2 + n)
+                    lhs = linalg.matmul(A.mult[(m1, m2)],
+                                        self.action[(m1 + m2, n)].reshape((d12, dn * dy)), p)
+                    rhs = right_product(self.action[(m1, m2 + n)], self.table_dims(m1, m2 + n),
+                                        self.action[(m2, n)].T, p)
+                    if difference(lhs.reshape((d1, d2 * dn * dy)), rhs, p).nnz:
                         bad.append((m1, m2, n))
         return bad
 
@@ -185,22 +194,18 @@ def trivial_module(algebra: GradedAlgebra, rank: int, degree: int = 0) -> Graded
     action = {}
     for m in range(1, algebra.cap + 1):
         for n in range(0, algebra.cap + 1 - m):
-            action[(m, n)] = np.zeros((algebra.dim(m), dims[n], dims[n + m]),
-                                      dtype=np.int64)
+            action[(m, n)] = linalg.Matrix.zeros((algebra.dim(m) * dims[n], dims[n + m]))
     return GradedModule(algebra, basis, action)
 
 
 def algebra_as_module(algebra: GradedAlgebra) -> GradedModule:
+    """A over itself: A_m acting on A_0 = k is the identity of A_m, and on
+    A_n, n >= 1, the product table itself."""
     action = {}
     for m in range(1, algebra.cap + 1):
         for n in range(0, algebra.cap + 1 - m):
-            if n == 0:
-                arr = np.zeros((algebra.dim(m), 1, algebra.dim(m)), dtype=np.int64)
-                for i in range(algebra.dim(m)):
-                    arr[i, 0, i] = 1
-                action[(m, n)] = arr
-            else:
-                action[(m, n)] = algebra.mult[(m, n)]
+            action[(m, n)] = (linalg.Matrix.identity(algebra.dim(m)) if n == 0
+                              else algebra.mult[(m, n)])
     return GradedModule(algebra, algebra.basis, action)
 
 
@@ -209,8 +214,7 @@ def free_module_table(algebra: GradedAlgebra, gen_degrees: list[int]) -> GradedM
     free = FreeModule(algebra, gen_degrees)
     units = [linalg.Matrix.identity(free.dim(d)) for d in range(algebra.cap + 1)]
     return GradedModule(algebra, [free.pair_labels(d) for d in range(algebra.cap + 1)],
-                        _action_tensors(algebra, free, units,
-                                        lambda imgs, m, n: imgs.dense()))
+                        _action_tables(algebra, free, units, lambda imgs, m, n: imgs))
 
 
 def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
@@ -225,9 +229,9 @@ def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
     action = {}
     for m in range(1, R.cap + 1):
         for n in range(0, R.cap + 1 - m):
-            arr = np.zeros((R.dim(m), module.dim(n), module.dim(n + m)), dtype=np.int64)
-            arr[R.part(side, m)] = module.action[(m, n)]
-            action[(m, n)] = arr
+            dims = (R.dim(m), module.dim(n), module.dim(n + m))
+            action[(m, n)] = linalg.Matrix.placed_tables(
+                [(module.action[(m, n)], module.dim(n), (R.part(side, m).start, 0, 0))], dims, R.p)
     return GradedModule(R, basis, action)
 
 
@@ -398,12 +402,11 @@ class FreeModule:
         coef[first.cumsum() - 1, c - blocks[block]] = vals
         parts = []
         for x in degrees.tolist():
-            na, nb = A.dim(x), A.dim(x + m)
-            if nb:
+            if A.dim(x + m):
                 k = np.flatnonzero(pe == x)
-                prod = coef[k, :na] @ A.left_mult_matrix(a, x) % p
-                parts.append((np.repeat(pr[k], nb), (tgt[k, None] + np.arange(nb)).ravel(),
-                              prod.ravel()))
+                kr, kc, kv = linalg.matmul(coef[k, :A.dim(x)], A.left_mult_matrix(a, x),
+                                           p).nonzero()
+                parts.append((pr[k][kr], tgt[k][kr] + kc, kv))
         return parts
 
     def window_times(self, rows, a: Element, dmax: int) -> linalg.Matrix:
@@ -503,27 +506,23 @@ def generator_terms(ftgt: FreeModule, images: list, shift: int = 0) -> dict:
 def _extended_blocks(ftgt: FreeModule, fsrc: FreeModule, terms: dict, d: int,
                      tgt_off: np.ndarray, nrow: int, src_off: np.ndarray,
                      side: str | None):
-    """The nonzero blocks of the degree-d matrix of a map, one per term
-    group, as ``linalg.Matrix.placed`` parts: row indices (K, 1, dy),
-    column indices (K, dx, 1) and values (K, dx, dy), entry ((b, i, y),
-    (j, x)) being coordinate y of x * coefficient, where h_i's block
-    starts at row b * nrow + tgt_off[i] and g_j's at column src_off[j].
-    No two blocks share a cell."""
+    """The nonzero entries of the degree-d matrix of a map, one
+    ``linalg.Matrix.placed`` part per term group: one product of the
+    group's coefficients with ``by_right_factor``, entry ((b, i, y), (j,
+    x)) being coordinate y of x * coefficient, where h_i's block starts at
+    row b * nrow + tgt_off[i] and g_j's at column src_off[j].  No two
+    parts share a cell."""
     A, p = ftgt.algebra, ftgt.algebra.p
     for (sj, e), (tg, sg, bt, coef) in terms.items():
         da = d - sj
-        dx, dy = A.dim(da), A.dim(da + e)
-        if not dx * dy:
+        dy = A.dim(da + e)
+        if not A.dim(da) * dy:
             continue
-        # a unit factor (da or e zero) multiplies by the identity
-        mult = A.mult[(da, e)] if da and e else np.eye(
-            dy, dtype=np.int64).reshape(dx, -1, dy)
-        prod = coef @ mult.transpose(1, 0, 2).reshape(coef.shape[1], -1)
-        rows = (bt * nrow + tgt_off[tg])[:, None] + np.arange(dy)
-        cols = (src_off[sg] + (fsrc.algebra.part(side, da).start if side else 0))[:, None] \
-            + np.arange(dx)
-        yield (rows[:, None, :], cols[:, :, None],
-               np.remainder(prod, p, out=prod).reshape(-1, dx, dy))
+        # entry (k, x * dy + y): coordinate y of x * coefficient k
+        k, c, v = linalg.matmul(coef, A.by_right_factor(da, e), p).nonzero()
+        x, y = divmod(c, dy)
+        yield ((bt * nrow + tgt_off[tg])[k] + y,
+               (src_off[sg] + (fsrc.algebra.part(side, da).start if side else 0))[k] + x, v)
 
 
 def extend(ftgt: FreeModule, fsrc: FreeModule, terms: dict, degrees,
@@ -557,21 +556,21 @@ def extend_window(ftgt: FreeModule, fsrc: FreeModule, terms: dict, dmax: int) ->
 # -- subquotients of free modules -------------------------------------------------
 
 
-def _action_tensors(A: GradedAlgebra, free: FreeModule, rows, coords,
-                    embed=lambda el: el) -> dict:
-    """Action tensors of A on a subquotient of ``free`` whose degree-n
+def _action_tables(A: GradedAlgebra, free: FreeModule, rows, coords,
+                   embed=lambda el: el) -> dict:
+    """Action tables of A on a subquotient of ``free`` whose degree-n
     basis is given by the coordinate rows ``rows[n]`` (a
-    ``linalg.Matrix``): slice i of tensor (m, n) holds the images of
-    those rows under basis element i of A_m (through ``embed`` into
-    free's algebra), in the coordinates ``coords(images, m, n)`` returns
-    as an array."""
+    ``linalg.Matrix``): rows i * len(rows[n]) onwards of table (m, n) are
+    the images of those rows under basis element i of A_m (through
+    ``embed`` into free's algebra), in the coordinates ``coords(images,
+    m, n)`` returns as a ``linalg.Matrix``."""
     action = {}
     for m in range(1, A.cap + 1):
         for n in range(A.cap + 1 - m):
             imgs = [coords(free.times(rows[n], embed(A.basis_element(m, i)), n), m, n)
                     for i in range(A.dim(m))]
-            action[(m, n)] = np.array(imgs, dtype=np.int64).reshape(
-                A.dim(m), rows[n].shape[0], rows[n + m].shape[0])
+            action[(m, n)] = (linalg.Matrix.stack(imgs) if imgs
+                              else linalg.Matrix.zeros((0, rows[n + m].shape[0])))
     return action
 
 
@@ -595,13 +594,13 @@ def cokernel_module(phi: AlgMatrix) -> GradedModule:
     def project(rows, d):
         # the pivot rows are zero at each other's pivots, so one product
         # reduces each row
-        return linalg.reduce_rows(rows, *echelon[d], p).columns(free_cols[d]).dense()
+        return linalg.reduce_rows(rows, *echelon[d], p).columns(free_cols[d])
 
     basis = [[labels[c] for c in cols] for labels, cols in
              zip((free.pair_labels(d) for d in range(A.cap + 1)), free_cols)]
     units = [linalg.Matrix.identity(free.dim(n)).columns(cols).T
              for n, cols in enumerate(free_cols)]
-    return GradedModule(A, basis, _action_tensors(
+    return GradedModule(A, basis, _action_tables(
         A, free, units, lambda imgs, m, n: project(imgs, n + m)))
 
 
@@ -718,14 +717,12 @@ def fiber_product_module(R: FiberProductAlgebra, m_mod: GradedModule,
         for n in range(1, R.cap + 1)]
     action = {}
     for (m, n), a in m_r.action.items():
-        b = n_r.action[(m, n)]
-        if n == 0:
-            action[(m, n)] = np.concatenate([a, b], axis=2)
-            continue
-        arr = action[(m, n)] = np.zeros((R.dim(m), a.shape[1] + b.shape[1],
-                                         a.shape[2] + b.shape[2]), dtype=np.int64)
-        arr[:, :a.shape[1], :a.shape[2]] = a
-        arr[:, a.shape[1]:, a.shape[2]:] = b
+        (_, a1, a2), (_, b1, b2) = m_r.table_dims(m, n), n_r.table_dims(m, n)
+        # degree 0 is one copy of V: N's block sits beside M's, not below it
+        b0 = 0 if n == 0 else a1
+        action[(m, n)] = linalg.Matrix.placed_tables(
+            [(a, a1, (0, 0, 0)), (n_r.action[(m, n)], b1, (0, b0, a2))],
+            (R.dim(m), b0 + b1, a2 + b2), R.p)
     return GradedModule(R, basis, action)
 
 
@@ -759,12 +756,12 @@ def submodule_as_gmodule(free: FreeModule, bases: dict[int, np.ndarray],
 
     def coords(imgs, m, n):
         if not imgs.nnz:
-            return np.zeros((imgs.shape[0], rows[n + m].shape[0]), dtype=np.int64)
+            return linalg.Matrix.zeros((imgs.shape[0], rows[n + m].shape[0]))
         if n + m not in elims:
             elims[n + m] = linalg.Elimination(rows[n + m].T, p)
         sol = linalg.solve(elims[n + m], imgs.T, p)
         if sol is None:
             raise ModuleError(f"submodule not closed under action at degrees {(m, n)}")
-        return sol.T.dense()
+        return sol.T
 
-    return GradedModule(A, basis, _action_tensors(A, free, rows, coords, embed))
+    return GradedModule(A, basis, _action_tables(A, free, rows, coords, embed))

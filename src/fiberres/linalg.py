@@ -8,10 +8,13 @@ the storage the result's size asks for, so no caller chooses a form:
 the product ``matmul``, a column or a row selection (``columns``,
 ``rows``), a rectangle (``block``), a row stack (``Matrix.stack``), the
 transpose ``T`` (its entry rows are the columns),
-``side_by_side``, ``reduce_rows`` and the elimination interface below.
-``Matrix.read`` takes an array-like in, ``Matrix.summed`` and
+``side_by_side``, ``reshape`` (the cells read row-major into another
+shape of the same size), ``reduce_rows`` and the elimination interface
+below.  ``Matrix.read`` takes an array-like in, ``Matrix.summed`` and
 ``Matrix.placed`` build a matrix from entry parts (summed, or each cell
-given once), ``nonzero`` gives the entries and ``dense`` (or
+given once), ``Matrix.placed_tables`` a three-axis table (``algebra``'s
+one table storage) from smaller tables at offsets, ``nonzero`` gives the
+entries, ``key`` the bytes of the storage and ``dense`` (or
 ``np.asarray``) a dense copy.  Every function here that takes a matrix
 takes a ``Matrix`` or an array-like.  All reductions use Gaussian
 elimination with the fixed pivot order "first nonzero column, topmost
@@ -42,15 +45,6 @@ once and applied to every right-hand side.  A map with no rows or no
 columns has nothing to eliminate.  A caller that solves many times
 against one map keeps its ``Elimination`` and hands it to ``solve`` in
 place of the map.
-
-Floating point is used in one place: ``matmul_mod`` multiplies reduced
-arrays as float64 through BLAS and reduces once at the end (delayed
-reduction, as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3),
-2008).  Every partial sum of a product with k terms is an integer at
-most k (p - 1)^2, so the product is exact while k (p - 1)^2 < 2^53; past
-that bound ``matmul_mod`` raises ``LinalgError`` instead of rounding.
-Every p is below 2^16, so products of up to 2^21 terms are always
-allowed.  ``matmul`` and elimination stay in int64.
 
 ``Span`` grows a reduced echelon basis one vector at a time: rows stay
 where they were added, and a vector is reduced by one int64 product
@@ -87,7 +81,6 @@ __all__ = [
     "matmul",
     "reduce_rows",
     "inv_mod",
-    "matmul_mod",
     "echelon",
     "pivots",
     "rank",
@@ -97,9 +90,6 @@ __all__ = [
     "Span",
 ]
 
-
-# Every integer of magnitude below 2^53 is a float64.
-FLOAT64_EXACT = 1 << 53
 
 # From this many cells on a Matrix keeps its nonzero entries; below it, a
 # dense int64 block, on which products and reductions take fewer array
@@ -144,6 +134,20 @@ def entries(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
+# shape -> the one Matrix of that shape with no cells.  A product table
+# has a degree of dimension 0 in most of its (m, n) keys (a truncated
+# ring's degrees past its socle, a module's empty degrees), and these
+# share one object per shape; a Matrix is never mutated.
+_NO_CELLS: dict[tuple[int, int], "Matrix"] = {}
+
+
+def _no_cells(shape) -> "Matrix":
+    m = _NO_CELLS.get(shape)
+    if m is None:
+        m = _NO_CELLS[shape] = Matrix(shape, np.zeros(shape, dtype=np.int64), _EMPTY, _EMPTY,
+                                      _EMPTY)
+    return m
+
 
 class Matrix:
     """A matrix over GF(p), entries in [0, p): a dense int64 block below
@@ -166,6 +170,8 @@ class Matrix:
         if isinstance(mat, Matrix):
             return mat
         arr = _matrix(mat)
+        if not arr.size:
+            return _no_cells(arr.shape)
         if arr.size < STORAGE_MIN_CELLS:
             return cls(arr.shape, arr % p)
         r, c = entries(arr)
@@ -177,7 +183,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, shape) -> "Matrix":
-        return _from_entries(_EMPTY, _EMPTY, _EMPTY, shape)
+        shape = (int(shape[0]), int(shape[1]))
+        if not shape[0] * shape[1]:
+            return _no_cells(shape)
+        block = np.zeros(shape, dtype=np.int64) if shape[0] * shape[1] < STORAGE_MIN_CELLS else None
+        return cls(shape, block, _EMPTY, _EMPTY, _EMPTY)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -230,6 +240,40 @@ class Matrix:
         return cls(shape, block)
 
     @classmethod
+    def placed_tables(cls, parts, dims, p: int) -> "Matrix":
+        """A three-axis table of ``dims`` (A, B, C) as the (A * B, C)
+        matrix whose row a * B + b holds cells (a, b, .), built from
+        smaller tables: a part ``(mat, width, (a0, b0, c0))``, ``mat`` the
+        Matrix of a table ``width`` wide on its middle axis, puts its cell
+        (a, b, c) at (a0 + a, b0 + b, c0 + c).  No cell is given twice and
+        the other cells are zero.  A dense part goes in as one block."""
+        A, B, C = dims
+        shape = (A * B, C)
+        if not A * B * C:
+            return _no_cells(shape)
+        if A * B * C >= STORAGE_MIN_CELLS:
+            cells = []
+            for mat, width, (a0, b0, c0) in parts:
+                r, c, v = mat.nonzero()
+                a, b = divmod(r, max(width, 1))
+                cells.append(((a0 + a) * B + b0 + b, c0 + c, v))
+            return cls.summed(cells, shape, p)
+        block = np.zeros(shape, dtype=np.int64)
+        view = block.reshape(A, B, C)
+        for mat, width, (a0, b0, c0) in parts:
+            if not mat.size:
+                continue
+            if mat._block is not None:
+                rows, cols = mat.shape[0] // width, mat.shape[1]
+                view[a0: a0 + rows, b0: b0 + width, c0: c0 + cols] = \
+                    mat._block.reshape(rows, width, cols)
+            else:
+                r, c, v = mat.nonzero()
+                a, b = divmod(r, width)
+                view[a0 + a, b0 + b, c0 + c] = v
+        return cls(shape, block)
+
+    @classmethod
     def stack(cls, parts) -> "Matrix":
         """The matrices in ``parts`` (at least one, all of one width)
         stacked by rows."""
@@ -264,6 +308,14 @@ class Matrix:
             r, c = entries(self._block)
             self._rows, self._cols, self._vals = r, c, self._block[r, c]
         return self._rows, self._cols, self._vals
+
+    def key(self) -> bytes:
+        """The bytes of the matrix in its storage, its dense block or its
+        entry arrays: two matrices of one shape (so of one storage) are
+        equal exactly when their keys are."""
+        if self._block is not None:
+            return self._block.tobytes()
+        return self._rows.tobytes() + self._cols.tobytes() + self._vals.tobytes()
 
     def dense(self) -> np.ndarray:
         """A new dense int64 array of the matrix."""
@@ -338,6 +390,19 @@ class Matrix:
         c = b * k + self._cols
         order = np.argsort(i * shape[1] + c, kind="stable")
         return Matrix(shape, None, i[order], c[order], self._vals[order])
+
+    def reshape(self, shape) -> "Matrix":
+        """The cells read row-major into ``shape``, of the same size: cell
+        (r, c) goes to the cell at flat index r * width + c.  The size, and
+        so the storage, is unchanged, and row-major entries stay
+        row-major."""
+        shape = (int(shape[0]), int(shape[1]))
+        if shape[0] * shape[1] != self.size:
+            raise LinalgError(f"cannot reshape {self.shape} into {shape}")
+        if self._block is not None:
+            return Matrix(shape, self._block.reshape(shape))
+        r, c = divmod(self._rows * self.shape[1] + self._cols, max(shape[1], 1))
+        return Matrix(shape, None, r, c, self._vals)
 
 
 def _from_entries(r, c, v, shape) -> Matrix:
@@ -461,22 +526,6 @@ def inv_mod(x, p: int):
     if table is None:
         table = _INVERSES[p] = _inverse_table(p)
     return table[base].astype(np.int64)
-
-
-def matmul_mod(a, b, p: int) -> np.ndarray:
-    """``a @ b mod p`` for arrays with entries in [0, p), as an int64
-    array: one float64 BLAS product and one final reduction.  Exact
-    while ``a.shape[1] * (p - 1)^2 < 2^53``; a longer product, or an
-    entry outside [0, p), raises LinalgError."""
-    k = np.shape(a)[1]
-    if k * (p - 1) ** 2 >= FLOAT64_EXACT:
-        raise LinalgError(f"float64 product of {k} terms at p = {p} is not exact: "
-                          f"{k} * (p - 1)^2 >= 2^53")
-    for x in (a, b):
-        if np.size(x) and (np.min(x) < 0 or np.max(x) >= p):
-            raise LinalgError(f"matmul_mod needs entries in [0, {p})")
-    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    return np.fmod(prod, p, out=prod).astype(np.int64)
 
 
 def _eliminate(R: np.ndarray, p: int) -> list[int]:

@@ -48,7 +48,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import linalg
-from .algebra import Element, GradedAlgebra
+from .algebra import Element, GradedAlgebra, right_product
 from .gmodule import (FreeModule, GradedModule, extend, extend_window, generator_terms,
                       minimal_generators, submodule_as_gmodule, window_degrees)
 from .series import PowerSeries
@@ -216,7 +216,8 @@ def cover_matrices(algebra: GradedAlgebra, module: GradedModule,
             if da == 0:
                 block = v.reshape(1, -1)
             else:
-                block = np.einsum("ajk,j->ak", module.action[(da, s)], v) % p
+                block = right_product(module.action[(da, s)], module.table_dims(da, s),
+                                      v.reshape(-1, 1), p).dense()
             mat[:, off[j]: off[j] + na] = block.T
         cover[d] = mat
     return cover
@@ -236,8 +237,9 @@ def sharing():
     ``id``; the memo holds the built object, which holds that algebra,
     so no id is reused while its entry lives.  A module enters a
     ``minimal_resolution`` key by content: its basis labels and the
-    exact bytes of every action tensor.  ``dmax`` enters after ``window``
-    defaults it to the algebra's cap.
+    exact bytes of every action table (``linalg.Matrix.key``).  ``dmax`` enters
+    after ``window`` defaults it to the algebra's cap.  A key is built
+    only inside a scope.
 
     Read-only contract: no library code mutates a ``FreeResolution`` or
     an ``extalg._PhiData`` after it is built (only
@@ -261,10 +263,13 @@ def sharing():
 
 def shared(key, build):
     """``build()``, built once per key inside a ``sharing()`` scope and
-    afresh outside one.  A build that raises is not memoized."""
+    afresh outside one.  A callable ``key`` is called for the key, and
+    only inside a scope.  A build that raises is not memoized."""
     memo = _memo.get()
     if memo is None:
         return build()
+    if callable(key):
+        key = key()
     if key not in memo:
         memo[key] = build()
     return memo[key]
@@ -272,7 +277,7 @@ def shared(key, build):
 
 def _module_content(module: GradedModule) -> tuple:
     return (tuple(map(tuple, module.basis)),
-            tuple((k, a.shape, a.tobytes()) for k, a in sorted(module.action.items())))
+            tuple((k, t.shape, t.key()) for k, t in sorted(module.action.items())))
 
 
 def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
@@ -281,8 +286,8 @@ def minimal_resolution(algebra: GradedAlgebra, module: GradedModule, hmax: int,
     ``hmax``, internal degrees through ``dmax``; shared inside a
     ``sharing()`` scope.  Generator k of step i is labelled ``ui_k``."""
     dmax = window(algebra, hmax, dmax)
-    key = ("resolution", id(algebra), _module_content(module), hmax, dmax)
-    return shared(key, lambda: _minimal_resolution(algebra, module, hmax, dmax))
+    return shared(lambda: ("resolution", id(algebra), _module_content(module), hmax, dmax),
+                  lambda: _minimal_resolution(algebra, module, hmax, dmax))
 
 
 def _row_degrees(starts: np.ndarray, rows: linalg.Matrix) -> np.ndarray:

@@ -1,13 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
+from fiberres import linalg
 from fiberres.algebra import (
     AlgebraError,
     Element,
     GradedAlgebra,
     MonomialQuotientPresentation,
     build_monomial_quotient,
+    difference,
     fiber_product,
+    left_product,
+    right_product,
 )
 
 P = 32003
@@ -196,8 +202,8 @@ def test_fiber_product_matches_monomial_model():
         pm = [Q.labels(m).index(lab.split(":", 1)[-1]) for lab in R.labels(m)]
         pn = [Q.labels(n).index(lab.split(":", 1)[-1]) for lab in R.labels(n)]
         po = [Q.labels(m + n).index(lab.split(":", 1)[-1]) for lab in R.labels(m + n)]
-        q = Q.mult[(m, n)][np.ix_(pm, pn, po)]
-        assert np.array_equal(arr, q)
+        q = np.asarray(Q.mult[(m, n)]).reshape(Q.table_dims(m, n))[np.ix_(pm, pn, po)]
+        assert np.array_equal(np.asarray(arr).reshape(R.table_dims(m, n)), q)
 
 
 def project(R, side, el):
@@ -294,17 +300,138 @@ def test_presentation_and_table_checks_raise():
         GradedAlgebra(5, 2, [["1"], ["x"], ["x^2"]], {(1, 1): [[1, 0]]})
 
 
-def test_a_reduced_int64_table_is_kept_and_any_other_is_reduced():
-    """The constructor holds a caller's int64 table with entries in
-    [0, p) as it is, so a large table is not held twice; a list, another
-    dtype or an entry outside [0, p) is reduced into a new array."""
+def test_a_matrix_table_is_kept_and_a_tensor_is_read_mod_p():
+    """The constructor holds a caller's ``linalg.Matrix`` table (rows a *
+    dim n + b) as it is, so a large table is not held twice; a tensor (a
+    list, another dtype or an entry outside [0, p)) is read mod p into a
+    Matrix of the same cells.  A Matrix of another shape is refused."""
     basis = [["1"], ["x", "y"], ["z"]]
     table = np.array([[[1], [4]], [[0], [2]]], dtype=np.int64)
-    A = GradedAlgebra(5, 2, basis, {(1, 1): table})
-    assert A.mult[(1, 1)] is table
-    for other in ([[[1], [4]], [[0], [2]]], table.astype(np.int32), table + 5,
+    mat = linalg.Matrix.read(table.reshape(4, 1), 5)
+    A = GradedAlgebra(5, 2, basis, {(1, 1): mat})
+    assert A.mult[(1, 1)] is mat
+    for other in (table, [[[1], [4]], [[0], [2]]], table.astype(np.int32), table + 5,
                   table - 5):
         B = GradedAlgebra(5, 2, basis, {(1, 1): other})
-        assert B.mult[(1, 1)] is not other
-        assert B.mult[(1, 1)].dtype == np.int64
-        assert B.mult[(1, 1)].tolist() == table.tolist()
+        assert B.mult[(1, 1)].shape == (4, 1)
+        assert np.asarray(B.mult[(1, 1)]).tolist() == [[1], [4], [0], [2]]
+    with pytest.raises(AlgebraError, match=re.escape("has shape (2, 2); expected (2, 2, 1)")):
+        GradedAlgebra(5, 2, basis, {(1, 1): linalg.Matrix.read(table.reshape(2, 2), 5)})
+
+
+# -- every table product against einsum, on both sides of the storage rule --
+
+# Degree dims of a random algebra and module: tables (1, 1) and (3, 0) of
+# the module are dense blocks, (1, 2), (2, 1) and the module's (2, 1) are
+# kept as entries (more than STORAGE_MIN_CELLS = 4096 cells).
+ALG_DIMS, MOD_DIMS = [1, 3, 70, 60], [2, 40, 50, 30]
+
+
+def random_tensor(rng, shape, p, density):
+    return rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+
+
+@pytest.fixture(scope="module", params=[2, 3, 32003])
+def random_tables(request):
+    """A random algebra and module (not associative) over GF(p) with
+    sparse tables, and the tensors they were read from."""
+    from fiberres.gmodule import GradedModule
+    p, rng = request.param, np.random.default_rng(request.param)
+    cap = len(ALG_DIMS) - 1
+    mult = {(m, n): random_tensor(rng, (ALG_DIMS[m], ALG_DIMS[n], ALG_DIMS[m + n]), p, 0.05)
+            for m in range(1, cap) for n in range(1, cap + 1 - m)}
+    A = GradedAlgebra(p, cap, [["1"]] + [[f"a{n}_{i}" for i in range(d)]
+                                         for n, d in enumerate(ALG_DIMS) if n], mult)
+    action = {(m, n): random_tensor(rng, (ALG_DIMS[m], MOD_DIMS[n], MOD_DIMS[m + n]), p, 0.05)
+              for m in range(1, cap + 1) for n in range(cap + 1 - m)}
+    M = GradedModule(A, [[f"v{n}_{i}" for i in range(d)] for n, d in enumerate(MOD_DIMS)],
+                     action)
+    return p, rng, A, M, mult, action
+
+
+def test_the_random_tables_lie_on_both_sides_of_the_storage_rule(random_tables):
+    _, _, A, M, _, _ = random_tables
+    tables = [*A.mult.values(), *M.action.values()]
+    assert {t.size >= linalg.STORAGE_MIN_CELLS for t in tables} == {False, True}
+    assert all(t.kept_dense == (t.size < linalg.STORAGE_MIN_CELLS) for t in tables)
+
+
+def test_table_products_equal_einsum(random_tables):
+    """``left_product``, ``right_product``, ``difference`` and
+    ``by_right_factor`` against einsum on the tensors, two contractions
+    at a time, reduced in between."""
+    p, rng, A, M, mult, action = random_tables
+    for key, tensor, table in [*((k, t, A.mult[k]) for k, t in mult.items()),
+                               *((k, t, M.action[k]) for k, t in action.items())]:
+        dims = tensor.shape
+        left = random_tensor(rng, (4, dims[0]), p, 0.5)
+        right = random_tensor(rng, (dims[1], 3), p, 0.5)
+        want = np.einsum("ia,abc->ibc", left, tensor) % p
+        assert np.array_equal(np.asarray(left_product(table, dims, left, p)),
+                              want.reshape(4, -1)), key
+        want = np.einsum("abc,bn->anc", tensor, right) % p
+        assert np.array_equal(np.asarray(right_product(table, dims, right, p)),
+                              want.reshape(dims[0], -1)), key
+        other = linalg.Matrix.read(random_tensor(rng, table.shape, p, 0.05), p)
+        assert np.array_equal(np.asarray(difference(table, other, p)),
+                              (np.asarray(table) - np.asarray(other)) % p), key
+    for (da, e), tensor in mult.items():
+        want = tensor.transpose(1, 0, 2).reshape(ALG_DIMS[e], -1)
+        assert np.array_equal(np.asarray(A.by_right_factor(da, e)), want), (da, e)
+
+
+def test_element_and_module_products_equal_einsum(random_tables):
+    """``multiply``, ``left_mult_matrix``, ``right_mult_matrix``,
+    ``act_matrix`` and ``act`` against einsum on the tensors."""
+    p, rng, A, M, mult, action = random_tables
+    el = {n: Element(A, n, rng.integers(0, p, size=d)) for n, d in enumerate(ALG_DIMS)}
+    for (m, n), tensor in mult.items():
+        a, b = el[m], el[n]
+        left = np.einsum("i,ijk->jk", a.vec, tensor) % p
+        right = np.einsum("ijk,j->ik", tensor, b.vec) % p
+        assert np.array_equal(np.asarray(A.left_mult_matrix(a, n)), left), (m, n)
+        assert np.array_equal(np.asarray(A.right_mult_matrix(m, b)), right), (m, n)
+        assert np.array_equal((a * b).vec, b.vec @ left % p), (m, n)
+    for (m, n), tensor in action.items():
+        a, vec = el[m], rng.integers(0, p, size=MOD_DIMS[n])
+        act = np.einsum("i,ijk->jk", a.vec, tensor) % p
+        assert np.array_equal(np.asarray(M.act_matrix(a, n)), act), (m, n)
+        degree, image = M.act(a, n, vec)
+        assert degree == m + n and np.array_equal(image, vec @ act % p), (m, n)
+
+
+def test_associativity_checks_equal_einsum(random_tables):
+    """The violating triples of the algebra's and the module's
+    associativity checks are those of the einsum reference."""
+    p, _, A, M, mult, action = random_tables
+    cap = A.cap
+    want = [(l, m, n) for l in range(1, cap - 1) for m in range(1, cap - l)
+            for n in range(1, cap + 1 - l - m)
+            if not np.array_equal(
+                np.einsum("abk,kcd->abcd", mult[(l, m)], mult[(l + m, n)]) % p,
+                np.einsum("bcj,ajd->abcd", mult[(m, n)], mult[(l, m + n)]) % p)]
+    assert A.check_associativity() == want
+    want = [(m1, m2, n) for m1 in range(1, cap) for m2 in range(1, cap + 1 - m1)
+            for n in range(cap + 1 - m1 - m2)
+            if not np.array_equal(
+                np.einsum("abk,kxy->abxy", mult[(m1, m2)], action[(m1 + m2, n)]) % p,
+                np.einsum("bxj,ajy->abxy", action[(m2, n)], action[(m1, m2 + n)]) % p)]
+    assert M.check_associativity() == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("dims, parts", [
+    ((4, 3, 5), [((2, 2, 3), (0, 0, 0)), ((2, 1, 2), (2, 2, 3))]),
+    ((30, 20, 40), [((10, 20, 40), (5, 0, 0)), ((15, 5, 10), (15, 10, 20))]),
+])
+def test_placed_tables_equal_slice_assignment(p, dims, parts):
+    rng = np.random.default_rng(p)
+    want = np.zeros(dims, dtype=np.int64)
+    given = []
+    for shape, (a0, b0, c0) in parts:
+        tensor = random_tensor(rng, shape, p, 0.3)
+        want[a0: a0 + shape[0], b0: b0 + shape[1], c0: c0 + shape[2]] = tensor
+        given.append((linalg.Matrix.read(tensor.reshape(-1, shape[2]), p), shape[1], (a0, b0, c0)))
+    got = linalg.Matrix.placed_tables(given, dims, p)
+    assert got.shape == (dims[0] * dims[1], dims[2])
+    assert np.array_equal(np.asarray(got), want.reshape(got.shape))

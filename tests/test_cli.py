@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from fiberres import cli, cohomology, extalg, resolve
@@ -404,7 +405,7 @@ def test_a_table_entry_is_read_mod_p_as_an_integer(tmp_path, capsys):
     a = write(tmp_path, "a.json", obj)
     assert main(["algebra", "--algebra", a]) == 0
     assert not capsys.readouterr().err
-    assert load_algebra(a).mult[(1, 1)].tolist() == [[[10 ** 30 % 32003]]]
+    assert np.asarray(load_algebra(a).mult[(1, 1)]).tolist() == [[10 ** 30 % 32003]]
 
 
 def test_unknown_module_kind_exits_one(tmp_path):
@@ -680,7 +681,7 @@ AGREEMENT = {
                      (e["ok"], [str(v) for v in e["formula"] + e["direct"]]),
                      (c[0][0] == 0, c[0][1]["data"]["formula"]["coefficients"]
                       + c[0][1]["data"]["direct"]["coefficients"]))),
-    "wordres": ("fail", ["wordres --s S --t T --m M --hmax 4 --dmax 2 "
+    "wordres": ("pass", ["wordres --s S --t T --m M --hmax 4 --dmax 2 "
                          "--verify"],
                 lambda e, c: (
                     (e["ok"], e["counts"], e["first_failure"]),

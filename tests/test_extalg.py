@@ -10,6 +10,7 @@ from fiberres.algebra import (
     MonomialQuotientPresentation,
     build_monomial_quotient,
     fiber_product,
+    right_product,
 )
 from fiberres.extalg import (
     ExtError,
@@ -65,7 +66,7 @@ def test_ext_algebra_of_dual_numbers_is_polynomial():
     # one class per degree and every product of classes is the class
     for m in range(1, 6):
         for n in range(1, 7 - m):
-            assert E.mult[(m, n)].ravel().tolist() == [1]
+            assert np.asarray(E.mult[(m, n)]).ravel().tolist() == [1]
     assert E.check_associativity() == []
 
 
@@ -78,10 +79,10 @@ def test_ext_algebra_of_cubic_hypersurface():
     ]
     # the degree-1 class squares to zero; multiplying by the degree-2
     # class is injective in this window
-    assert E.mult[(1, 1)].ravel().tolist() == [0]
-    assert E.mult[(1, 2)].ravel().tolist() == [1]
-    assert E.mult[(2, 1)].ravel().tolist() == [1]
-    assert E.mult[(2, 2)].ravel().tolist() == [1]
+    assert np.asarray(E.mult[(1, 1)]).ravel().tolist() == [0]
+    assert np.asarray(E.mult[(1, 2)]).ravel().tolist() == [1]
+    assert np.asarray(E.mult[(2, 1)]).ravel().tolist() == [1]
+    assert np.asarray(E.mult[(2, 2)]).ravel().tolist() == [1]
     assert E.check_associativity() == []
 
 
@@ -203,24 +204,29 @@ def test_theta_rejects_module_over_the_wrong_factor():
         verify_theta_iso(R, residue_module(T), 3, 8)
 
 
-def bumped(arrays, key, index):
-    """A copy of the dict or list ``arrays`` whose entry ``key`` is a
-    copy of the array with the coefficient at ``index`` raised by 1."""
+def bumped(arrays, key, index, dims=None):
+    """A copy of the dict or list ``arrays`` whose entry ``key``, a
+    ``linalg.Matrix``, is a copy with the coefficient at ``index`` raised
+    by 1; with ``dims``, the index is into the table read as its (A, B, C)
+    tensor."""
     out = dict(arrays) if isinstance(arrays, dict) else list(arrays)
-    out[key] = out[key].copy()
-    out[key][index] = (out[key][index] + 1) % P
+    arr = np.asarray(out[key])
+    cells = arr.reshape(dims) if dims else arr
+    cells[index] = (cells[index] + 1) % P
+    out[key] = linalg.Matrix.read(arr, P)
     return out
 
 
 def bump_product_table(d):
     d.R_ext = copy.copy(d.R_ext)
-    d.R_ext.mult = bumped(d.R_ext.mult, (1, 1), (0, 1, 0))
+    d.R_ext.mult = bumped(d.R_ext.mult, (1, 1), (0, 1, 0), d.R_ext.table_dims(1, 1))
 
 
 def zero_phi_row(d):
     d.phis = dict(d.phis)
-    d.phis[2] = d.phis[2].copy()
-    d.phis[2][0] = 0
+    arr = np.asarray(d.phis[2])
+    arr[0] = 0
+    d.phis[2] = linalg.Matrix.read(arr, P)
 
 
 def failing_checks(monkeypatch, tamper):
@@ -370,22 +376,25 @@ def test_ext_module_rejects_mismatched_inputs():
         ext_algebra(A, 3, resolution=minimal_resolution(B, residue_module(B), 3))
 
 
-def test_image_products_do_not_wrap_past_the_int64_bound():
+def test_table_products_do_not_wrap_past_the_int64_bound():
     """At p = 65521 a three-operand int64 sum wraps from about 32,792
-    terms of (p - 1)^3; the product check's contraction sums 40,000
-    (a and b of 200 each) and must agree with Python integers."""
+    terms of (p - 1)^3; the product check's two products (``right_product``
+    on the table's middle axis, then the rows of ``left``) sum 40,000
+    terms (a and b of 200 each) and must agree with Python integers."""
     p = 65521
     rng = np.random.default_rng(65521)
     left = rng.integers(p - 50, p, size=(1, 200))
     right = rng.integers(p - 50, p, size=(2, 200))
     tensor = rng.integers(p - 50, p, size=(200, 200, 2))
-    got = extalg._image_products(left, right, tensor, p)
+    table = linalg.Matrix.read(tensor.reshape(-1, 2), p)
+    got = linalg.matmul(left, right_product(table, (200, 200, 2), right.T, p), p)
     L, Rt, T = left.tolist(), right.tolist(), tensor.tolist()
-    ref = [[[sum(L[i][a] * Rt[j][b] * T[a][b][k] for a in range(200) for b in range(200)) % p
-             for k in range(2)] for j in range(2)] for i in range(1)]
-    assert got.tolist() == ref
+    ref = [[sum(L[i][a] * Rt[j][b] * T[a][b][k] for a in range(200) for b in range(200)) % p
+            for j in range(2) for k in range(2)] for i in range(1)]
+    assert np.asarray(got).tolist() == ref
     # the one-shot sum wraps here, so the check above can fail
-    assert not np.array_equal(np.einsum("ia,jb,abk->ijk", left, right, tensor) % p, got)
+    assert not np.array_equal(np.einsum("ia,jb,abk->ijk", left, right, tensor).reshape(1, -1)
+                              % p, np.asarray(got))
 
 
 # -- word images and free-product tables against the letter-by-letter route --
@@ -400,10 +409,10 @@ def reference_word_images(d, induced, seeds, dims, act):
         rows = []
         for w in words:
             ls, (dm, mi) = w if isinstance(induced, FreeProductModule) else (w, (0, 0))
-            deg, vec = dm, seeds[dm][mi]
+            deg, vec = dm, np.asarray(seeds[dm])[mi]
             for t, ldeg, i in reversed(ls):
                 mats = d.sig_mats if t == 0 else d.tau_mats
-                deg, vec = act(Element(d.R_ext, ldeg, mats[ldeg][i]), deg, vec)
+                deg, vec = act(Element(d.R_ext, ldeg, np.asarray(mats[ldeg])[i]), deg, vec)
             rows.append(vec)
         images[n] = np.array(rows, dtype=np.int64).reshape(len(words), dims[n])
     return images
@@ -452,7 +461,7 @@ def one_hot_fpm_tables(fpm):
                         arr[i, j, fpm.word_index(m + n, (u, mpair))] += 1
                     else:
                         dm, mi = mpair
-                        row = module.act_matrix(a.basis_element(x[1], x[2]), dm)[mi]
+                        row = np.asarray(module.act_matrix(a.basis_element(x[1], x[2]), dm))[mi]
                         for k in np.flatnonzero(row):
                             w = (u[:-1], (dm + x[1], int(k)))
                             arr[i, j, fpm.word_index(m + n, w)] += int(row[k])
@@ -461,10 +470,14 @@ def one_hot_fpm_tables(fpm):
 
 
 def assert_same_tables(got, want):
+    """The ``linalg.Matrix``es of ``got`` hold the arrays of ``want``
+    byte for byte: a three-axis (A, B, C) array as the (A * B, C) table."""
     assert got.keys() == want.keys()
     for key in want:
-        assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
-        assert got[key].tobytes() == want[key].tobytes(), key
+        g, w = np.asarray(got[key]), np.asarray(want[key])
+        shape = (w.shape[0] * w.shape[1], w.shape[2]) if w.ndim == 3 else w.shape
+        assert g.dtype == w.dtype and g.shape == shape, key
+        assert g.tobytes() == w.tobytes(), key
 
 
 @pytest.fixture(scope="module", params=[2, 3, 65521])
@@ -510,10 +523,11 @@ def test_word_images_equal_the_letter_by_letter_route(weighted_theta):
 
 def test_word_images_make_one_product_per_first_letter_and_degree(weighted_theta,
                                                                  monkeypatch):
-    """Each degree's words go through one ``matmul_mod`` per first
+    """Each degree's words go through one ``linalg.matmul`` per first
     letter, in ascending degree: the group of the words of degree n led
     by a letter of degree e multiplies their rests' rows (degree n - e)
-    by that letter's matrix."""
+    by that letter's matrix.  The products that build a letter's matrix
+    are not counted."""
     for args, images in weighted_theta[1]:
         induced, dims = args[1], args[3]
         want = []
@@ -524,15 +538,23 @@ def test_word_images_make_one_product_per_first_letter_and_degree(weighted_theta
                 if x is not None:
                     groups[x] = groups.get(x, 0) + 1
             want += [(count, (dims[n - x[1]], dims[n])) for x, count in groups.items()]
-        got, real = [], linalg.matmul_mod
+        got, real, inside = [], linalg.matmul, []
+
+        def letter(*a):
+            inside.append(1)
+            try:
+                return args[4](*a)
+            finally:
+                inside.pop()
 
         def counting(a, b, p):
-            got.append((a.shape[0], b.shape))
+            if not inside:
+                got.append((a.shape[0], b.shape))
             return real(a, b, p)
 
-        monkeypatch.setattr(linalg, "matmul_mod", counting)
-        again = extalg._word_images(*args)
-        monkeypatch.setattr(linalg, "matmul_mod", real)
+        monkeypatch.setattr(linalg, "matmul", counting)
+        again = extalg._word_images(*args[:4], letter)
+        monkeypatch.setattr(linalg, "matmul", real)
         assert got == want
         assert_same_tables(again, images)
 

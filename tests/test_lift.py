@@ -531,7 +531,8 @@ def test_term_read_off_equals_slicing_the_evaluated_stage(weighted):
         fac_res = minimal_resolution(fac, residue_module(fac), 4)
         maps = restriction_chain_map(k_res, fac_res, R, side)
         for n, L in enumerate(evaluated(k_res, fac_res, maps, side=side)):
-            got = extalg._generator_coefficients(maps[n], k_res.frees[n], fac_res.frees[n])
+            got = np.asarray(extalg._generator_coefficients(maps[n], k_res.frees[n],
+                                                            fac_res.frees[n]))
             assert got.tobytes() == slicing_read_off(L, k_res.frees[n],
                                                      fac_res.frees[n]).tobytes(), (side, n)
             nonzero += np.count_nonzero(got)
@@ -539,7 +540,7 @@ def test_term_read_off_equals_slicing_the_evaluated_stage(weighted):
     tgt = minimal_resolution(R, trivial_module(R, 2), 4)
     chain = comparison_chain_map(src, tgt, {0: np.array([[1, 3], [2, 5]]) % p}, 4)
     for n, L in enumerate(evaluated(src, tgt, chain)):
-        got = extalg._generator_coefficients(chain[n], src.frees[n], tgt.frees[n])
+        got = np.asarray(extalg._generator_coefficients(chain[n], src.frees[n], tgt.frees[n]))
         assert got.tobytes() == slicing_read_off(L, src.frees[n], tgt.frees[n]).tobytes(), n
         nonzero += np.count_nonzero(got)
     # the Yoneda tables scatter each batch of duals through its batch column
@@ -549,9 +550,10 @@ def test_term_read_off_equals_slicing_the_evaluated_stage(weighted):
         lifts = [evaluated(k_res, k_res, lift_dual(k_res, k_res, n, b, imax - n), n, s)
                  for b, s in enumerate(k_res.gen_degrees(n))]
         for m in range(1, imax + 1 - n):
-            want = np.zeros_like(tables[(m, n)])
+            want = np.zeros((k_res.rank(m), k_res.rank(n), k_res.rank(m + n)), dtype=np.int64)
             for b, s in enumerate(k_res.gen_degrees(n)):
                 want[:, b] = slicing_read_off(lifts[b][m], k_res.frees[m + n], k_res.frees[m], s)
-            assert tables[(m, n)].tobytes() == (want % p).tobytes(), (m, n)
+            got = np.asarray(tables[(m, n)]).reshape(want.shape)
+            assert got.tobytes() == (want % p).tobytes(), (m, n)
             nonzero += np.count_nonzero(want)
     assert nonzero > 0

@@ -204,48 +204,57 @@ def test_inv_mod_of_an_array_is_entrywise(p):
         linalg.inv_mod(np.array([1, p]), p)
 
 
-# -- the float64 product kernel and typed errors ----------------------------
-
-BIG_P = 65521
-# Longest product the float64 kernel takes at BIG_P: k (p - 1)^2 < 2^53.
-BIG_P_TERMS = (linalg.FLOAT64_EXACT - 1) // (BIG_P - 1) ** 2
+# -- the int64 product, the reshape and typed errors ------------------------
 
 
-def test_matmul_mod_equals_int64_product():
+def test_matmul_equals_the_exact_product_in_both_storages():
+    """``matmul`` is exact int64 at every prime up to 2^16: a dense block
+    product and the summed entry products, on random sparse operands on
+    both sides of the storage rule, and a long product of all p - 1."""
     rng = np.random.default_rng(7)
-    for p in (2, 3, 32003, BIG_P):
-        for m, k, n in ((1, 1, 1), (3, 5, 4), (17, 40, 9), (0, 3, 2), (2, 0, 3)):
-            a = rng.integers(0, p, size=(m, k))
-            b = rng.integers(0, p, size=(k, n))
-            got = linalg.matmul_mod(a, b, p)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, (a @ b) % p)
-    top = np.full((4, 300), BIG_P - 1, dtype=np.int64)
-    assert np.array_equal(linalg.matmul_mod(top, top.T, BIG_P), (top @ top.T) % BIG_P)
+    for p in (2, 3, 32003, 65521):
+        for m, k, n in ((1, 1, 1), (3, 5, 4), (17, 40, 9), (0, 3, 2), (2, 0, 3), (70, 80, 90)):
+            a = rng.integers(0, p, size=(m, k)) * (rng.random((m, k)) < 0.3)
+            b = rng.integers(0, p, size=(k, n)) * (rng.random((k, n)) < 0.3)
+            got = linalg.matmul(a, b, p)
+            assert got.shape == (m, n)
+            assert np.array_equal(np.asarray(got), (a @ b) % p)
+    top = np.full((4, 300), 65520, dtype=np.int64)
+    exact = 300 * 65520 ** 2 % 65521
+    assert np.asarray(linalg.matmul(top, top.T, 65521)).tolist() == [[exact] * 4] * 4
 
 
-def test_matmul_mod_is_exact_at_its_bound():
-    """All entries p - 1 at the longest allowed product: the sum is just
-    below 2^53, and one more term would not be representable."""
-    assert BIG_P_TERMS >= 1 << 21
-    assert BIG_P_TERMS * (BIG_P - 1) ** 2 < linalg.FLOAT64_EXACT
-    a = np.broadcast_to(np.int64(BIG_P - 1), (1, BIG_P_TERMS))
-    got = linalg.matmul_mod(a, a.T, BIG_P)
-    assert got.tolist() == [[BIG_P_TERMS * (BIG_P - 1) ** 2 % BIG_P]]
-
-
-def test_matmul_mod_raises_past_its_bound():
-    a = np.broadcast_to(np.int64(BIG_P - 1), (1, BIG_P_TERMS + 1))
-    with pytest.raises(linalg.LinalgError, match="not exact"):
-        linalg.matmul_mod(a, a.T, BIG_P)
+def test_matmul_raises_a_typed_error_on_shapes_that_do_not_fit():
+    with pytest.raises(linalg.LinalgError, match="cannot multiply"):
+        linalg.matmul(np.zeros((2, 3)), np.zeros((2, 3)), 5)
     assert issubclass(linalg.LinalgError, ValueError)
 
 
-def test_matmul_mod_rejects_unreduced_entries():
-    with pytest.raises(linalg.LinalgError, match=r"\[0, 5\)"):
-        linalg.matmul_mod(np.array([[5]]), np.array([[1]]), 5)
-    with pytest.raises(linalg.LinalgError, match=r"\[0, 5\)"):
-        linalg.matmul_mod(np.array([[1]]), np.array([[-1]]), 5)
+@pytest.mark.parametrize("shape, new", [((6, 4), (3, 8)), ((100, 90), (900, 10)),
+                                        ((64, 64), (1, 4096)), ((0, 5), (5, 0))])
+def test_reshape_reads_the_cells_row_major_in_either_storage(shape, new):
+    rng = np.random.default_rng(3)
+    arr = rng.integers(0, 7, size=shape) * (rng.random(shape) < 0.1)
+    mat = linalg.Matrix.read(arr, 7)
+    got = mat.reshape(new)
+    assert got.shape == new and got.kept_dense == mat.kept_dense
+    want = arr.reshape(new) % 7
+    assert np.array_equal(np.asarray(got), want)
+    r, c, v = got.nonzero()  # entries stay row-major
+    assert [r.tolist(), c.tolist()] == [x.tolist() for x in np.nonzero(want)]
+    assert v.tolist() == want[np.nonzero(want)].tolist()
+    with pytest.raises(linalg.LinalgError, match="cannot reshape"):
+        mat.reshape((shape[0] + 1, shape[1]))
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (100, 90)])
+def test_key_tells_matrices_of_one_shape_apart_in_either_storage(shape):
+    rng = np.random.default_rng(5)
+    arr = rng.integers(0, 7, size=shape) * (rng.random(shape) < 0.1)
+    a, b = linalg.Matrix.read(arr, 7), linalg.Matrix.read(arr + 7, 7)
+    assert a.key() == b.key()
+    arr[0, 0] = (arr[0, 0] + 1) % 7
+    assert linalg.Matrix.read(arr, 7).key() != a.key()
 
 
 def test_normalize_rejects_three_axes():

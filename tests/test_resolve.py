@@ -322,6 +322,7 @@ def test_one_elimination_per_step(monkeypatch):
                         staticmethod(lambda parts: stacks.append(stack(parts)) or stacks[-1]))
     for R, hmax in ((cube_square(), 6), (mono([("x", 1), ("y", 1)], ["x^2", "y^2", "y*x"],
                                                 cap=6, commutative=False), 5)):
+        R.indecomposables  # the ring's own echelons, once per ring, before the count
         calls.clear()
         res = minimal_resolution(R, residue_module(R), hmax)
         assert calls["kernel"] == calls["product echelon"] == calls["reduce_rows"] == hmax
@@ -689,7 +690,8 @@ def test_module_content_is_compared_exactly():
     tensors, and are resolved apart."""
     S = mono([("x", 1)], ["x^2"], cap=4)
     M = algebra_as_module(S)
-    N = GradedModule(S, M.basis, {key: 0 * arr for key, arr in M.action.items()})
+    N = GradedModule(S, M.basis, {key: linalg.Matrix.zeros(arr.shape)
+                                  for key, arr in M.action.items()})
     with sharing():
         rm, rn = minimal_resolution(S, M, 2), minimal_resolution(S, N, 2)
         assert rm is not rn
@@ -701,6 +703,21 @@ def test_no_scope_builds_every_call():
     k = residue_module(S)
     assert minimal_resolution(S, k, 3) is not minimal_resolution(S, k, 3)
     assert shared("key", list) is not shared("key", list)
+
+
+def test_a_content_key_is_built_only_inside_a_scope(monkeypatch):
+    """Outside a ``sharing()`` scope ``minimal_resolution`` reads no
+    module content; inside one it keys each call by it."""
+    S = mono([("x", 1)], ["x^2"], cap=6)
+    k = residue_module(S)
+    read, real = [], resolve._module_content
+    monkeypatch.setattr(resolve, "_module_content", lambda module: read.append(module) or
+                        real(module))
+    minimal_resolution(S, k, 3)
+    assert read == []
+    with sharing():
+        assert minimal_resolution(S, k, 3) is minimal_resolution(S, k, 3)
+    assert read == [k, k]
     with sharing():
         assert shared("key", list) is shared("key", list)
 

@@ -112,6 +112,21 @@ def test_words_above_the_cap_pass_verification():
     assert "d3 o d4 = 0" in [c["name"] for c in rep.checks]
 
 
+def test_words_above_dmax_are_left_out_of_the_direct_comparison():
+    # at cap 3 the words of bidegrees (4, 4) and (5, 5) lie above dmax 3,
+    # where the direct resolution stops; both tables are exact at the
+    # internal degrees <= 3, and only there are they compared
+    S = mono([("x", 1)], ["x^2"], cap=3)
+    T = mono([("y", 1)], ["y^2"], cap=3)
+    G = build_word_resolution(S, T, residue_module(S), 5)
+    assert G.dmax == 3
+    assert {key: n for key, n in G.betti().items() if key[1] > 3} == {(4, 4): 14, (5, 5): 26}
+    rep = verify_word_resolution(G, compare_direct=True)
+    assert rep.ok, rep.first_failure()
+    check = next(c for c in rep.checks if c["name"] == "ranks match direct minimal resolution")
+    assert check["detail"].endswith("words [((0, 0), 1), ((1, 1), 2), ((2, 2), 4), ((3, 3), 8)]")
+
+
 def test_build_mixed_pair_and_module():
     S = mono([("x", 1)], ["x^3"])
     T = mono([("y", 1)], ["y^2"])
