@@ -295,13 +295,12 @@ def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,
 
 
 def _include_factor(fp: FreeProductAlgebra, side: int, el: Element) -> Element:
-    """A positive-degree factor element as a combination of
-    single-letter words of the free product (side 0 = first factor)."""
+    """A factor element as a combination of single-letter words of the
+    free product (side 0 = first factor); in degree 0, of the unit."""
     if el.degree == 0:
         return Element(fp, 0, el.vec.copy())
     vec = np.zeros(fp.dim(el.degree), dtype=np.int64)
-    for i in np.flatnonzero(el.vec):
-        vec[fp.word_index(el.degree, ((side, el.degree, int(i)),))] = int(el.vec[i])
+    vec[fp.table.singles(side, el.degree)] = el.vec
     return Element(fp, el.degree, vec)
 
 
@@ -481,17 +480,12 @@ class DepthCertificate:
         }
 
 
-def _letter_element(fp: FreeProductAlgebra, letter: tuple) -> Element:
-    deg = letter[1]
-    vec = np.zeros(fp.dim(deg), dtype=np.int64)
-    vec[fp.word_index(deg, (letter,))] = 1
-    return Element(fp, deg, vec)
-
-
 def _act_letters(fp, module, letters, deg, vec):
-    """Left action of a word of letters, rightmost first."""
-    for x in reversed(letters):
-        deg, vec = module.act(_letter_element(fp, x), deg, vec)
+    """Left action of a word of letters (side, degree, index), rightmost
+    first."""
+    for t, n, i in reversed(letters):
+        letter = (fp.factor_a, fp.factor_b)[t].basis_element(n, i)
+        deg, vec = module.act(_include_factor(fp, t, letter), deg, vec)
     return deg, vec
 
 
@@ -570,27 +564,20 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
 
     sig, the = (0, 1, 0), (1, 1, 0)
     chosen = {"sigma": s_ext.labels(1)[0], "theta": t_ext.labels(1)[0]}
-    mu_pair = ((), (0, 0))
-    mu_idx = fpm.words[0].index(mu_pair)
-    chosen["mu"] = fpm.labels(0)[mu_idx]
+    # mu and mu' are the first module elements of degrees 0 and 1 alone,
+    # word 0 of their degrees: a seed alone is the word of its seed's index
+    chosen["mu"] = fpm.labels(0)[0]
     if case == "module-not-free":
-        mu2_pair = ((), (1, 0))
-        mu2_idx = fpm.words[1].index(mu2_pair)
-        chosen["mu'"] = fpm.labels(1)[mu2_idx]
+        chosen["mu'"] = fpm.labels(1)[0]
     if case == "second-factor-ext2":
         chosen["theta'"] = t_ext.labels(2)[0]
     if case == "first-factor-ext2":
         chosen["sigma'"] = s_ext.labels(2)[0]
 
-    def start_mu():
-        vec = np.zeros(fpm.dim(0), dtype=np.int64)
-        vec[mu_idx] = 1
-        return 0, vec
-
-    def start_mu2():
-        vec = np.zeros(fpm.dim(1), dtype=np.int64)
-        vec[mu2_idx] = 1
-        return 1, vec
+    def start(deg):  # mu (degree 0) or mu' (degree 1)
+        vec = np.zeros(fpm.dim(deg), dtype=np.int64)
+        vec[0] = 1
+        return deg, vec
 
     witnesses = []
     gens1 = C.gen_degrees(1)
@@ -613,17 +600,17 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
             if case == "module-not-free":
                 a_letters = [the, sig] * (j - 1) + [the]
                 b_letters = [sig, the] * (j - 1)
-                a_start, b_start = start_mu(), start_mu2()
+                a_start, b_start = start(0), start(1)
             elif case == "second-factor-ext2":
                 the2 = (1, 2, 0)
                 a_letters = [the, sig] * (j - 1) + [the2]
                 b_letters = [sig, the] * j
-                a_start, b_start = start_mu(), start_mu()
+                a_start, b_start = start(0), start(0)
             else:
                 sig2 = (0, 2, 0)
                 a_letters = [the, sig] * j + [the]
                 b_letters = [sig, the] * (j - 1) + [sig2, the]
-                a_start, b_start = start_mu(), start_mu()
+                a_start, b_start = start(0), start(0)
             da = a_start[0] + sum(x[1] for x in a_letters)
             db = b_start[0] + sum(x[1] for x in b_letters)
             if da != db:

@@ -25,22 +25,19 @@ algebra degree 0.
 ``ext_algebra`` tabulates the Yoneda algebra Ext(k, k) on the dual basis
 of a minimal free resolution of the residue field; ``ext_module`` does
 the same for Ext(M, k) as a left module.  ``free_product`` builds the
-coproduct of two such algebras on the alternating-word basis, placing
-each concatenation by index and reading a merged boundary letter as a
-row of its factor's table; ``free_product_module`` builds the module
-induced along it the same way.  Every table here is built straight
-into ``algebra``'s one table storage from its nonzero cells
-(``_dual_tensor``, ``_placed``), and the induced map's images are
-``linalg.Matrix``es placed from their entries, so an Ext table, almost
-all zeros, holds its entries only: at hmax 12 on k[x]/(x^2) x_k
-k[y]/(y^2), ``verify_phi_iso`` runs in about 50 MB where dense tables
-took about 4 GB.  For a fiber product R and a module M
-over its first factor, Ext_R(M, k) is the module induced from
-Ext_S(M, k) along that coproduct; one check body, ``_verify_induced``,
-tests this degree by degree and product by product, on an induced map
-that ``_word_images`` builds in suffix form: in ascending degree, a
-word is its first letter's matrix applied to the row already built for
-the rest of the word, one product per (degree, first letter).
+coproduct of two such algebras, and ``free_product_module`` the module
+induced along it, each on a ``wordres.WordTable`` of alternating words,
+their tables by one suffix-form recursion (``_word_products``) that
+differs between the two only at the seed.  Every table here is built
+straight into ``algebra``'s one table storage from its nonzero cells,
+and the induced map's images are ``linalg.Matrix``es placed from their
+entries, so an Ext table, almost all zeros, holds its entries only.
+For a fiber product R and a module M over its first factor, Ext_R(M, k)
+is the module induced from Ext_S(M, k) along that coproduct; one check
+body, ``_verify_induced``, tests this degree by degree and product by
+product, on an induced map that ``_word_images`` builds in suffix form
+too: a word is its first letter's matrix applied to the row already
+built for the rest of the word, one product per (degree, first letter).
 ``verify_theta_iso`` runs it for M; ``verify_phi_iso`` is its M = k
 case, where the induced module is the free product itself, plus a
 tensor-product control and the second factor's restriction.
@@ -60,7 +57,7 @@ from .gmodule import (FreeModule, GradedModule, extend, generator_terms, residue
 from .resolve import (ComplexReport, FreeResolution, WindowError, minimal_resolution,
                       shared, window)
 from .series import coproduct_module_series
-from .wordres import Letter, alternating_words, assemble_word_complex
+from .wordres import WordTable, assemble_word_complex
 
 
 class ExtError(RuntimeError):
@@ -298,60 +295,69 @@ def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
 # -- free products on the alternating-word basis -----------------------------
 
 
-def _fp_letters(a: GradedAlgebra, b: GradedAlgebra, cap: int) -> list[tuple]:
-    """(side, degree, letter) triples of the positive-degree basis
-    elements of the two factors; a letter is (side, degree, index)."""
-    return [(t, deg, (t, deg, i)) for t, alg in ((0, a), (1, b))
-            for deg in range(1, cap + 1) for i in range(alg.dim(deg))]
+def _letter_times(factors: tuple, table: WordTable, x: int, k: int, module) -> list:
+    """(word, target, value) cells of letter x times the words of
+    ``table`` of degree k: x is prepended where it may precede; it merges
+    with a first letter y of its side through row (x, y) of that factor's
+    table, read once; and at a seed it may not precede, an element of
+    ``module`` alone, it acts through a row of the module's action."""
+    t, w, i = table.letters[x]
+    up = table.prepend(x, k, slice(None))
+    words, blocked = np.flatnonzero(up >= 0), np.flatnonzero(up < 0)
+    cells = [(words, up[words], np.ones(words.size, dtype=np.int64))]
+    if not blocked.size:
+        return cells
+    lead, alg = table.first[k][blocked], factors[t]
+    for y in np.unique(lead[lead >= 0]).tolist():
+        vs = blocked[lead == y]
+        _, wy, iy = table.letters[y]
+        rows, zs, cs = alg.mult[(w, wy)].nonzero()
+        at = rows == i * alg.dim(wy) + iy
+        for z, c in zip(zs[at].tolist(), cs[at].tolist()):
+            cells.append((vs, table.prepend(table.letter(t, w + wy, z), k - wy, table.rest[k][vs]),
+                          np.full(vs.size, c)))
+    seeds = blocked[lead < 0]
+    if seeds.size:
+        r, c, v = module.action[(w, k)].rows(i * module.dim(k) + table.rest[k][seeds]).nonzero()
+        cells.append((seeds[r], c, v))   # onto the seeds alone, at their seeds' indices
+    return cells
 
 
-def _fp_words(a: GradedAlgebra, b: GradedAlgebra, cap: int) -> list[list]:
-    """Alternating words in positive-degree basis letters of the two
-    factors, bucketed by total degree and sorted (length, letters)."""
-    buckets = alternating_words([(0, None)], _fp_letters(a, b, cap), cap)
-    return [sorted((ls for ls, _ in ws), key=lambda w: (len(w), w))
-            for ws in buckets]
-
-
-def _fp_letter_label(a: GradedAlgebra, b: GradedAlgebra, x: tuple) -> str:
-    alg = a if x[0] == 0 else b
-    return f"{'S' if x[0] == 0 else 'T'}:{alg.labels(x[1])[x[2]]}"
-
-
-def _fp_product(a: GradedAlgebra, b: GradedAlgebra, u: tuple, v: tuple):
-    """Concatenate, merging the boundary letters inside their common
-    factor when they share one; a single merge keeps words alternating.
-    A merged letter's coefficients are a slice of that factor's
-    (reduced) product table."""
-    x, y = u[-1], v[0]
-    if x[0] != y[0]:
-        return [(u + v, 1)]
-    alg = a if x[0] == 0 else b
-    ks, cs = _row(alg.mult[(x[1], y[1])], x[2] * alg.dim(y[1]) + y[2])
-    return [(u[:-1] + ((x[0], x[1] + y[1], k),) + v[1:], c)
-            for k, c in zip(ks.tolist(), cs.tolist())]
-
-
-def _row(mat: linalg.Matrix, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns and values of the nonzero entries of row r of ``mat``:
-    a slice of its row-major entries, which the matrix keeps once read."""
-    rows, cols, vals = mat.nonzero()
-    start, stop = np.searchsorted(rows, [r, r + 1])
-    return cols[start:stop], vals[start:stop]
-
-
-def _placed(dims: tuple, cells: list, p: int) -> linalg.Matrix:
-    """The table of ``dims`` (A, B, C) holding the coefficient of each
-    (a, b, c, coefficient) cell, placed from the cells; no cell
-    repeats."""
-    A, B, C = dims
-    i, j, k, c = np.array(cells, dtype=np.int64).reshape(-1, 4).T
-    return linalg.Matrix.placed([(i * B + j, k, c)], (A * B, C), p)
+def _word_products(factors: tuple, left: WordTable, right: WordTable, n_min: int, p: int,
+                   module: GradedModule | None = None) -> dict:
+    """Tables (m, n), m >= 1, n >= ``n_min``, m + n <= left.cap, of the
+    free product's words (``left``) times the words of ``right`` (its
+    own, or those induced on ``module``'s basis), in suffix form: x.u
+    times v is x times u.v, ``_letter_times`` for u = 1, else a cell of
+    table (m - |x|, n), which starts from the other side than x and
+    takes x by the prepend lookup."""
+    tables = {}
+    for m in range(1, left.cap + 1):
+        for n in range(n_min, left.cap + 1 - m):
+            width, cells = right.first[n].size, []
+            for x, (_, w, _) in enumerate(left.letters):
+                if w > m:
+                    continue
+                heads = left.prepend(x, m - w, slice(None))
+                if w == m:
+                    cells += [(heads[0] * width + v, c, val)
+                              for v, c, val in _letter_times(factors, right, x, n, module)]
+                else:
+                    r, c, val = tables[(m - w, n)].nonzero()
+                    u, v = np.divmod(r, max(width, 1))
+                    u = heads[u]
+                    keep = u >= 0
+                    cells.append((u[keep] * width + v[keep], right.prepend(x, m - w + n, c[keep]),
+                                  val[keep]))
+            tables[(m, n)] = linalg.Matrix.placed(
+                cells, (left.first[m].size * width, right.first[m + n].size), p)
+    return tables
 
 
 class FreeProductAlgebra(GradedAlgebra):
     """Coproduct of two connected graded algebras on the basis of
-    alternating words in their positive-degree basis elements."""
+    alternating words in their positive-degree basis elements:
+    ``table``, whose one seed is the unit."""
 
     def __init__(self, a: GradedAlgebra, b: GradedAlgebra, cap: int):
         if a.p != b.p:
@@ -360,41 +366,16 @@ class FreeProductAlgebra(GradedAlgebra):
         if not 0 <= cap <= min(a.cap, b.cap):
             raise ExtError(f"free product cap {cap} outside "
                            f"0..{min(a.cap, b.cap)}")
-        self.factor_a = a
-        self.factor_b = b
-        words = _fp_words(a, b, cap)
-        self.words = words
-        self._index = [{w: i for i, w in enumerate(ws)} for ws in words]
-        basis = [["1"]] + [
-            [".".join(_fp_letter_label(a, b, x) for x in w) for w in ws]
-            for ws in words[1:]
-        ]
-        mult = {}
-        for m in range(1, cap):
-            for n in range(1, cap + 1 - m):
-                index = self._index[m + n]
-                mult[(m, n)] = _placed(
-                    (len(words[m]), len(words[n]), len(index)),
-                    [(i, j, index[w], c) for i, u in enumerate(words[m])
-                     for j, v in enumerate(words[n]) for w, c in _fp_product(a, b, u, v)], a.p)
-        generators = {}
-        for d in range(1, cap + 1):
-            for i, w in enumerate(words[d]):
-                if len(w) == 1:
-                    generators[basis[d][i]] = (d, i)
-        super().__init__(a.p, cap, basis, mult, generators)
-
-    def word_index(self, degree: int, word: tuple) -> int:
-        return self._index[degree][word]
-
-    def split(self, degree: int, word: tuple) -> tuple:
-        """(first letter, index of the rest among the basis words of its
-        degree) of a degree-``degree`` word; the empty word, the unit,
-        gives (None, 0), the unit's index in k."""
-        if not word:
-            return None, 0
-        x = word[0]
-        return x, self._index[degree - x[1]][word[1:]]
+        self.factor_a, self.factor_b = a, b
+        self.letter_counts = [[0] + [alg.dim(n) for n in range(1, cap + 1)] for alg in (a, b)]
+        self.table = WordTable(self.letter_counts, [1], cap)
+        self.letter_labels = [f"{'ST'[t]}:{(a, b)[t].labels(w)[i]}"
+                              for t, w, i in self.table.letters]
+        basis = [["1"]] + self.table.labels(self.letter_labels, [[None]])[1:]
+        generators = {basis[w][j]: (w, j) for w in range(1, cap + 1) for t in (0, 1)
+                      for j in self.table.singles(t, w).tolist()}
+        super().__init__(a.p, cap, basis, _word_products((a, b), self.table, self.table, 1, a.p),
+                         generators)
 
 
 def free_product(a: GradedAlgebra, b: GradedAlgebra,
@@ -407,60 +388,19 @@ def free_product(a: GradedAlgebra, b: GradedAlgebra,
 class FreeProductModule(GradedModule):
     """Module induced along factor A of a free product: basis words
     (letters, module element) whose letters alternate and end, if any,
-    with a letter from factor B; A-letters reaching the module element
-    are absorbed through the A-action."""
+    with a letter from factor B (``table``, whose seeds are the module's
+    basis elements); A-letters reaching the module element are absorbed
+    through the A-action."""
 
     def __init__(self, fp: FreeProductAlgebra, module: GradedModule):
-        a, b = fp.factor_a, fp.factor_b
-        if module.algebra is not a:
+        if module.algebra is not fp.factor_a:
             raise ExtError("module must be over the free product's first factor")
-        cap = fp.cap
+        degrees = range(fp.cap + 1)
         self.factor_module = module
-        seeds = [(dm, (dm, mi)) for dm in range(cap + 1)
-                 for mi in range(module.dim(dm))]
-        words = [sorted(ws, key=lambda w: (len(w[0]), w[0], w[1])) for ws in
-                 alternating_words(seeds, _fp_letters(a, b, cap), cap, first=1)]
-        self.words = words
-        self._index = [{w: i for i, w in enumerate(ws)} for ws in words]
-
-        def label(w):
-            ls, (dm, mi) = w
-            head = ".".join(_fp_letter_label(a, b, x) for x in ls)
-            tail = module.labels(dm)[mi]
-            return f"{head}.{tail}" if head else tail
-
-        action = {}
-        for m in range(1, cap + 1):
-            for n in range(cap + 1 - m):
-                index, cells = self._index[m + n], []
-                for i, u in enumerate(fp.words[m]):
-                    x = u[-1]
-                    for j, (ls, mpair) in enumerate(words[n]):
-                        if ls:
-                            cells.extend((i, j, index[(w, mpair)], c)
-                                         for w, c in _fp_product(a, b, u, ls))
-                        elif x[0] == 1:
-                            cells.append((i, j, index[(u, mpair)], 1))
-                        else:
-                            dm, mi = mpair
-                            ks, cs = _row(module.action[(x[1], dm)], x[2] * module.dim(dm) + mi)
-                            cells.extend((i, j, index[(u[:-1], (dm + x[1], k))], c)
-                                         for k, c in zip(ks.tolist(), cs.tolist()))
-                action[(m, n)] = _placed((fp.dim(m), len(words[n]), len(index)), cells, fp.p)
-        super().__init__(fp, [[label(w) for w in ws] for ws in words], action)
-
-    def word_index(self, degree: int, word: tuple) -> int:
-        return self._index[degree][word]
-
-    def split(self, degree: int, word: tuple) -> tuple:
-        """(first letter, index of the rest among the basis words of its
-        degree) of a degree-``degree`` word with letters; (None, the
-        module element's index in its degree) for a word without."""
-        ls, (dm, mi) = word
-        if not ls:
-            return None, mi
-        x = ls[0]
-        return x, self._index[degree - x[1]][(ls[1:], (dm, mi))]
+        self.table = WordTable(fp.letter_counts, [module.dim(n) for n in degrees], fp.cap, 1)
+        super().__init__(fp, self.table.labels(fp.letter_labels, [module.labels(n) for n in degrees]),
+                         _word_products((fp.factor_a, fp.factor_b), fp.table, self.table, 0, fp.p,
+                                        module))
 
 
 def free_product_module(fp: FreeProductAlgebra,
@@ -491,7 +431,6 @@ def _build_phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
     d.F = minimal_resolution(d.T, residue_module(d.T), hmax, dmax)
     d.P = d.E  # the module the word resolution resolves is k itself
     d.G = assemble_word_complex(R, d.E, d.F, d.P, hmax, dmax)
-    d.gidx = [{w: i for i, w in enumerate(ws)} for ws in d.G.words]
     d.S_ext = ext_algebra(d.S, hmax, dmax, resolution=d.E)
     d.T_ext = ext_algebra(d.T, hmax, dmax, resolution=d.F)
     d.R_ext = ext_algebra(R, hmax, dmax, resolution=d.G)
@@ -512,67 +451,58 @@ def _word_images(d: _PhiData, induced, seeds: list, dims: list, letter_matrix) -
     """The induced map on the basis words of ``induced`` (the free
     product or an induced module), one ``linalg.Matrix`` per degree n
     with one row per word and ``dims[n]`` columns, built in ascending
-    degree and placed from its entries.  A word without letters is its
-    module element's image, a row of the Matrix ``seeds[n]``.  A word
-    with letters is its first letter's restriction image acting, through
-    ``letter_matrix`` (as ``act_matrix``), on the row already built for
-    the rest of the word, a basis word of lower degree
-    (``induced.split``).  The words of one degree that share their first
-    letter go through one ``linalg.matmul``."""
-    p, images = d.R.p, {}
-    for n, words in enumerate(induced.words):
-        parts, groups = [], {}
-        for r, w in enumerate(words):
-            x, i = induced.split(n, w)
-            if x is None:
-                cols, vals = _row(seeds[n], i)
-                parts.append((np.full(cols.size, r), cols, vals))
-            else:
-                rows, rests = groups.setdefault(x, ([], []))
-                rows.append(r)
-                rests.append(i)
-        for (t, deg, i), (rows, rests) in groups.items():
+    degree and placed from its entries.  A seed alone is its module
+    element's image, a row of the Matrix ``seeds[n]``.  A word x.r is the
+    restriction image of x acting, through ``letter_matrix`` (as
+    ``act_matrix``), on the row already built for r: the words of one
+    degree led by one letter go through one ``linalg.matmul``."""
+    p, images, table = d.R.p, {}, induced.table
+    for n, (first, rest) in enumerate(zip(table.first, table.rest)):
+        parts, alone = [], np.flatnonzero(first < 0)
+        if alone.size:
+            r, c, v = seeds[n].rows(rest[alone]).nonzero()
+            parts.append((alone[r], c, v))
+        for x in np.unique(first[first >= 0]).tolist():
+            t, deg, i = table.letters[x]
             vec = (d.sig_mats if t == 0 else d.tau_mats)[deg].rows([i]).dense()[0]
+            rows = np.flatnonzero(first == x)
             # ``rows`` takes increasing indices: the rests go sorted, their words with them
-            order = np.argsort(rests)
-            pr, pc, pv = linalg.matmul(images[n - deg].rows(np.asarray(rests)[order]),
+            order = np.argsort(rest[rows])
+            pr, pc, pv = linalg.matmul(images[n - deg].rows(rest[rows][order]),
                                        letter_matrix(Element(d.R_ext, deg, vec), n - deg),
                                        p).nonzero()
-            parts.append((np.asarray(rows)[order][pr], pc, pv))
-        images[n] = linalg.Matrix.placed(parts, (len(words), dims[n]), p)
+            parts.append((rows[order][pr], pc, pv))
+        images[n] = linalg.Matrix.placed(parts, (first.size, dims[n]), p)
     return images
 
 
-def _concatenation_failures(d: _PhiData, tensors: dict, G, gidx: list,
-                            tmax: int) -> list[tuple]:
+def _concatenation_failures(d: _PhiData, tensors: dict, G, tmax: int) -> list[tuple]:
     """Letter duals that do not act by concatenation on the duals of
     G's basis words, for each table (j, n) of total degree <= tmax: the
-    dual of an F letter is tested on words led by E or P, the dual of an
-    E letter (its P letter in the word resolution of k) on the rest.
-    Failures are (letter tag, j, letter index, n, word index)."""
-    p0 = Letter("P", 0, 0, d.P.gen_degrees(0)[0])
+    dual of each letter x of step j, an F letter or an E letter (the
+    dual of its P letter in the word resolution of k), is tested on the
+    words x may precede.  Failures are (letter tag, j, letter index, n,
+    word index), by word."""
     bad = []
     for j, n in sorted(key for key in tensors if sum(key) <= tmax):
-        table, width = tensors[(j, n)], G.rank(n)
-        for wi, w in enumerate(G.words[n]):
-            f_lead = w[0].tag in ("E", "P")
-            res = d.F if f_lead else d.E
-            for a, deg in enumerate(res.gen_degrees(j)):
-                if f_lead:
-                    x = Letter("F", j, a, deg)
-                    xi = d.gidx[j][(x, p0)]
-                else:
-                    x = Letter("E", j, a, deg)
-                    xi = d.gidx[j][(Letter("P", j, a, deg),)]
-                if not _is_dual(*_row(table, xi * width + wi), gidx[j + n][(x,) + w]):
-                    bad.append(("f" if f_lead else "e", j, a, n, wi))
+        table, width, fails = tensors[(j, n)], G.rank(n), []
+        for t, duals in ((1, d.G.table.singles(1, j)), (0, np.arange(d.E.rank(j)))):
+            tgt = np.array([G.table.prepend(G.table.letter(t, j, a), n, slice(None))
+                            for a in range(duals.size)]).reshape(duals.size, width)
+            a, wi = np.nonzero(tgt >= 0)
+            at = _not_duals(table, duals[a] * width + wi, tgt[a, wi])
+            fails += zip(wi[at].tolist(), a[at].tolist(), "ef"[t] * at.size)
+        bad += [(tag, j, a, n, wi) for wi, a, tag in sorted(fails)]
     return bad
 
 
-def _is_dual(cols: np.ndarray, vals: np.ndarray, i: int) -> bool:
-    """Whether the row with nonzero entries ``vals`` at ``cols`` is the
-    dual of basis element i."""
-    return cols.size == 1 and cols[0] == i and vals[0] == 1
+def _not_duals(mat: linalg.Matrix, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The positions in ``rows`` whose row of ``mat`` is not the dual of
+    its basis element ``targets``: one nonzero entry, a 1 in that column."""
+    r, c, v = mat.nonzero()
+    start, stop = np.searchsorted(r, rows), np.searchsorted(r, rows, side="right")
+    c, v = np.append(c, -1), np.append(v, 0)  # a row past the last entry reads (-1, 0)
+    return np.flatnonzero((stop - start != 1) | (c[start] != targets) | (v[start] != 1))
 
 
 def _products_degree(products_to: int, hmax: int, first: int) -> int:
@@ -597,14 +527,14 @@ def _verify_induced(d: _PhiData, *, first: int, tmax: int, key: str, names: tupl
     ``first``.  Rows in order: the dims of ``induced`` against ``direct``,
     G and the coproduct series (``names[0:3]``, filed under ``key``); each
     control (key, name, label, dims), which must differ from Ext; each
-    restriction (name, matrices, word), whose rows must be word duals;
+    restriction (name, matrices, words), whose rows must be the duals of
+    the G words ``words(n)``;
     concatenation (``names[3]``); bijectivity by rank; and, through total
     degree ``tmax``, that the map carries ``induced_tensors`` to
     ``tensors`` (``names[4]``).  Failing rank and product rows name the
     first offender."""
     p, hmax = d.R.p, G.hmax
     rep = ComplexReport()
-    gidx = [{w: i for i, w in enumerate(ws)} for ws in G.words]
     dims = [induced.dim(n) for n in range(hmax + 1)]
     ext = [direct.rank(n) for n in range(hmax + 1)]
     series = coproduct_module_series(
@@ -617,11 +547,11 @@ def _verify_induced(d: _PhiData, *, first: int, tmax: int, key: str, names: tupl
         n = next((n for n in range(hmax + 1) if c[n] != ext[n]), None)
         rep.add(name, n is not None, f"first mismatch at n={n}: {label} {c[n]} vs {ext[n]}"
                 if n is not None else f"{label} dims agree through the window")
-    for name, mats, word in restrictions:
-        bad = [(n, a) for n in range(first, hmax + 1) for a in range(mats[n].shape[0])
-               if not _is_dual(*_row(mats[n], a), gidx[n][word(n, a)])]
+    for name, mats, words in restrictions:
+        bad = [(n, a) for n in range(first, hmax + 1) for a in
+               _not_duals(mats[n], np.arange(mats[n].shape[0]), words(n)).tolist()]
         rep.add(name, not bad, f"failures {bad[:5]}" if bad else "")
-    bad = _concatenation_failures(d, tensors, G, gidx, tmax)
+    bad = _concatenation_failures(d, tensors, G, tmax)
     rep.add(f"{names[3]} (total degree <= {tmax})", not bad,
             f"failures {bad[:5]}" if bad else "")
 
@@ -669,7 +599,6 @@ def verify_phi_iso(R: FiberProductAlgebra, hmax: int, dmax: int | None = None,
     dmax = window(R, hmax, dmax)
     d = _phi_setup(R, hmax, dmax)
     tensor_dims = (d.S_ext.hilbert_series() * d.T_ext.hilbert_series()).coeffs
-    p0 = Letter("P", 0, 0, d.P.gen_degrees(0)[0])
     return _verify_induced(
         d, first=1, tmax=tmax, key="free_product",
         names=("free product dims = Ext dims (direct resolution)",
@@ -682,9 +611,9 @@ def verify_phi_iso(R: FiberProductAlgebra, hmax: int, dmax: int | None = None,
         tensors=d.R_ext.mult, images=d.phis,
         restrictions=[
             ("restriction to the first factor fixes dual generators", d.sig_mats,
-             lambda n, a: (Letter("P", n, a, d.E.gen_degrees(n)[a]),)),
+             lambda n: np.arange(d.E.rank(n))),
             ("restriction to the second factor fixes dual generators", d.tau_mats,
-             lambda n, b: (Letter("F", n, b, d.F.gen_degrees(n)[b]), p0))],
+             lambda n: d.G.table.singles(1, n))],
         controls=[("tensor_control", "tensor-product control disagrees somewhere",
                    "tensor", tensor_dims)])
 
@@ -724,7 +653,7 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
         G=GM, induced=FPM, induced_tensors=FPM.action, m_ext=M_ext,
         tensors=MR_ext.action, images=thetas,
         restrictions=[("restriction to the first factor fixes module dual generators",
-                       mats_m, lambda n, b: (Letter("P", n, b, PM.gen_degrees(n)[b]),))])
+                       mats_m, lambda n: np.arange(PM.rank(n)))])
 
 
 # -- Koszul diagonal test ----------------------------------------------------

@@ -220,19 +220,27 @@ def free_module_table(algebra: GradedAlgebra, gen_degrees: list[int]) -> GradedM
 def restrict_to_fiber(R: FiberProductAlgebra, module: GradedModule,
                       side: str) -> GradedModule:
     """View a module over one factor as a module over the fiber product:
-    the other factor's augmentation ideal acts by zero."""
+    the other factor's augmentation ideal acts by zero.  Built once per
+    (R, module, side) inside a ``resolve.sharing()`` scope."""
+    from .resolve import shared  # resolve builds on this module
     if side not in ("S", "T"):
         raise ModuleError(f"side must be 'S' or 'T', not {side!r}")
     if module.algebra is not R.factor(side):
         raise ModuleError(f"the module is not over the fiber product's {side} factor")
-    basis = [module.labels(n) if n <= R.cap else [] for n in range(R.cap + 1)]
-    action = {}
-    for m in range(1, R.cap + 1):
-        for n in range(0, R.cap + 1 - m):
-            dims = (R.dim(m), module.dim(n), module.dim(n + m))
-            action[(m, n)] = linalg.Matrix.placed_tables(
-                [(module.action[(m, n)], module.dim(n), (R.part(side, m).start, 0, 0))], dims, R.p)
-    return GradedModule(R, basis, action)
+
+    def build():
+        basis = [module.labels(n) if n <= R.cap else [] for n in range(R.cap + 1)]
+        action = {}
+        for m in range(1, R.cap + 1):
+            for n in range(0, R.cap + 1 - m):
+                dims = (R.dim(m), module.dim(n), module.dim(n + m))
+                action[(m, n)] = linalg.Matrix.placed_tables(
+                    [(module.action[(m, n)], module.dim(n), (R.part(side, m).start, 0, 0))],
+                    dims, R.p)
+        # the module is held, so that the id in the key stays its
+        return module, GradedModule(R, basis, action)
+
+    return shared(("restriction", id(R), id(module), side), build)[1]
 
 
 # -- free modules and matrices -------------------------------------------

@@ -96,6 +96,10 @@ def algebra_from_obj(obj: dict, char: int, cap: int) -> GradedAlgebra:
             degs = [_integer(v["deg"]) for v in obj["vars"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad monomial_quotient object: {exc}") from exc
+        bad = [name for name in names if not isinstance(name, str) or not name]
+        if bad:
+            raise InputError(f"bad monomial_quotient object: a variable name must be "
+                             f"a nonempty string, not {bad[0]!r}")
         rels = obj.get("rels", [])
         if not isinstance(rels, list) or not all(isinstance(r, str) for r in rels):
             raise InputError(f"bad monomial_quotient object: 'rels' must be a list "

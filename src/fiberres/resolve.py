@@ -237,12 +237,13 @@ def sharing():
     ``id``; the memo holds the built object, which holds that algebra,
     so no id is reused while its entry lives.  A module enters a
     ``minimal_resolution`` key by content: its basis labels and the
-    exact bytes of every action table (``linalg.Matrix.key``).  ``dmax`` enters
+    exact bytes of every action table (``linalg.Matrix.key``); it enters
+    a ``gmodule.restrict_to_fiber`` key by ``id``, held.  ``dmax`` enters
     after ``window`` defaults it to the algebra's cap.  A key is built
     only inside a scope.
 
-    Read-only contract: no library code mutates a ``FreeResolution`` or
-    an ``extalg._PhiData`` after it is built (only
+    Read-only contract: no library code mutates a ``FreeResolution``, a
+    restricted module or an ``extalg._PhiData`` after it is built (only
     ``minimal_resolution``'s own builder appends to one), beyond the
     caches a resolution fills lazily: its window maps, their
     ``evaluated`` blocks and their ``elimination``s, each a function of

@@ -1,4 +1,5 @@
-"""Alternating-word free resolutions over a fiber product.
+"""Alternating-word free resolutions over a fiber product, and the one
+table of alternating words.
 
 Take minimal resolutions P of a module and E of the residue field over
 the first factor, and F of the residue field over the second.  Words
@@ -8,10 +9,15 @@ fiber product.  The differential acts on the leading letter only;
 leading letters of homological degree 1 whose image lands in the
 rank-one bottom step are deleted, their coefficient multiplying the
 tail word.
+
+``WordTable`` holds every set of alternating words the package builds:
+this basis, and in ``extalg`` the free product's and the induced
+module's, each word as its first letter and the index of its rest.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +36,12 @@ from .series import PowerSeries, word_count_series_formula
 
 __all__ = [
     "WordError",
+    "WordTable",
     "Letter",
     "Word",
     "WordComplex",
-    "alternating_words",
     "generate_words",
     "word_differential",
-    "word_label",
     "assemble_word_complex",
     "build_word_resolution",
     "word_count_series",
@@ -48,9 +53,98 @@ class WordError(ValueError):
     pass
 
 
-_TAG_RANK = {"E": 0, "F": 1, "P": 2}
-# the fiber product's factor that the resolution behind each tag is over
-_TAG_SIDE = {"E": "S", "F": "T", "P": "S"}
+class WordTable:
+    """The words of total weight <= ``cap`` that prepend letters to a
+    seed, neighbours from different sides and the letter next to the seed
+    from side ``next_to_seed`` (either if None).  Letter (t, w, i) is the
+    i-th of ``letters[t][w]`` on side t and of weight w >= 1, seed (w, i)
+    the i-th of ``seeds[w]``.  Letter ids follow (side, weight, index),
+    as ``letters`` lists their keys.  Word k of weight n is ``first[n][k]``
+    (-1 for a seed alone) prepended to word ``rest[n][k]`` of the rest's
+    weight (for a seed alone, the seed's index).  The words of a weight
+    go by (length, first letter, rest), so by (length, letters, seed)
+    key by key, as the rests of one length are already in that order; a
+    seed alone comes first, at its seed's index."""
+
+    def __init__(self, letters, seeds: list[int], cap: int, next_to_seed: int | None = None):
+        if any(len(counts) and counts[0] for counts in letters):
+            raise WordError("letters need a positive weight")
+        self.cap, self.letters, self._ids = cap, [], {}
+        for t in (0, 1):
+            for w, k in enumerate(letters[t][:cap + 1]):
+                self._ids[(t, w)] = range(len(self.letters), len(self.letters) + k)
+                self.letters += [(t, w, i) for i in range(k)]
+        # each letter's side, then the side no letter may precede a seed
+        # alone from (-1: none), read by a first letter -1
+        side = np.array([t for t, _, _ in self.letters]
+                        + [-1 if next_to_seed is None else 1 - next_to_seed])
+        self.first: list[np.ndarray] = []
+        self.rest: list[np.ndarray] = []
+        self._up: dict[tuple[int, int], np.ndarray] = {}  # (x, weight) -> prepend lookup
+        # per weight and side t: the words a letter of side t may precede,
+        # and their lengths plus one
+        after: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        for n in range(cap + 1):
+            k = seeds[n] if n < len(seeds) else 0
+            heads = [(x, n - w) for x, (_, w, _) in enumerate(self.letters) if w <= n]
+            parts = [(np.arange(k), np.zeros(k, dtype=np.int64))]
+            parts += [after[m][side[x]] for x, m in heads]
+            sizes = [r.size for r, _ in parts]
+            first = np.repeat(np.array([-1] + [x for x, _ in heads]), sizes)
+            rest, length = (np.concatenate(a) for a in zip(*parts))
+            order = np.argsort(length, kind="stable")
+            where = np.empty_like(order)
+            where[order] = np.arange(order.size)
+            self.first.append(first[order])
+            self.rest.append(rest[order])
+            # the lookup arrays of the heads (x, m), cut from one block
+            starts = np.cumsum([0] + [self.first[m].size for _, m in heads]).tolist()
+            up = np.full(starts[-1], -1)
+            up[np.repeat(np.array(starts[:-1], dtype=np.int64), sizes[1:]) + rest[k:]] = where[k:]
+            self._up.update((head, up[a:b]) for head, a, b in zip(heads, starts, starts[1:]))
+            lead = side[self.first[n]]
+            after.append([(r, length[order][r] + 1)
+                          for r in (np.flatnonzero(lead != t) for t in (0, 1))])
+
+    def letter(self, side: int, weight: int, index: int = 0) -> int:
+        """The id of letter (side, weight, index)."""
+        return self._ids[(side, weight)][index]
+
+    def prepend(self, x: int, weight: int, rests) -> np.ndarray:
+        """The index of letter x prepended to each of the words ``rests``
+        of ``weight``, among the words of weight + weight(x); -1 where
+        the letter may not precede the word."""
+        return self._up[(x, weight)][rests]
+
+    def singles(self, side: int, weight: int) -> np.ndarray:
+        """The index of the word x.s, s the first seed of weight 0, for
+        each letter x of ``side`` and ``weight`` in index order."""
+        return np.array([self._up[(x, 0)][0] for x in self._ids.get((side, weight), ())],
+                        dtype=np.int64)
+
+    def fold(self, letter_values: list, seed_values: list, op) -> list[list]:
+        """Per weight, each word's value: ``seed_values[n][i]`` for seed
+        (n, i) alone, ``op(letter_values[x], value of the rest)`` for a
+        word with first letter x."""
+        out: list[list] = []
+        for n, (first, rest) in enumerate(zip(self.first, self.rest)):
+            out.append([seed_values[n][r] if x < 0 else op(letter_values[x],
+                                                          out[n - self.letters[x][1]][r])
+                        for x, r in zip(first.tolist(), rest.tolist())])
+        return out
+
+    def labels(self, letter_labels: list[str], seed_labels: list) -> list[list[str]]:
+        """Each word's label: its letters' and its seed's joined by ".",
+        a seed labelled None left out."""
+        return self.fold(letter_labels, seed_labels,
+                         lambda x, rest: x if rest is None else f"{x}.{rest}")
+
+    def words(self, n: int) -> list[tuple]:
+        """The words of weight n decoded, each as (letter keys, seed key)."""
+        seeds = [[((), (m, i)) for i in range(int((first < 0).sum()))]
+                 for m, first in enumerate(self.first)]
+        return self.fold([(key,) for key in self.letters], seeds,
+                         lambda x, rest: (x + rest[0], rest[1]))[n]
 
 
 @dataclass(frozen=True)
@@ -60,19 +154,8 @@ class Letter:
     idx: int        # index into that resolution step
     internal: int   # internal degree of the source generator
 
-    def key(self) -> tuple[int, int, int]:
-        return (_TAG_RANK[self.tag], self.hom, self.idx)
-
 
 Word = tuple[Letter, ...]
-
-
-def word_internal(w: Word) -> int:
-    return sum(x.internal for x in w)
-
-
-def _word_key(w: Word):
-    return (len(w), tuple(x.key() for x in w))
 
 
 def check_word(w: Word) -> None:
@@ -90,14 +173,6 @@ def check_word(w: Word) -> None:
             raise WordError(f"consecutive letters share a tag: {w}")
 
 
-def _letters(res: FreeResolution, tag: str, hmin: int, hmax: int) -> list[Letter]:
-    out = []
-    for i in range(hmin, min(hmax, res.hmax) + 1):
-        for j, d in enumerate(res.gen_degrees(i)):
-            out.append(Letter(tag, i, j, d))
-    return out
-
-
 def _check_inputs(E: FreeResolution, F: FreeResolution, P: FreeResolution,
                   hmax: int) -> None:
     for name, res in (("E", E), ("F", F), ("P", P)):
@@ -112,39 +187,38 @@ def _check_inputs(E: FreeResolution, F: FreeResolution, P: FreeResolution,
         raise WordError("P and E must be resolutions over the same factor")
 
 
-def alternating_words(seeds: list[tuple[int, object]],
-                      letters: list[tuple[int, int, object]], cap: int,
-                      first: int | None = None) -> list[list[tuple]]:
-    """Words ``(letters, seed)`` of total weight <= cap, bucketed by
-    weight in no particular order.  ``seeds`` are (weight, seed) pairs
-    and ``letters`` (side, weight, letter) triples, side 0 or 1, of
-    positive weight; letters are prepended so that neighbours come from different sides,
-    the one next to the seed from side ``first`` (either side if None)."""
-    if any(w < 1 for _, w, _ in letters):
-        raise WordError("letters need a positive weight")
-    buckets: list[list[tuple]] = [[] for _ in range(cap + 1)]
-    frontier = [(w, (), s, first) for w, s in seeds if w <= cap]
-    while frontier:
-        new = []
-        for w, ls, s, need in frontier:
-            buckets[w].append((ls, s))
-            for t, lw, x in letters:
-                if w + lw <= cap and (need is None or t == need):
-                    new.append((w + lw, (x,) + ls, s, 1 - t))
-        frontier = new
-    return buckets
+def _word_table(E: FreeResolution, F: FreeResolution, P: FreeResolution,
+                hmax: int) -> WordTable:
+    """The words of homological degree <= hmax: E letters on side 0, F
+    letters on side 1, weighted by step; P generators are the seeds."""
+    _check_inputs(E, F, P, hmax)
+    return WordTable([[0] + [res.rank(i) for i in range(1, hmax + 1)] for res in (E, F)],
+                     [P.rank(i) for i in range(hmax + 1)], hmax, next_to_seed=1)
 
 
 def generate_words(E: FreeResolution, F: FreeResolution, P: FreeResolution,
                    hmax: int) -> list[list[Word]]:
     """All valid words of homological degree <= hmax, bucketed by degree
-    and sorted by (length, letter keys)."""
-    _check_inputs(E, F, P, hmax)
-    letters = [(0, x.hom, x) for x in _letters(E, "E", 1, hmax)]
-    letters += [(1, x.hom, x) for x in _letters(F, "F", 1, hmax)]
-    seeds = [(x.hom, x) for x in _letters(P, "P", 0, hmax)]
-    return [sorted((ls + (x,) for ls, x in b), key=_word_key)
-            for b in alternating_words(seeds, letters, hmax, first=1)]
+    and sorted by (length, letter keys), decoded from the word table."""
+    def letter(tag, res, hom, idx):
+        return Letter(tag, hom, idx, res.gen_degrees(hom)[idx])
+
+    table = _word_table(E, F, P, hmax)
+    return table.fold([letter("EF"[t], (E, F)[t], w, i) for t, w, i in table.letters],
+                      [[(letter("P", P, n, i),) for i in range(P.rank(n))] for n in range(hmax + 1)],
+                      lambda x, rest: (x,) + rest)
+
+
+def _column(R: FiberProductAlgebra, side: str, src: FreeResolution, hom: int,
+            idx: int) -> list[tuple[int, Element]]:
+    """(row, coefficient embedded into R) of each entry of generator
+    ``idx``'s column of d_hom of ``src``, a resolution over R's factor
+    ``side``, read off the terms alone, by row."""
+    column = []
+    for (_, e), (tg, sg, _, coef) in src.terms[hom].items():
+        column.extend((int(tg[k]), R.embed(side, Element(src.algebra, e, coef[k])))
+                      for k in np.flatnonzero(sg == idx).tolist())
+    return sorted(column, key=lambda entry: entry[0])
 
 
 def word_differential(w: Word, E: FreeResolution, F: FreeResolution,
@@ -158,52 +232,53 @@ def word_differential(w: Word, E: FreeResolution, F: FreeResolution,
     if head.tag == "P" and head.hom == 0:
         return []
     src = {"E": E, "F": F, "P": P}[head.tag]
-    out: list[tuple[Word, Element]] = []
     degs = src.gen_degrees(head.hom - 1)
-    # the head letter's column of d_hom, read off the terms alone
-    column = []
-    for (_, e), (tg, sg, _, coef) in src.terms[head.hom].items():
-        at = np.flatnonzero(sg == head.idx)
-        column.extend((int(tg[k]), e, coef[k]) for k in at.tolist())
-    for row, e, vec in sorted(column, key=lambda entry: entry[0]):
-        coeff = R.embed(_TAG_SIDE[head.tag], Element(src.algebra, e, vec))
-        if head.tag != "P" and head.hom == 1:
-            out.append((tail, coeff))   # bottom step is the ring: drop the letter
-        else:
-            out.append(((Letter(head.tag, head.hom - 1, row, degs[row]),) + tail,
-                        coeff))
-    return out
+    # the bottom step of E and F is the ring: a letter of step 1 is dropped
+    return [(tail if head.tag != "P" and head.hom == 1
+             else (Letter(head.tag, head.hom - 1, row, degs[row]),) + tail, coeff)
+            for row, coeff in _column(R, "T" if head.tag == "F" else "S", src, head.hom,
+                                      head.idx)]
 
 
-def letter_label(x: Letter, rank: int) -> str:
-    base = f"{x.tag.lower()}{x.hom}"
-    return f"{base}_{x.idx}" if rank > 1 else base
-
-
-def word_label(w: Word, E: FreeResolution, F: FreeResolution,
-               P: FreeResolution) -> str:
-    srcs = {"E": E, "F": F, "P": P}
-    return ".".join(letter_label(x, srcs[x.tag].rank(x.hom)) for x in w)
+def _letter_label(tag: str, res: FreeResolution, hom: int, idx: int) -> str:
+    return f"{tag}{hom}_{idx}" if res.rank(hom) > 1 else f"{tag}{hom}"
 
 
 class WordComplex(FreeResolution):
     """Free resolution over the fiber product whose basis is the word
-    set; retains the three source resolutions and the words."""
+    set; retains the three source resolutions and the word table."""
 
     def __init__(self, algebra, module, hmax, dmax, frees, terms, cover,
-                 words: list[list[Word]], E: FreeResolution,
+                 table: WordTable, E: FreeResolution,
                  F: FreeResolution, P: FreeResolution):
         super().__init__(algebra, module, hmax, dmax, frees, terms, cover)
-        self.words = words
-        self.E = E
-        self.F = F
-        self.P = P
+        self.table, self.E, self.F, self.P = table, E, F, P
 
     def word_labels(self, i: int) -> list[str]:
         return self.frees[i].gen_labels
 
     def word_counts(self) -> list[int]:
-        return [len(b) for b in self.words]
+        return [first.size for first in self.table.first]
+
+
+def _word_terms(R: FiberProductAlgebra, table: WordTable, columns: list, seed_columns: list,
+                frees: list[FreeModule], n: int) -> dict:
+    """Generator terms of d_n, entered by word and row as
+    ``word_differential`` gives them: word j maps through its head's
+    column (``columns[x]`` for a first letter x, ``seed_columns[i]`` for
+    seed i alone), each target the rest with the head one step down
+    prepended, or the rest alone when the head is a letter of step 1."""
+    first, rest = table.first[n], table.rest[n]
+    entries = [(i, row, row, c) for i, column in enumerate(seed_columns) for row, c in column]
+    for x in np.unique(first[first >= 0]).tolist():
+        t, hom, _ = table.letters[x]
+        js = np.flatnonzero(first == x)
+        for row, c in columns[x]:
+            tgt = rest[js] if hom == 1 else table.prepend(table.letter(t, hom - 1, row), n - hom,
+                                                          rest[js])
+            entries += [(j, row, i, c) for j, i in zip(js.tolist(), tgt.tolist())]
+    entries.sort(key=lambda entry: entry[:2])
+    return AlgMatrix(R, frees[n], frees[n - 1], {(i, j): c for j, _, i, c in entries}).terms()
 
 
 def assemble_word_complex(R: FiberProductAlgebra, E: FreeResolution,
@@ -212,30 +287,25 @@ def assemble_word_complex(R: FiberProductAlgebra, E: FreeResolution,
     dmax = window(R, hmax, dmax)
     if E.algebra is not R.s_algebra or F.algebra is not R.t_algebra:
         raise WordError("resolutions do not match the fiber product factors")
-    words = generate_words(E, F, P, hmax)
-
-    frees = []
-    for bucket in words:
-        frees.append(FreeModule(R, [word_internal(w) for w in bucket],
-                                [word_label(w, E, F, P) for w in bucket]))
-
-    terms: list = [None]
-    for i in range(1, hmax + 1):
-        index = {w: r for r, w in enumerate(words[i - 1])}
-        entries: dict[tuple[int, int], Element] = {}
-        for j, w in enumerate(words[i]):
-            for tgt, coeff in word_differential(w, E, F, P, R):
-                key = (index[tgt], j)
-                entries[key] = entries[key] + coeff if key in entries else coeff
-        terms.append(AlgMatrix(R, frees[i], frees[i - 1], entries).terms())
+    table = _word_table(E, F, P, hmax)
+    srcs = (("e", E), ("f", F))
+    internal = table.fold([srcs[t][1].gen_degrees(w)[i] for t, w, i in table.letters],
+                          [P.gen_degrees(n) for n in range(hmax + 1)], operator.add)
+    labels = table.labels([_letter_label(*srcs[t], w, i) for t, w, i in table.letters],
+                          [[_letter_label("p", P, n, i) for i in range(P.rank(n))]
+                           for n in range(hmax + 1)])
+    frees = [FreeModule(R, internal[n], labels[n]) for n in range(hmax + 1)]
+    columns = [_column(R, "ST"[t], (E, F)[t], w, i) for t, w, i in table.letters]
+    terms = [None] + [_word_terms(R, table, columns,
+                                  [_column(R, "S", P, n, i) for i in range(P.rank(n))], frees, n)
+                      for n in range(1, hmax + 1)]
 
     module = restrict_to_fiber(R, P.module, "S")
     gens = []
     for j, s in enumerate(P.gen_degrees(0)):
         gens.append((s, P.eval_cover(s)[:, P.frees[0].gen_index(s, j)]))
     cover = cover_matrices(R, module, gens, frees[0], dmax)
-    return WordComplex(R, module, hmax, dmax, frees, terms, cover,
-                       words, E, F, P)
+    return WordComplex(R, module, hmax, dmax, frees, terms, cover, table, E, F, P)
 
 
 def build_word_resolution(S: GradedAlgebra, T: GradedAlgebra,

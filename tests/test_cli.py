@@ -224,6 +224,27 @@ def test_bundled_suite_passes_at_a_wider_window(tmp_path):
         for entry in shipped["entries"]]
 
 
+def test_a_suite_entry_restricts_each_module_once_per_side(tmp_path, monkeypatch):
+    """Inside an entry's sharing scope ``restrict_to_fiber`` builds each
+    (ring, module, side) once, however many checks ask for it."""
+    shipped = json.loads(pathlib.Path(MANIFESTS, "suite.json").read_text())
+    entry = next(e for e in shipped["entries"] if e["name"] == "cube-square truncated module")
+    manifest = write(tmp_path, "suite.json", {"window": shipped["window"], "entries": [
+        {k: os.path.abspath(os.path.join(MANIFESTS, v)) if k in ("s", "t", "m") else v
+         for k, v in entry.items()}]})
+    asked, built, real = [], [], resolve.shared
+
+    def recording(key, build):
+        if isinstance(key, tuple) and key[0] == "restriction":
+            asked.append(key)
+            return real(key, lambda: (built.append(key), build())[1])
+        return real(key, build)
+
+    monkeypatch.setattr(resolve, "shared", recording)
+    assert main(["suite", "--manifest", manifest]) == 0
+    assert sorted(built) == sorted(set(asked)) and len(asked) > len(built)
+
+
 def test_empty_suite_passes(tmp_path):
     manifest = write(tmp_path, "suite.json",
                      {"window": {"hmax": 3}, "entries": []})
@@ -346,6 +367,12 @@ GENERATOR_AT = "bad table object: generator 'x' at {at}: need [degree, index] wi
      "bad monomial_quotient object: 1.5 is not an integer"),
     ({"vars": [{"name": "x", "deg": True}]}, RESIDUE,
      "bad monomial_quotient object: True is not an integer"),
+    ({"vars": [{"name": [], "deg": 1}]}, RESIDUE,
+     "bad monomial_quotient object: a variable name must be a nonempty string, not []"),
+    ({"vars": [{"name": 5, "deg": 1}]}, RESIDUE,
+     "bad monomial_quotient object: a variable name must be a nonempty string, not 5"),
+    ({"vars": [{"name": "", "deg": 1}]}, RESIDUE,
+     "bad monomial_quotient object: a variable name must be a nonempty string, not ''"),
     ({}, {"kind": "free", "gens": [0.5, 1]},
      "free module needs integer 'gens': 0.5 is not an integer"),
     ({}, {"kind": "coker", "matrix": [["x"]], "gens": [0.7]},
@@ -375,7 +402,8 @@ GENERATOR_AT = "bad table object: generator 'x' at {at}: need [degree, index] wi
     (table(cap=1, basis=[["1"], "xy"], mult={}, generators={}), RESIDUE,
      "bad table object: basis degree 1 must be a list of strings, not 'xy'"),
 ], ids=["deg-string", "gens-string", "gens-number", "matrix-row-number", "cap-string",
-        "field-number", "deg-fraction", "deg-bool", "free-gens-fraction",
+        "field-number", "deg-fraction", "deg-bool", "name-list", "name-number", "name-empty",
+        "free-gens-fraction",
         "coker-gens-fraction", "rel-exponent-letter", "rels-string",
         "coker-exponent-letter", "coker-exponent-negative", "coker-superscript-digit",
         "table-generators-number",

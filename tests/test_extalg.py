@@ -34,6 +34,7 @@ from fiberres.gmodule import (
 )
 from fiberres.resolve import minimal_resolution
 from fiberres.series import coproduct_module_series
+from fiberres.wordres import Letter, generate_words
 
 P = 32003
 
@@ -405,10 +406,9 @@ def reference_word_images(d, induced, seeds, dims, act):
     letters act, rightmost first, on its module element's image, one
     ``act`` (as ``GradedModule.act``) per letter."""
     images = {}
-    for n, words in enumerate(induced.words):
-        rows = []
-        for w in words:
-            ls, (dm, mi) = w if isinstance(induced, FreeProductModule) else (w, (0, 0))
+    for n in range(induced.table.cap + 1):
+        words, rows = induced.table.words(n), []
+        for ls, (dm, mi) in words:
             deg, vec = dm, np.asarray(seeds[dm])[mi]
             for t, ldeg, i in reversed(ls):
                 mats = d.sig_mats if t == 0 else d.tau_mats
@@ -430,16 +430,22 @@ def one_hot_product(a, b, u, v):
             for k in np.flatnonzero(prod.vec)]
 
 
+def word_indices(table):
+    """Per degree, each decoded word's index."""
+    return [{w: i for i, w in enumerate(table.words(n))} for n in range(table.cap + 1)]
+
+
 def one_hot_fp_tables(fp):
     a, b = fp.factor_a, fp.factor_b
+    index = word_indices(fp.table)
     out = {}
     for m in range(1, fp.cap):
         for n in range(1, fp.cap + 1 - m):
             arr = np.zeros((fp.dim(m), fp.dim(n), fp.dim(m + n)), dtype=np.int64)
-            for i, u in enumerate(fp.words[m]):
-                for j, v in enumerate(fp.words[n]):
+            for i, (u, unit) in enumerate(fp.table.words(m)):
+                for j, (v, _) in enumerate(fp.table.words(n)):
                     for w, coeff in one_hot_product(a, b, u, v):
-                        arr[i, j, fp.word_index(m + n, w)] += coeff
+                        arr[i, j, index[m + n][(w, unit)]] += coeff
             out[(m, n)] = arr % fp.p
     return out
 
@@ -447,24 +453,25 @@ def one_hot_fp_tables(fp):
 def one_hot_fpm_tables(fpm):
     fp, module = fpm.algebra, fpm.factor_module
     a, b = fp.factor_a, fp.factor_b
+    index = word_indices(fpm.table)
     out = {}
     for m in range(1, fp.cap + 1):
         for n in range(fp.cap + 1 - m):
             arr = np.zeros((fp.dim(m), fpm.dim(n), fpm.dim(m + n)), dtype=np.int64)
-            for i, u in enumerate(fp.words[m]):
+            for i, (u, _) in enumerate(fp.table.words(m)):
                 x = u[-1]
-                for j, (ls, mpair) in enumerate(fpm.words[n]):
+                for j, (ls, mpair) in enumerate(fpm.table.words(n)):
                     if ls:
                         for w, coeff in one_hot_product(a, b, u, ls):
-                            arr[i, j, fpm.word_index(m + n, (w, mpair))] += coeff
+                            arr[i, j, index[m + n][(w, mpair)]] += coeff
                     elif x[0] == 1:
-                        arr[i, j, fpm.word_index(m + n, (u, mpair))] += 1
+                        arr[i, j, index[m + n][(u, mpair)]] += 1
                     else:
                         dm, mi = mpair
                         row = np.asarray(module.act_matrix(a.basis_element(x[1], x[2]), dm))[mi]
                         for k in np.flatnonzero(row):
                             w = (u[:-1], (dm + x[1], int(k)))
-                            arr[i, j, fpm.word_index(m + n, w)] += int(row[k])
+                            arr[i, j, index[m + n][w]] += int(row[k])
             out[(m, n)] = arr % fp.p
     return out
 
@@ -529,15 +536,11 @@ def test_word_images_make_one_product_per_first_letter_and_degree(weighted_theta
     by that letter's matrix.  The products that build a letter's matrix
     are not counted."""
     for args, images in weighted_theta[1]:
-        induced, dims = args[1], args[3]
+        table, dims = args[1].table, args[3]
         want = []
-        for n, words in enumerate(induced.words):
-            groups = {}
-            for w in words:
-                x = induced.split(n, w)[0]
-                if x is not None:
-                    groups[x] = groups.get(x, 0) + 1
-            want += [(count, (dims[n - x[1]], dims[n])) for x, count in groups.items()]
+        for n, first in enumerate(table.first):
+            want += [(int((first == x).sum()), (dims[n - table.letters[x][1]], dims[n]))
+                     for x in np.unique(first[first >= 0]).tolist()]
         got, real, inside = [], linalg.matmul, []
 
         def letter(*a):
@@ -570,6 +573,94 @@ def test_free_product_tables_equal_the_one_hot_route(weighted_theta):
     assert_same_tables(fpm.action, one_hot_fpm_tables(fpm))
 
 
+def brute_force_words(letters, seeds, cap, first):
+    """Every sequence of ``letters``, (side, weight, key) triples, of
+    total weight <= cap, kept when neighbouring sides differ and the
+    letter next to the seed is from side ``first`` (either if None),
+    then followed by each seed, a (weight, key) pair, that fits: per
+    weight the (letter keys, seed key) pairs, unsorted."""
+    out = [[] for _ in range(cap + 1)]
+
+    def grow(seq, weight):
+        sides = [t for t, _, _ in seq]
+        if all(a != b for a, b in zip(sides, sides[1:])) and (
+                not seq or first is None or sides[-1] == first):
+            out[weight].extend(((tuple(x for _, _, x in seq), s), w)
+                               for w, s in seeds if weight + w <= cap)
+        for x in letters:
+            if weight + x[1] <= cap:
+                grow(seq + [x], weight + x[1])
+
+    grow([], 0)
+    buckets = [[] for _ in range(cap + 1)]
+    for weight, words in enumerate(out):
+        for word, w in words:
+            buckets[weight + w].append(word)
+    return buckets
+
+
+def test_word_tables_list_the_brute_force_words_in_the_old_order(weighted_theta):
+    """The free product's words, sorted by (length, letters); the induced
+    module's, sorted by (length, letters, module element); and the word
+    complexes' of k and of M, sorted by (length, letter keys): each is
+    the table's decoded word list."""
+    (phi_args, _), (theta_args, _) = weighted_theta[1]
+    d, fp, fpm = phi_args[0], phi_args[1], theta_args[1]
+    cap, module = fp.cap, fpm.factor_module
+    letters = [(t, n, (t, n, i)) for t, alg in enumerate((fp.factor_a, fp.factor_b))
+               for n in range(1, cap + 1) for i in range(alg.dim(n))]
+    want = brute_force_words(letters, [(0, (0, 0))], cap, None)
+    assert [[ls for ls, _ in fp.table.words(n)] for n in range(cap + 1)] == \
+        [sorted((ls for ls, _ in b), key=lambda w: (len(w), w)) for b in want]
+    want = brute_force_words(letters, [(n, (n, i)) for n in range(cap + 1)
+                                       for i in range(module.dim(n))], cap, 1)
+    assert [fpm.table.words(n) for n in range(cap + 1)] == \
+        [sorted(b, key=lambda w: (len(w[0]), w[0], w[1])) for b in want]
+    rank = {"E": 0, "F": 1, "P": 2}
+    for P in (d.P, module.resolution):
+        def letter(tag, res, n, i):
+            return Letter(tag, n, i, res.gen_degrees(n)[i])
+        letters = [(t, n, letter(tag, res, n, i)) for t, (tag, res) in enumerate((("E", d.E), ("F", d.F)))
+                   for n in range(1, cap + 1) for i in range(res.rank(n))]
+        seeds = [(n, letter("P", P, n, i)) for n in range(cap + 1) for i in range(P.rank(n))]
+        want = [sorted((ls + (s,) for ls, s in b),
+                       key=lambda w: (len(w), tuple((rank[x.tag], x.hom, x.idx) for x in w)))
+                for b in brute_force_words(letters, seeds, cap, 1)]
+        assert generate_words(d.E, d.F, P, cap) == want
+
+
+def test_free_product_tables_multiply_by_each_letter_once_per_degree(weighted_theta, monkeypatch):
+    """The free product's and the induced module's tables make one
+    ``_letter_times`` per (letter, degree of the right-hand word), none
+    per pair of words, each reading a row of a factor's table (or of the
+    module's action) at most once; the rebuilt tables are the same."""
+    (phi_args, _), (theta_args, _) = weighted_theta[1]
+    fp, fpm = phi_args[1], theta_args[1]
+    calls, rows, real_times, real_rows = [], [], extalg._letter_times, linalg.Matrix.rows
+
+    def letter_times(*args):
+        calls.append(args[2:4])
+        rows.append([])
+        return real_times(*args)
+
+    def read_rows(mat, idx):
+        rows[-1].append((id(mat), tuple(np.atleast_1d(idx).tolist())))
+        return real_rows(mat, idx)
+
+    monkeypatch.setattr(extalg, "_letter_times", letter_times)
+    monkeypatch.setattr(linalg.Matrix, "rows", read_rows)
+    for build, old, n_min in ((lambda: extalg.FreeProductAlgebra(fp.factor_a, fp.factor_b, fp.cap),
+                               lambda x: x.mult, 1),
+                              (lambda: FreeProductModule(fp, fpm.factor_module),
+                               lambda x: x.action, 0)):
+        calls.clear()
+        again = build()
+        assert calls == [(x, n) for m in range(1, fp.cap + 1) for n in range(n_min, fp.cap + 1 - m)
+                         for x, (_, w, _) in enumerate(fp.table.letters) if w == m]
+        assert_same_tables(old(again), {k: np.asarray(t) for k, t in old(fp if n_min else fpm).items()})
+    assert all(len(r) == len(set(r)) for r in rows)
+
+
 def test_phi_setup_multiplies_no_elements(monkeypatch):
     """The phi set-up builds its word images and free-product tables
     without ``GradedAlgebra.multiply``; the per-letter route calls it
@@ -588,4 +679,4 @@ def test_phi_setup_multiplies_no_elements(monkeypatch):
     act = lambda a, m, v: (m + a.degree, (a * Element(d.R_ext, m, v)).vec)  # noqa: E731
     reference_word_images(d, d.FP, [d.R_ext.unit().vec.reshape(1, 1)],
                           [d.R_ext.dim(n) for n in range(6)], act)
-    assert len(calls) == sum(len(w) for ws in d.FP.words for w in ws)
+    assert len(calls) == sum(len(ls) for n in range(6) for ls, _ in d.FP.table.words(n))

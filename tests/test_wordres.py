@@ -13,7 +13,7 @@ from fiberres.resolve import WindowError, minimal_resolution
 from fiberres.wordres import (
     Letter,
     WordError,
-    alternating_words,
+    WordTable,
     assemble_word_complex,
     build_word_resolution,
     check_word,
@@ -160,8 +160,9 @@ def test_free_module_special_case():
     G = build_word_resolution(T, S, algebra_as_module(T), 5)
     rep = verify_word_resolution(G, compare_direct=True)
     assert rep.ok, rep.first_failure()
+    words = generate_words(G.E, G.F, G.P, 5)
     for i in range(1, 6):
-        for w in G.words[i]:
+        for w in words[i]:
             assert w[-1] == Letter("P", 0, 0, 0)
             assert w[-2].tag == "F"
     # ranks are the fiber formula with P_M = 1: 1, 1, 2, 4, 8, ...
@@ -173,8 +174,9 @@ def test_residue_special_case_words():
     # f.p0 and degree counts follow 1/(1 - 2t) for the square-zero pair
     S, T = square_zero_pair()
     G = build_word_resolution(S, T, residue_module(S), 4)
+    words = generate_words(G.E, G.F, G.P, 4)
     for i in range(1, 5):
-        for w in G.words[i]:
+        for w in words[i]:
             if len(w) == 1:
                 assert w[0].tag == "P"
             else:
@@ -215,40 +217,76 @@ def test_two_variable_factor():
 
 
 def _brute_force_words(seeds, letters, cap, first):
-    """Every letter sequence of the alphabet, kept when neighbouring
-    sides differ and the letter next to the seed is from side ``first``."""
+    """Every letter sequence of the alphabet (side, weight, index), kept
+    when neighbouring sides differ and the letter next to the seed is
+    from side ``first``, sorted by (length, letters, seed)."""
+    alphabet = [(t, w, i) for t in (0, 1) for w, k in enumerate(letters[t]) for i in range(k)]
+    seeds = [(w, i) for w, k in enumerate(seeds) for i in range(k)]
     out = [[] for _ in range(cap + 1)]
     for n in range(cap + 1):
-        for seq in itertools.product(letters, repeat=n):
+        for seq in itertools.product(alphabet, repeat=n):
             sides = [t for t, _, _ in seq]
             if any(a == b for a, b in zip(sides, sides[1:])):
                 continue
             if seq and first is not None and sides[-1] != first:
                 continue
-            for w, s in seeds:
-                total = w + sum(lw for _, lw, _ in seq)
+            for s in seeds:
+                total = s[0] + sum(w for _, w, _ in seq)
                 if total <= cap:
-                    out[total].append((tuple(x for _, _, x in seq), s))
-    return out
+                    out[total].append((seq, s))
+    return [sorted(b, key=lambda w: (len(w[0]), w)) for b in out]
 
 
 @pytest.mark.parametrize("first", [None, 0, 1])
 @pytest.mark.parametrize("cap", [0, 1, 5])
-@pytest.mark.parametrize("seeds", [[], [(0, "s")], [(0, "s"), (1, "t"), (3, "u")]])
-@pytest.mark.parametrize("letters", [
-    [(0, 1, "a"), (0, 2, "b"), (1, 1, "c"), (1, 3, "d")],
-    [(1, 1, "f")],
-])
-def test_alternating_words_match_brute_force(first, cap, seeds, letters):
-    got = alternating_words(seeds, letters, cap, first)
-    assert len(got) == cap + 1
-    assert [sorted(b) for b in got] == \
-        [sorted(b) for b in _brute_force_words(seeds, letters, cap, first)]
+@pytest.mark.parametrize("seeds", [[], [1], [1, 1, 0, 1], [2, 0, 1]])
+@pytest.mark.parametrize("letters", [[[0, 1, 1], [0, 1, 0, 1]], [[], [0, 1]], [[0, 2], [0, 0, 3]]])
+def test_word_table_matches_brute_force(first, cap, seeds, letters):
+    """The decoded table lists each weight's words in (length, letters,
+    seed) order, and its prepend lookup finds each word from its rest."""
+    table = WordTable(letters, seeds, cap, first)
+    want = _brute_force_words(seeds, letters, cap, first)
+    assert [table.words(n) for n in range(cap + 1)] == want
+    index = [{w: i for i, w in enumerate(b)} for b in want]
+    for n, words in enumerate(want):
+        for i, (ls, s) in enumerate(words):
+            if ls:
+                x = table.letters.index(ls[0])
+                rest = index[n - ls[0][1]][(ls[1:], s)]
+                assert (table.first[n][i], table.rest[n][i]) == (x, rest)
+                assert table.prepend(x, n - ls[0][1], [rest]).tolist() == [i]
+            else:
+                assert (table.first[n][i], table.rest[n][i]) == (-1, s[1]) and i == s[1]
 
 
-def test_alternating_words_reject_weightless_letters():
+def test_word_table_rejects_weightless_letters():
     with pytest.raises(WordError, match="positive weight"):
-        alternating_words([(0, None)], [(0, 0, "a"), (1, 1, "b")], 2)
+        WordTable([[1, 0], [0, 1]], [1], 2)
+
+
+def test_word_terms_equal_the_word_by_word_differential():
+    """Each step's generator terms, built from the table, equal those of
+    ``AlgMatrix`` on ``word_differential`` applied word by word, order
+    included: s_x3 x t_y2 at hmax 6 with M = k and M = S/(x^2)."""
+    S = mono([("x", 1)], ["x^3"], cap=12)
+    T = mono([("y", 1)], ["y^2"], cap=12)
+    R = fiber_product(S, T)
+    kx2 = cokernel_module(AlgMatrix(S, FreeModule(S, [2]), FreeModule(S, [0]),
+                                    {(0, 0): S.element_from_string("x^2")}))
+    for M in (residue_module(S), kx2):
+        G = build_word_resolution(S, T, M, 6, fiber=R)
+        words = generate_words(G.E, G.F, G.P, 6)
+        for i in range(1, 7):
+            index = {w: r for r, w in enumerate(words[i - 1])}
+            entries = {}
+            for j, w in enumerate(words[i]):
+                for tgt, coeff in word_differential(w, G.E, G.F, G.P, R):
+                    entries[(index[tgt], j)] = coeff
+            want = AlgMatrix(R, G.frees[i], G.frees[i - 1], entries).terms()
+            assert list(G.terms[i]) == list(want)
+            for key, arrays in want.items():
+                assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                           for a, b in zip(G.terms[i][key], arrays)), (i, key)
 
 
 def test_word_count_series_beyond_inputs_raises_word_error():
