@@ -308,7 +308,7 @@ def _letter_times(factors: tuple, table: WordTable, x: int, k: int, module) -> l
     if not blocked.size:
         return cells
     lead, alg = table.first[k][blocked], factors[t]
-    for y in np.unique(lead[lead >= 0]).tolist():
+    for y in np.flatnonzero(np.bincount(lead + 1)[1:]).tolist():  # np.unique loads numpy.ma
         vs = blocked[lead == y]
         _, wy, iy = table.letters[y]
         rows, zs, cs = alg.mult[(w, wy)].nonzero()
@@ -398,9 +398,9 @@ class FreeProductModule(GradedModule):
         degrees = range(fp.cap + 1)
         self.factor_module = module
         self.table = WordTable(fp.letter_counts, [module.dim(n) for n in degrees], fp.cap, 1)
-        super().__init__(fp, self.table.labels(fp.letter_labels, [module.labels(n) for n in degrees]),
-                         _word_products((fp.factor_a, fp.factor_b), fp.table, self.table, 0, fp.p,
-                                        module))
+        labels = self.table.labels(fp.letter_labels, [module.labels(n) for n in degrees])
+        super().__init__(fp, labels, _word_products((fp.factor_a, fp.factor_b), fp.table,
+                                                    self.table, 0, fp.p, module))
 
 
 def free_product_module(fp: FreeProductAlgebra,
@@ -462,7 +462,7 @@ def _word_images(d: _PhiData, induced, seeds: list, dims: list, letter_matrix) -
         if alone.size:
             r, c, v = seeds[n].rows(rest[alone]).nonzero()
             parts.append((alone[r], c, v))
-        for x in np.unique(first[first >= 0]).tolist():
+        for x in np.flatnonzero(np.bincount(first + 1)[1:]).tolist():  # the first letters
             t, deg, i = table.letters[x]
             vec = (d.sig_mats if t == 0 else d.tau_mats)[deg].rows([i]).dense()[0]
             rows = np.flatnonzero(first == x)

@@ -204,8 +204,8 @@ def generate_words(E: FreeResolution, F: FreeResolution, P: FreeResolution,
         return Letter(tag, hom, idx, res.gen_degrees(hom)[idx])
 
     table = _word_table(E, F, P, hmax)
-    return table.fold([letter("EF"[t], (E, F)[t], w, i) for t, w, i in table.letters],
-                      [[(letter("P", P, n, i),) for i in range(P.rank(n))] for n in range(hmax + 1)],
+    seeds = [[(letter("P", P, n, i),) for i in range(P.rank(n))] for n in range(hmax + 1)]
+    return table.fold([letter("EF"[t], (E, F)[t], w, i) for t, w, i in table.letters], seeds,
                       lambda x, rest: (x,) + rest)
 
 
@@ -270,7 +270,7 @@ def _word_terms(R: FiberProductAlgebra, table: WordTable, columns: list, seed_co
     prepended, or the rest alone when the head is a letter of step 1."""
     first, rest = table.first[n], table.rest[n]
     entries = [(i, row, row, c) for i, column in enumerate(seed_columns) for row, c in column]
-    for x in np.unique(first[first >= 0]).tolist():
+    for x in np.flatnonzero(np.bincount(first + 1)[1:]).tolist():  # np.unique loads numpy.ma
         t, hom, _ = table.letters[x]
         js = np.flatnonzero(first == x)
         for row, c in columns[x]:
