@@ -19,8 +19,8 @@ once: ``left_product`` (rows over the first factor times the table),
 a larger one, and ``GradedAlgebra.by_right_factor`` is the view
 ``gmodule.extend`` multiplies coefficients by.  Each is exact int64 mod
 p: a term is below p^2 and is reduced before it meets another factor.
-No reader branches on a table's storage, so a table above
-``linalg.STORAGE_MIN_CELLS`` cells is never made dense.
+No reader branches on a table's storage, so a table that ``linalg``
+keeps as its entries is never made dense.
 """
 
 from __future__ import annotations
