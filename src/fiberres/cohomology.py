@@ -12,11 +12,14 @@ its maps mu*/nu* are read off on generators from the terms that
 lifter in ``extalg``, keeps for each stage.
 
 ``combined_residue_resolution`` resolves the residue field over a free
-product by joining minimal resolutions over the two factors.  On top of
-it, ``depth_certificate`` builds explicit nonvanishing degree-1 classes
+product by joining minimal resolutions over the two factors, their
+terms placed at the coordinates of single-letter words.  On top of it,
+``depth_certificate`` builds explicit nonvanishing degree-1 classes
 against the induced module of a factor module (in the free-product
 model of the fiber product's cohomology), and ``depth_upper_bound``
-does the same for Ext of an arbitrary module.
+does the same for Ext of an arbitrary module.  Both read the free
+product, the induced module and that resolution from the ``extalg``
+set-up that phi and theta read, each building only what it reads.
 
 Grading convention on Hom complexes: a homogeneous map has internal
 degree ``nu`` when it sends degree-n elements to degree-(n - nu)
@@ -31,13 +34,11 @@ from functools import partial
 import numpy as np
 
 from . import linalg
-from .algebra import Element, FiberProductAlgebra, GradedAlgebra, left_product
+from .algebra import FiberProductAlgebra, left_product
 from .extalg import (ExtError, FreeProductAlgebra, _generator_coefficients,
-                     _lift_stages, _phi_setup, ext_algebra, ext_module,
-                     free_product, free_product_module)
-from .gmodule import (AlgMatrix, FreeModule, GradedModule,
-                      fiber_product_module, residue_module,
-                      restrict_to_fiber, submodule_as_gmodule,
+                     _lift_stages, _phi_setup, ext_module)
+from .gmodule import (FreeModule, GradedModule, fiber_product_module, placed_terms,
+                      residue_module, restrict_to_fiber, submodule_as_gmodule,
                       trivial_module)
 from .resolve import (ComplexReport, FreeResolution, WindowError,
                       minimal_resolution, verify_complex, window)
@@ -294,16 +295,6 @@ def verify_fiber_module_ext_sequence(R: FiberProductAlgebra,
 # -- resolving the residue field over a free product -------------------------
 
 
-def _include_factor(fp: FreeProductAlgebra, side: int, el: Element) -> Element:
-    """A factor element as a combination of single-letter words of the
-    free product (side 0 = first factor); in degree 0, of the unit."""
-    if el.degree == 0:
-        return Element(fp, 0, el.vec.copy())
-    vec = np.zeros(fp.dim(el.degree), dtype=np.int64)
-    vec[fp.table.singles(side, el.degree)] = el.vec
-    return Element(fp, el.degree, vec)
-
-
 def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
                                 a_res: FreeResolution | None = None,
                                 b_res: FreeResolution | None = None,
@@ -311,8 +302,10 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
     """Resolution of the residue field over a free product joined from
     minimal resolutions over the two factors: step i is free on both
     factors' step-i generators, and the differential applies the factor
-    differentials with entries read as single-letter words.  The result
-    is a minimal complex; exactness is checked by ``verify_complex``."""
+    differentials with entries read as single-letter words: each factor
+    term's coefficients placed at its letters' coordinates, the second
+    factor's generators after the first's.  The result is a minimal
+    complex; exactness is checked by ``verify_complex``."""
     A, B = fp.factor_a, fp.factor_b
     if a_res is None:
         a_res = minimal_resolution(A, residue_module(A), hmax, fp.cap)
@@ -330,16 +323,19 @@ def combined_residue_resolution(fp: FreeProductAlgebra, hmax: int,
         degs = a_res.gen_degrees(i) + b_res.gen_degrees(i)
         labels = ([f"S:{lab}" for lab in a_res.frees[i].gen_labels]
                   + [f"T:{lab}" for lab in b_res.frees[i].gen_labels])
-        fi = FreeModule(fp, degs, labels)
-        entries: dict[tuple[int, int], Element] = {}
-        ra = a_res.rank(i)
-        row_off = 0 if i == 1 else a_res.rank(i - 1)
-        for r, c, el in a_res.entries(i):
-            entries[(r, c)] = _include_factor(fp, 0, el)
-        for r, c, el in b_res.entries(i):
-            entries[(r + row_off, c + ra)] = _include_factor(fp, 1, el)
-        terms.append(AlgMatrix(fp, fi, frees[i - 1], entries).terms())
-        frees.append(fi)
+        frees.append(FreeModule(fp, degs, labels))
+        # the second factor's rows and columns follow the first's; at step 1
+        # both map onto the one generator of step 0
+        shifts = ((0, 0), (0 if i == 1 else a_res.rank(i - 1), a_res.rank(i)))
+        groups: dict = {}
+        for t, res in enumerate((a_res, b_res)):
+            # a word of one letter, or in degree 0 the unit
+            placed = placed_terms(res.terms[i], lambda e: fp.table.singles(t, e) if e else 0,
+                                  fp.dim)
+            for key, (tg, sg, b, coef) in placed.items():
+                groups.setdefault(key, []).append((tg + shifts[t][0], sg + shifts[t][1], b, coef))
+        terms.append({key: tuple(np.concatenate(arrays) for arrays in zip(*group))
+                      for key, group in groups.items()})
     cover = {0: np.ones((1, 1), dtype=np.int64)}
     return FreeResolution(fp, residue_module(fp), hmax, fp.cap, frees, terms, cover)
 
@@ -420,12 +416,10 @@ def socle_dims(module: GradedModule) -> dict[int, int]:
 # -- depth certificates -------------------------------------------------------
 
 
-def _verified_combined_resolution(rep: ComplexReport, fp: FreeProductAlgebra, steps: int,
-                                  a_res: FreeResolution | None,
-                                  b_res: FreeResolution | None) -> FreeResolution:
-    """``combined_residue_resolution(fp, steps, a_res, b_res)``, with the
-    row of its ``verify_complex`` added to ``rep``."""
-    C = combined_residue_resolution(fp, steps, a_res, b_res)
+def _verified_combined_resolution(rep: ComplexReport, d) -> FreeResolution:
+    """The set-up ``d``'s combined resolution C of k over its free
+    product, with the row of its ``verify_complex`` added to ``rep``."""
+    C = d.C
     cver = verify_complex(C)
     rep.add("combined resolution of k over the free product verifies",
             cver.ok, "" if cver.ok else str(cver.first_failure()))
@@ -480,13 +474,16 @@ class DepthCertificate:
         }
 
 
-def _act_letters(fp, module, letters, deg, vec):
-    """Left action of a word of letters (side, degree, index), rightmost
-    first."""
+def _act_letters(fp, module, letters, deg):
+    """An alternating word of letters (side, degree, index) acting on
+    word 0 of ``module`` in degree ``deg`` (mu or mu'): one action by the
+    word's basis element of the free product, found by prepending the
+    letters to the unit, rightmost first."""
+    weight, word = 0, 0
     for t, n, i in reversed(letters):
-        letter = (fp.factor_a, fp.factor_b)[t].basis_element(n, i)
-        deg, vec = module.act(_include_factor(fp, t, letter), deg, vec)
-    return deg, vec
+        weight, word = weight + n, int(fp.table.prepend(fp.table.letter(t, n, i), weight, word))
+    mu = np.eye(1, module.dim(deg), dtype=np.int64)[0]
+    return module.act(fp.basis_element(weight, word), deg, mu)
 
 
 def _single_label(module, deg, vec):
@@ -525,20 +522,12 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
     if jmax < 1:
         raise WindowError(f"jmax {jmax} asks for no witness; "
                           f"the smallest valid jmax is 1")
-    dmax = window(R, hmax, dmax)
-
-    s_ext = ext_algebra(S, hmax, dmax)
-    t_ext = ext_algebra(T, hmax, dmax)
-    m_ext = ext_module(S, module, hmax, dmax, ext=s_ext)
-    fp = free_product(s_ext, t_ext, hmax)
-    fpm = free_product_module(fp, m_ext)
+    d = _phi_setup(R, hmax, window(R, hmax, dmax))
+    s_ext, t_ext, fp = d.S_ext, d.T_ext, d.FP
+    _, m_ext, fpm = d.module(module)
     p = fp.p
-
-    steps = 3
-    a_res = minimal_resolution(s_ext, residue_module(s_ext), steps)
-    b_res = minimal_resolution(t_ext, residue_module(t_ext), steps)
     rep = ComplexReport()
-    C = _verified_combined_resolution(rep, fp, steps, a_res, b_res)
+    C = _verified_combined_resolution(rep, d)
 
     socle = socle_dims(fpm)
     rep.add(f"no socle in window: Hom(k, M) = 0 through degree {fp.cap - 1}",
@@ -574,14 +563,9 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
     if case == "first-factor-ext2":
         chosen["sigma'"] = s_ext.labels(2)[0]
 
-    def start(deg):  # mu (degree 0) or mu' (degree 1)
-        vec = np.zeros(fpm.dim(deg), dtype=np.int64)
-        vec[0] = 1
-        return deg, vec
-
     witnesses = []
     gens1 = C.gen_degrees(1)
-    ra1 = a_res.rank(1)
+    ra1 = d.a_res.rank(1)
     if case == "linear-factors":
         found = next(_nonzero_ext1(C, fpm, range(1, -fp.cap - 1, -1)), None)
         rep.add("Ext^1 nonzero at some internal degree "
@@ -600,26 +584,26 @@ def depth_certificate(R: FiberProductAlgebra, module: GradedModule,
             if case == "module-not-free":
                 a_letters = [the, sig] * (j - 1) + [the]
                 b_letters = [sig, the] * (j - 1)
-                a_start, b_start = start(0), start(1)
+                a_start, b_start = 0, 1
             elif case == "second-factor-ext2":
                 the2 = (1, 2, 0)
                 a_letters = [the, sig] * (j - 1) + [the2]
                 b_letters = [sig, the] * j
-                a_start, b_start = start(0), start(0)
+                a_start, b_start = 0, 0
             else:
                 sig2 = (0, 2, 0)
                 a_letters = [the, sig] * j + [the]
                 b_letters = [sig, the] * (j - 1) + [sig2, the]
-                a_start, b_start = start(0), start(0)
-            da = a_start[0] + sum(x[1] for x in a_letters)
-            db = b_start[0] + sum(x[1] for x in b_letters)
+                a_start, b_start = 0, 0
+            da = a_start + sum(x[1] for x in a_letters)
+            db = b_start + sum(x[1] for x in b_letters)
             if da != db:
                 raise ExtError(f"witness j={j}: the words reach degrees {da} and {db}")
             if max(gens1) + da > fpm.cap:
                 raise ExtError(f"window too small for witness j={j}: "
                                f"need cap >= {max(gens1) + da}")
-            da, alpha = _act_letters(fp, fpm, a_letters, *a_start)
-            db, beta = _act_letters(fp, fpm, b_letters, *b_start)
+            da, alpha = _act_letters(fp, fpm, a_letters, a_start)
+            db, beta = _act_letters(fp, fpm, b_letters, b_start)
             if not (np.any(alpha) and np.any(beta)):
                 raise ExtError(f"witness j={j}: a word acts by zero (alpha in degree "
                                f"{da}, beta in degree {db})")
@@ -708,7 +692,7 @@ def depth_upper_bound(R: FiberProductAlgebra, L: GradedModule, hmax: int,
             (d.FP.dim(m) * dims[1], dims[2]))
     lfp = GradedModule(d.FP, [list(l_ext.labels(n)) for n in range(hmax + 1)],
                        action)
-    C = _verified_combined_resolution(rep, d.FP, min(3, hmax), None, None)
+    C = _verified_combined_resolution(rep, d)
     rep.data["socle_window"] = socle_dims(lfp)
 
     found = list(_nonzero_ext1(C, lfp, range(-hmax, hmax + 1)))

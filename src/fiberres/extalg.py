@@ -33,11 +33,15 @@ straight into ``algebra``'s one table storage from its nonzero cells,
 and the induced map's images are ``linalg.Matrix``es placed from their
 entries, so an Ext table, almost all zeros, holds its entries only.
 For a fiber product R and a module M over its first factor, Ext_R(M, k)
-is the module induced from Ext_S(M, k) along that coproduct; one check
-body, ``_verify_induced``, tests this degree by degree and product by
-product, on an induced map that ``_word_images`` builds in suffix form
-too: a word is its first letter's matrix applied to the row already
-built for the rest of the word, one product per (degree, first letter).
+is the module induced from Ext_S(M, k) along that coproduct.  These
+objects are built in one place, the Ext-layer set-up of (R, hmax, dmax)
+(``_phi_setup``), which phi, theta and both depth bounds of
+``cohomology`` read; each of its pieces is built on first read, so a
+reader builds only what it reads.  One check body, ``_verify_induced``,
+tests the induced structure degree by degree and product by product, on
+an induced map that ``_word_images`` builds in suffix form too: a word
+is its first letter's matrix applied to the row already built for the
+rest of the word, one product per (degree, first letter).
 ``verify_theta_iso`` runs it for M; ``verify_phi_iso`` is its M = k
 case, where the induced module is the free product itself, plus a
 tensor-product control and the second factor's restriction.
@@ -47,6 +51,8 @@ count of Ext.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -292,6 +298,14 @@ def restriction_chain_map(R_res: FreeResolution, fac_res: FreeResolution,
                                      side=side)
 
 
+def _restriction_matrices(R: FiberProductAlgebra, R_res: FreeResolution,
+                          fac_res: FreeResolution, side: str) -> list[linalg.Matrix]:
+    """``restriction_chain_map`` read off on generators, stage by stage."""
+    lift = restriction_chain_map(R_res, fac_res, R, side)
+    return [_generator_coefficients(stage, R_res.frees[n], fac_res.frees[n])
+            for n, stage in enumerate(lift)]
+
+
 # -- free products on the alternating-word basis -----------------------------
 
 
@@ -412,39 +426,64 @@ def free_product_module(fp: FreeProductAlgebra,
 
 
 class _PhiData:
-    pass
+    """The Ext-layer set-up of a fiber product R at window (hmax, dmax).
+    Each piece is built on its first read, from the pieces it needs, and
+    kept: a function of (R, hmax, dmax) alone, or of a module the set-up
+    holds.  ``FP`` is the free product of the factors' Ext algebras
+    ``S_ext`` and ``T_ext``, on the factors' resolutions E and F of k;
+    ``R_ext`` is on G, the word resolution of k over R; ``sig_mats`` and
+    ``tau_mats`` are the restrictions from G to E and F on generators,
+    ``phis`` the candidate isomorphism on FP's basis words, and ``C``
+    resolves k over FP at ``min(3, hmax)`` steps, joined from ``a_res``
+    and ``b_res``."""
+
+    def __init__(self, R: FiberProductAlgebra, hmax: int, dmax: int):
+        self.R = R  # held, so that the id in a shared key stays R's
+        self.hmax, self.dmax, self._modules = hmax, dmax, {}
+
+    S_ext = cached_property(lambda d: ext_algebra(d.R.s_algebra, d.hmax, d.dmax))
+    T_ext = cached_property(lambda d: ext_algebra(d.R.t_algebra, d.hmax, d.dmax))
+    E, F = property(lambda d: d.S_ext.resolution), property(lambda d: d.T_ext.resolution)
+    FP = cached_property(lambda d: free_product(d.S_ext, d.T_ext, d.hmax))
+    # G, the word resolution of k (so its P is E), is built with R_ext on it:
+    # their Yoneda tables, the set-up's peak, come before FP is read
+    R_ext = cached_property(lambda d: ext_algebra(d.R, d.hmax, d.dmax, resolution=(
+        assemble_word_complex(d.R, d.E, d.F, d.E, d.hmax, d.dmax))))
+    G = property(lambda d: d.R_ext.resolution)
+    sig_mats = cached_property(lambda d: _restriction_matrices(d.R, d.G, d.E, "S"))
+    tau_mats = cached_property(lambda d: _restriction_matrices(d.R, d.G, d.F, "T"))
+    phis = cached_property(lambda d: _word_images(
+        d, d.FP, [linalg.Matrix.identity(1)], [d.R_ext.dim(n) for n in range(d.hmax + 1)],
+        d.R_ext.left_mult_matrix))
+    a_res = cached_property(lambda d: minimal_resolution(
+        d.S_ext, residue_module(d.S_ext), min(3, d.hmax)))
+    b_res = cached_property(lambda d: minimal_resolution(
+        d.T_ext, residue_module(d.T_ext), min(3, d.hmax)))
+
+    @cached_property
+    def C(self) -> FreeResolution:
+        from .cohomology import combined_residue_resolution  # cohomology builds on this module
+        return combined_residue_resolution(self.FP, min(3, self.hmax), self.a_res, self.b_res)
+
+    def module(self, M: GradedModule) -> tuple:
+        """(PM, M_ext, FPM) of a first-factor module M: Ext_S(M, k) on
+        M's resolution PM, and the module FPM induced from it along FP;
+        built at the first request for M and kept under ``id(M)``, with M
+        held, so that the id stays M's."""
+        if id(M) not in self._modules:
+            M_ext = ext_module(self.R.s_algebra, M, self.hmax, self.dmax, ext=self.S_ext)
+            self._modules[id(M)] = M, free_product_module(self.FP, M_ext)
+        FPM = self._modules[id(M)][1]
+        return FPM.factor_module.resolution, FPM.factor_module, FPM
 
 
 def _phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
-    """Shared scaffolding: factor resolutions, the word resolution of
-    the residue field, Ext algebras on both sides, the restriction
-    chain maps, and the candidate isomorphism on basis words.  Built
-    once per (R, hmax, dmax) inside a ``resolve.sharing()`` scope."""
+    """The Ext-layer set-up of (R, hmax, dmax): one per key inside a
+    ``resolve.sharing()`` scope, and afresh outside one."""
     return shared(("phi_setup", id(R), hmax, dmax), lambda: _build_phi_setup(R, hmax, dmax))
 
 
-def _build_phi_setup(R: FiberProductAlgebra, hmax: int, dmax: int) -> _PhiData:
-    d = _PhiData()
-    d.R = R  # held, so that the id in a shared key stays R's
-    d.S, d.T = R.s_algebra, R.t_algebra
-    d.E = minimal_resolution(d.S, residue_module(d.S), hmax, dmax)
-    d.F = minimal_resolution(d.T, residue_module(d.T), hmax, dmax)
-    d.P = d.E  # the module the word resolution resolves is k itself
-    d.G = assemble_word_complex(R, d.E, d.F, d.P, hmax, dmax)
-    d.S_ext = ext_algebra(d.S, hmax, dmax, resolution=d.E)
-    d.T_ext = ext_algebra(d.T, hmax, dmax, resolution=d.F)
-    d.R_ext = ext_algebra(R, hmax, dmax, resolution=d.G)
-    sigma = restriction_chain_map(d.G, d.E, R, "S")
-    tau = restriction_chain_map(d.G, d.F, R, "T")
-    d.sig_mats = [_generator_coefficients(sigma[n], d.G.frees[n], d.E.frees[n])
-                  for n in range(hmax + 1)]
-    d.tau_mats = [_generator_coefficients(tau[n], d.G.frees[n], d.F.frees[n])
-                  for n in range(hmax + 1)]
-    d.FP = free_product(d.S_ext, d.T_ext, hmax)
-    d.phis = _word_images(d, d.FP, [linalg.Matrix.identity(1)],
-                          [d.R_ext.dim(n) for n in range(hmax + 1)],
-                          d.R_ext.left_mult_matrix)
-    return d
+_build_phi_setup = _PhiData
 
 
 def _word_images(d: _PhiData, induced, seeds: list, dims: list, letter_matrix) -> dict:
@@ -632,14 +671,10 @@ def verify_theta_iso(R: FiberProductAlgebra, module: GradedModule, hmax: int,
     tmax = _products_degree(products_to, hmax, 0)
     dmax = window(R, hmax, dmax)
     d = _phi_setup(R, hmax, dmax)
-    PM = minimal_resolution(d.S, module, hmax, dmax)
+    PM, M_ext, FPM = d.module(module)
     GM = assemble_word_complex(R, d.E, d.F, PM, hmax, dmax)
-    M_ext = ext_module(d.S, module, hmax, dmax, ext=d.S_ext, resolution=PM)
-    FPM = free_product_module(d.FP, M_ext)
     MR_ext = ext_module(R, None, hmax, dmax, ext=d.R_ext, resolution=GM)
-    cM = restriction_chain_map(GM, PM, R, "S")
-    mats_m = [_generator_coefficients(cM[n], GM.frees[n], PM.frees[n])
-              for n in range(hmax + 1)]
+    mats_m = _restriction_matrices(R, GM, PM, "S")
     thetas = _word_images(d, FPM, mats_m, [GM.rank(n) for n in range(hmax + 1)],
                           MR_ext.act_matrix)
     return _verify_induced(

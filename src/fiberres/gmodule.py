@@ -26,7 +26,9 @@ generator images, the columns of a ``linalg.Matrix`` per degree.
 degree into a ``linalg.Matrix`` per degree, and ``extend_window``
 places the same blocks into one block-diagonal ``linalg.Matrix`` over
 the window.  An AlgMatrix writes a map by its algebra entries and hands it on as terms;
-nothing turns terms back into one.
+nothing turns terms back into one.  ``placed_terms`` reads the terms of
+a map over a factor as terms over a larger algebra that holds the
+factor's basis (a fiber product, a free product).
 
 Rows and maps of the resolution layer are ``linalg.Matrix``es, so
 ``linalg``'s storage rule alone decides how each is stored.  A module's
@@ -64,6 +66,7 @@ __all__ = [
     "extend",
     "extend_window",
     "generator_terms",
+    "placed_terms",
     "fiber_product_module",
     "minimal_generators",
     "window_degrees",
@@ -509,6 +512,18 @@ def generator_terms(ftgt: FreeModule, images: list, shift: int = 0) -> dict:
             if sel.size:
                 terms[(sj, dt - t)] = (tg[sel], gens[j[sel]], b[sel], coef[sel, :dk])
     return terms
+
+
+def placed_terms(terms: dict, coordinates, dim) -> dict:
+    """Generator terms over an algebra A read over a larger algebra B
+    that holds A's positive-degree basis: each coefficient row of degree
+    e placed at B's coordinates ``coordinates(e)`` of its ``dim(e)``."""
+    out = {}
+    for (sj, e), (tg, sg, b, coef) in terms.items():
+        wide = np.zeros((coef.shape[0], dim(e)), dtype=np.int64)
+        wide[:, coordinates(e)] = coef
+        out[(sj, e)] = (tg, sg, b, wide)
+    return out
 
 
 def _extended_blocks(ftgt: FreeModule, fsrc: FreeModule, terms: dict, d: int,

@@ -151,16 +151,25 @@ def load_algebra(path: str, default_char: int | None = None) -> GradedAlgebra:
     return algebra_from_obj(obj["algebra"], char, cap)
 
 
+def _module_gens(obj: dict, kind: str, default: list | None = None) -> list[int]:
+    """The generator degrees of a free or coker module object: a JSON list
+    read by ``_integer``; a string or an object is not read element by
+    element."""
+    try:
+        gens = obj["gens"] if default is None else obj.get("gens", default)
+        if not isinstance(gens, list):
+            raise TypeError(f"expected a list, not {gens!r}")
+        return [_integer(d) for d in gens]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{kind} module needs integer 'gens': {exc}") from exc
+
+
 def module_from_obj(obj: dict, algebra: GradedAlgebra) -> GradedModule:
     kind = obj.get("kind")
     if kind == "residue":
         return residue_module(algebra)
     if kind == "free":
-        try:
-            gens = [_integer(d) for d in obj["gens"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"free module needs integer 'gens': {exc}") from exc
-        return free_module_table(algebra, gens)
+        return free_module_table(algebra, _module_gens(obj, kind))
     if kind == "coker":
         rows = obj.get("matrix")
         if not isinstance(rows, list) or not rows:
@@ -170,10 +179,7 @@ def module_from_obj(obj: dict, algebra: GradedAlgebra) -> GradedModule:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows) or ncols == 0:
             raise InputError("coker matrix must be rectangular and nonempty")
-        try:
-            tgt_degs = [_integer(d) for d in obj.get("gens", [0] * len(rows))]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"coker module needs integer 'gens': {exc}") from exc
+        tgt_degs = _module_gens(obj, kind, [0] * len(rows))
         if len(tgt_degs) != len(rows):
             raise InputError("coker 'gens' must match the number of rows")
         entries: dict[tuple[int, int], object] = {}

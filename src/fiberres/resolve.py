@@ -33,7 +33,8 @@ kept.
 Inside a ``sharing()`` scope, equal requests share one result: each
 ``minimal_resolution`` key (the algebra's identity, the module's
 content, hmax and dmax) is built once, and so is each
-``extalg._phi_setup`` key.  Outside a scope every call builds afresh.
+``extalg._phi_setup`` key, the one Ext-layer set-up that phi, theta and
+both depth bounds read.  Outside a scope every call builds afresh.
 The CLI suite opens one scope per manifest entry, because the checks of
 one entry test the paper's statements about one ring against the same
 resolutions; nothing else opens one.
@@ -247,8 +248,9 @@ def sharing():
     ``minimal_resolution``'s own builder appends to one), beyond the
     caches a resolution fills lazily: its window maps, their
     ``evaluated`` blocks and their ``elimination``s, each a function of
-    the resolution alone, so a
-    caller sees the same value whoever asked first; and a shared
+    the resolution alone; and the pieces a set-up fills on first use, each
+    a function of (R, hmax, dmax) and, per module, of the module it holds.
+    So a caller sees the same value whoever asked first; and a shared
     resolution's ``module`` is the first caller's object of equal
     content, of which callers read only the content.
 

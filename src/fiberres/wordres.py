@@ -8,7 +8,11 @@ F-letter just before it, index a free basis of a resolution over the
 fiber product.  The differential acts on the leading letter only;
 leading letters of homological degree 1 whose image lands in the
 rank-one bottom step are deleted, their coefficient multiplying the
-tail word.
+tail word.  Each step's terms come from the source differentials' term
+arrays placed in the fiber product (``gmodule.placed_terms``), a head
+letter's column sent to all the words it leads at once;
+``word_differential`` applies the differential word by word, the
+reference.
 
 ``WordTable`` holds every set of alternating words the package builds:
 this basis, and in ``extalg`` the free product's and the induced
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .algebra import Element, FiberProductAlgebra, GradedAlgebra, fiber_product
-from .gmodule import AlgMatrix, FreeModule, GradedModule, residue_module, restrict_to_fiber
+from .gmodule import FreeModule, GradedModule, placed_terms, residue_module, restrict_to_fiber
 from .resolve import (
     ComplexReport,
     FreeResolution,
@@ -209,18 +214,6 @@ def generate_words(E: FreeResolution, F: FreeResolution, P: FreeResolution,
                       lambda x, rest: (x,) + rest)
 
 
-def _column(R: FiberProductAlgebra, side: str, src: FreeResolution, hom: int,
-            idx: int) -> list[tuple[int, Element]]:
-    """(row, coefficient embedded into R) of each entry of generator
-    ``idx``'s column of d_hom of ``src``, a resolution over R's factor
-    ``side``, read off the terms alone, by row."""
-    column = []
-    for (_, e), (tg, sg, _, coef) in src.terms[hom].items():
-        column.extend((int(tg[k]), R.embed(side, Element(src.algebra, e, coef[k])))
-                      for k in np.flatnonzero(sg == idx).tolist())
-    return sorted(column, key=lambda entry: entry[0])
-
-
 def word_differential(w: Word, E: FreeResolution, F: FreeResolution,
                       P: FreeResolution, R: FiberProductAlgebra,
                       ) -> list[tuple[Word, Element]]:
@@ -231,13 +224,14 @@ def word_differential(w: Word, E: FreeResolution, F: FreeResolution,
     head, tail = w[0], w[1:]
     if head.tag == "P" and head.hom == 0:
         return []
-    src = {"E": E, "F": F, "P": P}[head.tag]
+    src, side = {"E": (E, "S"), "F": (F, "T"), "P": (P, "S")}[head.tag]
     degs = src.gen_degrees(head.hom - 1)
+    column = sorted(((row, el) for row, col, el in src.entries(head.hom) if col == head.idx),
+                    key=lambda entry: entry[0])
     # the bottom step of E and F is the ring: a letter of step 1 is dropped
     return [(tail if head.tag != "P" and head.hom == 1
-             else (Letter(head.tag, head.hom - 1, row, degs[row]),) + tail, coeff)
-            for row, coeff in _column(R, "T" if head.tag == "F" else "S", src, head.hom,
-                                      head.idx)]
+             else (Letter(head.tag, head.hom - 1, row, degs[row]),) + tail, R.embed(side, el))
+            for row, el in column]
 
 
 def _letter_label(tag: str, res: FreeResolution, hom: int, idx: int) -> str:
@@ -261,24 +255,41 @@ class WordComplex(FreeResolution):
         return [first.size for first in self.table.first]
 
 
-def _word_terms(R: FiberProductAlgebra, table: WordTable, columns: list, seed_columns: list,
-                frees: list[FreeModule], n: int) -> dict:
+def _word_terms(R: FiberProductAlgebra, table: WordTable, letter_terms: list, seed_terms: dict,
+                degrees: np.ndarray, n: int) -> dict:
     """Generator terms of d_n, entered by word and row as
     ``word_differential`` gives them: word j maps through its head's
-    column (``columns[x]`` for a first letter x, ``seed_columns[i]`` for
-    seed i alone), each target the rest with the head one step down
-    prepended, or the rest alone when the head is a letter of step 1."""
+    column, read off ``letter_terms[t][hom]`` for a first letter of side t
+    and step hom and off ``seed_terms`` for a seed alone (the word of its
+    seed's index), both placed in R; each target is the rest with the
+    head one step down prepended, or the rest alone when the head is a
+    letter of step 1.  The entries are grouped by (word degree, entry
+    degree) in order of first appearance by (word, row)."""
     first, rest = table.first[n], table.rest[n]
-    entries = [(i, row, row, c) for i, column in enumerate(seed_columns) for row, c in column]
+    # (words, rows, targets, entry degrees, coefficients) per head and column entry
+    cells = [(sg, tg, tg, np.full(tg.size, e), coef)
+             for (_, e), (tg, sg, _, coef) in seed_terms.items()]
     for x in np.flatnonzero(np.bincount(first + 1)[1:]).tolist():  # np.unique loads numpy.ma
-        t, hom, _ = table.letters[x]
+        t, hom, idx = table.letters[x]
         js = np.flatnonzero(first == x)
-        for row, c in columns[x]:
-            tgt = rest[js] if hom == 1 else table.prepend(table.letter(t, hom - 1, row), n - hom,
-                                                          rest[js])
-            entries += [(j, row, i, c) for j, i in zip(js.tolist(), tgt.tolist())]
-    entries.sort(key=lambda entry: entry[:2])
-    return AlgMatrix(R, frees[n], frees[n - 1], {(i, j): c for j, _, i, c in entries}).terms()
+        for (_, e), (tg, sg, _, coef) in letter_terms[t][hom].items():
+            for k in np.flatnonzero(sg == idx).tolist():
+                tgt = rest[js] if hom == 1 else table.prepend(
+                    table.letter(t, hom - 1, int(tg[k])), n - hom, rest[js])
+                cells.append((js, np.full(js.size, tg[k]), tgt, np.full(js.size, e),
+                              np.tile(coef[k], (js.size, 1))))
+    if not cells:
+        return {}
+    width = max(c[4].shape[1] for c in cells)
+    J, rows, I, E, coef = (np.concatenate(a) for a in zip(*[
+        (*c[:4], np.pad(c[4], ((0, 0), (0, width - c[4].shape[1])))) for c in cells]))
+    order = np.lexsort((rows, J))
+    J, I, E, coef = J[order], I[order], E[order], coef[order]
+    deg, terms = degrees[J], {}
+    for sj, e in dict.fromkeys(zip(deg.tolist(), E.tolist())):
+        at = np.flatnonzero((deg == sj) & (E == e))
+        terms[(sj, e)] = (I[at], J[at], np.zeros(at.size, dtype=np.int64), coef[at, :R.dim(e)])
+    return terms
 
 
 def assemble_word_complex(R: FiberProductAlgebra, E: FreeResolution,
@@ -295,9 +306,11 @@ def assemble_word_complex(R: FiberProductAlgebra, E: FreeResolution,
                           [[_letter_label("p", P, n, i) for i in range(P.rank(n))]
                            for n in range(hmax + 1)])
     frees = [FreeModule(R, internal[n], labels[n]) for n in range(hmax + 1)]
-    columns = [_column(R, "ST"[t], (E, F)[t], w, i) for t, w, i in table.letters]
-    terms = [None] + [_word_terms(R, table, columns,
-                                  [_column(R, "S", P, n, i) for i in range(P.rank(n))], frees, n)
+    letter_terms = [[None] + [placed_terms(res.terms[w], partial(R.part, side), R.dim)
+                              for w in range(1, hmax + 1)] for res, side in ((E, "S"), (F, "T"))]
+    terms = [None] + [_word_terms(R, table, letter_terms,
+                                  placed_terms(P.terms[n], partial(R.part, "S"), R.dim),
+                                  np.array(internal[n], dtype=np.int64), n)
                       for n in range(1, hmax + 1)]
 
     module = restrict_to_fiber(R, P.module, "S")

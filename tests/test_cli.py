@@ -356,7 +356,7 @@ GENERATOR_AT = "bad table object: generator 'x' at {at}: need [degree, index] wi
     ({}, {"kind": "coker", "matrix": [["x"]], "gens": ["a"]},
      "coker module needs integer 'gens': invalid literal"),
     ({}, {"kind": "coker", "matrix": [["x"]], "gens": 5},
-     "coker module needs integer 'gens': 'int' object is not iterable"),
+     "coker module needs integer 'gens': expected a list, not 5"),
     ({}, {"kind": "coker", "matrix": [1]},
      "coker 'matrix' must be a list of rows"),
     ({"cap": "six"}, RESIDUE,
@@ -401,6 +401,12 @@ GENERATOR_AT = "bad table object: generator 'x' at {at}: need [degree, index] wi
     (table(mult={"1|1": [[[True]]]}), RESIDUE, "bad table object: True is not an integer"),
     (table(cap=1, basis=[["1"], "xy"], mult={}, generators={}), RESIDUE,
      "bad table object: basis degree 1 must be a list of strings, not 'xy'"),
+    ({}, {"kind": "free", "gens": "12"},
+     "free module needs integer 'gens': expected a list, not '12'"),
+    ({}, {"kind": "free", "gens": {"1": 0}},
+     "free module needs integer 'gens': expected a list, not {{'1': 0}}"),
+    ({}, {"kind": "coker", "matrix": [["x"]], "gens": "0"},
+     "coker module needs integer 'gens': expected a list, not '0'"),
 ], ids=["deg-string", "gens-string", "gens-number", "matrix-row-number", "cap-string",
         "field-number", "deg-fraction", "deg-bool", "name-list", "name-number", "name-empty",
         "free-gens-fraction",
@@ -409,7 +415,8 @@ GENERATOR_AT = "bad table object: generator 'x' at {at}: need [degree, index] wi
         "table-generators-number",
         "commutative-string", "fiber-factor-number", "table-generator-short",
         "table-generator-above-cap", "table-generator-negative-index",
-        "table-entry-fraction", "table-entry-bool", "table-basis-degree-string"])
+        "table-entry-fraction", "table-entry-bool", "table-basis-degree-string",
+        "free-gens-string", "free-gens-object", "coker-gens-string"])
 def test_malformed_input_file_exits_one(tmp_path, capsys, algebra_edit, module, message):
     """A value of the wrong type in an algebra or module file is an input
     error (exit 1, one error line), not a traceback; a fractional or
@@ -588,7 +595,7 @@ def test_depth_window_that_certifies_nothing_exits_one(capsys, monkeypatch, wind
     any cohomology is built, not passed with an empty certificate."""
     def no_setup(*args, **kwargs):
         raise AssertionError("set-up built for a refused window")
-    for name in ("ext_algebra", "minimal_resolution"):
+    for name in ("_phi_setup", "minimal_resolution"):
         monkeypatch.setattr(cohomology, name, no_setup)
     rc = main(manifest_args("depth", "--r", "r_square_zero.json", *window))
     out, err = capsys.readouterr()
@@ -659,8 +666,10 @@ def first_triple(tmp_path, checks=None):
 
 def test_suite_entry_builds_each_resolution_once(tmp_path, monkeypatch):
     """Inside one entry, every (algebra, module content, hmax, dmax) is
-    resolved once and the phi/theta set-up is built once, though several
-    checks ask for them."""
+    resolved once and the Ext-layer set-up is built once, though several
+    checks ask for them; phi, theta and depth read one set of its
+    objects: three Ext algebras (S, T and R), one free product and one
+    induced module."""
     built, setups = [], []
     real_build, real_setup = resolve._minimal_resolution, extalg._build_phi_setup
 
@@ -674,9 +683,17 @@ def test_suite_entry_builds_each_resolution_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(resolve, "_minimal_resolution", build)
     monkeypatch.setattr(extalg, "_build_phi_setup", setup)
+    made = {cls: [] for cls in (extalg.ExtAlgebra, extalg.FreeProductAlgebra,
+                                extalg.FreeProductModule)}
+    for cls, calls in made.items():
+        def init(self, *args, _real=cls.__init__, _calls=calls):
+            _calls.append(args)
+            _real(self, *args)
+        monkeypatch.setattr(cls, "__init__", init)
     assert main(["suite", "--manifest", first_triple(tmp_path)]) == 0
     assert len(built) == len(set(built)) > 0
     assert len(setups) == 1
+    assert [len(calls) for calls in made.values()] == [3, 1, 1]
 
 
 def test_suite_summaries_do_not_depend_on_the_check_order(tmp_path):

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fiberres import cohomology
+from fiberres import cohomology, extalg
 from fiberres.algebra import (
+    Element,
     MonomialQuotientPresentation,
     build_monomial_quotient,
     fiber_product,
@@ -38,7 +39,7 @@ from fiberres.gmodule import (
     residue_module,
     trivial_module,
 )
-from fiberres.resolve import WindowError, minimal_resolution, verify_complex
+from fiberres.resolve import FreeResolution, WindowError, minimal_resolution, verify_complex
 from fiberres.series import PowerSeries
 
 P = 32003
@@ -277,6 +278,68 @@ def test_combined_resolution_exterior_duals():
     assert [direct.rank(i) for i in range(4)] == [1, 2, 2, 2]
 
 
+def per_entry_combined_terms(fp, a_res, b_res, C, i):
+    """The step-i terms of the resolution of k over the free product
+    joined from a_res and b_res, written entry by entry: each factor entry
+    as its combination of single-letter words, through ``AlgMatrix``."""
+    def single_letters(side, el):
+        if el.degree == 0:
+            return Element(fp, 0, el.vec.copy())
+        vec = np.zeros(fp.dim(el.degree), dtype=np.int64)
+        vec[fp.table.singles(side, el.degree)] = el.vec
+        return Element(fp, el.degree, vec)
+
+    entries = {}
+    row_off = 0 if i == 1 else a_res.rank(i - 1)
+    for r, c, el in a_res.entries(i):
+        entries[(r, c)] = single_letters(0, el)
+    for r, c, el in b_res.entries(i):
+        entries[(r + row_off, c + a_res.rank(i))] = single_letters(1, el)
+    return AlgMatrix(fp, C.frees[i], C.frees[i - 1], entries).terms()
+
+
+@pytest.mark.parametrize("s_rel", ["x^2", "x^3"])
+def test_combined_resolution_terms_equal_the_per_entry_reference(s_rel):
+    """The joined terms (factor coefficients placed at their letters'
+    coordinates) equal the per-entry reference, key order included, at
+    steps 1..3 over the Ext algebras of k[x]/(x^2 or x^3) and k[y]/(y^2)."""
+    S, T = mono([("x", 1)], [s_rel], cap=12), mono([("y", 1)], ["y^2"], cap=12)
+    fp = free_product(ext_algebra(S, 6), ext_algebra(T, 6))
+    a_res, b_res = (minimal_resolution(A, residue_module(A), 3)
+                    for A in (fp.factor_a, fp.factor_b))
+    C = combined_residue_resolution(fp, 3, a_res, b_res)
+    assert C.rank(3) > 0 if s_rel == "x^3" else C.rank(2) == 0
+    for i in range(1, 4):
+        want = per_entry_combined_terms(fp, a_res, b_res, C, i)
+        assert list(C.terms[i]) == list(want)
+        for key, arrays in want.items():
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(C.terms[i][key], arrays)), (i, key)
+
+
+def test_combined_resolution_keeps_a_unit_entry_of_a_non_minimal_factor(square_zero_pair):
+    """A factor resolution with a trivial summand (g at step 1 mapping to
+    0, h at step 2 mapping to g) has a degree-0 entry; joined, it stays
+    the unit of the free product, as in the per-entry reference."""
+    S, T, _ = square_zero_pair
+    fp = free_product(ext_algebra(S, 4), ext_algebra(T, 4))
+    A, B = fp.factor_a, fp.factor_b
+    a, b = (minimal_resolution(X, residue_module(X), 2) for X in (A, B))
+    f1, f2 = (FreeModule(A, a.gen_degrees(i) + [1]) for i in (1, 2))
+    d2 = {(r, c): el for r, c, el in a.entries(2)}
+    d2[(a.rank(1), a.rank(2))] = A.unit()
+    terms = [None, AlgMatrix(A, f1, a.frees[0], {(r, c): el for r, c, el in a.entries(1)}).terms(),
+             AlgMatrix(A, f2, f1, d2).terms()]
+    padded = FreeResolution(A, a.module, 2, a.dmax, [a.frees[0], f1, f2], terms, a.cover)
+    C = combined_residue_resolution(fp, 2, padded, b)
+    assert any(e == 0 for _, e in C.terms[2])
+    for i in (1, 2):
+        want = per_entry_combined_terms(fp, padded, b, C, i)
+        assert list(C.terms[i]) == list(want)
+        for key, arrays in want.items():
+            assert all(np.array_equal(x, y) for x, y in zip(C.terms[i][key], arrays)), (i, key)
+
+
 def test_ext_bidegree_over_exterior_pair():
     S = mono([("x", 1)], [], cap=4)
     T = mono([("y", 1)], [], cap=4)
@@ -321,6 +384,32 @@ def test_depth_certificate_module_not_free(square_zero_pair):
     assert set(cert.chosen) == {"sigma", "theta", "mu", "mu'"}
 
 
+@pytest.mark.parametrize("hmax, dmax", [(6, None), (4, 3)])
+def test_depth_certificate_builds_nothing_of_phi(square_zero_pair, monkeypatch, hmax, dmax):
+    """Outside a sharing scope the certificate builds only the set-up
+    pieces it reads: no word complex, no Ext algebra of R and no word
+    images; so it passes at hmax 4, dmax 3, where the restriction lifts
+    of phi would need a larger window."""
+    S, T, R = square_zero_pair
+    calls = {"assemble_word_complex": 0, "_word_images": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(extalg, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(extalg, name, counting)
+    bases, real_init = [], extalg.ExtAlgebra.__init__
+
+    def init(self, *args):
+        bases.append(args[5])
+        real_init(self, *args)
+
+    monkeypatch.setattr(extalg.ExtAlgebra, "__init__", init)
+    cert = depth_certificate(R, residue_module(S), 2, hmax, dmax)
+    assert cert.ok, cert.report.first_failure()
+    assert calls == {"assemble_word_complex": 0, "_word_images": 0}
+    assert bases[0] is S and bases[1] is T and len(bases) == 2
+
+
 def test_depth_witness_acting_by_zero_raises_a_typed_error(square_zero_pair,
                                                             monkeypatch):
     """The witness invariants are checks that ``python -O`` keeps: a
@@ -328,7 +417,7 @@ def test_depth_witness_acting_by_zero_raises_a_typed_error(square_zero_pair,
     degrees."""
     S, _, R = square_zero_pair
 
-    def zero_action(fp, module, letters, deg, vec):
+    def zero_action(fp, module, letters, deg):
         deg += sum(x[1] for x in letters)
         return deg, np.zeros(module.dim(deg), dtype=np.int64)
 

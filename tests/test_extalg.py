@@ -233,11 +233,13 @@ def zero_phi_row(d):
 def failing_checks(monkeypatch, tamper):
     """{name: detail} of the failing checks of phi and of theta (M = k)
     on k[x]/(x^2) x_k k[y]/(y^2), window 4, each over a set-up that
-    ``tamper`` corrupted after it was built."""
+    ``tamper`` corrupted after its pieces were built (each is built on
+    first read, so reading ``phis`` builds every piece phi reads)."""
     real = extalg._build_phi_setup
 
     def setup(*args):
         d = real(*args)
+        d.phis
         tamper(d)
         return d
 
@@ -493,7 +495,8 @@ def weighted_theta(request):
     1, 2) x_k k[y]/(y^2), cap 10 (the lifts of window 5 reach internal
     degree 10), for the module S/(x^2) over the first factor, with the
     arguments and result of each ``_word_images`` call: the phi set-up's,
-    then theta's."""
+    then theta's (theta builds its own first; the set-up's ``phis`` are
+    built when its checks first read them)."""
     p = request.param
     S = build_monomial_quotient(p, 10, MonomialQuotientPresentation(
         ["x", "w"], [1, 2], ["x^3", "w^2", "x*w"], True))
@@ -508,7 +511,7 @@ def weighted_theta(request):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extalg, "_word_images", recording)
         rep = verify_theta_iso(R, quotient_by_power(S, "x", 2, 1), 5)
-    return rep, calls
+    return rep, sorted(calls, key=lambda call: isinstance(call[0][1], FreeProductModule))
 
 
 def test_word_images_equal_the_letter_by_letter_route(weighted_theta):
@@ -617,7 +620,7 @@ def test_word_tables_list_the_brute_force_words_in_the_old_order(weighted_theta)
     assert [fpm.table.words(n) for n in range(cap + 1)] == \
         [sorted(b, key=lambda w: (len(w[0]), w[0], w[1])) for b in want]
     rank = {"E": 0, "F": 1, "P": 2}
-    for P in (d.P, module.resolution):
+    for P in (d.E, module.resolution):
         def letter(tag, res, n, i):
             return Letter(tag, n, i, res.gen_degrees(n)[i])
         letters = [(t, n, letter(tag, res, n, i)) for t, (tag, res) in enumerate((("E", d.E), ("F", d.F)))
@@ -675,6 +678,7 @@ def test_phi_setup_multiplies_no_elements(monkeypatch):
     S = mono([("x", 1)], ["x^2"], cap=8)
     R = fiber_product(S, mono([("y", 1)], ["y^2"], cap=8), 8)
     d = extalg._build_phi_setup(R, 5, 8)
+    d.phis  # each piece is built on first read: phis reads FP, R_ext and the restrictions
     assert calls == []
     act = lambda a, m, v: (m + a.degree, (a * Element(d.R_ext, m, v)).vec)  # noqa: E731
     reference_word_images(d, d.FP, [d.R_ext.unit().vec.reshape(1, 1)],
