@@ -261,9 +261,9 @@ def _word_terms(R: FiberProductAlgebra, table: WordTable, letter_terms: list, se
     ``word_differential`` gives them: word j maps through its head's
     column, read off ``letter_terms[t][hom]`` for a first letter of side t
     and step hom and off ``seed_terms`` for a seed alone (the word of its
-    seed's index), both placed in R; each target is the rest with the
-    head one step down prepended, or the rest alone when the head is a
-    letter of step 1.  The entries are grouped by (word degree, entry
+    seed's index), both placed in R at one width; each target is the rest
+    with the head one step down prepended, or the rest alone when the head
+    is a letter of step 1.  The entries are grouped by (word degree, entry
     degree) in order of first appearance by (word, row)."""
     first, rest = table.first[n], table.rest[n]
     # (words, rows, targets, entry degrees, coefficients) per head and column entry
@@ -277,12 +277,10 @@ def _word_terms(R: FiberProductAlgebra, table: WordTable, letter_terms: list, se
                 tgt = rest[js] if hom == 1 else table.prepend(
                     table.letter(t, hom - 1, int(tg[k])), n - hom, rest[js])
                 cells.append((js, np.full(js.size, tg[k]), tgt, np.full(js.size, e),
-                              np.tile(coef[k], (js.size, 1))))
+                              np.broadcast_to(coef[k], (js.size, coef.shape[1]))))
     if not cells:
         return {}
-    width = max(c[4].shape[1] for c in cells)
-    J, rows, I, E, coef = (np.concatenate(a) for a in zip(*[
-        (*c[:4], np.pad(c[4], ((0, 0), (0, width - c[4].shape[1])))) for c in cells]))
+    J, rows, I, E, coef = (np.concatenate(a) for a in zip(*cells))
     order = np.lexsort((rows, J))
     J, I, E, coef = J[order], I[order], E[order], coef[order]
     deg, terms = degrees[J], {}
@@ -306,10 +304,12 @@ def assemble_word_complex(R: FiberProductAlgebra, E: FreeResolution,
                           [[_letter_label("p", P, n, i) for i in range(P.rank(n))]
                            for n in range(hmax + 1)])
     frees = [FreeModule(R, internal[n], labels[n]) for n in range(hmax + 1)]
-    letter_terms = [[None] + [placed_terms(res.terms[w], partial(R.part, side), R.dim)
+    # every coefficient placed at the width of R's widest degree, so that they stack
+    width = max(map(R.dim, range(R.cap + 1)))
+    letter_terms = [[None] + [placed_terms(res.terms[w], partial(R.part, side), lambda e: width)
                               for w in range(1, hmax + 1)] for res, side in ((E, "S"), (F, "T"))]
     terms = [None] + [_word_terms(R, table, letter_terms,
-                                  placed_terms(P.terms[n], partial(R.part, "S"), R.dim),
+                                  placed_terms(P.terms[n], partial(R.part, "S"), lambda e: width),
                                   np.array(internal[n], dtype=np.int64), n)
                       for n in range(1, hmax + 1)]
 
